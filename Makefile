@@ -4,7 +4,7 @@ BENCH_BASELINE ?= BENCH_4.json
 BENCH_THRESHOLD ?= 0
 PROFILE_FIG ?= 5
 
-.PHONY: all build vet fmt-check verify test race bench bench-json bench-compare profile fuzz fuzz-smoke parity-smoke shard-smoke policy-smoke discovery-smoke scen-smoke daemon-smoke cover-check results quick-results clean
+.PHONY: all build vet fmt-check verify test race bench bench-json bench-compare profile fuzz fuzz-smoke parity-smoke shard-smoke policy-smoke discovery-smoke scen-smoke daemon-smoke bench-smoke cover-check results quick-results clean
 
 all: build vet test
 
@@ -139,6 +139,15 @@ scen-smoke:
 # internal/httpapi and run under `make race`.
 daemon-smoke:
 	sh scripts/daemon_smoke.sh
+
+# Benchmark smoke (CI gate, a few seconds): the repo benchmark's unit
+# tests, then one op per workload at reduced size through the real
+# driver path, each byte-compared against its reference. A plumbing
+# check — it prints no numbers worth reading; `go run ./bench` does
+# (bench/README.md).
+bench-smoke:
+	$(GO) test ./bench
+	$(GO) run ./bench -smoke
 
 # Total line coverage with a pinned floor. The post-PR-10 baseline is
 # 76.3% (the runsvc/httpapi/buildinfo management plane arrived fully

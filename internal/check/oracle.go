@@ -216,8 +216,10 @@ type Oracle struct {
 	pledges map[pair]sendRec
 	helps   map[pair]span
 
-	// I6 shadow topology, maintained solely from trace events. Nil when
-	// the world has no link-level overlay; I6 is then not checked.
+	// I6 shadow topology, maintained solely from trace events and asked
+	// only Reachable (component labels, never a distance row) — a
+	// different algorithm than the engine routes by. Nil when the world
+	// has no link-level overlay; I6 is then not checked.
 	shadow *topology.Graph
 
 	// I9 token-bucket replay, per node incarnation: tokens sampled only
@@ -701,7 +703,7 @@ func (o *Oracle) OnSend(now sim.Time, from, to topology.NodeID, m protocol.Messa
 	// I6: the backend claims from→to is reachable; verify on the shadow
 	// graph maintained independently from link-cut/restore trace events.
 	// Skipped when the world has no link overlay (live fabrics).
-	if o.shadow != nil && o.shadow.Dist(from, to) < 0 {
+	if o.shadow != nil && !o.shadow.Reachable(from, to) {
 		o.fail(now, "I6-partition-safety", from,
 			"message %s sent to node %d across a recorded cut", m.Kind, to)
 	}
@@ -773,7 +775,7 @@ func (o *Oracle) OnDeliver(now sim.Time, to topology.NodeID, m protocol.Message)
 func (o *Oracle) OnDrop(now sim.Time, from, to topology.NodeID, m protocol.Message, reason string) {
 	if reason == trace.DropPartition {
 		o.msgPartition++
-		if o.shadow != nil && o.shadow.Dist(from, to) >= 0 {
+		if o.shadow != nil && o.shadow.Reachable(from, to) {
 			o.fail(now, "I6-partition-safety", from,
 				"message %s to node %d dropped as a partition drop while the shadow overlay still connects them",
 				m.Kind, to)

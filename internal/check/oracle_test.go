@@ -11,6 +11,7 @@ import (
 	"realtor/internal/rng"
 	"realtor/internal/sim"
 	"realtor/internal/topology"
+	"realtor/internal/trace"
 	"realtor/internal/workload"
 )
 
@@ -89,6 +90,77 @@ func TestOracleCleanUnderChurn(t *testing.T) {
 	}
 	for _, v := range o.Violations() {
 		t.Errorf("unexpected violation: %s", v)
+	}
+}
+
+// TestI6PartitionSafetyThroughReachable feeds the oracle hand-forged
+// observer calls over a shadow overlay it maintains from link events
+// alone. I6 is answered by the shadow's component labels (Reachable),
+// never by a distance row: a send across a recorded cut and a partition
+// drop between still-connected nodes must each raise it, and the honest
+// counterparts of both must stay clean.
+func TestI6PartitionSafetyThroughReachable(t *testing.T) {
+	help := protocol.Message{Kind: protocol.Help, From: 0}
+	cut := func(a, b topology.NodeID) trace.Event {
+		return trace.Event{At: 1, Kind: trace.LinkCut, Node: a, Peer: b}
+	}
+	restore := func(a, b topology.NodeID) trace.Event {
+		return trace.Event{At: 2, Kind: trace.LinkRestore, Node: a, Peer: b}
+	}
+	cases := []struct {
+		name   string
+		events []trace.Event // link history on the 2×2 mesh 0-1 / 2-3
+		act    func(o *Oracle)
+		want   int // I6 violations
+	}{
+		{"forged send across a recorded cut",
+			[]trace.Event{cut(0, 1), cut(0, 2)},
+			func(o *Oracle) { o.OnSend(3, 0, 3, help) }, 1},
+		{"send around a cut that leaves a detour",
+			[]trace.Event{cut(0, 1)},
+			func(o *Oracle) { o.OnSend(3, 0, 1, help) }, 0},
+		{"send after the cut healed",
+			[]trace.Event{cut(0, 1), cut(0, 2), restore(0, 2)},
+			func(o *Oracle) { o.OnSend(3, 0, 3, help) }, 0},
+		{"phantom partition drop on the pristine mesh",
+			nil,
+			func(o *Oracle) { o.OnDrop(3, 0, 3, help, trace.DropPartition) }, 1},
+		{"phantom partition drop around a detour",
+			[]trace.Event{cut(0, 1)},
+			func(o *Oracle) { o.OnDrop(3, 0, 1, help, trace.DropPartition) }, 1},
+		{"genuine partition drop",
+			[]trace.Event{cut(0, 1), cut(0, 2)},
+			func(o *Oracle) { o.OnDrop(3, 0, 3, help, trace.DropPartition) }, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pcfg := fuzzishConfig()
+			_, o := attach(engine.Config{
+				Graph:         topology.Mesh(2, 2),
+				QueueCapacity: 10,
+				HopDelay:      0.01,
+				Threshold:     pcfg.Threshold,
+				Duration:      10,
+				Seed:          1,
+			}, func() protocol.Discovery { return core.New(pcfg) })
+			for _, ev := range tc.events {
+				o.Record(ev)
+			}
+			tc.act(o)
+			got := 0
+			for _, v := range o.Violations() {
+				if v.Invariant != "I6-partition-safety" {
+					t.Errorf("unexpected violation: %s", v)
+				}
+				got++
+			}
+			if got != tc.want {
+				t.Fatalf("%d I6 violations, want %d", got, tc.want)
+			}
+			if st := o.shadow.DistStats(); st != (topology.DistStats{}) {
+				t.Fatalf("shadow overlay materialised distance rows: %+v", st)
+			}
+		})
 	}
 }
 

@@ -1289,7 +1289,9 @@ func (e *Engine) Revive(id topology.NodeID) {
 func (e *Engine) Graph() *topology.Graph { return e.graph }
 
 // mutableGraph returns a graph the engine may mutate, cloning the
-// (possibly shared) configured graph on first use.
+// (possibly shared) configured graph on first use. Callers check on the
+// live view that the mutation is effective first: cloning for a no-op
+// would also retire the scopeDist fast path for the rest of the run.
 func (e *Engine) mutableGraph() *topology.Graph {
 	if !e.ownsGraph {
 		e.graph = e.graph.Clone()
@@ -1306,9 +1308,11 @@ func (e *Engine) mutableGraph() *topology.Graph {
 // only grows distances, so the conservative lookahead stays valid.
 // Idempotent; reports whether the link existed.
 func (e *Engine) CutLink(a, b topology.NodeID) bool {
-	if !e.mutableGraph().CutLink(a, b) {
+	e.graph.CheckPair(a, b)
+	if !e.graph.HasLink(a, b) {
 		return false
 	}
+	e.mutableGraph().CutLink(a, b)
 	e.traceCtx(nil, trace.Event{At: e.sched.Now(), Kind: trace.LinkCut, Node: a, Peer: b})
 	return true
 }
@@ -1319,9 +1323,11 @@ func (e *Engine) CutLink(a, b topology.NodeID) bool {
 // one hop for the rest of the run. Idempotent; reports whether the link
 // was absent.
 func (e *Engine) RestoreLink(a, b topology.NodeID) bool {
-	if !e.mutableGraph().RestoreLink(a, b) {
+	e.graph.CheckPair(a, b)
+	if e.graph.HasLink(a, b) {
 		return false
 	}
+	e.mutableGraph().RestoreLink(a, b)
 	if e.shards > 1 {
 		e.delta = e.cfg.HopDelay
 	}

@@ -49,6 +49,62 @@ func TestCutLinkIsCopyOnWrite(t *testing.T) {
 	}
 }
 
+// TestNoOpLinkMutationKeepsSharedGraph: cutting an absent link and
+// restoring a present one are legal no-ops (attack.LinkCut feeds
+// user-supplied link lists). They must not clone the configured graph —
+// that would retire the scopeDist fast path for the rest of the run —
+// nor trace an event, nor do any distance work.
+func TestNoOpLinkMutationKeepsSharedGraph(t *testing.T) {
+	buf := &trace.Buffer{}
+	cfg := testEngineConfig()
+	cfg.Trace = buf
+	e := New(cfg, builders()["realtor"])
+	if e.CutLink(0, 6) { // diagonal: never a mesh link
+		t.Fatal("CutLink of an absent link reported a change")
+	}
+	if e.RestoreLink(0, 1) {
+		t.Fatal("RestoreLink of a present link reported a change")
+	}
+	if e.Graph() != cfg.Graph {
+		t.Fatal("a no-op link mutation cloned the configured graph")
+	}
+	if e.ownsGraph {
+		t.Fatal("a no-op link mutation retired the scopeDist fast path")
+	}
+	if n := len(buf.OfKind(trace.LinkCut)) + len(buf.OfKind(trace.LinkRestore)); n != 0 {
+		t.Fatalf("no-op link mutations traced %d events", n)
+	}
+	if st := e.Graph().DistStats(); st != (topology.DistStats{}) {
+		t.Fatalf("no-op link mutations did distance work: %+v", st)
+	}
+}
+
+// TestMalformedLinkPairPanics: attack.LinkCut hands user- and
+// fuzzer-supplied pairs straight to the engine, so a self-link or an
+// out-of-range endpoint must panic with topology's diagnostic before the
+// no-op shortcut can swallow it — for cuts and restores alike.
+func TestMalformedLinkPairPanics(t *testing.T) {
+	e := New(testEngineConfig(), builders()["realtor"])
+	n := topology.NodeID(e.Graph().N())
+	for _, p := range [][2]topology.NodeID{{3, 3}, {0, n}, {n, 0}, {-1, 2}} {
+		for name, mutate := range map[string]func(a, b topology.NodeID) bool{
+			"CutLink": e.CutLink, "RestoreLink": e.RestoreLink,
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(%d,%d) did not panic", name, p[0], p[1])
+					}
+				}()
+				mutate(p[0], p[1])
+			}()
+		}
+	}
+	if e.ownsGraph {
+		t.Fatal("a rejected pair cloned the configured graph")
+	}
+}
+
 // A mid-run bisection must drop cross-side deliveries (counted as
 // partition drops), emit link-cut/link-restore trace events, and heal
 // back to a connected overlay.

@@ -47,6 +47,12 @@ func FuzzCutRestoreEqualsRebuild(f *testing.F) {
 						t.Fatalf("op %d (byte %#x on link %v): dist(%d,%d) = %d, rebuild says %d",
 							i, op, l, a, b, got, want)
 					}
+					// Component labels and BFS rows are separate
+					// algorithms; they must agree on reachability.
+					if r := g.Reachable(NodeID(a), NodeID(b)); r != (got >= 0) {
+						t.Fatalf("op %d (byte %#x on link %v): Reachable(%d,%d) = %v but dist = %d",
+							i, op, l, a, b, r, got)
+					}
 				}
 			}
 		}

@@ -83,3 +83,40 @@ func TestGridFastPathSurvivesClone(t *testing.T) {
 		t.Fatalf("original Dist(0,1) = %d after clone mutation", got)
 	}
 }
+
+// TestMeshMetricsClosedForm: on a pristine mesh MeanPathLength and
+// Diameter come from closed forms; they must reproduce the all-sources
+// BFS sweep exactly (the same float64, not merely a close one — the cost
+// model and the settle window feed byte-compared outputs), do no BFS
+// work, and give way to the sweep as soon as the link set mutates.
+func TestMeshMetricsClosedForm(t *testing.T) {
+	for _, dims := range [][2]int{{1, 1}, {1, 9}, {6, 1}, {5, 5}, {4, 7}, {7, 3}, {50, 50}} {
+		g := Mesh(dims[0], dims[1])
+		ref := rebuildWithoutGrid(g)
+		if got, want := g.MeanPathLength(), ref.MeanPathLength(); got != want {
+			t.Fatalf("Mesh(%d,%d) MeanPathLength = %v, BFS sweep says %v", dims[0], dims[1], got, want)
+		}
+		if got, want := g.Diameter(), ref.Diameter(); got != want {
+			t.Fatalf("Mesh(%d,%d) Diameter = %d, BFS sweep says %d", dims[0], dims[1], got, want)
+		}
+		if st := g.DistStats(); st != (DistStats{}) {
+			t.Fatalf("Mesh(%d,%d) metrics did BFS work: %+v", dims[0], dims[1], st)
+		}
+	}
+
+	g := Mesh(4, 7)
+	g.CutLink(9, 10)
+	ref := rebuildWithoutGrid(g)
+	if got, want := g.MeanPathLength(), ref.MeanPathLength(); got != want {
+		t.Fatalf("cut mesh MeanPathLength = %v, BFS sweep says %v", got, want)
+	}
+	if got, want := g.Diameter(), ref.Diameter(); got != want {
+		t.Fatalf("cut mesh Diameter = %d, BFS sweep says %d", got, want)
+	}
+	if Mesh(4, 7).MeanPathLength() == g.MeanPathLength() {
+		t.Fatal("a cut left MeanPathLength at the pristine closed form")
+	}
+	if st := g.DistStats(); st.FullBuilds == 0 {
+		t.Fatalf("mutated mesh metrics did not return to the BFS path: %+v", st)
+	}
+}

@@ -46,17 +46,54 @@ func assertDistancesMatch(t *testing.T, step int, g, ref *Graph) {
 	}
 }
 
+// assertCarriedExactly checks the dirty-set rules from both sides: the
+// snapshot published by a mutation shares a row with old (the fully
+// materialised pre-mutation snapshot) exactly when that row still equals
+// a fresh rebuild. A stale carry is a correctness bug; a row dropped
+// though unchanged is the over-approximation the exact cut rule removed.
+// When the whole snapshot was dropped instead, at least three quarters
+// of the rows must really have changed.
+func assertCarriedExactly(t *testing.T, step int, g *Graph, old *distMatrix, ref *Graph) {
+	t.Helper()
+	n := g.N()
+	changed := make([]bool, n)
+	nChanged := 0
+	for s := 0; s < n; s++ {
+		for j, d := range *old.rows[s].Load() {
+			if d != ref.Dist(NodeID(s), NodeID(j)) {
+				changed[s] = true
+				nChanged++
+				break
+			}
+		}
+	}
+	m := g.dist.Load()
+	if m == nil {
+		if nChanged*4 < n*3 {
+			t.Fatalf("step %d: snapshot dropped though only %d of %d rows changed", step, nChanged, n)
+		}
+		return
+	}
+	for s := 0; s < n; s++ {
+		carried := m.rows[s].Load() == old.rows[s].Load()
+		if carried == changed[s] {
+			t.Fatalf("step %d: row %d carried=%v but changed=%v", step, s, carried, changed[s])
+		}
+	}
+}
+
 // TestIncrementalDistanceChurnProperty applies random CutLink/RestoreLink
 // churn and asserts after every single mutation that the incrementally
-// maintained snapshot agrees exactly with a from-scratch rebuild. This is
-// the correctness contract of the dirty-set maintenance: carrying a row
-// across a mutation is only legal when that row provably cannot change.
+// maintained snapshot agrees exactly with a from-scratch rebuild, and
+// that the mutation carried exactly the rows it left unchanged — no
+// stale row kept, no unchanged row rebuilt, for cuts and restores alike.
 func TestIncrementalDistanceChurnProperty(t *testing.T) {
 	builders := []struct {
 		name string
 		g    func() *Graph
 	}{
 		{"mesh4x4", func() *Graph { return Mesh(4, 4) }},
+		{"mesh3x6", func() *Graph { return Mesh(3, 6) }},
 		{"torus3x4", func() *Graph { return Torus(3, 4) }},
 		{"ring7", func() *Graph { return Ring(7) }},
 		{"random12", func() *Graph { return Random(12, 0.3, rng.New(99)) }},
@@ -75,6 +112,7 @@ func TestIncrementalDistanceChurnProperty(t *testing.T) {
 			g.Dist(0, NodeID(g.N()-1))
 			for step := 0; step < 120; step++ {
 				l := all[s.Intn(len(all))]
+				old := g.ensureDist() // fully materialised: these graphs are eager
 				if down[l] {
 					if !g.RestoreLink(l[0], l[1]) {
 						t.Fatalf("step %d: RestoreLink%v failed", step, l)
@@ -86,7 +124,9 @@ func TestIncrementalDistanceChurnProperty(t *testing.T) {
 					}
 					down[l] = true
 				}
-				assertDistancesMatch(t, step, g, rebuildReference(g))
+				ref := rebuildReference(g)
+				assertCarriedExactly(t, step, g, old, ref)
+				assertDistancesMatch(t, step, g, ref)
 			}
 		})
 	}
@@ -161,10 +201,10 @@ func TestLargeMeshChurnAvoidsFullRebuild(t *testing.T) {
 	if st.FullBuilds != 0 {
 		t.Fatalf("churn at N=2500 triggered %d full all-pairs rebuilds; want 0", st.FullBuilds)
 	}
-	// Row work must be per-query, not per-fault×N. Each fault re-BFSes at
-	// most the couple of rows actually queried afterwards, so the total
-	// stays a small multiple of the fault count — far below the N rows a
-	// single eager rebuild would have paid per fault.
+	// Row work must be per-query, not per-fault×N: a fault builds at most
+	// the two pre-mutation and (for a cut) two post-mutation endpoint
+	// rows, and the query afterwards hits a row the cut just published —
+	// far below the N rows a single eager rebuild would pay per fault.
 	if max := uint64(faults * 4); st.RowBuilds > max {
 		t.Fatalf("churn at N=2500 built %d rows; want ≤ %d (bounded by queries, not N)",
 			st.RowBuilds, max)
@@ -176,9 +216,9 @@ func TestLargeMeshChurnAvoidsFullRebuild(t *testing.T) {
 
 // TestDistStatsCountsEagerBuild pins the small-graph eager path: queries
 // on a pristine mesh ride the O(1) grid formula and build nothing; a
-// heavy-dirty mutation (a mesh cut dirties essentially every row) drops
-// the formula, and bursts of faults coalesce into a single full rebuild
-// at the next query instead of paying one rebuild per fault.
+// mutation drops the formula but, with no row materialised to carry,
+// spends no BFS either, so a burst of faults coalesces into a single
+// full build at the next query instead of paying one per fault.
 func TestDistStatsCountsEagerBuild(t *testing.T) {
 	g := Mesh(5, 5)
 	g.Dist(0, 24)
@@ -225,4 +265,67 @@ func TestMutationCarriesRowsAcrossComponents(t *testing.T) {
 	}
 	// Correctness after the carry.
 	assertDistancesMatch(t, 0, g, rebuildReference(g))
+}
+
+// TestMeshCutDirtiesOneLine pins the bipartite-mesh case the exact cut
+// rule exists for: adjacent mesh nodes have opposite parity, so the old
+// rule |d(s,a) − d(s,b)| = 1 held for every source and each cut dropped
+// all N rows. A mid-mesh cut really changes only the rows of the sources
+// in line with the link (they alone have no equal-length detour), and
+// costs two BFS — the post-cut rows of the endpoints, published at once.
+func TestMeshCutDirtiesOneLine(t *testing.T) {
+	const rows, cols = 50, 50
+	g := rebuildWithoutGrid(Mesh(rows, cols))
+	n := g.N()
+	for s := 0; s < n; s++ {
+		g.Dist(NodeID(s), 0)
+	}
+	before := g.DistStats()
+	if before.RowBuilds != uint64(n) {
+		t.Fatalf("materialised %d rows, want %d", before.RowBuilds, n)
+	}
+	a, b := NodeID(25*cols+25), NodeID(25*cols+26)
+	g.CutLink(a, b)
+	st := g.DistStats()
+	if got := st.RowsCarried - before.RowsCarried; got < uint64(n-cols) {
+		t.Fatalf("mid-mesh cut carried %d rows, want ≥ %d", got, n-cols)
+	}
+	if got := st.RowBuilds - before.RowBuilds; got > 2 {
+		t.Fatalf("mid-mesh cut built %d rows, want ≤ 2", got)
+	}
+	if d := g.Dist(a, b); d != 3 {
+		t.Fatalf("Dist across the cut = %d, want 3", d)
+	}
+	if got := g.DistStats().RowBuilds - before.RowBuilds; got != 2 {
+		t.Fatalf("row of a cut endpoint was not published by the cut (%d builds)", got)
+	}
+	ref := rebuildReference(g)
+	for _, s := range []NodeID{0, a, b, a - 5, b + 5, a - cols, NodeID(n - 1)} {
+		for j := 0; j < n; j++ {
+			if gd, rd := g.Dist(s, NodeID(j)), ref.Dist(s, NodeID(j)); gd != rd {
+				t.Fatalf("Dist(%d,%d)=%d, fresh rebuild says %d", s, j, gd, rd)
+			}
+		}
+	}
+}
+
+// TestRingCutFallsBack: a ring link is as good as a bridge — cutting it
+// changes nearly every row — so the ≥ 75 % fallback drops the snapshot
+// rather than carry a sliver of it, and distances are still exact.
+func TestRingCutFallsBack(t *testing.T) {
+	g := Ring(64)
+	g.Dist(0, 32)
+	g.CutLink(10, 11)
+	if g.dist.Load() != nil {
+		t.Fatal("ring cut kept a snapshot; want the fallback to drop it")
+	}
+	if d := g.Dist(10, 11); d != 63 {
+		t.Fatalf("Dist(10,11)=%d after the cut, want 63 (the long way round)", d)
+	}
+	assertDistancesMatch(t, 0, g, rebuildReference(g))
+	g.CutLink(40, 41) // now a genuine bridge: the path splits
+	if g.Reachable(10, 11) || !g.Reachable(11, 40) {
+		t.Fatal("Reachable disagrees with the two arcs a second cut leaves")
+	}
+	assertDistancesMatch(t, 1, g, rebuildReference(g))
 }

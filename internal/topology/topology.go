@@ -12,6 +12,7 @@ package topology
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"realtor/internal/rng"
@@ -24,11 +25,12 @@ type NodeID int
 // (Mesh, Torus, ...) or NewGraph + AddLink; mutating after calling path
 // queries is allowed — caches invalidate automatically.
 //
-// Concurrency: path queries (Dist, Diameter, ...) are safe to call from
-// multiple goroutines — the distance cache is a snapshot behind an atomic
-// pointer whose rows are themselves published atomically (computed on
-// demand, CAS'd in, immutable afterwards), so the parallel experiment
-// runner may share one Graph across engines. Mutators (AddLink,
+// Concurrency: path queries (Dist, Diameter, Reachable, ...) are safe to
+// call from multiple goroutines — the distance cache is a snapshot behind
+// an atomic pointer whose rows are themselves published atomically
+// (computed on demand, CAS'd in, immutable afterwards), and the component
+// labels are an immutable value behind another, so the parallel
+// experiment runner may share one Graph across engines. Mutators (AddLink,
 // RemoveNodeLinks, CutLink, RestoreLink) are NOT safe to run concurrently
 // with queries or each other; mutate only during single-threaded setup or
 // inside a single engine's event loop. The engine never mutates a shared
@@ -51,6 +53,10 @@ type Graph struct {
 
 	// dist is the current distance snapshot; nil until first use.
 	dist atomic.Pointer[distMatrix]
+
+	// comps is the connected-component labelling of the current link set;
+	// nil until first use and after every mutation (see components).
+	comps atomic.Pointer[components]
 
 	// Recomputation-effort counters (see DistStats). Atomic because row
 	// fills may race between concurrent readers of a shared graph.
@@ -75,10 +81,9 @@ const eagerDistLimit = 1024
 // whichever wins is correct). filled counts published rows.
 //
 // Mutations (CutLink/RestoreLink) publish a NEW snapshot that carries
-// over the row pointers whose sources provably cannot have changed (see
-// dirty-set analysis at cutDirties/restoreDirties) and leaves the dirty
-// ones nil, to be re-BFS'd only if queried. This replaces the old eager
-// full O(V·(V+E)) rebuild per link mutation.
+// over the row pointers of exactly the sources whose rows did not change
+// (see afterCut/afterRestore) and leaves the changed ones nil, to be
+// re-BFS'd only if queried.
 type distMatrix struct {
 	rows   []atomic.Pointer[[]int]
 	filled atomic.Int64
@@ -165,8 +170,15 @@ func (g *Graph) AddLink(a, b NodeID) {
 	g.adj[a] = append(g.adj[a], b)
 	g.adj[b] = append(g.adj[b], a)
 	g.links++
-	g.gridCols = 0
+	g.linksChanged()
 	g.dist.Store(nil)
+}
+
+// linksChanged drops everything derived from the link set's shape other
+// than distance rows, which each mutator republishes itself.
+func (g *Graph) linksChanged() {
+	g.gridCols = 0
+	g.comps.Store(nil)
 }
 
 // RemoveNodeLinks detaches a node from all its neighbors (used by attack
@@ -177,7 +189,7 @@ func (g *Graph) RemoveNodeLinks(id NodeID) {
 		g.links--
 	}
 	g.adj[id] = nil
-	g.gridCols = 0
+	g.linksChanged()
 	g.dist.Store(nil)
 }
 
@@ -188,20 +200,20 @@ func (g *Graph) RemoveNodeLinks(id NodeID) {
 // is atomically republished on every effective mutation, so readers never
 // observe a stale or half-built matrix — pairs split apart report
 // Dist == -1 from the instant the cut lands. The new snapshot is built
-// incrementally: rows whose source provably cannot see the cut are shared
-// with the previous snapshot, the rest are re-derived lazily on demand
-// (no full all-pairs rebuild per fault).
+// incrementally: every row the cut leaves unchanged is shared with the
+// previous snapshot, rows a and b are published fresh, and the other
+// changed rows are re-derived lazily on demand (see afterCut).
 func (g *Graph) CutLink(a, b NodeID) bool {
-	g.checkPair(a, b)
+	g.CheckPair(a, b)
 	if !g.HasLink(a, b) {
 		return false
 	}
-	next := g.prepareNext(a, b, false)
+	old, ra, rb := g.rowsBefore(a, b)
 	g.adj[a] = remove(g.adj[a], b)
 	g.adj[b] = remove(g.adj[b], a)
 	g.links--
-	g.gridCols = 0
-	g.publishNext(next)
+	g.linksChanged()
+	g.dist.Store(g.afterCut(old, ra, rb, a, b))
 	return true
 }
 
@@ -211,120 +223,130 @@ func (g *Graph) CutLink(a, b NodeID) bool {
 // usable to add genuinely new links to a running overlay (topology
 // repair).
 func (g *Graph) RestoreLink(a, b NodeID) bool {
-	g.checkPair(a, b)
+	g.CheckPair(a, b)
 	if g.HasLink(a, b) {
 		return false
 	}
-	next := g.prepareNext(a, b, true)
+	old, ra, rb := g.rowsBefore(a, b)
 	g.adj[a] = append(g.adj[a], b)
 	g.adj[b] = append(g.adj[b], a)
 	g.links++
-	g.gridCols = 0
-	g.publishNext(next)
+	g.linksChanged()
+	g.dist.Store(g.afterRestore(old, ra, rb))
 	return true
 }
 
-// nextDist is the snapshot-to-publish decided by prepareNext: either a
-// concrete matrix (carried rows + lazy holes), a request for a full
-// rebuild (small-graph fallback when almost everything is dirty), or
-// "leave unbuilt" (m == nil, full == false: distances were never queried,
-// so stay lazy).
-type nextDist struct {
-	m    *distMatrix
-	full bool
+// rowsBefore returns the snapshot a link mutation will carry rows from,
+// with the distance rows of both endpoints. It MUST run before the
+// adjacency mutates: the dirty-set rules compare against pre-mutation
+// distances. old is nil when no row is materialised (distances never
+// queried, or dropped by an earlier mutation): there is nothing to
+// carry, so the mutation spends no BFS and the graph stays unbuilt.
+func (g *Graph) rowsBefore(a, b NodeID) (old *distMatrix, ra, rb []int) {
+	old = g.dist.Load()
+	if old == nil || old.filled.Load() == 0 {
+		return nil, nil, nil
+	}
+	return old, g.row(old, a), g.row(old, b)
 }
 
-// prepareNext plans the distance snapshot that will hold after toggling
-// link {a, b}. It MUST run before the adjacency mutates: the dirty-set
-// analysis needs pre-mutation distances to a and b.
+// afterCut builds the snapshot that holds once link {a, b} is gone, from
+// the pre-cut rows ra, rb of its endpoints. It runs after the adjacency
+// mutated and spends two BFS — the post-cut rows na, nb of a and b, which
+// it publishes — to decide EXACTLY which other rows changed.
 //
-// Dirty-set invariants (unit-weight undirected graphs):
+// Removal only lengthens paths, and a shortest path from s crosses the
+// link a→b only if d(s,a)+1 = d(s,b) (b→a: the mirror image); any other
+// source keeps its row. For a source with d(s,a)+1 = d(s,b):
 //
-//   - Cut {a,b}: removal can only lengthen paths, and d(s,t) grows only
-//     if every shortest s–t path crossed the edge — which forces
-//     |d(s,a) − d(s,b)| == 1 beforehand. Sources with any other
-//     difference (including both endpoints unreachable) keep their rows.
+//   - if d′(s,b) = d(s,b), every old shortest path s⇝a→b⇝t is matched by
+//     a surviving one of equal length (the surviving s⇝b path, then the
+//     same b⇝t suffix, which never touched the link), so row s is
+//     unchanged;
+//   - if d′(s,b) ≠ d(s,b), row s differs at t = b.
 //
-//   - Restore {a,b}: insertion can only shorten paths, and any new
-//     shortest path uses the new edge exactly once (shortest paths are
-//     simple), i.e. d'(s,t) = min(d, d(s,a)+1+d(b,t), d(s,b)+1+d(a,t)).
-//     Row s can improve only if the detour through the edge can beat
-//     something: |d(s,a) − d(s,b)| ≥ 2, or exactly one endpoint was
-//     reachable. Sources with |diff| ≤ 1 (or neither endpoint reachable)
-//     keep their rows.
-//
-// Both conditions are conservative (necessary, not sufficient), so kept
-// rows are always exact; flagged rows are re-derived from the mutated
-// adjacency when next queried.
-func (g *Graph) prepareNext(a, b NodeID, restore bool) nextDist {
-	old := g.dist.Load()
+// So row s changes iff nb[s] ≠ rb[s]: on a mesh, the sources of one row
+// or column.
+func (g *Graph) afterCut(old *distMatrix, ra, rb []int, a, b NodeID) *distMatrix {
 	if old == nil {
-		return nextDist{} // never queried: stay unbuilt
+		return nil
 	}
-	if old.filled.Load() == 0 {
-		// Nothing materialized to carry over — republish an empty lazy
-		// snapshot without spending two BFS on the dirty analysis.
-		return nextDist{m: newDistMatrix(g.n)}
+	na, nb := make([]int, g.n), make([]int, g.n)
+	g.bfs(a, na)
+	g.bfs(b, nb)
+	g.rowBuilds.Add(2)
+	m := g.carry(old, func(s int) bool {
+		switch {
+		case ra[s]+1 == rb[s]:
+			return nb[s] != rb[s]
+		case rb[s]+1 == ra[s]:
+			return na[s] != ra[s]
+		}
+		return false
+	})
+	if m != nil {
+		// Rows a and b always change (their mutual distance was 1).
+		m.rows[a].Store(&na)
+		m.rows[b].Store(&nb)
+		m.filled.Add(2)
 	}
-	ra := g.row(old, a) // pre-mutation distances from a
-	rb := g.row(old, b) // pre-mutation distances from b
+	return m
+}
+
+// afterRestore builds the snapshot that holds once link {a, b} exists,
+// from the pre-restore rows ra, rb of its endpoints. Insertion only
+// shortens paths, and a new shortest path uses the new link exactly once
+// (shortest paths are simple): d′(s,t) = min(d, d(s,a)+1+d(b,t),
+// d(s,b)+1+d(a,t)). Row s changes iff that detour beats something, i.e.
+// |d(s,a) − d(s,b)| ≥ 2 or exactly one endpoint was reachable — it then
+// differs at the farther endpoint, and otherwise no detour is shorter.
+func (g *Graph) afterRestore(old *distMatrix, ra, rb []int) *distMatrix {
+	if old == nil {
+		return nil
+	}
+	return g.carry(old, func(s int) bool {
+		da, db := ra[s], rb[s]
+		if da < 0 || db < 0 {
+			return da != db // one side newly reachable
+		}
+		return da-db >= 2 || db-da >= 2
+	})
+}
+
+// carry returns a snapshot that shares old's materialised row of every
+// source for which changed reports false; the other rows stay nil until
+// queried.
+// When ≥ 75 % of the sources changed (a bridge: ring and tree links) the
+// bookkeeping buys nothing and carry returns nil — the next query pays
+// one rebuild (eager full matrix for small graphs, lazy rows for large
+// ones), and a burst of consecutive faults coalesces into one rebuild.
+func (g *Graph) carry(old *distMatrix, changed func(s int) bool) *distMatrix {
 	m := newDistMatrix(g.n)
 	dirty, carried := 0, 0
 	for s := 0; s < g.n; s++ {
-		da, db := ra[s], rb[s]
-		var canChange bool
-		if restore {
-			switch {
-			case da < 0 && db < 0:
-				canChange = false // s reaches neither endpoint: no new paths
-			case da < 0 || db < 0:
-				canChange = true // one side newly reachable
-			default:
-				canChange = da-db >= 2 || db-da >= 2
-			}
-		} else {
-			canChange = da-db == 1 || db-da == 1
-		}
-		if canChange {
+		if changed(s) {
 			dirty++
-			continue
-		}
-		if p := old.rows[s].Load(); p != nil {
+		} else if p := old.rows[s].Load(); p != nil {
 			m.rows[s].Store(p)
-			m.filled.Add(1)
 			carried++
 		}
 	}
 	if dirty*4 >= g.n*3 {
-		// ≥75% dirty: the carried bookkeeping buys nothing. Drop the
-		// snapshot entirely — the next query pays one rebuild (eager full
-		// matrix for small graphs, lazy rows for large ones), and bursts
-		// of consecutive faults coalesce into a single rebuild instead of
-		// one per fault.
-		return nextDist{full: true}
+		return nil
 	}
+	m.filled.Store(int64(carried))
 	g.rowsCarried.Add(uint64(carried))
-	return nextDist{m: m}
-}
-
-// publishNext installs the snapshot planned by prepareNext. Must run
-// after the adjacency mutated (any rebuild reads the new adjacency).
-func (g *Graph) publishNext(next nextDist) {
-	switch {
-	case next.full:
-		g.dist.Store(nil) // deferred: rebuilt on next query
-	case next.m != nil:
-		g.dist.Store(next.m)
-	default:
-		g.dist.Store(nil)
-	}
+	return m
 }
 
 func newDistMatrix(n int) *distMatrix {
 	return &distMatrix{rows: make([]atomic.Pointer[[]int], n)}
 }
 
-func (g *Graph) checkPair(a, b NodeID) {
+// CheckPair panics unless {a, b} names a possible link of g: two distinct
+// nodes in range. CutLink and RestoreLink run it before anything else, so
+// a malformed pair is a loud bug even when the mutation would be a no-op.
+func (g *Graph) CheckPair(a, b NodeID) {
 	if a == b {
 		panic(fmt.Sprintf("topology: self-link at node %d", a))
 	}
@@ -333,34 +355,89 @@ func (g *Graph) checkPair(a, b NodeID) {
 	}
 }
 
+// components is the connected-component labelling of one link set:
+// label[i] is the index of i's component, components numbered in order
+// of their smallest member. It is the single implementation of
+// reachability — Reachable, Connected, ComponentOf and Components all
+// read it — and is independent of the distance rows, so a graph asked
+// only for reachability (the oracle's shadow overlay) never builds one.
+type components struct {
+	label []int32
+	count int
+}
+
+// components returns the labelling of the current link set, computing it
+// with one O(N+E) sweep on first use after a mutation. Concurrent first
+// callers compute identical labellings, so whichever Store lands is
+// correct.
+func (g *Graph) components() *components {
+	if c := g.comps.Load(); c != nil {
+		return c
+	}
+	c := &components{label: make([]int32, g.n)}
+	for i := range c.label {
+		c.label[i] = -1
+	}
+	qp := getQueue(g.n)
+	defer bfsQueues.Put(qp)
+	for i := range c.label {
+		if c.label[i] >= 0 {
+			continue
+		}
+		id := int32(c.count)
+		c.count++
+		c.label[i] = id
+		queue := append((*qp)[:0], NodeID(i))
+		for head := 0; head < len(queue); head++ {
+			for _, v := range g.adj[queue[head]] {
+				if c.label[v] < 0 {
+					c.label[v] = id
+					queue = append(queue, v)
+				}
+			}
+		}
+	}
+	g.comps.Store(c)
+	return c
+}
+
+// Reachable reports whether a path joins a and b — Dist(a, b) ≥ 0
+// without computing a distance. O(1) on a pristine mesh and after the
+// first query following a mutation.
+func (g *Graph) Reachable(a, b NodeID) bool {
+	if g.gridCols > 0 {
+		return true
+	}
+	c := g.components()
+	return c.label[a] == c.label[b]
+}
+
+// Connected reports whether every node can reach every other node.
+func (g *Graph) Connected() bool {
+	return g.gridCols > 0 || g.components().count == 1
+}
+
 // ComponentOf returns the sorted IDs of every node reachable from id
 // (including id itself) — the connected component id sits in. On a
 // partitioned graph this identifies the side of the split.
 func (g *Graph) ComponentOf(id NodeID) []NodeID {
-	row := g.row(g.ensureDist(), id)
-	out := make([]NodeID, 0, g.n)
-	for j, d := range row {
-		if d >= 0 {
+	c := g.components()
+	var out []NodeID
+	for j, l := range c.label {
+		if l == c.label[id] {
 			out = append(out, NodeID(j))
 		}
 	}
-	return out // rows are indexed ascending, so out is already sorted
+	return out
 }
 
 // Components returns every connected component, each sorted ascending,
 // ordered by smallest member. A connected graph yields one component.
 func (g *Graph) Components() [][]NodeID {
-	seen := make([]bool, g.n)
-	var out [][]NodeID
-	for i := 0; i < g.n; i++ {
-		if seen[i] {
-			continue
-		}
-		comp := g.ComponentOf(NodeID(i))
-		for _, v := range comp {
-			seen[v] = true
-		}
-		out = append(out, comp)
+	c := g.components()
+	out := make([][]NodeID, c.count)
+	for j, l := range c.label {
+		out[l] = append(out[l], NodeID(j))
 	}
 	return out
 }
@@ -417,16 +494,33 @@ func remove(s []NodeID, v NodeID) []NodeID {
 	return out
 }
 
+// bfsQueues recycles BFS work queues (*[]NodeID): a queue is as large as
+// the row it fills, so one per BFS would double the bytes a row build
+// allocates (churn-2500: 169 MB/op against 102 MB/op pooled).
+var bfsQueues sync.Pool
+
+// getQueue returns an empty work queue of capacity ≥ n — every node
+// enters a sweep once, so append never regrows it. Callers hand it back
+// with bfsQueues.Put.
+func getQueue(n int) *[]NodeID {
+	qp, _ := bfsQueues.Get().(*[]NodeID)
+	if qp == nil || cap(*qp) < n {
+		q := make([]NodeID, 0, n)
+		qp = &q
+	}
+	return qp
+}
+
 // bfs fills one row of the distance matrix. Unreachable nodes get -1.
 func (g *Graph) bfs(src NodeID, row []int) {
 	for i := range row {
 		row[i] = -1
 	}
 	row[src] = 0
-	queue := []NodeID{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+	qp := getQueue(g.n)
+	queue := append((*qp)[:0], src)
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
 		for _, v := range g.adj[u] {
 			if row[v] == -1 {
 				row[v] = row[u] + 1
@@ -434,6 +528,7 @@ func (g *Graph) bfs(src NodeID, row []int) {
 			}
 		}
 	}
+	bfsQueues.Put(qp)
 }
 
 // ensureDist returns the current distance snapshot, creating it on first
@@ -495,16 +590,6 @@ func (g *Graph) Dist(a, b NodeID) int {
 	return g.row(g.ensureDist(), a)[b]
 }
 
-// Connected reports whether every node can reach every other node.
-func (g *Graph) Connected() bool {
-	for _, d := range g.row(g.ensureDist(), 0) {
-		if d < 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // eachRow invokes fn with every source's distance row, in source order.
 // Materialized rows are reused; missing rows of a large (lazy) snapshot
 // are computed into a shared scratch buffer WITHOUT being retained, so
@@ -532,8 +617,12 @@ func (g *Graph) eachRow(fn func(i int, row []int) bool) {
 	}
 }
 
-// Diameter returns the longest shortest path, or -1 if disconnected.
+// Diameter returns the longest shortest path, or -1 if disconnected. A
+// pristine mesh answers corner to corner, without the all-sources sweep.
 func (g *Graph) Diameter() int {
+	if g.gridCols > 0 {
+		return g.n/g.gridCols + g.gridCols - 2
+	}
 	max := 0
 	disconnected := false
 	g.eachRow(func(_ int, row []int) bool {
@@ -573,7 +662,8 @@ const (
 // from a deterministic sample of sources (same inputs, same estimate).
 func (g *Graph) MeanPathLength() float64 {
 	sum, cnt := 0, 0
-	if g.n > mplExactLimit {
+	switch {
+	case g.n > mplExactLimit:
 		stride := g.n / mplSampleSources
 		row := make([]int, g.n)
 		for i := 0; i < g.n; i += stride {
@@ -585,7 +675,16 @@ func (g *Graph) MeanPathLength() float64 {
 				}
 			}
 		}
-	} else {
+	case g.gridCols > 0:
+		// Pristine mesh: the Manhattan distance separates into a row and
+		// a column term. Ordered pairs of a k-line sum |i−j| to
+		// k(k²−1)/3, and each row pair occurs cols² times (each column
+		// pair rows² times) — the same integers the sweep below adds up,
+		// hence the bit-identical quotient.
+		rows, cols := g.n/g.gridCols, g.gridCols
+		sum = cols*cols*rows*(rows*rows-1)/3 + rows*rows*cols*(cols*cols-1)/3
+		cnt = g.n * (g.n - 1)
+	default:
 		g.eachRow(func(i int, row []int) bool {
 			for j, d := range row {
 				if i != j && d > 0 {

@@ -303,14 +303,16 @@ func BenchmarkAPSPMesh10(b *testing.B) {
 	}
 }
 
-// The distance cache must be safe for concurrent first-use: the parallel
-// experiment runner shares one Graph across engines, and the very first
-// Dist calls race to build the cache. Run with -race; before the cache
-// moved behind an atomic snapshot this both raced and could read
-// partially published rows.
+// The distance cache and the component labels must be safe for
+// concurrent first-use: the parallel experiment runner shares one Graph
+// across engines, and the very first queries race to build them. Run
+// with -race; before the cache moved behind an atomic snapshot this both
+// raced and could read partially published rows.
 func TestConcurrentDistQueriesColdCache(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
-		g := Mesh(6, 6) // fresh graph: cold cache every trial
+		// Fresh graph: cold caches every trial. Built without the grid
+		// flag, or the O(1) mesh paths would answer and nothing race.
+		g := rebuildWithoutGrid(Mesh(6, 6))
 		var wg sync.WaitGroup
 		errs := make(chan string, 8)
 		for w := 0; w < 8; w++ {
@@ -319,7 +321,7 @@ func TestConcurrentDistQueriesColdCache(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < g.N(); i++ {
 					for j := 0; j < g.N(); j++ {
-						if d := g.Dist(NodeID(i), NodeID(j)); d < 0 {
+						if d := g.Dist(NodeID(i), NodeID(j)); d < 0 || !g.Reachable(NodeID(i), NodeID(j)) {
 							errs <- "unreachable pair in connected mesh"
 							return
 						}
