@@ -27,9 +27,14 @@ test:
 	$(GO) test ./...
 
 # The parallel experiment runner and the engine's concurrent callers run
-# under the race detector; any data race here is a release blocker.
+# under the race detector; any data race here is a release blocker. The
+# second line drives the gated path (internal/scenario over
+# internal/harness) on every committed package at 4 shards: the trace
+# Digest keeps scratch state between events and relies on the harness
+# Hooks mutex to serialize the shard workers that feed it.
 race:
 	$(GO) test -race ./...
+	$(GO) run -race ./cmd/realtor-scen run -all -shards 4
 
 bench:
 	$(GO) test -bench . -benchmem -benchtime 1x ./...
@@ -70,6 +75,7 @@ fuzz:
 	$(GO) test -fuzz FuzzRemoveNodeLinks -fuzztime 15s ./internal/topology
 	$(GO) test -fuzz FuzzCutRestoreEqualsRebuild -fuzztime 15s ./internal/topology
 	$(GO) test -fuzz FuzzVariateBounds -fuzztime 15s ./internal/rng
+	$(GO) test -fuzz FuzzDigestMatchesReference -fuzztime 15s ./internal/scenario
 
 # Scenario-fuzzer smoke pass (CI gate, ~1 minute): a wide sweep of
 # generated scenarios through the invariant oracle + fast-vs-reference

@@ -711,14 +711,8 @@ func (e *liveEnv) Flood(m protocol.Message) {
 	now := sim.Time(h.now())
 	self := topology.NodeID(h.id)
 	c.countFlood(m.Kind)
-	info := "flood-" + m.Kind.String()
-	if m.Reissue {
-		// Mirror the sim engine: policy-layer retries trace as refloods
-		// so I1/I9 skip them and I11 counts them.
-		info = "reflood-" + m.Kind.String()
-	}
 	c.emit(trace.Event{At: now, Kind: trace.MsgSend, Node: self, Peer: -1,
-		Info: info})
+		Info: protocol.FloodInfo(m.Kind, m.Reissue)})
 	// OnSend fires once per recipient — the fabric broadcasts by
 	// iterated unicast, and that is what the conservation ledger counts.
 	if o := c.cfg.Observer; o != nil {

@@ -156,9 +156,19 @@ func (v Violation) String() string {
 	return fmt.Sprintf("t=%.4f [%s] node %d: %s", float64(v.At), v.Invariant, v.Node, v.Detail)
 }
 
-// pair keys the directed relationship between two nodes.
-type pair struct {
-	a, b topology.NodeID
+// pairTable holds one record per directed relationship between two
+// nodes: t[a][b]. It is indexed by node first because every audit walks
+// one node's soft state — all its lookups then land in that node's own
+// small map, hashed on a single word — and because it holds any node ID
+// a World can have (a packed two-ID key would alias past 2³²). Rows are
+// made on first write; a missing row reads as empty.
+type pairTable[V any] []map[topology.NodeID]V
+
+func (t pairTable[V]) put(a, b topology.NodeID, v V) {
+	if t[a] == nil {
+		t[a] = make(map[topology.NodeID]V)
+	}
+	t[a][b] = v
 }
 
 // sendRec remembers the last justified availability push b→a.
@@ -210,11 +220,11 @@ type Oracle struct {
 	msgPartition uint64
 	injected     uint64 // OnInject events (informational)
 
-	// I4 provenance. pledges[(org,member)] is the last delivered
-	// positive-headroom PLEDGE/ADVERT member→org; helps[(member,org)]
+	// I4 provenance. pledges[org][member] is the last delivered
+	// positive-headroom PLEDGE/ADVERT member→org; helps[member][org]
 	// spans the HELP deliveries org→member.
-	pledges map[pair]sendRec
-	helps   map[pair]span
+	pledges pairTable[sendRec]
+	helps   pairTable[span]
 
 	// I6 shadow topology, maintained solely from trace events and asked
 	// only Reachable (component labels, never a distance row) — a
@@ -272,8 +282,8 @@ func NewWorldOracle(w World, slack sim.Time) *Oracle {
 		lastRew:  make([]uint64, n),
 		above:    make([]bool, n),
 		pending:  make(map[float64]int),
-		pledges:  make(map[pair]sendRec),
-		helps:    make(map[pair]span),
+		pledges:  make(pairTable[sendRec], n),
+		helps:    make(pairTable[span], n),
 
 		bktInit:   make([]bool, n),
 		bktTokens: make([]float64, n),
@@ -754,16 +764,16 @@ func (o *Oracle) OnDeliver(now sim.Time, to topology.NodeID, m protocol.Message)
 	case protocol.Pledge, protocol.Advert:
 		o.auditPledgeList(now, to)
 		if m.Headroom > 0 {
-			o.pledges[pair{to, m.From}] = sendRec{at: now, headroom: m.Headroom}
+			o.pledges.put(to, m.From, sendRec{at: now, headroom: m.Headroom})
 		}
 	case protocol.Help:
 		o.auditMemberships(now, to)
-		sp := o.helps[pair{to, m.From}]
+		sp := o.helps[to][m.From]
 		if !sp.seen {
 			sp.first, sp.seen = now, true
 		}
 		sp.last = now
-		o.helps[pair{to, m.From}] = sp
+		o.helps.put(to, m.From, sp)
 	case protocol.DHTPut, protocol.DHTGet, protocol.DHTFound:
 		o.overlayDeliver(now, to, m)
 	}
@@ -804,8 +814,9 @@ func (o *Oracle) auditPledgeList(now sim.Time, org topology.NodeID) {
 	if s == nil {
 		return
 	}
+	delivered := o.pledges[org]
 	s.EachPledge(func(c protocol.Candidate) bool {
-		rec, ok := o.pledges[pair{org, c.ID}]
+		rec, ok := delivered[c.ID]
 		switch {
 		case !ok:
 			o.fail(now, "I4-provenance", org,
@@ -833,9 +844,10 @@ func (o *Oracle) auditMemberships(now sim.Time, member topology.NodeID) {
 		return
 	}
 	ttl := s.Config().MembershipTTL
+	delivered := o.helps[member]
 	s.EachMembership(func(org topology.NodeID, expiry sim.Time) bool {
 		join := expiry - ttl
-		sp := o.helps[pair{member, org}]
+		sp := delivered[org]
 		switch {
 		case !sp.seen:
 			o.fail(now, "I4-provenance", member,

@@ -43,11 +43,11 @@ type OverlayState interface {
 
 // overlayAudit is the oracle's overlay bookkeeping.
 type overlayAudit struct {
-	// maxFound[(node, cand)] is the highest headroom any delivered
-	// FOUND view entry advertised for cand at node; maxPut[(home,
-	// provider)] likewise for delivered PUTs.
-	maxFound map[pair]float64
-	maxPut   map[pair]float64
+	// maxFound[node][cand] is the highest headroom any delivered FOUND
+	// view entry advertised for cand at node; maxPut[home][provider]
+	// likewise for delivered PUTs.
+	maxFound pairTable[float64]
+	maxPut   pairTable[float64]
 
 	// delivered counts routed overlay deliveries (GET/PUT) per node;
 	// forwarded counts overlay sends with Hop > 0.
@@ -57,8 +57,8 @@ type overlayAudit struct {
 
 func newOverlayAudit(n int) overlayAudit {
 	return overlayAudit{
-		maxFound:  make(map[pair]float64),
-		maxPut:    make(map[pair]float64),
+		maxFound:  make(pairTable[float64], n),
+		maxPut:    make(pairTable[float64], n),
 		delivered: make([]uint64, n),
 		forwarded: make([]uint64, n),
 	}
@@ -101,8 +101,8 @@ func (o *Oracle) overlayDeliver(now sim.Time, to topology.NodeID, m protocol.Mes
 	case protocol.DHTPut:
 		o.auditOverlay(now, to)
 		o.ov.delivered[to]++
-		if m.Headroom > o.ov.maxPut[pair{to, m.Origin}] {
-			o.ov.maxPut[pair{to, m.Origin}] = m.Headroom
+		if m.Headroom > o.ov.maxPut[to][m.Origin] {
+			o.ov.maxPut.put(to, m.Origin, m.Headroom)
 		}
 	case protocol.DHTGet:
 		o.ov.delivered[to]++
@@ -113,7 +113,7 @@ func (o *Oracle) overlayDeliver(now sim.Time, to topology.NodeID, m protocol.Mes
 			// that were PUT to it. Its own availability is locally
 			// justified (a self-home publishes without a message).
 			if c.ID != m.From {
-				rec, ok := o.ov.maxPut[pair{m.From, c.ID}]
+				rec, ok := o.ov.maxPut[m.From][c.ID]
 				switch {
 				case !ok:
 					o.fail(now, "I4-overlay", m.From,
@@ -124,8 +124,8 @@ func (o *Oracle) overlayDeliver(now sim.Time, to topology.NodeID, m protocol.Mes
 						c.ID, c.Headroom, rec)
 				}
 			}
-			if c.Headroom > o.ov.maxFound[pair{to, c.ID}] {
-				o.ov.maxFound[pair{to, c.ID}] = c.Headroom
+			if c.Headroom > o.ov.maxFound[to][c.ID] {
+				o.ov.maxFound.put(to, c.ID, c.Headroom)
 			}
 		}
 	}
@@ -146,8 +146,8 @@ func (o *Oracle) auditOverlay(now sim.Time, id topology.NodeID) {
 		if c.ID == id {
 			return
 		}
-		bound, ok := o.ov.maxFound[pair{id, c.ID}]
-		if b2, ok2 := o.ov.maxPut[pair{id, c.ID}]; ok2 && (!ok || b2 > bound) {
+		bound, ok := o.ov.maxFound[id][c.ID]
+		if b2, ok2 := o.ov.maxPut[id][c.ID]; ok2 && (!ok || b2 > bound) {
 			bound, ok = b2, true
 		}
 		switch {
@@ -164,7 +164,7 @@ func (o *Oracle) auditOverlay(now sim.Time, id topology.NodeID) {
 		if c.ID == id {
 			return // self-published, no message involved
 		}
-		rec, ok := o.ov.maxPut[pair{id, c.ID}]
+		rec, ok := o.ov.maxPut[id][c.ID]
 		switch {
 		case !ok:
 			o.fail(now, "I4-overlay", id,

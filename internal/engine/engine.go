@@ -1396,15 +1396,8 @@ func (v *nodeEnv) Flood(m protocol.Message) {
 			st.PledgeMsgs++
 		}
 	}
-	info := "flood-" + m.Kind.String()
-	if m.Reissue {
-		// Policy-layer retries trace distinctly so rate invariants on
-		// original emissions (I1, I9) skip them and the retry ledger
-		// (I11) can count them.
-		info = "reflood-" + m.Kind.String()
-	}
 	e.traceCtx(v.ctx, trace.Event{At: now, Kind: trace.MsgSend, Node: v.id, Peer: -1,
-		Info: info})
+		Info: protocol.FloodInfo(m.Kind, m.Reissue)})
 	if e.scope != nil {
 		useDist := e.scopeDist != nil && !e.ownsGraph
 		for k, to := range e.scope[v.id] {

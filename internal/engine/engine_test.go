@@ -7,6 +7,7 @@ import (
 	"realtor/internal/metrics"
 	"realtor/internal/protocol"
 	"realtor/internal/protocol/baseline"
+	"realtor/internal/protocol/protocoltest"
 	"realtor/internal/resource"
 	"realtor/internal/rng"
 	"realtor/internal/sim"
@@ -578,5 +579,24 @@ func TestMaxTriesImprovesAdmissionUnderLoad(t *testing.T) {
 	one, three := run(1), run(3)
 	if three < one {
 		t.Fatalf("walking the list hurt admission: 1-try=%v 3-try=%v", one, three)
+	}
+}
+
+// With no trace recorder configured — every figure sweep — a flood
+// allocates nothing at all once the delivery pool is warm: in
+// particular it builds no trace text it would then throw away.
+func TestUntracedFloodAllocatesNothing(t *testing.T) {
+	cfg := testEngineConfig()
+	e := New(cfg, func() protocol.Discovery { return protocoltest.Inert{} })
+	env, now := e.envs[12], sim.Time(0)
+	flood := func() {
+		env.Flood(protocol.Message{Kind: protocol.Help, From: 12})
+		env.Flood(protocol.Message{Kind: protocol.Help, From: 12, Reissue: true})
+		now++
+		e.Scheduler().RunUntil(now) // every delivery lands and returns to the pool
+	}
+	flood()
+	if allocs := testing.AllocsPerRun(50, flood); allocs != 0 {
+		t.Fatalf("an untraced flood pair allocates %.1f times, want 0", allocs)
 	}
 }

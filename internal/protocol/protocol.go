@@ -34,6 +34,7 @@ const (
 	DHTPut
 	DHTGet
 	DHTFound
+	numKinds // sentinel: one past the last declared kind
 )
 
 // String returns the wire name of the kind.
@@ -58,6 +59,36 @@ func (k Kind) String() string {
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
+}
+
+// floodPrefix[reissue] opens the trace text of a flood.
+var floodPrefix = [2]string{"flood-", "reflood-"}
+
+// floodInfos[reissue][kind] is that text in full, built once: every
+// flood is traced, and on an untraced run (the figure sweeps) the text
+// must cost nothing.
+var floodInfos = func() (t [2][numKinds]string) {
+	for r, prefix := range floodPrefix {
+		for k := Kind(0); k < numKinds; k++ {
+			t[r][k] = prefix + k.String()
+		}
+	}
+	return t
+}()
+
+// FloodInfo returns the trace.Event Info every backend stamps on a
+// flood's msg-send event: "flood-<KIND>", or "reflood-<KIND>" for a
+// policy-layer reissue (Message.Reissue) so rate invariants on original
+// emissions (I1, I9) skip it while the retry ledger (I11) counts it.
+func FloodInfo(k Kind, reissue bool) string {
+	r := 0
+	if reissue {
+		r = 1
+	}
+	if k < 0 || k >= numKinds {
+		return floodPrefix[r] + k.String()
+	}
+	return floodInfos[r][k]
 }
 
 // Message is a discovery protocol datagram. Field use per kind follows
@@ -89,10 +120,8 @@ type Message struct {
 	Hop    int
 	Level  int
 
-	// Reissue marks a policy-layer retry of an earlier flood. The
-	// backends trace reissued floods as "reflood-<KIND>" instead of
-	// "flood-<KIND>" so rate invariants on original emissions (I1, I9)
-	// skip them while the retry ledger (I11) counts them.
+	// Reissue marks a policy-layer retry of an earlier flood; backends
+	// trace it distinctly (see FloodInfo).
 	Reissue bool
 }
 

@@ -111,3 +111,19 @@ func (f *FakeEnv) Unicasts(k protocol.Kind) []Sent {
 
 // Reset clears the outbox (keeps clock and timers).
 func (f *FakeEnv) Reset() { f.Outbox = nil }
+
+// Inert is a Discovery that ignores everything and holds no state: a
+// stand-in for nodes a test does not script, whose deliveries must
+// cause no further traffic.
+type Inert struct{}
+
+var _ protocol.Discovery = Inert{}
+
+func (Inert) Name() string                                      { return "inert" }
+func (Inert) Attach(protocol.Env)                               {}
+func (Inert) OnArrival(float64)                                 {}
+func (Inert) OnUsageCrossing(bool)                              {}
+func (Inert) Deliver(protocol.Message)                          {}
+func (Inert) Candidates(float64) []protocol.Candidate           { return nil }
+func (Inert) OnMigrationOutcome(topology.NodeID, float64, bool) {}
+func (Inert) OnNodeDeath()                                      {}

@@ -259,6 +259,10 @@ func (s *Service) Submit(req Request) (JobView, error) {
 		},
 	}
 	j.view.ID = j.id
+	// Copied before the send: a waiting worker may dequeue and start (or
+	// finish) the job before this function returns, and what Submit
+	// reports is the submission, not the race.
+	queued := j.view
 	select {
 	case s.queue <- j:
 	default:
@@ -269,7 +273,7 @@ func (s *Service) Submit(req Request) (JobView, error) {
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 	s.mu.Unlock()
-	return j.snapshot(), nil
+	return queued, nil
 }
 
 // resolve turns a request into a runnable package and a display name.
@@ -430,8 +434,12 @@ func (s *Service) Watch(id string) (<-chan JobView, func(), error) {
 		return ch, func() {}, nil
 	}
 	j.watchers[w] = ch
-	j.mu.Unlock()
+	// Sent under j.mu (it cannot block: ch is fresh and buffered): once
+	// the watcher is registered, a finishing run may notify and close ch
+	// at any moment, and the current snapshot must go first, not onto a
+	// closed channel.
 	ch <- cur
+	j.mu.Unlock()
 	stop := func() {
 		j.mu.Lock()
 		if c, ok := j.watchers[w]; ok {

@@ -104,6 +104,68 @@ func TestRunPackageMatchesLocalRunByteForByte(t *testing.T) {
 	}
 }
 
+// Submit reports the submission — state queued, not started — even when
+// a worker is parked on the queue and takes the job the instant it is
+// sent. Each round waits for the pool to go idle again, so every Submit
+// races a waiting worker (a snapshot taken after the send loses that
+// race in about one -race run in three).
+func TestSubmitReturnsQueuedViewWhileAWorkerWaits(t *testing.T) {
+	s, err := New(Config{Workers: 2})
+	if err != nil {
+		t.Fatalf("new service: %v", err)
+	}
+	defer s.Close()
+	seed := int64(7)
+	for round := 0; round < 50; round++ {
+		v, err := s.Submit(Request{FuzzSeed: &seed})
+		if err != nil {
+			t.Fatalf("round %d: submit: %v", round, err)
+		}
+		if v.State != StateQueued || v.StartedAt != nil || v.FinishedAt != nil || v.Summary != nil {
+			t.Fatalf("round %d: Submit returned %+v, want the queued snapshot", round, v)
+		}
+		if fin := waitTerminal(t, s, v.ID); fin.State != StateDone {
+			t.Fatalf("round %d: state = %s (error %q), want done", round, fin.State, fin.Error)
+		}
+	}
+}
+
+// A Watch that subscribes while the run is finishing still gets the
+// current snapshot first and the terminal one last — never a send on
+// the channel finish has already closed. Toy runs last about a
+// millisecond, so subscribing right after Submit lands in that window
+// every few rounds.
+func TestWatchRacingFinishStaysOrdered(t *testing.T) {
+	s, err := New(Config{Workers: 2})
+	if err != nil {
+		t.Fatalf("new service: %v", err)
+	}
+	defer s.Close()
+	seed := int64(7)
+	for round := 0; round < 30; round++ {
+		v, err := s.Submit(Request{FuzzSeed: &seed})
+		if err != nil {
+			t.Fatalf("round %d: submit: %v", round, err)
+		}
+		ch, stop, err := s.Watch(v.ID)
+		if err != nil {
+			t.Fatalf("round %d: watch: %v", round, err)
+		}
+		rank := map[State]int{StateQueued: 0, StateRunning: 1, StateDone: 2}
+		last := JobView{State: StateQueued}
+		for snap := range ch {
+			if rank[snap.State] < rank[last.State] {
+				t.Fatalf("round %d: snapshot %s arrived after %s", round, snap.State, last.State)
+			}
+			last = snap
+		}
+		stop()
+		if last.State != StateDone {
+			t.Fatalf("round %d: last snapshot %s (error %q), want done", round, last.State, last.Error)
+		}
+	}
+}
+
 // TestWatchStreamsSnapshotsToTerminal checks the Watch contract: first
 // the current snapshot, progress along the way, the terminal snapshot
 // last, then a closed channel.

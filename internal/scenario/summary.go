@@ -3,7 +3,8 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
+	"math"
+	"strconv"
 
 	"realtor/internal/metrics"
 	"realtor/internal/trace"
@@ -15,21 +16,84 @@ import (
 // hooks inline from shard workers, so event ORDER varies with the shard
 // count while event CONTENT is byte-identical; summing per-event hashes
 // makes the digest a function of the multiset, which the kernel does
-// promise. It implements trace.Recorder and is driven under the harness
-// Hooks mutex, so it needs no locking of its own.
+// promise. The hashed per-event text is a specification goldens pin
+// (DESIGN.md §8.5), not an implementation detail.
+//
+// It implements trace.Recorder. Record renders numbers into buffers the
+// Digest owns and reuses, so a Digest MUST be driven by one goroutine at
+// a time — the harness Hooks mutex on sharded and live backends; it has
+// no locking of its own. The zero Digest is ready to use.
 type Digest struct {
 	sum uint64
 	n   uint64
+
+	// Most consecutive events share their instant, and many their size
+	// (a HELP delivery and the PLEDGE it triggers, an arrival and its
+	// admission), and shortest-float formatting is the dearest step of
+	// the rendering — so the last of each is remembered: for At, which
+	// opens the text, as the hash state after "At|"; for Size as text.
+	at     floatText
+	atHash uint64
+	size   floatText
+	num    []byte // scratch for one rendered integer
 }
 
 var _ trace.Recorder = (*Digest)(nil)
 
-// Record implements trace.Recorder.
+// floatText remembers the %g text (shortest that round-trips) of the
+// last float it rendered. Keyed by bit pattern: 0 and −0 compare equal
+// but render differently.
+type floatText struct {
+	bits uint64
+	txt  []byte // nil until first use
+}
+
+// of returns f's text and whether it had to be rendered anew.
+func (m *floatText) of(f float64) (txt []byte, fresh bool) {
+	if b := math.Float64bits(f); m.txt == nil || b != m.bits {
+		m.bits, m.txt = b, strconv.AppendFloat(m.txt[:0], f, 'g', -1, 64)
+		return m.txt, true
+	}
+	return m.txt, false
+}
+
+// FNV-1a, 64 bit.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnv1a folds s into the running hash h.
+func fnv1a[T string | []byte](h uint64, s T) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
+	}
+	return h
+}
+
+func fnvSep(h uint64) uint64 { return (h ^ '|') * fnvPrime64 }
+
+// Record implements trace.Recorder: it folds the FNV-1a 64 hash of the
+// event's canonical text
+//
+//	At|Kind|Node|Peer|Size|Info
+//
+// into the sum — floats in shortest round-trip %g form, integers in
+// decimal, strings verbatim; exactly the bytes
+// fmt.Sprintf("%g|%s|%d|%d|%g|%s", …) yields (pinned against that
+// reference by TestDigestMatchesFmtReference).
 func (d *Digest) Record(ev trace.Event) {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%g|%s|%d|%d|%g|%s",
-		float64(ev.At), ev.Kind, ev.Node, ev.Peer, ev.Size, ev.Info)
-	d.sum += h.Sum64()
+	if at, fresh := d.at.of(float64(ev.At)); fresh {
+		d.atHash = fnvSep(fnv1a(fnvOffset64, at))
+	}
+	h := fnvSep(fnv1a(d.atHash, string(ev.Kind)))
+	d.num = strconv.AppendInt(d.num[:0], int64(ev.Node), 10)
+	h = fnvSep(fnv1a(h, d.num))
+	d.num = strconv.AppendInt(d.num[:0], int64(ev.Peer), 10)
+	h = fnvSep(fnv1a(h, d.num))
+	size, _ := d.size.of(ev.Size)
+	h = fnvSep(fnv1a(h, size))
+	d.sum += fnv1a(h, ev.Info)
 	d.n++
 }
 
