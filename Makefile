@@ -108,10 +108,11 @@ policy-smoke:
 
 # Discovery head-to-head smoke (CI gate, ~1 minute): the D1 sweep at
 # reduced mesh sizes, every cell verified byte-identical at shards
-# 1/2/4 before printing. The full-scale table (2.5k–100k nodes) is
-# results/discovery.txt, regenerated with `realtor-sim -fig discovery`.
+# 1/2/4 before printing: the catalogue's discovery entry at its -quick
+# size. The full-scale table (2.5k–100k nodes) is results/discovery.txt,
+# regenerated with `realtor-sim -fig discovery`.
 discovery-smoke:
-	$(GO) run ./cmd/realtor-sim -fig discovery-smoke > /dev/null
+	$(GO) run ./cmd/realtor-sim -fig discovery -quick > /dev/null
 
 # Sim/live parity smoke (CI gate, well under 2 minutes): the invariant
 # oracle must stay silent on live-cluster replays of generated

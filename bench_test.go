@@ -138,7 +138,9 @@ func BenchmarkScaleOverhead(b *testing.B) {
 	p := experiment.StandardProtocols(protocol.DefaultConfig())[4]
 	ratio := 0.0
 	for i := 0; i < b.N; i++ {
-		pts := experiment.RunScale([]int{4, 7}, 0.18, 2, p, int64(i+1))
+		st := experiment.DefaultScale(2)
+		st.Sides = []int{4, 7}
+		pts := experiment.RunScaleLarge(st, p, int64(i+1))
 		if pts[0].UnitsPerNodeSec > 0 {
 			ratio = pts[1].UnitsPerNodeSec / pts[0].UnitsPerNodeSec
 		}

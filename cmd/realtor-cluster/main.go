@@ -40,7 +40,7 @@ func main() {
 	study := flag.String("study", "fig9", "measurement: fig9 (admission), deadlines (EDF vs FIFO), or attack (live survivability)")
 	slack := flag.Float64("slack", 2, "deadline slack in mean task sizes (deadlines study)")
 	victims := flag.Int("victims", 5, "hosts killed in the attack study")
-	traceFile := flag.String("trace", "", "write the unified harness event stream as JSON Lines to this file (same format realtor-trace -json emits)")
+	traceFile := flag.String("trace", "", "write the unified harness event stream as JSON Lines to this file (same format realtor-sim -trace -json emits)")
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 	if *version {

@@ -1,7 +1,9 @@
 // Command realtor-report regenerates the full experiment suite into a
-// results directory: every paper figure plus every extension study, each
-// as a standalone text file, with an index. It is what produced the
-// checked-in results/ directory.
+// results directory: every entry of the study catalogue
+// (internal/experiment.Catalogue — the table `realtor-sim -fig` prints
+// from) plus the three live-cluster studies, each as a standalone text
+// file, with an index. It is what produced the checked-in results/
+// directory.
 //
 // Usage:
 //
@@ -21,8 +23,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"runtime/pprof"
-	"sort"
 	"strings"
 	"time"
 
@@ -30,44 +30,23 @@ import (
 	"realtor/internal/buildinfo"
 	"realtor/internal/experiment"
 	"realtor/internal/harness"
-	"realtor/internal/protocol"
-	"realtor/internal/sim"
 	"realtor/internal/transportfactory"
 )
 
-// startProfiles begins CPU profiling (if cpu is non-empty) and returns a
-// stop function that finishes the CPU profile and writes a heap profile
-// (if mem is non-empty). Mirrors the helper in cmd/realtor-sim.
-func startProfiles(cpu, mem string) func() {
-	if cpu != "" {
-		f, err := os.Create(cpu)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
+// liveFiles are the studies that run on the live Agile cluster, not the
+// simulator, and so stay out of the catalogue.
+var liveFiles = []string{"figure_9.txt", "deadlines.txt", "live_attack.txt"}
+
+// resultFiles lists everything a run writes next to INDEX.md: the
+// catalogue's files, then the live ones.
+func resultFiles() []string {
+	var files []string
+	for _, s := range experiment.Catalogue() {
+		if s.File != "" {
+			files = append(files, s.File)
 		}
 	}
-	return func() {
-		if cpu != "" {
-			pprof.StopCPUProfile()
-		}
-		if mem != "" {
-			f, err := os.Create(mem)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-				os.Exit(1)
-			}
-			runtime.GC() // up-to-date allocation data
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-				os.Exit(1)
-			}
-			f.Close()
-		}
-	}
+	return append(files, liveFiles...)
 }
 
 func main() {
@@ -85,191 +64,47 @@ func main() {
 		return
 	}
 	experiment.SetParallelism(*parallel)
-	stopProfiles := startProfiles(*cpuprofile, *memprofile)
-	defer stopProfiles()
+	stopProfiles, err := experiment.StartProfiles(*cpuprofile, *memprofile)
+	check(err)
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintln(os.Stderr, "realtor-report:", err)
+		}
+	}()
 
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		fmt.Fprintln(os.Stderr, "realtor-report:", err)
-		os.Exit(1)
-	}
-
-	duration := 3000.0
-	reps := 3
-	liveDur := 300.0
-	liveScale := 100.0
-	if *quick {
-		duration, reps, liveDur, liveScale = 800, 1, 150, 400
-	}
-
-	var index []string
+	check(os.MkdirAll(*out, 0o755))
 	write := func(name, content string) {
 		path := filepath.Join(*out, name)
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "realtor-report:", err)
-			os.Exit(1)
-		}
-		index = append(index, name)
+		check(os.WriteFile(path, []byte(content), 0o644))
 		fmt.Println("wrote", path)
 	}
 
-	pcfg := protocol.DefaultConfig()
-	protos := experiment.StandardProtocols(pcfg)
-
-	// Figures 5–8.
-	sc := experiment.DefaultSweep()
-	sc.Engine.Duration = sim.Time(duration)
-	sc.Engine.Warmup = sim.Time(duration) / 10
-	sc.Replications = reps
-	sc.BaseSeed = *seed
-	series := experiment.RunSweep(sc, protos)
-	var figs strings.Builder
-	fmt.Fprintf(&figs, "# 5x5 mesh, queue=100s, task mean=5s, duration=%gs, %d replications\n",
-		duration, reps)
-	for i, m := range []experiment.Metric{experiment.Admission, experiment.MessageUnits,
-		experiment.CostPerTask, experiment.MigrationRate} {
-		fmt.Fprintf(&figs, "\n## Figure %d: %s\n", 5+i, m)
-		figs.WriteString(experiment.Table(series, m))
+	for _, s := range experiment.Catalogue() {
+		if s.File == "" {
+			continue
+		}
+		content, err := s.Run(experiment.Options{Seed: *seed, Quick: *quick})
+		check(err)
+		write(s.File, content)
 	}
-	write("figures_5_8.txt", figs.String())
 
-	// Figure 9 (live).
+	liveDur, liveScale := 300.0, 100.0
+	if *quick {
+		liveDur, liveScale = 150, 400
+	}
 	mk, err := transportfactory.New("chan")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "realtor-report:", err)
-		os.Exit(1)
-	}
+	check(err)
 	acfg := agile.DefaultConfig()
 	acfg.TimeScale = liveScale
 	acfg.NegotiationTimeout = 250 * time.Millisecond
 	f9, err := agile.RunFigure9(acfg, []float64{1, 2, 3, 4, 5, 6, 7, 8}, 5, liveDur, *seed, mk)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "realtor-report:", err)
-		os.Exit(1)
-	}
+	check(err)
 	write("figure_9.txt",
 		fmt.Sprintf("# Figure 9: live cluster, %d hosts, queue=%gs, %gx scale\n%s",
 			acfg.Hosts, acfg.QueueCapacity, acfg.TimeScale, agile.F9Table(f9)))
 
-	// Extension studies.
-	write("scale.txt",
-		"# A2 (a) system-wide floods:\n"+
-			experiment.ScaleTable(experiment.RunScale([]int{3, 4, 5, 6, 7, 8}, 0.18, 0,
-				protos[4], *seed))+
-			"# A2 (b) 2-hop scoped floods:\n"+
-			experiment.ScaleTable(experiment.RunScale([]int{3, 4, 5, 6, 7, 8}, 0.18, 2,
-				protos[4], *seed)))
-
-	slst := experiment.DefaultScaleLarge()
-	if *quick {
-		slst.Sides = []int{10, 20}
-		slst.Warmup = 15
-		slst.Duration = 150
-	}
-	write("scale_large.txt", fmt.Sprintf(
-		"# A2 (c) large meshes up to %dx%d, per-node load %g tasks/s,\n"+
-			"# floods scoped to a %d-hop group, duration=%gs\n%s",
-		slst.Sides[len(slst.Sides)-1], slst.Sides[len(slst.Sides)-1],
-		slst.PerNodeLambda, slst.Radius, float64(slst.Duration),
-		experiment.ScaleTable(experiment.RunScaleLarge(slst, protos[4], *seed))))
-
-	// A2-XL: the metric columns are deterministic (and verified
-	// byte-identical across shard counts by RunScaleXL itself), but the
-	// wall/speedup columns are wall-clock measurements — the one part of
-	// the results tree expected to differ between machines.
-	xlst := experiment.DefaultScaleXL()
-	if *quick {
-		xlst.Sides = []int{100}
-		xlst.ShardCounts = []int{1, 2}
-	}
-	xl, err := experiment.RunScaleXL(xlst, protos[4], *seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "realtor-report:", err)
-		os.Exit(1)
-	}
-	write("scale_xl.txt", fmt.Sprintf(
-		"# A2-XL sharded kernel on meshes of 10k to ~100k nodes, per-node\n"+
-			"# load %g tasks/s, %d-hop flood scope. Stats columns verified\n"+
-			"# byte-identical across shard counts; wall/speedup columns vary\n"+
-			"# with the machine (see EXPERIMENTS.md A2-XL).\n%s",
-		xlst.PerNodeLambda, xlst.Radius, experiment.XLTable(xl)))
-
-	// D1: the full study is hours of single-cell flood simulation at
-	// ~100k nodes, so -quick drops to smoke-sized meshes; either way
-	// every cell is verified byte-identical across shard counts first.
-	dst := experiment.DefaultDiscovery()
-	if *quick {
-		dst.Sides = []int{10, 16}
-		dst.Warmups = []sim.Time{10, 10}
-		dst.Durations = []sim.Time{60, 50}
-		dst.HotNodes = []int{4, 4}
-		dst.VerifyShards = []int{1, 2, 4}
-	}
-	dpts, err := experiment.RunDiscovery(dst)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "realtor-report:", err)
-		os.Exit(1)
-	}
-	write("discovery.txt", "# D1 discovery head-to-head: flood-REALTOR vs Chord-style DHT vs\n"+
-		"# k-level hierarchical REALTOR vs one-level federation under none/\n"+
-		"# kill/exhaust/churn; per-task message cost, admission, latency.\n"+
-		"# Cells verified byte-identical across shard counts before\n"+
-		"# reporting; the wall column varies per machine.\n"+
-		experiment.DiscoveryTable(dpts))
-
-	write("ablation.txt", "# A3 Algorithm H alpha/beta at λ=7\n"+
-		experiment.AblationTable(experiment.RunAlphaBeta(
-			[]float64{0.1, 0.25, 0.5, 1.0}, []float64{0.1, 0.25, 0.5, 0.9}, 7, *seed)))
-
-	write("federation.txt", "# A4/F1 inter-group federation, hot quadrant of 8x8 mesh\n"+
-		experiment.FederationTable(experiment.RunFederation(8, []float64{2, 4, 6, 8, 10}, *seed)))
-
-	secs := experiment.RunSecuritySweep([]float64{2, 3, 4, 5, 6, 7, 8}, 0.3, *seed)
-	write("security.txt", "# A5 security-constrained placement under compromise\n"+
-		experiment.SecurityTable(secs))
-
-	write("loss.txt", "# R1 admission at λ=7 vs discovery-message loss\n"+
-		experiment.LossTable(experiment.RunLoss(
-			[]float64{0, 0.05, 0.1, 0.2, 0.4, 0.6}, 7, protos, *seed), protos))
-
-	write("gossip.txt", "# G1 REALTOR vs push-pull anti-entropy gossip\n"+
-		gossipReport(sc, protos, *seed))
-
-	write("retries.txt", "# A7 one-try vs walk-the-list migration, REALTOR\n"+
-		experiment.RetryTable(experiment.RunRetries([]float64{6, 8, 10}, []int{1, 2, 3, 5}, *seed)))
-
-	pst := experiment.DefaultPartitionStudy()
-	write("partition.txt", "# P1 partition survivability: 5x5 mesh bisected 10/15 mid-run\n"+
-		experiment.PartitionTable(experiment.RunPartition(pst,
-			[]float64{3, 4, 5, 6, 7, 8, 9}, *seed)))
-
-	write("community.txt", "# C1 emergent community structure vs load\n"+
-		experiment.CommunityTable(experiment.RunCommunity(
-			[]float64{2, 4, 5, 6, 7, 8, 9, 10}, *seed)))
-
-	var pol strings.Builder
-	pol.WriteString("# R2 traffic-protection policies: REALTOR wrapped in the\n" +
-		"# internal/policy middleware (token-bucket HELP limiting, circuit\n" +
-		"# breakers, retry with backoff, hysteresis elastic capacity) under\n" +
-		"# exhaustion, flapping, and link-churn attacks. The attack occupies\n" +
-		"# the middle third of the run; recover-s is seconds past its end\n" +
-		"# until admission regains 95% of the variant's own pre-attack mean\n" +
-		"# (\"-\" = not within the run).\n")
-	for _, lambda := range []float64{5, 8} {
-		pls := experiment.DefaultPolicyStudy(lambda, *seed)
-		if *quick {
-			pls.Warmup, pls.Duration = 30, 300
-			pls.AttackAt, pls.Recover, pls.BinWidth = 100, 200, 25
-		}
-		fmt.Fprintf(&pol, "\n## lambda=%g\n", lambda)
-		pol.WriteString(experiment.PolicyTable(experiment.RunPolicy(pls)))
-	}
-	write("policy.txt", pol.String())
-
 	dl, err := agile.RunDeadlineStudy(acfg, []float64{1.8, 2.2, 2.6}, 5, 3, liveDur, *seed, mk)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "realtor-report:", err)
-		os.Exit(1)
-	}
+	check(err)
 	write("deadlines.txt", "# A6 EDF vs FIFO on the live runtime, mixed-urgency deadlines\n"+
 		agile.DeadlineTable(dl))
 
@@ -278,57 +113,18 @@ func main() {
 	att, err := harness.RunLiveAttack(lcfg,
 		harness.AttackStudy{Victims: []int{0, 1, 2, 3}, KillAt: liveDur / 3, ReviveAt: 2 * liveDur / 3},
 		4, 5, liveDur, liveDur/10, *seed, mk)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "realtor-report:", err)
-		os.Exit(1)
-	}
+	check(err)
 	write("live_attack.txt", "# L1 live survivability: 4 of 12 hosts down for the middle third\n"+
 		harness.AttackTable(att, liveDur/10))
 
-	// Sibling drivers drop outputs into the same directory (attack.txt
-	// comes from `go run ./cmd/realtor-attack`); fold any .txt this run
-	// did not write into the index so INDEX.md always lists exactly what
-	// sits next to it. The index_test in this package pins that property
-	// for the committed results/.
-	seen := make(map[string]bool, len(index))
-	for _, n := range index {
-		seen[n] = true
-	}
-	entries, err := os.ReadDir(*out)
+	write("INDEX.md", "# Experiment outputs\n\n"+
+		"Regenerate everything with: go run ./cmd/realtor-report\n\n"+
+		"- "+strings.Join(resultFiles(), "\n- ")+"\n")
+}
+
+func check(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "realtor-report:", err)
 		os.Exit(1)
 	}
-	var extra []string
-	for _, e := range entries {
-		if n := e.Name(); !e.IsDir() && strings.HasSuffix(n, ".txt") && !seen[n] {
-			extra = append(extra, n)
-		}
-	}
-	sort.Strings(extra)
-	index = append(index, extra...)
-
-	var idx strings.Builder
-	idx.WriteString("# Experiment outputs\n\n")
-	idx.WriteString("Regenerate everything with: go run ./cmd/realtor-report\n")
-	idx.WriteString("(attack.txt comes from: go run ./cmd/realtor-attack)\n\n")
-	for _, n := range index {
-		fmt.Fprintf(&idx, "- %s\n", n)
-	}
-	write("INDEX.md", idx.String())
-}
-
-// gossipReport renders the G1 comparison reusing the sweep config.
-func gossipReport(sc experiment.SweepConfig, protos []experiment.Protocol, seed int64) string {
-	gp := []experiment.Protocol{protos[1], protos[4],
-		experiment.GossipProtocol(protocol.DefaultConfig(), sc.Engine.Graph.N(), seed)}
-	sc.Lambdas = []float64{2, 5, 7, 9}
-	series := experiment.RunSweep(sc, gp)
-	var b strings.Builder
-	for _, m := range []experiment.Metric{experiment.Admission, experiment.MessageUnits,
-		experiment.CostPerTask, experiment.MigrationRate} {
-		fmt.Fprintf(&b, "\n## %s\n", m)
-		b.WriteString(experiment.Table(series, m))
-	}
-	return b.String()
 }

@@ -1,6 +1,10 @@
 // Command realtor-sim regenerates the paper's simulation results
-// (Figures 5–8) and the extension studies (scalability sweep, α/β
-// ablation) on the discrete-event simulator.
+// (Figures 5–8) and the extension studies on the discrete-event
+// simulator. -fig names an entry of the study catalogue
+// (internal/experiment.Catalogue) — the table realtor-report writes
+// results/ from — so `realtor-sim -fig X` prints byte for byte what
+// results/X.txt holds (the λ-sweeps at the committed shape: `-fig all
+// -duration 3000`, `-fig gossip -duration 3000 -lambdas 2,5,7,9`).
 //
 // Usage:
 //
@@ -15,7 +19,7 @@
 //	                                    # with per-count wall time and speedup
 //	realtor-sim -fig discovery          # flood-REALTOR vs DHT vs hierarchical
 //	                                    # vs federation at 2.5k-100k nodes
-//	realtor-sim -fig discovery-smoke    # CI-sized discovery sweep (seconds)
+//	realtor-sim -fig discovery -quick   # CI-sized discovery sweep (seconds)
 //	realtor-sim -fig ab                 # Algorithm H α/β ablation
 //	realtor-sim -fig fed                # inter-group federation (future work)
 //	realtor-sim -fig sec                # security-constrained placement under attack
@@ -26,6 +30,10 @@
 //	realtor-sim -fig policy             # traffic-protection middleware head-to-head
 //	realtor-sim -fig policy -policy "bucket:rate=0.5,burst=2;breaker"
 //	                                    # add a custom policy stack to the line-up
+//	realtor-sim -fig attack             # survivability under a random 8-node kill
+//	realtor-sim -fig attack -scenario region   # 2x2 corner of the mesh
+//	realtor-sim -fig attack -scenario flap     # one flapping node
+//	realtor-sim -fig attack -scenario exhaust  # resource-exhaustion attack
 //	realtor-sim -fig 5 -csv             # CSV with 95% CIs instead of a table
 //	realtor-sim -fig 5 -plot            # ASCII chart instead of a table
 //	realtor-sim -duration 5000 -reps 5  # longer, tighter runs
@@ -34,6 +42,10 @@
 //	realtor-sim -shards 4               # conservative-parallel kernel, 4 shards
 //	                                    # (same output as -shards 1, faster walls)
 //	realtor-sim -kernelstats            # one diagnostic run + scheduler counters
+//	realtor-sim -trace                  # one diagnostic run, its event trace pretty-printed
+//	realtor-sim -trace -proto Pull-.9   # another protocol
+//	realtor-sim -trace -json > run.jsonl              # JSON Lines for tooling
+//	realtor-sim -trace -kinds migrate-try,migrate-ok  # filter event kinds
 //	realtor-sim -cpuprofile cpu.pprof   # profile the run (go tool pprof cpu.pprof)
 //	realtor-sim -memprofile mem.pprof   # heap profile written at exit
 //
@@ -43,80 +55,55 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 
 	"realtor/internal/buildinfo"
 	"realtor/internal/engine"
 	"realtor/internal/experiment"
-	"realtor/internal/policy"
+	"realtor/internal/metrics"
 	"realtor/internal/protocol"
-	"realtor/internal/rng"
 	"realtor/internal/sim"
 	"realtor/internal/topology"
-	"realtor/internal/workload"
+	"realtor/internal/trace"
 )
 
-// startProfiles begins CPU profiling (if cpu is non-empty) and returns a
-// stop function that finishes the CPU profile and writes a heap profile
-// (if mem is non-empty). Call the stop function exactly once, after the
-// workload. Shared by realtor-sim and realtor-report via copy — the two
-// commands have no common non-library package.
-func startProfiles(cpu, mem string) func() {
-	if cpu != "" {
-		f, err := os.Create(cpu)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	return func() {
-		if cpu != "" {
-			pprof.StopCPUProfile()
-		}
-		if mem != "" {
-			f, err := os.Create(mem)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-				os.Exit(1)
-			}
-			runtime.GC() // up-to-date allocation data
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-				os.Exit(1)
-			}
-			f.Close()
-		}
-	}
-}
-
 func main() {
-	fig := flag.String("fig", "all", "which figure to regenerate: 5|6|7|8|all|scale|scale-large|scale-xl|discovery|discovery-smoke|ab|fed|sec|loss|gossip|retries|community|partition|policy")
-	duration := flag.Float64("duration", 2200, "simulated seconds per run")
-	reps := flag.Int("reps", 3, "independent replications per point")
+	var figs []string
+	for _, s := range experiment.Catalogue() {
+		figs = append(figs, s.Fig)
+	}
+	fig := flag.String("fig", "all", "which study to regenerate: "+strings.Join(figs, "|"))
+	duration := flag.Float64("duration", 0,
+		"simulated seconds per run of figs 5-8, gossip and the diagnostic runs (default 2200; 60 with -trace)")
+	reps := flag.Int("reps", 3, "independent replications per point (figs 5-8, gossip)")
 	seed := flag.Int64("seed", 1, "base random seed")
+	quick := flag.Bool("quick", false, "CI-sized meshes and windows, for the studies that have them")
 	csv := flag.Bool("csv", false, "emit CSV (with 95% CIs) instead of a table")
-	asPlot := flag.Bool("plot", false, "draw ASCII charts instead of tables (figs 5-8)")
+	asPlot := flag.Bool("plot", false, "draw ASCII charts instead of tables (figs 5-8, attack)")
 	diff := flag.Bool("diff", false, "also print replication-paired differences vs Push-1 (figs 5-8)")
-	lambdas := flag.String("lambdas", "1,2,3,4,5,6,7,8,9,10", "comma-separated task arrival rates")
+	lambdas := flag.String("lambdas", "1,2,3,4,5,6,7,8,9,10", "comma-separated task arrival rates (figs 5-8, gossip)")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
 		"worker goroutines for independent runs (output is identical for any value)")
 	shards := flag.Int("shards", 1,
 		"event-kernel shards per run (output is identical for any value; > 1 runs the conservative-parallel kernel)")
 	kernelstats := flag.Bool("kernelstats", false,
 		"run one diagnostic REALTOR simulation and print scheduler kernel counters")
+	traceRun := flag.Bool("trace", false,
+		"run one diagnostic simulation and dump its structured event trace")
+	proto := flag.String("proto", "REALTOR-100",
+		"protocol to trace: Pull-.9|Push-1|Push-.9|Pull-100|REALTOR-100 (with -trace)")
+	asJSON := flag.Bool("json", false, "emit the trace as JSON Lines instead of text (with -trace)")
+	kinds := flag.String("kinds", "", "comma-separated event kinds to keep in the trace (empty = all)")
 	policySpec := flag.String("policy", "",
 		"extra policy-study contender, e.g. \"bucket:rate=0.5,burst=2;breaker:trip=3\" (with -fig policy)")
+	scenario := flag.String("scenario", "", "attack: random|region|flap|exhaust (with -fig attack; default random)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	version := flag.Bool("version", false, "print version and exit")
@@ -125,62 +112,69 @@ func main() {
 		buildinfo.Print("realtor-sim")
 		return
 	}
-	if *shards < 1 {
-		fmt.Fprintln(os.Stderr, "realtor-sim: -shards must be at least 1")
-		os.Exit(2)
-	}
-	if *policySpec != "" && *fig != "policy" {
-		fmt.Fprintln(os.Stderr, "realtor-sim: -policy only applies with -fig policy")
-		os.Exit(2)
-	}
-	experiment.SetParallelism(*parallel)
-	stopProfiles := startProfiles(*cpuprofile, *memprofile)
-	defer stopProfiles()
-
-	if *kernelstats {
-		runKernelStats(os.Stdout, *seed, *shards, sim.Time(*duration))
-		return
-	}
-
-	switch *fig {
-	case "5", "6", "7", "8", "all":
-		runFigures(*fig, *lambdas, *duration, *reps, *seed, *csv, *asPlot, *diff, *shards)
-	case "scale":
-		runScale(*seed)
-	case "scale-large":
-		runScaleLarge(*seed, *shards)
-	case "scale-xl":
-		runScaleXL(*seed)
-	case "discovery":
-		runDiscovery(experiment.DefaultDiscovery())
-	case "discovery-smoke":
-		runDiscovery(smokeDiscovery())
-	case "ab":
-		runAblation(*seed)
-	case "fed":
-		runFederation(*seed)
-	case "sec":
-		runSecurity(*seed)
-	case "loss":
-		runLoss(*seed)
-	case "gossip":
-		runGossip(*lambdas, *duration, *reps, *seed)
-	case "retries":
-		runRetries(*seed)
-	case "community":
-		runCommunity(*seed)
-	case "partition":
-		runPartition(*seed)
-	case "policy":
-		if err := runPolicyStudy(os.Stdout, *policySpec, policyStudies(*seed, *shards)); err != nil {
-			fmt.Fprintf(os.Stderr, "realtor-sim: %v\n", err)
-			os.Exit(2)
-		}
-	default:
+	study, ok := experiment.Lookup(*fig)
+	switch {
+	case *shards < 1:
+		usage("-shards must be at least 1")
+	case !ok:
 		fmt.Fprintf(os.Stderr, "realtor-sim: unknown figure %q\n", *fig)
 		flag.Usage()
 		os.Exit(2)
+	case *policySpec != "" && study.Fig != "policy":
+		usage("-policy only applies with -fig policy")
+	case *scenario != "" && study.Fig != "attack":
+		usage("-scenario only applies with -fig attack")
 	}
+	experiment.SetParallelism(*parallel)
+	stopProfiles, err := experiment.StartProfiles(*cpuprofile, *memprofile)
+	if err != nil {
+		fatal(err)
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintln(os.Stderr, "realtor-sim:", err)
+		}
+	}()
+
+	runFor := sim.Time(*duration)
+	if runFor == 0 {
+		runFor = 2200
+		if *traceRun {
+			runFor = 60
+		}
+	}
+	switch {
+	case *traceRun:
+		if err := runTrace(os.Stdout, *proto, *asJSON, *kinds, *seed, *shards, runFor); err != nil {
+			usage(err.Error())
+		}
+	case *kernelstats:
+		runKernelStats(os.Stdout, *seed, *shards, runFor)
+	default:
+		out, err := study.Run(experiment.Options{
+			Seed: *seed, Quick: *quick, Shards: *shards,
+			Lambdas: parseLambdas(*lambdas), Duration: runFor, Reps: *reps,
+			CSV: *csv, Plot: *asPlot, Diff: *diff,
+			Policy: *policySpec, Scenario: *scenario,
+		})
+		if errors.Is(err, experiment.ErrOption) {
+			usage(err.Error())
+		}
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Print(out)
+	}
+}
+
+func usage(msg string) {
+	fmt.Fprintln(os.Stderr, "realtor-sim:", msg)
+	os.Exit(2)
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "realtor-sim:", err)
+	os.Exit(1)
 }
 
 func parseLambdas(s string) []float64 {
@@ -188,150 +182,31 @@ func parseLambdas(s string) []float64 {
 	for _, f := range strings.Split(s, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
 		if err != nil || v <= 0 {
-			fmt.Fprintf(os.Stderr, "realtor-sim: bad lambda %q\n", f)
-			os.Exit(2)
+			usage(fmt.Sprintf("bad lambda %q", f))
 		}
 		out = append(out, v)
 	}
 	return out
 }
 
-func runFigures(fig, lambdaList string, duration float64, reps int, seed int64, csv, asPlot, diff bool, shards int) {
-	sc := experiment.DefaultSweep()
-	sc.Lambdas = parseLambdas(lambdaList)
-	sc.Engine.Duration = sim.Time(duration)
-	sc.Engine.Warmup = sim.Time(duration) / 10
-	sc.Engine.Shards = shards
-	sc.Replications = reps
-	sc.BaseSeed = seed
-
-	fmt.Printf("# 5x5 mesh, queue=100s, task mean=5s, duration=%gs, %d replications\n",
-		duration, reps)
-	series := experiment.RunSweep(sc, experiment.StandardProtocols(protocol.DefaultConfig()))
-
-	figures := map[string]experiment.Metric{
-		"5": experiment.Admission,
-		"6": experiment.MessageUnits,
-		"7": experiment.CostPerTask,
-		"8": experiment.MigrationRate,
-	}
-	order := []string{"5", "6", "7", "8"}
-	for _, f := range order {
-		if fig != "all" && fig != f {
-			continue
-		}
-		m := figures[f]
-		fmt.Printf("\n## Figure %s: %s\n", f, m)
-		switch {
-		case csv:
-			fmt.Print(experiment.CSV(series, m))
-		case asPlot:
-			fmt.Print(experiment.Chart(series, m))
-		default:
-			fmt.Print(experiment.Table(series, m))
-		}
-		if diff {
-			if d, err := experiment.PairedDiff(series, m, "Push-1"); err == nil {
-				fmt.Println()
-				fmt.Print(d)
-			}
-		}
-	}
+// diagnosticRun drives the one run behind -kernelstats and -trace: the
+// paper's 5x5 mesh at λ=7, sharded as requested, recording into rec
+// (nil = untraced).
+func diagnosticRun(build engine.Builder, seed int64, shards int, warmup, duration sim.Time,
+	rec trace.Recorder) (*engine.Engine, metrics.RunStats) {
+	cfg := experiment.PaperCell(topology.Mesh(5, 5), warmup, duration, seed)
+	cfg.Shards = shards
+	cfg.Trace = rec
+	e := engine.New(cfg, build)
+	return e, e.Run(experiment.PoissonSource(cfg, 7))
 }
 
-func runScale(seed int64) {
-	p := experiment.StandardProtocols(protocol.DefaultConfig())[4] // REALTOR
-	sizes := []int{3, 4, 5, 6, 7, 8}
-	fmt.Println("# Scalability (A2): REALTOR per-node overhead vs mesh size,")
-	fmt.Println("# fixed per-node load 0.18 tasks/s (mean size 5s)")
-	fmt.Println("#")
-	fmt.Println("# (a) system-wide floods (the paper's 25-node setting):")
-	fmt.Print(experiment.ScaleTable(experiment.RunScale(sizes, 0.18, 0, p, seed)))
-	fmt.Println("#")
-	fmt.Println("# (b) floods scoped to a 2-hop multicast group (the mechanism")
-	fmt.Println("#     Section 5 assumes for larger systems):")
-	fmt.Print(experiment.ScaleTable(experiment.RunScale(sizes, 0.18, 2, p, seed)))
-}
-
-func runScaleLarge(seed int64, shards int) {
-	st := experiment.DefaultScaleLarge()
-	st.Shards = shards
-	p := experiment.StandardProtocols(protocol.DefaultConfig())[4] // REALTOR
-	fmt.Println("# Large-mesh scalability: REALTOR on square meshes up to 100x100")
-	fmt.Printf("# (10000 nodes), fixed per-node load %g tasks/s, floods scoped to\n", st.PerNodeLambda)
-	fmt.Printf("# a %d-hop multicast group. Feasible at this size because distance\n", st.Radius)
-	fmt.Println("# rows are built lazily per source and link faults re-BFS only the")
-	fmt.Println("# rows they can change (see DESIGN.md, incremental distances).")
-	fmt.Print(experiment.ScaleTable(experiment.RunScaleLarge(st, p, seed)))
-}
-
-func runScaleXL(seed int64) {
-	st := experiment.DefaultScaleXL()
-	p := experiment.StandardProtocols(protocol.DefaultConfig())[4] // REALTOR
-	fmt.Println("# Extra-large scalability (A2-XL): REALTOR on meshes of 10k to ~100k")
-	fmt.Printf("# nodes, per-node load %g tasks/s, %d-hop flood scope, run on the\n",
-		st.PerNodeLambda, st.Radius)
-	fmt.Println("# event kernel at each shard count. The stats columns are verified")
-	fmt.Println("# byte-identical across shard counts before the table prints; the")
-	fmt.Println("# wall/speedup columns are measurements and vary with the machine.")
-	pts, err := experiment.RunScaleXL(st, p, seed)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "realtor-sim: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Print(experiment.XLTable(pts))
-}
-
-// smokeDiscovery is the CI-sized discovery sweep: the full protocol ×
-// attack grid with shard verification, shrunk to meshes that finish in
-// seconds.
-func smokeDiscovery() experiment.DiscoveryStudy {
-	st := experiment.DefaultDiscovery()
-	st.Sides = []int{10, 16}
-	st.Warmups = []sim.Time{10, 10}
-	st.Durations = []sim.Time{60, 50}
-	st.HotNodes = []int{4, 4}
-	st.VerifyShards = []int{1, 2, 4}
-	return st
-}
-
-func runDiscovery(st experiment.DiscoveryStudy) {
-	fmt.Println("# Discovery head-to-head (D1): flood-REALTOR vs Chord-style DHT vs")
-	fmt.Println("# k-level hierarchical REALTOR vs one-level federation, under none/")
-	fmt.Println("# kill/exhaust/churn. cost/task is message units per offered task;")
-	fmt.Println("# vsREALTOR is the ratio to flood-REALTOR under the same size and")
-	fmt.Printf("# attack. Every cell verified byte-identical at shards %v before\n", st.VerifyShards)
-	fmt.Println("# printing; the wall column is a measurement and varies per machine.")
-	fmt.Println("# A cost of 0.0 (vsREALTOR \"-\") means no node crossed the help")
-	fmt.Println("# threshold inside that cell's window, so the demand-driven")
-	fmt.Println("# protocols sent nothing; at the largest size only the exhaust")
-	fmt.Println("# attack builds that pressure within the short window, while the")
-	fmt.Println("# DHT pays its standing directory upkeep regardless of demand.")
-	pts, err := experiment.RunDiscovery(st)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "realtor-sim: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Print(experiment.DiscoveryTable(pts))
-}
-
-// runKernelStats drives one REALTOR run at λ=7 on the paper's 5x5 mesh
-// (sharded as requested) and prints the scheduler kernel's counters —
-// the observable behind the event-pool reuse claim: Reused/Scheduled
-// near 1 means steady-state scheduling stopped allocating.
+// runKernelStats prints the scheduler kernel's counters for one REALTOR
+// run — the observable behind the event-pool reuse claim: Reused/
+// Scheduled near 1 means steady-state scheduling stopped allocating.
 func runKernelStats(w io.Writer, seed int64, shards int, duration sim.Time) {
-	ecfg := engine.Config{
-		Graph:         topology.Mesh(5, 5),
-		QueueCapacity: 100,
-		HopDelay:      0.01,
-		Threshold:     0.9,
-		Warmup:        duration / 10,
-		Duration:      duration,
-		Seed:          seed,
-		Shards:        shards,
-	}
-	e := engine.New(ecfg, experiment.StandardProtocols(protocol.DefaultConfig())[4].Build)
-	st := e.Run(workload.NewPoisson(7, 5, ecfg.Graph.N(), rng.New(seed)))
+	realtor := experiment.StandardProtocols(protocol.DefaultConfig())[4].Build
+	e, st := diagnosticRun(realtor, seed, shards, duration/10, duration, nil)
 	ks := e.KernelStats()
 	fmt.Fprintf(w, "# one REALTOR run: 5x5 mesh, lambda=7, duration=%gs, shards=%d\n",
 		float64(duration), e.Shards())
@@ -344,131 +219,39 @@ func runKernelStats(w io.Writer, seed int64, shards int, duration sim.Time) {
 	fmt.Fprintf(w, "still pending      %d\n", ks.Pending)
 }
 
-// policyStudies builds the -fig policy line-up: the default 900s study
-// at a calm (λ=5) and a saturating (λ=8) arrival rate.
-func policyStudies(seed int64, shards int) []experiment.PolicyStudy {
-	var out []experiment.PolicyStudy
-	for _, lambda := range []float64{5, 8} {
-		st := experiment.DefaultPolicyStudy(lambda, seed)
-		st.Shards = shards
-		out = append(out, st)
-	}
-	return out
-}
-
-// runPolicyStudy runs the traffic-protection head-to-head (DESIGN.md
-// §11): every policy variant under every attack scenario, one table per
-// study. A non-empty spec — parsed and validated by policy.ParseSpec,
-// so negative rates or unknown policy names are rejected before any
-// simulation runs — adds a "custom" contender alongside the default
-// line-up.
-func runPolicyStudy(w io.Writer, spec string, studies []experiment.PolicyStudy) error {
-	var variants []experiment.PolicyVariant
-	if spec != "" {
-		cfg, err := policy.ParseSpec(spec)
-		if err != nil {
-			return err
+// runTrace dumps the structured event trace of one run of the named
+// protocol — the tool to reach for when a protocol behaves oddly and
+// the aggregate numbers don't say why. Events go to w (pretty-printed,
+// or JSON Lines as they happen); the closing summary goes to stderr.
+func runTrace(w io.Writer, proto string, asJSON bool, kinds string, seed int64, shards int, duration sim.Time) error {
+	var build engine.Builder
+	for _, p := range experiment.StandardProtocols(protocol.DefaultConfig()) {
+		if p.Label == proto {
+			build = p.Build
 		}
-		variants = append(experiment.PolicyVariants(), experiment.PolicyVariant{Tag: "custom", Cfg: cfg})
 	}
-	fmt.Fprintln(w, "# Traffic protection (R2): REALTOR wrapped in the internal/policy")
-	fmt.Fprintln(w, "# middleware — token-bucket HELP limiting, circuit breakers, retry")
-	fmt.Fprintln(w, "# with backoff, hysteresis elastic capacity — under exhaustion,")
-	fmt.Fprintln(w, "# flapping, and link-churn attacks on the 5x5 mesh. The attack")
-	fmt.Fprintln(w, "# occupies the middle third of the run; recover-s is seconds past")
-	fmt.Fprintln(w, "# the attack's end until a bin regains 95% of the variant's own")
-	fmt.Fprintln(w, "# pre-attack mean admission (\"-\" = not within the run).")
-	for _, st := range studies {
-		fmt.Fprintf(w, "\n## lambda=%g\n", st.Lambda)
-		fmt.Fprint(w, experiment.PolicyTable(experiment.RunPolicy(st, variants...)))
+	if build == nil {
+		return fmt.Errorf("unknown protocol %q", proto)
+	}
+	buf := &trace.Buffer{}
+	var rec trace.Recorder = buf
+	if asJSON {
+		rec = trace.NewJSONL(w)
+	}
+	if kinds != "" {
+		allow := map[trace.Kind]bool{}
+		for _, k := range strings.Split(kinds, ",") {
+			allow[trace.Kind(strings.TrimSpace(k))] = true
+		}
+		rec = trace.Filter{Next: rec, Allow: allow}
+	}
+	_, st := diagnosticRun(build, seed, shards, 0, duration, rec)
+	if !asJSON {
+		for _, ev := range buf.Events() {
+			fmt.Fprintln(w, ev)
+		}
+		fmt.Fprintf(os.Stderr, "# %s: %d events, admission %.4f, %d migrations\n",
+			proto, buf.Total(), st.AdmissionProbability(), st.Migrated)
 	}
 	return nil
-}
-
-func runFederation(seed int64) {
-	fmt.Println("# Inter-group federation (F1, the paper's future work): all load")
-	fmt.Println("# lands in one quadrant of an 8x8 mesh split into 2x2 neighbor")
-	fmt.Println("# groups; escalation relays HELP to foreign groups when the local")
-	fmt.Println("# group has no capacity.")
-	pts := experiment.RunFederation(8, []float64{2, 4, 6, 8, 10}, seed)
-	fmt.Print(experiment.FederationTable(pts))
-}
-
-func runSecurity(seed int64) {
-	fmt.Println("# Information assurance (A5): 30% of tasks require security level 2;")
-	fmt.Println("# 15/25 nodes offer it; 5 of those are compromised (downgraded to 0)")
-	fmt.Println("# from t=300 to t=600. Constrained tasks must migrate or be dropped;")
-	fmt.Println("# they can never run on a compromised host (engine-enforced).")
-	rs := experiment.RunSecuritySweep([]float64{2, 3, 4, 5, 6, 7, 8}, 0.3, seed)
-	fmt.Print(experiment.SecurityTable(rs))
-}
-
-func runLoss(seed int64) {
-	fmt.Println("# Robustness (R1): admission at λ=7 vs discovery-message loss rate.")
-	fmt.Println("# Soft state tolerates loss: a dropped PLEDGE only delays the next")
-	fmt.Println("# refresh; nothing needs retransmission or repair.")
-	protos := experiment.StandardProtocols(protocol.DefaultConfig())
-	pts := experiment.RunLoss([]float64{0, 0.05, 0.1, 0.2, 0.4, 0.6}, 7, protos, seed)
-	fmt.Print(experiment.LossTable(pts, protos))
-}
-
-func runGossip(lambdaList string, duration float64, reps int, seed int64) {
-	fmt.Println("# Modern comparator (G1): REALTOR vs push-pull anti-entropy gossip")
-	fmt.Println("# (the SWIM/memberlist/Serf lineage). The paper's cost model counts")
-	fmt.Println("# messages, so gossip's batched views look cheap per unit; byte")
-	fmt.Println("# volume would be proportionally larger.")
-	sc := experiment.DefaultSweep()
-	sc.Lambdas = parseLambdas(lambdaList)
-	sc.Engine.Duration = sim.Time(duration)
-	sc.Engine.Warmup = sim.Time(duration) / 10
-	sc.Replications = reps
-	sc.BaseSeed = seed
-	pcfg := protocol.DefaultConfig()
-	protos := []experiment.Protocol{
-		experiment.StandardProtocols(pcfg)[1], // Push-1 reference
-		experiment.StandardProtocols(pcfg)[4], // REALTOR
-		experiment.GossipProtocol(pcfg, sc.Engine.Graph.N(), seed),
-	}
-	series := experiment.RunSweep(sc, protos)
-	for _, m := range []experiment.Metric{experiment.Admission, experiment.MessageUnits,
-		experiment.CostPerTask, experiment.MigrationRate} {
-		fmt.Printf("\n## %s\n", m)
-		fmt.Print(experiment.Table(series, m))
-	}
-}
-
-func runRetries(seed int64) {
-	fmt.Println("# Migration retries (A7): the paper's simulation pins one try per")
-	fmt.Println("# task; its runtime walks the candidate list (Section 3). Cost of")
-	fmt.Println("# the simplification, REALTOR:")
-	pts := experiment.RunRetries([]float64{6, 8, 10}, []int{1, 2, 3, 5}, seed)
-	fmt.Print(experiment.RetryTable(pts))
-}
-
-func runCommunity(seed int64) {
-	fmt.Println("# Community structure (C1): emergent community and membership sizes")
-	fmt.Println("# sampled at 80% of the run. Communities only exist where load does;")
-	fmt.Println("# memberships stay under the configured cap.")
-	pts := experiment.RunCommunity([]float64{2, 4, 5, 6, 7, 8, 9, 10}, seed)
-	fmt.Print(experiment.CommunityTable(pts))
-}
-
-func runPartition(seed int64) {
-	st := experiment.DefaultPartitionStudy()
-	fmt.Printf("# Partition survivability (P1): 5x5 mesh bisected at column %d\n", st.Col)
-	fmt.Printf("# (10 nodes left / 15 right) from t=%g to t=%g of a %gs run.\n",
-		float64(st.At), float64(st.Heal), float64(st.Duration))
-	fmt.Println("# Admission is bucketed by task arrival; reconverge is seconds after")
-	fmt.Println("# the heal until both sides hold post-heal pledges from the far side.")
-	pts := experiment.RunPartition(st, []float64{3, 4, 5, 6, 7, 8, 9}, seed)
-	fmt.Print(experiment.PartitionTable(pts))
-}
-
-func runAblation(seed int64) {
-	fmt.Println("# Algorithm H ablation (A3): α/β sensitivity of REALTOR at λ=7")
-	pts := experiment.RunAlphaBeta(
-		[]float64{0.1, 0.25, 0.5, 1.0},
-		[]float64{0.1, 0.25, 0.5, 0.9},
-		7, seed)
-	fmt.Print(experiment.AblationTable(pts))
 }

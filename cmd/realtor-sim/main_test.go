@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -45,27 +46,27 @@ func TestRunKernelStats(t *testing.T) {
 	}
 }
 
-// tinyPolicyStudy keeps the -fig policy surface testable: same cell
-// grid as the real study, but a window short enough for unit tests.
-func tinyPolicyStudy() []experiment.PolicyStudy {
-	return []experiment.PolicyStudy{{
-		Lambda: 5, Seed: 1,
-		Warmup: 20, Duration: 150,
-		AttackAt: 50, Recover: 100, BinWidth: 25,
-	}}
+// policyStudy runs `-fig policy -quick` with the given -policy spec: the
+// real cell grid, in a window short enough for unit tests.
+func policyStudy(t *testing.T, spec string) (string, error) {
+	t.Helper()
+	st, ok := experiment.Lookup("policy")
+	if !ok {
+		t.Fatal("no policy study in the catalogue")
+	}
+	return st.Run(experiment.Options{Seed: 1, Quick: true, Policy: spec})
 }
 
 // TestRunPolicyStudy exercises the -fig policy writer: header comments,
-// one section per study, every default variant present, and a "custom"
-// row when a -policy spec is supplied.
+// one section per arrival rate, every default variant present, and a
+// "custom" row when a -policy spec is supplied.
 func TestRunPolicyStudy(t *testing.T) {
-	var b strings.Builder
-	if err := runPolicyStudy(&b, "", tinyPolicyStudy()); err != nil {
+	out, err := policyStudy(t, "")
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := b.String()
 	for _, want := range []string{
-		"# Traffic protection", "## lambda=5", "attack", "recover-s",
+		"# R2 traffic-protection", "## lambda=5", "## lambda=8", "attack", "recover-s",
 		"baseline", "bucket", "breaker", "retry", "elastic", "stack",
 		"exhaust", "flap", "churn",
 	} {
@@ -77,18 +78,18 @@ func TestRunPolicyStudy(t *testing.T) {
 		t.Fatal("custom row present without a -policy spec")
 	}
 
-	b.Reset()
-	if err := runPolicyStudy(&b, "bucket:rate=0.5,burst=2;breaker", tinyPolicyStudy()); err != nil {
+	out, err = policyStudy(t, "bucket:rate=0.5,burst=2;breaker")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(b.String(), "custom") {
-		t.Fatalf("spec did not add a custom row:\n%s", b.String())
+	if !strings.Contains(out, "custom") {
+		t.Fatalf("spec did not add a custom row:\n%s", out)
 	}
 }
 
 // TestRunPolicyStudyRejectsBadSpecs pins the -policy flag's validation:
 // malformed specs must fail fast — before any simulation — with a
-// pointed error.
+// pointed error that main turns into exit status 2.
 func TestRunPolicyStudyRejectsBadSpecs(t *testing.T) {
 	cases := []struct{ spec, want string }{
 		{"bogus", "unknown policy name"},
@@ -98,15 +99,14 @@ func TestRunPolicyStudyRejectsBadSpecs(t *testing.T) {
 		{"retry:strategy=frob", "unknown retry strategy"},
 	}
 	for _, c := range cases {
-		var b strings.Builder
-		err := runPolicyStudy(&b, c.spec, tinyPolicyStudy())
-		if err == nil {
-			t.Fatalf("spec %q accepted", c.spec)
+		out, err := policyStudy(t, c.spec)
+		if !errors.Is(err, experiment.ErrOption) {
+			t.Fatalf("spec %q: error %v is not an ErrOption", c.spec, err)
 		}
 		if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("spec %q: error %q does not mention %q", c.spec, err, c.want)
 		}
-		if b.Len() != 0 {
+		if out != "" {
 			t.Errorf("spec %q: output written despite the error", c.spec)
 		}
 	}

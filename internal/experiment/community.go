@@ -5,12 +5,9 @@ import (
 	"strings"
 
 	"realtor/internal/core"
-	"realtor/internal/engine"
 	"realtor/internal/protocol"
-	"realtor/internal/rng"
 	"realtor/internal/sim"
 	"realtor/internal/topology"
-	"realtor/internal/workload"
 )
 
 // CommunityPoint describes REALTOR's community structure at one load
@@ -30,16 +27,8 @@ type CommunityPoint struct {
 func RunCommunity(lambdas []float64, seed int64) []CommunityPoint {
 	return collect(len(lambdas), 0, func(i int) CommunityPoint {
 		lambda := lambdas[i]
-		ecfg := engine.Config{
-			Graph:         topology.Mesh(5, 5),
-			QueueCapacity: 100,
-			HopDelay:      0.01,
-			Threshold:     0.9,
-			Warmup:        100,
-			Duration:      1100,
-			Seed:          seed,
-		}
-		e := engine.New(ecfg, func() protocol.Discovery { return core.New(protocol.DefaultConfig()) })
+		ecfg := PaperCell(topology.Mesh(5, 5), 100, 1100, seed)
+		e := newCell(ecfg, func() protocol.Discovery { return core.New(protocol.DefaultConfig()) })
 		pt := CommunityPoint{Lambda: lambda}
 		e.Scheduler().At(sim.Time(float64(ecfg.Duration)*0.8), func(sim.Time) {
 			var sumC, sumM float64
@@ -58,8 +47,7 @@ func RunCommunity(lambdas []float64, seed int64) []CommunityPoint {
 			pt.MeanCommunity = sumC / float64(ecfg.Graph.N())
 			pt.MeanMemberships = sumM / float64(ecfg.Graph.N())
 		})
-		src := workload.NewPoisson(lambda, 5, ecfg.Graph.N(), rng.New(seed))
-		e.Run(src)
+		e.Run(PoissonSource(ecfg, lambda))
 		return pt
 	})
 }

@@ -285,18 +285,7 @@ func RunDiscovery(st DiscoveryStudy) ([]DiscoveryPoint, error) {
 					rendered := fmt.Sprintf("%+v|lat=%.9g/%d", stats, lat.sum, lat.n)
 					if i == 0 {
 						want = rendered
-						point = DiscoveryPoint{
-							Nodes:       n,
-							Protocol:    c.Label,
-							Attack:      atk.Label,
-							Stats:       stats,
-							Admission:   stats.AdmissionProbability(),
-							MeanLatency: lat.Mean(),
-							Elapsed:     elapsed,
-						}
-						if stats.Offered > 0 {
-							point.CostPerTask = stats.MessageUnits / float64(stats.Offered)
-						}
+						point = discoveryPoint(n, c.Label, atk.Label, stats, lat, elapsed)
 					} else if rendered != want {
 						return nil, fmt.Errorf(
 							"experiment: %d nodes, %s×%s, %d shards diverged from %d shards:\n got %s\nwant %s",
@@ -331,41 +320,38 @@ func RunDiscoveryOne(st DiscoveryStudy, si int, label string) (DiscoveryPoint, e
 			continue
 		}
 		stats, lat, elapsed := runDiscoveryCell(st, g, st.Warmups[si], st.Durations[si], st.HotNodes[si], c, nil, shards)
-		p := DiscoveryPoint{
-			Nodes:       g.N(),
-			Protocol:    label,
-			Attack:      "none",
-			Stats:       stats,
-			Admission:   stats.AdmissionProbability(),
-			MeanLatency: lat.Mean(),
-			Elapsed:     elapsed,
-		}
-		if stats.Offered > 0 {
-			p.CostPerTask = stats.MessageUnits / float64(stats.Offered)
-		}
-		return p, nil
+		return discoveryPoint(g.N(), label, "none", stats, lat, elapsed), nil
 	}
 	return DiscoveryPoint{}, fmt.Errorf("experiment: unknown discovery protocol %q", label)
+}
+
+// discoveryPoint reduces one cell's run to its table row.
+func discoveryPoint(n int, proto, atk string, stats metrics.RunStats, lat *latencyTracker, elapsed time.Duration) DiscoveryPoint {
+	p := DiscoveryPoint{
+		Nodes:       n,
+		Protocol:    proto,
+		Attack:      atk,
+		Stats:       stats,
+		Admission:   stats.AdmissionProbability(),
+		MeanLatency: lat.Mean(),
+		Elapsed:     elapsed,
+	}
+	if stats.Offered > 0 {
+		p.CostPerTask = stats.MessageUnits / float64(stats.Offered)
+	}
+	return p
 }
 
 func runDiscoveryCell(st DiscoveryStudy, g *topology.Graph, warmup, duration sim.Time,
 	hot int, c discoveryContender, scen attack.Scenario, shards int) (metrics.RunStats, *latencyTracker, time.Duration) {
 	n := g.N()
 	lat := newLatencyTracker(warmup, duration)
-	ecfg := engine.Config{
-		Graph:               g,
-		QueueCapacity:       100,
-		HopDelay:            0.01,
-		Threshold:           discoveryProtocolConfig().Threshold,
-		Warmup:              warmup,
-		Duration:            duration,
-		Seed:                st.Seed,
-		Shards:              shards,
-		Groups:              c.Groups,
-		RerouteDeadArrivals: true,
-		Trace:               lat,
-	}
-	e := engine.New(ecfg, c.Build)
+	ecfg := PaperCell(g, warmup, duration, st.Seed)
+	ecfg.Shards = shards
+	ecfg.Groups = c.Groups
+	ecfg.RerouteDeadArrivals = true
+	ecfg.Trace = lat
+	e := newCell(ecfg, c.Build)
 	if scen != nil {
 		scen.Apply(e)
 	}

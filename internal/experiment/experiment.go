@@ -42,9 +42,6 @@ func StandardProtocols(cfg protocol.Config) []Protocol {
 	}
 }
 
-// protocolDefault is a local alias for the paper's protocol parameters.
-func protocolDefault() protocol.Config { return protocol.DefaultConfig() }
-
 // GossipProtocol returns the modern push-pull anti-entropy comparator
 // (experiment G1) configured for an n-node system.
 func GossipProtocol(cfg protocol.Config, n int, seed int64) Protocol {
@@ -80,16 +77,9 @@ type SweepConfig struct {
 // queues, task-size mean 5, λ from 1 to 10.
 func DefaultSweep() SweepConfig {
 	return SweepConfig{
-		Engine: engine.Config{
-			Graph:         topology.Mesh(5, 5),
-			QueueCapacity: 100,
-			HopDelay:      0.01,
-			Threshold:     0.9,
-			Warmup:        200,
-			Duration:      2200,
-		},
+		Engine:       PaperCell(topology.Mesh(5, 5), 200, 2200, 0),
 		Lambdas:      []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
-		MeanTaskSize: 5,
+		MeanTaskSize: MeanTaskSize,
 		Replications: 3,
 		BaseSeed:     1,
 	}
@@ -160,9 +150,8 @@ func RunSweep(sc SweepConfig, protos []Protocol) []Series {
 func runOnce(sc SweepConfig, p Protocol, lambda float64, seed int64) metrics.RunStats {
 	ecfg := sc.Engine
 	ecfg.Seed = seed
-	e := engine.New(ecfg, p.Build)
 	src := workload.NewPoisson(lambda, sc.MeanTaskSize, ecfg.Graph.N(), rng.New(seed))
-	return e.Run(src)
+	return newCell(ecfg, p.Build).Run(src)
 }
 
 // Metric selects which figure's y-value to render.
@@ -284,53 +273,20 @@ type ScalePoint struct {
 	HelpsPlusAdverts uint64
 }
 
-// RunScale measures discovery overhead across mesh sizes at a fixed
-// per-node load (λ scales with N so each node sees the same traffic).
-// The paper claims REALTOR's overhead is "system-size independent" in
-// per-node terms — while assuming "a mechanism in place limiting the
-// scope of neighbors, for example, as an IP multicast group". radius = 0
-// floods system-wide (the paper's 25-node setting); radius > 0 bounds
-// every flood to that many hops, which is what makes the per-node
-// overhead flat as the system grows.
-func RunScale(sizes []int, perNodeLambda float64, radius int, p Protocol, seed int64) []ScalePoint {
-	return collect(len(sizes), 0, func(i int) ScalePoint {
-		n := sizes[i]
-		g := topology.Mesh(n, n)
-		ecfg := engine.Config{
-			Graph:         g,
-			QueueCapacity: 100,
-			HopDelay:      0.01,
-			Threshold:     0.9,
-			Warmup:        100,
-			Duration:      1100,
-			Seed:          seed,
-			FloodRadius:   radius,
-		}
-		e := engine.New(ecfg, p.Build)
-		lambda := perNodeLambda * float64(g.N())
-		src := workload.NewPoisson(lambda, 5, g.N(), rng.New(seed))
-		st := e.Run(src)
-		window := float64(ecfg.Duration - ecfg.Warmup)
-		return ScalePoint{
-			Nodes:            g.N(),
-			Links:            g.Links(),
-			UnitsPerNodeSec:  st.MessageUnits / float64(g.N()) / window,
-			Admission:        st.AdmissionProbability(),
-			UnitsTotal:       st.MessageUnits,
-			HelpsPlusAdverts: st.HelpMsgs + st.AdvertMsgs,
-		}
-	})
-}
-
-// ScaleLargeStudy parameterizes the large-mesh scalability study (A2-L):
-// mesh sides well past the paper's 5×5, with per-node load held constant
-// and floods scoped (radius-limited) as the paper's multicast-group
-// assumption requires — system-wide floods at N=2500 would measure the
-// flood itself, not the protocol.
+// ScaleLargeStudy parameterizes the scalability studies: discovery
+// overhead across square meshes at a fixed per-node load (λ scales with
+// N so each node sees the same traffic). The paper claims REALTOR's
+// overhead is "system-size independent" in per-node terms — while
+// assuming "a mechanism in place limiting the scope of neighbors, for
+// example, as an IP multicast group". Radius 0 floods system-wide (the
+// paper's 25-node setting); Radius > 0 bounds every flood to that many
+// hops, which is what makes the per-node overhead flat as the system
+// grows — and what the large meshes (A2-L) need: system-wide floods at
+// N=2500 would measure the flood itself, not the protocol.
 type ScaleLargeStudy struct {
 	Sides         []int   // mesh side lengths (50 → 2500 nodes)
 	PerNodeLambda float64 // arrivals/sec per node
-	Radius        int     // flood scope, hops
+	Radius        int     // flood scope, hops; 0 = system-wide
 	Warmup        sim.Time
 	Duration      sim.Time
 	// Shards selects the event kernel: 0 or 1 runs the classic
@@ -338,6 +294,18 @@ type ScaleLargeStudy struct {
 	// Results are byte-identical either way (DESIGN.md §10), so this
 	// only trades wall-clock time.
 	Shards int
+}
+
+// DefaultScale returns the study behind results/scale.txt (A2): the
+// meshes around the paper's 5×5, at the given flood radius.
+func DefaultScale(radius int) ScaleLargeStudy {
+	return ScaleLargeStudy{
+		Sides:         []int{3, 4, 5, 6, 7, 8},
+		PerNodeLambda: 0.18,
+		Radius:        radius,
+		Warmup:        100,
+		Duration:      1100,
+	}
 }
 
 // DefaultScaleLarge returns the study configuration behind
@@ -354,43 +322,42 @@ func DefaultScaleLarge() ScaleLargeStudy {
 	}
 }
 
-// RunScaleLarge executes the large-mesh study for one protocol. Each
+// cell returns the engine setup of the study's cell on mesh g and the
+// Poisson rate that holds the per-node load constant there.
+func (st ScaleLargeStudy) cell(g *topology.Graph, seed int64) (engine.Config, float64) {
+	cfg := PaperCell(g, st.Warmup, st.Duration, seed)
+	cfg.FloodRadius = st.Radius
+	cfg.Shards = st.Shards
+	return cfg, st.PerNodeLambda * float64(g.N())
+}
+
+// point reduces one cell's statistics to its table row.
+func (st ScaleLargeStudy) point(g *topology.Graph, stats metrics.RunStats) ScalePoint {
+	return ScalePoint{
+		Nodes:            g.N(),
+		Links:            g.Links(),
+		UnitsPerNodeSec:  stats.MessageUnits / float64(g.N()) / float64(st.Duration-st.Warmup),
+		Admission:        stats.AdmissionProbability(),
+		UnitsTotal:       stats.MessageUnits,
+		HelpsPlusAdverts: stats.HelpMsgs + stats.AdvertMsgs,
+	}
+}
+
+// RunScaleLarge executes a scalability study for one protocol. Each
 // size is one deterministic engine run; sizes fan out over the
 // configured worker pool like every other study (byte-identical output
 // at any worker count).
 //
-// This is the workload the incremental topology layer exists for: at
-// side 50 the old eager all-pairs snapshot costs O(V²·E) per link event
-// and ~50 MB per materialized matrix, while the on-demand row path keeps
-// memory proportional to the rows actually queried.
+// The large sides are the workload the incremental topology layer
+// exists for: at side 50 the old eager all-pairs snapshot costs O(V²·E)
+// per link event and ~50 MB per materialized matrix, while the
+// on-demand row path keeps memory proportional to the rows actually
+// queried.
 func RunScaleLarge(st ScaleLargeStudy, p Protocol, seed int64) []ScalePoint {
 	return collect(len(st.Sides), 0, func(i int) ScalePoint {
-		side := st.Sides[i]
-		g := topology.Mesh(side, side)
-		ecfg := engine.Config{
-			Graph:         g,
-			QueueCapacity: 100,
-			HopDelay:      0.01,
-			Threshold:     0.9,
-			Warmup:        st.Warmup,
-			Duration:      st.Duration,
-			Seed:          seed,
-			FloodRadius:   st.Radius,
-			Shards:        st.Shards,
-		}
-		e := engine.New(ecfg, p.Build)
-		lambda := st.PerNodeLambda * float64(g.N())
-		src := workload.NewPoisson(lambda, 5, g.N(), rng.New(seed))
-		stats := e.Run(src)
-		window := float64(ecfg.Duration - ecfg.Warmup)
-		return ScalePoint{
-			Nodes:            g.N(),
-			Links:            g.Links(),
-			UnitsPerNodeSec:  stats.MessageUnits / float64(g.N()) / window,
-			Admission:        stats.AdmissionProbability(),
-			UnitsTotal:       stats.MessageUnits,
-			HelpsPlusAdverts: stats.HelpMsgs + stats.AdvertMsgs,
-		}
+		g := topology.Mesh(st.Sides[i], st.Sides[i])
+		cfg, lambda := st.cell(g, seed)
+		return st.point(g, newCell(cfg, p.Build).Run(PoissonSource(cfg, lambda)))
 	})
 }
 
@@ -423,18 +390,9 @@ func RunAlphaBeta(alphas, betas []float64, lambda float64, seed int64) []Ablatio
 		a, bta := alphas[i/len(betas)], betas[i%len(betas)]
 		cfg := base
 		cfg.Alpha, cfg.Beta = a, bta
-		ecfg := engine.Config{
-			Graph:         topology.Mesh(5, 5),
-			QueueCapacity: 100,
-			HopDelay:      0.01,
-			Threshold:     0.9,
-			Warmup:        200,
-			Duration:      1200,
-			Seed:          seed,
-		}
-		e := engine.New(ecfg, func() protocol.Discovery { return core.New(cfg) })
-		src := workload.NewPoisson(lambda, 5, ecfg.Graph.N(), rng.New(seed))
-		st := e.Run(src)
+		ecfg := PaperCell(topology.Mesh(5, 5), 200, 1200, seed)
+		e := newCell(ecfg, func() protocol.Discovery { return core.New(cfg) })
+		st := e.Run(PoissonSource(ecfg, lambda))
 		return AblationPoint{
 			Alpha:       a,
 			Beta:        bta,

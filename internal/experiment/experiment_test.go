@@ -130,8 +130,9 @@ func TestRunScalePerNodeOverheadStable(t *testing.T) {
 	// The paper's scalability claim: REALTOR's per-node overhead does not
 	// grow with system size. Allow a generous factor (flood cost grows
 	// with links, but per-node-normalized it stays bounded).
-	p := StandardProtocols(protocol.DefaultConfig())[4]
-	pts := RunScale([]int{3, 5, 7}, 0.18, 0, p, 2)
+	st := DefaultScale(0)
+	st.Sides = []int{3, 5, 7}
+	pts := RunScaleLarge(st, realtor(), 2)
 	if len(pts) != 3 {
 		t.Fatalf("points %d", len(pts))
 	}

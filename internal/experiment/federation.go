@@ -4,13 +4,11 @@ import (
 	"fmt"
 	"strings"
 
-	"realtor/internal/engine"
 	"realtor/internal/federation"
 	"realtor/internal/metrics"
 	"realtor/internal/protocol"
 	"realtor/internal/rng"
 	"realtor/internal/topology"
-	"realtor/internal/workload"
 )
 
 // FederationPoint compares group-scoped REALTOR with and without
@@ -56,16 +54,8 @@ func RunFederation(meshSide int, lambdas []float64, seed int64) []FederationPoin
 func runFederationOnce(meshSide int, lambda float64, seed int64, federated bool) metrics.RunStats {
 	graph := topology.Mesh(meshSide, meshSide)
 	groups := federation.QuadrantGroups(meshSide, meshSide, 2, 2)
-	ecfg := engine.Config{
-		Graph:         graph,
-		QueueCapacity: 100,
-		HopDelay:      0.01,
-		Threshold:     0.9,
-		Warmup:        100,
-		Duration:      1100,
-		Seed:          seed,
-		Groups:        groups,
-	}
+	ecfg := PaperCell(graph, 100, 1100, seed)
+	ecfg.Groups = groups
 	build := func() protocol.Discovery {
 		cfg := federation.Config{Protocol: protocol.DefaultConfig()}
 		if federated {
@@ -75,8 +65,8 @@ func runFederationOnce(meshSide int, lambda float64, seed int64, federated bool)
 		}
 		return federation.New(cfg)
 	}
-	e := engine.New(ecfg, build)
-	src := workload.NewPoisson(lambda, 5, graph.N(), rng.New(seed))
+	e := newCell(ecfg, build)
+	src := PoissonSource(ecfg, lambda)
 	var hot []topology.NodeID
 	for i, g := range groups {
 		if g == 0 {

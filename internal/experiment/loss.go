@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"realtor/internal/engine"
-	"realtor/internal/rng"
 	"realtor/internal/topology"
-	"realtor/internal/workload"
 )
 
 // LossPoint is one (protocol, loss-rate) cell of the robustness study
@@ -26,19 +23,9 @@ func RunLoss(losses []float64, lambda float64, protos []Protocol, seed int64) []
 	nP := len(protos)
 	adm := collect(len(losses)*nP, 0, func(i int) float64 {
 		loss, p := losses[i/nP], protos[i%nP]
-		ecfg := engine.Config{
-			Graph:         topology.Mesh(5, 5),
-			QueueCapacity: 100,
-			HopDelay:      0.01,
-			Threshold:     0.9,
-			Warmup:        200,
-			Duration:      1200,
-			Seed:          seed,
-			LossProb:      loss,
-		}
-		e := engine.New(ecfg, p.Build)
-		src := workload.NewPoisson(lambda, 5, ecfg.Graph.N(), rng.New(seed))
-		return e.Run(src).AdmissionProbability()
+		ecfg := PaperCell(topology.Mesh(5, 5), 200, 1200, seed)
+		ecfg.LossProb = loss
+		return newCell(ecfg, p.Build).Run(PoissonSource(ecfg, lambda)).AdmissionProbability()
 	})
 	out := make([]LossPoint, 0, len(losses))
 	for li, loss := range losses {

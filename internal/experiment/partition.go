@@ -8,7 +8,6 @@ import (
 	"realtor/internal/core"
 	"realtor/internal/engine"
 	"realtor/internal/protocol"
-	"realtor/internal/rng"
 	"realtor/internal/sim"
 	"realtor/internal/topology"
 	"realtor/internal/workload"
@@ -98,32 +97,24 @@ func RunPartition(st PartitionStudy, lambdas []float64, seed int64) []PartitionP
 			At: st.At, Heal: st.Heal,
 		}
 		var phases [4]ratio // before, left-split, right-split, after
-		ecfg := engine.Config{
-			Graph:         topology.Mesh(st.Rows, st.Cols),
-			QueueCapacity: 100,
-			HopDelay:      0.01,
-			Threshold:     0.9,
-			Warmup:        st.Warmup,
-			Duration:      st.Duration,
-			Seed:          seed,
-			OnOutcome: func(t workload.Task, ok bool) {
-				switch {
-				case t.Arrive < st.Warmup:
-					// outside the measured window
-				case t.Arrive < st.At:
-					phases[0].observe(ok)
-				case t.Arrive < st.Heal:
-					if split.Left(t.Node) {
-						phases[1].observe(ok)
-					} else {
-						phases[2].observe(ok)
-					}
-				default:
-					phases[3].observe(ok)
+		ecfg := PaperCell(topology.Mesh(st.Rows, st.Cols), st.Warmup, st.Duration, seed)
+		ecfg.OnOutcome = func(t workload.Task, ok bool) {
+			switch {
+			case t.Arrive < st.Warmup:
+				// outside the measured window
+			case t.Arrive < st.At:
+				phases[0].observe(ok)
+			case t.Arrive < st.Heal:
+				if split.Left(t.Node) {
+					phases[1].observe(ok)
+				} else {
+					phases[2].observe(ok)
 				}
-			},
+			default:
+				phases[3].observe(ok)
+			}
 		}
-		e := engine.New(ecfg, func() protocol.Discovery { return core.New(protocol.DefaultConfig()) })
+		e := newCell(ecfg, func() protocol.Discovery { return core.New(protocol.DefaultConfig()) })
 		split.Apply(e)
 
 		pt := PartitionPoint{Lambda: lambda, Reconverge: -1}
@@ -140,8 +131,7 @@ func RunPartition(st PartitionStudy, lambdas []float64, seed int64) []PartitionP
 			})
 		})
 
-		src := workload.NewPoisson(lambda, 5, ecfg.Graph.N(), rng.New(seed))
-		run := e.Run(src)
+		run := e.Run(PoissonSource(ecfg, lambda))
 		pt.Before = phases[0].value()
 		pt.LeftSplit = phases[1].value()
 		pt.RightSplit = phases[2].value()

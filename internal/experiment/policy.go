@@ -9,10 +9,8 @@ import (
 	"realtor/internal/engine"
 	"realtor/internal/policy"
 	"realtor/internal/protocol"
-	"realtor/internal/rng"
 	"realtor/internal/sim"
 	"realtor/internal/topology"
-	"realtor/internal/workload"
 )
 
 // PolicyRow is one (policy variant, attack scenario) cell of the
@@ -80,9 +78,8 @@ func PolicyVariants() []PolicyVariant {
 	}
 }
 
-// policyAttacks compiles the study's fault scenarios. The exhaust
-// composite matches realtor-attack's: three interior nodes stuffed with
-// 30 bogus seconds per second each.
+// policyAttacks compiles the study's fault scenarios; the exhaust
+// composite is the survivability study's (exhaust3).
 func policyAttacks(st PolicyStudy) []struct {
 	Tag string
 	Sc  attack.Scenario
@@ -92,11 +89,7 @@ func policyAttacks(st PolicyStudy) []struct {
 		Sc  attack.Scenario
 	}{
 		{"none", nil},
-		{"exhaust", attack.Composite{Label: "exhaust-3", Parts: []attack.Scenario{
-			attack.Exhaust{Target: 6, At: st.AttackAt, Until: st.Recover, Interval: 1, Chunk: 30},
-			attack.Exhaust{Target: 12, At: st.AttackAt, Until: st.Recover, Interval: 1, Chunk: 30},
-			attack.Exhaust{Target: 18, At: st.AttackAt, Until: st.Recover, Interval: 1, Chunk: 30},
-		}}},
+		{"exhaust", exhaust3(st.AttackAt, st.Recover)},
 		{"flap", attack.Flap{Target: 12, Start: st.AttackAt, DownFor: 15, UpFor: 15, Until: st.Recover}},
 		{"churn", attack.LinkChurn{Start: st.AttackAt, Until: st.Recover, Interval: 2, Down: 5, Seed: st.Seed}},
 	}
@@ -122,26 +115,17 @@ func RunPolicy(st PolicyStudy, variants ...PolicyVariant) []PolicyRow {
 }
 
 func runPolicyCell(st PolicyStudy, vTag string, pcfg policy.Config, aTag string, sc attack.Scenario) PolicyRow {
-	ecfg := engine.Config{
-		Graph:         topology.Mesh(5, 5),
-		QueueCapacity: 100,
-		HopDelay:      0.01,
-		Threshold:     0.9,
-		Warmup:        st.Warmup,
-		Duration:      st.Duration,
-		Seed:          st.Seed,
-		BinWidth:      st.BinWidth,
-		Shards:        st.Shards,
-	}
+	ecfg := PaperCell(topology.Mesh(5, 5), st.Warmup, st.Duration, st.Seed)
+	ecfg.BinWidth = st.BinWidth
+	ecfg.Shards = st.Shards
 	pc := pcfg
 	pc.Seed = uint64(st.Seed)
 	build := policy.New(pc, func() protocol.Discovery { return core.New(protocol.DefaultConfig()) })
-	e := engine.New(ecfg, build)
+	e := newCell(ecfg, build)
 	if sc != nil {
 		sc.Apply(e)
 	}
-	src := workload.NewPoisson(st.Lambda, 5, ecfg.Graph.N(), rng.New(st.Seed))
-	stats := e.Run(src)
+	stats := e.Run(PoissonSource(ecfg, st.Lambda))
 
 	row := PolicyRow{
 		Policy:       vTag,

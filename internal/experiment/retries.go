@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"realtor/internal/engine"
-	"realtor/internal/rng"
 	"realtor/internal/topology"
-	"realtor/internal/workload"
 )
 
 // RetryPoint is one cell of the migration-retry ablation (A7): the
@@ -26,22 +23,12 @@ type RetryPoint struct {
 // RunRetries sweeps MaxTries for REALTOR across loads on the experiment
 // worker pool.
 func RunRetries(lambdas []float64, tries []int, seed int64) []RetryPoint {
-	proto := StandardProtocols(protocolDefault())[4]
+	proto := realtor()
 	return collect(len(lambdas)*len(tries), 0, func(i int) RetryPoint {
 		lambda, n := lambdas[i/len(tries)], tries[i%len(tries)]
-		ecfg := engine.Config{
-			Graph:         topology.Mesh(5, 5),
-			QueueCapacity: 100,
-			HopDelay:      0.01,
-			Threshold:     0.9,
-			Warmup:        200,
-			Duration:      1200,
-			Seed:          seed,
-			MaxTries:      n,
-		}
-		e := engine.New(ecfg, proto.Build)
-		src := workload.NewPoisson(lambda, 5, ecfg.Graph.N(), rng.New(seed))
-		st := e.Run(src)
+		ecfg := PaperCell(topology.Mesh(5, 5), 200, 1200, seed)
+		ecfg.MaxTries = n
+		st := newCell(ecfg, proto.Build).Run(PoissonSource(ecfg, lambda))
 		return RetryPoint{
 			Lambda:      lambda,
 			Tries:       n,

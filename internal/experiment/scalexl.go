@@ -11,11 +11,8 @@ import (
 	"strings"
 	"time"
 
-	"realtor/internal/engine"
-	"realtor/internal/rng"
 	"realtor/internal/sim"
 	"realtor/internal/topology"
-	"realtor/internal/workload"
 )
 
 // ScaleXLStudy parameterizes the extra-large study. Windows are short
@@ -71,23 +68,13 @@ func RunScaleXL(st ScaleXLStudy, p Protocol, seed int64) ([]XLPoint, error) {
 	var out []XLPoint
 	for _, side := range st.Sides {
 		g := topology.Mesh(side, side)
-		window := float64(st.Duration - st.Warmup)
 		want := ""
 		for i, shards := range st.ShardCounts {
-			ecfg := engine.Config{
-				Graph:         g,
-				QueueCapacity: 100,
-				HopDelay:      0.01,
-				Threshold:     0.9,
-				Warmup:        st.Warmup,
-				Duration:      st.Duration,
-				Seed:          seed,
-				FloodRadius:   st.Radius,
-				Shards:        shards,
-			}
-			e := engine.New(ecfg, p.Build)
-			lambda := st.PerNodeLambda * float64(g.N())
-			src := workload.NewPoisson(lambda, 5, g.N(), rng.New(seed))
+			one := ScaleLargeStudy{PerNodeLambda: st.PerNodeLambda, Radius: st.Radius,
+				Warmup: st.Warmup, Duration: st.Duration, Shards: shards}
+			cfg, lambda := one.cell(g, seed)
+			e := newCell(cfg, p.Build)
+			src := PoissonSource(cfg, lambda)
 			start := time.Now()
 			stats := e.Run(src)
 			elapsed := time.Since(start)
@@ -99,13 +86,14 @@ func RunScaleXL(st ScaleXLStudy, p Protocol, seed int64) ([]XLPoint, error) {
 					"experiment: side %d, %d shards diverged from the single-shard run:\n got %s\nwant %s",
 					side, shards, rendered, want)
 			}
+			pt := one.point(g, stats)
 			out = append(out, XLPoint{
-				Nodes:           g.N(),
+				Nodes:           pt.Nodes,
 				Shards:          shards,
 				Stats:           rendered,
 				Elapsed:         elapsed,
-				UnitsPerNodeSec: stats.MessageUnits / float64(g.N()) / window,
-				Admission:       stats.AdmissionProbability(),
+				UnitsPerNodeSec: pt.UnitsPerNodeSec,
+				Admission:       pt.Admission,
 			})
 		}
 	}

@@ -6,7 +6,6 @@ import (
 
 	"realtor/internal/attack"
 	"realtor/internal/core"
-	"realtor/internal/engine"
 	"realtor/internal/protocol"
 	"realtor/internal/resource"
 	"realtor/internal/rng"
@@ -46,17 +45,8 @@ func RunSecurity(lambda, secureFraction float64, seed int64) SecurityResult {
 	var offered, admitted [2]uint64 // index 0 = relaxed, 1 = secure
 	res := SecurityResult{Lambda: lambda, SecureFraction: secureFraction}
 
-	ecfg := engine.Config{
-		Graph:         graph,
-		QueueCapacity: 100,
-		HopDelay:      0.01,
-		Threshold:     0.9,
-		Warmup:        100,
-		Duration:      900,
-		Seed:          seed,
-		Attrs:         attrs,
-	}
-	var e *engine.Engine
+	ecfg := PaperCell(graph, 100, 900, seed)
+	ecfg.Attrs = attrs
 	ecfg.OnOutcome = func(t workload.Task, ok bool) {
 		cls := 0
 		if t.Require.Security >= 2 {
@@ -67,13 +57,13 @@ func RunSecurity(lambda, secureFraction float64, seed int64) SecurityResult {
 			admitted[cls]++
 		}
 	}
-	e = engine.New(ecfg, func() protocol.Discovery { return core.New(protocol.DefaultConfig()) })
+	e := newCell(ecfg, func() protocol.Discovery { return core.New(protocol.DefaultConfig()) })
 	attack.Downgrade{Targets: compromised, At: 300, Restore: 600, Security: 0}.Apply(e)
 
 	// Audit: sample compromised-host acceptance of secure work during the
 	// attack window by checking that constrained placements obey the
 	// attribute check (the engine enforces it; the counter proves it).
-	src := workload.NewPoisson(lambda, 5, graph.N(), rng.New(seed))
+	src := PoissonSource(ecfg, lambda)
 	mark := rng.New(seed).Derive("secure-mark")
 	classed := workload.NewMap(src, func(t workload.Task) workload.Task {
 		if mark.Bernoulli(secureFraction) {
