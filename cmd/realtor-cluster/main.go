@@ -22,10 +22,10 @@ import (
 	"time"
 
 	"realtor/internal/agile"
+	"realtor/internal/agile/transport"
 	"realtor/internal/buildinfo"
 	"realtor/internal/harness"
 	"realtor/internal/trace"
-	"realtor/internal/transportfactory"
 )
 
 func main() {
@@ -68,7 +68,7 @@ func main() {
 		cfg.Trace = trace.NewLocked(traceOut)
 	}
 
-	mk, err := transportfactory.New(*transportName)
+	mk, err := transport.ByName(*transportName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "realtor-cluster:", err)
 		os.Exit(2)

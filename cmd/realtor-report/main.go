@@ -27,10 +27,10 @@ import (
 	"time"
 
 	"realtor/internal/agile"
+	"realtor/internal/agile/transport"
 	"realtor/internal/buildinfo"
 	"realtor/internal/experiment"
 	"realtor/internal/harness"
-	"realtor/internal/transportfactory"
 )
 
 // liveFiles are the studies that run on the live Agile cluster, not the
@@ -92,7 +92,7 @@ func main() {
 	if *quick {
 		liveDur, liveScale = 150, 400
 	}
-	mk, err := transportfactory.New("chan")
+	mk, err := transport.ByName("chan")
 	check(err)
 	acfg := agile.DefaultConfig()
 	acfg.TimeScale = liveScale

@@ -40,7 +40,7 @@
 //	realtor-sim -parallel 8             # 8 worker goroutines (default GOMAXPROCS)
 //	realtor-sim -parallel 1             # sequential reference run (same output)
 //	realtor-sim -shards 4               # conservative-parallel kernel, 4 shards
-//	                                    # (same output as -shards 1, faster walls)
+//	                                    # (same output; see results/scale_xl.txt for wall time)
 //	realtor-sim -kernelstats            # one diagnostic run + scheduler counters
 //	realtor-sim -trace                  # one diagnostic run, its event trace pretty-printed
 //	realtor-sim -trace -proto Pull-.9   # another protocol

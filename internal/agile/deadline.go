@@ -5,7 +5,7 @@ import (
 	"strings"
 
 	"realtor/internal/agile/sched"
-	"realtor/internal/transportfactory"
+	"realtor/internal/agile/transport"
 )
 
 // DeadlineResult compares dispatch policies on the live runtime at one
@@ -22,7 +22,7 @@ type DeadlineResult struct {
 // RunDeadlineStudy drives the identical workload through an EDF cluster
 // and a FIFO cluster for each λ and reports deadline miss rates.
 func RunDeadlineStudy(base Config, lambdas []float64, meanSize, slack, duration float64,
-	seed int64, mkNet transportfactory.Factory) ([]DeadlineResult, error) {
+	seed int64, mkNet transport.Factory) ([]DeadlineResult, error) {
 	var out []DeadlineResult
 	for i, lambda := range lambdas {
 		for _, policy := range []sched.Policy{sched.EDF, sched.FIFO} {

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"strings"
 
+	"realtor/internal/agile/transport"
 	"realtor/internal/metrics"
-	"realtor/internal/transportfactory"
 )
 
 // F9Point is one λ of the Figure 9 measurement.
@@ -19,9 +19,9 @@ type F9Point struct {
 // probability of REALTOR on a live cluster (20 hosts, 50-second queues,
 // task-size mean 5) across arrival rates. Each λ gets a fresh cluster so
 // runs are independent. mkNet selects the transport ("chan" or "udp" via
-// transportfactory.New).
+// transport.ByName).
 func RunFigure9(cfg Config, lambdas []float64, meanSize, duration float64,
-	seed int64, mkNet transportfactory.Factory) ([]F9Point, error) {
+	seed int64, mkNet transport.Factory) ([]F9Point, error) {
 	out := make([]F9Point, 0, len(lambdas))
 	for i, lambda := range lambdas {
 		nw, err := mkNet(cfg.Hosts)

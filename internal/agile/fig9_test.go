@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"realtor/internal/transportfactory"
+	"realtor/internal/agile/transport"
 )
 
 func TestRunFigure9ShapeQuick(t *testing.T) {
@@ -17,7 +17,7 @@ func TestRunFigure9ShapeQuick(t *testing.T) {
 	cfg.QueueCapacity = 50
 	cfg.TimeScale = 400
 	cfg.NegotiationTimeout = 100 * time.Millisecond
-	mk, err := transportfactory.New("chan")
+	mk, err := transport.ByName("chan")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestDeadlineStudyConsistency(t *testing.T) {
 	cfg.QueueCapacity = 50
 	cfg.TimeScale = 400
 	cfg.NegotiationTimeout = 100 * time.Millisecond
-	mk, err := transportfactory.New("chan")
+	mk, err := transport.ByName("chan")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"realtor/internal/transportfactory"
+	"realtor/internal/agile/transport"
 )
 
 // TestClusterStopLeaksNoGoroutines is the shutdown regression test: a
@@ -17,7 +17,7 @@ func TestClusterStopLeaksNoGoroutines(t *testing.T) {
 	before := stableGoroutines(t)
 
 	for round := 0; round < 3; round++ {
-		mk, err := transportfactory.New("chan")
+		mk, err := transport.ByName("chan")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,14 +1,12 @@
-package transportfactory
+package transport
 
 import (
 	"strings"
 	"testing"
 	"time"
-
-	"realtor/internal/agile/transport"
 )
 
-// TestEveryKnownTransport exercises each switch arm of New: the factory
+// TestEveryKnownTransport exercises each switch arm of ByName: the factory
 // must build a fabric with the requested endpoint count and the fabric
 // must actually carry a packet end to end (loopback sockets for udp and
 // tcp, channels for chan).
@@ -16,9 +14,9 @@ func TestEveryKnownTransport(t *testing.T) {
 	for _, name := range []string{"chan", "udp", "tcp"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			mk, err := New(name)
+			mk, err := ByName(name)
 			if err != nil {
-				t.Fatalf("New(%q): %v", name, err)
+				t.Fatalf("ByName(%q): %v", name, err)
 			}
 			nw, err := mk(3)
 			if err != nil {
@@ -30,7 +28,7 @@ func TestEveryKnownTransport(t *testing.T) {
 			}
 
 			// Round-trip one admission packet 0→2.
-			want := transport.Packet{Adm: &transport.Admission{Request: true, Seq: 7, Cost: 1.5}}
+			want := Packet{Adm: &Admission{Request: true, Seq: 7, Cost: 1.5}}
 			if err := nw.Endpoint(0).Send(2, want); err != nil {
 				t.Fatalf("%s: send: %v", name, err)
 			}
@@ -56,7 +54,7 @@ func TestEveryKnownTransport(t *testing.T) {
 // TestUnknownTransport covers the default arm: a helpful error naming
 // the offender and the accepted values, and no factory.
 func TestUnknownTransport(t *testing.T) {
-	mk, err := New("carrier-pigeon")
+	mk, err := ByName("carrier-pigeon")
 	if err == nil {
 		t.Fatal("unknown transport accepted")
 	}

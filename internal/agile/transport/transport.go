@@ -98,6 +98,25 @@ type Network interface {
 	Close() error
 }
 
+// Factory builds a network with n endpoints.
+type Factory func(n int) (Network, error)
+
+// ByName returns the factory for a transport name ("chan", "udp",
+// "tcp"), shared by the cluster CLI, the Figure 9 runner, the live
+// harness backend and the examples.
+func ByName(name string) (Factory, error) {
+	switch name {
+	case "chan":
+		return func(n int) (Network, error) { return NewChan(n), nil }, nil
+	case "udp":
+		return func(n int) (Network, error) { return NewUDP(n) }, nil
+	case "tcp":
+		return func(n int) (Network, error) { return NewTCP(n) }, nil
+	default:
+		return nil, fmt.Errorf("unknown transport %q (want chan, udp or tcp)", name)
+	}
+}
+
 const inboxDepth = 4096
 
 // ChanNetwork is the in-process implementation.

@@ -63,6 +63,7 @@ package check
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"realtor/internal/engine"
 	"realtor/internal/policy"
@@ -310,71 +311,105 @@ func NewWorldOracle(w World, slack sim.Time) *Oracle {
 //	o := check.NewOracle(e)
 //	h.Bind(o)
 //
-// The optional Trace/Observer fields fan events out to an additional
-// consumer (e.g. a DecisionLog) alongside the oracle.
+// Every callback serializes behind one mutex, so the single-threaded
+// oracle (and any consumer attached with Tee) can sit behind shard
+// workers or the live cluster's concurrently emitting host actors; on
+// the sequential simulator the mutex is uncontended and free of side
+// effects, keeping runs bit-identical to an unhooked engine.
 type Hooks struct {
-	o *Oracle
-
-	// Also, when set, forward to an additional recorder/observer so a
-	// caller can keep its own trace alongside the oracle.
-	Trace    trace.Recorder
-	Observer trace.MessageObserver
+	mu  sync.Mutex
+	o   *Oracle
+	rec trace.Recorder
+	obs trace.MessageObserver
 }
 
 var _ trace.Recorder = (*Hooks)(nil)
 var _ trace.MessageObserver = (*Hooks)(nil)
 
 // Bind points the forwarder at a constructed oracle.
-func (h *Hooks) Bind(o *Oracle) { h.o = o }
+func (h *Hooks) Bind(o *Oracle) {
+	h.mu.Lock()
+	h.o = o
+	h.mu.Unlock()
+}
+
+// Tee attaches an extra trace recorder and/or observer (e.g. a
+// DecisionLog) that receives every event alongside the oracle. Call
+// before the run starts. The consumers are invoked under the mutex and
+// therefore need no locking of their own.
+func (h *Hooks) Tee(rec trace.Recorder, obs trace.MessageObserver) {
+	h.mu.Lock()
+	h.rec, h.obs = rec, obs
+	h.mu.Unlock()
+}
+
+// Locked runs fn under the mutex — the way end-of-run audits and
+// mid-run violation reads exclude in-flight emissions on a concurrent
+// backend.
+func (h *Hooks) Locked(fn func()) {
+	h.mu.Lock()
+	fn()
+	h.mu.Unlock()
+}
 
 // Record implements trace.Recorder.
 func (h *Hooks) Record(ev trace.Event) {
+	h.mu.Lock()
 	if h.o != nil {
 		h.o.Record(ev)
 	}
-	if h.Trace != nil {
-		h.Trace.Record(ev)
+	if h.rec != nil {
+		h.rec.Record(ev)
 	}
+	h.mu.Unlock()
 }
 
 // OnSend implements trace.MessageObserver.
 func (h *Hooks) OnSend(now sim.Time, from, to topology.NodeID, m protocol.Message) {
+	h.mu.Lock()
 	if h.o != nil {
 		h.o.OnSend(now, from, to, m)
 	}
-	if h.Observer != nil {
-		h.Observer.OnSend(now, from, to, m)
+	if h.obs != nil {
+		h.obs.OnSend(now, from, to, m)
 	}
+	h.mu.Unlock()
 }
 
 // OnDeliver implements trace.MessageObserver.
 func (h *Hooks) OnDeliver(now sim.Time, to topology.NodeID, m protocol.Message) {
+	h.mu.Lock()
 	if h.o != nil {
 		h.o.OnDeliver(now, to, m)
 	}
-	if h.Observer != nil {
-		h.Observer.OnDeliver(now, to, m)
+	if h.obs != nil {
+		h.obs.OnDeliver(now, to, m)
 	}
+	h.mu.Unlock()
 }
 
 // OnDrop implements trace.MessageObserver.
 func (h *Hooks) OnDrop(now sim.Time, from, to topology.NodeID, m protocol.Message, reason string) {
+	h.mu.Lock()
 	if h.o != nil {
 		h.o.OnDrop(now, from, to, m, reason)
 	}
-	if h.Observer != nil {
-		h.Observer.OnDrop(now, from, to, m, reason)
+	if h.obs != nil {
+		h.obs.OnDrop(now, from, to, m, reason)
 	}
+	h.mu.Unlock()
 }
 
 // OnInject implements trace.MessageObserver.
 func (h *Hooks) OnInject(now sim.Time, node topology.NodeID, size float64) {
+	h.mu.Lock()
 	if h.o != nil {
 		h.o.OnInject(now, node, size)
 	}
-	if h.Observer != nil {
-		h.Observer.OnInject(now, node, size)
+	if h.obs != nil {
+		h.obs.OnInject(now, node, size)
 	}
+	h.mu.Unlock()
 }
 
 // fail records a violation.

@@ -2,6 +2,7 @@ package check
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"realtor/internal/core"
@@ -254,5 +255,49 @@ func TestReferenceMatchesFastImplementation(t *testing.T) {
 	}
 	if fast.Len() == 0 {
 		t.Fatal("empty decision log: scenario exercised nothing")
+	}
+}
+
+// eventCount is a deliberately unsynchronized Tee consumer.
+type eventCount int
+
+func (c *eventCount) Record(trace.Event) { *c++ }
+
+// TestHooksSerializeConcurrentEmitters: shard workers (InlineHooks) and
+// live host actors emit from several goroutines at once, while the
+// oracle and any Tee'd consumer are single-threaded — Hooks is the one
+// lock between them. Run under -race (`make race`).
+func TestHooksSerializeConcurrentEmitters(t *testing.T) {
+	const emitters, tasks = 2, 500
+	o := NewWorldOracle(&scriptWorld{n: 4}, 0)
+	var teed eventCount
+	h := &Hooks{}
+	h.Tee(&teed, nil)
+	h.Bind(o)
+	var wg sync.WaitGroup
+	for g := 0; g < emitters; g++ {
+		wg.Add(1)
+		go func(node topology.NodeID) {
+			defer wg.Done()
+			for i := 1; i <= tasks; i++ {
+				size := float64(i) + float64(node)/10
+				h.Record(trace.Event{At: sim.Time(i), Kind: trace.Arrival, Node: node, Size: size})
+				h.OnInject(sim.Time(i), node, size)
+				h.Record(trace.Event{At: sim.Time(i), Kind: trace.AdmitLocal, Node: node, Size: size})
+			}
+		}(topology.NodeID(g))
+	}
+	wg.Wait()
+	h.Locked(func() {
+		if o.arrivals != emitters*tasks || o.resolved != emitters*tasks || len(o.pending) != 0 {
+			t.Errorf("oracle saw %d arrivals, %d resolutions, %d unresolved; want %d, %d, 0",
+				o.arrivals, o.resolved, len(o.pending), emitters*tasks, emitters*tasks)
+		}
+		if len(o.Violations()) != 0 {
+			t.Errorf("honest concurrent stream flagged: %v", o.Violations()[0])
+		}
+	})
+	if teed != 2*emitters*tasks {
+		t.Errorf("teed recorder saw %d events, want %d", teed, 2*emitters*tasks)
 	}
 }

@@ -447,6 +447,7 @@ func (e *Engine) buildGroupScopes() {
 	}
 	for i := 0; i < n; i++ {
 		g := e.cfg.Groups[i]
+		e.scope[i] = make([]topology.NodeID, 0, len(members[g])-1)
 		for _, m := range members[g] {
 			if m != topology.NodeID(i) {
 				e.scope[i] = append(e.scope[i], m)

@@ -106,6 +106,7 @@ func discoveryContenders(side int) []discoveryContender {
 		gr--
 	}
 	fedGroups := federation.QuadrantGroups(side, side, gr, gr)
+	fedGateways := federation.Gateways(fedGroups)
 	return []discoveryContender{
 		{
 			Label: "REALTOR",
@@ -126,9 +127,7 @@ func discoveryContenders(side int) []discoveryContender {
 				return federation.New(federation.Config{
 					Protocol:      pc,
 					EscalateEvery: escalateEvery,
-					GatewayFunc: func(self topology.NodeID) []topology.NodeID {
-						return federation.GatewaysFor(self, fedGroups)
-					},
+					GatewayFunc:   fedGateways,
 				})
 			},
 			Groups: fedGroups,
@@ -297,32 +296,6 @@ func RunDiscovery(st DiscoveryStudy) ([]DiscoveryPoint, error) {
 		}
 	}
 	return out, nil
-}
-
-// DiscoveryProtocols returns the contender labels in sweep order, for
-// harnesses (the root benchmark) that iterate protocols without
-// rebuilding the contender list.
-func DiscoveryProtocols() []string { return []string{"REALTOR", "DHT", "HIER", "FED"} }
-
-// RunDiscoveryOne executes a single no-attack cell of the study — size
-// index si, the named protocol, the first configured shard count — and
-// returns its point. This is the benchmark entry: one cell, timed, no
-// cross-shard verification (RunDiscovery owns that).
-func RunDiscoveryOne(st DiscoveryStudy, si int, label string) (DiscoveryPoint, error) {
-	shards := 1
-	if len(st.VerifyShards) > 0 {
-		shards = st.VerifyShards[0]
-	}
-	side := st.Sides[si]
-	g := topology.Mesh(side, side)
-	for _, c := range discoveryContenders(side) {
-		if c.Label != label {
-			continue
-		}
-		stats, lat, elapsed := runDiscoveryCell(st, g, st.Warmups[si], st.Durations[si], st.HotNodes[si], c, nil, shards)
-		return discoveryPoint(g.N(), label, "none", stats, lat, elapsed), nil
-	}
-	return DiscoveryPoint{}, fmt.Errorf("experiment: unknown discovery protocol %q", label)
 }
 
 // discoveryPoint reduces one cell's run to its table row.

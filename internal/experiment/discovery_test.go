@@ -1,10 +1,12 @@
 package experiment
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"realtor/internal/sim"
+	"realtor/internal/topology"
 )
 
 // smallDiscovery shrinks the study to CI scale: two mesh sizes, short
@@ -84,5 +86,38 @@ func TestDiscoveryPointsReportFirstShardCount(t *testing.T) {
 	}
 	if len(points) != 16 {
 		t.Fatalf("points = %d, want 16", len(points))
+	}
+}
+
+// BenchmarkDiscoveryCost is the D1 head-to-head in benchmark form: one
+// fault-free discovery cell per contender at 2.5k and 10k nodes, with
+// the per-task message bill and the admission probability reported next
+// to ns/op. No bench/ workload runs the DHT, HIER or FED overlays, so
+// this is where their cells are timed. The windows are shorter than the
+// full sweep's (results/discovery.txt) but preserve its shape:
+// flood-REALTOR's msg-units/task grows with N while DHT and HIER stay
+// roughly flat.
+func BenchmarkDiscoveryCost(b *testing.B) {
+	st := DefaultDiscovery()
+	// Hot-node backlog grows 3 s/s against the 90 s help threshold, so
+	// the run must reach past t=30 or flood-REALTOR never sends a
+	// message and the cell degenerates to zero cost.
+	for _, size := range []struct {
+		side             int
+		warmup, duration sim.Time
+	}{{50, 5, 45}, {100, 5, 40}} {
+		g := topology.Mesh(size.side, size.side)
+		for _, c := range discoveryContenders(size.side) {
+			b.Run(fmt.Sprintf("n=%d/%s", g.N(), c.Label), func(b *testing.B) {
+				b.ReportAllocs()
+				var pt DiscoveryPoint
+				for i := 0; i < b.N; i++ {
+					stats, lat, elapsed := runDiscoveryCell(st, g, size.warmup, size.duration, 8, c, nil, 1)
+					pt = discoveryPoint(g.N(), c.Label, "none", stats, lat, elapsed)
+				}
+				b.ReportMetric(pt.CostPerTask, "msg-units/task")
+				b.ReportMetric(pt.Admission, "admission")
+			})
+		}
 	}
 }

@@ -56,12 +56,11 @@ func runFederationOnce(meshSide int, lambda float64, seed int64, federated bool)
 	groups := federation.QuadrantGroups(meshSide, meshSide, 2, 2)
 	ecfg := PaperCell(graph, 100, 1100, seed)
 	ecfg.Groups = groups
+	gateways := federation.Gateways(groups)
 	build := func() protocol.Discovery {
 		cfg := federation.Config{Protocol: protocol.DefaultConfig()}
 		if federated {
-			cfg.GatewayFunc = func(self topology.NodeID) []topology.NodeID {
-				return federation.GatewaysFor(self, groups)
-			}
+			cfg.GatewayFunc = gateways
 		}
 		return federation.New(cfg)
 	}

@@ -17,9 +17,11 @@ import (
 // listed.
 //
 // Two entries are left out, because the oracle cannot audit them from
-// here: scale_xl and discovery run sharded cells, whose hooks fire from
-// the shard workers and need the serialising harness.Hooks (ROADMAP,
-// "studies through harness") — check.Hooks is single-goroutine.
+// here: scale_xl and discovery run sharded cells. The oracle reads live
+// engine state per callback, so on a sharded engine it needs
+// engine.Config.InlineHooks (check.Hooks serialises the shard workers
+// that then call it), and these studies keep the ordered barrier replay
+// their own recorders depend on (ROADMAP, "studies through harness").
 //
 // Cells whose Discovery does not expose check.ProtocolState (no pledge
 // list, membership set or HELP interval to read) get only the
@@ -44,7 +46,8 @@ func TestCatalogueCellsUnderOracle(t *testing.T) {
 		cells []audited
 	)
 	auditCell = func(cfg engine.Config) (engine.Config, func(*engine.Engine)) {
-		h := &check.Hooks{Trace: cfg.Trace, Observer: cfg.Observer}
+		h := &check.Hooks{}
+		h.Tee(cfg.Trace, cfg.Observer)
 		cfg.Trace, cfg.Observer = h, h
 		return cfg, func(e *engine.Engine) {
 			o := check.NewWorldOracle(check.EngineWorld{E: e}, 0)

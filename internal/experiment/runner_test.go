@@ -74,7 +74,7 @@ func TestStudiesDeterministicUnderParallelism(t *testing.T) {
 
 // The large-mesh study must share the determinism contract of every
 // other study: identical ScalePoints at any worker count. (The 2500-node
-// cell itself is exercised by BenchmarkScaleLarge; here small sides keep
+// cell itself is the repo benchmark's scale-2500 workload; here small sides keep
 // the test fast while covering the same code path.)
 func TestRunScaleLargeDeterministicUnderParallelism(t *testing.T) {
 	st := ScaleLargeStudy{

@@ -16,6 +16,7 @@ package federation
 
 import (
 	"fmt"
+	"sort"
 
 	"realtor/internal/core"
 	"realtor/internal/protocol"
@@ -206,22 +207,26 @@ func Leaders(groups []int) map[int]topology.NodeID {
 	return leaders
 }
 
-// GatewaysFor returns the escalation targets for a node: the leader of
-// every group other than its own.
-func GatewaysFor(node topology.NodeID, groups []int) []topology.NodeID {
+// Gateways resolves escalation targets over one group map: the returned
+// function maps a node to the leader of every group other than its own,
+// in ascending node order (deterministic, for reproducible runs). The
+// lists are built here, once per group, so resolving all N nodes at
+// Attach costs O(N) rather than a leader scan per node; nodes of one
+// group share a list, which callers must not modify.
+func Gateways(groups []int) func(topology.NodeID) []topology.NodeID {
 	leaders := Leaders(groups)
-	own := groups[node]
-	var out []topology.NodeID
-	for g, leader := range leaders {
-		if g != own {
-			out = append(out, leader)
+	order := make([]int, 0, len(leaders))
+	for g := range leaders {
+		order = append(order, g)
+	}
+	sort.Slice(order, func(i, j int) bool { return leaders[order[i]] < leaders[order[j]] })
+	foreign := make(map[int][]topology.NodeID, len(order))
+	for _, own := range order {
+		for _, g := range order {
+			if g != own {
+				foreign[own] = append(foreign[own], leaders[g])
+			}
 		}
 	}
-	// Deterministic order for reproducible runs.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
+	return func(self topology.NodeID) []topology.NodeID { return foreign[groups[self]] }
 }

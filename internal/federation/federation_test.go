@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"reflect"
 	"testing"
 
 	"realtor/internal/engine"
@@ -46,7 +47,7 @@ func TestLeadersAndGateways(t *testing.T) {
 	if leaders[0] != 0 || leaders[1] != 2 || leaders[2] != 8 || leaders[3] != 10 {
 		t.Fatalf("leaders %v", leaders)
 	}
-	gws := GatewaysFor(0, groups) // node 0 is in group 0
+	gws := Gateways(groups)(0) // node 0 is in group 0
 	want := []topology.NodeID{2, 8, 10}
 	if len(gws) != 3 {
 		t.Fatalf("gateways %v", gws)
@@ -54,6 +55,44 @@ func TestLeadersAndGateways(t *testing.T) {
 	for i := range want {
 		if gws[i] != want[i] {
 			t.Fatalf("gateways %v, want %v", gws, want)
+		}
+	}
+}
+
+// gatewaysForReference is the per-node resolver Gateways replaced: it
+// rebuilt the leader map over all N nodes on every call, O(N²) across
+// an Attach of every node.
+func gatewaysForReference(node topology.NodeID, groups []int) []topology.NodeID {
+	leaders := Leaders(groups)
+	own := groups[node]
+	var out []topology.NodeID
+	for g, leader := range leaders {
+		if g != own {
+			out = append(out, leader)
+		}
+	}
+	for i := 1; i < len(out); i++ {
+		for j := i; j > 0 && out[j] < out[j-1]; j-- {
+			out[j], out[j-1] = out[j-1], out[j]
+		}
+	}
+	return out
+}
+
+// TestGatewaysMatchesPerNodeReference: hoisting the leader scan out of
+// the per-node call changes no node's gateway list — every table,
+// golden and digest downstream depends on that.
+func TestGatewaysMatchesPerNodeReference(t *testing.T) {
+	for _, groups := range [][]int{
+		QuadrantGroups(6, 6, 3, 3),
+		make([]int, 9), // one group: no foreign leader, nil like the reference
+	} {
+		resolve := Gateways(groups)
+		for i := range groups {
+			id := topology.NodeID(i)
+			if got, want := resolve(id), gatewaysForReference(id, groups); !reflect.DeepEqual(got, want) {
+				t.Fatalf("node %d of %v: gateways %v, reference %v", i, groups, got, want)
+			}
 		}
 	}
 }
@@ -216,14 +255,10 @@ func TestFederationRescuesHotGroup(t *testing.T) {
 			Seed:          3,
 			Groups:        groups,
 		}
+		gateways := Gateways(groups)
 		build := func() protocol.Discovery {
 			if federated {
-				return New(Config{
-					Protocol: protocol.DefaultConfig(),
-					GatewayFunc: func(self topology.NodeID) []topology.NodeID {
-						return GatewaysFor(self, groups)
-					},
-				})
+				return New(Config{Protocol: protocol.DefaultConfig(), GatewayFunc: gateways})
 			}
 			return New(Config{Protocol: protocol.DefaultConfig()}) // no gateways
 		}

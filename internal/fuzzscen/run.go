@@ -18,7 +18,6 @@ import (
 	"realtor/internal/protocol"
 	"realtor/internal/protocol/dht"
 	"realtor/internal/protocol/hier"
-	"realtor/internal/topology"
 )
 
 // Overlay sizing for fuzz-scale meshes (tens of nodes): communities of
@@ -42,14 +41,9 @@ func Builder(s Scenario) engine.Builder {
 			GroupSize: fuzzGroupSize, Branch: fuzzBranch,
 		}))
 	case "fed":
-		groups := hier.Groups(s.Nodes(), fuzzGroupSize)
+		gateways := federation.Gateways(hier.Groups(s.Nodes(), fuzzGroupSize))
 		return wrapPolicies(s, func() protocol.Discovery {
-			return federation.New(federation.Config{
-				Protocol: cfg,
-				GatewayFunc: func(self topology.NodeID) []topology.NodeID {
-					return federation.GatewaysFor(self, groups)
-				},
-			})
+			return federation.New(federation.Config{Protocol: cfg, GatewayFunc: gateways})
 		})
 	}
 	return wrapPolicies(s, func() protocol.Discovery { return core.New(cfg) })

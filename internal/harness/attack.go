@@ -8,7 +8,6 @@ import (
 	"realtor/internal/agile/transport"
 	"realtor/internal/fuzzscen"
 	"realtor/internal/metrics"
-	"realtor/internal/transportfactory"
 )
 
 // AttackStudy is the live-runtime counterpart of the simulator's A1
@@ -44,7 +43,7 @@ type AttackResult struct {
 // schedule executes on wall-clock timers, and returns the overall stats
 // plus a binned admission timeline.
 func RunLiveAttack(cfg agile.Config, study AttackStudy, lambda, meanSize, duration, binWidth float64,
-	seed int64, mkNet transportfactory.Factory) (AttackResult, error) {
+	seed int64, mkNet transport.Factory) (AttackResult, error) {
 	for _, v := range study.Victims {
 		if v < 0 || v >= cfg.Hosts {
 			return AttackResult{}, fmt.Errorf("harness: victim %d outside [0,%d)", v, cfg.Hosts)

@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"realtor/internal/agile"
+	"realtor/internal/agile/transport"
 	"realtor/internal/fuzzscen"
-	"realtor/internal/transportfactory"
 )
 
 func TestRunLiveAttackTimeline(t *testing.T) {
@@ -18,7 +18,7 @@ func TestRunLiveAttackTimeline(t *testing.T) {
 	cfg.Hosts = 6
 	cfg.TimeScale = 400
 	cfg.NegotiationTimeout = 100 * time.Millisecond
-	mk, _ := transportfactory.New("chan")
+	mk, _ := transport.ByName("chan")
 	study := AttackStudy{Victims: []int{0, 1}, KillAt: 100, ReviveAt: 200}
 	// λ·mean = 10 s/s on 6 (then 4) hosts: healthy ≈ fine, attacked ≈ overloaded.
 	res, err := RunLiveAttack(cfg, study, 2, 5, 300, 50, 3, mk)
@@ -52,7 +52,7 @@ func TestRunLiveAttackTimeline(t *testing.T) {
 func TestRunLiveAttackBadVictim(t *testing.T) {
 	cfg := agile.DefaultConfig()
 	cfg.Hosts = 3
-	mk, _ := transportfactory.New("chan")
+	mk, _ := transport.ByName("chan")
 	if _, err := RunLiveAttack(cfg, AttackStudy{Victims: []int{9}}, 1, 5, 10, 5, 1, mk); err == nil {
 		t.Fatal("out-of-range victim accepted")
 	}

@@ -15,13 +15,11 @@ package harness
 import (
 	"context"
 	"errors"
-	"sync"
 
 	"realtor/internal/check"
 	"realtor/internal/engine"
 	"realtor/internal/fuzzscen"
 	"realtor/internal/metrics"
-	"realtor/internal/protocol"
 	"realtor/internal/sim"
 	"realtor/internal/topology"
 	"realtor/internal/trace"
@@ -110,79 +108,9 @@ type Instance interface {
 
 // Hooks is the unified observation funnel handed to a Backend at Start:
 // the backend wires it in as both its trace.Recorder and its
-// trace.MessageObserver. Every callback serializes behind one mutex, so
-// the single-threaded oracle (and any extra consumer) can sit behind
-// the live cluster's concurrently emitting host actors; on the
-// simulator the mutex is uncontended and free of side effects, keeping
-// runs bit-identical to an unhooked engine.
-type Hooks struct {
-	mu    sync.Mutex
-	inner check.Hooks
-}
-
-var _ trace.Recorder = (*Hooks)(nil)
-var _ trace.MessageObserver = (*Hooks)(nil)
-
-// Bind points the funnel at a constructed oracle (see check.Hooks.Bind).
-func (h *Hooks) Bind(o *check.Oracle) {
-	h.mu.Lock()
-	h.inner.Bind(o)
-	h.mu.Unlock()
-}
-
-// Tee attaches an extra trace recorder and/or observer that receives
-// every event alongside the oracle. Call before the run starts. The
-// consumers are invoked under the funnel's mutex and therefore need no
-// locking of their own.
-func (h *Hooks) Tee(rec trace.Recorder, obs trace.MessageObserver) {
-	h.mu.Lock()
-	h.inner.Trace = rec
-	h.inner.Observer = obs
-	h.mu.Unlock()
-}
-
-// locked runs fn under the funnel's mutex — the way end-of-run audits
-// exclude in-flight emissions on a live backend.
-func (h *Hooks) locked(fn func()) {
-	h.mu.Lock()
-	fn()
-	h.mu.Unlock()
-}
-
-// Record implements trace.Recorder.
-func (h *Hooks) Record(ev trace.Event) {
-	h.mu.Lock()
-	h.inner.Record(ev)
-	h.mu.Unlock()
-}
-
-// OnSend implements trace.MessageObserver.
-func (h *Hooks) OnSend(now sim.Time, from, to topology.NodeID, m protocol.Message) {
-	h.mu.Lock()
-	h.inner.OnSend(now, from, to, m)
-	h.mu.Unlock()
-}
-
-// OnDeliver implements trace.MessageObserver.
-func (h *Hooks) OnDeliver(now sim.Time, to topology.NodeID, m protocol.Message) {
-	h.mu.Lock()
-	h.inner.OnDeliver(now, to, m)
-	h.mu.Unlock()
-}
-
-// OnDrop implements trace.MessageObserver.
-func (h *Hooks) OnDrop(now sim.Time, from, to topology.NodeID, m protocol.Message, reason string) {
-	h.mu.Lock()
-	h.inner.OnDrop(now, from, to, m, reason)
-	h.mu.Unlock()
-}
-
-// OnInject implements trace.MessageObserver.
-func (h *Hooks) OnInject(now sim.Time, node topology.NodeID, size float64) {
-	h.mu.Lock()
-	h.inner.OnInject(now, node, size)
-	h.mu.Unlock()
-}
+// trace.MessageObserver. It is check.Hooks, whose mutex serializes
+// shard workers and live host actors in front of the oracle.
+type Hooks = check.Hooks
 
 // Outcome is what one oracle-checked run yields on any backend.
 type Outcome struct {
@@ -242,7 +170,7 @@ func RunCheckedOpts(b Backend, s fuzzscen.Scenario, build engine.Builder, opt Ru
 	probe := Probe{Every: opt.ProgressEvery}
 	if opt.OnProgress != nil {
 		probe.OnProgress = func(p Progress) {
-			hooks.locked(func() { p.Violations = len(o.Violations()) + o.Dropped() })
+			hooks.Locked(func() { p.Violations = len(o.Violations()) + o.Dropped() })
 			opt.OnProgress(p)
 		}
 	}
@@ -265,9 +193,9 @@ func RunCheckedOpts(b Backend, s fuzzscen.Scenario, build engine.Builder, opt Ru
 	// node's actor might be blocked on the mutex emitting an event while
 	// we wait for the actor).
 	inst.EachNodeSafe(func(id topology.NodeID) {
-		hooks.locked(func() { o.FinishNode(now, id) })
+		hooks.Locked(func() { o.FinishNode(now, id) })
 	})
-	hooks.locked(func() { o.FinishTotals(now) })
+	hooks.Locked(func() { o.FinishTotals(now) })
 	return Outcome{
 		Backend:    b.Name(),
 		Stats:      stats,

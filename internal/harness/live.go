@@ -17,7 +17,6 @@ import (
 	"realtor/internal/sim"
 	"realtor/internal/topology"
 	"realtor/internal/trace"
-	"realtor/internal/transportfactory"
 )
 
 // LiveConfig tunes the live Agile-cluster backend.
@@ -26,7 +25,7 @@ type LiveConfig struct {
 	// 30-scaled-second scenario then takes 0.6 wall seconds.
 	TimeScale float64
 
-	// Transport names the fabric via transportfactory ("chan" default;
+	// Transport names the fabric via transport.ByName ("chan" default;
 	// "udp", "tcp"). It is always wrapped in a FaultNetwork so the fault
 	// schedule can cut pairs and LossProb can drop packets.
 	Transport string
@@ -78,7 +77,7 @@ func (b liveBackend) Start(s fuzzscen.Scenario, build engine.Builder, hooks *Hoo
 	if len(s.Capacities) > 0 {
 		return nil, fmt.Errorf("harness: live backend does not support per-node capacities (hosts share one QueueCapacity)")
 	}
-	mkNet, err := transportfactory.New(b.cfg.Transport)
+	mkNet, err := transport.ByName(b.cfg.Transport)
 	if err != nil {
 		return nil, err
 	}

@@ -21,7 +21,7 @@ import (
 //
 // It implements trace.Recorder. Record renders numbers into buffers the
 // Digest owns and reuses, so a Digest MUST be driven by one goroutine at
-// a time — the harness Hooks mutex on sharded and live backends; it has
+// a time — the check.Hooks mutex on sharded and live backends; it has
 // no locking of its own. The zero Digest is ready to use.
 type Digest struct {
 	sum uint64
