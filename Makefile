@@ -41,8 +41,11 @@ race:
 bench:
 	$(GO) run ./bench
 
-# CPU+heap profile of one figure regeneration (override with
-# PROFILE_FIG=scale-large etc.); open with `go tool pprof cpu.pprof`.
+# CPU+heap profile of one figure regeneration; open with `go tool pprof
+# cpu.pprof`. `make profile PROFILE_FIG=5` (the default: Fig. 5, all five
+# protocols on the 5x5 mesh) is the figure sweep the bench's `fig-sweep`
+# workload times and the profile ROADMAP "Move the floor" quotes;
+# override with PROFILE_FIG=scale-large etc.
 profile:
 	$(GO) run ./cmd/realtor-sim -fig $(PROFILE_FIG) -cpuprofile cpu.pprof -memprofile mem.pprof > /dev/null
 	@echo "wrote cpu.pprof mem.pprof (go tool pprof cpu.pprof)"

@@ -213,6 +213,11 @@ func runKernelStats(w io.Writer, seed int64, shards int, duration sim.Time) {
 	fmt.Fprintf(w, "admitted           %d/%d\n", st.Admitted, st.Offered)
 	fmt.Fprintf(w, "events scheduled   %d\n", ks.Scheduled)
 	fmt.Fprintf(w, "events fired       %d\n", ks.Fired)
+	// One event delivers a whole hop-ring of a flood, so traffic is
+	// counted on its own; the ratio is how well floods batch.
+	msgs := e.MessagesDelivered()
+	fmt.Fprintf(w, "messages delivered %d\n", msgs)
+	fmt.Fprintf(w, "messages per event %.2f\n", float64(msgs)/float64(max(ks.Fired, 1)))
 	fmt.Fprintf(w, "slots reused       %d (%.1f%% of schedules)\n",
 		ks.Reused, 100*float64(ks.Reused)/float64(max(ks.Scheduled, 1)))
 	fmt.Fprintf(w, "pool high-water    %d\n", ks.PoolSize)

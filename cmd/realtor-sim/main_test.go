@@ -22,7 +22,7 @@ func TestRunKernelStats(t *testing.T) {
 		out := b.String()
 		for _, want := range []string{
 			"shards=" + map[int]string{1: "1", 4: "4"}[shards],
-			"admitted", "events scheduled", "slots reused", "still pending",
+			"admitted", "events scheduled", "messages per event", "slots reused", "still pending",
 		} {
 			if !strings.Contains(out, want) {
 				t.Fatalf("shards=%d output missing %q:\n%s", shards, want, out)
@@ -30,19 +30,22 @@ func TestRunKernelStats(t *testing.T) {
 		}
 		outputs[shards] = out
 	}
-	// Identical protocol work at any shard count: the admitted line is
-	// part of the byte-identity contract (the reuse/pool lines are
-	// per-scheduler internals and may differ).
-	line := func(out string) string {
+	// Identical protocol work at any shard count: the admitted and
+	// messages-delivered lines are part of the byte-identity contract
+	// (the event, reuse and pool lines are per-scheduler internals and
+	// may differ — a flood is one wave per destination shard).
+	line := func(out, prefix string) string {
 		for _, l := range strings.Split(out, "\n") {
-			if strings.HasPrefix(l, "admitted") {
+			if strings.HasPrefix(l, prefix) {
 				return l
 			}
 		}
 		return ""
 	}
-	if a, b := line(outputs[1]), line(outputs[4]); a == "" || a != b {
-		t.Fatalf("admitted lines diverge across shard counts: %q vs %q", a, b)
+	for _, prefix := range []string{"admitted", "messages delivered"} {
+		if a, b := line(outputs[1], prefix), line(outputs[4], prefix); a == "" || a != b {
+			t.Fatalf("%q lines diverge across shard counts: %q vs %q", prefix, a, b)
+		}
 	}
 }
 

@@ -590,9 +590,12 @@ func (e *Engine) settleEnd() sim.Time {
 
 // Progress is one run-progress snapshot handed to Config.OnProgress.
 type Progress struct {
-	Now    sim.Time // sim clock at the checkpoint
-	End    sim.Time // cfg.Duration; the clock runs past it while settling
-	Events uint64   // events fired so far, across every queue
+	Now sim.Time // sim clock at the checkpoint
+	End sim.Time // cfg.Duration; the clock runs past it while settling
+	// Events is scheduler events fired so far, across every queue — a
+	// measure of kernel effort, not of traffic: one event delivers a
+	// whole hop-ring of a flood (see MessagesDelivered for messages).
+	Events uint64
 	Stats  metrics.RunStats
 }
 
@@ -740,6 +743,19 @@ func (e *Engine) KernelStats() sim.KernelStats {
 		}
 	}
 	return ks
+}
+
+// MessagesDelivered returns how many message copies have reached a live
+// destination's protocol so far. Since a wave delivers a whole hop-ring
+// per event, KernelStats().Fired no longer approximates this; the
+// counter is diagnostic and never read on the deterministic path. Like
+// Stats, read it from a quiescent point.
+func (e *Engine) MessagesDelivered() uint64 {
+	var n uint64
+	for _, c := range e.ctxs {
+		n += c.delivered
+	}
+	return n
 }
 
 // scheduleNext arms the single-shard arrival runner with the next task
@@ -993,7 +1009,7 @@ func (e *Engine) tryMigrationN(c *shardCtx, now sim.Time, from topology.NodeID,
 
 // migration is a pooled sim.Runner carrying one in-flight migration
 // transfer, executing on the target's shard; recycled through the
-// executing shard's free list like delivery.
+// executing shard's free list like wave.
 type migration struct {
 	e         *Engine
 	from      topology.NodeID
@@ -1376,11 +1392,14 @@ func (v *nodeEnv) SetCapacity(c float64) bool {
 	return v.engine.resize(v.ctx, v.ctx.sched.Now(), v.id, c)
 }
 
-// Flood delivers m to every other alive node with per-hop latency and
-// charges the paper's flood cost (#links) once.
+// Flood sends m to every member of the sender's scope — the whole mesh,
+// or the FloodRadius / Groups neighborhood — with per-hop latency, and
+// charges the paper's flood cost (#links) once. Liveness is not consulted
+// at send time: a member that is dead when its copy arrives resolves as
+// a trace.DropDead drop then.
 func (v *nodeEnv) Flood(m protocol.Message) {
-	e := v.engine
-	now := v.ctx.sched.Now()
+	e, c := v.engine, v.ctx
+	now := c.sched.Now()
 	units := e.cost.FloodUnits
 	if e.scope != nil {
 		units = e.scopeCost[v.id]
@@ -1397,8 +1416,9 @@ func (v *nodeEnv) Flood(m protocol.Message) {
 			st.PledgeMsgs++
 		}
 	}
-	e.traceCtx(v.ctx, trace.Event{At: now, Kind: trace.MsgSend, Node: v.id, Peer: -1,
+	e.traceCtx(c, trace.Event{At: now, Kind: trace.MsgSend, Node: v.id, Peer: -1,
 		Info: protocol.FloodInfo(m.Kind, m.Reissue)})
+	buf := c.sendBuf[:0]
 	if e.scope != nil {
 		useDist := e.scopeDist != nil && !e.ownsGraph
 		for k, to := range e.scope[v.id] {
@@ -1408,23 +1428,22 @@ func (v *nodeEnv) Flood(m protocol.Message) {
 			if useDist {
 				d = int(e.scopeDist[v.id][k])
 			}
-			v.deliverLater(to, m, d)
+			buf = v.admit(buf, to, &m, d)
 		}
-		return
-	}
-	for i := range e.nodes {
-		to := topology.NodeID(i)
-		if to == v.id {
-			continue
+	} else {
+		for i := range e.nodes {
+			if to := topology.NodeID(i); to != v.id {
+				buf = v.admit(buf, to, &m, distUnknown)
+			}
 		}
-		v.deliverLater(to, m, distUnknown)
 	}
+	v.launch(buf, &m)
 }
 
 // Unicast delivers m to one node and charges the mean-shortest-path cost.
 func (v *nodeEnv) Unicast(to topology.NodeID, m protocol.Message) {
-	e := v.engine
-	now := v.ctx.sched.Now()
+	e, c := v.engine, v.ctx
+	now := c.sched.Now()
 	if e.measuring(now) {
 		st := &e.statsPer[v.id]
 		st.MessageUnits += e.cost.UnicastUnits
@@ -1437,15 +1456,28 @@ func (v *nodeEnv) Unicast(to topology.NodeID, m protocol.Message) {
 			st.AdvertMsgs++
 		}
 	}
-	e.traceCtx(v.ctx, trace.Event{At: now, Kind: trace.MsgSend, Node: v.id, Peer: to,
+	e.traceCtx(c, trace.Event{At: now, Kind: trace.MsgSend, Node: v.id, Peer: to,
 		Info: m.Kind.String()})
-	v.deliverLater(to, m, distUnknown)
+	v.launch(v.admit(c.sendBuf[:0], to, &m, distUnknown), &m)
 }
 
-// deliverLater schedules one message delivery. dist is the hop distance
-// when the caller already knows it (scoped floods), distUnknown
-// otherwise.
-func (v *nodeEnv) deliverLater(to topology.NodeID, m protocol.Message, dist int) {
+// waveMember is one recipient whose copy of a message survived the send
+// side: who, which incarnation of it, how far away, and the canonical
+// sequence number its delivery holds in the sender's namespace.
+type waveMember struct {
+	to   topology.NodeID
+	gen  int
+	seq  uint64
+	hops int32
+}
+
+// admit is the send side of one message copy, shared by Flood and
+// Unicast and run per recipient in ascending-ID order: the distance
+// lookup (dist is the hop count when the caller already knows it,
+// distUnknown otherwise), the partition drop, the observer's OnSend, and
+// the loss draw. A surviving copy takes the sender's next sequence
+// number and is appended to buf for launch; a dropped one consumes none.
+func (v *nodeEnv) admit(buf []waveMember, to topology.NodeID, m *protocol.Message, dist int) []waveMember {
 	e, c := v.engine, v.ctx
 	now := c.sched.Now()
 	if dist == distUnknown {
@@ -1461,55 +1493,165 @@ func (v *nodeEnv) deliverLater(to topology.NodeID, m protocol.Message, dist int)
 		e.traceCtx(c, trace.Event{At: now, Kind: trace.MsgDrop, Node: v.id, Peer: to,
 			Info: trace.DropPartition})
 		e.obsDrop(c, now, v.id, to, m, trace.DropPartition)
-		return
+		return buf
 	}
 	e.obsSend(c, now, v.id, to, m)
 	if e.cfg.LossProb > 0 && e.lossRnd[v.id].Bernoulli(e.cfg.LossProb) {
 		// Datagram lost in transit. The observer is told — conservation
 		// checks must see that a scheduled send was eaten, not delivered.
 		e.obsDrop(c, now, v.id, to, m, trace.DropLoss)
-		return
+		return buf
 	}
-	d := c.freeDeliveries
-	if d == nil {
-		d = &delivery{e: e}
-	} else {
-		c.freeDeliveries = d.next
-	}
-	d.from, d.to, d.gen, d.m = v.id, to, e.gen[to], m
-	e.schedule(c, to, now+e.cfg.HopDelay*sim.Time(dist), int32(v.id), e.nodeSeq[v.id], d)
+	buf = append(buf, waveMember{to: to, gen: e.gen[to], seq: e.nodeSeq[v.id], hops: int32(dist)})
 	e.nodeSeq[v.id]++
+	return buf
 }
 
-// delivery is a pooled sim.Runner carrying one in-flight message,
-// executing on the destination's shard; recycled through the executing
-// shard's free list, so steady-state message traffic schedules with
-// zero allocations.
-type delivery struct {
-	e    *Engine
-	from topology.NodeID // sender, reported on in-flight-death drops
-	to   topology.NodeID
-	gen  int
-	m    protocol.Message
-	next *delivery // free-list link
-}
-
-// Fire implements sim.Runner: deliver (unless the destination restarted
-// or died in flight) and return self to the executing shard's pool.
-func (d *delivery) Fire(at sim.Time) {
-	e, from, to, gen, m := d.e, d.from, d.to, d.gen, d.m
-	c := e.ctxOf(to)
-	d.m = protocol.Message{} // drop any View slice reference
-	d.next = c.freeDeliveries
-	c.freeDeliveries = d
-	if e.gen[to] == gen && e.nodes[to].Alive() {
-		e.obsDeliver(c, at, to, m)
-		e.disco[to].Deliver(m)
-	} else {
-		// Destination died or restarted in flight: the send the observer
-		// saw resolves as a drop, never silently vanishes.
-		e.obsDrop(c, at, from, to, m, trace.DropDead)
+// launch schedules the surviving copies of one send (buf, in send
+// order) as one wave per destination shard. Shards are contiguous ID
+// bands and sends go out in ascending ID, so a shard's recipients are
+// one run of buf.
+func (v *nodeEnv) launch(buf []waveMember, m *protocol.Message) {
+	e, c := v.engine, v.ctx
+	c.sendBuf = buf[:0] // keep whatever the scratch grew to
+	now := c.sched.Now()
+	for len(buf) > 0 {
+		n := len(buf)
+		if e.shards > 1 {
+			n = 1
+			for s := e.shardOf[buf[0].to]; n < len(buf) && e.shardOf[buf[n].to] == s; n++ {
+			}
+		}
+		w := c.freeWaves
+		if w == nil {
+			w = &wave{e: e}
+		} else {
+			c.freeWaves = w.free
+		}
+		w.from, w.sent, w.m, w.next = v.id, now, *m, 0
+		w.members = c.byRing(w.members[:0], buf[:n], now, e.cfg.HopDelay)
+		first := &w.members[0]
+		e.schedule(c, first.to, w.arrival(first), int32(v.id), first.seq, w)
+		buf = buf[n:]
 	}
+}
+
+// byRing appends run to dst stably ordered by arrival instant, i.e. as
+// the sequence of hop-rings the message reaches. The arrival instant
+// now + hop·d is monotone in the distance d, so a counting sort on d
+// does it; distances whose instants coincide (hop = 0, or a delay below
+// the clock's float resolution) share a ring, which keeps their members
+// in send order exactly as the per-message keys rank them.
+func (c *shardCtx) byRing(dst, run []waveMember, now, hop sim.Time) []waveMember {
+	if len(run) == 1 {
+		return append(dst, run[0])
+	}
+	maxd := 0
+	for i := range run {
+		if d := int(run[i].hops); d > maxd {
+			maxd = d
+		}
+	}
+	if len(c.ringAt) < maxd+2 {
+		c.ringOf, c.ringAt = make([]int32, 2*maxd+2), make([]int32, 2*maxd+2)
+	}
+	// ringOf maps a distance to its ring; ringAt[r] ends up as the slot
+	// in dst of ring r's next member.
+	ringOf, ringAt := c.ringOf[:maxd+1], c.ringAt[:maxd+2]
+	ringOf[0] = 0
+	for d := 1; d <= maxd; d++ {
+		ringOf[d] = ringOf[d-1]
+		if now+hop*sim.Time(d) != now+hop*sim.Time(d-1) {
+			ringOf[d]++
+		}
+	}
+	for r := range ringAt {
+		ringAt[r] = 0
+	}
+	for i := range run {
+		ringAt[ringOf[run[i].hops]+1]++
+	}
+	for r := 1; r <= maxd; r++ {
+		ringAt[r] += ringAt[r-1]
+	}
+	base := len(dst)
+	dst = append(dst, run...)
+	for i := range run {
+		r := ringOf[run[i].hops]
+		dst[base+int(ringAt[r])] = run[i]
+		ringAt[r]++
+	}
+	return dst
+}
+
+// wave is a pooled sim.Runner carrying one send — a flood's copies for
+// one destination shard, or a unicast as the one-member case — through
+// the event queue once per hop-ring instead of once per recipient. It
+// is scheduled under the canonical key of its next undelivered member,
+// (arrival instant, sender, member seq), and Fire delivers that member's
+// whole ring in seq order before re-arming for the next ring.
+//
+// The order of deliveries is exactly the per-message one. A key strictly
+// between two members of a ring would need the ring's instant, the
+// sender's namespace and a seq inside the send's own consecutive range:
+// that is another copy of the same send, which sits in another ring (a
+// different instant) or on another shard (a different queue). What is
+// left is an event a handler schedules at this very instant that ranks
+// before the next member — a zero-delay timer on a lower-ID node, say;
+// Fire peeks the queue after every delivery and yields to it.
+type wave struct {
+	e       *Engine
+	from    topology.NodeID
+	sent    sim.Time
+	m       protocol.Message
+	members []waveMember // by (ring, seq)
+	next    int          // first undelivered member
+	free    *wave        // free-list link
+}
+
+// arrival is the instant mem's copy lands — the same expression, bit
+// for bit, at launch and at every re-arm.
+func (w *wave) arrival(mem *waveMember) sim.Time {
+	return w.sent + w.e.cfg.HopDelay*sim.Time(mem.hops)
+}
+
+// Fire implements sim.Runner: deliver the ring that is due, then re-arm
+// under the next member's key or return the wave to the executing
+// shard's pool. While it runs, the shard's emission key is the
+// per-message one, so barrier replay interleaves same-ring recipients
+// that live on different shards exactly as a single queue fires them.
+func (w *wave) Fire(at sim.Time) {
+	e := w.e
+	c := e.ctxOf(w.members[w.next].to)
+	c.inWave = true
+	for {
+		mem := &w.members[w.next]
+		w.next++
+		c.msgKey = sim.EventKey{When: at, Src: int32(w.from), Seq: mem.seq}
+		if e.gen[mem.to] == mem.gen && e.nodes[mem.to].Alive() {
+			c.delivered++
+			e.obsDeliver(c, at, mem.to, &w.m)
+			e.disco[mem.to].Deliver(w.m)
+		} else {
+			// Destination died or restarted in flight: the send the observer
+			// saw resolves as a drop, never silently vanishes.
+			e.obsDrop(c, at, w.from, mem.to, &w.m, trace.DropDead)
+		}
+		if w.next == len(w.members) {
+			break
+		}
+		nx := &w.members[w.next]
+		key := sim.EventKey{When: w.arrival(nx), Src: int32(w.from), Seq: nx.seq}
+		if head, ok := c.sched.MinKey(); key.When != at || ok && head.Less(key) {
+			c.inWave = false
+			c.sched.AtKeyed(key.When, key.Src, key.Seq, w)
+			return
+		}
+	}
+	c.inWave = false
+	w.m = protocol.Message{} // drop any View slice reference
+	w.free = c.freeWaves
+	c.freeWaves = w
 }
 
 // After implements protocol.Env timers scoped to the node's current

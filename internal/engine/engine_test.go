@@ -582,21 +582,25 @@ func TestMaxTriesImprovesAdmissionUnderLoad(t *testing.T) {
 	}
 }
 
-// With no trace recorder configured — every figure sweep — a flood
-// allocates nothing at all once the delivery pool is warm: in
-// particular it builds no trace text it would then throw away.
+// With no trace recorder configured — every figure sweep — sending
+// allocates nothing at all once the wave pool is warm: floods and
+// unicasts alike reuse pooled waves (member slices included) and the
+// shard's send scratch, and build no trace text they would then throw
+// away.
 func TestUntracedFloodAllocatesNothing(t *testing.T) {
 	cfg := testEngineConfig()
 	e := New(cfg, func() protocol.Discovery { return protocoltest.Inert{} })
 	env, now := e.envs[12], sim.Time(0)
-	flood := func() {
+	send := func() {
 		env.Flood(protocol.Message{Kind: protocol.Help, From: 12})
+		env.Unicast(0, protocol.Message{Kind: protocol.Pledge, From: 12})
 		env.Flood(protocol.Message{Kind: protocol.Help, From: 12, Reissue: true})
+		e.envs[0].Unicast(24, protocol.Message{Kind: protocol.Pledge})
 		now++
-		e.Scheduler().RunUntil(now) // every delivery lands and returns to the pool
+		e.Scheduler().RunUntil(now) // every wave lands and returns to the pool
 	}
-	flood()
-	if allocs := testing.AllocsPerRun(50, flood); allocs != 0 {
-		t.Fatalf("an untraced flood pair allocates %.1f times, want 0", allocs)
+	send()
+	if allocs := testing.AllocsPerRun(50, send); allocs != 0 {
+		t.Fatalf("an untraced round of two floods and two unicasts allocates %.1f times, want 0", allocs)
 	}
 }

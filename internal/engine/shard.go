@@ -52,10 +52,25 @@ type shardCtx struct {
 
 	// runner pools: acquired by events executing in this shard,
 	// released into the pool of whichever shard the runner fires in.
-	freeDeliveries *delivery
+	freeWaves      *wave
 	freeMigrations *migration
 	freeResults    *migResult
 	freeArrivals   *arrivalEv
+
+	// send-side scratch (nodeEnv.admit/launch, byRing): one send is
+	// assembled at a time, so the executing shard owns one of each.
+	sendBuf        []waveMember
+	ringOf, ringAt []int32
+
+	// While a wave fires, msgKey is the canonical key of the message
+	// being delivered; emissions are stamped with it, not with the key
+	// the wave happens to be queued under.
+	inWave bool
+	msgKey sim.EventKey
+
+	// delivered counts messages handed to a live destination's protocol.
+	// Diagnostic only: nothing on the deterministic path reads it.
+	delivered uint64
 
 	active bool
 	in     chan sim.EventKey
@@ -102,13 +117,23 @@ type outcomeRec struct {
 	admitted bool
 }
 
+// emitKey is the canonical key buffered emissions are stamped with: that
+// of the event this shard is executing, which inside a wave is the
+// message being delivered.
+func (c *shardCtx) emitKey() sim.EventKey {
+	if c.inWave {
+		return c.msgKey
+	}
+	return c.sched.LastFiredKey()
+}
+
 // ctxOf returns the execution context owning node id.
 func (e *Engine) ctxOf(id topology.NodeID) *shardCtx { return e.ctxs[e.shardOf[id]] }
 
 // schedule places a keyed event onto the shard owning dest: directly
 // when that is the executing shard (or the engine is unsharded), through
 // the phase mailbox otherwise. Cross-shard events return the zero handle
-// — they cannot be cancelled, and no caller needs to (deliveries and
+// — they cannot be cancelled, and no caller needs to (waves and
 // migrations are fire-and-forget; timers and crossings never cross).
 func (e *Engine) schedule(c *shardCtx, dest topology.NodeID, when sim.Time,
 	src int32, seq uint64, r sim.Runner) sim.Event {
@@ -135,46 +160,46 @@ func (e *Engine) traceCtx(c *shardCtx, ev trace.Event) {
 		e.cfg.Trace.Record(ev)
 		return
 	}
-	c.emits = append(c.emits, emitRec{key: c.sched.LastFiredKey(), idx: c.emitIdx, kind: emitTrace, ev: ev})
+	c.emits = append(c.emits, emitRec{key: c.emitKey(), idx: c.emitIdx, kind: emitTrace, ev: ev})
 	c.emitIdx++
 }
 
-func (e *Engine) obsSend(c *shardCtx, at sim.Time, from, to topology.NodeID, m protocol.Message) {
+func (e *Engine) obsSend(c *shardCtx, at sim.Time, from, to topology.NodeID, m *protocol.Message) {
 	if e.cfg.Observer == nil {
 		return
 	}
 	if c == nil || e.inGlobal || e.inline {
-		e.cfg.Observer.OnSend(at, from, to, m)
+		e.cfg.Observer.OnSend(at, from, to, *m)
 		return
 	}
-	c.emits = append(c.emits, emitRec{key: c.sched.LastFiredKey(), idx: c.emitIdx,
-		kind: emitSendObs, at: at, node: from, peer: to, m: m})
+	c.emits = append(c.emits, emitRec{key: c.emitKey(), idx: c.emitIdx,
+		kind: emitSendObs, at: at, node: from, peer: to, m: *m})
 	c.emitIdx++
 }
 
-func (e *Engine) obsDeliver(c *shardCtx, at sim.Time, to topology.NodeID, m protocol.Message) {
+func (e *Engine) obsDeliver(c *shardCtx, at sim.Time, to topology.NodeID, m *protocol.Message) {
 	if e.cfg.Observer == nil {
 		return
 	}
 	if c == nil || e.inGlobal || e.inline {
-		e.cfg.Observer.OnDeliver(at, to, m)
+		e.cfg.Observer.OnDeliver(at, to, *m)
 		return
 	}
-	c.emits = append(c.emits, emitRec{key: c.sched.LastFiredKey(), idx: c.emitIdx,
-		kind: emitDeliverObs, at: at, node: to, m: m})
+	c.emits = append(c.emits, emitRec{key: c.emitKey(), idx: c.emitIdx,
+		kind: emitDeliverObs, at: at, node: to, m: *m})
 	c.emitIdx++
 }
 
-func (e *Engine) obsDrop(c *shardCtx, at sim.Time, from, to topology.NodeID, m protocol.Message, reason string) {
+func (e *Engine) obsDrop(c *shardCtx, at sim.Time, from, to topology.NodeID, m *protocol.Message, reason string) {
 	if e.cfg.Observer == nil {
 		return
 	}
 	if c == nil || e.inGlobal || e.inline {
-		e.cfg.Observer.OnDrop(at, from, to, m, reason)
+		e.cfg.Observer.OnDrop(at, from, to, *m, reason)
 		return
 	}
-	c.emits = append(c.emits, emitRec{key: c.sched.LastFiredKey(), idx: c.emitIdx,
-		kind: emitDropObs, at: at, node: from, peer: to, m: m, reason: reason})
+	c.emits = append(c.emits, emitRec{key: c.emitKey(), idx: c.emitIdx,
+		kind: emitDropObs, at: at, node: from, peer: to, m: *m, reason: reason})
 	c.emitIdx++
 }
 
@@ -189,7 +214,7 @@ func (e *Engine) outcomeCtx(c *shardCtx, t workload.Task, admitted bool) {
 		e.cfg.OnOutcome(t, admitted)
 		return
 	}
-	c.outcomes = append(c.outcomes, outcomeRec{key: c.sched.LastFiredKey(), idx: c.emitIdx,
+	c.outcomes = append(c.outcomes, outcomeRec{key: c.emitKey(), idx: c.emitIdx,
 		task: t, admitted: admitted})
 	c.emitIdx++
 }

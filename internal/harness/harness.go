@@ -63,7 +63,7 @@ type Probe struct {
 type Progress struct {
 	Now    sim.Time // backend clock, scaled seconds
 	End    sim.Time // scenario duration (the clock runs past it while settling)
-	Events uint64   // events fired so far (0 on backends without an event counter)
+	Events uint64   // scheduler events fired so far — kernel effort, not messages delivered (0 on backends without an event counter)
 	Stats  metrics.RunStats
 
 	// Violations counts oracle findings so far (including dropped ones);

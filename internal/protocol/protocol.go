@@ -177,11 +177,11 @@ func (l *PledgeList) removeAt(i int) {
 	l.entries = l.entries[:len(l.entries)-1]
 }
 
-// insert places c at its better()-rank. Binary search keeps the slice
-// totally ordered, so iteration order — and with it every downstream
-// RNG draw — is identical to sorting a fresh snapshot.
-func (l *PledgeList) insert(c Candidate) {
-	lo, hi := 0, len(l.entries)
+// rank returns the index in entries[lo:hi] — a better()-sorted span —
+// before which c belongs. The order is total (IDs are unique), so the
+// rank is unique and iteration order, and with it every downstream RNG
+// draw, is identical to sorting a fresh snapshot.
+func (l *PledgeList) rank(c Candidate, lo, hi int) int {
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if better(c, l.entries[mid]) {
@@ -190,9 +190,31 @@ func (l *PledgeList) insert(c Candidate) {
 			lo = mid + 1
 		}
 	}
+	return lo
+}
+
+// insert places c at its better()-rank.
+func (l *PledgeList) insert(c Candidate) {
+	lo := l.rank(c, 0, len(l.entries))
 	l.entries = append(l.entries, Candidate{})
 	copy(l.entries[lo+1:], l.entries[lo:])
 	l.entries[lo] = c
+}
+
+// replaceAt overwrites the entry at index i with c (same ID, new
+// headroom or timestamp) and moves it to c's better()-rank, shifting
+// only the entries between the two positions — the same final order as
+// removeAt(i) followed by insert(c), for one copy over a shorter span.
+func (l *PledgeList) replaceAt(i int, c Candidate) {
+	if i > 0 && better(c, l.entries[i-1]) {
+		j := l.rank(c, 0, i-1)
+		copy(l.entries[j+1:i+1], l.entries[j:i])
+		l.entries[j] = c
+		return
+	}
+	j := l.rank(c, i+1, len(l.entries)) - 1
+	copy(l.entries[i:j], l.entries[i+1:j+1])
+	l.entries[j] = c
 }
 
 // Update records availability info from a node. A non-positive headroom
@@ -207,13 +229,19 @@ func (l *PledgeList) Update(now sim.Time, from topology.NodeID, headroom float64
 // merges must preserve the origin time of relayed entries, or stale
 // third-hand data would masquerade as fresh.
 func (l *PledgeList) UpdateAt(at sim.Time, from topology.NodeID, headroom float64) {
-	if i := l.find(from); i >= 0 {
-		l.removeAt(i)
-	}
+	i := l.find(from)
 	if headroom <= 0 {
+		if i >= 0 {
+			l.removeAt(i)
+		}
 		return
 	}
-	l.insert(Candidate{ID: from, Headroom: headroom, At: at})
+	c := Candidate{ID: from, Headroom: headroom, At: at}
+	if i >= 0 {
+		l.replaceAt(i, c)
+	} else {
+		l.insert(c)
+	}
 }
 
 // Remove deletes an entry outright (e.g. after a failed migration try).
@@ -232,12 +260,12 @@ func (l *PledgeList) Debit(id topology.NodeID, size float64) {
 		return
 	}
 	c := l.entries[i]
-	l.removeAt(i)
 	c.Headroom -= size
 	if c.Headroom <= 0 {
+		l.removeAt(i)
 		return
 	}
-	l.insert(c)
+	l.replaceAt(i, c)
 }
 
 // Get returns the entry for id, if present and regardless of freshness.

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -279,5 +280,75 @@ func TestConfigValidateCatches(t *testing.T) {
 		if c.Validate() == nil {
 			t.Fatalf("mutation %d: invalid config passed validation", i)
 		}
+	}
+}
+
+// updateAtRef and debitRef are UpdateAt and Debit as they were before
+// replaceAt: take the entry out, put the new one in. They are the
+// specification the in-place move is tested against.
+func updateAtRef(l *PledgeList, at sim.Time, from topology.NodeID, headroom float64) {
+	if i := l.find(from); i >= 0 {
+		l.removeAt(i)
+	}
+	if headroom <= 0 {
+		return
+	}
+	l.insert(Candidate{ID: from, Headroom: headroom, At: at})
+}
+
+func debitRef(l *PledgeList, id topology.NodeID, size float64) {
+	i := l.find(id)
+	if i < 0 {
+		return
+	}
+	c := l.entries[i]
+	l.removeAt(i)
+	c.Headroom -= size
+	if c.Headroom <= 0 {
+		return
+	}
+	l.insert(c)
+}
+
+// Property: on random update / debit / remove / expire sequences the
+// in-place move leaves the list entry for entry where remove-then-insert
+// leaves it — so Best, Snapshot and every RNG draw downstream of their
+// order are unchanged. Headrooms and timestamps come from small ranges
+// so ties on both keys, moves in both directions and no-op moves occur.
+func TestPledgeListMoveMatchesRemoveInsert(t *testing.T) {
+	type op struct {
+		Kind, Node, Val, Dt uint8
+	}
+	f := func(ops []op) bool {
+		got, want := NewPledgeList(6), NewPledgeList(6)
+		now := sim.Time(0)
+		for _, o := range ops {
+			now += sim.Time(o.Dt % 3)
+			id := topology.NodeID(o.Node % 12)
+			switch o.Kind % 4 {
+			case 0, 1:
+				h := float64(o.Val%6) - 1 // ≤ 0 retracts
+				got.UpdateAt(now-sim.Time(o.Val%2), id, h)
+				updateAtRef(want, now-sim.Time(o.Val%2), id, h)
+			case 2:
+				got.Debit(id, float64(o.Val%3))
+				debitRef(want, id, float64(o.Val%3))
+			case 3:
+				got.Remove(id)
+				want.Remove(id)
+			}
+			if o.Dt%4 == 0 {
+				got.expire(now)
+				want.expire(now)
+			}
+			if !slices.Equal(got.entries, want.entries) {
+				t.Logf("after %+v:\n got %+v\nwant %+v", o, got.entries, want.entries)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
 	}
 }

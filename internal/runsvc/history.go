@@ -2,8 +2,11 @@ package runsvc
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"log"
 	"os"
 	"path/filepath"
 	"sort"
@@ -28,7 +31,11 @@ type historyStore struct {
 }
 
 // openHistory loads (or creates) the JSONL history at path. An empty
-// path yields a memory-only store.
+// path yields a memory-only store. Appends are not fsynced, so a crash
+// can leave the final record torn: a last line with no trailing newline
+// that does not decode is truncated away and the history before it
+// kept. An undecodable line anywhere else is corruption no crash of
+// ours explains, and stays an error.
 func openHistory(path string) (*historyStore, error) {
 	h := &historyStore{path: path, byID: map[string]JobView{}}
 	if path == "" {
@@ -43,28 +50,48 @@ func openHistory(path string) (*historyStore, error) {
 	if err != nil {
 		return nil, fmt.Errorf("runsvc: history: %w", err)
 	}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20) // summaries are small; specs in errors can be long
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		var v JobView
-		if err := json.Unmarshal([]byte(text), &v); err != nil {
+	r := bufio.NewReader(f)
+	var off int64 // file offset of the line being read
+	for line := 1; ; line++ {
+		raw, rerr := r.ReadBytes('\n')
+		if rerr != nil && rerr != io.EOF {
 			f.Close()
-			return nil, fmt.Errorf("runsvc: history %s:%d: %w", path, line, err)
+			return nil, fmt.Errorf("runsvc: history %s: %w", path, rerr)
 		}
-		if _, dup := h.byID[v.ID]; !dup {
-			h.ids = append(h.ids, v.ID)
+		last := rerr == io.EOF // the final line, and it has no trailing newline
+		if text := bytes.TrimSpace(raw); len(text) > 0 {
+			var v JobView
+			err := json.Unmarshal(text, &v)
+			switch {
+			case err == nil:
+				if _, dup := h.byID[v.ID]; !dup {
+					h.ids = append(h.ids, v.ID)
+				}
+				h.byID[v.ID] = v // last record wins on duplicates
+				if last {
+					// Whole record, lost newline: restore it so the next
+					// append starts its own line.
+					_, err = f.Write([]byte{'\n'})
+				}
+			case last:
+				// A crash mid-Write tore the final record. That run is
+				// simply unrecorded (the store's contract for a crash
+				// mid-run); everything before it stands.
+				if err = f.Truncate(off); err == nil {
+					log.Printf("runsvc: history %s:%d: dropped torn final record (%d bytes)", path, line, len(raw))
+				}
+			default:
+				err = fmt.Errorf("line %d: %w", line, err)
+			}
+			if err != nil {
+				f.Close()
+				return nil, fmt.Errorf("runsvc: history %s: %w", path, err)
+			}
 		}
-		h.byID[v.ID] = v // last record wins on duplicates
-	}
-	if err := sc.Err(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("runsvc: history %s: %w", path, err)
+		if last {
+			break
+		}
+		off += int64(len(raw))
 	}
 	h.f = f
 	return h, nil

@@ -119,7 +119,7 @@ type ProgressView struct {
 	Now        float64 `json:"now"`        // sim clock, scaled seconds
 	End        float64 `json:"end"`        // scenario duration
 	Pct        float64 `json:"pct"`        // Now/End, capped at 100
-	Events     uint64  `json:"events"`     // events fired (0 on live)
+	Events     uint64  `json:"events"`     // scheduler events fired — kernel effort, not messages: a flood is one event per hop-ring (0 on live)
 	Offered    uint64  `json:"offered"`    // tasks offered so far
 	Admitted   uint64  `json:"admitted"`   // tasks admitted so far
 	Violations int     `json:"violations"` // oracle findings so far
