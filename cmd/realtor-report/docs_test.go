@@ -1,6 +1,10 @@
 package main
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -56,6 +60,59 @@ func TestDocsNameRealTargetsAndBinaries(t *testing.T) {
 					t.Errorf("%s:%d names cmd/%s, which does not exist", doc, i+1, m[1])
 				}
 			}
+		}
+	}
+}
+
+// Every exported func or method declared in a non-test file under
+// internal/ must be named somewhere else in the repo's .go files (tests
+// count; so does the interface it implements). An export nobody names is
+// surface that still has to be read, kept compiling and kept true — five
+// of them had piled up by PR 19. Matching is by name, like `grep -w`:
+// cheap, and strict enough to catch the symbol that lost its last caller.
+// (A method that only ever satisfies a standard-library interface would
+// need an allow-list here; today every String, Error and Less is also
+// called by name.)
+func TestNoUnreferencedExports(t *testing.T) {
+	type decl struct {
+		name, pos string
+	}
+	var exported []decl
+	named := map[string]int{}    // identifier occurrences, declarations included
+	declared := map[string]int{} // func and method declarations
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(repoRoot, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		audited := strings.HasPrefix(filepath.ToSlash(path), repoRoot+"/internal/") && !strings.HasSuffix(path, "_test.go")
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Ident:
+				named[n.Name]++
+			case *ast.FuncDecl:
+				declared[n.Name.Name]++
+				if audited && n.Name.IsExported() {
+					exported = append(exported, decl{n.Name.Name, fset.Position(n.Pos()).String()})
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(exported) < 100 {
+		t.Fatalf("audited only %d exported declarations; the walk is not seeing internal/", len(exported))
+	}
+	for _, d := range exported {
+		if named[d.name] == declared[d.name] {
+			t.Errorf("%s: exported %s is named nowhere but its declaration — delete it", d.pos, d.name)
 		}
 	}
 }

@@ -376,27 +376,23 @@ func (c *Cluster) Drive(lambda, meanSize, duration float64, seed int64) metrics.
 	return c.RunStats()
 }
 
-// DriveSource replays a pre-built workload source on the live cluster:
-// each task arrives at its scaled Arrive instant on its designated node,
-// exactly as the simulator's engine.Run consumes the same source (the
-// drive stops at the first task with Arrive ≥ duration, matching the
-// engine's cutoff, so Offered counts agree run-for-run). Deadlines are
-// not modelled — the simulator has none — and task Require attributes
-// are ignored (the live fabric is attribute-free). It blocks until all
-// arrivals are submitted and in-flight negotiations settle, then
-// returns the aggregated stats. The cluster remains running.
-func (c *Cluster) DriveSource(src workload.Source, duration float64) metrics.RunStats {
-	st, _ := c.DriveSourceCtx(context.Background(), src, duration)
-	return st
-}
-
-// DriveSourceCtx is DriveSource under cooperative cancellation: the
-// context is polled before each submission and interrupts the wall-clock
-// wait for the next arrival instant. On cancellation the drive stops
-// submitting immediately, skips the settle wait (in-flight negotiations
-// are abandoned, not resolved), and reports canceled=true with whatever
-// stats had accumulated — partial numbers that must not be compared
-// against a completed run.
+// DriveSourceCtx replays a pre-built workload source on the live
+// cluster: each task arrives at its scaled Arrive instant on its
+// designated node, exactly as the simulator's engine.Run consumes the
+// same source (the drive stops at the first task with Arrive ≥ duration,
+// matching the engine's cutoff, so Offered counts agree run-for-run).
+// Deadlines are not modelled — the simulator has none — and task Require
+// attributes are ignored (the live fabric is attribute-free). It blocks
+// until all arrivals are submitted and in-flight negotiations settle,
+// then returns the aggregated stats. The cluster remains running.
+//
+// Cancellation is cooperative: the context is polled before each
+// submission and interrupts the wall-clock wait for the next arrival
+// instant. On cancellation the drive stops submitting immediately,
+// skips the settle wait (in-flight negotiations are abandoned, not
+// resolved), and reports canceled=true with whatever stats had
+// accumulated — partial numbers that must not be compared against a
+// completed run.
 func (c *Cluster) DriveSourceCtx(ctx context.Context, src workload.Source, duration float64) (st metrics.RunStats, canceled bool) {
 	if duration <= 0 {
 		panic("agile: drive duration must be positive")

@@ -105,9 +105,6 @@ func (l *DecisionLog) OnInject(now sim.Time, node topology.NodeID, size float64)
 // Len returns the number of recorded decisions.
 func (l *DecisionLog) Len() int { return len(l.ds) }
 
-// Decisions exposes the raw sequence (read-only).
-func (l *DecisionLog) Decisions() []Decision { return l.ds }
-
 // CompareLogs returns the index and description of the first
 // divergence between two logs, or (-1, "") when identical.
 func CompareLogs(fast, ref *DecisionLog) (int, string) {

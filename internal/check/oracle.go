@@ -214,12 +214,10 @@ type Oracle struct {
 
 	// I5 message conservation: every OnDeliver/OnDrop(loss|dead) must be
 	// preceded by an OnSend. Partition drops never had an OnSend and are
-	// counted separately.
+	// not in the ledger.
 	msgSent      uint64
 	msgDelivered uint64
 	msgDropped   uint64 // loss + in-flight-death drops
-	msgPartition uint64
-	injected     uint64 // OnInject events (informational)
 
 	// I4 provenance. pledges[org][member] is the last delivered
 	// positive-headroom PLEDGE/ADVERT member→org; helps[member][org]
@@ -819,7 +817,6 @@ func (o *Oracle) OnDeliver(now sim.Time, to topology.NodeID, m protocol.Message)
 // the shadow overlay really disconnects (no phantom partitions).
 func (o *Oracle) OnDrop(now sim.Time, from, to topology.NodeID, m protocol.Message, reason string) {
 	if reason == trace.DropPartition {
-		o.msgPartition++
 		if o.shadow != nil && o.shadow.Reachable(from, to) {
 			o.fail(now, "I6-partition-safety", from,
 				"message %s to node %d dropped as a partition drop while the shadow overlay still connects them",
@@ -830,11 +827,9 @@ func (o *Oracle) OnDrop(now sim.Time, from, to topology.NodeID, m protocol.Messa
 	o.msgDropped++
 }
 
-// OnInject implements trace.MessageObserver: injected bogus work is
-// counted so conservation sees it is NOT a task arrival (no outcome is
-// ever owed for it).
+// OnInject implements trace.MessageObserver: injected bogus work is NOT
+// a task arrival (no outcome is ever owed for it).
 func (o *Oracle) OnInject(now sim.Time, node topology.NodeID, size float64) {
-	o.injected++
 	if size <= 0 {
 		o.fail(now, "I5-conservation", node, "non-positive injection %.6g reported", size)
 	}
@@ -949,15 +944,6 @@ func (o *Oracle) FinishTotals(now sim.Time) {
 			o.msgDelivered, o.msgDropped, o.msgSent)
 	}
 }
-
-// MessageLedger returns the oracle's send/deliver/drop/partition-drop
-// counters (for reports and tests).
-func (o *Oracle) MessageLedger() (sent, delivered, dropped, partitionDrops uint64) {
-	return o.msgSent, o.msgDelivered, o.msgDropped, o.msgPartition
-}
-
-// Injected returns how many OnInject events the oracle observed.
-func (o *Oracle) Injected() uint64 { return o.injected }
 
 // Finish runs the end-of-run checks on a sequential backend: aggregate
 // totals first, then every node's final audit. Call it after the run

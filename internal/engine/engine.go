@@ -297,19 +297,16 @@ type Engine struct {
 	// extra observability
 	protoName string
 
-	// scoped-flood support: per-node member sets, flood costs, and hop
-	// distances (recorded free during the scope BFS, so the flood hot
-	// path never materializes all-pairs distance rows on large meshes)
-	scope     [][]topology.NodeID
-	scopeCost []float64
-	scopeDist [][]int32
+	// scope[i] is the neighbourhood node i floods: the whole mesh, its
+	// FloodRadius ball, or its Groups group. Nodes with the same
+	// neighbourhood share one member list.
+	scope []floodScope
 
 	// coordinator state (shards > 1)
 	pull        workload.Task
 	pullOK      bool
 	pullSrc     workload.Source
 	emitScratch []emitRec
-	outScratch  []outcomeRec
 
 	// canceled is set when RunCtx stopped at a checkpoint because its
 	// context was done; the partial stats skip validation.
@@ -396,10 +393,18 @@ func New(cfg Config, build Builder) *Engine {
 		e.nodes[i] = *node.New(topology.NodeID(i), capacity)
 		e.envs[i] = &nodeEnv{engine: e, id: topology.NodeID(i), ctx: e.ctxs[e.shardOf[i]]}
 	}
-	if cfg.FloodRadius > 0 {
-		e.buildScopes()
-	} else if cfg.Groups != nil {
+	e.scope = make([]floodScope, n)
+	switch {
+	case cfg.FloodRadius > 0:
+		e.buildRadiusScopes()
+	case cfg.Groups != nil:
 		e.buildGroupScopes()
+	default:
+		all := floodScope{members: make([]topology.NodeID, n), cost: e.cost.FloodUnits}
+		for i := range all.members {
+			all.members[i] = topology.NodeID(i)
+			e.scope[i] = all
+		}
 	}
 	// Attach after all shard state exists: protocols may arm timers (and
 	// even send) from Attach, and those events need their canonical keys
@@ -418,64 +423,64 @@ func New(cfg Config, build Builder) *Engine {
 	return e
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+// floodScope is one node's flood neighbourhood, read-only once built.
+type floodScope struct {
+	// members are the nodes a flood reaches, in ascending ID — the
+	// deterministic order every downstream loss-RNG draw depends on. The
+	// list may contain the sender, which is skipped at send time: that is
+	// what lets the nodes of a group share one backing array.
+	members []topology.NodeID
+	// dist[k] is the hop distance from the scope's owner to members[k],
+	// recorded free during the radius BFS; nil for shared scopes, whose
+	// floods look distances up in the live graph.
+	dist []int32
+	// cost is what one flood is charged: the links of the subgraph the
+	// members induce (the paper's #links for the whole mesh).
+	cost float64
 }
 
-// buildGroupScopes derives per-node flood scopes from the group
-// partition: a flood reaches the sender's group members and is charged
-// the group's internal links. (Group distances are not precomputed —
-// federation studies run on small meshes where live Dist lookups are
-// cheap.)
+// buildGroupScopes derives flood scopes from the group partition: a
+// flood reaches the sender's group and is charged the group's internal
+// links. Each group's list is built once and shared by its members — a
+// list per node is N × |group| entries, 5.8 GB on a 316×316 mesh in 16
+// groups.
 func (e *Engine) buildGroupScopes() {
-	n := e.cfg.Graph.N()
-	e.scope = make([][]topology.NodeID, n)
-	e.scopeCost = make([]float64, n)
-	groupLinks := map[int]int{}
-	members := map[int][]topology.NodeID{}
-	for i := 0; i < n; i++ {
-		g := e.cfg.Groups[i]
-		members[g] = append(members[g], topology.NodeID(i))
-		for _, nb := range e.cfg.Graph.Neighbors(topology.NodeID(i)) {
-			if e.cfg.Groups[nb] == g && topology.NodeID(i) < nb {
-				groupLinks[g]++
+	groups := map[int]*floodScope{}
+	for i, g := range e.cfg.Groups {
+		sc := groups[g]
+		if sc == nil {
+			sc = &floodScope{}
+			groups[g] = sc
+		}
+		id := topology.NodeID(i)
+		sc.members = append(sc.members, id)
+		for _, nb := range e.cfg.Graph.Neighbors(id) {
+			if e.cfg.Groups[nb] == g && id < nb {
+				sc.cost++
 			}
 		}
 	}
-	for i := 0; i < n; i++ {
-		g := e.cfg.Groups[i]
-		e.scope[i] = make([]topology.NodeID, 0, len(members[g])-1)
-		for _, m := range members[g] {
-			if m != topology.NodeID(i) {
-				e.scope[i] = append(e.scope[i], m)
-			}
-		}
-		e.scopeCost[i] = float64(groupLinks[g])
+	for i, g := range e.cfg.Groups {
+		e.scope[i] = *groups[g] // after the last append: the list is final
 	}
 }
 
-// buildScopes precomputes, for each node, the multicast-group members
-// (nodes within FloodRadius hops), the scoped flood cost (links of the
-// induced subgraph — the links a radius-bounded flood actually crosses),
-// and the hop distance to every member, which the BFS discovers anyway.
-// Keeping those distances lets the delivery hot path skip Dist entirely
-// while the graph is unmutated — on a 100k-node mesh, lazily
-// materializing a 100k-entry distance row per flooding node is the
-// difference between running and thrashing.
+// buildRadiusScopes precomputes, for each node, the multicast-group
+// members (nodes within FloodRadius hops, itself included), the scoped
+// flood cost (links of the induced subgraph — the links a radius-bounded
+// flood actually crosses), and the hop distance to every member, which
+// the BFS discovers anyway. Keeping those distances lets the delivery
+// hot path skip Dist entirely while the graph is unmutated — on a
+// 100k-node mesh, lazily materializing a 100k-entry distance row per
+// flooding node is the difference between running and thrashing.
 //
 // It runs a radius-bounded BFS per source over a stamped visited array
 // instead of querying the all-pairs distance matrix: cost O(N · |scope|)
 // with no per-source map and — critically for large meshes — no N²
 // matrix materialization just to set up scopes.
-func (e *Engine) buildScopes() {
+func (e *Engine) buildRadiusScopes() {
 	n := e.cfg.Graph.N()
 	r := e.cfg.FloodRadius
-	e.scope = make([][]topology.NodeID, n)
-	e.scopeCost = make([]float64, n)
-	e.scopeDist = make([][]int32, n)
 	stamp := make([]int, n) // stamp[v] == cur ⇔ v is in the current scope
 	depth := make([]int, n)
 	queue := make([]topology.NodeID, 0, 64)
@@ -484,7 +489,6 @@ func (e *Engine) buildScopes() {
 		cur := i + 1 // unique per source; zero value means "unvisited"
 		queue = append(queue[:0], src)
 		stamp[src], depth[src] = cur, 0
-		members := []topology.NodeID{src}
 		for qi := 0; qi < len(queue); qi++ {
 			u := queue[qi]
 			if depth[u] == r {
@@ -494,32 +498,21 @@ func (e *Engine) buildScopes() {
 				if stamp[nb] != cur {
 					stamp[nb], depth[nb] = cur, depth[u]+1
 					queue = append(queue, nb)
-					members = append(members, nb)
 				}
 			}
 		}
-		// Deliveries must go out in ascending node ID — the deterministic
-		// order every downstream loss-RNG draw depends on.
+		members := append([]topology.NodeID(nil), queue...)
 		sort.Slice(members, func(a, b int) bool { return members[a] < members[b] })
-		links := 0
-		for _, m := range members {
+		sc := &e.scope[i]
+		sc.members, sc.dist = members, make([]int32, len(members))
+		for k, m := range members {
+			sc.dist[k] = int32(depth[m])
 			for _, nb := range e.cfg.Graph.Neighbors(m) {
 				if stamp[nb] == cur && m < nb {
-					links++
+					sc.cost++
 				}
 			}
 		}
-		e.scopeCost[i] = float64(links)
-		scope := make([]topology.NodeID, 0, len(members)-1)
-		dists := make([]int32, 0, len(members)-1)
-		for _, m := range members {
-			if m != src {
-				scope = append(scope, m)
-				dists = append(dists, int32(depth[m]))
-			}
-		}
-		e.scope[i] = scope
-		e.scopeDist[i] = dists
 	}
 }
 
@@ -529,11 +522,10 @@ func (e *Engine) buildScopes() {
 // materialization); after the first CutLink/RestoreLink every lookup
 // goes to the live graph.
 func (e *Engine) dist(from, to topology.NodeID) int {
-	if e.scopeDist != nil && !e.ownsGraph {
-		row := e.scope[from]
-		i := sort.Search(len(row), func(i int) bool { return row[i] >= to })
-		if i < len(row) && row[i] == to {
-			return int(e.scopeDist[from][i])
+	if sc := &e.scope[from]; sc.dist != nil && !e.ownsGraph {
+		i := sort.Search(len(sc.members), func(i int) bool { return sc.members[i] >= to })
+		if i < len(sc.members) && sc.members[i] == to {
+			return int(sc.dist[i])
 		}
 	}
 	return e.graph.Dist(from, to)
@@ -614,17 +606,29 @@ func (e *Engine) Run(src workload.Source) metrics.RunStats {
 // returned stats are the partial accumulation so far: in-flight work
 // has not settled, so they must not be validated, compared, or blessed.
 func (e *Engine) RunCtx(ctx context.Context, src workload.Source) metrics.RunStats {
+	advance := e.runTo
 	if e.shards == 1 {
-		e.runSingle(ctx, src)
+		e.scheduleNext(src)
 	} else {
-		e.runSharded(ctx, src)
+		e.startWorkers()
+		defer e.stopWorkers()
+		e.pullSrc = src
+		e.pull, e.pullOK = src.Next()
+		advance = e.coordinate
 	}
-	if e.canceled {
-		return e.Stats()
+	// The measurement window, then the grace period: no new arrivals,
+	// but in-flight migrations and deliveries complete (message costs
+	// incurred after Duration are outside the measurement window by
+	// definition). settleEnd reads the live graph, so it is computed
+	// only after the measurement window closed.
+	if advance(ctx, e.cfg.Duration) {
+		advance(ctx, e.settleEnd())
 	}
 	st := e.Stats()
-	if err := st.Validate(); err != nil {
-		panic(err) // engine bug, not user error: fail loudly
+	if !e.canceled {
+		if err := st.Validate(); err != nil {
+			panic(err) // engine bug, not user error: fail loudly
+		}
 	}
 	return st
 }
@@ -667,52 +671,21 @@ func (e *Engine) checkpoint(ctx context.Context, now sim.Time) bool {
 	return true
 }
 
-// needsCheckpoints reports whether the run loop has any reason to pause
-// at checkpoints; without either consumer the classic kernel keeps its
-// original two-call RunUntil shape.
-func (e *Engine) needsCheckpoints(ctx context.Context) bool {
-	return e.cfg.OnProgress != nil || ctx.Done() != nil
-}
-
-// runSingle is RunCtx's classic-kernel body. With no context or
-// progress consumer it degenerates to the original pair of RunUntil
-// calls; otherwise it runs the same events in the same order, pausing
-// every checkpointEvery sim-seconds — RunUntil(a) then RunUntil(b)
-// fires the identical sequence as RunUntil(b), because the heap order
-// is a pure function of the pending events.
-func (e *Engine) runSingle(ctx context.Context, src workload.Source) {
-	e.scheduleNext(src)
-	if !e.needsCheckpoints(ctx) {
-		e.sched.RunUntil(e.cfg.Duration)
-		// Grace period: no new arrivals (scheduleNext stops generating),
-		// but in-flight migrations and deliveries complete. Message costs
-		// incurred after Duration are outside the measurement window by
-		// definition.
-		e.sched.RunUntil(e.settleEnd())
-		return
-	}
+// runTo is the classic kernel's counterpart of coordinate: it runs the
+// one queue up to `until`, pausing at a checkpoint every checkpointEvery
+// sim-seconds, and reports false when one stopped the run. The pauses
+// change nothing: RunUntil(a) then RunUntil(b) fires the same sequence
+// as RunUntil(b), the heap order being a pure function of what is pending.
+func (e *Engine) runTo(ctx context.Context, until sim.Time) bool {
 	step := e.checkpointEvery()
-	for t := step; t < e.cfg.Duration; t += step {
+	for t := e.sched.Now() + step; t < until; t += step {
 		e.sched.RunUntil(t)
 		if !e.checkpoint(ctx, t) {
-			return
+			return false
 		}
 	}
-	e.sched.RunUntil(e.cfg.Duration)
-	if !e.checkpoint(ctx, e.cfg.Duration) {
-		return
-	}
-	// settleEnd reads the live graph, so — like the unchunked path — it
-	// is computed only after the measurement window closed.
-	end := e.settleEnd()
-	for t := e.cfg.Duration + step; t < end; t += step {
-		e.sched.RunUntil(t)
-		if !e.checkpoint(ctx, t) {
-			return
-		}
-	}
-	e.sched.RunUntil(end)
-	e.checkpoint(ctx, end)
+	e.sched.RunUntil(until)
+	return e.checkpoint(ctx, until)
 }
 
 // Stats returns the statistics accumulated so far (useful mid-run in
@@ -1133,47 +1106,59 @@ func (mr *migResult) Fire(at sim.Time) {
 	e.outcomeCtx(c, t, false)
 }
 
+// randomAlive draws a uniformly random alive node: the k-th alive one in
+// ID order, k drawn from rerouteRnd.
 func (e *Engine) randomAlive() (topology.NodeID, bool) {
-	alive := make([]topology.NodeID, 0, len(e.nodes))
-	for i := range e.nodes {
-		if e.nodes[i].Alive() {
-			alive = append(alive, topology.NodeID(i))
-		}
-	}
-	if len(alive) == 0 {
+	alive := e.AliveCount()
+	if alive == 0 {
 		return 0, false
 	}
-	return alive[e.rerouteRnd.Intn(len(alive))], true
+	k := e.rerouteRnd.Intn(alive)
+	for i := range e.nodes {
+		if e.nodes[i].Alive() {
+			if k == 0 {
+				return topology.NodeID(i), true
+			}
+			k--
+		}
+	}
+	panic("engine: alive count changed under randomAlive")
 }
 
 // afterAccept re-evaluates the node's threshold state after new work was
-// queued: an upward crossing fires OnUsageCrossing(true) immediately and
-// schedules the matching downward crossing at the (deterministic) time
-// the queue drains back to the threshold. c is the emission context —
-// nil when called from a global event (Inject at a barrier).
+// queued. c is the emission context — nil when called from a global
+// event (Inject at a barrier).
 func (e *Engine) afterAccept(c *shardCtx, now sim.Time, id topology.NodeID) {
 	thr := e.cfg.Threshold * e.nodes[id].Capacity()
 	backlog := e.nodes[id].Backlog(now)
 	if backlog <= thr {
 		return
 	}
+	e.holdAbove(c, now, id, backlog-thr)
+}
+
+// holdAbove records that node id's backlog sits `over` seconds above its
+// threshold: an upward crossing fires OnUsageCrossing(true) immediately,
+// and the matching downward crossing is (re)scheduled for the
+// (deterministic) time the queue drains back to the threshold.
+func (e *Engine) holdAbove(c *shardCtx, now sim.Time, id topology.NodeID, over float64) {
 	if !e.above[id] {
 		e.above[id] = true
 		e.traceCtx(c, trace.Event{At: now, Kind: trace.CrossUp, Node: id, Peer: -1})
 		e.disco[id].OnUsageCrossing(true)
 	}
-	// (Re)schedule the downward crossing; any previously scheduled one is
-	// stale because the backlog just grew. Cancel is a generation-checked
+	// Any previously scheduled downward crossing is stale because the
+	// backlog grew or the threshold moved. Cancel is a generation-checked
 	// no-op on fired or zero handles, so no liveness check is needed.
 	// Each node has exactly one pending downward crossing at a time, so a
 	// single persistent runner per node replaces the per-accept closure.
 	// The crossing always lives on id's own shard — the one executing
-	// this accept — so the handle stays locally cancellable.
-	dc := e.ctxs[e.shardOf[id]]
+	// this call — so the handle stays locally cancellable.
+	dc := e.ctxOf(id)
 	dc.sched.Cancel(e.crossEvs[id])
 	cr := &e.crossings[id]
 	cr.gen = e.gen[id]
-	e.crossEvs[id] = dc.sched.AtKeyed(now+sim.Time(backlog-thr), int32(id), e.nodeSeq[id], cr)
+	e.crossEvs[id] = dc.sched.AtKeyed(now+sim.Time(over), int32(id), e.nodeSeq[id], cr)
 	e.nodeSeq[id]++
 }
 
@@ -1196,21 +1181,10 @@ func (e *Engine) resize(c *shardCtx, now sim.Time, id topology.NodeID, want floa
 	e.traceCtx(c, trace.Event{At: now, Kind: trace.Resize, Node: id, Peer: -1, Size: applied})
 	thr := e.cfg.Threshold * applied
 	backlog := e.nodes[id].Backlog(now)
-	dc := e.ctxs[e.shardOf[id]]
 	if backlog > thr {
-		if !e.above[id] {
-			e.above[id] = true
-			e.traceCtx(c, trace.Event{At: now, Kind: trace.CrossUp, Node: id, Peer: -1})
-			e.disco[id].OnUsageCrossing(true)
-		}
-		// Reschedule the downward crossing against the new threshold.
-		dc.sched.Cancel(e.crossEvs[id])
-		cr := &e.crossings[id]
-		cr.gen = e.gen[id]
-		e.crossEvs[id] = dc.sched.AtKeyed(now+sim.Time(backlog-thr), int32(id), e.nodeSeq[id], cr)
-		e.nodeSeq[id]++
+		e.holdAbove(c, now, id, backlog-thr)
 	} else if e.above[id] {
-		dc.sched.Cancel(e.crossEvs[id])
+		e.ctxOf(id).sched.Cancel(e.crossEvs[id])
 		e.crossEvs[id] = sim.Event{}
 		e.above[id] = false
 		e.traceCtx(c, trace.Event{At: now, Kind: trace.CrossDown, Node: id, Peer: -1})
@@ -1308,7 +1282,7 @@ func (e *Engine) Graph() *topology.Graph { return e.graph }
 // mutableGraph returns a graph the engine may mutate, cloning the
 // (possibly shared) configured graph on first use. Callers check on the
 // live view that the mutation is effective first: cloning for a no-op
-// would also retire the scopeDist fast path for the rest of the run.
+// would also retire the scope-distance fast path for the rest of the run.
 func (e *Engine) mutableGraph() *topology.Graph {
 	if !e.ownsGraph {
 		e.graph = e.graph.Clone()
@@ -1400,13 +1374,10 @@ func (v *nodeEnv) SetCapacity(c float64) bool {
 func (v *nodeEnv) Flood(m protocol.Message) {
 	e, c := v.engine, v.ctx
 	now := c.sched.Now()
-	units := e.cost.FloodUnits
-	if e.scope != nil {
-		units = e.scopeCost[v.id]
-	}
+	sc := &e.scope[v.id]
 	if e.measuring(now) {
 		st := &e.statsPer[v.id]
-		st.MessageUnits += units
+		st.MessageUnits += sc.cost
 		switch m.Kind {
 		case protocol.Help:
 			st.HelpMsgs++
@@ -1418,24 +1389,19 @@ func (v *nodeEnv) Flood(m protocol.Message) {
 	}
 	e.traceCtx(c, trace.Event{At: now, Kind: trace.MsgSend, Node: v.id, Peer: -1,
 		Info: protocol.FloodInfo(m.Kind, m.Reissue)})
+	// The radius BFS already measured these distances; reuse them unless
+	// link churn invalidated the tables.
+	useDist := sc.dist != nil && !e.ownsGraph
 	buf := c.sendBuf[:0]
-	if e.scope != nil {
-		useDist := e.scopeDist != nil && !e.ownsGraph
-		for k, to := range e.scope[v.id] {
-			// The scope BFS already measured these distances; reuse them
-			// (stamp-reuse) unless link churn invalidated the tables.
-			d := distUnknown
-			if useDist {
-				d = int(e.scopeDist[v.id][k])
-			}
-			buf = v.admit(buf, to, &m, d)
+	for k, to := range sc.members {
+		if to == v.id {
+			continue
 		}
-	} else {
-		for i := range e.nodes {
-			if to := topology.NodeID(i); to != v.id {
-				buf = v.admit(buf, to, &m, distUnknown)
-			}
+		d := distUnknown
+		if useDist {
+			d = int(sc.dist[k])
 		}
+		buf = v.admit(buf, to, &m, d)
 	}
 	v.launch(buf, &m)
 }
@@ -1492,14 +1458,14 @@ func (v *nodeEnv) admit(buf []waveMember, to topology.NodeID, m *protocol.Messag
 		}
 		e.traceCtx(c, trace.Event{At: now, Kind: trace.MsgDrop, Node: v.id, Peer: to,
 			Info: trace.DropPartition})
-		e.obsDrop(c, now, v.id, to, m, trace.DropPartition)
+		e.observe(c, emitDropObs, now, v.id, to, m, trace.DropPartition)
 		return buf
 	}
-	e.obsSend(c, now, v.id, to, m)
+	e.observe(c, emitSendObs, now, v.id, to, m, "")
 	if e.cfg.LossProb > 0 && e.lossRnd[v.id].Bernoulli(e.cfg.LossProb) {
 		// Datagram lost in transit. The observer is told — conservation
 		// checks must see that a scheduled send was eaten, not delivered.
-		e.obsDrop(c, now, v.id, to, m, trace.DropLoss)
+		e.observe(c, emitDropObs, now, v.id, to, m, trace.DropLoss)
 		return buf
 	}
 	buf = append(buf, waveMember{to: to, gen: e.gen[to], seq: e.nodeSeq[v.id], hops: int32(dist)})
@@ -1630,12 +1596,12 @@ func (w *wave) Fire(at sim.Time) {
 		c.msgKey = sim.EventKey{When: at, Src: int32(w.from), Seq: mem.seq}
 		if e.gen[mem.to] == mem.gen && e.nodes[mem.to].Alive() {
 			c.delivered++
-			e.obsDeliver(c, at, mem.to, &w.m)
+			e.observe(c, emitDeliverObs, at, w.from, mem.to, &w.m, "")
 			e.disco[mem.to].Deliver(w.m)
 		} else {
 			// Destination died or restarted in flight: the send the observer
 			// saw resolves as a drop, never silently vanishes.
-			e.obsDrop(c, at, w.from, mem.to, &w.m, trace.DropDead)
+			e.observe(c, emitDropObs, at, w.from, mem.to, &w.m, trace.DropDead)
 		}
 		if w.next == len(w.members) {
 			break

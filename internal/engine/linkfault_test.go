@@ -52,7 +52,7 @@ func TestCutLinkIsCopyOnWrite(t *testing.T) {
 // TestNoOpLinkMutationKeepsSharedGraph: cutting an absent link and
 // restoring a present one are legal no-ops (attack.LinkCut feeds
 // user-supplied link lists). They must not clone the configured graph —
-// that would retire the scopeDist fast path for the rest of the run —
+// that would retire the scope-distance fast path for the rest of the run —
 // nor trace an event, nor do any distance work.
 func TestNoOpLinkMutationKeepsSharedGraph(t *testing.T) {
 	buf := &trace.Buffer{}
@@ -69,7 +69,7 @@ func TestNoOpLinkMutationKeepsSharedGraph(t *testing.T) {
 		t.Fatal("a no-op link mutation cloned the configured graph")
 	}
 	if e.ownsGraph {
-		t.Fatal("a no-op link mutation retired the scopeDist fast path")
+		t.Fatal("a no-op link mutation retired the scope-distance fast path")
 	}
 	if n := len(buf.OfKind(trace.LinkCut)) + len(buf.OfKind(trace.LinkRestore)); n != 0 {
 		t.Fatalf("no-op link mutations traced %d events", n)

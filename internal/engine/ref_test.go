@@ -33,13 +33,10 @@ type refEnv struct{ *nodeEnv }
 func (v refEnv) Flood(m protocol.Message) {
 	e := v.engine
 	now := v.ctx.sched.Now()
-	units := e.cost.FloodUnits
-	if e.scope != nil {
-		units = e.scopeCost[v.id]
-	}
+	sc := &e.scope[v.id]
 	if e.measuring(now) {
 		st := &e.statsPer[v.id]
-		st.MessageUnits += units
+		st.MessageUnits += sc.cost
 		switch m.Kind {
 		case protocol.Help:
 			st.HelpMsgs++
@@ -51,21 +48,16 @@ func (v refEnv) Flood(m protocol.Message) {
 	}
 	e.traceCtx(v.ctx, trace.Event{At: now, Kind: trace.MsgSend, Node: v.id, Peer: -1,
 		Info: protocol.FloodInfo(m.Kind, m.Reissue)})
-	if e.scope != nil {
-		useDist := e.scopeDist != nil && !e.ownsGraph
-		for k, to := range e.scope[v.id] {
-			d := distUnknown
-			if useDist {
-				d = int(e.scopeDist[v.id][k])
-			}
-			v.deliverLater(to, m, d)
+	useDist := sc.dist != nil && !e.ownsGraph
+	for k, to := range sc.members {
+		if to == v.id {
+			continue
 		}
-		return
-	}
-	for i := range e.nodes {
-		if to := topology.NodeID(i); to != v.id {
-			v.deliverLater(to, m, distUnknown)
+		d := distUnknown
+		if useDist {
+			d = int(sc.dist[k])
 		}
+		v.deliverLater(to, m, d)
 	}
 }
 
@@ -102,12 +94,12 @@ func (v refEnv) deliverLater(to topology.NodeID, m protocol.Message, dist int) {
 		}
 		e.traceCtx(c, trace.Event{At: now, Kind: trace.MsgDrop, Node: v.id, Peer: to,
 			Info: trace.DropPartition})
-		e.obsDrop(c, now, v.id, to, &m, trace.DropPartition)
+		e.observe(c, emitDropObs, now, v.id, to, &m, trace.DropPartition)
 		return
 	}
-	e.obsSend(c, now, v.id, to, &m)
+	e.observe(c, emitSendObs, now, v.id, to, &m, "")
 	if e.cfg.LossProb > 0 && e.lossRnd[v.id].Bernoulli(e.cfg.LossProb) {
-		e.obsDrop(c, now, v.id, to, &m, trace.DropLoss)
+		e.observe(c, emitDropObs, now, v.id, to, &m, trace.DropLoss)
 		return
 	}
 	d := &refDelivery{e: e, from: v.id, to: to, gen: e.gen[to], m: m}
@@ -128,9 +120,9 @@ type refDelivery struct {
 func (d *refDelivery) Fire(at sim.Time) {
 	e, c := d.e, d.e.ctxOf(d.to)
 	if e.gen[d.to] == d.gen && e.nodes[d.to].Alive() {
-		e.obsDeliver(c, at, d.to, &d.m)
+		e.observe(c, emitDeliverObs, at, d.from, d.to, &d.m, "")
 		e.disco[d.to].Deliver(d.m)
 	} else {
-		e.obsDrop(c, at, d.from, d.to, &d.m, trace.DropDead)
+		e.observe(c, emitDropObs, at, d.from, d.to, &d.m, trace.DropDead)
 	}
 }

@@ -44,11 +44,10 @@ type shardCtx struct {
 	// across shards is irrelevant.
 	mail []mailEntry
 
-	// emits/outcomes buffer observation callbacks for canonical-order
-	// replay at the barrier (unused when the engine emits inline).
-	emits    []emitRec
-	outcomes []outcomeRec
-	emitIdx  uint64
+	// emits buffers observation callbacks for canonical-order replay at
+	// the barrier (outcomes only when the engine emits hooks inline).
+	emits   []emitRec
+	emitIdx uint64
 
 	// runner pools: acquired by events executing in this shard,
 	// released into the pool of whichever shard the runner fires in.
@@ -87,19 +86,22 @@ type mailEntry struct {
 	r    sim.Runner
 }
 
-// emitRec is one buffered observation callback, stamped with the
-// canonical key of the event that emitted it and a per-shard monotone
-// index for ordering multiple emissions of one event.
+// emitRec is one buffered callback — a trace event, an observer call or
+// a task outcome — stamped with the canonical key of the event that
+// emitted it and a per-shard monotone index for ordering multiple
+// emissions of one event.
 type emitRec struct {
-	key    sim.EventKey
-	idx    uint64
-	kind   uint8
-	ev     trace.Event // emitTrace
-	at     sim.Time    // observer kinds
-	node   topology.NodeID
-	peer   topology.NodeID
-	m      protocol.Message
-	reason string // emitDropObs
+	key      sim.EventKey
+	idx      uint64
+	kind     uint8
+	ev       trace.Event     // emitTrace
+	at       sim.Time        // observer kinds
+	node     topology.NodeID // sender
+	peer     topology.NodeID // recipient
+	m        protocol.Message
+	reason   string        // emitDropObs
+	task     workload.Task // emitOutcome
+	admitted bool
 }
 
 const (
@@ -107,15 +109,8 @@ const (
 	emitSendObs
 	emitDeliverObs
 	emitDropObs
+	emitOutcome
 )
-
-// outcomeRec is one buffered OnOutcome call, ordered like emitRec.
-type outcomeRec struct {
-	key      sim.EventKey
-	idx      uint64
-	task     workload.Task
-	admitted bool
-}
 
 // emitKey is the canonical key buffered emissions are stamped with: that
 // of the event this shard is executing, which inside a wave is the
@@ -145,62 +140,57 @@ func (e *Engine) schedule(c *shardCtx, dest topology.NodeID, when sim.Time,
 	return sim.Event{}
 }
 
-// traceCtx records a trace event: synchronously when the engine emits
-// inline (single shard, or cfg.InlineHooks with a concurrency-safe
-// consumer), otherwise buffered under the executing event's canonical
-// key for ordered replay at the barrier. A nil ctx marks a global-event
-// context (coordinator at a barrier, workers idle): emission is direct,
-// and in canonical position, because buffers are flushed before any
-// global event fires.
+// direct is the one gate every hook passes. An emission from context c
+// is made at once when the caller's hook runs inline (one shard, or
+// cfg.InlineHooks promising a concurrency-safe consumer) and in a
+// global-event context — c nil or inGlobal set: coordinator at a
+// barrier, workers idle — where it is in canonical position because
+// buffers are flushed before any global event fires. Otherwise the
+// caller buffers a record for ordered replay at the barrier.
+func (e *Engine) direct(c *shardCtx, inline bool) bool {
+	return inline || c == nil || e.inGlobal
+}
+
+// buffer appends a record of the given kind, stamped with the executing
+// event's canonical key, and returns it for the caller to fill in.
+func (c *shardCtx) buffer(kind uint8) *emitRec {
+	c.emits = append(c.emits, emitRec{key: c.emitKey(), idx: c.emitIdx, kind: kind})
+	c.emitIdx++
+	return &c.emits[len(c.emits)-1]
+}
+
 func (e *Engine) traceCtx(c *shardCtx, ev trace.Event) {
 	if e.cfg.Trace == nil {
 		return
 	}
-	if c == nil || e.inGlobal || e.inline {
+	if e.direct(c, e.inline) {
 		e.cfg.Trace.Record(ev)
 		return
 	}
-	c.emits = append(c.emits, emitRec{key: c.emitKey(), idx: c.emitIdx, kind: emitTrace, ev: ev})
-	c.emitIdx++
+	c.buffer(emitTrace).ev = ev
 }
 
-func (e *Engine) obsSend(c *shardCtx, at sim.Time, from, to topology.NodeID, m *protocol.Message) {
+// observe hands the observer one message event: kind says whether the
+// copy from → to was sent, delivered (from is then not reported) or
+// dropped for reason.
+func (e *Engine) observe(c *shardCtx, kind uint8, at sim.Time, from, to topology.NodeID,
+	m *protocol.Message, reason string) {
 	if e.cfg.Observer == nil {
 		return
 	}
-	if c == nil || e.inGlobal || e.inline {
+	if !e.direct(c, e.inline) {
+		r := c.buffer(kind)
+		r.at, r.node, r.peer, r.m, r.reason = at, from, to, *m, reason
+		return
+	}
+	switch kind {
+	case emitSendObs:
 		e.cfg.Observer.OnSend(at, from, to, *m)
-		return
-	}
-	c.emits = append(c.emits, emitRec{key: c.emitKey(), idx: c.emitIdx,
-		kind: emitSendObs, at: at, node: from, peer: to, m: *m})
-	c.emitIdx++
-}
-
-func (e *Engine) obsDeliver(c *shardCtx, at sim.Time, to topology.NodeID, m *protocol.Message) {
-	if e.cfg.Observer == nil {
-		return
-	}
-	if c == nil || e.inGlobal || e.inline {
+	case emitDeliverObs:
 		e.cfg.Observer.OnDeliver(at, to, *m)
-		return
-	}
-	c.emits = append(c.emits, emitRec{key: c.emitKey(), idx: c.emitIdx,
-		kind: emitDeliverObs, at: at, node: to, m: *m})
-	c.emitIdx++
-}
-
-func (e *Engine) obsDrop(c *shardCtx, at sim.Time, from, to topology.NodeID, m *protocol.Message, reason string) {
-	if e.cfg.Observer == nil {
-		return
-	}
-	if c == nil || e.inGlobal || e.inline {
+	case emitDropObs:
 		e.cfg.Observer.OnDrop(at, from, to, *m, reason)
-		return
 	}
-	c.emits = append(c.emits, emitRec{key: c.emitKey(), idx: c.emitIdx,
-		kind: emitDropObs, at: at, node: from, peer: to, m: *m, reason: reason})
-	c.emitIdx++
 }
 
 // outcomeCtx reports a task's final fate. Sharded runs always buffer —
@@ -210,31 +200,12 @@ func (e *Engine) outcomeCtx(c *shardCtx, t workload.Task, admitted bool) {
 	if e.cfg.OnOutcome == nil {
 		return
 	}
-	if c == nil || e.inGlobal || e.shards == 1 {
+	if e.direct(c, e.shards == 1) {
 		e.cfg.OnOutcome(t, admitted)
 		return
 	}
-	c.outcomes = append(c.outcomes, outcomeRec{key: c.emitKey(), idx: c.emitIdx,
-		task: t, admitted: admitted})
-	c.emitIdx++
-}
-
-// runSharded is Engine.Run's parallel body: drive arrivals to Duration,
-// then settle, both under the phase coordinator. Cancellation and
-// progress land only at barriers — between phases every worker is idle
-// and per-node state quiescent, so a checkpoint there never races a
-// firing event and never perturbs the canonical event order.
-func (e *Engine) runSharded(ctx context.Context, src workload.Source) {
-	e.startWorkers()
-	defer e.stopWorkers()
-	e.pullSrc = src
-	e.pull, e.pullOK = src.Next()
-	if !e.coordinate(ctx, e.cfg.Duration) {
-		return
-	}
-	// settleEnd reads the live graph, so compute it — like the
-	// single-shard path — only after the measurement window closed.
-	e.coordinate(ctx, e.settleEnd())
+	r := c.buffer(emitOutcome)
+	r.task, r.admitted = t, admitted
 }
 
 func (e *Engine) startWorkers() {
@@ -259,21 +230,23 @@ func (e *Engine) stopWorkers() {
 // coordinate runs the conservative phase loop until every queue and the
 // arrival stream are exhausted up to `until`, leaving all clocks at
 // exactly `until` (mirroring Scheduler.RunUntil, which fires events with
-// timestamps ≤ end). It reports false when the context cancelled the
-// loop at a barrier; the clocks then rest wherever the last phase left
-// them and no further events fire.
+// timestamps ≤ end). Cancellation and progress land only at barriers —
+// between phases every worker is idle and per-node state quiescent, so
+// a checkpoint there never races a firing event and never perturbs the
+// canonical event order. It reports false when the context cancelled
+// the loop at a barrier; the clocks then rest wherever the last phase
+// left them and no further events fire.
 func (e *Engine) coordinate(ctx context.Context, until sim.Time) bool {
 	// Checkpoints (progress + cancellation polls) ride the barrier the
 	// phase loop already takes; the stride only throttles how often —
 	// barriers can be far more frequent than anyone wants callbacks.
-	check := e.needsCheckpoints(ctx)
 	step := e.checkpointEvery()
 	nextCk := e.sched.Now() + step
 	// endKey admits every real event at `until` (real namespaces are all
 	// < MaxInt32), exactly like RunUntil's inclusive boundary.
 	endKey := sim.EventKey{When: until, Src: math.MaxInt32, Seq: math.MaxUint64}
 	for {
-		if check && e.sched.Now() >= nextCk {
+		if e.sched.Now() >= nextCk {
 			if !e.checkpoint(ctx, e.sched.Now()) {
 				return false
 			}
@@ -299,10 +272,7 @@ func (e *Engine) coordinate(ctx context.Context, until sim.Time) bool {
 		}
 		if !have || tmin > until {
 			e.advanceAll(until)
-			if check {
-				return e.checkpoint(ctx, until)
-			}
-			return true
+			return e.checkpoint(ctx, until)
 		}
 
 		// The phase horizon: min-pending + lookahead, capped by the next
@@ -442,52 +412,33 @@ func (e *Engine) flushMail() {
 // (emitting-event key, emission index) order — the exact sequence the
 // single-shard kernel would have produced inline.
 func (e *Engine) flushBuffers() {
-	if !e.inline {
-		s := e.emitScratch[:0]
-		for _, c := range e.ctxs {
-			s = append(s, c.emits...)
-			c.emits = c.emits[:0]
-		}
-		sort.Slice(s, func(i, j int) bool {
-			if s[i].key != s[j].key {
-				return s[i].key.Less(s[j].key)
-			}
-			return s[i].idx < s[j].idx
-		})
-		for i := range s {
-			r := &s[i]
-			switch r.kind {
-			case emitTrace:
-				e.cfg.Trace.Record(r.ev)
-			case emitSendObs:
-				e.cfg.Observer.OnSend(r.at, r.node, r.peer, r.m)
-			case emitDeliverObs:
-				e.cfg.Observer.OnDeliver(r.at, r.node, r.m)
-			case emitDropObs:
-				e.cfg.Observer.OnDrop(r.at, r.node, r.peer, r.m, r.reason)
-			}
-			*r = emitRec{} // drop Message view references
-		}
-		e.emitScratch = s[:0]
-	}
-	o := e.outScratch[:0]
+	s := e.emitScratch[:0]
 	for _, c := range e.ctxs {
-		o = append(o, c.outcomes...)
-		c.outcomes = c.outcomes[:0]
+		s = append(s, c.emits...)
+		c.emits = c.emits[:0]
 	}
-	if len(o) > 0 {
-		sort.Slice(o, func(i, j int) bool {
-			if o[i].key != o[j].key {
-				return o[i].key.Less(o[j].key)
-			}
-			return o[i].idx < o[j].idx
-		})
-		for i := range o {
-			e.cfg.OnOutcome(o[i].task, o[i].admitted)
-			o[i] = outcomeRec{}
+	if len(s) == 0 {
+		return
+	}
+	sort.Slice(s, func(i, j int) bool {
+		if s[i].key != s[j].key {
+			return s[i].key.Less(s[j].key)
 		}
+		return s[i].idx < s[j].idx
+	})
+	for i := range s {
+		r := &s[i] // re-emitted from the coordinator's context: nil
+		switch r.kind {
+		case emitTrace:
+			e.traceCtx(nil, r.ev)
+		case emitOutcome:
+			e.outcomeCtx(nil, r.task, r.admitted)
+		default:
+			e.observe(nil, r.kind, r.at, r.node, r.peer, &r.m, r.reason)
+		}
+		*r = emitRec{} // drop Message view references
 	}
-	e.outScratch = o[:0]
+	e.emitScratch = s[:0]
 }
 
 // arrivalEv is a pooled runner carrying one pre-pulled, pre-resolved

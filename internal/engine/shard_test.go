@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -22,6 +23,9 @@ type seqRecorder struct {
 	traces   []trace.Event
 	msgs     []msgRec
 	outcomes []outcomeSum
+	// merged is the one log a consumer of both Trace and OnOutcome keeps:
+	// 't' per trace event, 'o' per outcome, in callback order.
+	merged []byte
 }
 
 type msgRec struct {
@@ -40,7 +44,10 @@ type outcomeSum struct {
 	admitted bool
 }
 
-func (r *seqRecorder) Record(ev trace.Event) { r.traces = append(r.traces, ev) }
+func (r *seqRecorder) Record(ev trace.Event) {
+	r.traces = append(r.traces, ev)
+	r.merged = append(r.merged, 't')
+}
 
 func (r *seqRecorder) OnSend(at sim.Time, from, to topology.NodeID, m protocol.Message) {
 	r.msgs = append(r.msgs, msgRec{kind: "send", at: at, from: from, to: to, mkind: m.Kind})
@@ -57,6 +64,7 @@ func (r *seqRecorder) OnInject(at sim.Time, id topology.NodeID, size float64) {
 
 func (r *seqRecorder) onOutcome(t workload.Task, admitted bool) {
 	r.outcomes = append(r.outcomes, outcomeSum{arrive: t.Arrive, node: t.Node, size: t.Size, admitted: admitted})
+	r.merged = append(r.merged, 'o')
 }
 
 // runShardScenario drives one adversarial fixed-seed scenario — loss,
@@ -130,6 +138,23 @@ func TestShardedRunByteIdentical(t *testing.T) {
 			t.Fatalf("shards=%d: observer sequence diverged (%d vs %d entries)",
 				shards, len(got.msgs), len(ref.msgs))
 		}
+	}
+}
+
+// Buffered hooks replay as one sequence: a consumer feeding one log from
+// both Trace and OnOutcome sees a task's outcome between the trace
+// events around it, as on one shard — not after the phase's last trace
+// event, which is where a second buffer with its own sort put it.
+func TestShardedReplayInterleavesOutcomesWithTrace(t *testing.T) {
+	ref, _, _ := runShardScenario(t, 1)
+	got, _, _ := runShardScenario(t, 2)
+	if !bytes.Equal(got.merged, ref.merged) {
+		i := 0
+		for i < len(got.merged) && i < len(ref.merged) && got.merged[i] == ref.merged[i] {
+			i++
+		}
+		t.Fatalf("trace/outcome interleaving diverged at callback %d of %d (2 shards: %d)",
+			i, len(ref.merged), len(got.merged))
 	}
 }
 

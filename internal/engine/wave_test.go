@@ -199,15 +199,15 @@ func TestShardWaveEmissionsCarryPerMessageKeys(t *testing.T) {
 				t.Fatalf("unexpected emission %+v", r)
 			}
 			want := sim.EventKey{
-				When: cfg.HopDelay * sim.Time(cfg.Graph.Dist(12, r.node)),
+				When: cfg.HopDelay * sim.Time(cfg.Graph.Dist(12, r.peer)),
 				Src:  12,
-				Seq:  seq0 + uint64(r.node), // ascending-ID send order…
+				Seq:  seq0 + uint64(r.peer), // ascending-ID send order…
 			}
-			if r.node > 12 {
+			if r.peer > 12 {
 				want.Seq-- // …which skips the sender itself
 			}
 			if r.key != want {
-				t.Fatalf("delivery to %d stamped %+v, want %+v", r.node, r.key, want)
+				t.Fatalf("delivery to %d stamped %+v, want %+v", r.peer, r.key, want)
 			}
 			keys = append(keys, r.key)
 		}

@@ -41,28 +41,6 @@ func (s *Stream) Derive(name string) *Stream {
 	return New(int64(h.Sum64()))
 }
 
-// DeriveIndexed returns the i-th member of a named family of child
-// streams. Unlike calling Derive in a loop, it draws exactly one parent
-// value regardless of i, so sibling families derived afterwards see the
-// same parent state no matter how many indexed children were taken —
-// and unlike formatting the index into the name, it allocates nothing.
-func (s *Stream) DeriveIndexed(name string, i int) *Stream {
-	h := fnv.New64a()
-	var buf [8]byte
-	v := s.r.Uint64()
-	for k := range buf {
-		buf[k] = byte(v >> (8 * k))
-	}
-	h.Write(buf[:])
-	h.Write([]byte(name))
-	u := uint64(i)
-	for k := range buf {
-		buf[k] = byte(u >> (8 * k))
-	}
-	h.Write(buf[:])
-	return New(int64(h.Sum64()))
-}
-
 // Light is a compact splittable generator (xorshift128+, 16 bytes of
 // state) for per-entity noise sources that would be too numerous for
 // full Streams: math/rand's source holds ~5 KB of state, so a
@@ -184,9 +162,6 @@ func (s *Stream) Bernoulli(p float64) bool {
 
 // Perm returns a random permutation of [0, n).
 func (s *Stream) Perm(n int) []int { return s.r.Perm(n) }
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (s *Stream) Shuffle(n int, swap func(i, j int)) { s.r.Shuffle(n, swap) }
 
 // Pareto returns a bounded Pareto-ish heavy-tailed variate with the given
 // shape and minimum. Used by extension workloads to stress discovery under
