@@ -5,9 +5,12 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -19,6 +22,7 @@ var (
 	makeInProse   = regexp.MustCompile("`make ([a-z][a-z0-9-]*)")
 	makeInFence   = regexp.MustCompile(`^\s*make ([a-z][a-z0-9-]*)`)
 	cmdPath       = regexp.MustCompile(`\bcmd/([a-z][a-z0-9-]*)`)
+	resultsFile   = regexp.MustCompile("`results/([a-z0-9_]+\\.txt)`")
 )
 
 // The docs that teach the workflow may only name things that exist:
@@ -61,6 +65,66 @@ func TestDocsNameRealTargetsAndBinaries(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// A number quoted in an EXPERIMENTS.md table must be in the results/
+// file it was read from: within a "## " section, every numeric cell of
+// a markdown table has to equal some number of the results file named
+// most recently before the table, after the rounding the doc applied
+// (fewer decimals, comma-grouped thousands, bold). Tables in sections
+// that name no results file (benchmark budgets, tolerance bands) are
+// not results tables and are skipped. Regenerating a table without
+// re-reading the prose around it fails here.
+func TestExperimentsTablesQuoteResults(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join(repoRoot, "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	numbers := map[string][]float64{}              // results file -> every number in it
+	plain := strings.NewReplacer("*", "", ",", "") // bold and digit grouping off
+	source, checked := "", 0
+	for i, line := range strings.Split(string(raw), "\n") {
+		if strings.HasPrefix(line, "## ") {
+			source = ""
+		}
+		if m := resultsFile.FindAllStringSubmatch(line, -1); m != nil {
+			source = m[len(m)-1][1]
+		}
+		if !strings.HasPrefix(line, "|") || source == "" {
+			continue
+		}
+		if _, ok := numbers[source]; !ok {
+			file, err := os.ReadFile(filepath.Join(resultsDir, source))
+			if err != nil {
+				t.Fatalf("EXPERIMENTS.md:%d: %v", i+1, err)
+			}
+			for _, f := range strings.Fields(string(file)) {
+				if v, err := strconv.ParseFloat(f, 64); err == nil {
+					numbers[source] = append(numbers[source], v)
+				}
+			}
+		}
+		for _, cell := range strings.Split(strings.Trim(line, "|"), "|") {
+			text := plain.Replace(strings.TrimSpace(cell))
+			quoted, err := strconv.ParseFloat(text, 64)
+			if err != nil {
+				continue
+			}
+			decimals := 0
+			if _, frac, ok := strings.Cut(text, "."); ok {
+				decimals = len(frac)
+			}
+			half := 0.5*math.Pow(10, -float64(decimals)) + 1e-9
+			if !slices.ContainsFunc(numbers[source], func(v float64) bool { return math.Abs(v-quoted) <= half }) {
+				t.Errorf("EXPERIMENTS.md:%d quotes %s, which rounds from no number in results/%s",
+					i+1, strings.TrimSpace(cell), source)
+			}
+			checked++
+		}
+	}
+	if checked < 100 {
+		t.Fatalf("checked only %d table cells; the section or table matching has stopped seeing EXPERIMENTS.md", checked)
 	}
 }
 

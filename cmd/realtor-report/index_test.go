@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"realtor/internal/experiment"
+	"realtor/internal/protocol"
 )
 
 const resultsDir = "../../results"
@@ -61,34 +62,69 @@ func TestResultsIndexMatchesDirectory(t *testing.T) {
 	}
 }
 
+// leadingRungs regenerates, for the two ladders whose top rungs are too
+// tall for a unit test, the table of the rungs that fit: scale_large
+// through its 10 000-node row, discovery's 2 500-node block. Both run
+// on the sharded kernel while `make results` writes with the classic
+// one, so equality with the committed bytes is also the cross-shard
+// proof at study scale. `make results-check` covers the remaining rungs
+// and these two files' '#' headers.
+var leadingRungs = map[string]func() string{
+	"scale_large.txt": func() string {
+		st := experiment.DefaultScaleLarge()
+		st.Sides = st.Sides[:6]
+		st.Shards = 2
+		realtor := experiment.StandardProtocols(protocol.DefaultConfig())[4]
+		return experiment.ScaleTable(experiment.RunScaleLarge(st, realtor, 1))
+	},
+	"discovery.txt": func() string {
+		st := experiment.DefaultDiscovery()
+		st.Sides = st.Sides[:1]
+		return experiment.DiscoveryTable(experiment.RunDiscovery(st, 4))
+	},
+}
+
 // The committed tables are pinned to the code: regenerating a study
-// must reproduce its results file byte for byte. Only the cheap entries
-// are regenerated (about 3 s together); figures_5_8, gossip and
-// scale_large take longer, scale_xl and discovery carry wall-clock
-// columns, and the live files are wall-clock runs.
+// must reproduce its results file byte for byte. Every catalogue file is
+// regenerated in full except the leadingRungs entries, whose output
+// must be a byte prefix of the committed table below its '#' header.
+// The live files are wall-clock runs and stay out. Measured at PR 22:
+// 22 s on 2 cores, nearly all of it the two λ-sweeps (figures_5_8,
+// gossip) and discovery's block.
 func TestCheapTablesMatchCommittedResults(t *testing.T) {
 	if testing.Short() {
-		t.Skip("regenerates ten result tables")
+		t.Skip("regenerates every simulator result table")
 	}
-	for _, name := range []string{"ablation", "loss", "retries", "community", "security",
-		"federation", "partition", "scale", "policy", "attack"} {
-		st, ok := experiment.Lookup(name)
-		if !ok {
-			t.Errorf("no study named %s in the catalogue", name)
+	for _, st := range experiment.Catalogue() {
+		if st.File == "" {
 			continue
 		}
-		got, err := st.Run(experiment.Options{Seed: 1})
-		if err != nil {
-			t.Errorf("%s: %v", name, err)
-			continue
-		}
-		want, err := os.ReadFile(filepath.Join(resultsDir, st.File))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != string(want) {
-			t.Errorf("results/%s is stale: regenerate with `go run ./cmd/realtor-sim -fig %s > results/%s`\ngot:\n%s\nwant:\n%s",
-				st.File, st.Fig, st.File, got, want)
-		}
+		t.Run(st.Fig, func(t *testing.T) {
+			raw, err := os.ReadFile(filepath.Join(resultsDir, st.File))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := string(raw)
+			stale := func(got string) {
+				t.Errorf("results/%s is stale: regenerate with `go run ./cmd/realtor-sim -fig %s > results/%s`\ngot:\n%s\nwant:\n%s",
+					st.File, st.Fig, st.File, got, want)
+			}
+			if lead, ok := leadingRungs[st.File]; ok {
+				for strings.HasPrefix(want, "#") {
+					_, want, _ = strings.Cut(want, "\n")
+				}
+				if got := lead(); got == "" || !strings.HasPrefix(want, got) {
+					stale(got)
+				}
+				return
+			}
+			got, err := st.Run(experiment.Options{Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				stale(got)
+			}
+		})
 	}
 }

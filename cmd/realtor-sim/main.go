@@ -14,9 +14,7 @@
 //	realtor-sim -fig 8                  # migration rate vs λ
 //	realtor-sim -fig all                # figures 5-8 in one sweep
 //	realtor-sim -fig scale              # per-node overhead vs system size
-//	realtor-sim -fig scale-large        # large meshes, up to 100x100 (10k nodes)
-//	realtor-sim -fig scale-xl           # 10k-100k nodes, shard counts 1/2/4/8
-//	                                    # with per-count wall time and speedup
+//	realtor-sim -fig scale-large        # large meshes, up to 316x316 (~100k nodes)
 //	realtor-sim -fig discovery          # flood-REALTOR vs DHT vs hierarchical
 //	                                    # vs federation at 2.5k-100k nodes
 //	realtor-sim -fig discovery -quick   # CI-sized discovery sweep (seconds)
@@ -40,7 +38,7 @@
 //	realtor-sim -parallel 8             # 8 worker goroutines (default GOMAXPROCS)
 //	realtor-sim -parallel 1             # sequential reference run (same output)
 //	realtor-sim -shards 4               # conservative-parallel kernel, 4 shards
-//	                                    # (same output; see results/scale_xl.txt for wall time)
+//	                                    # (same output; `go run ./bench -workload shard-10k` times it)
 //	realtor-sim -kernelstats            # one diagnostic run + scheduler counters
 //	realtor-sim -trace                  # one diagnostic run, its event trace pretty-printed
 //	realtor-sim -trace -proto Pull-.9   # another protocol

@@ -55,7 +55,6 @@ func Catalogue() []Study {
 		{"8", "", figuresReport("8")},
 		{"scale", "scale.txt", scaleReport},
 		{"scale-large", "scale_large.txt", scaleLargeReport},
-		{"scale-xl", "scale_xl.txt", scaleXLReport},
 		{"discovery", "discovery.txt", discoveryReport},
 		{"ab", "ablation.txt", func(o Options) (string, error) {
 			return "# A3 Algorithm H alpha/beta at λ=7\n" + AblationTable(RunAlphaBeta(
@@ -199,32 +198,9 @@ func scaleLargeReport(o Options) (string, error) {
 		ScaleTable(RunScaleLarge(st, realtor(), o.Seed))), nil
 }
 
-// scaleXLReport's metric columns are deterministic (RunScaleXL verifies
-// them byte-identical across shard counts), but its wall/speedup
-// columns are wall-clock measurements — with discovery's wall column,
-// the one part of the results tree expected to differ between machines.
-func scaleXLReport(o Options) (string, error) {
-	st := DefaultScaleXL()
-	if o.Quick {
-		st.Sides = []int{100}
-		st.ShardCounts = []int{1, 2}
-	}
-	pts, err := RunScaleXL(st, realtor(), o.Seed)
-	if err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("# A2-XL sharded kernel on meshes of 10k to ~100k nodes, per-node\n"+
-		"# load %g tasks/s, %d-hop flood scope. Stats columns verified\n"+
-		"# byte-identical across shard counts; wall/speedup columns vary\n"+
-		"# with the machine (see EXPERIMENTS.md A2-XL).\n%s",
-		st.PerNodeLambda, st.Radius, XLTable(pts)), nil
-}
-
-// discoveryReport runs D1. The full study is hours of single-cell flood
-// simulation at ~100k nodes, so Quick drops to meshes that finish in
-// seconds (the CI smoke run); either way every cell is verified
-// byte-identical across shard counts before anything is reported. The
-// study carries its own seed.
+// discoveryReport runs D1. The full study ends on a 30-minute flood
+// cell at ~100k nodes, so Quick drops to meshes that finish in seconds.
+// The study carries its own seed.
 func discoveryReport(o Options) (string, error) {
 	st := DefaultDiscovery()
 	if o.Quick {
@@ -232,24 +208,17 @@ func discoveryReport(o Options) (string, error) {
 		st.Warmups = []sim.Time{10, 10}
 		st.Durations = []sim.Time{60, 50}
 		st.HotNodes = []int{4, 4}
-		st.VerifyShards = []int{1, 2, 4}
-	}
-	pts, err := RunDiscovery(st)
-	if err != nil {
-		return "", err
 	}
 	return "# Discovery head-to-head (D1): flood-REALTOR vs Chord-style DHT vs\n" +
 		"# k-level hierarchical REALTOR vs one-level federation, under none/\n" +
 		"# kill/exhaust/churn. cost/task is message units per offered task;\n" +
 		"# vsREALTOR is the ratio to flood-REALTOR under the same size and\n" +
-		fmt.Sprintf("# attack. Every cell verified byte-identical at shards %v before\n", st.VerifyShards) +
-		"# printing; the wall column is a measurement and varies per machine.\n" +
-		"# A cost of 0.0 (vsREALTOR \"-\") means no node crossed the help\n" +
-		"# threshold inside that cell's window, so the demand-driven\n" +
-		"# protocols sent nothing; at the largest size only the exhaust\n" +
-		"# attack builds that pressure within the short window, while the\n" +
-		"# DHT pays its standing directory upkeep regardless of demand.\n" +
-		DiscoveryTable(pts), nil
+		"# attack. A cost of 0.0 (vsREALTOR \"-\") means no node crossed the\n" +
+		"# help threshold inside that cell's window, so the demand-driven\n" +
+		"# protocols sent nothing; at the largest size only the exhaust attack\n" +
+		"# builds that pressure within the short window, while the DHT pays\n" +
+		"# its standing directory upkeep regardless of demand.\n" +
+		DiscoveryTable(RunDiscovery(st, o.Shards)), nil
 }
 
 // policyReport runs the traffic-protection head-to-head (DESIGN.md §11)

@@ -2,15 +2,13 @@
 // sub-linear contenders — the Chord-style DHT overlay and k-level
 // hierarchical REALTOR — plus the one-level federation baseline, swept
 // across mesh sizes from 2.5k to ~100k nodes and four adverse
-// conditions. Every cell is run at every configured shard count and the
-// study refuses to report unless the statistics (including the trace-
-// derived latency accumulator) are byte-identical across them.
+// conditions. Every cell is one deterministic engine run; the table is
+// the same bytes at any shard count (trace-derived latency included).
 package experiment
 
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"realtor/internal/attack"
 	"realtor/internal/core"
@@ -33,11 +31,10 @@ import (
 // message units — a short window is plenty to separate O(N) from
 // O(log N) per-task cost.
 type DiscoveryStudy struct {
-	Sides        []int      // mesh side lengths (n = side²)
-	Warmups      []sim.Time // per side
-	Durations    []sim.Time // per side
-	HotNodes     []int      // per side: how many overload hot spots
-	VerifyShards []int      // shard counts every cell must agree across; first entry is reported
+	Sides     []int      // mesh side lengths (n = side²)
+	Warmups   []sim.Time // per side
+	Durations []sim.Time // per side
+	HotNodes  []int      // per side: how many overload hot spots
 
 	MeanSize    float64 // mean task size (seconds of work)
 	HotTaskRate float64 // tasks/s aimed at each hot node
@@ -46,20 +43,19 @@ type DiscoveryStudy struct {
 }
 
 // DefaultDiscovery returns the configuration behind results/discovery.txt:
-// 2.5k / 10k / ~100k nodes, shard counts 1/2/4/8, and a hot-spot load
-// that drives a handful of nodes over the help threshold so discovery
-// traffic — not arrival bookkeeping — dominates the message bill.
+// 2.5k / 10k / ~100k nodes and a hot-spot load that drives a handful of
+// nodes over the help threshold so discovery traffic — not arrival
+// bookkeeping — dominates the message bill.
 func DefaultDiscovery() DiscoveryStudy {
 	return DiscoveryStudy{
-		Sides:        []int{50, 100, 316},
-		Warmups:      []sim.Time{10, 10, 5},
-		Durations:    []sim.Time{70, 50, 17},
-		HotNodes:     []int{8, 8, 4},
-		VerifyShards: []int{1, 2, 4, 8},
-		MeanSize:     2,
-		HotTaskRate:  2,
-		Background:   2,
-		Seed:         8,
+		Sides:       []int{50, 100, 316},
+		Warmups:     []sim.Time{10, 10, 5},
+		Durations:   []sim.Time{70, 50, 17},
+		HotNodes:    []int{8, 8, 4},
+		MeanSize:    2,
+		HotTaskRate: 2,
+		Background:  2,
+		Seed:        8,
 	}
 }
 
@@ -194,9 +190,9 @@ type latKey struct {
 
 // latencyTracker derives discovery latency from the trace stream:
 // arrival → admit-local / migrate-ok, per task. Trace replay is
-// canonical at any shard count, so the accumulated sum participates in
-// the byte-identity check. Only tasks that *arrived* inside the
-// measurement window count, matching the engine's own stats gating.
+// canonical at any shard count, so the accumulated sum is too. Only
+// tasks that *arrived* inside the measurement window count, matching
+// the engine's own stats gating.
 type latencyTracker struct {
 	warmup, duration sim.Time
 	pending          map[latKey][]sim.Time
@@ -246,8 +242,7 @@ func (l *latencyTracker) Mean() float64 {
 	return l.sum / float64(l.n)
 }
 
-// DiscoveryPoint is one (size, protocol, attack) cell, reported from the
-// first configured shard count after all of them agreed.
+// DiscoveryPoint is one (size, protocol, attack) cell.
 type DiscoveryPoint struct {
 	Nodes    int
 	Protocol string
@@ -257,49 +252,30 @@ type DiscoveryPoint struct {
 	CostPerTask float64 // message units per offered task
 	Admission   float64
 	MeanLatency float64 // seconds from arrival to placement
-	Elapsed     time.Duration
 }
 
-// RunDiscovery executes the study. Cells run sequentially — the 100k
-// rows are memory-heavy enough that fanning out would thrash — and every
-// cell is executed once per VerifyShards entry; any divergence in the
-// canonical statistics (engine stats + latency accumulator) aborts the
-// study with an error rather than reporting from a broken kernel.
-func RunDiscovery(st DiscoveryStudy) ([]DiscoveryPoint, error) {
-	if len(st.VerifyShards) == 0 {
-		st.VerifyShards = []int{1}
-	}
+// RunDiscovery executes the study on the given event kernel (shards ≤ 1
+// is the classic scheduler; the points are identical at any value).
+// Cells run sequentially — the 100k rows are memory-heavy enough that
+// fanning out would thrash.
+func RunDiscovery(st DiscoveryStudy, shards int) []DiscoveryPoint {
 	var out []DiscoveryPoint
 	for si, side := range st.Sides {
 		g := topology.Mesh(side, side)
 		n := g.N()
 		warmup, duration := st.Warmups[si], st.Durations[si]
-		hot := st.HotNodes[si]
 		for _, c := range discoveryContenders(side) {
 			for _, atk := range discoveryAttacks(n, warmup, duration, st.Seed) {
-				var point DiscoveryPoint
-				want := ""
-				for i, shards := range st.VerifyShards {
-					stats, lat, elapsed := runDiscoveryCell(st, g, warmup, duration, hot, c, atk.Scen, shards)
-					rendered := fmt.Sprintf("%+v|lat=%.9g/%d", stats, lat.sum, lat.n)
-					if i == 0 {
-						want = rendered
-						point = discoveryPoint(n, c.Label, atk.Label, stats, lat, elapsed)
-					} else if rendered != want {
-						return nil, fmt.Errorf(
-							"experiment: %d nodes, %s×%s, %d shards diverged from %d shards:\n got %s\nwant %s",
-							n, c.Label, atk.Label, shards, st.VerifyShards[0], rendered, want)
-					}
-				}
-				out = append(out, point)
+				stats, lat := runDiscoveryCell(st, g, warmup, duration, st.HotNodes[si], c, atk.Scen, shards)
+				out = append(out, discoveryPoint(n, c.Label, atk.Label, stats, lat))
 			}
 		}
 	}
-	return out, nil
+	return out
 }
 
 // discoveryPoint reduces one cell's run to its table row.
-func discoveryPoint(n int, proto, atk string, stats metrics.RunStats, lat *latencyTracker, elapsed time.Duration) DiscoveryPoint {
+func discoveryPoint(n int, proto, atk string, stats metrics.RunStats, lat *latencyTracker) DiscoveryPoint {
 	p := DiscoveryPoint{
 		Nodes:       n,
 		Protocol:    proto,
@@ -307,7 +283,6 @@ func discoveryPoint(n int, proto, atk string, stats metrics.RunStats, lat *laten
 		Stats:       stats,
 		Admission:   stats.AdmissionProbability(),
 		MeanLatency: lat.Mean(),
-		Elapsed:     elapsed,
 	}
 	if stats.Offered > 0 {
 		p.CostPerTask = stats.MessageUnits / float64(stats.Offered)
@@ -316,7 +291,7 @@ func discoveryPoint(n int, proto, atk string, stats metrics.RunStats, lat *laten
 }
 
 func runDiscoveryCell(st DiscoveryStudy, g *topology.Graph, warmup, duration sim.Time,
-	hot int, c discoveryContender, scen attack.Scenario, shards int) (metrics.RunStats, *latencyTracker, time.Duration) {
+	hot int, c discoveryContender, scen attack.Scenario, shards int) (metrics.RunStats, *latencyTracker) {
 	n := g.N()
 	lat := newLatencyTracker(warmup, duration)
 	ecfg := PaperCell(g, warmup, duration, st.Seed)
@@ -342,9 +317,7 @@ func runDiscoveryCell(st DiscoveryStudy, g *topology.Graph, warmup, duration sim
 		}
 		return topology.NodeID(pick.Intn(n))
 	}
-	start := time.Now()
-	stats := e.Run(src)
-	return stats, lat, time.Since(start)
+	return e.Run(src), lat
 }
 
 // DiscoveryTable renders the sweep grouped by mesh size, with each
@@ -367,17 +340,16 @@ func DiscoveryTable(points []DiscoveryPoint) string {
 				b.WriteString("\n")
 			}
 			fmt.Fprintf(&b, "== %d nodes ==\n", p.Nodes)
-			fmt.Fprintf(&b, "%-10s%-10s%-14s%-12s%-11s%-11s%-9s\n",
-				"protocol", "attack", "cost/task", "vsREALTOR", "admission", "latency", "wall")
+			fmt.Fprintf(&b, "%-10s%-10s%-14s%-12s%-11s%-11s\n",
+				"protocol", "attack", "cost/task", "vsREALTOR", "admission", "latency")
 			lastNodes = p.Nodes
 		}
 		ratio := "-"
 		if r := ref[fmt.Sprintf("%d/%s", p.Nodes, p.Attack)]; r > 0 && p.CostPerTask > 0 {
 			ratio = fmt.Sprintf("%.4f", p.CostPerTask/r)
 		}
-		fmt.Fprintf(&b, "%-10s%-10s%-14.1f%-12s%-11.4f%-11.4f%-9s\n",
-			p.Protocol, p.Attack, p.CostPerTask, ratio, p.Admission, p.MeanLatency,
-			p.Elapsed.Round(time.Millisecond))
+		fmt.Fprintf(&b, "%-10s%-10s%-14.1f%-12s%-11.4f%-11.4f\n",
+			p.Protocol, p.Attack, p.CostPerTask, ratio, p.Admission, p.MeanLatency)
 	}
 	return b.String()
 }

@@ -284,15 +284,14 @@ type ScalePoint struct {
 // grows — and what the large meshes (A2-L) need: system-wide floods at
 // N=2500 would measure the flood itself, not the protocol.
 type ScaleLargeStudy struct {
-	Sides         []int   // mesh side lengths (50 → 2500 nodes)
+	Sides         []int   // mesh side lengths (316 → 99 856 nodes)
 	PerNodeLambda float64 // arrivals/sec per node
 	Radius        int     // flood scope, hops; 0 = system-wide
 	Warmup        sim.Time
 	Duration      sim.Time
 	// Shards selects the event kernel: 0 or 1 runs the classic
 	// single-threaded scheduler, > 1 the conservative-parallel one.
-	// Results are byte-identical either way (DESIGN.md §10), so this
-	// only trades wall-clock time.
+	// Results are byte-identical either way (DESIGN.md §10).
 	Shards int
 }
 
@@ -309,12 +308,12 @@ func DefaultScale(radius int) ScaleLargeStudy {
 }
 
 // DefaultScaleLarge returns the study configuration behind
-// results/scale_large.txt: sides 10..100 (100 → 10 000 nodes), the same
-// per-node load and 2-hop scope as the committed A2(b) study, and a
-// shorter window — the point is scaling behaviour, not tight CIs.
+// results/scale_large.txt: sides 10..316 (100 → ~100 000 nodes), the
+// same per-node load and 2-hop scope as the committed A2(b) study, and
+// a shorter window — the point is scaling behaviour, not tight CIs.
 func DefaultScaleLarge() ScaleLargeStudy {
 	return ScaleLargeStudy{
-		Sides:         []int{10, 20, 30, 40, 50, 100},
+		Sides:         []int{10, 20, 30, 40, 50, 100, 200, 316},
 		PerNodeLambda: 0.18,
 		Radius:        2,
 		Warmup:        50,
@@ -322,31 +321,11 @@ func DefaultScaleLarge() ScaleLargeStudy {
 	}
 }
 
-// cell returns the engine setup of the study's cell on mesh g and the
-// Poisson rate that holds the per-node load constant there.
-func (st ScaleLargeStudy) cell(g *topology.Graph, seed int64) (engine.Config, float64) {
-	cfg := PaperCell(g, st.Warmup, st.Duration, seed)
-	cfg.FloodRadius = st.Radius
-	cfg.Shards = st.Shards
-	return cfg, st.PerNodeLambda * float64(g.N())
-}
-
-// point reduces one cell's statistics to its table row.
-func (st ScaleLargeStudy) point(g *topology.Graph, stats metrics.RunStats) ScalePoint {
-	return ScalePoint{
-		Nodes:            g.N(),
-		Links:            g.Links(),
-		UnitsPerNodeSec:  stats.MessageUnits / float64(g.N()) / float64(st.Duration-st.Warmup),
-		Admission:        stats.AdmissionProbability(),
-		UnitsTotal:       stats.MessageUnits,
-		HelpsPlusAdverts: stats.HelpMsgs + stats.AdvertMsgs,
-	}
-}
-
 // RunScaleLarge executes a scalability study for one protocol. Each
-// size is one deterministic engine run; sizes fan out over the
-// configured worker pool like every other study (byte-identical output
-// at any worker count).
+// size is one deterministic engine run, at the Poisson rate that holds
+// the per-node load constant there; sizes fan out over the configured
+// worker pool like every other study (byte-identical output at any
+// worker count).
 //
 // The large sides are the workload the incremental topology layer
 // exists for: at side 50 the old eager all-pairs snapshot costs O(V²·E)
@@ -356,8 +335,18 @@ func (st ScaleLargeStudy) point(g *topology.Graph, stats metrics.RunStats) Scale
 func RunScaleLarge(st ScaleLargeStudy, p Protocol, seed int64) []ScalePoint {
 	return collect(len(st.Sides), 0, func(i int) ScalePoint {
 		g := topology.Mesh(st.Sides[i], st.Sides[i])
-		cfg, lambda := st.cell(g, seed)
-		return st.point(g, newCell(cfg, p.Build).Run(PoissonSource(cfg, lambda)))
+		cfg := PaperCell(g, st.Warmup, st.Duration, seed)
+		cfg.FloodRadius = st.Radius
+		cfg.Shards = st.Shards
+		stats := newCell(cfg, p.Build).Run(PoissonSource(cfg, st.PerNodeLambda*float64(g.N())))
+		return ScalePoint{
+			Nodes:            g.N(),
+			Links:            g.Links(),
+			UnitsPerNodeSec:  stats.MessageUnits / float64(g.N()) / float64(st.Duration-st.Warmup),
+			Admission:        stats.AdmissionProbability(),
+			UnitsTotal:       stats.MessageUnits,
+			HelpsPlusAdverts: stats.HelpMsgs + stats.AdvertMsgs,
+		}
 	})
 }
 

@@ -16,13 +16,6 @@ import (
 // under I1–I11 (exact, slack 0) at once; a new study is covered by being
 // listed.
 //
-// Two entries are left out, because the oracle cannot audit them from
-// here: scale_xl and discovery run sharded cells. The oracle reads live
-// engine state per callback, so on a sharded engine it needs
-// engine.Config.InlineHooks (check.Hooks serialises the shard workers
-// that then call it), and these studies keep the ordered barrier replay
-// their own recorders depend on (ROADMAP, "studies through harness").
-//
 // Cells whose Discovery does not expose check.ProtocolState (no pledge
 // list, membership set or HELP interval to read) get only the
 // backend-level invariants — I5 task and message conservation, I6
@@ -36,6 +29,7 @@ func TestCatalogueCellsUnderOracle(t *testing.T) {
 		"attack.txt":      "four of the five contenders are the push/pull baselines",
 		"gossip.txt":      "Push-1 and the anti-entropy gossip comparator",
 		"federation.txt":  "federation.Discovery embeds REALTOR without forwarding its state",
+		"discovery.txt":   "HIER and FED embed REALTOR without forwarding its state; DHT exposes check.OverlayState instead (I4/I5-overlay)",
 	}
 	type audited struct {
 		e *engine.Engine
@@ -60,7 +54,7 @@ func TestCatalogueCellsUnderOracle(t *testing.T) {
 	defer func() { auditCell = nil }()
 
 	for _, s := range Catalogue() {
-		if s.File == "" || s.File == "scale_xl.txt" || s.File == "discovery.txt" {
+		if s.File == "" {
 			continue
 		}
 		cells = cells[:0]

@@ -45,14 +45,11 @@ func TestSweepDeterminismAcrossWorkers(t *testing.T) {
 
 // Every study routes through the same pool via the package-wide
 // parallelism, so every catalogue entry must produce identical bytes at
-// 1 and 8 workers — a new study is covered by being listed. Two entries
-// are left out: scale_xl and discovery run their cells sequentially by
-// design (never on the pool, so the worker count cannot reach them) and
-// print a wall-clock column that differs between any two runs.
+// 1 and 8 workers — a new study is covered by being listed.
 func TestStudiesDeterministicUnderParallelism(t *testing.T) {
 	defer SetParallelism(SetParallelism(1))
 	for _, s := range Catalogue() {
-		if s.File == "" || s.File == "scale_xl.txt" || s.File == "discovery.txt" {
+		if s.File == "" {
 			continue
 		}
 		o := Options{Seed: 3, Quick: true}

@@ -16,12 +16,11 @@ import (
 // SecurityResult is the A5 extension: admission of security-constrained
 // versus unconstrained tasks while part of the system is compromised.
 type SecurityResult struct {
-	Lambda            float64
-	SecureFraction    float64 // fraction of tasks requiring security ≥ 2
-	OverallAdmission  float64
-	SecureAdmission   float64 // constrained tasks
-	RelaxedAdmission  float64 // unconstrained tasks
-	SecureOnCompHosts uint64  // constrained tasks that ran on a compromised host (must be 0)
+	Lambda           float64
+	SecureFraction   float64 // fraction of tasks requiring security ≥ 2
+	OverallAdmission float64
+	SecureAdmission  float64 // constrained tasks
+	RelaxedAdmission float64 // unconstrained tasks
 }
 
 // RunSecurity runs the information-assurance scenario: on the 5×5 mesh,
@@ -30,7 +29,7 @@ type SecurityResult struct {
 // high-security nodes (downgrade to level 0) until t=600. Constrained
 // tasks arriving at compromised or low-security hosts must migrate to a
 // compliant host or be rejected — they may never run on a compromised
-// one.
+// one (the engine's attribute check; internal/engine tests it).
 func RunSecurity(lambda, secureFraction float64, seed int64) SecurityResult {
 	graph := topology.Mesh(5, 5)
 	attrs := make([]resource.Attrs, graph.N())
@@ -60,9 +59,6 @@ func RunSecurity(lambda, secureFraction float64, seed int64) SecurityResult {
 	e := newCell(ecfg, func() protocol.Discovery { return core.New(protocol.DefaultConfig()) })
 	attack.Downgrade{Targets: compromised, At: 300, Restore: 600, Security: 0}.Apply(e)
 
-	// Audit: sample compromised-host acceptance of secure work during the
-	// attack window by checking that constrained placements obey the
-	// attribute check (the engine enforces it; the counter proves it).
 	src := PoissonSource(ecfg, lambda)
 	mark := rng.New(seed).Derive("secure-mark")
 	classed := workload.NewMap(src, func(t workload.Task) workload.Task {
@@ -80,9 +76,6 @@ func RunSecurity(lambda, secureFraction float64, seed int64) SecurityResult {
 	if offered[0] > 0 {
 		res.RelaxedAdmission = float64(admitted[0]) / float64(offered[0])
 	}
-	// Engine-level enforcement makes this structurally zero; keep the
-	// field so the table states the invariant explicitly.
-	res.SecureOnCompHosts = 0
 	return res
 }
 

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"strings"
 	"testing"
 
 	"realtor/internal/protocol"
@@ -56,39 +55,19 @@ func TestScaleLargeShardInvariant(t *testing.T) {
 	}
 }
 
-// TestScaleXLVerifiesByteIdentity exercises the XL study's built-in
-// cross-kernel verification on a small mesh and checks the rendered
-// table carries one row per (side, shards) cell with speedups filled in.
-func TestScaleXLVerifiesByteIdentity(t *testing.T) {
-	st := ScaleXLStudy{
-		Sides:         []int{12},
-		ShardCounts:   []int{1, 2, 4},
-		PerNodeLambda: 0.1,
-		Radius:        2,
-		Warmup:        5,
-		Duration:      45,
+// TestDiscoveryShardInvariant pins it for the D1 head-to-head at its
+// -quick size: the DHT, hierarchical and federation overlays under
+// kill/exhaust/churn, with the trace-derived latency column riding the
+// barrier replay.
+func TestDiscoveryShardInvariant(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-protocol sweep, three times")
 	}
-	p := StandardProtocols(protocol.DefaultConfig())[4]
-	points, err := RunScaleXL(st, p, 11)
-	if err != nil {
-		t.Fatalf("RunScaleXL: %v", err)
-	}
-	if len(points) != 3 {
-		t.Fatalf("point count %d, want 3", len(points))
-	}
-	for _, pt := range points {
-		if pt.Stats != points[0].Stats {
-			t.Fatalf("shards=%d stats %s, want %s", pt.Shards, pt.Stats, points[0].Stats)
+	table := func(shards int) string { return DiscoveryTable(RunDiscovery(smallDiscovery(), shards)) }
+	want := table(1)
+	for _, shards := range []int{2, 4} {
+		if got := table(shards); got != want {
+			t.Fatalf("discovery table diverges at %d shards:\n got:\n%s\nwant:\n%s", shards, got, want)
 		}
-		if pt.Nodes != 144 || pt.Admission <= 0 {
-			t.Fatalf("implausible point %+v", pt)
-		}
-	}
-	table := XLTable(points)
-	if got := strings.Count(table, "\n"); got != 4 { // header + 3 rows
-		t.Fatalf("table has %d lines:\n%s", got, table)
-	}
-	if !strings.Contains(table, "1.00x") {
-		t.Fatalf("single-shard row missing unit speedup:\n%s", table)
 	}
 }
