@@ -64,11 +64,12 @@ fuzz:
 # Scenario-fuzzer smoke pass (CI gate, ~1 minute): a wide sweep of
 # generated scenarios through the invariant oracle + fast-vs-reference
 # differential, the metamorphic relations on a subset, and a mutation
-# run that must catch the seeded soft-state-expiry bug.
+# run that must catch the seeded soft-state-expiry bug. A failing seed
+# is written, shrunk, as the unblessed package scenarios/fuzz-<seed>.
 fuzz-smoke:
-	$(GO) run ./cmd/realtor-fuzz -seed 1 -n 500
-	$(GO) run ./cmd/realtor-fuzz -seed 1 -n 150 -meta
-	$(GO) run ./cmd/realtor-fuzz -seed 1 -n 100 -mutant
+	$(GO) run ./cmd/realtor-scen fuzz -seed 1 -n 500
+	$(GO) run ./cmd/realtor-scen fuzz -seed 1 -n 150 -meta
+	$(GO) run ./cmd/realtor-scen fuzz -seed 1 -n 100 -mutant expiry
 
 # Sharded-kernel smoke (CI gate, ~1 minute): the fuzz sweep — invariant
 # oracle plus fast-vs-reference differential — replayed on the
@@ -77,8 +78,8 @@ fuzz-smoke:
 # between this and the plain fuzz-smoke sweep means the sharded kernel
 # reordered events.
 shard-smoke:
-	$(GO) run ./cmd/realtor-fuzz -backend sim -shards 4 -n 50
-	$(GO) run ./cmd/realtor-fuzz -backend sim -shards 4 -n 50 -mutant
+	$(GO) run ./cmd/realtor-scen fuzz -backend sim -shards 4 -n 50
+	$(GO) run ./cmd/realtor-scen fuzz -backend sim -shards 4 -n 50 -mutant expiry
 
 # Policy-middleware smoke (CI gate, ~1 minute): generated scenarios with
 # the full traffic-protection stack forced on must stay oracle-clean
@@ -86,19 +87,20 @@ shard-smoke:
 # kernel, and the seeded miswired-breaker mutant must be caught by the
 # I10 audit.
 policy-smoke:
-	$(GO) run ./cmd/realtor-fuzz -seed 1 -n 200 -policy all
-	$(GO) run ./cmd/realtor-fuzz -backend sim -shards 4 -n 50 -policy all
-	$(GO) run ./cmd/realtor-fuzz -seed 1 -n 100 -mutant-breaker
+	$(GO) run ./cmd/realtor-scen fuzz -seed 1 -n 200 -policy all
+	$(GO) run ./cmd/realtor-scen fuzz -backend sim -shards 4 -n 50 -policy all
+	$(GO) run ./cmd/realtor-scen fuzz -seed 1 -n 100 -mutant breaker
 
 # Sim/live parity smoke (CI gate, well under 2 minutes): the invariant
 # oracle must stay silent on live-cluster replays of generated
 # scenarios, the seeded mutant must be caught on the live backend too,
 # and one fault-free scenario must agree across sim and live within the
-# documented tolerance bands (EXPERIMENTS.md V2) at a high clock scale.
+# documented tolerance bands (EXPERIMENTS.md V2) at the 200x clock scale
+# -parity runs its live leg at.
 parity-smoke:
-	$(GO) run ./cmd/realtor-fuzz -backend live -n 5
-	$(GO) run ./cmd/realtor-fuzz -backend live -n 10 -mutant
-	$(GO) run ./cmd/realtor-fuzz -parity -n 1 -seed 13 -scale 200
+	$(GO) run ./cmd/realtor-scen fuzz -backend live -n 5
+	$(GO) run ./cmd/realtor-scen fuzz -backend live -n 10 -mutant expiry
+	$(GO) run ./cmd/realtor-scen fuzz -parity -n 1 -seed 13
 
 # Scenario-package smoke (CI gate, well under a minute): every committed
 # package under scenarios/ gated on the sim backend at 1 and 4 shards —
@@ -155,10 +157,8 @@ results:
 
 # The committed simulator tables are what the code produces, top rungs
 # included: a full regeneration into a scratch directory compared file
-# by file (skipped: the three live-cluster tables, which are wall-clock
-# runs, and INDEX.md, whose committed line order is not the generator's
-# and which TestResultsIndexMatchesDirectory checks as a set), then the
-# two ladders again on the 4-shard kernel — `make results` writes with
+# by file, INDEX.md included (skipped: the three live-cluster tables,
+# which are wall-clock runs), then the two ladders again on the 4-shard kernel — `make results` writes with
 # the classic one, so equality is the cross-shard proof at full scale.
 # `go test ./cmd/realtor-report` pins every table but the ladders' top
 # rungs on every test run; this is for those. ≈ 50 min on 2 cores at
@@ -167,7 +167,7 @@ results:
 results-check:
 	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 		$(GO) run ./cmd/realtor-report -out "$$tmp" && \
-		diff -r -x INDEX.md -x figure_9.txt -x deadlines.txt -x live_attack.txt results "$$tmp"
+		diff -r -x figure_9.txt -x deadlines.txt -x live_attack.txt results "$$tmp"
 	$(GO) run ./cmd/realtor-sim -fig scale-large -shards 4 | cmp - results/scale_large.txt
 	$(GO) run ./cmd/realtor-sim -fig discovery -shards 4 | cmp - results/discovery.txt
 

@@ -21,15 +21,15 @@ var (
 	makeTargetDef = regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*):`)
 	makeInProse   = regexp.MustCompile("`make ([a-z][a-z0-9-]*)")
 	makeInFence   = regexp.MustCompile(`^\s*make ([a-z][a-z0-9-]*)`)
-	cmdPath       = regexp.MustCompile(`\bcmd/([a-z][a-z0-9-]*)`)
+	dirPath       = regexp.MustCompile(`\b(cmd|examples)/([a-z][a-z0-9-]*)`)
 	resultsFile   = regexp.MustCompile("`results/([a-z0-9_]+\\.txt)`")
 )
 
 // The docs that teach the workflow may only name things that exist:
 // every `make <target>` (in backticks or a fenced block — bare prose
 // like "make sure" is not a target) must be a Makefile target, and every
-// cmd/<x> a directory under cmd/. Deleting a target or a binary without
-// the doc edits fails here.
+// cmd/<x> or examples/<x> a directory. Deleting a target, a binary or an
+// example without the doc edits fails here.
 func TestDocsNameRealTargetsAndBinaries(t *testing.T) {
 	mk, err := os.ReadFile(filepath.Join(repoRoot, "Makefile"))
 	if err != nil {
@@ -59,9 +59,9 @@ func TestDocsNameRealTargetsAndBinaries(t *testing.T) {
 					t.Errorf("%s:%d names `make %s`, which the Makefile does not define", doc, i+1, m[1])
 				}
 			}
-			for _, m := range cmdPath.FindAllStringSubmatch(line, -1) {
-				if st, err := os.Stat(filepath.Join(repoRoot, "cmd", m[1])); err != nil || !st.IsDir() {
-					t.Errorf("%s:%d names cmd/%s, which does not exist", doc, i+1, m[1])
+			for _, m := range dirPath.FindAllStringSubmatch(line, -1) {
+				if st, err := os.Stat(filepath.Join(repoRoot, m[1], m[2])); err != nil || !st.IsDir() {
+					t.Errorf("%s:%d names %s, which does not exist", doc, i+1, m[0])
 				}
 			}
 		}

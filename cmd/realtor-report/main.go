@@ -117,9 +117,14 @@ func main() {
 	write("live_attack.txt", "# L1 live survivability: 4 of 12 hosts down for the middle third\n"+
 		harness.AttackTable(att, liveDur/10))
 
-	write("INDEX.md", "# Experiment outputs\n\n"+
-		"Regenerate everything with: go run ./cmd/realtor-report\n\n"+
-		"- "+strings.Join(resultFiles(), "\n- ")+"\n")
+	write("INDEX.md", index())
+}
+
+// index is INDEX.md: every file a run writes, in the order it writes them.
+func index() string {
+	return "# Experiment outputs\n\n" +
+		"Regenerate everything with: go run ./cmd/realtor-report\n\n" +
+		"- " + strings.Join(resultFiles(), "\n- ") + "\n"
 }
 
 func check(err error) {

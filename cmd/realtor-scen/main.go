@@ -1,4 +1,4 @@
-// Command realtor-scen runs, lists, blesses, and exports declarative
+// Command realtor-scen lists, runs, blesses and fuzzes declarative
 // scenario packages (internal/scenario): directories under scenarios/
 // holding a scenario.json spec and a blessed golden.json run summary.
 //
@@ -13,16 +13,28 @@
 //	                                        # golden digest not enforced
 //	realtor-scen bless -all                 # re-bless every golden from a
 //	                                        # fresh sim run (review the diff!)
-//	realtor-scen export -name my-case cx.json  # fuzz counterexample → package
-//	realtor-scen run -json baseline-poisson    # canonical summary JSON on stdout
+//	realtor-scen run -json baseline-poisson # canonical summary JSON on stdout
 //	realtor-scen run -server http://host:7070 baseline-poisson
 //	                                        # submit to a realtord daemon; output
 //	                                        # (and -json bytes) match a local run
+//	realtor-scen fuzz -seed 1 -n 200        # oracle + differential sweep of
+//	                                        # generated scenarios; the lowest
+//	                                        # failing seed, shrunk, is written
+//	                                        # as the unblessed package fuzz-<seed>
+//	realtor-scen fuzz -n 50 -meta           # also the metamorphic relations
+//	realtor-scen fuzz -n 50 -mutant expiry  # the seeded soft-state-expiry bug
+//	                                        # must be caught (breaker: the
+//	                                        # miswired circuit breaker, I10)
+//	realtor-scen fuzz -n 50 -policy all     # force the full policy stack on
+//	realtor-scen fuzz -backend live -n 25   # the oracle on the live cluster
+//	realtor-scen fuzz -parity -n 1 -seed 13 # sim vs live aggregate metrics
+//	realtor-scen fuzz fuzz-7                # the same layers on packages
 //
 // The gate fails a package on any invariant-oracle violation, any
 // expect-band miss, or (sim only) any drift from golden.json beyond the
 // golden's per-metric tolerances; the failure prints a per-metric diff
-// table. Exit status: 0 clean, 1 gate failure, 2 usage error.
+// table. Exit status: 0 clean, 1 gate failure (fuzz: a counterexample,
+// or an uncaught mutant), 2 usage error.
 package main
 
 import (
@@ -33,7 +45,6 @@ import (
 	"path/filepath"
 
 	"realtor/internal/buildinfo"
-	"realtor/internal/fuzzscen"
 	"realtor/internal/scenario"
 )
 
@@ -56,8 +67,8 @@ func run(args []string, out, errw io.Writer) int {
 		return runRun(args[1:], out, errw, false)
 	case "bless":
 		return runRun(args[1:], out, errw, true)
-	case "export":
-		return runExport(args[1:], out, errw)
+	case "fuzz":
+		return runFuzz(args[1:], out, errw)
 	}
 	fmt.Fprintf(errw, "realtor-scen: unknown command %q\n", args[0])
 	usage(errw)
@@ -65,7 +76,7 @@ func run(args []string, out, errw io.Writer) int {
 }
 
 func usage(w io.Writer) {
-	fmt.Fprintln(w, "usage: realtor-scen <list|run|bless|export|-version> [flags] [package...]")
+	fmt.Fprintln(w, "usage: realtor-scen <list|run|bless|fuzz|-version> [flags] [package...]")
 }
 
 func runList(args []string, out, errw io.Writer) int {
@@ -217,37 +228,4 @@ func selectPackages(names []string, root string, all bool, errw io.Writer) ([]st
 		dirs = append(dirs, filepath.Join(root, n))
 	}
 	return dirs, 0
-}
-
-// runExport converts a fuzz counterexample JSON into a package.
-func runExport(args []string, out, errw io.Writer) int {
-	fs := flag.NewFlagSet("export", flag.ContinueOnError)
-	fs.SetOutput(errw)
-	dir := fs.String("dir", "scenarios", "package root directory")
-	name := fs.String("name", "", "package name (required)")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *name == "" || fs.NArg() != 1 {
-		fmt.Fprintln(errw, "usage: realtor-scen export -name <pkg> <counterexample.json>")
-		return 2
-	}
-	data, err := os.ReadFile(fs.Arg(0))
-	if err != nil {
-		fmt.Fprintf(errw, "realtor-scen: %v\n", err)
-		return 1
-	}
-	s, err := fuzzscen.Decode(data)
-	if err != nil {
-		fmt.Fprintf(errw, "realtor-scen: %v\n", err)
-		return 1
-	}
-	pdir, err := scenario.WritePackage(*dir, scenario.Export(*name, s))
-	if err != nil {
-		fmt.Fprintf(errw, "realtor-scen: %v\n", err)
-		return 1
-	}
-	fmt.Fprintf(out, "wrote %s — bless it with: realtor-scen bless %s\n",
-		filepath.Join(pdir, scenario.SpecFile), *name)
-	return 0
 }

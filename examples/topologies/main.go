@@ -32,7 +32,7 @@ func main() {
 	}
 
 	fmt.Printf("REALTOR at λ=%g across overlays (25 nodes each):\n\n", lambda)
-	fmt.Printf("%-11s%-7s%-10s%-12s%-12s%-12s%-10s\n",
+	fmt.Printf("%-11s%-7s%-10s%-12s%-12s%-12s%s\n",
 		"overlay", "links", "diameter", "admission", "units/task", "migration", "helps")
 	for _, tc := range graphs {
 		cfg := engine.Config{
@@ -47,7 +47,7 @@ func main() {
 		e := engine.New(cfg, func() protocol.Discovery { return core.New(protocol.DefaultConfig()) })
 		src := workload.NewPoisson(lambda, 5, tc.g.N(), rng.New(5))
 		st := e.Run(src)
-		fmt.Printf("%-11s%-7d%-10d%-12.4f%-12.2f%-12.4f%-10d\n",
+		fmt.Printf("%-11s%-7d%-10d%-12.4f%-12.2f%-12.4f%d\n",
 			tc.name, tc.g.Links(), tc.g.Diameter(),
 			st.AdmissionProbability(), st.CostPerAdmitted(), st.MigrationRate(), st.HelpMsgs)
 	}

@@ -87,9 +87,10 @@ func wantViolations(t *testing.T, o *Oracle, want []Violation) {
 // Every branch of both I4 audits fires at the same instant, on the same
 // entry, with the same text as at the commit that introduced the audits
 // (list pinned from the struct-keyed tables). The node IDs straddle
-// 2¹⁶ and the A2-XL world size, and every relationship also exists in
-// the opposite direction, so a key that mixed up (a,b) with (b,a), or
-// folded high ID bits, would either miss a violation or invent one.
+// 2¹⁶ and 10⁵, about the size of A2-L's top rung (316² = 99 856
+// nodes), and every relationship also exists in the opposite
+// direction, so a key that mixed up (a,b) with (b,a), or folded high ID
+// bits, would either miss a violation or invent one.
 func TestI4ProvenanceViolationsArePinned(t *testing.T) {
 	const (
 		a topology.NodeID = 65535
@@ -214,7 +215,8 @@ func TestI4OverlayViolationsArePinned(t *testing.T) {
 }
 
 // A pairTable keeps every directed pair apart: transposed pairs, IDs
-// that differ only above bit 16, and the ends of an A2-XL world.
+// that differ only above bit 16, and IDs around A2-L's top rung
+// (316² = 99 856 nodes).
 func TestPairTableKeepsDirectedPairsApart(t *testing.T) {
 	ids := []topology.NodeID{0, 1, 2, 65534, 65535, 65536, 65537, 99999, 100000, 131072}
 	tbl := make(pairTable[int], 131073)

@@ -21,20 +21,6 @@ func TestGenerateIsDeterministicAndValid(t *testing.T) {
 	}
 }
 
-func TestScenarioJSONRoundTrip(t *testing.T) {
-	s := Generate(42)
-	back, err := Decode([]byte(s.JSON()))
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if back.JSON() != s.JSON() {
-		t.Fatalf("round trip changed the scenario:\n was %s\n got %s", s.JSON(), back.JSON())
-	}
-	if _, err := Decode([]byte(`{"topology":"blob"}`)); err == nil {
-		t.Fatal("decode accepted an invalid scenario")
-	}
-}
-
 func TestDifferentialFastVsReference(t *testing.T) {
 	for seed := int64(1); seed <= smokeSeeds; seed++ {
 		if why, ok := Differential(Generate(seed)); !ok {

@@ -1,41 +1,11 @@
 package fuzzscen
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
 	"realtor/internal/workload"
 )
-
-// A scenario with a declarative Load spec round-trips through JSON and
-// replays bit-exactly — the property scenario packages depend on.
-func TestScenarioLoadRoundTripAndReplay(t *testing.T) {
-	s := Generate(4)
-	s.Discovery = ""
-	s.Load = &workload.Spec{Kind: "onoff", Lambda: 12, OnFor: 5, OffFor: 10, MeanSize: 1,
-		Hot: []int{0, 1}, HotFraction: 0.6}
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Decode([]byte(s.JSON()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Load == nil || !reflect.DeepEqual(*back.Load, *s.Load) {
-		t.Fatalf("load spec did not survive the round trip: %+v", back.Load)
-	}
-	g := s.Graph()
-	a := plainRun(s, g, s.Attacks(), s.Workload(g))
-	g2 := back.Graph()
-	b := plainRun(back, g2, back.Attacks(), back.Workload(g2))
-	if a != b {
-		t.Fatalf("decoded scenario replays differently:\n %+v\n %+v", a, b)
-	}
-	if a.Offered == 0 {
-		t.Fatal("on/off load produced no arrivals")
-	}
-}
 
 func TestScenarioLoadValidated(t *testing.T) {
 	s := Generate(4)

@@ -5,11 +5,12 @@
 // checker of internal/check, and shrinks failing scenarios to minimal
 // replayable counterexamples.
 //
-// A Scenario is plain data, (de)serialisable as JSON, so a
-// counterexample printed by cmd/realtor-fuzz can be replayed bit-exactly
-// with -replay. Everything downstream of the Scenario struct is a pure
-// function of its fields: Graph(), Workload(), Attacks(), and the two
-// config constructors rebuild identical objects on every call.
+// A Scenario is plain data, stored as the scenario of a package
+// (internal/scenario), which is the form `realtor-scen fuzz` writes a
+// counterexample in and `realtor-scen run` replays bit-exactly.
+// Everything downstream of the Scenario struct is a pure function of its
+// fields: Graph(), Workload(), Attacks(), and the two config
+// constructors rebuild identical objects on every call.
 package fuzzscen
 
 import (
@@ -337,24 +338,13 @@ func (ev Event) compile() attack.Scenario {
 	panic("fuzzscen: unknown event op " + ev.Op)
 }
 
-// JSON renders the scenario as indented JSON — the replayable
-// counterexample format printed by cmd/realtor-fuzz.
+// JSON renders the scenario as indented JSON, a diagnostic for test
+// failure messages. It is not a file format: a scenario is stored,
+// replayed and reviewed as a package's scenario.json (internal/scenario).
 func (s Scenario) JSON() string {
 	b, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {
 		panic(err) // plain-data struct: cannot fail
 	}
 	return string(b)
-}
-
-// Decode parses a scenario previously rendered by JSON and validates it.
-func Decode(data []byte) (Scenario, error) {
-	var s Scenario
-	if err := json.Unmarshal(data, &s); err != nil {
-		return Scenario{}, fmt.Errorf("fuzzscen: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return Scenario{}, err
-	}
-	return s, nil
 }

@@ -63,7 +63,7 @@ type Request struct {
 	Spec json.RawMessage `json:"spec,omitempty"`
 
 	// FuzzSeed runs fuzzscen.Generate(*FuzzSeed) exported as a package
-	// spec — the daemon-side twin of `realtor-scen export`.
+	// spec — the package `realtor-scen fuzz` would write for that seed.
 	FuzzSeed *int64 `json:"fuzz_seed,omitempty"`
 
 	// Backend selects "sim" (default) or "live".

@@ -7,6 +7,7 @@ import (
 
 	"realtor/internal/fuzzscen"
 	"realtor/internal/harness"
+	"realtor/internal/workload"
 )
 
 // Every committed package passes its gate — oracle, bands, and golden —
@@ -94,35 +95,57 @@ func TestPerturbedGoldenFailsWithDiffReport(t *testing.T) {
 
 // An exported fuzz scenario, round-tripped through a package directory
 // on disk, reproduces the original run exactly: same trace digest, same
-// stats. This is the property that makes export a faithful bridge from
-// counterexample to regression package.
+// stats. This is the property that makes a package written by
+// `realtor-scen fuzz` a faithful counterexample. The third input carries
+// a declarative Load spec (on/off bursts with hot spots), which must
+// survive the strict codec too. Every input must also come back from
+// disk as the same scenario, field for field.
 func TestExportedPackageReproducesTraceDigest(t *testing.T) {
-	for _, seed := range []int64{3, 7} {
-		s := fuzzscen.Generate(seed)
-		dig := &Digest{}
-		out, err := harness.RunCheckedOpts(harness.Sim(), s, fuzzscen.Builder(s),
-			harness.RunOptions{Trace: dig})
-		if err != nil {
-			t.Fatal(err)
-		}
-		direct := NewSummary(out.Stats, dig)
+	onoff := fuzzscen.Generate(4)
+	onoff.Discovery = ""
+	onoff.Load = &workload.Spec{Kind: "onoff", Lambda: 12, OnFor: 5, OffFor: 10, MeanSize: 1,
+		Hot: []int{0, 1}, HotFraction: 0.6}
+	for _, tc := range []struct {
+		name string
+		s    fuzzscen.Scenario
+	}{
+		{"generated-3", fuzzscen.Generate(3)},
+		{"generated-7", fuzzscen.Generate(7)},
+		{"onoff-hotspots", onoff},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.s
+			dig := &Digest{}
+			out, err := harness.RunCheckedOpts(harness.Sim(), s, fuzzscen.Builder(s),
+				harness.RunOptions{Trace: dig})
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct := NewSummary(out.Stats, dig)
+			if direct.Offered == 0 {
+				t.Fatal("no arrivals")
+			}
 
-		dir, err := WritePackage(t.TempDir(), Export("exported-probe", s))
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := LoadPackage(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Run(p, harness.Sim(), 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Summary != direct {
-			t.Fatalf("seed %d: exported package diverges from the direct run:\n direct %+v\n pkg    %+v",
-				seed, direct, res.Summary)
-		}
+			dir, err := WritePackage(t.TempDir(), Export("exported-probe", s))
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := LoadPackage(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := p.Spec.Effective(); got.JSON() != s.JSON() {
+				t.Fatalf("package round trip changed the scenario:\n was %s\n got %s", s.JSON(), got.JSON())
+			}
+			res, err := Run(p, harness.Sim(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Summary != direct {
+				t.Fatalf("exported package diverges from the direct run:\n direct %+v\n pkg    %+v",
+					direct, res.Summary)
+			}
+		})
 	}
 }
 

@@ -82,7 +82,7 @@ func TestCommittedSpecsAreCanonical(t *testing.T) {
 			t.Fatalf("%s: %v", d, err)
 		}
 		if !bytes.Equal(raw, sp.Canonical()) {
-			t.Errorf("%s: scenario.json is not in canonical form — rewrite with realtor-scen export or Spec.Canonical", d)
+			t.Errorf("%s: scenario.json is not in canonical form — rewrite it with Spec.Canonical or WritePackage", d)
 		}
 		graw, err := os.ReadFile(filepath.Join(d, GoldenFile))
 		if err != nil {
@@ -109,6 +109,7 @@ func TestDecodeSpecFieldErrors(t *testing.T) {
 		{"bad name", func(sp *Spec) { sp.Name = "Bad Name!" }, "name"},
 		{"unknown protocol", func(sp *Spec) { sp.Protocol = "gossip" }, `protocol "gossip" unknown`},
 		{"discovery set inside", func(sp *Spec) { sp.Scenario.Discovery = "dht" }, "scenario.discovery"},
+		{"unknown topology", func(sp *Spec) { sp.Scenario.Topology = "blob" }, `unknown topology "blob"`},
 		{"unknown workload kind", func(sp *Spec) { sp.Scenario.Load = &workload.Spec{Kind: "zipf"} }, "workload.kind"},
 		{"misplaced workload field", func(sp *Spec) { sp.Scenario.Load.Shape = 2 }, "workload.shape"},
 		{"unknown fault op", func(sp *Spec) { sp.Scenario.Events[0].Op = "meteor" }, `unknown op "meteor"`},
@@ -121,12 +122,14 @@ func TestDecodeSpecFieldErrors(t *testing.T) {
 		{"reject band overflow", func(sp *Spec) { sp.Expect.MaxRejectPct = 130 }, "max_reject_pct"},
 	}
 	for _, tc := range cases {
-		sp := testSpec()
-		tc.mutate(&sp)
-		_, err := DecodeSpec(sp.Canonical())
-		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-			t.Errorf("%s: err = %v, want mention of %q", tc.name, err, tc.wantErr)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			sp := testSpec()
+			tc.mutate(&sp)
+			_, err := DecodeSpec(sp.Canonical())
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("err = %v, want mention of %q", err, tc.wantErr)
+			}
+		})
 	}
 }
 
