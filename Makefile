@@ -58,6 +58,7 @@ fuzz:
 	$(GO) test -fuzz FuzzMeshMetrics -fuzztime 15s ./internal/topology
 	$(GO) test -fuzz FuzzRemoveNodeLinks -fuzztime 15s ./internal/topology
 	$(GO) test -fuzz FuzzCutRestoreEqualsRebuild -fuzztime 15s ./internal/topology
+	$(GO) test -fuzz FuzzCutMeshEqualsBFS -fuzztime 15s ./internal/topology
 	$(GO) test -fuzz FuzzVariateBounds -fuzztime 15s ./internal/rng
 	$(GO) test -fuzz FuzzDigestMatchesReference -fuzztime 15s ./internal/scenario
 

@@ -61,10 +61,10 @@ func (r *fullRecorder) onOutcome(t workload.Task, admitted bool) {
 	r.log = append(r.log, record{what: "outcome", task: t, admitted: admitted})
 }
 
-// runRecorded replays scenario s with the given builder and shard count
-// and returns the full recording plus the final statistics.
-func runRecorded(s fuzzscen.Scenario, build engine.Builder, shards int) ([]record, string) {
-	g := s.Graph()
+// runRecorded replays scenario s on graph g with the given builder and
+// shard count and returns the full recording, the final statistics and
+// the engine.
+func runRecorded(s fuzzscen.Scenario, g *topology.Graph, build engine.Builder, shards int) ([]record, string, *engine.Engine) {
 	rec := &fullRecorder{}
 	cfg := s.EngineConfig(g)
 	cfg.Shards = shards
@@ -74,7 +74,7 @@ func runRecorded(s fuzzscen.Scenario, build engine.Builder, shards int) ([]recor
 		a.Apply(e)
 	}
 	st := e.Run(s.Workload(g))
-	return rec.log, fmt.Sprintf("%+v", st)
+	return rec.log, fmt.Sprintf("%+v", st), e
 }
 
 // equivProto is one discovery protocol as a way to build it for a
@@ -148,8 +148,15 @@ func equivScenario(seed int64, loss float64, radius int) fuzzscen.Scenario {
 // through the wave and fails on the first record where they differ.
 func requireSameRun(t *testing.T, name string, s fuzzscen.Scenario, build engine.Builder, shards int) {
 	t.Helper()
-	want, wantStats := runRecorded(s, engine.PerMessage(build), shards)
-	got, gotStats := runRecorded(s, build, shards)
+	want, wantStats, _ := runRecorded(s, s.Graph(), engine.PerMessage(build), shards)
+	got, gotStats, _ := runRecorded(s, s.Graph(), build, shards)
+	requireSameRecords(t, name, s, want, got, wantStats, gotStats)
+}
+
+// requireSameRecords fails on the first record where two recordings of
+// scenario s differ, then on differing final statistics.
+func requireSameRecords(t *testing.T, name string, s fuzzscen.Scenario, want, got []record, wantStats, gotStats string) {
+	t.Helper()
 	if len(want) == 0 {
 		t.Fatalf("%s: reference run observed nothing", name)
 	}

@@ -126,7 +126,10 @@ type Scenario struct {
 	Events []Event `json:"events,omitempty"`
 }
 
-// Validate reports the first structurally invalid field, or nil.
+// Validate reports the first structurally invalid field, or nil. Engine
+// and protocol parameters that engine.New or the protocol constructors
+// would panic on, and self-link cuts, fail here, at decode time, instead
+// of mid-run.
 func (s Scenario) Validate() error {
 	switch s.Topology {
 	case "mesh", "torus":
@@ -145,10 +148,19 @@ func (s Scenario) Validate() error {
 		return fmt.Errorf("fuzzscen: duration %v", s.Duration)
 	case s.QueueCapacity <= 0:
 		return fmt.Errorf("fuzzscen: queue capacity %v", s.QueueCapacity)
+	case s.HopDelay < 0:
+		return fmt.Errorf("fuzzscen: hop_delay %v is negative", s.HopDelay)
+	case s.LossProb < 0 || s.LossProb > 1:
+		return fmt.Errorf("fuzzscen: loss_prob %v outside [0,1]", s.LossProb)
+	case s.MaxTries < 0:
+		return fmt.Errorf("fuzzscen: max_tries %d is negative", s.MaxTries)
 	case s.Threshold <= 0 || s.Threshold > 1:
 		return fmt.Errorf("fuzzscen: threshold %v", s.Threshold)
 	case s.Load == nil && (s.Lambda <= 0 || s.MeanSize <= 0):
 		return fmt.Errorf("fuzzscen: workload lambda=%v meanSize=%v", s.Lambda, s.MeanSize)
+	}
+	if err := s.ProtocolConfig().Validate(); err != nil {
+		return fmt.Errorf("fuzzscen: protocol parameters: %w", err)
 	}
 	if s.Policies != nil {
 		if err := s.Policies.Validate(); err != nil {
@@ -180,6 +192,9 @@ func (s Scenario) Validate() error {
 		case "cut":
 			if ev.A < 0 || ev.A >= n || ev.B < 0 || ev.B >= n {
 				return fmt.Errorf("fuzzscen: event %d cuts %d-%d of %d nodes", i, ev.A, ev.B, n)
+			}
+			if ev.A == ev.B {
+				return fmt.Errorf("fuzzscen: event %d cuts self-link %d-%d", i, ev.A, ev.B)
 			}
 		case "churn":
 			// no node reference

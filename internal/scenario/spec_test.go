@@ -114,6 +114,13 @@ func TestDecodeSpecFieldErrors(t *testing.T) {
 		{"misplaced workload field", func(sp *Spec) { sp.Scenario.Load.Shape = 2 }, "workload.shape"},
 		{"unknown fault op", func(sp *Spec) { sp.Scenario.Events[0].Op = "meteor" }, `unknown op "meteor"`},
 		{"fault out of range", func(sp *Spec) { sp.Scenario.Events[0].Node = 99 }, "targets node 99"},
+		{"self-link cut", func(sp *Spec) { sp.Scenario.Events[0] = fuzzscen.Event{Op: "cut", At: 3, A: 4, B: 4} }, "self-link 4-4"},
+		{"negative hop delay", func(sp *Spec) { sp.Scenario.HopDelay = -0.01 }, "hop_delay"},
+		{"loss above one", func(sp *Spec) { sp.Scenario.LossProb = 1.5 }, "loss_prob 1.5"},
+		{"negative loss", func(sp *Spec) { sp.Scenario.LossProb = -0.1 }, "loss_prob -0.1"},
+		{"negative max tries", func(sp *Spec) { sp.Scenario.MaxTries = -1 }, "max_tries"},
+		{"help_init below HelpMin", func(sp *Spec) { sp.Scenario.HelpInit = 0.001 }, "HELP interval bounds (init=0.001"},
+		{"negative beta", func(sp *Spec) { sp.Scenario.Beta = -0.1 }, "beta=-0.1"},
 		{"unknown retry strategy", func(sp *Spec) {
 			sp.Scenario.Policies = &policy.Config{Retry: &policy.RetryConfig{MaxAttempts: 2, Base: 1, Strategy: "fib"}}
 		}, `unknown retry strategy "fib"`},

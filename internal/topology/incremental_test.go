@@ -6,17 +6,6 @@ import (
 	"realtor/internal/rng"
 )
 
-// rebuildReference returns a freshly built graph with the same adjacency
-// as g, so its distance matrix is computed from scratch with no
-// incremental state.
-func rebuildReference(g *Graph) *Graph {
-	ref := NewGraph(g.N())
-	for _, l := range g.LinkList() {
-		ref.AddLink(l[0], l[1])
-	}
-	return ref
-}
-
 // assertDistancesMatch compares Dist, Connected and ComponentOf between
 // the incrementally maintained graph and a freshly built reference.
 func assertDistancesMatch(t *testing.T, step int, g, ref *Graph) {
@@ -124,7 +113,7 @@ func TestIncrementalDistanceChurnProperty(t *testing.T) {
 					}
 					down[l] = true
 				}
-				ref := rebuildReference(g)
+				ref := rebuildWithoutGrid(g)
 				assertCarriedExactly(t, step, g, old, ref)
 				assertDistancesMatch(t, step, g, ref)
 			}
@@ -135,9 +124,12 @@ func TestIncrementalDistanceChurnProperty(t *testing.T) {
 // TestIncrementalDistanceLazyRows exercises the memory-bounded large-N
 // path (> eagerDistLimit nodes): rows materialize on demand, and churn
 // correctness must hold there too. Distances are spot-checked (the full
-// N² sweep would dominate test time) against a fresh rebuild.
+// N² sweep would dominate test time) against a fresh rebuild. The mesh is
+// a grid-less copy: a Mesh this size would answer these probes from the
+// Manhattan formula whenever their box avoids the cuts, and the subject
+// here is the lazy-row carry that tori, rings and random graphs still use.
 func TestIncrementalDistanceLazyRows(t *testing.T) {
-	g := Mesh(36, 36) // 1296 > eagerDistLimit
+	g := rebuildWithoutGrid(Mesh(36, 36)) // 1296 > eagerDistLimit
 	if g.N() <= eagerDistLimit {
 		t.Fatalf("test graph too small (%d nodes) for the lazy path", g.N())
 	}
@@ -157,7 +149,7 @@ func TestIncrementalDistanceLazyRows(t *testing.T) {
 			g.CutLink(l[0], l[1])
 			down[l] = true
 		}
-		ref := rebuildReference(g)
+		ref := rebuildWithoutGrid(g)
 		for _, p := range probes {
 			if gd, rd := g.Dist(p[0], p[1]), ref.Dist(p[0], p[1]); gd != rd {
 				t.Fatalf("step %d: Dist(%d,%d)=%d, fresh rebuild says %d",
@@ -176,9 +168,11 @@ func TestIncrementalDistanceLazyRows(t *testing.T) {
 // TestLargeMeshChurnAvoidsFullRebuild is the scalability acceptance
 // criterion: on a 50×50 (2500-node) mesh, link churn must never trigger
 // a full all-pairs rebuild, and per-fault row recomputation must stay
-// bounded by what is actually queried rather than O(N) BFS sweeps.
+// bounded by what is actually queried rather than O(N) BFS sweeps. Like
+// TestIncrementalDistanceLazyRows it runs on a grid-less copy, so every
+// query reads the lazily carried rows.
 func TestLargeMeshChurnAvoidsFullRebuild(t *testing.T) {
-	g := Mesh(50, 50)
+	g := rebuildWithoutGrid(Mesh(50, 50))
 	// Typical engine usage: a handful of distance queries between faults.
 	g.Dist(0, 2499)
 	g.Dist(1250, 49)
@@ -264,7 +258,7 @@ func TestMutationCarriesRowsAcrossComponents(t *testing.T) {
 		t.Fatal("no rows carried across a cut that leaves another component untouched")
 	}
 	// Correctness after the carry.
-	assertDistancesMatch(t, 0, g, rebuildReference(g))
+	assertDistancesMatch(t, 0, g, rebuildWithoutGrid(g))
 }
 
 // TestMeshCutDirtiesOneLine pins the bipartite-mesh case the exact cut
@@ -299,7 +293,7 @@ func TestMeshCutDirtiesOneLine(t *testing.T) {
 	if got := g.DistStats().RowBuilds - before.RowBuilds; got != 2 {
 		t.Fatalf("row of a cut endpoint was not published by the cut (%d builds)", got)
 	}
-	ref := rebuildReference(g)
+	ref := rebuildWithoutGrid(g)
 	for _, s := range []NodeID{0, a, b, a - 5, b + 5, a - cols, NodeID(n - 1)} {
 		for j := 0; j < n; j++ {
 			if gd, rd := g.Dist(s, NodeID(j)), ref.Dist(s, NodeID(j)); gd != rd {
@@ -322,10 +316,10 @@ func TestRingCutFallsBack(t *testing.T) {
 	if d := g.Dist(10, 11); d != 63 {
 		t.Fatalf("Dist(10,11)=%d after the cut, want 63 (the long way round)", d)
 	}
-	assertDistancesMatch(t, 0, g, rebuildReference(g))
+	assertDistancesMatch(t, 0, g, rebuildWithoutGrid(g))
 	g.CutLink(40, 41) // now a genuine bridge: the path splits
 	if g.Reachable(10, 11) || !g.Reachable(11, 40) {
 		t.Fatal("Reachable disagrees with the two arcs a second cut leaves")
 	}
-	assertDistancesMatch(t, 1, g, rebuildReference(g))
+	assertDistancesMatch(t, 1, g, rebuildWithoutGrid(g))
 }

@@ -11,6 +11,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -41,15 +42,24 @@ type Graph struct {
 	adj   [][]NodeID
 	links int
 
-	// gridCols, when positive, marks the graph as a pristine rows×cols
-	// mesh (node (r,c) has ID r*cols+c and exactly the grid links), so
-	// Dist can answer with the Manhattan formula in O(1) — no distance
-	// rows at all. On a 100k-node mesh the difference is structural:
-	// overlay protocols unicast between ring-random pairs, so lazily
-	// materializing a row per sender would cost O(N) time and ~N·8 bytes
-	// of memory each (terabyte-scale in aggregate). Any mutation of the
-	// link set clears the flag; distances then come from BFS rows again.
+	// gridCols, when positive, marks the graph as a rows×cols mesh (node
+	// (r,c) has ID r*cols+c) whose links are exactly the grid links minus
+	// those listed in cuts, so Dist can answer with the Manhattan formula
+	// in O(1) — no distance rows at all. On a 100k-node mesh the
+	// difference is structural: overlay protocols unicast between
+	// ring-random pairs, so lazily materializing a row per sender would
+	// cost O(N) time and ~N·8 bytes of memory each (terabyte-scale in
+	// aggregate). A mutation that leaves the grid's link set clears the
+	// flag; distances then come from BFS rows again.
 	gridCols int
+
+	// cuts lists the grid links currently cut. Only a mesh above
+	// eagerDistLimit records cuts; on a smaller one CutLink clears
+	// gridCols instead, because its eager matrix already answers in O(1).
+	// Dist keeps the formula for every pair whose bounding box holds no
+	// cut link (see Dist); the whole-graph closed forms hold only while
+	// cuts is empty. Written by CutLink/RestoreLink only.
+	cuts []gridLink
 
 	// dist is the current distance snapshot; nil until first use.
 	dist atomic.Pointer[distMatrix]
@@ -177,8 +187,24 @@ func (g *Graph) AddLink(a, b NodeID) {
 // linksChanged drops everything derived from the link set's shape other
 // than distance rows, which each mutator republishes itself.
 func (g *Graph) linksChanged() {
-	g.gridCols = 0
+	g.gridCols, g.cuts = 0, nil
 	g.comps.Store(nil)
+}
+
+// gridLink is a grid link given by the (row, col) coordinates of its two
+// ends, the lower ID first: the other end is (r0, c0+1) or (r0+1, c0).
+type gridLink struct{ r0, c0, r1, c1 int }
+
+// gridLinkOf returns the grid coordinates of the link {a, b}.
+func (g *Graph) gridLinkOf(a, b NodeID) gridLink {
+	lo, hi := int(min(a, b)), int(max(a, b))
+	return gridLink{lo / g.gridCols, lo % g.gridCols, hi / g.gridCols, hi % g.gridCols}
+}
+
+// isPristineGrid reports whether the graph is a whole mesh, no link cut:
+// the case the whole-graph closed forms hold for.
+func (g *Graph) isPristineGrid() bool {
+	return g.gridCols > 0 && len(g.cuts) == 0
 }
 
 // RemoveNodeLinks detaches a node from all its neighbors (used by attack
@@ -202,7 +228,9 @@ func (g *Graph) RemoveNodeLinks(id NodeID) {
 // Dist == -1 from the instant the cut lands. The new snapshot is built
 // incrementally: every row the cut leaves unchanged is shared with the
 // previous snapshot, rows a and b are published fresh, and the other
-// changed rows are re-derived lazily on demand (see afterCut).
+// changed rows are re-derived lazily on demand (see afterCut). A mesh
+// above eagerDistLimit stays a mesh: the cut joins its cut list, and
+// only pairs the cut can lengthen read the snapshot (see Dist).
 func (g *Graph) CutLink(a, b NodeID) bool {
 	g.CheckPair(a, b)
 	if !g.HasLink(a, b) {
@@ -212,7 +240,12 @@ func (g *Graph) CutLink(a, b NodeID) bool {
 	g.adj[a] = remove(g.adj[a], b)
 	g.adj[b] = remove(g.adj[b], a)
 	g.links--
-	g.linksChanged()
+	if g.gridCols > 0 && g.n > eagerDistLimit {
+		g.cuts = append(g.cuts, g.gridLinkOf(a, b))
+		g.comps.Store(nil)
+	} else {
+		g.linksChanged()
+	}
 	g.dist.Store(g.afterCut(old, ra, rb, a, b))
 	return true
 }
@@ -221,7 +254,8 @@ func (g *Graph) CutLink(a, b NodeID) bool {
 // and reports whether anything changed. It is CutLink's inverse and
 // shares its idempotence and incremental-snapshot semantics; it is also
 // usable to add genuinely new links to a running overlay (topology
-// repair).
+// repair). Healing a recorded grid cut keeps the mesh a mesh; any other
+// new link ends the grid shape.
 func (g *Graph) RestoreLink(a, b NodeID) bool {
 	g.CheckPair(a, b)
 	if g.HasLink(a, b) {
@@ -231,9 +265,22 @@ func (g *Graph) RestoreLink(a, b NodeID) bool {
 	g.adj[a] = append(g.adj[a], b)
 	g.adj[b] = append(g.adj[b], a)
 	g.links++
-	g.linksChanged()
+	if i := g.cutIndex(a, b); i >= 0 {
+		g.cuts = slices.Delete(g.cuts, i, i+1)
+		g.comps.Store(nil)
+	} else {
+		g.linksChanged()
+	}
 	g.dist.Store(g.afterRestore(old, ra, rb))
 	return true
+}
+
+// cutIndex returns the position of link {a, b} in the cut list, or -1.
+func (g *Graph) cutIndex(a, b NodeID) int {
+	if len(g.cuts) == 0 {
+		return -1
+	}
+	return slices.Index(g.cuts, g.gridLinkOf(a, b))
 }
 
 // rowsBefore returns the snapshot a link mutation will carry rows from,
@@ -405,7 +452,7 @@ func (g *Graph) components() *components {
 // without computing a distance. O(1) on a pristine mesh and after the
 // first query following a mutation.
 func (g *Graph) Reachable(a, b NodeID) bool {
-	if g.gridCols > 0 {
+	if g.isPristineGrid() {
 		return true
 	}
 	c := g.components()
@@ -414,7 +461,7 @@ func (g *Graph) Reachable(a, b NodeID) bool {
 
 // Connected reports whether every node can reach every other node.
 func (g *Graph) Connected() bool {
-	return g.gridCols > 0 || g.components().count == 1
+	return g.isPristineGrid() || g.components().count == 1
 }
 
 // ComponentOf returns the sorted IDs of every node reachable from id
@@ -573,21 +620,35 @@ func (g *Graph) computeDist() *distMatrix {
 }
 
 // Dist returns the hop distance between a and b, or -1 if unreachable.
-// On a pristine mesh this is the Manhattan formula — exact, O(1), and no
-// distance-row materialization (see the gridCols field).
+// On a mesh this is the Manhattan formula — exact, O(1), and no
+// distance-row materialization (see the gridCols field) — unless some cut
+// link has both ends inside the bounding box of a and b. The formula is
+// exact for every other pair: the mesh minus its cuts has no shorter path
+// than the grid, and with every link inside the box present an L-shaped
+// path of that length survives. Only blocked pairs read a distance row.
 func (g *Graph) Dist(a, b NodeID) int {
 	if g.gridCols > 0 {
-		dr := int(a)/g.gridCols - int(b)/g.gridCols
-		dc := int(a)%g.gridCols - int(b)%g.gridCols
-		if dr < 0 {
-			dr = -dr
+		ra, ca := int(a)/g.gridCols, int(a)%g.gridCols
+		rb, cb := int(b)/g.gridCols, int(b)%g.gridCols
+		r0, r1 := min(ra, rb), max(ra, rb)
+		c0, c1 := min(ca, cb), max(ca, cb)
+		if !g.cutInBox(r0, c0, r1, c1) {
+			return r1 - r0 + c1 - c0
 		}
-		if dc < 0 {
-			dc = -dc
-		}
-		return dr + dc
 	}
 	return g.row(g.ensureDist(), a)[b]
+}
+
+// cutInBox reports whether some cut link has both ends inside rows
+// [r0, r1] × cols [c0, c1]. A link's lower-ID end is its top-left one, so
+// that end bounds the box from below and the other from above.
+func (g *Graph) cutInBox(r0, c0, r1, c1 int) bool {
+	for _, l := range g.cuts {
+		if l.r0 >= r0 && l.c0 >= c0 && l.r1 <= r1 && l.c1 <= c1 {
+			return true
+		}
+	}
+	return false
 }
 
 // eachRow invokes fn with every source's distance row, in source order.
@@ -620,7 +681,7 @@ func (g *Graph) eachRow(fn func(i int, row []int) bool) {
 // Diameter returns the longest shortest path, or -1 if disconnected. A
 // pristine mesh answers corner to corner, without the all-sources sweep.
 func (g *Graph) Diameter() int {
-	if g.gridCols > 0 {
+	if g.isPristineGrid() {
 		return g.n/g.gridCols + g.gridCols - 2
 	}
 	max := 0
@@ -675,7 +736,7 @@ func (g *Graph) MeanPathLength() float64 {
 				}
 			}
 		}
-	case g.gridCols > 0:
+	case g.isPristineGrid():
 		// Pristine mesh: the Manhattan distance separates into a row and
 		// a column term. Ordered pairs of a k-line sum |i−j| to
 		// k(k²−1)/3, and each row pair occurs cols² times (each column
@@ -833,5 +894,6 @@ func (g *Graph) Clone() *Graph {
 		}
 	}
 	c.gridCols = g.gridCols // AddLink cleared it; the copy is link-identical
+	c.cuts = slices.Clone(g.cuts)
 	return c
 }
