@@ -1,7 +1,7 @@
 GO ?= go
 PROFILE_FIG ?= 5
 
-.PHONY: all build vet fmt-check verify test race bench profile fuzz fuzz-smoke parity-smoke shard-smoke policy-smoke scen-smoke daemon-smoke bench-smoke cover-check results results-check quick-results clean
+.PHONY: all build vet fmt-check verify test race bench profile fuzz fuzz-smoke parity-smoke shard-smoke policy-smoke scen-smoke daemon-smoke bench-smoke cover-check results results-check clean
 
 all: build vet test
 
@@ -97,11 +97,15 @@ policy-smoke:
 # scenarios, the seeded mutant must be caught on the live backend too,
 # and one fault-free scenario must agree across sim and live within the
 # documented tolerance bands (EXPERIMENTS.md V2) at the 200x clock scale
-# -parity runs its live leg at.
+# -parity runs its live leg at. The last line runs one live catalogue
+# entry (about a second of wall clock) and checks it exits 0 and prints the
+# header of the committed table.
 parity-smoke:
 	$(GO) run ./cmd/realtor-scen fuzz -backend live -n 5
 	$(GO) run ./cmd/realtor-scen fuzz -backend live -n 10 -mutant expiry
 	$(GO) run ./cmd/realtor-scen fuzz -parity -n 1 -seed 13
+	out=$$($(GO) run ./cmd/realtor-sim -fig live-attack -quick) && \
+		test "$$(printf '%s\n' "$$out" | head -1)" = "$$(head -1 results/live_attack.txt)"
 
 # Scenario-package smoke (CI gate, well under a minute): every committed
 # package under scenarios/ gated on the sim backend at 1 and 4 shards —
@@ -154,27 +158,23 @@ cover-check:
 # ≈ 30 of them one D1 cell: flood-REALTOR under exhaust at ~100k nodes;
 # parallelised over GOMAXPROCS, output identical at any width).
 results:
-	$(GO) run ./cmd/realtor-report -out results
+	$(GO) run ./cmd/realtor-sim -out results
 
 # The committed simulator tables are what the code produces, top rungs
 # included: a full regeneration into a scratch directory compared file
 # by file, INDEX.md included (skipped: the three live-cluster tables,
 # which are wall-clock runs), then the two ladders again on the 4-shard kernel — `make results` writes with
 # the classic one, so equality is the cross-shard proof at full scale.
-# `go test ./cmd/realtor-report` pins every table but the ladders' top
+# `go test ./cmd/realtor-sim` pins every table but the ladders' top
 # rungs on every test run; this is for those. ≈ 50 min on 2 cores at
 # PR 22 (34 min, 13 s and — the D1 flood cell being where the sharded
 # kernel does win — 17 min).
 results-check:
 	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-		$(GO) run ./cmd/realtor-report -out "$$tmp" && \
+		$(GO) run ./cmd/realtor-sim -out "$$tmp" && \
 		diff -r -x figure_9.txt -x deadlines.txt -x live_attack.txt results "$$tmp"
 	$(GO) run ./cmd/realtor-sim -fig scale-large -shards 4 | cmp - results/scale_large.txt
 	$(GO) run ./cmd/realtor-sim -fig discovery -shards 4 | cmp - results/discovery.txt
-
-# CI-sized version of the same.
-quick-results:
-	$(GO) run ./cmd/realtor-report -quick -out results
 
 clean:
 	$(GO) clean ./...

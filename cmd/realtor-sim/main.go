@@ -1,10 +1,12 @@
-// Command realtor-sim regenerates the paper's simulation results
-// (Figures 5–8) and the extension studies on the discrete-event
-// simulator. -fig names an entry of the study catalogue
-// (internal/experiment.Catalogue) — the table realtor-report writes
-// results/ from — so `realtor-sim -fig X` prints byte for byte what
-// results/X.txt holds (the λ-sweeps at the committed shape: `-fig all
-// -duration 3000`, `-fig gossip -duration 3000 -lambdas 2,5,7,9`).
+// Command realtor-sim prints or writes every table under results/. Each
+// file there is one entry of the study catalogue
+// (internal/experiment.Catalogue); -fig names an entry by its -fig name
+// or its file's stem, and with no other flag `realtor-sim -fig X` runs
+// the recipe that wrote results/X.txt: byte for byte for the simulator
+// studies (Figures 5–8 and the extensions), a fresh wall-clock run for
+// the three live-cluster studies (Figure 9, deadlines, live-attack).
+// -out DIR writes every entry's file and INDEX.md, the way results/ was
+// written.
 //
 // Usage:
 //
@@ -13,6 +15,10 @@
 //	realtor-sim -fig 7                  # message cost per admitted task
 //	realtor-sim -fig 8                  # migration rate vs λ
 //	realtor-sim -fig all                # figures 5-8 in one sweep
+//	realtor-sim -fig 9                  # Figure 9: the live 20-host cluster
+//	realtor-sim -fig 9 -transport udp   # ...over real UDP loopback (or tcp)
+//	realtor-sim -fig deadlines          # EDF vs FIFO on the live runtime
+//	realtor-sim -fig live-attack        # live survivability: 4 of 12 hosts down
 //	realtor-sim -fig scale              # per-node overhead vs system size
 //	realtor-sim -fig scale-large        # large meshes, up to 316x316 (~100k nodes)
 //	realtor-sim -fig discovery          # flood-REALTOR vs DHT vs hierarchical
@@ -34,7 +40,9 @@
 //	realtor-sim -fig attack -scenario exhaust  # resource-exhaustion attack
 //	realtor-sim -fig 5 -csv             # CSV with 95% CIs instead of a table
 //	realtor-sim -fig 5 -plot            # ASCII chart instead of a table
-//	realtor-sim -duration 5000 -reps 5  # longer, tighter runs
+//	realtor-sim -fig 5 -duration 5000 -reps 5 -lambdas 2,4,6  # another sweep shape
+//	realtor-sim -out results            # regenerate all of results/ (`make results`)
+//	realtor-sim -quick -out /tmp/res    # CI-sized tables, elsewhere
 //	realtor-sim -parallel 8             # 8 worker goroutines (default GOMAXPROCS)
 //	realtor-sim -parallel 1             # sequential reference run (same output)
 //	realtor-sim -shards 4               # conservative-parallel kernel, 4 shards
@@ -47,21 +55,28 @@
 //	realtor-sim -cpuprofile cpu.pprof   # profile the run (go tool pprof cpu.pprof)
 //	realtor-sim -memprofile mem.pprof   # heap profile written at exit
 //
-// Independent simulation cells fan out across -parallel workers; results
-// are collected by index, so the output is byte-identical for any worker
-// count (see EXPERIMENTS.md, "Parallel execution & reproducibility").
+// A flag the chosen entry or mode does not read is a usage error, not
+// silently ignored. Independent simulation cells fan out across
+// -parallel workers; results are collected by index, so the output is
+// byte-identical for any worker count (see EXPERIMENTS.md, "Parallel
+// execution & reproducibility"). Exit status: 0 done, 1 a run failed,
+// 2 usage error.
 package main
 
 import (
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 
+	"realtor/internal/agile/transport"
 	"realtor/internal/buildinfo"
 	"realtor/internal/engine"
 	"realtor/internal/experiment"
@@ -73,118 +88,221 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// figures are the entries that render figures 5–8, the only ones -csv
+// and -diff apply to.
+var figures = []string{"all", "5", "6", "7", "8"}
+
+func run(args []string, out, errw io.Writer) int {
 	var figs []string
 	for _, s := range experiment.Catalogue() {
 		figs = append(figs, s.Fig)
 	}
-	fig := flag.String("fig", "all", "which study to regenerate: "+strings.Join(figs, "|"))
-	duration := flag.Float64("duration", 0,
-		"simulated seconds per run of figs 5-8, gossip and the diagnostic runs (default 2200; 60 with -trace)")
-	reps := flag.Int("reps", 3, "independent replications per point (figs 5-8, gossip)")
-	seed := flag.Int64("seed", 1, "base random seed")
-	quick := flag.Bool("quick", false, "CI-sized meshes and windows, for the studies that have them")
-	csv := flag.Bool("csv", false, "emit CSV (with 95% CIs) instead of a table")
-	asPlot := flag.Bool("plot", false, "draw ASCII charts instead of tables (figs 5-8, attack)")
-	diff := flag.Bool("diff", false, "also print replication-paired differences vs Push-1 (figs 5-8)")
-	lambdas := flag.String("lambdas", "1,2,3,4,5,6,7,8,9,10", "comma-separated task arrival rates (figs 5-8, gossip)")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
+	fs := flag.NewFlagSet("realtor-sim", flag.ContinueOnError)
+	fs.SetOutput(errw)
+	fig := fs.String("fig", "all", "which study to print: "+strings.Join(figs, "|"))
+	outDir := fs.String("out", "", "write every results/ table and INDEX.md into this directory")
+	duration := fs.Float64("duration", 0,
+		"seconds per run of a λ-sweep, a live study or a diagnostic run (default: the study's own; 2200 for -kernelstats, 60 for -trace)")
+	reps := fs.Int("reps", 0, "independent replications per point of a simulator λ-sweep (default: the study's own)")
+	seed := fs.Int64("seed", 1, "base random seed")
+	quick := fs.Bool("quick", false, "CI-sized meshes and windows, for the studies that have them")
+	csv := fs.Bool("csv", false, "emit CSV (with 95% CIs) instead of a table (figs 5-8)")
+	asPlot := fs.Bool("plot", false, "draw ASCII charts instead of tables (figs 5-8, attack)")
+	diff := fs.Bool("diff", false, "also print replication-paired differences vs Push-1 (figs 5-8)")
+	lambdas := fs.String("lambdas", "", "comma-separated task arrival rates of a λ-sweep (default: the study's own)")
+	transportName := fs.String("transport", "", "live studies' fabric: chan|udp|tcp (default chan)")
+	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0),
 		"worker goroutines for independent runs (output is identical for any value)")
-	shards := flag.Int("shards", 1,
+	shards := fs.Int("shards", 1,
 		"event-kernel shards per run (output is identical for any value; > 1 runs the conservative-parallel kernel)")
-	kernelstats := flag.Bool("kernelstats", false,
+	kernelstats := fs.Bool("kernelstats", false,
 		"run one diagnostic REALTOR simulation and print scheduler kernel counters")
-	traceRun := flag.Bool("trace", false,
+	traceRun := fs.Bool("trace", false,
 		"run one diagnostic simulation and dump its structured event trace")
-	proto := flag.String("proto", "REALTOR-100",
+	proto := fs.String("proto", "REALTOR-100",
 		"protocol to trace: Pull-.9|Push-1|Push-.9|Pull-100|REALTOR-100 (with -trace)")
-	asJSON := flag.Bool("json", false, "emit the trace as JSON Lines instead of text (with -trace)")
-	kinds := flag.String("kinds", "", "comma-separated event kinds to keep in the trace (empty = all)")
-	policySpec := flag.String("policy", "",
+	asJSON := fs.Bool("json", false, "emit the trace as JSON Lines instead of text (with -trace)")
+	kinds := fs.String("kinds", "", "comma-separated event kinds to keep in the trace (with -trace; empty = all)")
+	policySpec := fs.String("policy", "",
 		"extra policy-study contender, e.g. \"bucket:rate=0.5,burst=2;breaker:trip=3\" (with -fig policy)")
-	scenario := flag.String("scenario", "", "attack: random|region|flap|exhaust (with -fig attack; default random)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	version := flag.Bool("version", false, "print version and exit")
-	flag.Parse()
+	scenario := fs.String("scenario", "", "attack: random|region|flap|exhaust (with -fig attack; default random)")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
+	version := fs.Bool("version", false, "print version and exit")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	if *version {
-		buildinfo.Print("realtor-sim")
-		return
+		fmt.Fprintf(out, "realtor-sim %s\n", buildinfo.Get().String())
+		return 0
 	}
-	study, ok := experiment.Lookup(*fig)
+	fail := func(code int, msg string) int {
+		fmt.Fprintln(errw, "realtor-sim:", msg)
+		return code
+	}
+
+	// mode names what runs: a diagnostic run, every file, or one entry.
+	var study experiment.Study
+	mode := "-fig " + *fig
 	switch {
-	case *shards < 1:
-		usage("-shards must be at least 1")
-	case !ok:
-		fmt.Fprintf(os.Stderr, "realtor-sim: unknown figure %q\n", *fig)
-		flag.Usage()
-		os.Exit(2)
-	case *policySpec != "" && study.Fig != "policy":
-		usage("-policy only applies with -fig policy")
-	case *scenario != "" && study.Fig != "attack":
-		usage("-scenario only applies with -fig attack")
+	case *traceRun:
+		mode = "-trace"
+	case *kernelstats:
+		mode = "-kernelstats"
+	case *outDir != "":
+		mode = "-out"
+	default:
+		var ok bool
+		if study, ok = experiment.Lookup(*fig); !ok {
+			return fail(2, fmt.Sprintf("unknown figure %q (want %s)", *fig, strings.Join(figs, "|")))
+		}
 	}
+	diagnostic := *traceRun || *kernelstats
+	figure := slices.Contains(figures, study.Fig)
+	// reads holds the flags only some modes or entries read, and whether
+	// this one does.
+	reads := map[string]bool{
+		"fig":         study.Fig != "",
+		"out":         !diagnostic,
+		"kernelstats": !*traceRun,
+		"proto":       *traceRun,
+		"json":        *traceRun,
+		"kinds":       *traceRun,
+		"csv":         figure,
+		"diff":        figure,
+		"plot":        figure || study.Fig == "attack",
+		"policy":      study.Fig == "policy",
+		"scenario":    study.Fig == "attack",
+		"transport":   study.Live || mode == "-out",
+		"lambdas":     study.Sweep,
+		"reps":        study.Sweep && !study.Live,
+		"duration":    diagnostic || study.Sweep || study.Live,
+	}
+	var stray []string
+	fs.Visit(func(f *flag.Flag) {
+		if read, ok := reads[f.Name]; ok && !read {
+			stray = append(stray, "-"+f.Name)
+		}
+	})
+	switch {
+	case len(stray) > 0:
+		return fail(2, fmt.Sprintf("%s does not apply to %s", strings.Join(stray, " "), mode))
+	case *shards < 1:
+		return fail(2, "-shards must be at least 1")
+	}
+	if *transportName != "" { // checked before -out spends its simulator tables
+		if _, err := transport.ByName(*transportName); err != nil {
+			return fail(2, err.Error())
+		}
+	}
+	ls, err := parseLambdas(*lambdas)
+	if err != nil {
+		return fail(2, err.Error())
+	}
+
 	experiment.SetParallelism(*parallel)
 	stopProfiles, err := experiment.StartProfiles(*cpuprofile, *memprofile)
 	if err != nil {
-		fatal(err)
+		return fail(1, err.Error())
 	}
 	defer func() {
 		if err := stopProfiles(); err != nil {
-			fmt.Fprintln(os.Stderr, "realtor-sim:", err)
+			fmt.Fprintln(errw, "realtor-sim:", err)
 		}
 	}()
 
+	o := experiment.Options{Seed: *seed, Quick: *quick, Shards: *shards, Transport: *transportName}
 	runFor := sim.Time(*duration)
-	if runFor == 0 {
-		runFor = 2200
-		if *traceRun {
-			runFor = 60
+	switch {
+	case *traceRun:
+		err = runTrace(out, errw, *proto, *asJSON, *kinds, *seed, *shards, cmp.Or(runFor, 60))
+	case *kernelstats:
+		runKernelStats(out, *seed, *shards, cmp.Or(runFor, 2200))
+	case mode == "-out":
+		err = writeResults(*outDir, o, out)
+	default:
+		o.Lambdas, o.Duration, o.Reps = ls, runFor, *reps
+		o.CSV, o.Plot, o.Diff = *csv, *asPlot, *diff
+		o.Policy, o.Scenario = *policySpec, *scenario
+		var table string
+		if table, err = study.Run(o); err == nil {
+			fmt.Fprint(out, table)
 		}
 	}
 	switch {
-	case *traceRun:
-		if err := runTrace(os.Stdout, *proto, *asJSON, *kinds, *seed, *shards, runFor); err != nil {
-			usage(err.Error())
-		}
-	case *kernelstats:
-		runKernelStats(os.Stdout, *seed, *shards, runFor)
-	default:
-		out, err := study.Run(experiment.Options{
-			Seed: *seed, Quick: *quick, Shards: *shards,
-			Lambdas: parseLambdas(*lambdas), Duration: runFor, Reps: *reps,
-			CSV: *csv, Plot: *asPlot, Diff: *diff,
-			Policy: *policySpec, Scenario: *scenario,
-		})
-		if errors.Is(err, experiment.ErrOption) {
-			usage(err.Error())
-		}
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(out)
+	case errors.Is(err, experiment.ErrOption):
+		return fail(2, err.Error())
+	case err != nil:
+		return fail(1, err.Error())
 	}
+	return 0
 }
 
-func usage(msg string) {
-	fmt.Fprintln(os.Stderr, "realtor-sim:", msg)
-	os.Exit(2)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "realtor-sim:", err)
-	os.Exit(1)
-}
-
-func parseLambdas(s string) []float64 {
+// parseLambdas reads a -lambdas list; "" is no list.
+func parseLambdas(s string) ([]float64, error) {
+	if s == "" {
+		return nil, nil
+	}
 	var out []float64
 	for _, f := range strings.Split(s, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
 		if err != nil || v <= 0 {
-			usage(fmt.Sprintf("bad lambda %q", f))
+			return nil, fmt.Errorf("bad lambda %q", f)
 		}
 		out = append(out, v)
 	}
-	return out
+	return out, nil
+}
+
+// resultFiles lists every file a -out run writes next to INDEX.md, in
+// the order it writes them: the catalogue's.
+func resultFiles() []string {
+	var files []string
+	for _, s := range experiment.Catalogue() {
+		if s.File != "" {
+			files = append(files, s.File)
+		}
+	}
+	return files
+}
+
+// index is INDEX.md.
+func index() string {
+	return "# Experiment outputs\n\n" +
+		"Regenerate everything with: go run ./cmd/realtor-sim -out results\n\n" +
+		"- " + strings.Join(resultFiles(), "\n- ") + "\n"
+}
+
+// writeResults runs every catalogue entry that has a file into dir,
+// then writes INDEX.md, naming each file as it lands.
+func writeResults(dir string, o experiment.Options, out io.Writer) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	write := func(name, content string) error {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			return err
+		}
+		fmt.Fprintln(out, "wrote", path)
+		return nil
+	}
+	for _, s := range experiment.Catalogue() {
+		if s.File == "" {
+			continue
+		}
+		content, err := s.Run(o)
+		if err != nil {
+			return fmt.Errorf("%s: %w", s.File, err)
+		}
+		if err := write(s.File, content); err != nil {
+			return err
+		}
+	}
+	return write("INDEX.md", index())
 }
 
 // diagnosticRun drives the one run behind -kernelstats and -trace: the
@@ -225,8 +343,8 @@ func runKernelStats(w io.Writer, seed int64, shards int, duration sim.Time) {
 // runTrace dumps the structured event trace of one run of the named
 // protocol — the tool to reach for when a protocol behaves oddly and
 // the aggregate numbers don't say why. Events go to w (pretty-printed,
-// or JSON Lines as they happen); the closing summary goes to stderr.
-func runTrace(w io.Writer, proto string, asJSON bool, kinds string, seed int64, shards int, duration sim.Time) error {
+// or JSON Lines as they happen); the closing summary goes to errw.
+func runTrace(w, errw io.Writer, proto string, asJSON bool, kinds string, seed int64, shards int, duration sim.Time) error {
 	var build engine.Builder
 	for _, p := range experiment.StandardProtocols(protocol.DefaultConfig()) {
 		if p.Label == proto {
@@ -234,7 +352,7 @@ func runTrace(w io.Writer, proto string, asJSON bool, kinds string, seed int64, 
 		}
 	}
 	if build == nil {
-		return fmt.Errorf("unknown protocol %q", proto)
+		return fmt.Errorf("%w: unknown protocol %q", experiment.ErrOption, proto)
 	}
 	buf := &trace.Buffer{}
 	var rec trace.Recorder = buf
@@ -253,7 +371,7 @@ func runTrace(w io.Writer, proto string, asJSON bool, kinds string, seed int64, 
 		for _, ev := range buf.Events() {
 			fmt.Fprintln(w, ev)
 		}
-		fmt.Fprintf(os.Stderr, "# %s: %d events, admission %.4f, %d migrations\n",
+		fmt.Fprintf(errw, "# %s: %d events, admission %.4f, %d migrations\n",
 			proto, buf.Total(), st.AdmissionProbability(), st.Migrated)
 	}
 	return nil

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -111,6 +114,80 @@ func TestRunPolicyStudyRejectsBadSpecs(t *testing.T) {
 		}
 		if out != "" {
 			t.Errorf("spec %q: output written despite the error", c.spec)
+		}
+	}
+}
+
+func runCLI(args ...string) (int, string, string) {
+	var out, errw bytes.Buffer
+	code := run(args, &out, &errw)
+	return code, out.String(), errw.String()
+}
+
+// A flag the chosen entry or mode does not read is a usage error: exit
+// 2 with a one-line message, before anything runs or is written.
+func TestCLIUsageErrors(t *testing.T) {
+	dir := t.TempDir()
+	for _, args := range [][]string{
+		{"-fig", "nope"},
+		{"-no-such-flag"},
+		{"-shards", "0"},
+		{"-fig", "ab", "-policy", "breaker"},
+		{"-fig", "ab", "-scenario", "flap"},
+		{"-fig", "ab", "-transport", "udp"},
+		{"-fig", "9", "-transport", "carrier-pigeon"},
+		{"-fig", "5", "-lambdas", "1,x"},
+		{"-fig", "5", "-lambdas", "0"},
+		{"-out", dir, "-csv"},
+		{"-out", dir, "-plot"},
+		{"-out", dir, "-diff"},
+		{"-out", dir, "-fig", "5"},
+		{"-fig", "gossip", "-csv"},
+		{"-fig", "attack", "-diff"},
+		{"-fig", "ab", "-plot"},
+		{"-fig", "ab", "-lambdas", "3"},
+		{"-fig", "ab", "-duration", "100"},
+		{"-fig", "live-attack", "-lambdas", "3"},
+		{"-fig", "9", "-reps", "2"},
+		{"-json"},
+		{"-kinds", "arrival"},
+		{"-proto", "Push-1"},
+		{"-trace", "-proto", "nope"},
+		{"-trace", "-out", dir},
+		{"-kernelstats", "-fig", "5"},
+	} {
+		code, out, errs := runCLI(args...)
+		said := strings.HasPrefix(errs, "realtor-sim:") || strings.Contains(errs, "flag provided but not defined")
+		if code != 2 || out != "" || !said {
+			t.Errorf("args %v: exit %d, stdout %q, stderr %q; want exit 2 and a usage message", args, code, out, errs)
+		}
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Errorf("a rejected -out run wrote %d file(s)", len(entries))
+	}
+}
+
+// The live entries are wired to the cluster and carry the committed
+// recipe's header; under -quick the clock runs at 400x.
+func TestLiveEntriesPrintCommittedHeader(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		file string
+	}{
+		{[]string{"-fig", "live-attack", "-quick"}, "live_attack.txt"},
+		{[]string{"-fig", "9", "-quick", "-lambdas", "2", "-duration", "40"}, "figure_9.txt"},
+	} {
+		code, out, errs := runCLI(c.args...)
+		if code != 0 {
+			t.Fatalf("args %v: exit %d: %s", c.args, code, errs)
+		}
+		raw, err := os.ReadFile(filepath.Join(resultsDir, c.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, _ := strings.Cut(strings.Replace(string(raw), "100x scale", "400x scale", 1), "\n")
+		if got, _, _ := strings.Cut(out, "\n"); got != want {
+			t.Errorf("args %v: header %q, want %q", c.args, got, want)
 		}
 	}
 }

@@ -61,7 +61,7 @@ type Config struct {
 	// Trace optionally receives the same event vocabulary the simulator
 	// emits (arrivals, admissions, migrations, crossings, node churn).
 	// Events fire concurrently from every host's actor goroutine, so the
-	// recorder must serialize internally (wrap with trace.NewLocked).
+	// recorder must serialize internally (trace.JSONL does).
 	Trace trace.Recorder
 
 	// Observer optionally receives every protocol message at its

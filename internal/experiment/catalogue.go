@@ -1,37 +1,52 @@
 package experiment
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"strconv"
 	"strings"
+	"time"
 
+	"realtor/internal/agile"
+	"realtor/internal/agile/transport"
+	"realtor/internal/harness"
 	"realtor/internal/policy"
 	"realtor/internal/protocol"
 	"realtor/internal/sim"
 )
 
-// Study is one entry of the study catalogue: what `realtor-sim -fig Fig`
-// prints and what `realtor-report` writes to results/File. Both drivers
-// read this one table, so a study's parameters, its -quick size and its
-// '#' header lines exist once, and the two outputs cannot drift apart.
+// Study is one entry of the study catalogue, the one table of every
+// file under results/: what `realtor-sim -fig Fig` prints and what
+// `realtor-sim -out DIR` writes to DIR/File. A study's parameters, its
+// -quick size and its '#' header lines exist once, here.
 type Study struct {
 	Fig  string // realtor-sim -fig name
 	File string // file under results/; "" = a view of another entry, not written
+	// Live marks a study run on the live Agile cluster: its output
+	// depends on the wall clock, so no test pins its bytes (ROADMAP
+	// item 7).
+	Live bool
+	// Sweep marks a λ-sweep: the study honours Options.Lambdas, and on
+	// the simulator Options.Reps.
+	Sweep bool
 	// Run executes the study and returns the exact bytes of its file.
 	Run func(Options) (string, error)
 }
 
 // Options is what a driver may ask of a study. With only Seed set, Run
-// regenerates the committed results/File byte for byte (seed 1).
+// regenerates the committed results/File byte for byte (seed 1); a Live
+// study reruns the committed recipe.
 type Options struct {
 	Seed   int64
 	Quick  bool // CI-sized meshes and windows, for the studies that have them
 	Shards int  // event-kernel shards, for the studies that take them (output identical at any value)
 
-	// Shape of the λ-sweeps behind figures 5–8 and gossip; zero values
-	// keep the committed tables' (3000 s × 3 replications, 800 s × 1
-	// under Quick; λ 1..10 for the figures, 2/5/7/9 for gossip).
+	// Shape of the λ-sweeps and the live studies; zero values keep the
+	// committed tables' (3000 s × 3 replications, 800 s × 1 under Quick,
+	// λ 1..10 for the figures, 2/5/7/9 for gossip; 300 s of arrivals per
+	// live run, 150 s under Quick). Duration is simulated seconds, or
+	// scaled seconds on the live cluster.
 	Lambdas  []float64
 	Duration sim.Time
 	Reps     int
@@ -39,57 +54,62 @@ type Options struct {
 	CSV, Plot, Diff bool   // figures 5–8 presentation; Plot also charts the attack study
 	Policy          string // policy study: spec of an extra "custom" contender
 	Scenario        string // attack study: random|region|flap|exhaust ("" = random)
+	Transport       string // live studies: chan|udp|tcp ("" = chan)
 }
 
 // ErrOption marks a Run error caused by an Options value (a malformed
-// Policy spec, an unknown Scenario) rather than by the study itself.
+// Policy spec, an unknown Scenario or Transport) rather than by the
+// study itself.
 var ErrOption = errors.New("invalid option")
 
-// Catalogue returns every simulator study in results/INDEX.md order.
+// Catalogue returns every study in results/INDEX.md order.
 func Catalogue() []Study {
 	return []Study{
-		{"all", "figures_5_8.txt", figuresReport("all")},
-		{"5", "", figuresReport("5")},
-		{"6", "", figuresReport("6")},
-		{"7", "", figuresReport("7")},
-		{"8", "", figuresReport("8")},
-		{"scale", "scale.txt", scaleReport},
-		{"scale-large", "scale_large.txt", scaleLargeReport},
-		{"discovery", "discovery.txt", discoveryReport},
-		{"ab", "ablation.txt", func(o Options) (string, error) {
+		{Fig: "all", File: "figures_5_8.txt", Sweep: true, Run: figuresReport("all")},
+		{Fig: "5", Sweep: true, Run: figuresReport("5")},
+		{Fig: "6", Sweep: true, Run: figuresReport("6")},
+		{Fig: "7", Sweep: true, Run: figuresReport("7")},
+		{Fig: "8", Sweep: true, Run: figuresReport("8")},
+		{Fig: "scale", File: "scale.txt", Run: scaleReport},
+		{Fig: "scale-large", File: "scale_large.txt", Run: scaleLargeReport},
+		{Fig: "discovery", File: "discovery.txt", Run: discoveryReport},
+		{Fig: "ab", File: "ablation.txt", Run: func(o Options) (string, error) {
 			return "# A3 Algorithm H alpha/beta at λ=7\n" + AblationTable(RunAlphaBeta(
 				[]float64{0.1, 0.25, 0.5, 1.0}, []float64{0.1, 0.25, 0.5, 0.9}, 7, o.Seed)), nil
 		}},
-		{"fed", "federation.txt", func(o Options) (string, error) {
+		{Fig: "fed", File: "federation.txt", Run: func(o Options) (string, error) {
 			return "# A4/F1 inter-group federation, hot quadrant of 8x8 mesh\n" +
 				FederationTable(RunFederation(8, []float64{2, 4, 6, 8, 10}, o.Seed)), nil
 		}},
-		{"sec", "security.txt", func(o Options) (string, error) {
+		{Fig: "sec", File: "security.txt", Run: func(o Options) (string, error) {
 			return "# A5 security-constrained placement under compromise\n" +
 				SecurityTable(RunSecuritySweep([]float64{2, 3, 4, 5, 6, 7, 8}, 0.3, o.Seed)), nil
 		}},
-		{"loss", "loss.txt", func(o Options) (string, error) {
+		{Fig: "loss", File: "loss.txt", Run: func(o Options) (string, error) {
 			protos := StandardProtocols(protocol.DefaultConfig())
 			return "# R1 admission at λ=7 vs discovery-message loss\n" + LossTable(RunLoss(
 				[]float64{0, 0.05, 0.1, 0.2, 0.4, 0.6}, 7, protos, o.Seed), protos), nil
 		}},
-		{"gossip", "gossip.txt", gossipReport},
-		{"retries", "retries.txt", func(o Options) (string, error) {
+		{Fig: "gossip", File: "gossip.txt", Sweep: true, Run: gossipReport},
+		{Fig: "retries", File: "retries.txt", Run: func(o Options) (string, error) {
 			return "# A7 one-try vs walk-the-list migration, REALTOR\n" +
 				RetryTable(RunRetries([]float64{6, 8, 10}, []int{1, 2, 3, 5}, o.Seed)), nil
 		}},
-		{"partition", "partition.txt", func(o Options) (string, error) {
+		{Fig: "partition", File: "partition.txt", Run: func(o Options) (string, error) {
 			return "# P1 partition survivability: 5x5 mesh bisected 10/15 mid-run\n" + PartitionTable(
 				RunPartition(DefaultPartitionStudy(), []float64{3, 4, 5, 6, 7, 8, 9}, o.Seed)), nil
 		}},
-		{"community", "community.txt", func(o Options) (string, error) {
+		{Fig: "community", File: "community.txt", Run: func(o Options) (string, error) {
 			return "# C1 emergent community structure vs load\n" +
 				CommunityTable(RunCommunity([]float64{2, 4, 5, 6, 7, 8, 9, 10}, o.Seed)), nil
 		}},
-		{"policy", "policy.txt", policyReport},
-		{"attack", "attack.txt", func(o Options) (string, error) {
+		{Fig: "policy", File: "policy.txt", Run: policyReport},
+		{Fig: "attack", File: "attack.txt", Run: func(o Options) (string, error) {
 			return survivabilityReport(o.Scenario, o.Seed, o.Plot)
 		}},
+		{Fig: "9", File: "figure_9.txt", Live: true, Sweep: true, Run: figure9Report},
+		{Fig: "deadlines", File: "deadlines.txt", Live: true, Sweep: true, Run: deadlinesReport},
+		{Fig: "live-attack", File: "live_attack.txt", Live: true, Run: liveAttackReport},
 	}
 }
 
@@ -106,6 +126,14 @@ func Lookup(name string) (Study, bool) {
 // realtor is the REALTOR contender of StandardProtocols.
 func realtor() Protocol { return StandardProtocols(protocol.DefaultConfig())[4] }
 
+// lambdasOr returns the options' arrival rates, or def if they name none.
+func (o Options) lambdasOr(def []float64) []float64 {
+	if len(o.Lambdas) > 0 {
+		return o.Lambdas
+	}
+	return def
+}
+
 // sweep returns the λ-sweep the options describe, over lambdas unless
 // the options name their own.
 func (o Options) sweep(lambdas []float64) SweepConfig {
@@ -119,10 +147,7 @@ func (o Options) sweep(lambdas []float64) SweepConfig {
 	if o.Reps > 0 {
 		reps = o.Reps
 	}
-	if len(o.Lambdas) > 0 {
-		lambdas = o.Lambdas
-	}
-	sc := FigureSweep(lambdas, duration, reps)
+	sc := FigureSweep(o.lambdasOr(lambdas), duration, reps)
 	sc.BaseSeed = o.Seed
 	return sc
 }
@@ -255,4 +280,73 @@ func policyReport(o Options) (string, error) {
 		b.WriteString(PolicyTable(RunPolicy(st, variants...)))
 	}
 	return b.String(), nil
+}
+
+// liveCluster is the live studies' shared recipe: 300 scaled seconds of
+// arrivals per run at 100× (150 s at 400× under Quick), a 250 ms
+// negotiation timeout, over the transport the options name. It returns
+// the cluster config, the arrival window and the transport.
+func (o Options) liveCluster() (agile.Config, float64, transport.Factory, error) {
+	duration, scale := 300.0, 100.0
+	if o.Quick {
+		duration, scale = 150, 400
+	}
+	if o.Duration > 0 {
+		duration = float64(o.Duration)
+	}
+	mk, err := transport.ByName(cmp.Or(o.Transport, "chan"))
+	if err != nil {
+		return agile.Config{}, 0, nil, fmt.Errorf("%w: %v", ErrOption, err)
+	}
+	cfg := agile.DefaultConfig()
+	cfg.TimeScale = scale
+	cfg.NegotiationTimeout = 250 * time.Millisecond
+	return cfg, duration, mk, nil
+}
+
+// figure9Report runs the paper's Section 6 measurement: REALTOR's
+// admission on the 20-host live cluster across λ 1..8.
+func figure9Report(o Options) (string, error) {
+	cfg, duration, mk, err := o.liveCluster()
+	if err != nil {
+		return "", err
+	}
+	pts, err := agile.RunFigure9(cfg, o.lambdasOr([]float64{1, 2, 3, 4, 5, 6, 7, 8}), 5, duration, o.Seed, mk)
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("# Figure 9: live cluster, %d hosts, queue=%gs, %gx scale\n%s",
+		cfg.Hosts, cfg.QueueCapacity, cfg.TimeScale, agile.F9Table(pts)), nil
+}
+
+// deadlinesReport runs A6: EDF vs FIFO on the live runtime with
+// mixed-urgency deadlines at slack 3.
+func deadlinesReport(o Options) (string, error) {
+	cfg, duration, mk, err := o.liveCluster()
+	if err != nil {
+		return "", err
+	}
+	res, err := agile.RunDeadlineStudy(cfg, o.lambdasOr([]float64{1.8, 2.2, 2.6}), 5, 3, duration, o.Seed, mk)
+	if err != nil {
+		return "", err
+	}
+	return "# A6 EDF vs FIFO on the live runtime, mixed-urgency deadlines\n" + agile.DeadlineTable(res), nil
+}
+
+// liveAttackReport runs L1: hosts 0–3 of 12 down for the middle third
+// of a λ=4 drive, admission binned per tenth of the run.
+func liveAttackReport(o Options) (string, error) {
+	cfg, duration, mk, err := o.liveCluster()
+	if err != nil {
+		return "", err
+	}
+	cfg.Hosts = 12
+	res, err := harness.RunLiveAttack(cfg,
+		harness.AttackStudy{Victims: []int{0, 1, 2, 3}, KillAt: duration / 3, ReviveAt: 2 * duration / 3},
+		4, 5, duration, duration/10, o.Seed, mk)
+	if err != nil {
+		return "", err
+	}
+	return "# L1 live survivability: 4 of 12 hosts down for the middle third\n" +
+		harness.AttackTable(res, duration/10), nil
 }

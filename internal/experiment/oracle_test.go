@@ -21,7 +21,9 @@ import (
 // backend-level invariants — I5 task and message conservation, I6
 // partition safety, I8 crossing alternation. statelessCells names the
 // entries that have such cells and why; the test fails if that list
-// stops matching the studies.
+// stops matching the studies. Live entries build no engine cell and are
+// skipped; they come under the oracle with the live cluster's virtual
+// clock (ROADMAP item 7).
 func TestCatalogueCellsUnderOracle(t *testing.T) {
 	statelessCells := map[string]string{
 		"figures_5_8.txt": "four of the five contenders are the push/pull baselines",
@@ -54,7 +56,7 @@ func TestCatalogueCellsUnderOracle(t *testing.T) {
 	defer func() { auditCell = nil }()
 
 	for _, s := range Catalogue() {
-		if s.File == "" {
+		if s.File == "" || s.Live {
 			continue
 		}
 		cells = cells[:0]

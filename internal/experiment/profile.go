@@ -10,7 +10,7 @@ import (
 // StartProfiles begins CPU profiling into file cpu (if non-empty) and
 // returns a stop function that finishes the CPU profile and writes a
 // heap profile to file mem (if non-empty). Call stop exactly once,
-// after the workload. Both drivers' -cpuprofile/-memprofile flags land
+// after the workload. realtor-sim's -cpuprofile/-memprofile flags land
 // here.
 func StartProfiles(cpu, mem string) (stop func() error, err error) {
 	var cpuFile *os.File

@@ -45,11 +45,13 @@ func TestSweepDeterminismAcrossWorkers(t *testing.T) {
 
 // Every study routes through the same pool via the package-wide
 // parallelism, so every catalogue entry must produce identical bytes at
-// 1 and 8 workers — a new study is covered by being listed.
+// 1 and 8 workers — a new study is covered by being listed. Live
+// entries read the wall clock and are skipped until the live cluster
+// runs on a virtual clock (ROADMAP item 7).
 func TestStudiesDeterministicUnderParallelism(t *testing.T) {
 	defer SetParallelism(SetParallelism(1))
 	for _, s := range Catalogue() {
-		if s.File == "" {
+		if s.File == "" || s.Live {
 			continue
 		}
 		o := Options{Seed: 3, Quick: true}

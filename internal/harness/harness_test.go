@@ -124,8 +124,8 @@ func TestBackendContracts(t *testing.T) {
 }
 
 // TestRunCheckedTee verifies the funnel fans events out to extra
-// consumers alongside the oracle: the same unified stream the
-// realtor-cluster -trace flag records.
+// consumers alongside the oracle: RunOptions.Trace is the library path
+// for recording a run's unified event stream, live or simulated.
 func TestRunCheckedTee(t *testing.T) {
 	s := fuzzscen.Generate(3)
 	buf := &trace.Buffer{}
