@@ -120,10 +120,10 @@ scen-smoke:
 	$(GO) run ./cmd/realtor-scen run -all -shards 4
 	$(GO) run ./cmd/realtor-scen run -backend live baseline-poisson
 
-# Daemon smoke (CI gate, well under a minute): realtord booted against
-# the committed scenario packages; two concurrent thin-client runs
-# byte-compared (cmp) against local `realtor-scen run -json` output at
-# 1 and 4 shards, a live-backend run cancelled mid-flight (must end
+# Daemon smoke (CI gate, well under a minute): `realtor-scen serve`
+# booted against the committed scenario packages; two concurrent
+# thin-client runs byte-compared (cmp) against local `realtor-scen run
+# -json` output at 1 and 4 shards, a live-backend run cancelled mid-flight (must end
 # "canceled" with no summary), and a SIGTERM drain that must exit 0.
 # The daemon's goroutine-leak and HTTP error-path regressions live in
 # internal/httpapi and run under `make race`.

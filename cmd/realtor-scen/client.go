@@ -14,14 +14,14 @@ import (
 )
 
 // This file is realtor-scen's -server mode: instead of running
-// packages in-process, submit them to a realtord daemon and render the
+// packages in-process, submit them to a serve daemon and render the
 // results through the exact same output paths as a local run. The
 // daemon stores canonical scenario.EncodeSummary bytes and serves them
 // verbatim from /runs/{id}/summary, so `run -json -server URL pkg` is
 // byte-identical to `run -json pkg` — the property the daemon smoke
 // test pins with cmp.
 
-// scenClient is a minimal realtord HTTP client.
+// scenClient is a minimal HTTP client of the serve daemon.
 type scenClient struct {
 	base string
 	hc   *http.Client
@@ -100,7 +100,7 @@ func (c *scenClient) apiError(resp *http.Response) error {
 	return fmt.Errorf("daemon: HTTP %d", resp.StatusCode)
 }
 
-// runRemote gates the named packages through a realtord daemon,
+// runRemote gates the named packages through a serve daemon,
 // mirroring runRun's local output and exit codes: 0 clean, 1 on any
 // gate failure or daemon error.
 func runRemote(server string, names []string, backend string, shards int, jsonOut bool, out, errw io.Writer) int {

@@ -1,6 +1,7 @@
 // Command realtor-scen lists, runs, blesses and fuzzes declarative
 // scenario packages (internal/scenario): directories under scenarios/
 // holding a scenario.json spec and a blessed golden.json run summary.
+// It also serves them: `serve` is the run daemon (serve.go).
 //
 // Usage:
 //
@@ -14,8 +15,10 @@
 //	realtor-scen bless -all                 # re-bless every golden from a
 //	                                        # fresh sim run (review the diff!)
 //	realtor-scen run -json baseline-poisson # canonical summary JSON on stdout
+//	realtor-scen serve -addr :7070 -dir scenarios -history runs.jsonl
+//	                                        # the run daemon, over HTTP/JSON
 //	realtor-scen run -server http://host:7070 baseline-poisson
-//	                                        # submit to a realtord daemon; output
+//	                                        # submit to a serve daemon; output
 //	                                        # (and -json bytes) match a local run
 //	realtor-scen fuzz -seed 1 -n 200        # oracle + differential sweep of
 //	                                        # generated scenarios; the lowest
@@ -34,25 +37,37 @@
 // expect-band miss, or (sim only) any drift from golden.json beyond the
 // golden's per-metric tolerances; the failure prints a per-metric diff
 // table. Exit status: 0 clean, 1 gate failure (fuzz: a counterexample,
-// or an uncaught mutant), 2 usage error.
+// or an uncaught mutant), 2 usage error; serve exits 0 after a
+// signal-driven drain.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"os/signal"
 	"path/filepath"
+	"syscall"
 
 	"realtor/internal/buildinfo"
 	"realtor/internal/scenario"
 )
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+	ctx := context.Background()
+	if len(os.Args) > 1 && os.Args[1] == "serve" {
+		// Only serve drains on a signal; every other subcommand keeps the
+		// default of dying on one.
+		var stop context.CancelFunc
+		ctx, stop = signal.NotifyContext(ctx, syscall.SIGINT, syscall.SIGTERM)
+		defer stop()
+	}
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, out, errw io.Writer) int {
+func run(ctx context.Context, args []string, out, errw io.Writer) int {
 	if len(args) == 0 {
 		usage(errw)
 		return 2
@@ -69,6 +84,8 @@ func run(args []string, out, errw io.Writer) int {
 		return runRun(args[1:], out, errw, true)
 	case "fuzz":
 		return runFuzz(args[1:], out, errw)
+	case "serve":
+		return runServe(ctx, args[1:], out, errw)
 	}
 	fmt.Fprintf(errw, "realtor-scen: unknown command %q\n", args[0])
 	usage(errw)
@@ -76,7 +93,7 @@ func run(args []string, out, errw io.Writer) int {
 }
 
 func usage(w io.Writer) {
-	fmt.Fprintln(w, "usage: realtor-scen <list|run|bless|fuzz|-version> [flags] [package...]")
+	fmt.Fprintln(w, "usage: realtor-scen <list|run|bless|fuzz|serve|-version> [flags] [package...]")
 }
 
 func runList(args []string, out, errw io.Writer) int {
@@ -119,7 +136,7 @@ func runRun(args []string, out, errw io.Writer, bless bool) int {
 	shards := fs.Int("shards", 1, "sim kernel shard count")
 	all := fs.Bool("all", false, "select every package under -dir")
 	jsonOut := fs.Bool("json", false, "emit canonical summary JSON on stdout (one line per package)")
-	server := fs.String("server", "", "submit to a realtord daemon at this base URL instead of running locally")
+	server := fs.String("server", "", "submit to a realtor-scen serve daemon at this base URL instead of running locally")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -164,7 +181,7 @@ func runRun(args []string, out, errw io.Writer, bless bool) int {
 		}
 		// In -json mode stdout carries only the canonical summary bytes
 		// (scenario.EncodeSummary form, one line per package — the exact
-		// bytes realtord stores); human verdicts move to stderr.
+		// bytes the daemon stores); human verdicts move to stderr.
 		human := out
 		if *jsonOut {
 			human = errw

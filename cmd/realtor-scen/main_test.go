@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"path/filepath"
 	"strings"
@@ -16,7 +17,7 @@ const scenRoot = "../../scenarios"
 func runCLI(t *testing.T, args ...string) (int, string, string) {
 	t.Helper()
 	var out, errw bytes.Buffer
-	code := run(args, &out, &errw)
+	code := run(context.Background(), args, &out, &errw)
 	return code, out.String(), errw.String()
 }
 
@@ -195,6 +196,9 @@ func TestCLIUsageErrors(t *testing.T) {
 		{"run", "-backend", "fpga", "-all"},
 		{"run", "-shards", "0", "-all"},
 		{"run", "-backend", "live", "-shards", "4", "-all"},
+		// serve rejects these before it listens (else the call never returns).
+		{"serve", "-addr", "127.0.0.1:0", "-no-such-flag"},
+		{"serve", "-addr", "127.0.0.1:0", "stray"},
 	} {
 		if code, _, _ := runCLI(t, args...); code != 2 {
 			t.Errorf("args %v: exit %d, want 2", args, code)

@@ -102,8 +102,8 @@ type Network interface {
 type Factory func(n int) (Network, error)
 
 // ByName returns the factory for a transport name ("chan", "udp",
-// "tcp"), shared by the cluster CLI, the Figure 9 runner, the live
-// harness backend and the examples.
+// "tcp"), shared by realtor-sim's -transport flag and the live studies
+// of internal/experiment.
 func ByName(name string) (Factory, error) {
 	switch name {
 	case "chan":

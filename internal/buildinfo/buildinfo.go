@@ -58,9 +58,3 @@ func (i Info) String() string {
 	}
 	return fmt.Sprintf("%s (%s) %s", i.Version, rev, i.Go)
 }
-
-// Print writes "<tool> <identity>" to stdout — the shared body of every
-// CLI's -version flag.
-func Print(tool string) {
-	fmt.Printf("%s %s\n", tool, Get().String())
-}

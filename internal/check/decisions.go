@@ -10,7 +10,6 @@ package check
 import (
 	"fmt"
 
-	"realtor/internal/engine"
 	"realtor/internal/protocol"
 	"realtor/internal/sim"
 	"realtor/internal/topology"
@@ -58,7 +57,7 @@ type DecisionLog struct {
 }
 
 var _ trace.Recorder = (*DecisionLog)(nil)
-var _ engine.Observer = (*DecisionLog)(nil)
+var _ trace.MessageObserver = (*DecisionLog)(nil)
 
 // Record implements trace.Recorder.
 func (l *DecisionLog) Record(ev trace.Event) {
@@ -68,7 +67,7 @@ func (l *DecisionLog) Record(ev trace.Event) {
 	})
 }
 
-// OnSend implements engine.Observer.
+// OnSend implements trace.MessageObserver.
 func (l *DecisionLog) OnSend(now sim.Time, from, to topology.NodeID, m protocol.Message) {
 	l.ds = append(l.ds, Decision{
 		At: now, Node: from, Peer: to, Sent: true,
@@ -78,12 +77,12 @@ func (l *DecisionLog) OnSend(now sim.Time, from, to topology.NodeID, m protocol.
 	})
 }
 
-// OnDeliver implements engine.Observer. Deliveries are a deterministic
+// OnDeliver implements trace.MessageObserver. Deliveries are a deterministic
 // function of sends (latency and in-flight deaths), so logging them
 // would double the memory for no extra discrimination; skip.
 func (l *DecisionLog) OnDeliver(sim.Time, topology.NodeID, protocol.Message) {}
 
-// OnDrop implements engine.Observer. Drops are deterministic given the
+// OnDrop implements trace.MessageObserver. Drops are deterministic given the
 // seed (partition reachability, loss RNG draws, death schedule), so a
 // fast/reference divergence in drop behaviour is a real divergence.
 func (l *DecisionLog) OnDrop(now sim.Time, from, to topology.NodeID, m protocol.Message, reason string) {
@@ -95,7 +94,7 @@ func (l *DecisionLog) OnDrop(now sim.Time, from, to topology.NodeID, m protocol.
 	})
 }
 
-// OnInject implements engine.Observer.
+// OnInject implements trace.MessageObserver.
 func (l *DecisionLog) OnInject(now sim.Time, node topology.NodeID, size float64) {
 	l.ds = append(l.ds, Decision{
 		At: now, Node: node, Peer: -1, Size: size, Info: "inject",

@@ -120,8 +120,22 @@ type Config struct {
 	// schedules and delivers, with full message contents — unlike Trace
 	// events, which carry only metadata. This is the hook the invariant
 	// oracle in internal/check attaches to. Nil costs one pointer
-	// comparison on the hot path.
-	Observer Observer
+	// comparison on the hot path. All four callbacks run synchronously
+	// inside the event loop and must not mutate engine state:
+	//
+	//   - OnSend fires when a delivery is actually scheduled: after the
+	//     live-overlay reachability check (a send to an unreachable node is
+	//     a partition drop, not a send) and before the probabilistic loss
+	//     draw, so the observer sees every message that legitimately left
+	//     the sender — including ones the lossy network will eat.
+	//   - OnDeliver fires when the message reaches a live destination (the
+	//     same instant Discovery.Deliver runs).
+	//   - OnDrop fires for every message the engine discards: unreachable
+	//     sends (trace.DropPartition, also counted as PartitionDrops), lossy
+	//     deliveries (trace.DropLoss), and in-flight deaths (trace.DropDead)
+	//     — so conservation checks need no side-channel.
+	//   - OnInject fires when Engine.Inject adds bogus work to a queue.
+	Observer trace.MessageObserver
 
 	// OnProgress, when set, receives periodic run-progress snapshots —
 	// sim clock, events fired, stats so far — from quiescent points of
@@ -129,13 +143,9 @@ type Config struct {
 	// kernel, at phase barriers on the sharded one. It never fires from
 	// inside event execution, so reading aggregated stats is safe, and
 	// it fires no events of its own, so runs are byte-identical with or
-	// without it.
+	// without it. Checkpoints (snapshots and, on the classic kernel,
+	// cancellation polls) are Duration/64 of sim time apart.
 	OnProgress func(Progress)
-
-	// ProgressEvery is the minimum sim-time between OnProgress calls
-	// (and between cancellation checks on the classic kernel). 0 picks
-	// a default of Duration/64.
-	ProgressEvery sim.Time
 
 	// Seed drives engine-internal choices (dead-arrival rerouting,
 	// per-node loss streams).
@@ -182,24 +192,6 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
-
-// Observer is the engine's observation surface — the backend-agnostic
-// trace.MessageObserver. All four callbacks run synchronously inside the
-// event loop and must not mutate engine state:
-//
-//   - OnSend fires when a delivery is actually scheduled: after the
-//     live-overlay reachability check (a send to an unreachable node is
-//     a partition drop, not a send) and before the probabilistic loss
-//     draw, so the observer sees every message that legitimately left
-//     the sender — including ones the lossy network will eat.
-//   - OnDeliver fires when the message reaches a live destination (the
-//     same instant Discovery.Deliver runs).
-//   - OnDrop fires for every message the engine discards: unreachable
-//     sends (trace.DropPartition, also counted as PartitionDrops), lossy
-//     deliveries (trace.DropLoss), and in-flight deaths (trace.DropDead)
-//     — so conservation checks need no side-channel.
-//   - OnInject fires when Engine.Inject adds bogus work to a queue.
-type Observer = trace.MessageObserver
 
 // Builder constructs a fresh Discovery instance (one per node, and again
 // on revival).
@@ -640,9 +632,6 @@ func (e *Engine) Canceled() bool { return e.canceled }
 // checkpointEvery returns the sim-time stride between run-loop
 // checkpoints (progress snapshots and cancellation polls).
 func (e *Engine) checkpointEvery() sim.Time {
-	if e.cfg.ProgressEvery > 0 {
-		return e.cfg.ProgressEvery
-	}
 	return e.cfg.Duration / 64
 }
 

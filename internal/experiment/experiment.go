@@ -6,7 +6,6 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -64,13 +63,6 @@ type SweepConfig struct {
 	// 0 defers to SetParallelism / GOMAXPROCS; 1 forces the sequential
 	// reference path. Output is bit-identical at any setting.
 	Workers int
-
-	// Ctx, when non-nil, cancels the sweep cooperatively: workers stop
-	// claiming new cells at the next opportunity, in-flight cells finish.
-	// A cancelled sweep's Series hold zero values for the unrun cells, so
-	// callers must check Ctx.Err() before using the result. nil means
-	// run to completion.
-	Ctx context.Context
 }
 
 // DefaultSweep returns the paper's Section 5 setup: 5×5 mesh, 100-second
@@ -116,12 +108,8 @@ func RunSweep(sc SweepConfig, protos []Protocol) []Series {
 	if sc.Replications <= 0 {
 		panic("experiment: need at least one replication")
 	}
-	ctx := sc.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	nL, nR := len(sc.Lambdas), sc.Replications
-	raw := collectCtx(ctx, len(protos)*nL*nR, sc.Workers, func(i int) metrics.RunStats {
+	raw := collect(len(protos)*nL*nR, sc.Workers, func(i int) metrics.RunStats {
 		pi := i / (nL * nR)
 		li := i % (nL * nR) / nR
 		r := i % nR

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -33,9 +32,6 @@ func SetParallelism(n int) int {
 	return prev
 }
 
-// Parallelism reports the worker count currently in force.
-func Parallelism() int { return resolveWorkers(0) }
-
 // resolveWorkers turns a per-call hint (0 = unset) into a concrete
 // worker count: hint, else package default, else GOMAXPROCS.
 func resolveWorkers(hint int) int {
@@ -65,18 +61,6 @@ func resolveWorkers(hint int) int {
 // nothing); in the 1-worker path the panic propagates directly, which
 // cancels the remaining cells for free.
 func forEach(n, workersHint int, job func(i int)) {
-	forEachCtx(context.Background(), n, workersHint, job)
-}
-
-// forEachCtx is forEach under cooperative cancellation: every worker
-// polls the context before claiming its next cell, so a cancelled sweep
-// stops scheduling new cells promptly (cells already in flight still
-// finish — they own no external resources, and their engines have no
-// cancellation point of their own here). Cells never claimed are simply
-// skipped; a caller that aggregates after cancellation therefore sees
-// zero values in their slots and must check ctx.Err() before trusting
-// the result.
-func forEachCtx(ctx context.Context, n, workersHint int, job func(i int)) {
 	if n <= 0 {
 		return
 	}
@@ -86,9 +70,6 @@ func forEachCtx(ctx context.Context, n, workersHint int, job func(i int)) {
 	}
 	if w <= 1 {
 		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				return
-			}
 			job(i)
 		}
 		return
@@ -104,7 +85,7 @@ func forEachCtx(ctx context.Context, n, workersHint int, job func(i int)) {
 		go func() {
 			defer wg.Done()
 			for {
-				if stop.Load() || ctx.Err() != nil {
+				if stop.Load() {
 					return
 				}
 				i := int(next.Add(1)) - 1
@@ -132,13 +113,7 @@ func forEachCtx(ctx context.Context, n, workersHint int, job func(i int)) {
 // collect is the generic by-index runner: it evaluates job(i) for
 // i in [0, n) on the worker pool and returns the results in index order.
 func collect[T any](n, workersHint int, job func(i int) T) []T {
-	return collectCtx(context.Background(), n, workersHint, job)
-}
-
-// collectCtx is collect under cooperative cancellation (see forEachCtx
-// for the semantics of cells skipped after cancellation).
-func collectCtx[T any](ctx context.Context, n, workersHint int, job func(i int) T) []T {
 	out := make([]T, n)
-	forEachCtx(ctx, n, workersHint, func(i int) { out[i] = job(i) })
+	forEach(n, workersHint, func(i int) { out[i] = job(i) })
 	return out
 }

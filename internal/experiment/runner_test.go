@@ -1,11 +1,9 @@
 package experiment
 
 import (
-	"context"
 	"reflect"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"realtor/internal/protocol"
@@ -152,72 +150,14 @@ func TestForEachPropagatesWorkerPanic(t *testing.T) {
 func TestSetParallelism(t *testing.T) {
 	prev := SetParallelism(3)
 	defer SetParallelism(prev)
-	if got := Parallelism(); got != 3 {
-		t.Fatalf("Parallelism() = %d after SetParallelism(3)", got)
+	if got := resolveWorkers(0); got != 3 {
+		t.Fatalf("resolveWorkers(0) = %d after SetParallelism(3)", got)
 	}
 	if got := resolveWorkers(5); got != 5 {
 		t.Fatalf("per-call hint not honoured: %d", got)
 	}
 	SetParallelism(0)
-	if got := Parallelism(); got < 1 {
+	if got := resolveWorkers(0); got < 1 {
 		t.Fatalf("default parallelism %d, want >= 1", got)
-	}
-}
-
-// A cancelled context must stop the pool from claiming new cells
-// promptly: at most the cells already in flight (≤ workers) finish
-// after the cancellation lands.
-func TestForEachCtxCancelStopsSchedulingPromptly(t *testing.T) {
-	const n, workers, cancelAt = 10_000, 4, 8
-	ctx, cancel := context.WithCancel(context.Background())
-	var ran atomic.Int64
-	forEachCtx(ctx, n, workers, func(int) {
-		if ran.Add(1) == cancelAt {
-			cancel()
-		}
-	})
-	// cancelAt cells triggered the cancel; each of the other workers may
-	// have already claimed one more. Anything near n means the context
-	// was ignored.
-	if got := ran.Load(); got > cancelAt+workers {
-		t.Fatalf("%d cells ran after cancel at %d (workers=%d) — not prompt", got, cancelAt, workers)
-	}
-
-	// Sequential path: same contract, exact bound.
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	ran.Store(0)
-	forEachCtx(ctx2, n, 1, func(int) {
-		if ran.Add(1) == cancelAt {
-			cancel2()
-		}
-	})
-	if got := ran.Load(); got != cancelAt {
-		t.Fatalf("sequential path ran %d cells, want exactly %d", got, cancelAt)
-	}
-
-	// Pre-cancelled: nothing runs at all.
-	pre, cancel3 := context.WithCancel(context.Background())
-	cancel3()
-	forEachCtx(pre, n, workers, func(int) { t.Error("cell ran on a pre-cancelled context") })
-}
-
-// SweepConfig.Ctx threads through RunSweep: a pre-cancelled sweep
-// returns immediately with empty (zero-valued) cells instead of
-// grinding through the grid.
-func TestRunSweepHonorsContext(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	sc := DefaultSweep()
-	sc.Ctx = ctx
-	sc.Workers = 2
-	out := RunSweep(sc, StandardProtocols(protocol.DefaultConfig()))
-	for _, s := range out {
-		for _, pt := range s.Points {
-			for _, st := range pt.Raw {
-				if st.Offered != 0 {
-					t.Fatalf("cancelled sweep ran a cell: %+v", st)
-				}
-			}
-		}
 	}
 }

@@ -27,11 +27,9 @@ import (
 // Config wires one node into the federation.
 type Config struct {
 	Protocol protocol.Config
-	// Gateways lists one escalation target per foreign group.
-	Gateways []topology.NodeID
-	// GatewayFunc, when set, resolves the gateways from the node's own ID
-	// at Attach time — convenient when one Builder constructs instances
-	// for every node (it overrides Gateways).
+	// GatewayFunc resolves the node's escalation targets — one per
+	// foreign group — from its own ID at Attach time, so one Builder can
+	// construct instances for every node. Nil means no escalation.
 	GatewayFunc func(self topology.NodeID) []topology.NodeID
 	// EscalateEvery rate-limits escalations (default: Protocol.HelpUpper
 	// is a sensible ceiling; zero means that default).
@@ -67,7 +65,6 @@ func New(cfg Config) *Realtor {
 	}
 	return &Realtor{
 		inner:         core.New(cfg.Protocol),
-		gateways:      append([]topology.NodeID(nil), cfg.Gateways...),
 		gatewayFunc:   cfg.GatewayFunc,
 		escalateEvery: every,
 	}

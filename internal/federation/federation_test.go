@@ -13,7 +13,7 @@ import (
 )
 
 func fedConfig(gateways ...topology.NodeID) Config {
-	return Config{Protocol: protocol.DefaultConfig(), Gateways: gateways}
+	return Config{Protocol: protocol.DefaultConfig(), GatewayFunc: func(topology.NodeID) []topology.NodeID { return gateways }}
 }
 
 func TestQuadrantGroups(t *testing.T) {

@@ -40,23 +40,13 @@ type Backend interface {
 	// Start builds a ready-to-run Instance for the scenario, wiring
 	// hooks as the runtime's trace recorder and message observer. The
 	// protocol under test comes from build (fuzzscen.Builder for the
-	// honest path, fuzzscen.MutantBuilder for mutation testing). probe
-	// configures periodic progress reporting; the zero Probe disables it.
-	Start(s fuzzscen.Scenario, build engine.Builder, hooks *Hooks, probe Probe) (Instance, error)
-}
-
-// Probe asks a backend for periodic progress snapshots during Run.
-// Backends invoke OnProgress only from quiescent points of their run
-// loop (the simulator's checkpoint barriers; the live cluster's drive
-// goroutine), so a run observed through a probe stays byte-identical
-// to an unobserved one on the deterministic backend.
-type Probe struct {
-	// OnProgress receives snapshots; nil disables probing.
-	OnProgress func(Progress)
-
-	// Every is the minimum scaled-seconds between snapshots; 0 picks a
-	// backend default (Duration/64).
-	Every sim.Time
+	// honest path, fuzzscen.MutantBuilder for mutation testing). A
+	// non-nil onProgress receives a snapshot every Duration/64 of
+	// scaled time during Run, only from quiescent points of the run loop
+	// (the simulator's checkpoint barriers; the live cluster's ticker
+	// goroutine), so an observed run stays byte-identical to an
+	// unobserved one on the deterministic backend.
+	Start(s fuzzscen.Scenario, build engine.Builder, hooks *Hooks, onProgress func(Progress)) (Instance, error)
 }
 
 // Progress is one live snapshot of a running scenario.
@@ -125,10 +115,9 @@ func (o Outcome) Failed() bool { return len(o.Violations) > 0 }
 
 // RunOptions tunes RunChecked.
 type RunOptions struct {
-	// Trace/Observer optionally tee the unified event stream to extra
-	// consumers (a DecisionLog, a JSONL file, …).
-	Trace    trace.Recorder
-	Observer trace.MessageObserver
+	// Trace optionally tees the unified event stream to an extra
+	// consumer (a trace digest, a JSONL file, …).
+	Trace trace.Recorder
 
 	// Ctx, when non-nil, cancels the run cooperatively: RunCheckedOpts
 	// then returns ErrCanceled instead of an Outcome. nil means
@@ -140,10 +129,6 @@ type RunOptions struct {
 	// backend's quiescent checkpoints. It must not block for long: on
 	// the simulator the run loop waits on it.
 	OnProgress func(Progress)
-
-	// ProgressEvery is the minimum scaled-seconds between snapshots
-	// (0 = backend default of Duration/64).
-	ProgressEvery sim.Time
 }
 
 // RunChecked executes one scenario on the given backend with the
@@ -153,11 +138,11 @@ func RunChecked(b Backend, s fuzzscen.Scenario, build engine.Builder) (Outcome, 
 	return RunCheckedOpts(b, s, build, RunOptions{})
 }
 
-// RunCheckedOpts is RunChecked with extra event consumers, cooperative
-// cancellation, and progress probing.
+// RunCheckedOpts is RunChecked with an extra trace consumer,
+// cooperative cancellation, and progress snapshots.
 func RunCheckedOpts(b Backend, s fuzzscen.Scenario, build engine.Builder, opt RunOptions) (Outcome, error) {
 	hooks := &Hooks{}
-	hooks.Tee(opt.Trace, opt.Observer)
+	hooks.Tee(opt.Trace, nil)
 	ctx := opt.Ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -167,14 +152,14 @@ func RunCheckedOpts(b Backend, s fuzzscen.Scenario, build engine.Builder, opt Ru
 	// strictly after the assignment, and the violation read serializes
 	// behind the hooks mutex the emitting callbacks hold.
 	var o *check.Oracle
-	probe := Probe{Every: opt.ProgressEvery}
+	var onProgress func(Progress)
 	if opt.OnProgress != nil {
-		probe.OnProgress = func(p Progress) {
+		onProgress = func(p Progress) {
 			hooks.Locked(func() { p.Violations = len(o.Violations()) + o.Dropped() })
 			opt.OnProgress(p)
 		}
 	}
-	inst, err := b.Start(s, build, hooks, probe)
+	inst, err := b.Start(s, build, hooks, onProgress)
 	if err != nil {
 		return Outcome{}, err
 	}

@@ -25,11 +25,6 @@ type LiveConfig struct {
 	// 30-scaled-second scenario then takes 0.6 wall seconds.
 	TimeScale float64
 
-	// Transport names the fabric via transport.ByName ("chan" default;
-	// "udp", "tcp"). It is always wrapped in a FaultNetwork so the fault
-	// schedule can cut pairs and LossProb can drop packets.
-	Transport string
-
 	// Slack overrides the oracle clock tolerance in scaled seconds;
 	// 0 means the default 0.02×TimeScale (20 wall-milliseconds of drift
 	// between a protocol decision's clock read and the observer's).
@@ -49,9 +44,6 @@ func Live(cfg LiveConfig) Backend {
 	if cfg.TimeScale <= 0 {
 		cfg.TimeScale = 50
 	}
-	if cfg.Transport == "" {
-		cfg.Transport = "chan"
-	}
 	if cfg.Slack <= 0 {
 		cfg.Slack = sim.Time(0.02 * cfg.TimeScale)
 	}
@@ -66,7 +58,7 @@ func (liveBackend) Name() string { return "live" }
 func (b liveBackend) Slack() sim.Time { return b.cfg.Slack }
 
 // Start implements Backend.
-func (b liveBackend) Start(s fuzzscen.Scenario, build engine.Builder, hooks *Hooks, probe Probe) (Instance, error) {
+func (b liveBackend) Start(s fuzzscen.Scenario, build engine.Builder, hooks *Hooks, onProgress func(Progress)) (Instance, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -77,15 +69,9 @@ func (b liveBackend) Start(s fuzzscen.Scenario, build engine.Builder, hooks *Hoo
 	if len(s.Capacities) > 0 {
 		return nil, fmt.Errorf("harness: live backend does not support per-node capacities (hosts share one QueueCapacity)")
 	}
-	mkNet, err := transport.ByName(b.cfg.Transport)
-	if err != nil {
-		return nil, err
-	}
-	inner, err := mkNet(n)
-	if err != nil {
-		return nil, err
-	}
-	fn := transport.NewFault(inner, s.EngineSeed)
+	// The in-process fabric, wrapped in a FaultNetwork so the fault
+	// schedule can cut pairs and LossProb can drop packets.
+	fn := transport.NewFault(transport.NewChan(n), s.EngineSeed)
 	base := transport.FaultRule{Drop: s.LossProb}
 	if s.LossProb > 0 {
 		// The simulator's LossProb drops only protocol messages; a real
@@ -110,21 +96,21 @@ func (b liveBackend) Start(s fuzzscen.Scenario, build engine.Builder, hooks *Hoo
 		return nil, err
 	}
 	return &liveInstance{
-		c:      c,
-		s:      s,
-		g:      s.Graph(),
-		probe:  probe,
-		faults: newLiveFaults(c, fn, base, hooks, s.Events),
+		c:          c,
+		s:          s,
+		g:          s.Graph(),
+		onProgress: onProgress,
+		faults:     newLiveFaults(c, fn, base, hooks, s.Events),
 	}, nil
 }
 
 type liveInstance struct {
-	c        *agile.Cluster
-	s        fuzzscen.Scenario
-	g        *topology.Graph
-	probe    Probe
-	faults   *liveFaults
-	canceled bool
+	c          *agile.Cluster
+	s          fuzzscen.Scenario
+	g          *topology.Graph
+	onProgress func(Progress)
+	faults     *liveFaults
+	canceled   bool
 
 	closeOnce sync.Once
 }
@@ -135,7 +121,7 @@ func (i *liveInstance) World() check.World { return liveWorld{c: i.c} }
 // Run implements Instance: the fault schedule runs on wall-clock timers
 // concurrently with the workload drive, exactly as the simulator's
 // attack scenarios run concurrently with its arrival events. Progress —
-// when probed — ticks on its own goroutine (the live backend is
+// when requested — ticks on its own goroutine (the live backend is
 // wall-clock anyway, so snapshots need no quiescent barrier; RunStats
 // aggregates under the hosts' own synchronization). Events is 0: the
 // live runtime has no event counter.
@@ -152,27 +138,23 @@ func (i *liveInstance) Run(ctx context.Context) metrics.RunStats {
 // Canceled implements Instance.
 func (i *liveInstance) Canceled() bool { return i.canceled }
 
-// startProbe launches the progress ticker (a no-op without a probe) and
-// returns its stop function.
+// startProbe launches the progress ticker (a no-op without an
+// onProgress callback) and returns its stop function.
 func (i *liveInstance) startProbe() func() {
-	if i.probe.OnProgress == nil {
+	if i.onProgress == nil {
 		return func() {}
-	}
-	every := i.probe.Every
-	if every <= 0 {
-		every = sim.Time(i.s.Duration) / 64
 	}
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		t := time.NewTicker(i.c.ToWall(float64(every)))
+		t := time.NewTicker(i.c.ToWall(i.s.Duration / 64))
 		defer t.Stop()
 		for {
 			select {
 			case <-t.C:
-				i.probe.OnProgress(Progress{
+				i.onProgress(Progress{
 					Now:   sim.Time(i.c.Now()),
 					End:   sim.Time(i.s.Duration),
 					Stats: i.c.RunStats(),

@@ -37,7 +37,7 @@ func (simBackend) Name() string { return "sim" }
 func (simBackend) Slack() sim.Time { return 0 }
 
 // Start implements Backend.
-func (b simBackend) Start(s fuzzscen.Scenario, build engine.Builder, hooks *Hooks, probe Probe) (Instance, error) {
+func (b simBackend) Start(s fuzzscen.Scenario, build engine.Builder, hooks *Hooks, onProgress func(Progress)) (Instance, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -47,13 +47,12 @@ func (b simBackend) Start(s fuzzscen.Scenario, build engine.Builder, hooks *Hook
 	cfg.Observer = hooks
 	cfg.Shards = b.shards
 	cfg.InlineHooks = true
-	if probe.OnProgress != nil {
+	if onProgress != nil {
 		// Engine checkpoints fire only from quiescent points of the run
 		// loop, so forwarding them cannot perturb the event order.
 		cfg.OnProgress = func(p engine.Progress) {
-			probe.OnProgress(Progress{Now: p.Now, End: p.End, Events: p.Events, Stats: p.Stats})
+			onProgress(Progress{Now: p.Now, End: p.End, Events: p.Events, Stats: p.Stats})
 		}
-		cfg.ProgressEvery = probe.Every
 	}
 	e := engine.New(cfg, build)
 	for _, a := range s.Attacks() {

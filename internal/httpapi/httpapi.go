@@ -1,6 +1,7 @@
-// Package httpapi is realtord's HTTP/JSON surface over the runsvc run
-// service, split out of the daemon binary so tests and the realtor-scen
-// thin client can stand up the exact same routes in-process.
+// Package httpapi is the run daemon's HTTP/JSON surface over the runsvc
+// run service. `realtor-scen serve` mounts it; tests and the bench stand
+// up the exact same routes in-process. The /metrics names keep their
+// historical realtord_ prefix.
 package httpapi
 
 import (

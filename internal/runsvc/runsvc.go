@@ -2,14 +2,16 @@
 // scenario/harness run pipeline (never forks it) behind a job model —
 // submit, queue, execute on a bounded worker pool under per-run
 // resource caps, cancel cooperatively, watch live progress, and read
-// terminal runs back from an append-only on-disk history. cmd/realtord
-// is a thin HTTP shell over this package; everything here is equally
-// usable in-process (the daemon's tests drive it directly).
+// terminal runs back from an append-only on-disk history. `realtor-scen
+// serve` is a thin HTTP shell (internal/httpapi) over this package;
+// everything here is equally usable in-process (the daemon's tests drive
+// it directly).
 //
 // Determinism contract: the service only observes runs from their
-// quiescent checkpoints (harness.Probe), so a job run through runsvc
-// produces a summary byte-identical to the same package run through
-// `realtor-scen run` — pinned by the daemon smoke test. A cancelled job
+// quiescent checkpoints (harness.RunOptions.OnProgress), so a job run
+// through runsvc produces a summary byte-identical to the same package
+// run through `realtor-scen run` — pinned by the daemon smoke test and
+// by realtor-scen's TestServeDrainsOnCancel. A cancelled job
 // reports state "canceled" and never a summary: partial stats fail
 // conservation audits by construction and must not be compared, gated,
 // or blessed.
@@ -26,10 +28,8 @@ import (
 	"sync"
 	"time"
 
-	"realtor/internal/fuzzscen"
 	"realtor/internal/harness"
 	"realtor/internal/scenario"
-	"realtor/internal/sim"
 )
 
 // State is a job's lifecycle position. Transitions:
@@ -50,8 +50,8 @@ func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCanceled
 }
 
-// Request describes one run submission. Exactly one of Package, Spec,
-// or FuzzSeed selects the scenario.
+// Request describes one run submission. Exactly one of Package or Spec
+// selects the scenario.
 type Request struct {
 	// Package names a scenario package under the service's root
 	// (scenarios/<name>/scenario.json + optional golden).
@@ -61,10 +61,6 @@ type Request struct {
 	// scenario.DecodeSpec). Inline specs carry no golden, so the gate is
 	// their expect bands only.
 	Spec json.RawMessage `json:"spec,omitempty"`
-
-	// FuzzSeed runs fuzzscen.Generate(*FuzzSeed) exported as a package
-	// spec — the package `realtor-scen fuzz` would write for that seed.
-	FuzzSeed *int64 `json:"fuzz_seed,omitempty"`
 
 	// Backend selects "sim" (default) or "live".
 	Backend string `json:"backend,omitempty"`
@@ -108,10 +104,6 @@ type Config struct {
 	// MaxWall aborts a run after this much wall time; the job then
 	// fails with a timeout error (0 = no limit).
 	MaxWall time.Duration
-
-	// ProgressEvery is the minimum scaled-seconds between progress
-	// snapshots (0 = backend default of Duration/64).
-	ProgressEvery sim.Time
 }
 
 // ProgressView is the wire-friendly live-progress snapshot.
@@ -128,7 +120,7 @@ type ProgressView struct {
 // JobView is one job's externally visible snapshot.
 type JobView struct {
 	ID          string          `json:"id"`
-	Name        string          `json:"name"` // package name, inline spec name, or fuzz-<seed>
+	Name        string          `json:"name"` // package name or inline spec name
 	Backend     string          `json:"backend"`
 	Shards      int             `json:"shards"`
 	State       State           `json:"state"`
@@ -278,17 +270,10 @@ func (s *Service) Submit(req Request) (JobView, error) {
 
 // resolve turns a request into a runnable package and a display name.
 func (s *Service) resolve(req Request) (*scenario.Package, string, error) {
-	selected := 0
-	for _, on := range []bool{req.Package != "", len(req.Spec) > 0, req.FuzzSeed != nil} {
-		if on {
-			selected++
-		}
+	if (req.Package != "") == (len(req.Spec) > 0) {
+		return nil, "", fmt.Errorf("%w: exactly one of package, spec must be set", ErrBadRequest)
 	}
-	if selected != 1 {
-		return nil, "", fmt.Errorf("%w: exactly one of package, spec, fuzz_seed must be set", ErrBadRequest)
-	}
-	switch {
-	case req.Package != "":
+	if req.Package != "" {
 		if strings.ContainsAny(req.Package, "/\\") || req.Package == ".." {
 			return nil, "", fmt.Errorf("%w: invalid package name %q", ErrBadRequest, req.Package)
 		}
@@ -300,22 +285,12 @@ func (s *Service) resolve(req Request) (*scenario.Package, string, error) {
 			return nil, "", fmt.Errorf("%w: package %q: %v", ErrNotFound, req.Package, err)
 		}
 		return p, req.Package, nil
-	case len(req.Spec) > 0:
-		sp, err := scenario.DecodeSpec(req.Spec)
-		if err != nil {
-			return nil, "", fmt.Errorf("%w: %v", ErrBadRequest, err)
-		}
-		return &scenario.Package{Spec: sp}, sp.Name, nil
-	default:
-		seed := *req.FuzzSeed
-		gen := fuzzscen.Generate(seed)
-		name := fmt.Sprintf("fuzz-%d", seed)
-		sp := scenario.Export(name, gen)
-		if err := sp.Validate(); err != nil {
-			return nil, "", fmt.Errorf("%w: seed %d: %v", ErrBadRequest, seed, err)
-		}
-		return &scenario.Package{Spec: sp}, name, nil
 	}
+	sp, err := scenario.DecodeSpec(req.Spec)
+	if err != nil {
+		return nil, "", fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	return &scenario.Package{Spec: sp}, sp.Name, nil
 }
 
 // checkCaps enforces the per-run resource caps at submit time.
@@ -526,9 +501,8 @@ func (s *Service) runJob(j *job) {
 		return
 	}
 	res, err := scenario.RunWith(j.pkg, be, j.req.Shards, scenario.RunConfig{
-		Ctx:           ctx,
-		ProgressEvery: s.cfg.ProgressEvery,
-		OnProgress:    func(p harness.Progress) { j.progress(p) },
+		Ctx:        ctx,
+		OnProgress: func(p harness.Progress) { j.progress(p) },
 	})
 	switch {
 	case errors.Is(err, harness.ErrCanceled):

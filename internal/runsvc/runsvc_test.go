@@ -2,6 +2,7 @@ package runsvc
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -23,6 +24,12 @@ func writePkg(t *testing.T, root string, seed int64) string {
 		t.Fatalf("write package: %v", err)
 	}
 	return name
+}
+
+// inlineSpec is the scenario.json of the fuzz scenario for seed, for
+// Request.Spec submissions that need no package root.
+func inlineSpec(seed int64) json.RawMessage {
+	return scenario.Export(fmt.Sprintf("inline-seed-%d", seed), fuzzscen.Generate(seed)).Canonical()
 }
 
 // waitTerminal polls Get until the job reaches a terminal state.
@@ -115,9 +122,9 @@ func TestSubmitReturnsQueuedViewWhileAWorkerWaits(t *testing.T) {
 		t.Fatalf("new service: %v", err)
 	}
 	defer s.Close()
-	seed := int64(7)
+	spec := inlineSpec(7)
 	for round := 0; round < 50; round++ {
-		v, err := s.Submit(Request{FuzzSeed: &seed})
+		v, err := s.Submit(Request{Spec: spec})
 		if err != nil {
 			t.Fatalf("round %d: submit: %v", round, err)
 		}
@@ -141,9 +148,9 @@ func TestWatchRacingFinishStaysOrdered(t *testing.T) {
 		t.Fatalf("new service: %v", err)
 	}
 	defer s.Close()
-	seed := int64(7)
+	spec := inlineSpec(7)
 	for round := 0; round < 30; round++ {
-		v, err := s.Submit(Request{FuzzSeed: &seed})
+		v, err := s.Submit(Request{Spec: spec})
 		if err != nil {
 			t.Fatalf("round %d: submit: %v", round, err)
 		}
@@ -172,7 +179,7 @@ func TestWatchRacingFinishStaysOrdered(t *testing.T) {
 func TestWatchStreamsSnapshotsToTerminal(t *testing.T) {
 	root := t.TempDir()
 	name := writePkg(t, root, 11)
-	s, err := New(Config{ScenarioRoot: root, ProgressEvery: 1})
+	s, err := New(Config{ScenarioRoot: root})
 	if err != nil {
 		t.Fatalf("new service: %v", err)
 	}
@@ -226,7 +233,7 @@ func TestWatchStreamsSnapshotsToTerminal(t *testing.T) {
 func TestCancelYieldsCanceledStateAndNoSummary(t *testing.T) {
 	root := t.TempDir()
 	name := writePkg(t, root, 3)
-	s, err := New(Config{ScenarioRoot: root, ProgressEvery: 1})
+	s, err := New(Config{ScenarioRoot: root})
 	if err != nil {
 		t.Fatalf("new service: %v", err)
 	}
@@ -292,7 +299,6 @@ func TestWallTimeoutFailsTheRun(t *testing.T) {
 func TestSubmitValidation(t *testing.T) {
 	root := t.TempDir()
 	name := writePkg(t, root, 9)
-	seed := int64(9)
 	s, err := New(Config{ScenarioRoot: root, MaxNodes: 4, MaxNodeSeconds: 1})
 	if err != nil {
 		t.Fatalf("new service: %v", err)
@@ -305,7 +311,7 @@ func TestSubmitValidation(t *testing.T) {
 		want  error
 	}{
 		{"no selector", Request{}, ErrBadRequest},
-		{"two selectors", Request{Package: name, FuzzSeed: &seed}, ErrBadRequest},
+		{"two selectors", Request{Package: name, Spec: inlineSpec(9)}, ErrBadRequest},
 		{"path traversal", Request{Package: "../" + name}, ErrBadRequest},
 		{"unknown package", Request{Package: "no-such-pkg"}, ErrNotFound},
 		{"bad backend", Request{Package: name, Backend: "quantum"}, ErrBadRequest},
@@ -442,31 +448,5 @@ func TestHistoryPersistsAcrossRestart(t *testing.T) {
 
 	if len(s2.List()) != 2 {
 		t.Fatalf("List after restart returned %d runs, want 2", len(s2.List()))
-	}
-}
-
-// TestFuzzSeedSubmission exercises the third selector: a run generated
-// from a fuzz seed, gated only by its exported expect bands.
-func TestFuzzSeedSubmission(t *testing.T) {
-	s, err := New(Config{})
-	if err != nil {
-		t.Fatalf("new service: %v", err)
-	}
-	defer s.Close()
-
-	seed := int64(23)
-	v, err := s.Submit(Request{FuzzSeed: &seed})
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	if v.Name != "fuzz-23" {
-		t.Fatalf("name = %q, want fuzz-23", v.Name)
-	}
-	fin := waitTerminal(t, s, v.ID)
-	if fin.State != StateDone {
-		t.Fatalf("state = %s (error %q), want done", fin.State, fin.Error)
-	}
-	if len(fin.Summary) == 0 {
-		t.Fatal("done run has no summary")
 	}
 }

@@ -10,7 +10,6 @@ import (
 
 	"realtor/internal/fuzzscen"
 	"realtor/internal/harness"
-	"realtor/internal/sim"
 )
 
 // SpecFile and GoldenFile are the two files a package directory holds.
@@ -115,10 +114,6 @@ type RunConfig struct {
 
 	// OnProgress receives periodic snapshots (see harness.RunOptions).
 	OnProgress func(harness.Progress)
-
-	// ProgressEvery is the minimum scaled-seconds between snapshots
-	// (0 = backend default).
-	ProgressEvery sim.Time
 }
 
 // Run executes the package on the backend with the invariant oracle
@@ -139,10 +134,9 @@ func RunWith(p *Package, be harness.Backend, shards int, rc RunConfig) (Result, 
 	s := p.Spec.Effective()
 	dig := &Digest{}
 	out, err := harness.RunCheckedOpts(be, s, fuzzscen.Builder(s), harness.RunOptions{
-		Trace:         dig,
-		Ctx:           rc.Ctx,
-		OnProgress:    rc.OnProgress,
-		ProgressEvery: rc.ProgressEvery,
+		Trace:      dig,
+		Ctx:        rc.Ctx,
+		OnProgress: rc.OnProgress,
 	})
 	if err != nil {
 		return Result{}, fmt.Errorf("scenario: %s: %w", p.Spec.Name, err)

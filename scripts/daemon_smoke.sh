@@ -1,7 +1,8 @@
 #!/bin/sh
-# Daemon smoke (CI gate, well under a minute): boots realtord against
-# the committed scenario packages, drives it the way a user would, and
-# checks the management plane's load-bearing promises end to end:
+# Daemon smoke (CI gate, well under a minute): boots `realtor-scen
+# serve` against the committed scenario packages, drives it the way a
+# user would, and checks the management plane's load-bearing promises
+# end to end:
 #
 #   1. /healthz answers and carries a build identity.
 #   2. Two packages submitted CONCURRENTLY through the realtor-scen
@@ -28,11 +29,10 @@ cleanup() {
 trap cleanup EXIT
 
 echo "== build"
-$GO build -o "$TMP/realtord" ./cmd/realtord
 $GO build -o "$TMP/realtor-scen" ./cmd/realtor-scen
 
 echo "== boot"
-"$TMP/realtord" -addr "127.0.0.1:$PORT" -scenarios scenarios \
+"$TMP/realtor-scen" serve -addr "127.0.0.1:$PORT" -dir scenarios \
     -history "$TMP/history.jsonl" -workers 2 &
 DPID=$!
 i=0
