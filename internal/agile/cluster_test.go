@@ -5,8 +5,8 @@ import (
 	"time"
 
 	"realtor/internal/agile/transport"
+	"realtor/internal/core"
 	"realtor/internal/protocol"
-	"realtor/internal/protocol/baseline"
 	"realtor/internal/protocol/gossip"
 )
 
@@ -201,7 +201,7 @@ func TestLiveClusterOverUDP(t *testing.T) {
 
 func TestBaselineDiscoveryOnLiveRuntime(t *testing.T) {
 	cfg := fastConfig(4)
-	cfg.Discovery = func() protocol.Discovery { return baseline.NewPurePush(cfg.Protocol) }
+	cfg.Discovery = func() protocol.Discovery { return core.NewPurePush(cfg.Protocol) }
 	c := newTestCluster(t, cfg)
 	st := c.Drive(2, 2, 100, 5)
 	if err := st.Validate(); err != nil {

@@ -20,7 +20,8 @@ import (
 // exists to prevent ("the membership of a node in a community is valid
 // only for the interval between two consecutive refresh messages").
 // The oracle's I3 freshness check flags the first migration try that
-// uses such an entry.
+// uses such an entry. The zero value around any core.Realtor discipline
+// is ready to use (&StaleRealtor{Realtor: core.NewAdaptivePull(cfg)}).
 type StaleRealtor struct {
 	*core.Realtor
 	env  protocol.Env
@@ -30,12 +31,9 @@ type StaleRealtor struct {
 var _ protocol.Discovery = (*StaleRealtor)(nil)
 var _ ProtocolState = (*StaleRealtor)(nil)
 
-// NewStaleRealtor returns the expiry-breaking mutant.
+// NewStaleRealtor returns the expiry-breaking mutant over REALTOR.
 func NewStaleRealtor(cfg protocol.Config) *StaleRealtor {
-	return &StaleRealtor{
-		Realtor: core.New(cfg),
-		seen:    make(map[topology.NodeID]protocol.Candidate),
-	}
+	return &StaleRealtor{Realtor: core.New(cfg)}
 }
 
 // Attach implements protocol.Discovery.
@@ -48,6 +46,9 @@ func (s *StaleRealtor) Attach(env protocol.Env) {
 // then behaves honestly.
 func (s *StaleRealtor) Deliver(m protocol.Message) {
 	if m.Kind == protocol.Pledge || m.Kind == protocol.Advert {
+		if s.seen == nil {
+			s.seen = make(map[topology.NodeID]protocol.Candidate)
+		}
 		if m.Headroom > 0 {
 			s.seen[m.From] = protocol.Candidate{ID: m.From, Headroom: m.Headroom, At: s.env.Now()}
 		} else {

@@ -5,7 +5,8 @@
 //
 //	I1  HELP rate-limiting: consecutive HELP floods from one node are
 //	    separated by strictly more than the live HELP_interval
-//	    (Algorithm H, "at least HELP_interval apart").
+//	    (Algorithm H, "at least HELP_interval apart") — on protocols
+//	    that govern HELP by Algorithm H (not Pull-.9).
 //	I2  Pledge propriety: a PLEDGE advertising positive headroom is sent
 //	    only while the sender's usage is at or below the threshold, and
 //	    the advertised headroom equals the sender's actual headroom; a
@@ -17,7 +18,8 @@
 //	I4  State provenance / membership symmetry: every organizer-side
 //	    pledge entry is justified by a delivered PLEDGE/ADVERT from that
 //	    member (matching timestamp, headroom never above what was
-//	    advertised), and every member-side membership is justified by a
+//	    advertised, no entry once the member's last delivered push
+//	    retracted), and every member-side membership is justified by a
 //	    delivered HELP from that organizer within the membership window.
 //	I5  Conservation: every arrived task resolves to exactly one of
 //	    admit-local, migrate-ok, or reject — none lost, none duplicated.
@@ -135,14 +137,18 @@ func (w EngineWorld) Discovery(id topology.NodeID) protocol.Discovery { return w
 func (w EngineWorld) Graph() *topology.Graph { return w.E.Graph() }
 
 // ProtocolState is the read-only window a Discovery implementation must
-// expose for the oracle to audit it. core.Realtor and the slow
-// Reference implementation in this package both satisfy it; protocol
-// instances that don't (the push/gossip baselines) are simply skipped.
+// expose for the oracle to audit it. core.Realtor — REALTOR and the
+// four push/pull baselines alike — and the slow Reference implementation
+// in this package satisfy it; protocol instances that don't (the gossip
+// comparator, the overlays) get only the backend-level invariants.
+// HelpGoverned reports whether the protocol rate-limits its HELP floods
+// by Algorithm H; I1 applies only when it does.
 type ProtocolState interface {
 	Config() protocol.Config
 	EachPledge(fn func(protocol.Candidate) bool)
 	EachMembership(fn func(org topology.NodeID, expiry sim.Time) bool)
 	HelpIntervalState() (interval sim.Time, penalties, rewards uint64)
+	HelpGoverned() bool
 }
 
 // Violation is one observed invariant breach.
@@ -220,7 +226,8 @@ type Oracle struct {
 	msgDropped   uint64 // loss + in-flight-death drops
 
 	// I4 provenance. pledges[org][member] is the last delivered
-	// positive-headroom PLEDGE/ADVERT member→org; helps[member][org]
+	// PLEDGE/ADVERT member→org if it had positive headroom (a retraction
+	// deletes the record); helps[member][org]
 	// spans the HELP deliveries org→member.
 	pledges pairTable[sendRec]
 	helps   pairTable[span]
@@ -315,20 +322,35 @@ func NewWorldOracle(w World, slack sim.Time) *Oracle {
 // the sequential simulator the mutex is uncontended and free of side
 // effects, keeping runs bit-identical to an unhooked engine.
 type Hooks struct {
-	mu  sync.Mutex
-	o   *Oracle
-	rec trace.Recorder
-	obs trace.MessageObserver
+	mu    sync.Mutex
+	o     *Oracle
+	early []func(*Oracle) // oracle callbacks that arrived before Bind
+	rec   trace.Recorder
+	obs   trace.MessageObserver
 }
 
 var _ trace.Recorder = (*Hooks)(nil)
 var _ trace.MessageObserver = (*Hooks)(nil)
 
-// Bind points the forwarder at a constructed oracle.
+// Bind points the forwarder at a constructed oracle and replays to it,
+// in order, every callback that arrived before: a live cluster's hosts
+// run from construction on (a DHT node publishes at once), so a send
+// can precede Bind while its delivery follows it.
 func (h *Hooks) Bind(o *Oracle) {
 	h.mu.Lock()
 	h.o = o
+	for _, fn := range h.early {
+		fn(o)
+	}
+	h.early = nil
 	h.mu.Unlock()
+}
+
+// kept detaches m from the sender's View buffer, which it may reuse
+// before a queued callback replays.
+func kept(m protocol.Message) protocol.Message {
+	m.View = append([]protocol.Candidate(nil), m.View...)
+	return m
 }
 
 // Tee attaches an extra trace recorder and/or observer (e.g. a
@@ -355,6 +377,8 @@ func (h *Hooks) Record(ev trace.Event) {
 	h.mu.Lock()
 	if h.o != nil {
 		h.o.Record(ev)
+	} else {
+		h.early = append(h.early, func(o *Oracle) { o.Record(ev) })
 	}
 	if h.rec != nil {
 		h.rec.Record(ev)
@@ -367,6 +391,9 @@ func (h *Hooks) OnSend(now sim.Time, from, to topology.NodeID, m protocol.Messag
 	h.mu.Lock()
 	if h.o != nil {
 		h.o.OnSend(now, from, to, m)
+	} else {
+		m := kept(m)
+		h.early = append(h.early, func(o *Oracle) { o.OnSend(now, from, to, m) })
 	}
 	if h.obs != nil {
 		h.obs.OnSend(now, from, to, m)
@@ -379,6 +406,9 @@ func (h *Hooks) OnDeliver(now sim.Time, to topology.NodeID, m protocol.Message) 
 	h.mu.Lock()
 	if h.o != nil {
 		h.o.OnDeliver(now, to, m)
+	} else {
+		m := kept(m)
+		h.early = append(h.early, func(o *Oracle) { o.OnDeliver(now, to, m) })
 	}
 	if h.obs != nil {
 		h.obs.OnDeliver(now, to, m)
@@ -391,6 +421,9 @@ func (h *Hooks) OnDrop(now sim.Time, from, to topology.NodeID, m protocol.Messag
 	h.mu.Lock()
 	if h.o != nil {
 		h.o.OnDrop(now, from, to, m, reason)
+	} else {
+		m := kept(m)
+		h.early = append(h.early, func(o *Oracle) { o.OnDrop(now, from, to, m, reason) })
 	}
 	if h.obs != nil {
 		h.obs.OnDrop(now, from, to, m, reason)
@@ -403,6 +436,8 @@ func (h *Hooks) OnInject(now sim.Time, node topology.NodeID, size float64) {
 	h.mu.Lock()
 	if h.o != nil {
 		h.o.OnInject(now, node, size)
+	} else {
+		h.early = append(h.early, func(o *Oracle) { o.OnInject(now, node, size) })
 	}
 	if h.obs != nil {
 		h.obs.OnInject(now, node, size)
@@ -523,19 +558,20 @@ func (o *Oracle) Record(ev trace.Event) {
 	}
 }
 
-// checkHelpFlood asserts I1 and I7 at the instant a HELP flood is
-// emitted. Backends trace the flood from inside MaybeHelpFor before
-// lastSent/interval mutate, so the live interval read here is exactly
-// the value the rate-limit decision used. The gap, however, is measured
-// on the observer's clock, which on a live backend lags the protocol's
-// own reads — the slack absorbs that drift.
+// checkHelpFlood asserts I1 (governed protocols only) and I7 at the
+// instant a HELP flood is emitted. Backends trace the flood from inside
+// the protocol's Env.Flood call, before lastSent/interval mutate, so the
+// live interval read here is exactly the value the rate-limit decision
+// used. The gap, however, is measured on the observer's clock, which on
+// a live backend lags the protocol's own reads — the slack absorbs that
+// drift.
 func (o *Oracle) checkHelpFlood(now sim.Time, node topology.NodeID) {
 	s := o.state(node)
 	if s == nil {
 		return
 	}
 	iv, pen, rew := s.HelpIntervalState()
-	if o.helpSeen[node] {
+	if o.helpSeen[node] && s.HelpGoverned() {
 		if gap := now - o.lastHelp[node]; gap <= iv-o.slack {
 			o.fail(now, "I1-help-rate", node,
 				"HELP flood %.6g s after the previous one, within HELP_interval %.6g",
@@ -798,6 +834,8 @@ func (o *Oracle) OnDeliver(now sim.Time, to topology.NodeID, m protocol.Message)
 		o.auditPledgeList(now, to)
 		if m.Headroom > 0 {
 			o.pledges.put(to, m.From, sendRec{at: now, headroom: m.Headroom})
+		} else {
+			delete(o.pledges[to], m.From) // a retraction leaves no entry to justify
 		}
 	case protocol.Help:
 		o.auditMemberships(now, to)

@@ -301,3 +301,24 @@ func TestHooksSerializeConcurrentEmitters(t *testing.T) {
 		t.Errorf("teed recorder saw %d events, want %d", teed, 2*emitters*tasks)
 	}
 }
+
+// TestHooksReplayCallbacksBeforeBind: a live cluster's hosts run before
+// the oracle exists, so a message can be sent before Bind and delivered
+// after it. The oracle must see both halves, in order.
+func TestHooksReplayCallbacksBeforeBind(t *testing.T) {
+	h := &Hooks{}
+	m := protocol.Message{Kind: protocol.Advert, From: 1, Headroom: 5}
+	h.Record(trace.Event{At: 0, Kind: trace.Arrival, Node: 0, Size: 2})
+	h.OnSend(0, 1, 0, m)
+	o := NewWorldOracle(&scriptWorld{n: 2}, 0)
+	h.Bind(o)
+	h.OnDeliver(0.1, 0, m)
+	h.Record(trace.Event{At: 0.2, Kind: trace.AdmitLocal, Node: 0, Size: 2})
+	o.FinishTotals(0.2)
+	if err := o.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if o.msgSent != 1 || o.arrivals != 1 {
+		t.Fatalf("oracle saw %d sends and %d arrivals, want 1 and 1", o.msgSent, o.arrivals)
+	}
+}

@@ -74,7 +74,7 @@ func (r *Reference) Name() string { return "REALTOR-ref" }
 func (r *Reference) Attach(env protocol.Env) { r.env = env }
 
 // wouldExceed is Algorithm H's trigger, with the exact float expression
-// of core.HelpGovernor.WouldExceed.
+// of core.Realtor's pull trigger.
 func (r *Reference) wouldExceed(size float64) bool {
 	backlog := r.env.Capacity() - r.env.Headroom()
 	return backlog+size > r.cfg.Threshold*r.env.Capacity()
@@ -120,7 +120,7 @@ func (r *Reference) liveEntries(now sim.Time) int {
 }
 
 // armTimer (re)arms the pledge-response timer with the same scheduler
-// operation sequence as core.HelpGovernor.armTimer: one Cancel plus one
+// operation sequence as core.Realtor.arm: one Cancel plus one
 // schedule per arming.
 func (r *Reference) armTimer() {
 	if r.timer != nil {
@@ -356,3 +356,6 @@ func (r *Reference) EachMembership(fn func(org topology.NodeID, expiry sim.Time)
 func (r *Reference) HelpIntervalState() (sim.Time, uint64, uint64) {
 	return r.interval, r.penalties, r.rewards
 }
+
+// HelpGoverned implements ProtocolState: the reference runs Algorithm H.
+func (r *Reference) HelpGoverned() bool { return true }

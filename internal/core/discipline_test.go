@@ -1,16 +1,24 @@
-package baseline
+package core
 
 import (
 	"testing"
 
 	"realtor/internal/protocol"
 	"realtor/internal/protocol/protocoltest"
+	"realtor/internal/sim"
 )
 
-func cfg() protocol.Config { return protocol.DefaultConfig() }
+// The paper's four baselines are disciplines of Realtor; these tests pin
+// each one's behaviour through protocoltest.FakeEnv.
+
+// interval reads the live HELP_interval.
+func interval(r *Realtor) sim.Time {
+	iv, _, _ := r.HelpIntervalState()
+	return iv
+}
 
 func TestNames(t *testing.T) {
-	c := cfg()
+	c := testConfig()
 	cases := map[string]protocol.Discovery{
 		"Push-1":   NewPurePush(c),
 		"Push-.9":  NewAdaptivePush(c),
@@ -22,11 +30,20 @@ func TestNames(t *testing.T) {
 			t.Errorf("name %q, want %q", d.Name(), want)
 		}
 	}
+	// Only Algorithm H disciplines are held to the oracle's I1.
+	for r, want := range map[*Realtor]bool{
+		New(c): true, NewAdaptivePull(c): true,
+		NewPurePull(c): false, NewPurePush(c): false, NewAdaptivePush(c): false,
+	} {
+		if r.HelpGoverned() != want {
+			t.Errorf("%s: HelpGoverned %v, want %v", r.Name(), r.HelpGoverned(), want)
+		}
+	}
 }
 
 func TestPurePushPeriodicAdverts(t *testing.T) {
 	env := protocoltest.New(0, 100)
-	p := NewPurePush(cfg())
+	p := NewPurePush(testConfig())
 	p.Attach(env)
 	env.Backlog = 30
 	env.Advance(5.5)
@@ -43,7 +60,7 @@ func TestPurePushPeriodicAdverts(t *testing.T) {
 
 func TestPurePushStopsOnDeath(t *testing.T) {
 	env := protocoltest.New(0, 100)
-	p := NewPurePush(cfg())
+	p := NewPurePush(testConfig())
 	p.Attach(env)
 	env.Advance(2.5)
 	p.OnNodeDeath()
@@ -56,7 +73,7 @@ func TestPurePushStopsOnDeath(t *testing.T) {
 
 func TestPurePushIgnoresArrivalsAndCrossings(t *testing.T) {
 	env := protocoltest.New(0, 100)
-	p := NewPurePush(cfg())
+	p := NewPurePush(testConfig())
 	p.Attach(env)
 	p.OnArrival(50)
 	p.OnUsageCrossing(true)
@@ -68,7 +85,7 @@ func TestPurePushIgnoresArrivalsAndCrossings(t *testing.T) {
 
 func TestAdaptivePushCrossingAdverts(t *testing.T) {
 	env := protocoltest.New(0, 100)
-	p := NewAdaptivePush(cfg())
+	p := NewAdaptivePush(testConfig())
 	p.Attach(env)
 
 	env.Backlog = 95
@@ -89,7 +106,7 @@ func TestAdaptivePushCrossingAdverts(t *testing.T) {
 
 func TestAdaptivePushQuietOtherwise(t *testing.T) {
 	env := protocoltest.New(0, 100)
-	p := NewAdaptivePush(cfg())
+	p := NewAdaptivePush(testConfig())
 	p.Attach(env)
 	p.OnArrival(50)
 	env.Advance(100)
@@ -100,7 +117,7 @@ func TestAdaptivePushQuietOtherwise(t *testing.T) {
 
 func TestPurePullHelpsUnbounded(t *testing.T) {
 	env := protocoltest.New(0, 100)
-	p := NewPurePull(cfg())
+	p := NewPurePull(testConfig())
 	p.Attach(env)
 	env.Backlog = 92
 	// Back-to-back qualifying arrivals: no interval gating at all.
@@ -114,7 +131,7 @@ func TestPurePullHelpsUnbounded(t *testing.T) {
 
 func TestPurePullQuietBelowThreshold(t *testing.T) {
 	env := protocoltest.New(0, 100)
-	p := NewPurePull(cfg())
+	p := NewPurePull(testConfig())
 	p.Attach(env)
 	env.Backlog = 30
 	p.OnArrival(1)
@@ -125,8 +142,8 @@ func TestPurePullQuietBelowThreshold(t *testing.T) {
 
 func TestPullsReplyOncePerHelp(t *testing.T) {
 	for _, mk := range []func() protocol.Discovery{
-		func() protocol.Discovery { return NewPurePull(cfg()) },
-		func() protocol.Discovery { return NewAdaptivePull(cfg()) },
+		func() protocol.Discovery { return NewPurePull(testConfig()) },
+		func() protocol.Discovery { return NewAdaptivePull(testConfig()) },
 	} {
 		env := protocoltest.New(0, 100)
 		p := mk()
@@ -149,8 +166,8 @@ func TestPullsReplyOncePerHelp(t *testing.T) {
 
 func TestPullsStayQuietOnHelpWhenBusy(t *testing.T) {
 	for _, mk := range []func() protocol.Discovery{
-		func() protocol.Discovery { return NewPurePull(cfg()) },
-		func() protocol.Discovery { return NewAdaptivePull(cfg()) },
+		func() protocol.Discovery { return NewPurePull(testConfig()) },
+		func() protocol.Discovery { return NewAdaptivePull(testConfig()) },
 	} {
 		env := protocoltest.New(0, 100)
 		p := mk()
@@ -165,7 +182,7 @@ func TestPullsStayQuietOnHelpWhenBusy(t *testing.T) {
 
 func TestAdaptivePullGatedByGovernor(t *testing.T) {
 	env := protocoltest.New(0, 100)
-	p := NewAdaptivePull(cfg())
+	p := NewAdaptivePull(testConfig())
 	p.Attach(env)
 	env.Backlog = 92
 	for i := 0; i < 5; i++ {
@@ -178,19 +195,19 @@ func TestAdaptivePullGatedByGovernor(t *testing.T) {
 
 func TestAdaptivePullWindowIsFixed(t *testing.T) {
 	env := protocoltest.New(0, 100)
-	c := cfg()
+	c := testConfig()
 	p := NewAdaptivePull(c)
 	p.Attach(env)
-	if p.Governor().Interval() != c.HelpUpper {
-		t.Fatalf("Pull-100 window %v, want %v", p.Governor().Interval(), c.HelpUpper)
+	if interval(p) != c.HelpUpper {
+		t.Fatalf("Pull-100 window %v, want %v", interval(p), c.HelpUpper)
 	}
 	env.Backlog = 92
 	p.OnArrival(1)
 	p.Deliver(protocol.Message{Kind: protocol.Pledge, From: 2, Headroom: 50})
 	p.OnMigrationOutcome(2, 5, true)
 	env.Advance(c.PledgeWait + 5) // let the response timer expire too
-	if p.Governor().Interval() != c.HelpUpper {
-		t.Fatalf("Pull-100 window drifted to %v", p.Governor().Interval())
+	if interval(p) != c.HelpUpper {
+		t.Fatalf("Pull-100 window drifted to %v", interval(p))
 	}
 	// A second qualifying arrival inside the window stays suppressed ...
 	p.OnArrival(1)
@@ -207,10 +224,11 @@ func TestAdaptivePullWindowIsFixed(t *testing.T) {
 
 func TestCandidateManagementShared(t *testing.T) {
 	for _, mk := range []func() protocol.Discovery{
-		func() protocol.Discovery { return NewPurePush(cfg()) },
-		func() protocol.Discovery { return NewAdaptivePush(cfg()) },
-		func() protocol.Discovery { return NewPurePull(cfg()) },
-		func() protocol.Discovery { return NewAdaptivePull(cfg()) },
+		func() protocol.Discovery { return NewPurePush(testConfig()) },
+		func() protocol.Discovery { return NewAdaptivePush(testConfig()) },
+		func() protocol.Discovery { return NewPurePull(testConfig()) },
+		func() protocol.Discovery { return NewAdaptivePull(testConfig()) },
+		func() protocol.Discovery { return New(testConfig()) },
 	} {
 		env := protocoltest.New(0, 100)
 		p := mk()
@@ -238,10 +256,11 @@ func TestCandidateManagementShared(t *testing.T) {
 
 func TestDeadInstancesAreSilent(t *testing.T) {
 	for _, mk := range []func() protocol.Discovery{
-		func() protocol.Discovery { return NewPurePush(cfg()) },
-		func() protocol.Discovery { return NewAdaptivePush(cfg()) },
-		func() protocol.Discovery { return NewPurePull(cfg()) },
-		func() protocol.Discovery { return NewAdaptivePull(cfg()) },
+		func() protocol.Discovery { return NewPurePush(testConfig()) },
+		func() protocol.Discovery { return NewAdaptivePush(testConfig()) },
+		func() protocol.Discovery { return NewPurePull(testConfig()) },
+		func() protocol.Discovery { return NewAdaptivePull(testConfig()) },
+		func() protocol.Discovery { return New(testConfig()) },
 	} {
 		env := protocoltest.New(0, 100)
 		p := mk()
@@ -261,13 +280,14 @@ func TestDeadInstancesAreSilent(t *testing.T) {
 }
 
 func TestInvalidConfigPanics(t *testing.T) {
-	bad := cfg()
+	bad := testConfig()
 	bad.EntryTTL = 0
 	for i, f := range []func(){
 		func() { NewPurePush(bad) },
 		func() { NewAdaptivePush(bad) },
 		func() { NewPurePull(bad) },
 		func() { NewAdaptivePull(bad) },
+		func() { New(bad) },
 	} {
 		func() {
 			defer func() {

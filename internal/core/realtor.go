@@ -4,173 +4,53 @@
 // failure) with an adaptive PUSH (Algorithm P: community members pledge
 // spontaneously whenever their resource usage crosses a threshold).
 //
-// The HELP-interval governor is exported separately so that the
-// Adaptive-PULL baseline — which the paper defines as "the same fashion
-// as in REALTOR" minus the push component — can reuse it verbatim.
+// The paper's four comparison protocols of Section 4/5 are those two
+// halves on their own or in pure form, so they are disciplines of the
+// same Realtor type rather than separate implementations:
+//
+//	Push-1   pure PUSH:     availability flood every PushInterval
+//	Push-.9  adaptive PUSH: availability flood on every threshold crossing
+//	Pull-.9  pure PULL:     HELP flood on every qualifying arrival, one
+//	                        PLEDGE reply per HELP
+//	Pull-100 adaptive PULL: Algorithm H-governed HELP pinned to a fixed
+//	                        window of Upper_limit, one PLEDGE reply per HELP
 package core
 
 import (
+	"fmt"
+	"strings"
+
 	"realtor/internal/protocol"
 	"realtor/internal/sim"
 	"realtor/internal/topology"
 )
 
-// HelpGovernor implements Algorithm H (Figure 2 of the paper): it decides
-// when a HELP flood may be sent and adapts HELP_interval.
-//
-//	on timeout:           HELP_interval += HELP_interval * alpha  (≤ Upper_limit)
-//	on resource found:    HELP_interval -= HELP_interval * beta   (> 0)
-//
-// The response timer is armed when a HELP is sent and reset by every
-// incoming PLEDGE; it expires — and applies the penalty — only when
-// pledges stop arriving for PledgeWait seconds. The reward fires when "a
-// node is found for migration" (Figure 2), which we pin to a successful
-// migration: this is what keeps the interval at Upper_limit under
-// sustained overload ("due to the repeated failure of finding available
-// resources", the paper's explanation of Figure 7), instead of letting
-// every stray pledge collapse it.
-type HelpGovernor struct {
-	cfg protocol.Config
-	env protocol.Env
+// pullMode is how a node solicits availability (the PULL half).
+type pullMode uint8
 
-	interval sim.Time
-	lastSent sim.Time
-	sentAny  bool
+const (
+	noPull       pullMode = iota
+	purePull              // HELP on every qualifying arrival (Pull-.9)
+	governedPull          // HELP gated by Algorithm H's interval
+)
 
-	timer     protocol.Timer
-	timeoutFn func() // cached method value: no per-arming closure alloc
+// pushMode is how a node volunteers availability (the PUSH half). The
+// crossing-driven modes come last: OnUsageCrossing ignores the rest.
+type pushMode uint8
 
-	helps     uint64
-	penalties uint64
-	rewards   uint64
-}
+const (
+	noPush        pushMode = iota
+	periodicPush           // ADVERT flood every PushInterval (Push-1)
+	crossingPush           // ADVERT flood on every threshold crossing (Push-.9)
+	communityPush          // Algorithm P: PLEDGE to each community on a crossing
+)
 
-// NewHelpGovernor returns a governor with HELP_interval = cfg.HelpInit.
-func NewHelpGovernor(cfg protocol.Config) *HelpGovernor {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	g := &HelpGovernor{cfg: cfg, interval: cfg.HelpInit}
-	g.timeoutFn = g.onTimeout
-	return g
-}
-
-// Attach binds the governor to its node environment.
-func (g *HelpGovernor) Attach(env protocol.Env) { g.env = env }
-
-// Interval returns the current HELP_interval.
-func (g *HelpGovernor) Interval() sim.Time { return g.interval }
-
-// Helps returns the number of HELP floods sent.
-func (g *HelpGovernor) Helps() uint64 { return g.helps }
-
-// Rewards returns how many times the interval was shrunk.
-func (g *HelpGovernor) Rewards() uint64 { return g.rewards }
-
-// Penalties returns how many times the interval was grown.
-func (g *HelpGovernor) Penalties() uint64 { return g.penalties }
-
-// WouldExceed evaluates Algorithm H's trigger: would admitting a task of
-// the given size push queue occupancy above the threshold?
-func (g *HelpGovernor) WouldExceed(size float64) bool {
-	backlog := g.env.Capacity() - g.env.Headroom()
-	return backlog+size > g.cfg.Threshold*g.env.Capacity()
-}
-
-// HelpBuilder constructs the HELP message lazily, only when the governor
-// actually decides to send. Protocols implement it on their instance so
-// the per-arrival hot path passes an existing object instead of
-// allocating a fresh closure for every task arrival.
-type HelpBuilder interface {
-	BuildHelp(size float64) protocol.Message
-}
-
-// MaybeHelpFor floods a HELP if the trigger condition holds and at least
-// HELP_interval has elapsed since the last HELP. It reports whether a
-// HELP was sent.
-func (g *HelpGovernor) MaybeHelpFor(size float64, b HelpBuilder) bool {
-	if !g.WouldExceed(size) {
-		return false
-	}
-	now := g.env.Now()
-	if g.sentAny && now-g.lastSent <= g.interval {
-		return false
-	}
-	g.env.Flood(b.BuildHelp(size))
-	g.lastSent = now
-	g.sentAny = true
-	g.helps++
-	g.armTimer()
-	return true
-}
-
-// funcBuilder adapts a plain closure to HelpBuilder for MaybeHelp.
-type funcBuilder func() protocol.Message
-
-func (f funcBuilder) BuildHelp(float64) protocol.Message { return f() }
-
-// MaybeHelp is MaybeHelpFor with a plain closure, kept for tests and
-// callers off the hot path.
-func (g *HelpGovernor) MaybeHelp(size float64, build func() protocol.Message) bool {
-	return g.MaybeHelpFor(size, funcBuilder(build))
-}
-
-func (g *HelpGovernor) armTimer() {
-	if g.timer != nil {
-		// Re-arm in place when the Env supports it: one timer object per
-		// governor instead of one per pledge burst.
-		if rt, ok := g.timer.(protocol.ResettableTimer); ok && rt.Reset(g.cfg.PledgeWait) {
-			return
-		}
-		g.timer.Stop()
-	}
-	g.timer = g.env.After(g.cfg.PledgeWait, g.timeoutFn)
-}
-
-func (g *HelpGovernor) onTimeout() {
-	g.timer = nil
-	if g.cfg.Alpha == 0 {
-		return // fixed-window mode (Pull-100): no adaptation
-	}
-	// Penalty: expand the interval to back off while the system is
-	// saturated, capped at Upper_limit.
-	grown := g.interval + g.interval*sim.Time(g.cfg.Alpha)
-	if grown <= g.cfg.HelpUpper {
-		g.interval = grown
-		g.penalties++
-	} else if g.interval < g.cfg.HelpUpper {
-		g.interval = g.cfg.HelpUpper
-		g.penalties++
-	}
-}
-
-// OnPledge is called for every incoming PLEDGE; pledges still flowing
-// keep the response timer (and hence the penalty) at bay.
-func (g *HelpGovernor) OnPledge() {
-	if g.timer != nil {
-		g.armTimer() // reset: pledges are still flowing
-	}
-}
-
-// OnResourceFound applies the reward: a node was actually found for a
-// migration, so discovery may speed up again.
-func (g *HelpGovernor) OnResourceFound() {
-	if g.cfg.Beta == 0 {
-		return // fixed-window mode
-	}
-	shrunk := g.interval - g.interval*sim.Time(g.cfg.Beta)
-	if shrunk >= g.cfg.HelpMin {
-		g.interval = shrunk
-		g.rewards++
-	}
-}
-
-// Stop cancels the response timer (node death / end of run).
-func (g *HelpGovernor) Stop() {
-	if g.timer != nil {
-		g.timer.Stop()
-		g.timer = nil
-	}
+// discipline selects one of the five contenders; only REALTOR
+// (governed pull + community push) keeps memberships, and only governed
+// pull runs Algorithm H.
+type discipline struct {
+	pull pullMode
+	push pushMode
 }
 
 // membership is one community this node belongs to: the organizer and
@@ -180,89 +60,230 @@ type membership struct {
 	expiry sim.Time
 }
 
-// Realtor is the full protocol: Algorithm H as community organizer plus
-// Algorithm P as community member.
+// Realtor is the full protocol — Algorithm H as community organizer plus
+// Algorithm P as community member — or, under a baseline discipline, the
+// half of it that baseline keeps.
 type Realtor struct {
 	cfg protocol.Config
 	env protocol.Env
-	gov *HelpGovernor
+	d   discipline
 
-	// Organizer side: availability list built from pledges.
+	dead    bool
+	sentAny bool // a HELP has been sent (Algorithm H)
+
+	// Organizer side: availability list built from pledges and adverts.
 	list *protocol.PledgeList
 
-	// Member side: communities this node belongs to, kept sorted by
-	// ascending organizer ID at update time. Soft state — never
-	// persisted, refreshed by replying to HELPs. The sort-at-update
-	// discipline is what lets OnUsageCrossing emit its pledge unicasts in
-	// deterministic organizer order without sorting (or allocating) on
-	// every threshold crossing.
+	// Member side (community push only): communities this node belongs
+	// to, kept sorted by ascending organizer ID at update time. Soft
+	// state — never persisted, refreshed by replying to HELPs. The
+	// sort-at-update discipline is what lets OnUsageCrossing emit its
+	// pledge unicasts in deterministic organizer order without sorting
+	// (or allocating) on every threshold crossing.
 	members []membership
 
-	dead bool
+	// Algorithm H (Figure 2 of the paper), governed pull only:
+	//
+	//	on timeout:           HELP_interval += HELP_interval * alpha  (≤ Upper_limit)
+	//	on resource found:    HELP_interval -= HELP_interval * beta   (> 0)
+	//
+	// The response timer is armed when a HELP is sent and reset by every
+	// incoming PLEDGE; it expires — and applies the penalty — only when
+	// pledges stop arriving for PledgeWait seconds. The reward fires
+	// when "a node is found for migration" (Figure 2), which we pin to a
+	// successful migration: this is what keeps the interval at
+	// Upper_limit under sustained overload ("due to the repeated failure
+	// of finding available resources", the paper's explanation of
+	// Figure 7), instead of letting every stray pledge collapse it.
+	interval  sim.Time
+	lastSent  sim.Time
+	penalties uint64
+	rewards   uint64
+
+	// timer is Algorithm H's response timer under governed pull, or the
+	// advertisement chain under periodic push; no discipline needs both.
+	timer   protocol.Timer
+	timerFn func() // cached method value: no per-arming closure alloc
 }
 
 var _ protocol.Discovery = (*Realtor)(nil)
-var _ HelpBuilder = (*Realtor)(nil)
 
-// New returns a REALTOR instance with the given configuration.
-func New(cfg protocol.Config) *Realtor {
+func newRealtor(cfg protocol.Config, d discipline) *Realtor {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Realtor{
-		cfg:  cfg,
-		gov:  NewHelpGovernor(cfg),
-		list: protocol.NewPledgeList(cfg.EntryTTL),
-	}
+	r := &Realtor{cfg: cfg, d: d, interval: cfg.HelpInit, list: protocol.NewPledgeList(cfg.EntryTTL)}
+	r.timerFn = r.onTimer
+	return r
+}
+
+// New returns a REALTOR-100 instance with the given configuration.
+func New(cfg protocol.Config) *Realtor {
+	return newRealtor(cfg, discipline{governedPull, communityPush})
+}
+
+// NewPurePush returns Push-1: every node floods its availability every
+// PushInterval seconds, regardless of load — the paper's high-overhead
+// reference point.
+func NewPurePush(cfg protocol.Config) *Realtor {
+	return newRealtor(cfg, discipline{noPull, periodicPush})
+}
+
+// NewAdaptivePush returns Push-.9: a node floods its availability only
+// when its usage crosses the threshold — rising crossings retract,
+// falling ones re-advertise.
+func NewAdaptivePush(cfg protocol.Config) *Realtor {
+	return newRealtor(cfg, discipline{noPull, crossingPush})
+}
+
+// NewPurePull returns Pull-.9: every qualifying arrival floods a HELP
+// with no interval gating — the unbounded solicitation the paper
+// criticizes; receivers below threshold reply exactly once per HELP.
+func NewPurePull(cfg protocol.Config) *Realtor {
+	return newRealtor(cfg, discipline{purePull, noPush})
+}
+
+// NewAdaptivePull returns Pull-100: HELP emission gated by a fixed time
+// window of Upper_limit seconds ("adaptive-pull time window = 100" in
+// every figure caption). It is REALTOR without its push half and
+// without interval adaptation: Algorithm H pinned to the window
+// (α = β = 0, initial interval = Upper_limit).
+func NewAdaptivePull(cfg protocol.Config) *Realtor {
+	cfg.Alpha, cfg.Beta = 0, 0
+	cfg.HelpInit = cfg.HelpUpper
+	return newRealtor(cfg, discipline{governedPull, noPush})
+}
+
+// fracName renders a threshold the way the paper's legends do: 0.9 → ".9".
+func fracName(v float64) string {
+	return strings.TrimPrefix(fmt.Sprintf("%g", v), "0")
 }
 
 // Name identifies the protocol as in the paper's figure legends.
-func (r *Realtor) Name() string { return "REALTOR-100" }
+func (r *Realtor) Name() string {
+	switch {
+	case r.d.push == periodicPush:
+		return fmt.Sprintf("Push-%g", float64(r.cfg.PushInterval))
+	case r.d.push == crossingPush:
+		return "Push-" + fracName(r.cfg.Threshold)
+	case r.d.pull == purePull:
+		return "Pull-" + fracName(r.cfg.Threshold)
+	case r.d.push == noPush:
+		return fmt.Sprintf("Pull-%g", float64(r.cfg.HelpUpper))
+	}
+	return "REALTOR-100"
+}
 
-// Attach binds the instance to its node.
+// Attach binds the instance to its node; periodic push starts its
+// advertisement chain.
 func (r *Realtor) Attach(env protocol.Env) {
 	r.env = env
-	r.gov.Attach(env)
+	if r.d.push == periodicPush {
+		r.arm(r.cfg.PushInterval)
+	}
 }
 
-// OnArrival runs Algorithm H's arrival-side trigger.
+// wouldExceed evaluates the pull trigger: would admitting a task of the
+// given size push queue occupancy above the threshold?
+func (r *Realtor) wouldExceed(size float64) bool {
+	backlog := r.env.Capacity() - r.env.Headroom()
+	return backlog+size > r.cfg.Threshold*r.env.Capacity()
+}
+
+// OnArrival runs the pull trigger: pure pull floods a HELP on every
+// qualifying arrival; governed pull only if at least HELP_interval has
+// elapsed since its last HELP.
 func (r *Realtor) OnArrival(size float64) {
-	if r.dead {
+	if r.dead || r.d.pull == noPull || !r.wouldExceed(size) {
 		return
 	}
-	r.gov.MaybeHelpFor(size, r)
-}
-
-// BuildHelp constructs the HELP flood payload; called by the governor
-// only when it decides to send.
-func (r *Realtor) BuildHelp(size float64) protocol.Message {
-	return protocol.Message{
-		Kind:    protocol.Help,
-		From:    r.env.Self(),
-		Members: r.list.Len(r.env.Now()),
-		Demand:  size,
-	}
-}
-
-// OnUsageCrossing runs Algorithm P's member-side spontaneous pledges:
-// "once a host determines to be a member of a community, it replies with
-// PLEDGE messages whenever its resource usage status changes across the
-// threshold level". A rising crossing retracts availability (headroom 0);
-// a falling one re-advertises current headroom.
-func (r *Realtor) OnUsageCrossing(rising bool) {
-	if r.dead || len(r.members) == 0 {
+	if r.d.pull == purePull {
+		r.env.Flood(r.help(size))
 		return
 	}
 	now := r.env.Now()
+	if r.sentAny && now-r.lastSent <= r.interval {
+		return
+	}
+	r.env.Flood(r.help(size))
+	r.lastSent = now
+	r.sentAny = true
+	r.arm(r.cfg.PledgeWait)
+}
+
+// help constructs the HELP flood payload; only REALTOR advertises its
+// community size.
+func (r *Realtor) help(size float64) protocol.Message {
+	m := protocol.Message{Kind: protocol.Help, From: r.env.Self(), Demand: size}
+	if r.d.push == communityPush {
+		m.Members = r.list.Len(r.env.Now())
+	}
+	return m
+}
+
+// arm (re)starts the instance's timer d seconds from now, in place when
+// the Env supports it: one timer object per instance instead of one
+// allocation per pledge burst or advertisement tick.
+func (r *Realtor) arm(d sim.Time) {
+	if r.timer != nil {
+		if rt, ok := r.timer.(protocol.ResettableTimer); ok && rt.Reset(d) {
+			return
+		}
+		r.timer.Stop()
+	}
+	r.timer = r.env.After(d, r.timerFn)
+}
+
+// onTimer is the periodic-push tick, or Algorithm H's response timeout.
+func (r *Realtor) onTimer() {
+	if r.d.push == periodicPush {
+		r.env.Flood(protocol.Message{Kind: protocol.Advert, From: r.env.Self(), Headroom: r.env.Headroom()})
+		r.arm(r.cfg.PushInterval)
+		return
+	}
+	r.timer = nil
+	if r.cfg.Alpha == 0 {
+		return // fixed-window mode (Pull-100): no adaptation
+	}
+	// Penalty: expand the interval to back off while the system is
+	// saturated, capped at Upper_limit.
+	grown := r.interval + r.interval*sim.Time(r.cfg.Alpha)
+	if grown <= r.cfg.HelpUpper {
+		r.interval = grown
+		r.penalties++
+	} else if r.interval < r.cfg.HelpUpper {
+		r.interval = r.cfg.HelpUpper
+		r.penalties++
+	}
+}
+
+// OnUsageCrossing runs the push half on a threshold crossing. A rising
+// crossing retracts availability (headroom 0); a falling one
+// re-advertises current headroom. Adaptive push floods it; REALTOR runs
+// Algorithm P's member-side spontaneous pledges: "once a host determines
+// to be a member of a community, it replies with PLEDGE messages
+// whenever its resource usage status changes across the threshold
+// level".
+func (r *Realtor) OnUsageCrossing(rising bool) {
+	// Headroom and Usage advance the node's lazily drained queue, so
+	// every discipline reads them exactly when and as often as its
+	// algorithm says: a member of no community reads nothing.
+	if r.dead || r.d.push < crossingPush || (r.d.push == communityPush && len(r.members) == 0) {
+		return
+	}
 	headroom := r.env.Headroom()
 	if rising {
 		headroom = 0
+	}
+	if r.d.push == crossingPush {
+		r.env.Flood(protocol.Message{Kind: protocol.Advert, From: r.env.Self(), Headroom: headroom})
+		return
 	}
 	// The members slice is maintained sorted by organizer ID at
 	// membership-update time, so the unicasts go out in ascending
 	// organizer order — the deterministic order the engine's loss-RNG
 	// draws depend on — with no per-crossing sort or allocation.
-	r.purgeMemberships(now)
+	r.purgeMemberships(r.env.Now())
 	for _, m := range r.members {
 		r.env.Unicast(m.org, protocol.Message{
 			Kind:        protocol.Pledge,
@@ -339,9 +360,9 @@ func (r *Realtor) grantProbability() float64 {
 	return 1 - r.env.Usage()
 }
 
-// Deliver handles incoming HELP (Algorithm P's reply rule), PLEDGE
-// (organizer list update plus Algorithm H reward path) and — tolerantly —
-// ADVERT from mixed-protocol deployments.
+// Deliver handles incoming HELP (the pull disciplines' reply rule),
+// PLEDGE (organizer list update, resetting Algorithm H's response timer)
+// and ADVERT (list update).
 func (r *Realtor) Deliver(m protocol.Message) {
 	if r.dead {
 		return
@@ -349,27 +370,28 @@ func (r *Realtor) Deliver(m protocol.Message) {
 	now := r.env.Now()
 	switch m.Kind {
 	case protocol.Help:
-		// Algorithm P: reply iff local usage is below the threshold. The
-		// reply additionally (re-)joins the sender's community when a
-		// membership slot is free — joining is what subscribes the
-		// organizer to this node's future crossing pledges, and the cap
-		// is what keeps the per-node interaction set a small subset of
-		// the system rather than all of it.
-		if r.env.Usage() < r.cfg.Threshold {
+		// Algorithm P: reply iff local usage is below the threshold.
+		// REALTOR's reply additionally (re-)joins the sender's community
+		// when a membership slot is free — joining is what subscribes
+		// the organizer to this node's future crossing pledges, and the
+		// cap is what keeps the per-node interaction set a small subset
+		// of the system rather than all of it.
+		if r.d.pull == noPull || r.env.Usage() >= r.cfg.Threshold {
+			return
+		}
+		reply := protocol.Message{Kind: protocol.Pledge, From: r.env.Self(), Headroom: r.env.Headroom()}
+		if r.d.push == communityPush {
 			if r.mayJoin(m.From, now) {
 				r.setMembership(m.From, now+r.cfg.MembershipTTL)
 			}
-			r.env.Unicast(m.From, protocol.Message{
-				Kind:        protocol.Pledge,
-				From:        r.env.Self(),
-				Headroom:    r.env.Headroom(),
-				Communities: len(r.members),
-				Grant:       r.grantProbability(),
-			})
+			reply.Communities, reply.Grant = len(r.members), r.grantProbability()
 		}
+		r.env.Unicast(m.From, reply)
 	case protocol.Pledge:
 		r.list.Update(now, m.From, m.Headroom)
-		r.gov.OnPledge()
+		if r.d.pull == governedPull && r.timer != nil {
+			r.arm(r.cfg.PledgeWait) // reset: pledges are still flowing
+		}
 	case protocol.Advert:
 		r.list.Update(now, m.From, m.Headroom)
 	}
@@ -396,11 +418,17 @@ func (r *Realtor) Candidates(size float64) []protocol.Candidate {
 // drops the stale entry so the next request tries someone else — and
 // feeds Algorithm H's reward: a success is "a node found for migration".
 func (r *Realtor) OnMigrationOutcome(target topology.NodeID, size float64, success bool) {
-	if success {
-		r.list.Debit(target, size)
-		r.gov.OnResourceFound()
-	} else {
+	if !success {
 		r.list.Remove(target)
+		return
+	}
+	r.list.Debit(target, size)
+	if r.d.pull != governedPull || r.cfg.Beta == 0 {
+		return // fixed-window mode (Pull-100) or no governor
+	}
+	if shrunk := r.interval - r.interval*sim.Time(r.cfg.Beta); shrunk >= r.cfg.HelpMin {
+		r.interval = shrunk
+		r.rewards++
 	}
 }
 
@@ -409,7 +437,10 @@ func (r *Realtor) OnMigrationOutcome(target topology.NodeID, size float64, succe
 // idempotent under attack.
 func (r *Realtor) OnNodeDeath() {
 	r.dead = true
-	r.gov.Stop()
+	if r.timer != nil {
+		r.timer.Stop()
+		r.timer = nil
+	}
 	r.members = r.members[:0]
 	r.list = protocol.NewPledgeList(r.cfg.EntryTTL)
 }
@@ -425,21 +456,23 @@ func (r *Realtor) Memberships() int {
 	return len(r.members)
 }
 
-// Governor exposes the Algorithm H state for tests and ablations.
-func (r *Realtor) Governor() *HelpGovernor { return r.gov }
-
 // Config returns the parameter set this instance runs with, so external
 // invariant checkers can evaluate the protocol against its own spec.
 func (r *Realtor) Config() protocol.Config { return r.cfg }
 
 // HelpIntervalState returns the live Algorithm H adaptation state —
 // current HELP_interval and the penalty/reward counters — in one call,
-// so invariant checkers can assert the multiplicative bounds without
-// depending on the concrete governor type (the slow reference
-// implementation in internal/check exposes the same tuple).
+// so invariant checkers can assert the multiplicative bounds (the slow
+// reference implementation in internal/check exposes the same tuple).
+// Without governed pull the interval stays at HelpInit.
 func (r *Realtor) HelpIntervalState() (interval sim.Time, penalties, rewards uint64) {
-	return r.gov.Interval(), r.gov.Penalties(), r.gov.Rewards()
+	return r.interval, r.penalties, r.rewards
 }
+
+// HelpGoverned reports whether HELP emission is rate-limited by
+// Algorithm H — true for REALTOR and Pull-100, false for Pull-.9 (which
+// floods on every qualifying arrival) and for the push-only baselines.
+func (r *Realtor) HelpGoverned() bool { return r.d.pull == governedPull }
 
 // EachPledge iterates the organizer-side availability list read-only:
 // fn sees every stored entry (including ones aged past the TTL that have

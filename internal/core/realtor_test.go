@@ -23,133 +23,115 @@ func newAttached(t *testing.T) (*Realtor, *protocoltest.FakeEnv) {
 	return r, env
 }
 
+// The Algorithm H governor is driven through Realtor.OnArrival, Deliver
+// and OnMigrationOutcome, the only way the engine reaches it.
+
 func TestGovernorWouldExceed(t *testing.T) {
-	env := protocoltest.New(0, 100)
-	g := NewHelpGovernor(testConfig())
-	g.Attach(env)
+	r, env := newAttached(t)
 	env.Backlog = 80
-	if g.WouldExceed(5) {
+	r.OnArrival(5)
+	if len(env.Outbox) != 0 {
 		t.Fatal("80+5 should not exceed 90")
 	}
-	if !g.WouldExceed(15) {
+	r.OnArrival(15)
+	if len(env.Floods(protocol.Help)) != 1 {
 		t.Fatal("80+15 should exceed 90")
 	}
 }
 
 func TestGovernorIntervalGating(t *testing.T) {
-	env := protocoltest.New(0, 100)
-	g := NewHelpGovernor(testConfig())
-	g.Attach(env)
+	r, env := newAttached(t)
 	env.Backlog = 95
-	build := func() protocol.Message { return protocol.Message{Kind: protocol.Help, From: 0} }
-	if !g.MaybeHelp(1, build) {
+	r.OnArrival(1)
+	if len(env.Floods(protocol.Help)) != 1 {
 		t.Fatal("first qualifying arrival should HELP")
 	}
-	if g.MaybeHelp(1, build) {
+	r.OnArrival(1)
+	if len(env.Floods(protocol.Help)) != 1 {
 		t.Fatal("second HELP inside the interval should be suppressed")
 	}
 	// The pledge timer expires at t=1 with no pledges, so the penalty
 	// grows the interval to 1.5; advance beyond that.
 	env.Advance(2)
-	if !g.MaybeHelp(1, build) {
-		t.Fatal("HELP after interval elapsed should be sent")
-	}
-	if g.Helps() != 2 {
-		t.Fatalf("helps = %d, want 2", g.Helps())
+	r.OnArrival(1)
+	if got := len(env.Floods(protocol.Help)); got != 2 {
+		t.Fatalf("helps = %d, want 2", got)
 	}
 }
 
 func TestGovernorPenaltyOnTimeout(t *testing.T) {
-	env := protocoltest.New(0, 100)
+	r, env := newAttached(t)
 	cfg := testConfig()
-	g := NewHelpGovernor(cfg)
-	g.Attach(env)
 	env.Backlog = 95
-	g.MaybeHelp(1, func() protocol.Message { return protocol.Message{Kind: protocol.Help} })
-	before := g.Interval()
+	r.OnArrival(1)
+	before := interval(r)
 	env.Advance(cfg.PledgeWait + 0.1) // no pledges: timeout
 	want := before + before*sim.Time(cfg.Alpha)
-	if g.Interval() != want {
-		t.Fatalf("interval after penalty %v, want %v", g.Interval(), want)
-	}
-	if g.Penalties() != 1 {
-		t.Fatalf("penalties %d", g.Penalties())
+	if iv, pen, _ := r.HelpIntervalState(); iv != want || pen != 1 {
+		t.Fatalf("after penalty: interval %v penalties %d, want %v and 1", iv, pen, want)
 	}
 }
 
 func TestGovernorPenaltyCapsAtUpperLimit(t *testing.T) {
-	env := protocoltest.New(0, 100)
+	r, env := newAttached(t)
 	cfg := testConfig()
-	g := NewHelpGovernor(cfg)
-	g.Attach(env)
 	env.Backlog = 95
 	for i := 0; i < 40; i++ {
-		g.MaybeHelp(1, func() protocol.Message { return protocol.Message{Kind: protocol.Help} })
-		env.Advance(g.Interval() + cfg.PledgeWait + 0.1)
+		r.OnArrival(1)
+		env.Advance(interval(r) + cfg.PledgeWait + 0.1)
 	}
-	if g.Interval() > cfg.HelpUpper {
-		t.Fatalf("interval %v exceeded Upper_limit %v", g.Interval(), cfg.HelpUpper)
-	}
-	if g.Interval() != cfg.HelpUpper {
-		t.Fatalf("interval %v should have saturated at %v", g.Interval(), cfg.HelpUpper)
+	if interval(r) != cfg.HelpUpper {
+		t.Fatalf("interval %v should have saturated at Upper_limit %v", interval(r), cfg.HelpUpper)
 	}
 }
 
 func TestGovernorRewardOnResourceFound(t *testing.T) {
-	env := protocoltest.New(0, 100)
+	r, _ := newAttached(t)
 	cfg := testConfig()
-	g := NewHelpGovernor(cfg)
-	g.Attach(env)
-	before := g.Interval()
-	g.OnResourceFound()
+	before := interval(r)
+	r.OnMigrationOutcome(2, 5, true)
 	want := before - before*sim.Time(cfg.Beta)
-	if g.Interval() != want {
-		t.Fatalf("interval after reward %v, want %v", g.Interval(), want)
-	}
-	if g.Rewards() != 1 {
-		t.Fatalf("rewards %d, want 1", g.Rewards())
+	if iv, _, rew := r.HelpIntervalState(); iv != want || rew != 1 {
+		t.Fatalf("after reward: interval %v rewards %d, want %v and 1", iv, rew, want)
 	}
 	// Pledges alone never shrink the interval.
-	g.OnPledge()
-	if g.Interval() != want {
+	r.Deliver(protocol.Message{Kind: protocol.Pledge, From: 2, Headroom: 40})
+	if interval(r) != want {
 		t.Fatal("pledge shrank the interval")
 	}
 }
 
 func TestGovernorPledgeResetsTimer(t *testing.T) {
-	env := protocoltest.New(0, 100)
+	r, env := newAttached(t)
 	cfg := testConfig()
-	g := NewHelpGovernor(cfg)
-	g.Attach(env)
 	env.Backlog = 95
-	g.MaybeHelp(1, func() protocol.Message { return protocol.Message{Kind: protocol.Help} })
+	r.OnArrival(1)
+	penalties := func() uint64 { _, pen, _ := r.HelpIntervalState(); return pen }
 	// Keep pledging just before the timer fires; no penalty accumulates.
 	for i := 0; i < 5; i++ {
 		env.Advance(cfg.PledgeWait - 0.1)
-		g.OnPledge() // pledges keep flowing: timer keeps resetting
+		r.Deliver(protocol.Message{Kind: protocol.Pledge, From: 2, Headroom: 40})
 	}
-	if g.Penalties() != 0 {
-		t.Fatalf("penalty fired despite continuous pledges: %d", g.Penalties())
+	if penalties() != 0 {
+		t.Fatalf("penalty fired despite continuous pledges: %d", penalties())
 	}
 	env.Advance(cfg.PledgeWait + 0.1)
-	if g.Penalties() != 1 {
-		t.Fatalf("penalty after pledges stopped: %d, want 1", g.Penalties())
+	if penalties() != 1 {
+		t.Fatalf("penalty after pledges stopped: %d, want 1", penalties())
 	}
 }
 
 func TestGovernorIntervalStaysPositive(t *testing.T) {
-	env := protocoltest.New(0, 100)
+	r, env := newAttached(t)
 	cfg := testConfig()
-	g := NewHelpGovernor(cfg)
-	g.Attach(env)
 	env.Backlog = 95
 	for i := 0; i < 100; i++ {
-		g.MaybeHelp(1, func() protocol.Message { return protocol.Message{Kind: protocol.Help} })
-		g.OnResourceFound()
-		env.Advance(g.Interval() + 0.001)
+		r.OnArrival(1)
+		r.OnMigrationOutcome(2, 1, true)
+		env.Advance(interval(r) + 0.001)
 	}
-	if g.Interval() < cfg.HelpMin {
-		t.Fatalf("interval %v fell below floor %v", g.Interval(), cfg.HelpMin)
+	if interval(r) < cfg.HelpMin {
+		t.Fatalf("interval %v fell below floor %v", interval(r), cfg.HelpMin)
 	}
 }
 
@@ -307,17 +289,17 @@ func TestRealtorMigrationSuccessRewardsGovernor(t *testing.T) {
 	env.Backlog = 95
 	r.OnArrival(1) // sends HELP
 	r.Deliver(protocol.Message{Kind: protocol.Pledge, From: 2, Headroom: 40})
-	before := r.Governor().Interval()
-	if r.Governor().Interval() != before {
+	before := interval(r)
+	if interval(r) != before {
 		t.Fatal("pledge alone changed the interval")
 	}
 	r.OnMigrationOutcome(2, 5, true)
-	if r.Governor().Interval() >= before {
+	if interval(r) >= before {
 		t.Fatal("successful migration did not shrink HELP interval")
 	}
-	after := r.Governor().Interval()
+	after := interval(r)
 	r.OnMigrationOutcome(2, 5, false)
-	if r.Governor().Interval() != after {
+	if interval(r) != after {
 		t.Fatal("failed migration changed the interval")
 	}
 }
@@ -346,9 +328,9 @@ func TestRealtorAdvertOnlyUpdatesList(t *testing.T) {
 	r, env := newAttached(t)
 	env.Backlog = 95
 	r.OnArrival(1)
-	before := r.Governor().Interval()
+	before := interval(r)
 	r.Deliver(protocol.Message{Kind: protocol.Advert, From: 2, Headroom: 40})
-	if r.Governor().Interval() != before {
+	if interval(r) != before {
 		t.Fatal("advert touched Algorithm H")
 	}
 	if len(r.Candidates(1)) != 1 {

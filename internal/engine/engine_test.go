@@ -6,7 +6,6 @@ import (
 	"realtor/internal/core"
 	"realtor/internal/metrics"
 	"realtor/internal/protocol"
-	"realtor/internal/protocol/baseline"
 	"realtor/internal/protocol/protocoltest"
 	"realtor/internal/resource"
 	"realtor/internal/rng"
@@ -32,10 +31,10 @@ func builders() map[string]Builder {
 	cfg := protocol.DefaultConfig()
 	return map[string]Builder{
 		"realtor":  func() protocol.Discovery { return core.New(cfg) },
-		"purepush": func() protocol.Discovery { return baseline.NewPurePush(cfg) },
-		"adpush":   func() protocol.Discovery { return baseline.NewAdaptivePush(cfg) },
-		"purepull": func() protocol.Discovery { return baseline.NewPurePull(cfg) },
-		"adpull":   func() protocol.Discovery { return baseline.NewAdaptivePull(cfg) },
+		"purepush": func() protocol.Discovery { return core.NewPurePush(cfg) },
+		"adpush":   func() protocol.Discovery { return core.NewAdaptivePush(cfg) },
+		"purepull": func() protocol.Discovery { return core.NewPurePull(cfg) },
+		"adpull":   func() protocol.Discovery { return core.NewAdaptivePull(cfg) },
 	}
 }
 

@@ -5,10 +5,10 @@ import (
 	"reflect"
 	"testing"
 
+	"realtor/internal/core"
 	"realtor/internal/engine"
 	"realtor/internal/fuzzscen"
 	"realtor/internal/protocol"
-	"realtor/internal/protocol/baseline"
 	"realtor/internal/protocol/gossip"
 	"realtor/internal/sim"
 	"realtor/internal/topology"
@@ -108,10 +108,10 @@ func equivProtocols() []equivProto {
 		{"dht", overlay("dht")},
 		{"hier", overlay("hier")},
 		{"fed", overlay("fed")},
-		{"purepush", plain(func(c protocol.Config) protocol.Discovery { return baseline.NewPurePush(c) })},
-		{"adpush", plain(func(c protocol.Config) protocol.Discovery { return baseline.NewAdaptivePush(c) })},
-		{"purepull", plain(func(c protocol.Config) protocol.Discovery { return baseline.NewPurePull(c) })},
-		{"adpull", plain(func(c protocol.Config) protocol.Discovery { return baseline.NewAdaptivePull(c) })},
+		{"purepush", plain(func(c protocol.Config) protocol.Discovery { return core.NewPurePush(c) })},
+		{"adpush", plain(func(c protocol.Config) protocol.Discovery { return core.NewAdaptivePush(c) })},
+		{"purepull", plain(func(c protocol.Config) protocol.Discovery { return core.NewPurePull(c) })},
+		{"adpull", plain(func(c protocol.Config) protocol.Discovery { return core.NewAdaptivePull(c) })},
 		{"gossip", func(s *fuzzscen.Scenario) engine.Builder {
 			s.Discovery = ""
 			cfg := gossip.Config{Protocol: s.ProtocolConfig(), N: s.Nodes(), Seed: s.EngineSeed}

@@ -15,7 +15,6 @@ import (
 	"realtor/internal/metrics"
 	"realtor/internal/plot"
 	"realtor/internal/protocol"
-	"realtor/internal/protocol/baseline"
 	"realtor/internal/protocol/gossip"
 	"realtor/internal/rng"
 	"realtor/internal/sim"
@@ -33,10 +32,10 @@ type Protocol struct {
 // the figure legends: Pull-.9, Push-1, Push-.9, Pull-100, REALTOR.
 func StandardProtocols(cfg protocol.Config) []Protocol {
 	return []Protocol{
-		{"Pull-.9", func() protocol.Discovery { return baseline.NewPurePull(cfg) }},
-		{"Push-1", func() protocol.Discovery { return baseline.NewPurePush(cfg) }},
-		{"Push-.9", func() protocol.Discovery { return baseline.NewAdaptivePush(cfg) }},
-		{"Pull-100", func() protocol.Discovery { return baseline.NewAdaptivePull(cfg) }},
+		{"Pull-.9", func() protocol.Discovery { return core.NewPurePull(cfg) }},
+		{"Push-1", func() protocol.Discovery { return core.NewPurePush(cfg) }},
+		{"Push-.9", func() protocol.Discovery { return core.NewAdaptivePush(cfg) }},
+		{"Pull-100", func() protocol.Discovery { return core.NewAdaptivePull(cfg) }},
 		{"REALTOR-100", func() protocol.Discovery { return core.New(cfg) }},
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"realtor/internal/check"
+	"realtor/internal/core"
 	"realtor/internal/engine"
 	"realtor/internal/protocol"
 	"realtor/internal/topology"
@@ -16,8 +17,9 @@ import (
 // under I1–I11 (exact, slack 0) at once; a new study is covered by being
 // listed.
 //
-// Cells whose Discovery does not expose check.ProtocolState (no pledge
-// list, membership set or HELP interval to read) get only the
+// All five contenders of the paper's figures are core.Realtor and expose
+// check.ProtocolState. Cells whose Discovery does not (no pledge list,
+// membership set or HELP interval to read) get only the
 // backend-level invariants — I5 task and message conservation, I6
 // partition safety, I8 crossing alternation. statelessCells names the
 // entries that have such cells and why; the test fails if that list
@@ -26,12 +28,9 @@ import (
 // clock (ROADMAP item 7).
 func TestCatalogueCellsUnderOracle(t *testing.T) {
 	statelessCells := map[string]string{
-		"figures_5_8.txt": "four of the five contenders are the push/pull baselines",
-		"loss.txt":        "four of the five contenders are the push/pull baselines",
-		"attack.txt":      "four of the five contenders are the push/pull baselines",
-		"gossip.txt":      "Push-1 and the anti-entropy gossip comparator",
-		"federation.txt":  "federation.Discovery embeds REALTOR without forwarding its state",
-		"discovery.txt":   "HIER and FED embed REALTOR without forwarding its state; DHT exposes check.OverlayState instead (I4/I5-overlay)",
+		"gossip.txt":     "the anti-entropy gossip comparator keeps no pledge list the oracle can read",
+		"federation.txt": "federation.Discovery embeds REALTOR without forwarding its state",
+		"discovery.txt":  "HIER and FED embed REALTOR without forwarding its state; DHT exposes check.OverlayState instead (I4/I5-overlay)",
 	}
 	type audited struct {
 		e *engine.Engine
@@ -82,14 +81,36 @@ func TestCatalogueCellsUnderOracle(t *testing.T) {
 		}
 	}
 
-	// The binding has teeth: the seeded expiry-breaking mutant on the
-	// same Section 5 cell is caught through the same hook.
-	cells = cells[:0]
-	cfg := PaperCell(topology.Mesh(5, 5), 20, 300, 1)
-	e := newCell(cfg, func() protocol.Discovery { return check.NewStaleRealtor(protocol.DefaultConfig()) })
-	e.Run(PoissonSource(cfg, 8))
-	cells[0].o.Finish(e.Scheduler().Now())
-	if cells[0].o.Err() == nil {
-		t.Error("oracle bound through auditCell missed the StaleRealtor mutant")
+	// The binding has teeth: seeded bugs on the same Section 5 cell are
+	// caught through the same hook — the expiry-breaking mutant over
+	// REALTOR and over Pull-100, and a Push-.9 that keeps an entry after
+	// its member retracted (I4's retraction rule; StaleRealtor alone
+	// cannot catch a push bug, since push lists always hold a fitting
+	// entry).
+	pc := protocol.DefaultConfig()
+	for name, build := range map[string]engine.Builder{
+		"StaleRealtor/REALTOR-100": func() protocol.Discovery { return check.NewStaleRealtor(pc) },
+		"StaleRealtor/Pull-100":    func() protocol.Discovery { return &check.StaleRealtor{Realtor: core.NewAdaptivePull(pc)} },
+		"no-retract/Push-.9":       func() protocol.Discovery { return noRetract{core.NewAdaptivePush(pc)} },
+	} {
+		cells = cells[:0]
+		cfg := PaperCell(topology.Mesh(5, 5), 20, 300, 1)
+		e := newCell(cfg, build)
+		e.Run(PoissonSource(cfg, 8))
+		cells[0].o.Finish(e.Scheduler().Now())
+		if cells[0].o.Err() == nil {
+			t.Errorf("oracle bound through auditCell missed the %s mutant", name)
+		}
 	}
+}
+
+// noRetract is a Push-.9 whose list ignores retractions: an ADVERT with
+// no headroom leaves the member's old entry in place.
+type noRetract struct{ *core.Realtor }
+
+func (n noRetract) Deliver(m protocol.Message) {
+	if m.Kind == protocol.Advert && m.Headroom <= 0 {
+		return
+	}
+	n.Realtor.Deliver(m)
 }

@@ -376,6 +376,7 @@ type protocolState interface {
 	EachPledge(fn func(protocol.Candidate) bool)
 	EachMembership(fn func(org topology.NodeID, expiry sim.Time) bool)
 	HelpIntervalState() (interval sim.Time, penalties, rewards uint64)
+	HelpGoverned() bool
 }
 
 // stateStack is a Stack whose inner protocol exposes oracle state; it
@@ -395,6 +396,7 @@ func (s *stateStack) EachMembership(fn func(org topology.NodeID, expiry sim.Time
 func (s *stateStack) HelpIntervalState() (sim.Time, uint64, uint64) {
 	return s.ps.HelpIntervalState()
 }
+func (s *stateStack) HelpGoverned() bool { return s.ps.HelpGoverned() }
 
 // Wrap interposes cfg's policies around one Discovery instance. When
 // the inner protocol exposes oracle state (check.ProtocolState), the

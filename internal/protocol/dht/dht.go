@@ -282,7 +282,7 @@ func (d *D) OnArrival(size float64) {
 	d.armAwait()
 }
 
-// wouldExceed mirrors core.HelpGovernor's trigger: admitting size
+// wouldExceed mirrors core.Realtor's pull trigger: admitting size
 // seconds of work would cross the usage threshold.
 func (d *D) wouldExceed(size float64) bool {
 	cap := d.env.Capacity()

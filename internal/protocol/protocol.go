@@ -1,9 +1,10 @@
 // Package protocol defines the resource-discovery framework shared by
-// REALTOR and the four baseline protocols of the paper: the HELP/PLEDGE
-// message vocabulary, soft-state pledge lists, the cost model of Section 5
-// (flood = number of links, unicast = mean shortest-path length), and the
-// Discovery interface through which the simulation engine drives a
-// protocol instance on each node.
+// every discovery protocol in the tree — REALTOR and the paper's four
+// baselines (all disciplines of core.Realtor), the gossip comparator and
+// the overlays: the HELP/PLEDGE message vocabulary, soft-state pledge
+// lists, the cost model of Section 5 (flood = number of links, unicast =
+// mean shortest-path length), and the Discovery interface through which
+// the simulation engine drives a protocol instance on each node.
 package protocol
 
 import (
