@@ -58,8 +58,22 @@
 // decision's clock read and the observer's.
 //
 // The oracle is read-only: it inspects protocol state exclusively
-// through the non-perturbing accessors (EachPledge, EachMembership,
-// HelpIntervalState) so attaching it cannot change a run's trajectory.
+// through the non-perturbing accessors of ProtocolState — Config,
+// EachPledge and EachMembership (full walks), Pledge and Membership
+// (point lookups), PledgeLog and MembershipLog (write logs),
+// HelpIntervalState and HelpGoverned — so attaching it cannot change a
+// run's trajectory.
+//
+// I4 is audited on write. Only two things can turn a justified entry
+// into an unjustified one: the protocol writing the entry (noted in its
+// table's protocol.WriteLog), and the oracle re-recording the last
+// delivery's sender. Removal and expiry only drop entries, HELP spans
+// only widen, and the audit instant only grows. So after an audit that
+// found nothing, the next one checks just the entries the logs name
+// plus that sender, and walks the whole table — reporting in table
+// order, exactly as a walk on every delivery would — only on an
+// instance's first audit, after a log overflow, after an audit that
+// found something, or when a point check fails.
 package check
 
 import (
@@ -143,10 +157,22 @@ func (w EngineWorld) Graph() *topology.Graph { return w.E.Graph() }
 // comparator, the overlays) get only the backend-level invariants.
 // HelpGoverned reports whether the protocol rate-limits its HELP floods
 // by Algorithm H; I1 applies only when it does.
+//
+// Pledge and Membership are point lookups with the same non-perturbing
+// contract as the Each walks. PledgeLog and MembershipLog return the
+// write logs of the two tables (every insert, refresh and re-rank of an
+// entry is noted), or nil when the implementation keeps none — the
+// oracle then audits that table by the full walk every time.
+// Implementations are pointer types: the oracle keys its per-node audit
+// cursor by instance identity.
 type ProtocolState interface {
 	Config() protocol.Config
 	EachPledge(fn func(protocol.Candidate) bool)
 	EachMembership(fn func(org topology.NodeID, expiry sim.Time) bool)
+	Pledge(id topology.NodeID) (protocol.Candidate, bool)
+	Membership(org topology.NodeID) (expiry sim.Time, ok bool)
+	PledgeLog() *protocol.WriteLog
+	MembershipLog() *protocol.WriteLog
 	HelpIntervalState() (interval sim.Time, penalties, rewards uint64)
 	HelpGoverned() bool
 }
@@ -163,22 +189,8 @@ func (v Violation) String() string {
 	return fmt.Sprintf("t=%.4f [%s] node %d: %s", float64(v.At), v.Invariant, v.Node, v.Detail)
 }
 
-// pairTable holds one record per directed relationship between two
-// nodes: t[a][b]. It is indexed by node first because every audit walks
-// one node's soft state — all its lookups then land in that node's own
-// small map, hashed on a single word — and because it holds any node ID
-// a World can have (a packed two-ID key would alias past 2³²). Rows are
-// made on first write; a missing row reads as empty.
-type pairTable[V any] []map[topology.NodeID]V
-
-func (t pairTable[V]) put(a, b topology.NodeID, v V) {
-	if t[a] == nil {
-		t[a] = make(map[topology.NodeID]V)
-	}
-	t[a][b] = v
-}
-
-// sendRec remembers the last justified availability push b→a.
+// sendRec remembers the last availability push b→a. A non-positive
+// headroom is a retraction: it justifies no entry.
 type sendRec struct {
 	at       sim.Time
 	headroom float64
@@ -187,8 +199,36 @@ type sendRec struct {
 // span tracks the first and last time an event was observed for a pair.
 type span struct {
 	first, last sim.Time
-	seen        bool
 }
+
+// limits are the protocol parameters the oracle checks against, read
+// from ProtocolState.Config once per instance.
+type limits struct {
+	threshold          float64
+	entryTTL, membTTL  sim.Time
+	helpMin, helpUpper sim.Time
+}
+
+// cursor is what the oracle remembers of one node's protocol instance
+// between I4 audits.
+type cursor struct {
+	inst ProtocolState // the instance the rest describes; nil: none yet
+	lim  limits
+
+	// Per table: the write-log count at the last audit, and whether that
+	// audit may be built on — false on an instance's first audit and
+	// after one that found a violation.
+	pledgeSeen, membSeen   uint64
+	pledgeClean, membClean bool
+
+	// sender is the member whose PLEDGE/ADVERT record changed since the
+	// last pledge-list audit, or -1.
+	sender topology.NodeID
+}
+
+// exhaustiveI4 makes every oracle built while it is set audit I4 by the
+// full walk on every delivery (a test hook; see export_test.go).
+var exhaustiveI4 bool
 
 // Oracle asserts the protocol invariants against one run. Wire it in as
 // both the backend's trace recorder and observer (see Hooks), run the
@@ -226,11 +266,13 @@ type Oracle struct {
 	msgDropped   uint64 // loss + in-flight-death drops
 
 	// I4 provenance. pledges[org][member] is the last delivered
-	// PLEDGE/ADVERT member→org if it had positive headroom (a retraction
-	// deletes the record); helps[member][org]
-	// spans the HELP deliveries org→member.
-	pledges pairTable[sendRec]
-	helps   pairTable[span]
+	// PLEDGE/ADVERT member→org; helps[member][org] spans the HELP
+	// deliveries org→member. Both rows of a node are forgotten when it
+	// dies. cur[node] keys the audit on write to the node's instance.
+	pledges    pairTable[sendRec]
+	helps      pairTable[span]
+	cur        []cursor
+	exhaustive bool
 
 	// I6 shadow topology, maintained solely from trace events and asked
 	// only Reachable (component labels, never a distance row) — a
@@ -290,6 +332,9 @@ func NewWorldOracle(w World, slack sim.Time) *Oracle {
 		pending:  make(map[float64]int),
 		pledges:  make(pairTable[sendRec], n),
 		helps:    make(pairTable[span], n),
+		cur:      make([]cursor, n),
+
+		exhaustive: exhaustiveI4,
 
 		bktInit:   make([]bool, n),
 		bktTokens: make([]float64, n),
@@ -472,10 +517,25 @@ func (o *Oracle) Err() error {
 		len(o.violations)+o.dropped, o.violations[0])
 }
 
-// state returns the auditable protocol state on a node, or nil.
-func (o *Oracle) state(id topology.NodeID) ProtocolState {
+// state returns the auditable protocol state on a node, or nil, with
+// the node's cursor — re-keyed, with a fresh read of the instance's
+// limits, whenever the node runs an instance the cursor does not
+// describe.
+func (o *Oracle) state(id topology.NodeID) (ProtocolState, *cursor) {
 	s, _ := o.w.Discovery(id).(ProtocolState)
-	return s
+	if s == nil {
+		return nil, nil
+	}
+	c := &o.cur[id]
+	if c.inst != s {
+		cfg := s.Config()
+		*c = cursor{inst: s, sender: -1, lim: limits{
+			threshold: cfg.Threshold,
+			entryTTL:  cfg.EntryTTL, membTTL: cfg.MembershipTTL,
+			helpMin: cfg.HelpMin, helpUpper: cfg.HelpUpper,
+		}}
+	}
+	return s, c
 }
 
 // Record implements trace.Recorder: the oracle's view of backend-level
@@ -532,7 +592,11 @@ func (o *Oracle) Record(ev trace.Event) {
 	case trace.NodeKill:
 		// Protocol state is dropped on death; a revived node runs a
 		// fresh instance with a reset governor, crossing state, and
-		// policy stack (full bucket, empty retry ledger).
+		// policy stack (full bucket, empty retry ledger), and nothing
+		// delivered to the dead incarnation may justify its soft state.
+		o.pledges.clear(ev.Node)
+		o.helps.clear(ev.Node)
+		o.cur[ev.Node] = cursor{}
 		o.above[ev.Node] = false
 		o.helpSeen[ev.Node] = false
 		o.ivSeen[ev.Node] = false
@@ -566,7 +630,7 @@ func (o *Oracle) Record(ev trace.Event) {
 // a live backend lags the protocol's own reads — the slack absorbs that
 // drift.
 func (o *Oracle) checkHelpFlood(now sim.Time, node topology.NodeID) {
-	s := o.state(node)
+	s, c := o.state(node)
 	if s == nil {
 		return
 	}
@@ -580,20 +644,19 @@ func (o *Oracle) checkHelpFlood(now sim.Time, node topology.NodeID) {
 	}
 	o.helpSeen[node] = true
 	o.lastHelp[node] = now
-	o.checkInterval(now, node, s, iv, pen, rew)
+	o.checkInterval(now, node, c.lim, iv, pen, rew)
 }
 
 // checkInterval asserts I7 against the last observation of this node's
 // governor state. Counter comparisons are exact on every backend — the
 // penalty/reward counters are integers read atomically with the
 // interval, so no clock slack applies.
-func (o *Oracle) checkInterval(now sim.Time, node topology.NodeID, s ProtocolState,
+func (o *Oracle) checkInterval(now sim.Time, node topology.NodeID, lim limits,
 	iv sim.Time, pen, rew uint64) {
-	cfg := s.Config()
-	if iv < cfg.HelpMin-eps || iv > cfg.HelpUpper+eps {
+	if iv < lim.helpMin-eps || iv > lim.helpUpper+eps {
 		o.fail(now, "I7-interval-bounds", node,
 			"HELP_interval %.6g outside [%.6g, %.6g]",
-			float64(iv), float64(cfg.HelpMin), float64(cfg.HelpUpper))
+			float64(iv), float64(lim.helpMin), float64(lim.helpUpper))
 	}
 	if o.ivSeen[node] {
 		p0, r0, iv0 := o.lastPen[node], o.lastRew[node], o.lastIv[node]
@@ -748,20 +811,12 @@ func (o *Oracle) checkRetryLedger(now sim.Time, id topology.NodeID, a policy.Aud
 // measured on the observer's clock, so the expiry comparison widens by
 // the slack on live backends.
 func (o *Oracle) checkFreshTarget(now sim.Time, from, target topology.NodeID) {
-	s := o.state(from)
+	s, c := o.state(from)
 	if s == nil {
 		return
 	}
-	ttl := s.Config().EntryTTL
-	var entry protocol.Candidate
-	found := false
-	s.EachPledge(func(c protocol.Candidate) bool {
-		if c.ID == target {
-			entry, found = c, true
-			return false
-		}
-		return true
-	})
+	ttl := c.lim.entryTTL
+	entry, found := s.Pledge(target)
 	switch {
 	case !found:
 		o.fail(now, "I3-soft-state-expiry", from,
@@ -790,14 +845,14 @@ func (o *Oracle) OnSend(now sim.Time, from, to topology.NodeID, m protocol.Messa
 	if m.Kind != protocol.Pledge {
 		return
 	}
-	s := o.state(from)
+	s, c := o.state(from)
 	if s == nil {
 		return
 	}
 	// Resource comparisons drift by at most the clock slack (queues
 	// drain one second per scaled second, so slack seconds of clock
 	// drift move headroom by at most slack).
-	thr := s.Config().Threshold
+	thr := c.lim.threshold
 	usage := o.w.Usage(from, now)
 	uSlack := 0.0
 	if o.slack > 0 {
@@ -832,19 +887,15 @@ func (o *Oracle) OnDeliver(now sim.Time, to topology.NodeID, m protocol.Message)
 	switch m.Kind {
 	case protocol.Pledge, protocol.Advert:
 		o.auditPledgeList(now, to)
-		if m.Headroom > 0 {
-			o.pledges.put(to, m.From, sendRec{at: now, headroom: m.Headroom})
-		} else {
-			delete(o.pledges[to], m.From) // a retraction leaves no entry to justify
-		}
+		o.pledges.put(to, m.From, sendRec{at: now, headroom: m.Headroom})
+		o.cur[to].sender = m.From
 	case protocol.Help:
 		o.auditMemberships(now, to)
-		sp := o.helps[to][m.From]
-		if !sp.seen {
-			sp.first, sp.seen = now, true
+		sp, old := o.helps.slot(to, m.From)
+		if !old {
+			sp.first = now
 		}
 		sp.last = now
-		o.helps.put(to, m.From, sp)
 	case protocol.DHTPut, protocol.DHTGet, protocol.DHTFound:
 		o.overlayDeliver(now, to, m)
 	}
@@ -873,64 +924,183 @@ func (o *Oracle) OnInject(now sim.Time, node topology.NodeID, size float64) {
 	}
 }
 
+// fault classifies one I4 entry: justified, or which failure branch of
+// its audit it takes.
+type fault uint8
+
+const (
+	justified fault = iota
+	unbacked        // no delivery behind the entry
+	mistimed        // stamp (pledge) or join instant (membership) off the record
+	excessive       // headroom above what was delivered; a join in the future
+)
+
+// pledgeFault classifies pledge-list entry c of node org against the
+// last delivered PLEDGE/ADVERT from its member.
+func (o *Oracle) pledgeFault(org topology.NodeID, c protocol.Candidate) (sendRec, fault) {
+	rec, ok := o.pledges.get(org, c.ID)
+	switch {
+	case !ok || !(rec.headroom > 0):
+		return rec, unbacked
+	case c.At > rec.at+o.slack || c.At < rec.at-o.slack:
+		return rec, mistimed
+	case c.Headroom > rec.headroom+eps:
+		return rec, excessive
+	}
+	return rec, justified
+}
+
+// membershipFault classifies node member's membership in org's
+// community, joined at join, against the HELPs org delivered to it.
+func (o *Oracle) membershipFault(now sim.Time, member, org topology.NodeID, join sim.Time) (span, fault) {
+	sp, ok := o.helps.get(member, org)
+	switch {
+	case !ok:
+		return sp, unbacked
+	case join < sp.first-eps-o.slack || join > sp.last+eps+o.slack:
+		return sp, mistimed
+	case join > now+eps+o.slack:
+		return sp, excessive
+	}
+	return sp, justified
+}
+
 // auditPledgeList asserts I4's organizer side for node org: every
 // stored entry must match the last delivered positive pledge from that
 // member — timestamps within the clock slack, headroom never above what
 // was advertised (Debit only lowers it).
 func (o *Oracle) auditPledgeList(now sim.Time, org topology.NodeID) {
-	s := o.state(org)
+	s, c := o.state(org)
 	if s == nil {
 		return
 	}
-	delivered := o.pledges[org]
+	log := s.PledgeLog()
+	if o.exhaustive || !c.pledgeClean || !o.pledgesHold(org, s, c, log) {
+		c.pledgeClean = o.walkPledgeList(now, org, s)
+	}
+	if log != nil {
+		c.pledgeSeen = log.Count()
+	}
+	c.sender = -1
+}
+
+// pledgesHold is the audit on write: it reports whether every entry
+// written since the last audit, and the entry of the member whose
+// record changed since, is still justified. false means "walk".
+func (o *Oracle) pledgesHold(org topology.NodeID, s ProtocolState, c *cursor, log *protocol.WriteLog) bool {
+	if log == nil || log.Count()-c.pledgeSeen > protocol.WriteLogSlots {
+		return false
+	}
+	held := func(id topology.NodeID) bool {
+		e, ok := s.Pledge(id)
+		if !ok {
+			return true // dropped entries need no justification
+		}
+		_, f := o.pledgeFault(org, e)
+		return f == justified
+	}
+	senderHeld := c.sender < 0
+	for k := c.pledgeSeen; k < log.Count(); k++ {
+		id, ok := log.Written(k)
+		if !ok || !held(id) {
+			return false
+		}
+		senderHeld = senderHeld || id == c.sender
+	}
+	return senderHeld || held(c.sender)
+}
+
+// walkPledgeList checks every stored entry of org's list in list order,
+// reporting each unjustified one, and returns whether all were
+// justified.
+func (o *Oracle) walkPledgeList(now sim.Time, org topology.NodeID, s ProtocolState) bool {
+	clean := true
 	s.EachPledge(func(c protocol.Candidate) bool {
-		rec, ok := delivered[c.ID]
-		switch {
-		case !ok:
+		rec, f := o.pledgeFault(org, c)
+		switch f {
+		case unbacked:
 			o.fail(now, "I4-provenance", org,
 				"pledge-list entry for node %d with no delivered pledge behind it", c.ID)
-		case c.At > rec.at+o.slack || c.At < rec.at-o.slack:
+		case mistimed:
 			o.fail(now, "I4-provenance", org,
 				"entry for node %d stamped t=%.6g but last delivered pledge was t=%.6g",
 				c.ID, float64(c.At), float64(rec.at))
-		case c.Headroom > rec.headroom+eps:
+		case excessive:
 			o.fail(now, "I4-provenance", org,
 				"entry for node %d advertises headroom %.6g > delivered %.6g",
 				c.ID, c.Headroom, rec.headroom)
 		}
+		clean = clean && f == justified
 		return true
 	})
+	return clean
 }
 
 // auditMemberships asserts I4's member side for node member: every
 // membership's join instant (expiry − MembershipTTL) must fall within
 // the span of HELP deliveries received from that organizer, widened by
-// the clock slack.
+// the clock slack. Only a membership write can break this — spans only
+// widen and the audit instant only grows — so after a clean audit the
+// next one checks just the memberships the log names.
 func (o *Oracle) auditMemberships(now sim.Time, member topology.NodeID) {
-	s := o.state(member)
+	s, c := o.state(member)
 	if s == nil {
 		return
 	}
-	ttl := s.Config().MembershipTTL
-	delivered := o.helps[member]
+	log := s.MembershipLog()
+	if o.exhaustive || !c.membClean || !o.membershipsHold(now, member, s, c, log) {
+		c.membClean = o.walkMemberships(now, member, s, c.lim.membTTL)
+	}
+	if log != nil {
+		c.membSeen = log.Count()
+	}
+}
+
+// membershipsHold is auditMemberships' audit on write, as pledgesHold.
+func (o *Oracle) membershipsHold(now sim.Time, member topology.NodeID, s ProtocolState, c *cursor,
+	log *protocol.WriteLog) bool {
+	if log == nil || log.Count()-c.membSeen > protocol.WriteLogSlots {
+		return false
+	}
+	for k := c.membSeen; k < log.Count(); k++ {
+		org, ok := log.Written(k)
+		if !ok {
+			return false
+		}
+		if expiry, ok := s.Membership(org); ok {
+			if _, f := o.membershipFault(now, member, org, expiry-c.lim.membTTL); f != justified {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// walkMemberships checks every stored membership of member in
+// organizer order, reporting each unjustified one, and returns whether
+// all were justified.
+func (o *Oracle) walkMemberships(now sim.Time, member topology.NodeID, s ProtocolState, ttl sim.Time) bool {
+	clean := true
 	s.EachMembership(func(org topology.NodeID, expiry sim.Time) bool {
 		join := expiry - ttl
-		sp := delivered[org]
-		switch {
-		case !sp.seen:
+		sp, f := o.membershipFault(now, member, org, join)
+		switch f {
+		case unbacked:
 			o.fail(now, "I4-provenance", member,
 				"membership in community %d with no delivered HELP behind it", org)
-		case join < sp.first-eps-o.slack || join > sp.last+eps+o.slack:
+		case mistimed:
 			o.fail(now, "I4-provenance", member,
 				"membership in community %d joined at t=%.6g outside HELP span [%.6g, %.6g]",
 				org, float64(join), float64(sp.first), float64(sp.last))
-		case join > now+eps+o.slack:
+		case excessive:
 			o.fail(now, "I4-provenance", member,
 				"membership in community %d joined in the future (t=%.6g > now %.6g)",
 				org, float64(join), float64(now))
 		}
+		clean = clean && f == justified
 		return true
 	})
+	return clean
 }
 
 // FinishNode runs the end-of-run audits for one node: its final soft
@@ -945,9 +1115,9 @@ func (o *Oracle) FinishNode(now sim.Time, id topology.NodeID) {
 	o.auditPledgeList(now, id)
 	o.auditMemberships(now, id)
 	o.finishOverlayNode(now, id)
-	if s := o.state(id); s != nil {
+	if s, c := o.state(id); s != nil {
 		iv, pen, rew := s.HelpIntervalState()
-		o.checkInterval(now, id, s, iv, pen, rew)
+		o.checkInterval(now, id, c.lim, iv, pen, rew)
 	}
 	if a := o.auditor(id); a != nil {
 		o.checkBreakerCounters(now, id, a)

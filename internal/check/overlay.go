@@ -101,7 +101,7 @@ func (o *Oracle) overlayDeliver(now sim.Time, to topology.NodeID, m protocol.Mes
 	case protocol.DHTPut:
 		o.auditOverlay(now, to)
 		o.ov.delivered[to]++
-		if m.Headroom > o.ov.maxPut[to][m.Origin] {
+		if rec, _ := o.ov.maxPut.get(to, m.Origin); m.Headroom > rec {
 			o.ov.maxPut.put(to, m.Origin, m.Headroom)
 		}
 	case protocol.DHTGet:
@@ -113,7 +113,7 @@ func (o *Oracle) overlayDeliver(now sim.Time, to topology.NodeID, m protocol.Mes
 			// that were PUT to it. Its own availability is locally
 			// justified (a self-home publishes without a message).
 			if c.ID != m.From {
-				rec, ok := o.ov.maxPut[m.From][c.ID]
+				rec, ok := o.ov.maxPut.get(m.From, c.ID)
 				switch {
 				case !ok:
 					o.fail(now, "I4-overlay", m.From,
@@ -124,7 +124,7 @@ func (o *Oracle) overlayDeliver(now sim.Time, to topology.NodeID, m protocol.Mes
 						c.ID, c.Headroom, rec)
 				}
 			}
-			if c.Headroom > o.ov.maxFound[to][c.ID] {
+			if rec, _ := o.ov.maxFound.get(to, c.ID); c.Headroom > rec {
 				o.ov.maxFound.put(to, c.ID, c.Headroom)
 			}
 		}
@@ -146,8 +146,8 @@ func (o *Oracle) auditOverlay(now sim.Time, id topology.NodeID) {
 		if c.ID == id {
 			return
 		}
-		bound, ok := o.ov.maxFound[id][c.ID]
-		if b2, ok2 := o.ov.maxPut[id][c.ID]; ok2 && (!ok || b2 > bound) {
+		bound, ok := o.ov.maxFound.get(id, c.ID)
+		if b2, ok2 := o.ov.maxPut.get(id, c.ID); ok2 && (!ok || b2 > bound) {
 			bound, ok = b2, true
 		}
 		switch {
@@ -164,7 +164,7 @@ func (o *Oracle) auditOverlay(now sim.Time, id topology.NodeID) {
 		if c.ID == id {
 			return // self-published, no message involved
 		}
-		rec, ok := o.ov.maxPut[id][c.ID]
+		rec, ok := o.ov.maxPut.get(id, c.ID)
 		switch {
 		case !ok:
 			o.fail(now, "I4-overlay", id,

@@ -1,14 +1,17 @@
 package check
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"realtor/internal/core"
 	"realtor/internal/protocol"
 	"realtor/internal/protocol/protocoltest"
+	"realtor/internal/rng"
 	"realtor/internal/sim"
 	"realtor/internal/topology"
+	"realtor/internal/trace"
 )
 
 // scriptWorld is a World whose protocol instances the test drives by
@@ -229,53 +232,153 @@ func TestPairTableKeepsDirectedPairsApart(t *testing.T) {
 		}
 	}
 	for k, v := range want {
-		if got := tbl[k[0]][k[1]]; got != v {
-			t.Errorf("pair (%d,%d) reads %d, want %d", k[0], k[1], got, v)
+		if got, ok := tbl.get(k[0], k[1]); !ok || got != v {
+			t.Errorf("pair (%d,%d) reads %d (present %v), want %d", k[0], k[1], got, ok, v)
 		}
 	}
-	if _, ok := tbl[3][4]; ok {
+	if _, ok := tbl.get(3, 4); ok {
 		t.Error("a pair never written reads as present")
+	}
+	if _, ok := tbl.get(ids[0], 3); ok {
+		t.Error("a peer never written reads as present in a full row")
+	}
+}
+
+// pairTable rows against Go maps: random writes and reads over a few
+// rows, through growth from the first slot array to hundreds of
+// records, with rows cleared now and then.
+func TestPairTableMatchesMap(t *testing.T) {
+	const rows = 4
+	tbl := make(pairTable[int], rows)
+	want := make([]map[topology.NodeID]int, rows)
+	for i := range want {
+		want[i] = map[topology.NodeID]int{}
+	}
+	r := rng.New(5)
+	for step := 0; step < 20000; step++ {
+		a, b := topology.NodeID(r.Intn(rows)), topology.NodeID(r.Intn(700))
+		switch k := r.Intn(100); {
+		case k == 0:
+			tbl.clear(a)
+			want[a] = map[topology.NodeID]int{}
+		case k < 50:
+			tbl.put(a, b, step)
+			want[a][b] = step
+		default:
+			got, ok := tbl.get(a, b)
+			w, wok := want[a][b]
+			if ok != wok || got != w {
+				t.Fatalf("step %d: (%d,%d) reads %d/%v, want %d/%v", step, a, b, got, ok, w, wok)
+			}
+		}
+	}
+	for a := range want {
+		if int(tbl[a].n) != len(want[a]) {
+			t.Errorf("row %d holds %d records, want %d", a, tbl[a].n, len(want[a]))
+		}
+	}
+}
+
+// A dead incarnation's deliveries justify nothing: once a node is
+// killed, its revived instance may not hold an entry stamped to a
+// PLEDGE, or a membership joined on a HELP, that only its predecessor
+// received. Unless NodeKill clears the node's records, both pass.
+func TestI4ForgetsDeadIncarnation(t *testing.T) {
+	const a, b, c topology.NodeID = 1, 2, 3
+	cfg := protocol.DefaultConfig()
+	w := &scriptWorld{n: 4, nodes: map[topology.NodeID]protocol.Discovery{}}
+	dead := w.realtor(a, cfg)
+	o := NewWorldOracle(w, 0)
+	dead.deliver(o, 1, pledge(b, 4), true)
+	dead.deliver(o, 1, help(c), true)
+	o.Record(trace.Event{At: 2, Kind: trace.NodeKill, Node: a, Peer: -1})
+	dead.r.OnNodeDeath()
+	o.Record(trace.Event{At: 3, Kind: trace.NodeRevive, Node: a, Peer: -1})
+
+	// The fresh instance holds exactly what the dead one was sent.
+	fresh := w.realtor(a, cfg)
+	fresh.deliver(o, 1, pledge(b, 4), false)
+	fresh.deliver(o, 1, help(c), false)
+	fresh.deliver(o, 4, pledge(c, 2), true) // audits a's list
+	fresh.deliver(o, 5, help(b), true)      // audits a's memberships
+
+	wantViolations(t, o, []Violation{
+		{At: 4, Invariant: "I4-provenance", Node: a, Detail: "pledge-list entry for node 2 with no delivered pledge behind it"},
+		{At: 5, Invariant: "I4-provenance", Node: a, Detail: "membership in community 3 with no delivered HELP behind it"},
+	})
+}
+
+// deliverSetup builds the state BenchmarkOracleDeliver and
+// TestOracleDeliverAllocatesNothing replay deliveries against: one
+// organizer whose pledge list holds size entries and which is a member
+// of size communities, all justified and audited once.
+func deliverSetup(tb testing.TB, size int) (o *Oracle, self topology.NodeID, pledges, helps []protocol.Message) {
+	self = 1250
+	cfg := protocol.DefaultConfig()
+	cfg.MaxMemberships = size
+	w := &scriptWorld{n: 2500, nodes: map[topology.NodeID]protocol.Discovery{}}
+	n := w.realtor(self, cfg)
+	o = NewWorldOracle(w, 0)
+	for i := 1; i <= size; i++ {
+		pledges = append(pledges, pledge(topology.NodeID(2*i), float64(i)))
+		helps = append(helps, help(topology.NodeID(2*i+1)))
+	}
+	for _, m := range append(pledges, helps...) {
+		n.deliver(o, 1, m, true)
+	}
+	if n.r.CommunitySize() != size || n.r.Memberships() != size {
+		tb.Fatalf("set-up holds %d pledges, %d memberships, want %d", n.r.CommunitySize(), n.r.Memberships(), size)
+	}
+	return o, self, pledges, helps
+}
+
+// The audit on write costs no allocation: once a node's first audit
+// has walked its tables, a PLEDGE or HELP delivery checks the logged
+// writes and the last sender through point lookups, with no closure
+// and no map.
+func TestOracleDeliverAllocatesNothing(t *testing.T) {
+	for _, size := range []int{12, 200} {
+		o, self, pledges, helps := deliverSetup(t, size)
+		for _, msgs := range [][]protocol.Message{pledges, helps} {
+			i := 0
+			allocs := testing.AllocsPerRun(100, func() {
+				o.OnDeliver(1, self, msgs[i%len(msgs)])
+				i++
+			})
+			if allocs != 0 {
+				t.Errorf("size %d: a %s delivery allocates %.1f times, want 0", size, msgs[0].Kind, allocs)
+			}
+		}
+		if len(o.Violations()) != 0 {
+			t.Fatalf("state drifted: %v", o.Violations()[0])
+		}
 	}
 }
 
 // BenchmarkOracleDeliver is the unit cost of the I4 audits the oracle
 // runs before every delivery: a PLEDGE arriving at an organizer whose
-// pledge list holds 12 entries, and a HELP arriving at a member of four
-// communities — the numbers to read beside core.deliver_pledge_ns and
-// core.deliver_help_ns. Deliveries repeat at one instant, so the
-// audited state stays justified and no violation is ever formatted.
+// pledge list holds 12 or 200 entries, and a HELP arriving at a member
+// of as many communities — the numbers to read beside
+// core.deliver_pledge_ns and core.deliver_help_ns. Audited on write,
+// the cost is flat in the table size. Deliveries repeat at one instant,
+// so the audited state stays justified and no violation is ever
+// formatted.
 func BenchmarkOracleDeliver(b *testing.B) {
-	const self topology.NodeID = 1250
-	cfg := protocol.DefaultConfig()
-	cfg.MaxMemberships = 4
-	w := &scriptWorld{n: 2500, nodes: map[topology.NodeID]protocol.Discovery{}}
-	n := w.realtor(self, cfg)
-	o := NewWorldOracle(w, 0)
-	var pledges, helps []protocol.Message
-	for i := 1; i <= 12; i++ {
-		pledges = append(pledges, pledge(topology.NodeID(i*197), float64(i)))
-	}
-	for i := 1; i <= 4; i++ {
-		helps = append(helps, help(topology.NodeID(i*499)))
-	}
-	for _, m := range append(pledges, helps...) {
-		n.deliver(o, 1, m, true)
-	}
-	if n.r.CommunitySize() != 12 || n.r.Memberships() != 4 {
-		b.Fatalf("set-up holds %d pledges, %d memberships", n.r.CommunitySize(), n.r.Memberships())
-	}
-	for _, bc := range []struct {
-		name string
-		msgs []protocol.Message
-	}{{"PLEDGE", pledges}, {"HELP", helps}} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				o.OnDeliver(1, self, bc.msgs[i%len(bc.msgs)])
-			}
-			if len(o.Violations()) != 0 {
-				b.Fatalf("benchmark state drifted: %v", o.Violations()[0])
-			}
-		})
+	for _, size := range []int{12, 200} {
+		o, self, pledges, helps := deliverSetup(b, size)
+		for _, bc := range []struct {
+			name string
+			msgs []protocol.Message
+		}{{"PLEDGE", pledges}, {"HELP", helps}} {
+			b.Run(fmt.Sprintf("%s/%d", bc.name, size), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					o.OnDeliver(1, self, bc.msgs[i%len(bc.msgs)])
+				}
+				if len(o.Violations()) != 0 {
+					b.Fatalf("benchmark state drifted: %v", o.Violations()[0])
+				}
+			})
+		}
 	}
 }

@@ -352,6 +352,25 @@ func (r *Reference) EachMembership(fn func(org topology.NodeID, expiry sim.Time)
 	}
 }
 
+// Pledge implements ProtocolState.
+func (r *Reference) Pledge(id topology.NodeID) (protocol.Candidate, bool) {
+	c, ok := r.entries[id]
+	return c, ok
+}
+
+// Membership implements ProtocolState.
+func (r *Reference) Membership(org topology.NodeID) (sim.Time, bool) {
+	expiry, ok := r.members[org]
+	return expiry, ok
+}
+
+// PledgeLog implements ProtocolState: the reference keeps no write log,
+// so the oracle audits its tables by the full walk every time.
+func (r *Reference) PledgeLog() *protocol.WriteLog { return nil }
+
+// MembershipLog implements ProtocolState: no log, as for PledgeLog.
+func (r *Reference) MembershipLog() *protocol.WriteLog { return nil }
+
 // HelpIntervalState implements ProtocolState.
 func (r *Reference) HelpIntervalState() (sim.Time, uint64, uint64) {
 	return r.interval, r.penalties, r.rewards

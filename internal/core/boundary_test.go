@@ -104,3 +104,42 @@ func TestEachPledgeAndMembershipAreReadOnly(t *testing.T) {
 			r.CommunitySize(), r.Memberships())
 	}
 }
+
+// The member side's write log names every join and refresh, and the
+// point lookups read what the walks read, without perturbing either
+// table.
+func TestWriteLogsAndPointLookups(t *testing.T) {
+	cfg := testConfig()
+	env := protocoltest.New(0, 100)
+	r := New(cfg)
+	r.Attach(env)
+
+	r.Deliver(protocol.Message{Kind: protocol.Help, From: 5})
+	env.Advance(1)
+	r.Deliver(protocol.Message{Kind: protocol.Help, From: 3})
+	r.Deliver(protocol.Message{Kind: protocol.Help, From: 5}) // refresh
+	r.Deliver(protocol.Message{Kind: protocol.Pledge, From: 7, Headroom: 50})
+
+	ml := r.MembershipLog()
+	if ml.Count() != 3 {
+		t.Fatalf("membership log counts %d writes, want 3", ml.Count())
+	}
+	if id, ok := ml.Written(2); !ok || id != 5 {
+		t.Fatalf("last membership write names %d (%v), want 5", id, ok)
+	}
+	if expiry, ok := r.Membership(5); !ok || expiry != env.Clock+cfg.MembershipTTL {
+		t.Fatalf("Membership(5) = %v, %v; want %v", expiry, ok, env.Clock+cfg.MembershipTTL)
+	}
+	if _, ok := r.Membership(4); ok {
+		t.Fatal("Membership(4) found a community never joined")
+	}
+	if pl := r.PledgeLog(); pl.Count() != 1 {
+		t.Fatalf("pledge log counts %d writes, want 1", pl.Count())
+	}
+	if c, ok := r.Pledge(7); !ok || c.Headroom != 50 || c.At != env.Clock {
+		t.Fatalf("Pledge(7) = %+v, %v", c, ok)
+	}
+	if r.CommunitySize() != 1 || r.Memberships() != 2 {
+		t.Fatalf("lookups perturbed state: list=%d members=%d", r.CommunitySize(), r.Memberships())
+	}
+}

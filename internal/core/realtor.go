@@ -81,6 +81,7 @@ type Realtor struct {
 	// pledge unicasts in deterministic organizer order without sorting
 	// (or allocating) on every threshold crossing.
 	members []membership
+	mlog    protocol.WriteLog // memberships joined or refreshed
 
 	// Algorithm H (Figure 2 of the paper), governed pull only:
 	//
@@ -330,6 +331,7 @@ func (r *Realtor) findMembership(org topology.NodeID) (int, bool) {
 // setMembership records (or refreshes) a membership, keeping the slice
 // sorted by organizer ID.
 func (r *Realtor) setMembership(org topology.NodeID, expiry sim.Time) {
+	r.mlog.Note(org)
 	i, ok := r.findMembership(org)
 	if ok {
 		r.members[i].expiry = expiry
@@ -494,6 +496,31 @@ func (r *Realtor) EachMembership(fn func(org topology.NodeID, expiry sim.Time) b
 		}
 	}
 }
+
+// Pledge returns the organizer-side entry for id, if stored, without
+// expiry — the point lookup behind EachPledge.
+func (r *Realtor) Pledge(id topology.NodeID) (protocol.Candidate, bool) {
+	return r.list.Get(id)
+}
+
+// Membership returns the stored expiry of the membership in org's
+// community, if any, without purging — the point lookup behind
+// EachMembership.
+func (r *Realtor) Membership(org topology.NodeID) (expiry sim.Time, ok bool) {
+	if i, found := r.findMembership(org); found {
+		return r.members[i].expiry, true
+	}
+	return 0, false
+}
+
+// PledgeLog returns the availability list's write log (see
+// protocol.WriteLog), so an invariant checker can re-audit only the
+// entries written since it last looked.
+func (r *Realtor) PledgeLog() *protocol.WriteLog { return r.list.Log() }
+
+// MembershipLog returns the write log of the member-side community
+// table: every join and refresh is noted in it.
+func (r *Realtor) MembershipLog() *protocol.WriteLog { return &r.mlog }
 
 // CommunitySize returns how many live members this node's own community
 // currently has (its availability list), for introspection and the

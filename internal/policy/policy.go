@@ -377,6 +377,10 @@ type protocolState interface {
 	EachMembership(fn func(org topology.NodeID, expiry sim.Time) bool)
 	HelpIntervalState() (interval sim.Time, penalties, rewards uint64)
 	HelpGoverned() bool
+	Pledge(id topology.NodeID) (protocol.Candidate, bool)
+	Membership(org topology.NodeID) (expiry sim.Time, ok bool)
+	PledgeLog() *protocol.WriteLog
+	MembershipLog() *protocol.WriteLog
 }
 
 // stateStack is a Stack whose inner protocol exposes oracle state; it
@@ -397,6 +401,14 @@ func (s *stateStack) HelpIntervalState() (sim.Time, uint64, uint64) {
 	return s.ps.HelpIntervalState()
 }
 func (s *stateStack) HelpGoverned() bool { return s.ps.HelpGoverned() }
+func (s *stateStack) Pledge(id topology.NodeID) (protocol.Candidate, bool) {
+	return s.ps.Pledge(id)
+}
+func (s *stateStack) Membership(org topology.NodeID) (sim.Time, bool) {
+	return s.ps.Membership(org)
+}
+func (s *stateStack) PledgeLog() *protocol.WriteLog     { return s.ps.PledgeLog() }
+func (s *stateStack) MembershipLog() *protocol.WriteLog { return s.ps.MembershipLog() }
 
 // Wrap interposes cfg's policies around one Discovery instance. When
 // the inner protocol exposes oracle state (check.ProtocolState), the

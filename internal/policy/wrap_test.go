@@ -29,6 +29,9 @@ func TestWrapForwardsOracleState(t *testing.T) {
 	if got, want := ps.Config().Threshold, protocol.DefaultConfig().Threshold; got != want {
 		t.Fatalf("forwarded Config().Threshold = %v, want %v", got, want)
 	}
+	if ps.PledgeLog() != inner.PledgeLog() || ps.MembershipLog() != inner.MembershipLog() {
+		t.Fatal("wrapped stack does not forward the inner protocol's write logs")
+	}
 	if _, ok := d.(policy.Auditor); !ok {
 		t.Fatalf("wrapped stack (%T) does not implement policy.Auditor", d)
 	}

@@ -152,6 +152,7 @@ type PledgeList struct {
 	ttl     sim.Time
 	entries []Candidate // live entries, better()-sorted, best first
 	scratch []Candidate // reusable Snapshot buffer
+	log     WriteLog    // entries inserted, refreshed or re-ranked
 }
 
 // NewPledgeList returns an empty list whose entries live for ttl seconds.
@@ -200,6 +201,7 @@ func (l *PledgeList) insert(c Candidate) {
 	l.entries = append(l.entries, Candidate{})
 	copy(l.entries[lo+1:], l.entries[lo:])
 	l.entries[lo] = c
+	l.log.Note(c.ID)
 }
 
 // replaceAt overwrites the entry at index i with c (same ID, new
@@ -207,6 +209,7 @@ func (l *PledgeList) insert(c Candidate) {
 // only the entries between the two positions — the same final order as
 // removeAt(i) followed by insert(c), for one copy over a shorter span.
 func (l *PledgeList) replaceAt(i int, c Candidate) {
+	l.log.Note(c.ID)
 	if i > 0 && better(c, l.entries[i-1]) {
 		j := l.rank(c, 0, i-1)
 		copy(l.entries[j+1:i+1], l.entries[j:i])
@@ -276,6 +279,10 @@ func (l *PledgeList) Get(id topology.NodeID) (Candidate, bool) {
 	}
 	return Candidate{}, false
 }
+
+// Log returns the list's write log: every insert, refresh and Debit
+// re-rank is noted in it. Readers must not write to it.
+func (l *PledgeList) Log() *WriteLog { return &l.log }
 
 // TTL returns the soft-state lifetime entries were created with.
 func (l *PledgeList) TTL() sim.Time { return l.ttl }
@@ -350,6 +357,43 @@ func (l *PledgeList) Snapshot(now sim.Time) []Candidate {
 	l.expire(now)
 	l.scratch = append(l.scratch[:0], l.entries...)
 	return l.scratch
+}
+
+// WriteLogSlots is how many of its most recent writes a WriteLog names.
+// Between two deliveries to a node its tables see one write, plus one
+// per Debit, so two slots almost never overflow, and two keep the log
+// at 24 bytes per table.
+const WriteLogSlots = 2
+
+// WriteLog is the record a soft-state table keeps of which entries it
+// last wrote: a running count of writes plus the IDs of the last
+// WriteLogSlots of them. The table only appends to it; an invariant
+// checker that remembers the count it saw at its last audit can then
+// re-check just the entries written since, instead of the whole table,
+// and falls back to a full walk once more writes happened than the log
+// holds. Removals are not writes: dropping an entry cannot make the
+// table hold anything it could not hold before.
+type WriteLog struct {
+	n   uint64
+	ids [WriteLogSlots]topology.NodeID
+}
+
+// Note records a write of id's entry. It never allocates.
+func (l *WriteLog) Note(id topology.NodeID) {
+	l.ids[l.n%WriteLogSlots] = id
+	l.n++
+}
+
+// Count returns how many writes were noted since the table was made.
+func (l *WriteLog) Count() uint64 { return l.n }
+
+// Written returns the ID the k-th write (counting from 0) named; ok is
+// false when that write has not happened or has left the log.
+func (l *WriteLog) Written(k uint64) (id topology.NodeID, ok bool) {
+	if k >= l.n || l.n-k > WriteLogSlots {
+		return 0, false
+	}
+	return l.ids[k%WriteLogSlots], true
 }
 
 // CostModel converts protocol actions into the paper's message units:

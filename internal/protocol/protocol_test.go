@@ -352,3 +352,59 @@ func TestPledgeListMoveMatchesRemoveInsert(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// The write log names every insert, refresh and Debit re-rank, newest
+// last, and nothing for removals, retractions or expiry; a write that
+// has left the log reads as gone.
+func TestPledgeListWriteLogNamesWrites(t *testing.T) {
+	l := NewPledgeList(10)
+	l.Update(0, 4, 5) // insert
+	l.Update(1, 6, 3) // insert
+	l.Update(2, 4, 1) // refresh, re-ranked below 6
+	l.Debit(6, 1)     // re-rank
+	l.Remove(4)
+	l.Update(3, 6, 0) // retraction
+	l.Debit(9, 1)     // no entry
+	l.Len(100)        // expiry
+	log := l.Log()
+	if log.Count() != 4 {
+		t.Fatalf("log counts %d writes, want 4", log.Count())
+	}
+	for k, want := range map[uint64]topology.NodeID{2: 4, 3: 6} {
+		if id, ok := log.Written(k); !ok || id != want {
+			t.Errorf("write %d reads %d (%v), want %d", k, id, ok, want)
+		}
+	}
+	for _, k := range []uint64{0, 1, 4} {
+		if id, ok := log.Written(k); ok {
+			t.Errorf("write %d reads %d, want it gone (log holds %d)", k, id, WriteLogSlots)
+		}
+	}
+}
+
+// PledgeList updates allocate nothing once the list has held its peak
+// size: inserts, refreshes, re-ranks, Debits, retractions and removals
+// all work in place, and noting them in the write log is free.
+func TestPledgeListUpdatesAllocateNothing(t *testing.T) {
+	l := NewPledgeList(100)
+	for i := 0; i < 32; i++ {
+		l.Update(0, topology.NodeID(i), float64(i+1))
+	}
+	now := sim.Time(0)
+	round := func() {
+		now++
+		for i := 0; i < 32; i++ {
+			l.Update(now, topology.NodeID(i), float64((i*7+int(now))%32+1))
+		}
+		l.Debit(5, 0.5)
+		l.Update(now, 9, 0)
+		l.Remove(10)
+		l.Update(now, 9, 3)
+		l.UpdateAt(now-1, 10, 4)
+		l.Best(now, 2)
+	}
+	round()
+	if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
+		t.Fatalf("a round of pledge-list updates allocates %.1f times, want 0", allocs)
+	}
+}
