@@ -28,9 +28,13 @@ test:
 # second line drives the gated path (internal/scenario over
 # internal/harness) on every committed package at 4 shards: the trace
 # Digest keeps scratch state between events and relies on the
-# check.Hooks mutex to serialize the shard workers that feed it.
+# check.Hooks mutex to serialize the shard workers that feed it. The
+# results/ pin test in internal/experiment regenerates every simulator
+# table under the invariant oracle; under the race detector that
+# package runs for about 20 minutes on 2 cores, past go test's
+# 10-minute default timeout.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 40m ./...
 	$(GO) run -race ./cmd/realtor-scen run -all -shards 4
 
 # The repo benchmark declared by BENCHMARK.json: five workloads, medians
@@ -165,8 +169,10 @@ results:
 # by file, INDEX.md included (skipped: the three live-cluster tables,
 # which are wall-clock runs), then the two ladders again on the 4-shard kernel — `make results` writes with
 # the classic one, so equality is the cross-shard proof at full scale.
-# `go test ./cmd/realtor-sim` pins every table but the ladders' top
-# rungs on every test run; this is for those. ≈ 50 min on 2 cores at
+# `go test ./internal/experiment` (TestCheapTablesMatchCommittedResults)
+# pins every table but the ladders' top rungs on every test run, under
+# the invariant oracle at 8 workers and 2 shards; this is for those.
+# ≈ 50 min on 2 cores at
 # PR 22 (34 min, 13 s and — the D1 flood cell being where the sharded
 # kernel does win — 17 min).
 results-check:

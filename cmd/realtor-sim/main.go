@@ -28,7 +28,6 @@
 //	realtor-sim -fig fed                # inter-group federation (future work)
 //	realtor-sim -fig sec                # security-constrained placement under attack
 //	realtor-sim -fig loss               # robustness to message loss
-//	realtor-sim -fig gossip             # REALTOR vs anti-entropy gossip (modern comparator)
 //	realtor-sim -fig retries            # one-try vs walk-the-list migration
 //	realtor-sim -fig partition          # survivability across a mesh bisection
 //	realtor-sim -fig policy             # traffic-protection middleware head-to-head

@@ -142,7 +142,7 @@ func TestCLIUsageErrors(t *testing.T) {
 		{"-out", dir, "-plot"},
 		{"-out", dir, "-diff"},
 		{"-out", dir, "-fig", "5"},
-		{"-fig", "gossip", "-csv"},
+		{"-fig", "9", "-csv"},
 		{"-fig", "attack", "-diff"},
 		{"-fig", "ab", "-plot"},
 		{"-fig", "ab", "-lambdas", "3"},

@@ -7,7 +7,6 @@ import (
 	"realtor/internal/agile/transport"
 	"realtor/internal/core"
 	"realtor/internal/protocol"
-	"realtor/internal/protocol/gossip"
 )
 
 // fastConfig keeps live tests quick: small cluster, high time scale.
@@ -341,24 +340,6 @@ func TestLiveRetryWalksList(t *testing.T) {
 	}
 	if host, ok := c.Naming().Lookup(3); !ok || (host != 2 && host != 1) {
 		t.Fatalf("component 3 at %v ok=%v", host, ok)
-	}
-}
-
-func TestGossipDiscoveryOnLiveRuntime(t *testing.T) {
-	cfg := fastConfig(5)
-	cfg.Discovery = func() protocol.Discovery {
-		return gossip.New(gossip.Config{Protocol: cfg.Protocol, N: cfg.Hosts, Seed: 7})
-	}
-	c := newTestCluster(t, cfg)
-	st := c.Drive(3, 2, 150, 6)
-	if err := st.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if p := st.AdmissionProbability(); p < 0.85 {
-		t.Fatalf("gossip live admission %v", p)
-	}
-	if c.Network().Sent() < 100 {
-		t.Fatalf("gossip sent only %d packets", c.Network().Sent())
 	}
 }
 

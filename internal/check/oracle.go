@@ -153,8 +153,8 @@ func (w EngineWorld) Graph() *topology.Graph { return w.E.Graph() }
 // ProtocolState is the read-only window a Discovery implementation must
 // expose for the oracle to audit it. core.Realtor — REALTOR and the
 // four push/pull baselines alike — and the slow Reference implementation
-// in this package satisfy it; protocol instances that don't (the gossip
-// comparator, the overlays) get only the backend-level invariants.
+// in this package satisfy it; protocol instances that don't (the
+// overlays) get only the backend-level invariants.
 // HelpGoverned reports whether the protocol rate-limits its HELP floods
 // by Algorithm H; I1 applies only when it does.
 //

@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
+	"strings"
 	"testing"
 
 	"realtor/internal/core"
@@ -115,11 +117,14 @@ var baselineDigests = map[string]string{
 	"Pull-100/seed=6/loss=0.2/radius=2": "291005b7addfa678950e71b7ea25cad90399df9dad40bd39eda70bc42647ab80",
 }
 
-// recordingDigest hashes one recording and its final statistics.
+// recordingDigest hashes one recording and its final statistics. Each
+// record is hashed as %+v rendered it when the digests were taken, while
+// protocol.Message still had a Reply field between Grant and View (no
+// baseline ever set it), so the digests of the deleted code still apply.
 func recordingDigest(log []record, stats string) string {
 	h := sha256.New()
 	for _, r := range log {
-		fmt.Fprintf(h, "%+v\n", r)
+		io.WriteString(h, strings.Replace(fmt.Sprintf("%+v\n", r), " View:", " Reply:false View:", 1))
 	}
 	fmt.Fprintf(h, "%s\n", stats)
 	return hex.EncodeToString(h.Sum(nil))

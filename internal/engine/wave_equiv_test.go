@@ -9,7 +9,6 @@ import (
 	"realtor/internal/engine"
 	"realtor/internal/fuzzscen"
 	"realtor/internal/protocol"
-	"realtor/internal/protocol/gossip"
 	"realtor/internal/sim"
 	"realtor/internal/topology"
 	"realtor/internal/trace"
@@ -87,8 +86,8 @@ type equivProto struct {
 
 // equivProtocols lists every discovery protocol in the tree: the four
 // fuzzscen.Builder knows by name (flood REALTOR, the DHT, the hierarchy,
-// federation — the last two scope floods by engine Groups) and the five
-// it does not.
+// federation — the last two scope floods by engine Groups) and the four
+// baselines it does not.
 func equivProtocols() []equivProto {
 	overlay := func(d string) func(*fuzzscen.Scenario) engine.Builder {
 		return func(s *fuzzscen.Scenario) engine.Builder {
@@ -112,11 +111,6 @@ func equivProtocols() []equivProto {
 		{"adpush", plain(func(c protocol.Config) protocol.Discovery { return core.NewAdaptivePush(c) })},
 		{"purepull", plain(func(c protocol.Config) protocol.Discovery { return core.NewPurePull(c) })},
 		{"adpull", plain(func(c protocol.Config) protocol.Discovery { return core.NewAdaptivePull(c) })},
-		{"gossip", func(s *fuzzscen.Scenario) engine.Builder {
-			s.Discovery = ""
-			cfg := gossip.Config{Protocol: s.ProtocolConfig(), N: s.Nodes(), Seed: s.EngineSeed}
-			return func() protocol.Discovery { return gossip.New(cfg) }
-		}},
 	}
 }
 

@@ -44,9 +44,9 @@ type Options struct {
 
 	// Shape of the λ-sweeps and the live studies; zero values keep the
 	// committed tables' (3000 s × 3 replications, 800 s × 1 under Quick,
-	// λ 1..10 for the figures, 2/5/7/9 for gossip; 300 s of arrivals per
-	// live run, 150 s under Quick). Duration is simulated seconds, or
-	// scaled seconds on the live cluster.
+	// λ 1..10 for the figures; 300 s of arrivals per live run, 150 s
+	// under Quick). Duration is simulated seconds, or scaled seconds on
+	// the live cluster.
 	Lambdas  []float64
 	Duration sim.Time
 	Reps     int
@@ -90,7 +90,6 @@ func Catalogue() []Study {
 			return "# R1 admission at λ=7 vs discovery-message loss\n" + LossTable(RunLoss(
 				[]float64{0, 0.05, 0.1, 0.2, 0.4, 0.6}, 7, protos, o.Seed), protos), nil
 		}},
-		{Fig: "gossip", File: "gossip.txt", Sweep: true, Run: gossipReport},
 		{Fig: "retries", File: "retries.txt", Run: func(o Options) (string, error) {
 			return "# A7 one-try vs walk-the-list migration, REALTOR\n" +
 				RetryTable(RunRetries([]float64{6, 8, 10}, []int{1, 2, 3, 5}, o.Seed)), nil
@@ -134,9 +133,9 @@ func (o Options) lambdasOr(def []float64) []float64 {
 	return def
 }
 
-// sweep returns the λ-sweep the options describe, over lambdas unless
-// the options name their own.
-func (o Options) sweep(lambdas []float64) SweepConfig {
+// sweep returns the figures' λ-sweep the options describe, over λ 1..10
+// unless the options name their own rates.
+func (o Options) sweep() SweepConfig {
 	duration, reps := sim.Time(3000), 3
 	if o.Quick {
 		duration, reps = 800, 1
@@ -147,7 +146,7 @@ func (o Options) sweep(lambdas []float64) SweepConfig {
 	if o.Reps > 0 {
 		reps = o.Reps
 	}
-	sc := FigureSweep(o.lambdasOr(lambdas), duration, reps)
+	sc := FigureSweep(o.lambdasOr(DefaultSweep().Lambdas), duration, reps)
 	sc.BaseSeed = o.Seed
 	return sc
 }
@@ -158,7 +157,7 @@ var figureMetrics = []Metric{Admission, MessageUnits, CostPerTask, MigrationRate
 // sweep of the five standard protocols.
 func figuresReport(only string) func(Options) (string, error) {
 	return func(o Options) (string, error) {
-		sc := o.sweep(DefaultSweep().Lambdas)
+		sc := o.sweep()
 		sc.Engine.Shards = o.Shards
 		series := RunSweep(sc, StandardProtocols(protocol.DefaultConfig()))
 		var b strings.Builder
@@ -186,20 +185,6 @@ func figuresReport(only string) func(Options) (string, error) {
 		}
 		return b.String(), nil
 	}
-}
-
-func gossipReport(o Options) (string, error) {
-	sc := o.sweep([]float64{2, 5, 7, 9})
-	std := StandardProtocols(protocol.DefaultConfig())
-	series := RunSweep(sc, []Protocol{std[1], std[4], // Push-1 reference, REALTOR
-		GossipProtocol(protocol.DefaultConfig(), sc.Engine.Graph.N(), o.Seed)})
-	var b strings.Builder
-	b.WriteString("# G1 REALTOR vs push-pull anti-entropy gossip\n")
-	for _, m := range figureMetrics {
-		fmt.Fprintf(&b, "\n## %s\n", m)
-		b.WriteString(Table(series, m))
-	}
-	return b.String(), nil
 }
 
 func scaleReport(o Options) (string, error) {

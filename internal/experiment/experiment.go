@@ -15,7 +15,6 @@ import (
 	"realtor/internal/metrics"
 	"realtor/internal/plot"
 	"realtor/internal/protocol"
-	"realtor/internal/protocol/gossip"
 	"realtor/internal/rng"
 	"realtor/internal/sim"
 	"realtor/internal/topology"
@@ -37,17 +36,6 @@ func StandardProtocols(cfg protocol.Config) []Protocol {
 		{"Push-.9", func() protocol.Discovery { return core.NewAdaptivePush(cfg) }},
 		{"Pull-100", func() protocol.Discovery { return core.NewAdaptivePull(cfg) }},
 		{"REALTOR-100", func() protocol.Discovery { return core.New(cfg) }},
-	}
-}
-
-// GossipProtocol returns the modern push-pull anti-entropy comparator
-// (experiment G1) configured for an n-node system.
-func GossipProtocol(cfg protocol.Config, n int, seed int64) Protocol {
-	return Protocol{
-		Label: "Gossip-1",
-		Build: func() protocol.Discovery {
-			return gossip.New(gossip.Config{Protocol: cfg, N: n, Seed: seed})
-		},
 	}
 }
 

@@ -11,94 +11,79 @@ import (
 	"realtor/internal/topology"
 )
 
-// The committed figure tables used to be the one output not under the
-// invariant oracle. Every study builds its engines through newCell, so
-// binding the oracle there puts every cell of every catalogue entry
-// under I1–I11 (exact, slack 0) at once; a new study is covered by being
-// listed.
-//
-// All five contenders of the paper's figures are core.Realtor and expose
-// check.ProtocolState. Cells whose Discovery does not (no pledge list,
-// membership set or HELP interval to read) get only the
-// backend-level invariants — I5 task and message conservation, I6
-// partition safety, I8 crossing alternation. statelessCells names the
-// entries that have such cells and why; the test fails if that list
-// stops matching the studies. Live entries build no engine cell and are
-// skipped; they come under the oracle with the live cluster's virtual
-// clock (ROADMAP item 7).
-func TestCatalogueCellsUnderOracle(t *testing.T) {
-	statelessCells := map[string]string{
-		"gossip.txt":     "the anti-entropy gossip comparator keeps no pledge list the oracle can read",
-		"federation.txt": "federation.Discovery embeds REALTOR without forwarding its state",
-		"discovery.txt":  "HIER and FED embed REALTOR without forwarding its state; DHT exposes check.OverlayState instead (I4/I5-overlay)",
-	}
-	type audited struct {
-		e *engine.Engine
-		o *check.Oracle
-	}
-	var (
-		mu    sync.Mutex
-		cells []audited
-	)
+// auditedCell is one study cell with the invariant oracle bound to it.
+type auditedCell struct {
+	e *engine.Engine
+	o *check.Oracle
+}
+
+// cellAudit collects the cells bindOracle has bound, from whichever
+// worker built them.
+type cellAudit struct {
+	mu    sync.Mutex
+	cells []auditedCell
+}
+
+// bindOracle binds the invariant oracle — I1–I11, exact (slack 0) — to
+// every engine newCell builds until the test ends. Every study builds
+// its engines through newCell, so this puts every cell of every
+// catalogue entry under the oracle; a new study is covered by being
+// listed. The hook sets InlineHooks, as harness.SimSharded does: on a
+// sharded cell the oracle's headroom checks read engine state that is
+// live only at callback time, so the shard workers call it as they go
+// (check.Hooks serializes them) instead of at the next barrier's
+// ordered replay. A single-shard cell delivers inline either way.
+func bindOracle(t *testing.T) *cellAudit {
+	a := &cellAudit{}
 	auditCell = func(cfg engine.Config) (engine.Config, func(*engine.Engine)) {
 		h := &check.Hooks{}
 		h.Tee(cfg.Trace, cfg.Observer)
 		cfg.Trace, cfg.Observer = h, h
+		cfg.InlineHooks = true
 		return cfg, func(e *engine.Engine) {
 			o := check.NewWorldOracle(check.EngineWorld{E: e}, 0)
 			h.Bind(o)
-			mu.Lock()
-			cells = append(cells, audited{e, o})
-			mu.Unlock()
+			a.mu.Lock()
+			a.cells = append(a.cells, auditedCell{e, o})
+			a.mu.Unlock()
 		}
 	}
-	defer func() { auditCell = nil }()
+	t.Cleanup(func() { auditCell = nil })
+	return a
+}
 
-	for _, s := range Catalogue() {
-		if s.File == "" || s.Live {
-			continue
-		}
-		cells = cells[:0]
-		if _, err := s.Run(Options{Seed: 1, Quick: true}); err != nil {
-			t.Fatalf("%s: %v", s.Fig, err)
-		}
-		stateless := 0
-		for _, c := range cells {
-			c.o.Finish(c.e.Scheduler().Now())
-			if err := c.o.Err(); err != nil {
-				t.Errorf("%s: %v", s.Fig, err)
-			}
-			if _, ok := c.e.Discovery(0).(check.ProtocolState); !ok {
-				stateless++
-			}
-		}
-		if len(cells) == 0 {
-			t.Errorf("%s built no cell through newCell", s.Fig)
-		}
-		if why, listed := statelessCells[s.File]; listed != (stateless > 0) {
-			t.Errorf("%s: %d of %d cells expose no protocol state, but statelessCells says %q",
-				s.Fig, stateless, len(cells), why)
-		}
+// take returns the cells bound since the last call, each with its
+// oracle finished at the cell's end.
+func (a *cellAudit) take() []auditedCell {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	cells := a.cells
+	a.cells = nil
+	for _, c := range cells {
+		c.o.Finish(c.e.Scheduler().Now())
 	}
+	return cells
+}
 
-	// The binding has teeth: seeded bugs on the same Section 5 cell are
-	// caught through the same hook — the expiry-breaking mutant over
-	// REALTOR and over Pull-100, and a Push-.9 that keeps an entry after
-	// its member retracted (I4's retraction rule; StaleRealtor alone
-	// cannot catch a push bug, since push lists always hold a fitting
-	// entry).
+// The oracle bound through auditCell has teeth: seeded bugs on the
+// Section 5 cell are caught through the same hook that audits every
+// catalogue cell in TestCheapTablesMatchCommittedResults — the
+// expiry-breaking mutant over REALTOR and over Pull-100, and a Push-.9
+// that keeps an entry after its member retracted (I4's retraction rule;
+// StaleRealtor alone cannot catch a push bug, since push lists always
+// hold a fitting entry).
+func TestCatalogueCellsUnderOracle(t *testing.T) {
+	audit := bindOracle(t)
 	pc := protocol.DefaultConfig()
 	for name, build := range map[string]engine.Builder{
 		"StaleRealtor/REALTOR-100": func() protocol.Discovery { return check.NewStaleRealtor(pc) },
 		"StaleRealtor/Pull-100":    func() protocol.Discovery { return &check.StaleRealtor{Realtor: core.NewAdaptivePull(pc)} },
 		"no-retract/Push-.9":       func() protocol.Discovery { return noRetract{core.NewAdaptivePush(pc)} },
 	} {
-		cells = cells[:0]
 		cfg := PaperCell(topology.Mesh(5, 5), 20, 300, 1)
 		e := newCell(cfg, build)
 		e.Run(PoissonSource(cfg, 8))
-		cells[0].o.Finish(e.Scheduler().Now())
-		if cells[0].o.Err() == nil {
+		if cells := audit.take(); len(cells) != 1 || cells[0].o.Err() == nil {
 			t.Errorf("oracle bound through auditCell missed the %s mutant", name)
 		}
 	}

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -34,22 +33,6 @@ func TestRunPartitionShowsDegradationAndReconvergence(t *testing.T) {
 	if p.After <= p.LeftSplit && p.After <= p.RightSplit {
 		t.Errorf("post-heal admission %.4f did not recover above either split side (%.4f / %.4f)",
 			p.After, p.LeftSplit, p.RightSplit)
-	}
-}
-
-func TestRunPartitionDeterministicUnderParallelism(t *testing.T) {
-	st := DefaultPartitionStudy()
-	st.Warmup, st.At, st.Heal, st.Duration = 50, 200, 350, 500
-	lambdas := []float64{4, 7}
-	defer SetParallelism(SetParallelism(1))
-	seq := RunPartition(st, lambdas, 3)
-	SetParallelism(8)
-	par := RunPartition(st, lambdas, 3)
-	if !reflect.DeepEqual(seq, par) {
-		t.Errorf("RunPartition differs across parallelism: %v vs %v", seq, par)
-	}
-	if a, b := PartitionTable(seq), PartitionTable(par); a != b {
-		t.Errorf("PartitionTable not byte-identical:\n%s\nvs\n%s", a, b)
 	}
 }
 

@@ -71,32 +71,3 @@ func TestPolicyStudyStackSurvivesExhaust(t *testing.T) {
 			stack.Admission, base.Admission)
 	}
 }
-
-// TestPolicyStudyShardInvariant extends the sharded kernel's
-// determinism contract to the policy study: the rendered table — every
-// float, including timer-driven retry and elastic effects — must be
-// byte-identical at any shard count.
-func TestPolicyStudyShardInvariant(t *testing.T) {
-	st := shortPolicyStudy()
-	want := PolicyTable(RunPolicy(st))
-	for _, shards := range []int{2, 4, 8} {
-		st.Shards = shards
-		if got := PolicyTable(RunPolicy(st)); got != want {
-			t.Fatalf("policy table diverges at %d shards:\n got:\n%s\nwant:\n%s", shards, got, want)
-		}
-	}
-}
-
-// TestPolicyStudyWorkerInvariant: same table whether cells run
-// sequentially or fanned out (the collect() contract).
-func TestPolicyStudyWorkerInvariant(t *testing.T) {
-	st := shortPolicyStudy()
-	SetParallelism(1)
-	seq := PolicyTable(RunPolicy(st))
-	SetParallelism(8)
-	par := PolicyTable(RunPolicy(st))
-	SetParallelism(0)
-	if seq != par {
-		t.Fatalf("policy table depends on worker count:\n seq:\n%s\n par:\n%s", seq, par)
-	}
-}

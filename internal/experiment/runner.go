@@ -47,8 +47,8 @@ func resolveWorkers(hint int) int {
 // forEach runs job(0..n-1) on min(workers, n) goroutines. Work is handed
 // out through an atomic counter, so cheap and expensive cells interleave
 // without static partitioning skew. With one worker (or n <= 1) it
-// degenerates to a plain loop on the calling goroutine — the reference
-// path the determinism regression test compares against.
+// degenerates to a plain loop on the calling goroutine, the sequential
+// reference path.
 //
 // A panic inside a job (experiment code panics on configuration errors)
 // is captured and re-raised on the calling goroutine once all workers

@@ -14,7 +14,7 @@ import (
 // outright: the inner protocol's interval governor has already advanced
 // its own clock, so suppression only stretches the observable HELP
 // gaps, and a configured retrier may reissue later when tokens have
-// accrued. Non-HELP floods (ADVERT, GOSSIP, ...) pass untouched.
+// accrued. Non-HELP floods (ADVERT) pass untouched.
 //
 // The refill min(burst, tokens + rate·dt) is composable across sampling
 // points — capping after each step equals capping once over the total

@@ -1,7 +1,6 @@
 // Package protocol defines the resource-discovery framework shared by
 // every discovery protocol in the tree — REALTOR and the paper's four
-// baselines (all disciplines of core.Realtor), the gossip comparator and
-// the overlays: the HELP/PLEDGE message vocabulary, soft-state pledge
+// baselines (all disciplines of core.Realtor) and the overlays: the HELP/PLEDGE message vocabulary, soft-state pledge
 // lists, the cost model of Section 5 (flood = number of links, unicast =
 // mean shortest-path length), and the Discovery interface through which
 // the simulation engine drives a protocol instance on each node.
@@ -21,9 +20,8 @@ type Kind int
 // Message kinds. HELP and PLEDGE are the community protocol of Section 4;
 // ADVERT is the unsolicited availability broadcast used by the push
 // baselines; RELAY is the inter-group HELP escalation of the federation
-// and hierarchical extensions (the paper's Section 7 future work);
-// GOSSIP is the push-pull anti-entropy exchange of the modern comparator
-// in protocol/gossip. The DHT* kinds are the structured-overlay traffic
+// and hierarchical extensions (the paper's Section 7 future work). The
+// DHT* kinds are the structured-overlay traffic
 // of protocol/dht: directory writes (PUT), key lookups (GET) and lookup
 // answers (FOUND), each routed hop by hop over the real topology.
 const (
@@ -31,7 +29,6 @@ const (
 	Pledge
 	Advert
 	Relay
-	Gossip
 	DHTPut
 	DHTGet
 	DHTFound
@@ -49,8 +46,6 @@ func (k Kind) String() string {
 		return "ADVERT"
 	case Relay:
 		return "RELAY"
-	case Gossip:
-		return "GOSSIP"
 	case DHTPut:
 		return "DHT-PUT"
 	case DHTGet:
@@ -108,8 +103,7 @@ type Message struct {
 	Demand      float64     // HELP: degree of demand (seconds wanted)
 	Communities int         // PLEDGE: communities the pledger belongs to
 	Grant       float64     // PLEDGE: probability of granting when asked
-	Reply       bool        // GOSSIP: this exchange answers a previous one
-	View        []Candidate // GOSSIP/DHT-FOUND: batched availability entries
+	View        []Candidate // DHT-FOUND: batched availability entries
 
 	// Overlay routing fields. Key is the identifier-ring key a DHT
 	// message is routed toward; Origin is the node that initiated the
@@ -229,9 +223,9 @@ func (l *PledgeList) Update(now sim.Time, from topology.NodeID, headroom float64
 	l.UpdateAt(now, from, headroom)
 }
 
-// UpdateAt is Update with an explicit information timestamp — gossip
-// merges must preserve the origin time of relayed entries, or stale
-// third-hand data would masquerade as fresh.
+// UpdateAt is Update with an explicit information timestamp — a DHT
+// cache filled from FOUND answers must keep the origin time of relayed
+// entries, or stale third-hand data would masquerade as fresh.
 func (l *PledgeList) UpdateAt(at sim.Time, from topology.NodeID, headroom float64) {
 	i := l.find(from)
 	if headroom <= 0 {
