@@ -22,7 +22,7 @@
 //	realtor-sim -fig scale              # per-node overhead vs system size
 //	realtor-sim -fig scale-large        # large meshes, up to 316x316 (~100k nodes)
 //	realtor-sim -fig discovery          # flood-REALTOR vs DHT vs hierarchical
-//	                                    # vs federation at 2.5k-100k nodes
+//	                                    # vs federation (HIER at depth 1) at 2.5k-100k nodes
 //	realtor-sim -fig discovery -quick   # CI-sized discovery sweep (seconds)
 //	realtor-sim -fig ab                 # Algorithm H α/β ablation
 //	realtor-sim -fig fed                # inter-group federation (future work)

@@ -81,7 +81,7 @@ type Config struct {
 	// group ID per node): floods then reach only the sender's group and
 	// are charged the group's internal links. This is the substrate for
 	// the inter-neighbor-group discovery of the paper's future work
-	// (Section 7), implemented in internal/federation. Mutually
+	// (Section 7), implemented in internal/protocol/hier. Mutually
 	// exclusive with FloodRadius.
 	Groups []int
 

@@ -11,7 +11,7 @@ import (
 )
 
 // blockGroups partitions a side×side mesh into per×per square blocks,
-// numbered row-major — the FED studies' quadrant layout.
+// numbered row-major.
 func blockGroups(side, per int) []int {
 	block := side / per
 	g := make([]int, side*side)

@@ -84,10 +84,11 @@ type equivProto struct {
 	build func(*fuzzscen.Scenario) engine.Builder
 }
 
-// equivProtocols lists every discovery protocol in the tree: the four
-// fuzzscen.Builder knows by name (flood REALTOR, the DHT, the hierarchy,
-// federation — the last two scope floods by engine Groups) and the four
-// baselines it does not.
+// equivProtocols lists every discovery protocol in the tree: the three
+// fuzzscen.Builder knows by name (flood REALTOR, the DHT, and the
+// hierarchy, which scopes floods by engine Groups; Builder's "fed" is
+// the same hier.H at depth 1 and reaches no engine or protocol code the
+// hier row misses) and the four baselines it does not.
 func equivProtocols() []equivProto {
 	overlay := func(d string) func(*fuzzscen.Scenario) engine.Builder {
 		return func(s *fuzzscen.Scenario) engine.Builder {
@@ -106,7 +107,6 @@ func equivProtocols() []equivProto {
 		{"realtor", overlay("")},
 		{"dht", overlay("dht")},
 		{"hier", overlay("hier")},
-		{"fed", overlay("fed")},
 		{"purepush", plain(func(c protocol.Config) protocol.Discovery { return core.NewPurePush(c) })},
 		{"adpush", plain(func(c protocol.Config) protocol.Discovery { return core.NewAdaptivePush(c) })},
 		{"purepull", plain(func(c protocol.Config) protocol.Discovery { return core.NewPurePull(c) })},

@@ -78,7 +78,7 @@ func Catalogue() []Study {
 				[]float64{0.1, 0.25, 0.5, 1.0}, []float64{0.1, 0.25, 0.5, 0.9}, 7, o.Seed)), nil
 		}},
 		{Fig: "fed", File: "federation.txt", Run: func(o Options) (string, error) {
-			return "# A4/F1 inter-group federation, hot quadrant of 8x8 mesh\n" +
+			return "# A4/F1 inter-group federation, hot 16-node block of 8x8 mesh\n" +
 				FederationTable(RunFederation(8, []float64{2, 4, 6, 8, 10}, o.Seed)), nil
 		}},
 		{Fig: "sec", File: "security.txt", Run: func(o Options) (string, error) {

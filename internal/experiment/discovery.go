@@ -1,7 +1,7 @@
 // The discovery head-to-head (D1): flood-REALTOR against the two
 // sub-linear contenders — the Chord-style DHT overlay and k-level
-// hierarchical REALTOR — plus the one-level federation baseline, swept
-// across mesh sizes from 2.5k to ~100k nodes and four adverse
+// hierarchical REALTOR — plus one-level federation (HIER at depth 1),
+// swept across mesh sizes from 2.5k to ~100k nodes and four adverse
 // conditions. Every cell is one deterministic engine run; the table is
 // the same bytes at any shard count (trace-derived latency included).
 package experiment
@@ -13,7 +13,6 @@ import (
 	"realtor/internal/attack"
 	"realtor/internal/core"
 	"realtor/internal/engine"
-	"realtor/internal/federation"
 	"realtor/internal/metrics"
 	"realtor/internal/protocol"
 	"realtor/internal/protocol/dht"
@@ -90,9 +89,9 @@ func discoveryContenders(side int) []discoveryContender {
 	const escalateEvery = 5
 
 	hierCfg := hier.Config{Protocol: pc, N: n, GroupSize: 32, Branch: 8, EscalateEvery: escalateEvery}
-	// Federation wants roughly (side/16)² quadrants, but QuadrantGroups
-	// needs the side divisible by the group grid — take the largest
-	// divisor that fits (federation's fixed one-level fan-out over ever-
+	// Federation wants roughly (side/16)² groups of side²/gr² contiguous
+	// nodes; gr is the largest divisor of side that fits, so the groups
+	// come out equal (federation's fixed one-level fan-out over ever-
 	// larger groups is exactly the scaling limit HIER removes).
 	gr := side / 16
 	if gr < 2 {
@@ -101,8 +100,7 @@ func discoveryContenders(side int) []discoveryContender {
 	for side%gr != 0 {
 		gr--
 	}
-	fedGroups := federation.QuadrantGroups(side, side, gr, gr)
-	fedGateways := federation.Gateways(fedGroups)
+	fedCfg := hier.Config{Protocol: pc, N: n, GroupSize: n / (gr * gr), Branch: gr * gr, EscalateEvery: escalateEvery}
 	return []discoveryContender{
 		{
 			Label: "REALTOR",
@@ -118,15 +116,9 @@ func discoveryContenders(side int) []discoveryContender {
 			Groups: hier.Groups(n, hierCfg.GroupSize),
 		},
 		{
-			Label: "FED",
-			Build: func() protocol.Discovery {
-				return federation.New(federation.Config{
-					Protocol:      pc,
-					EscalateEvery: escalateEvery,
-					GatewayFunc:   fedGateways,
-				})
-			},
-			Groups: fedGroups,
+			Label:  "FED",
+			Build:  hier.Build(fedCfg),
+			Groups: hier.Groups(n, fedCfg.GroupSize),
 		},
 	}
 }

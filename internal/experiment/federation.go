@@ -4,9 +4,10 @@ import (
 	"fmt"
 	"strings"
 
-	"realtor/internal/federation"
+	"realtor/internal/core"
 	"realtor/internal/metrics"
 	"realtor/internal/protocol"
+	"realtor/internal/protocol/hier"
 	"realtor/internal/rng"
 	"realtor/internal/topology"
 )
@@ -15,7 +16,7 @@ import (
 // inter-group escalation under a hot-spot load concentrated in one group
 // (the F1 extension of DESIGN.md — the paper's Section 7 future work).
 type FederationPoint struct {
-	MeshSide   int // n×n mesh, 2×2 groups
+	MeshSide   int // n×n mesh, four contiguous n²/4-node groups
 	Lambda     float64
 	Plain      metrics.RunStats // group-scoped, no escalation
 	Federated  metrics.RunStats
@@ -26,11 +27,11 @@ type FederationPoint struct {
 }
 
 // RunFederation drives all load into group 0 of an n×n mesh split into
-// 2×2 neighbor groups and measures how much admission the inter-group
-// escalation recovers.
+// four equal contiguous neighbor groups (n/2 rows each) and measures how
+// much admission the inter-group escalation recovers.
 func RunFederation(meshSide int, lambdas []float64, seed int64) []FederationPoint {
 	if meshSide%2 != 0 {
-		panic("experiment: federation mesh side must be even (2x2 groups)")
+		panic("experiment: federation mesh side must be even (four equal groups)")
 	}
 	// Fan out the (λ, federated?) cells; both variants of a λ are
 	// independent runs, so they parallelise too.
@@ -53,16 +54,16 @@ func RunFederation(meshSide int, lambdas []float64, seed int64) []FederationPoin
 
 func runFederationOnce(meshSide int, lambda float64, seed int64, federated bool) metrics.RunStats {
 	graph := topology.Mesh(meshSide, meshSide)
-	groups := federation.QuadrantGroups(meshSide, meshSide, 2, 2)
+	n := graph.N()
+	groupSize := n / 4
+	groups := hier.Groups(n, groupSize)
 	ecfg := PaperCell(graph, 100, 1100, seed)
 	ecfg.Groups = groups
-	gateways := federation.Gateways(groups)
-	build := func() protocol.Discovery {
-		cfg := federation.Config{Protocol: protocol.DefaultConfig()}
-		if federated {
-			cfg.GatewayFunc = gateways
-		}
-		return federation.New(cfg)
+	// Federation is HIER at depth 1; without it the groups are plain
+	// group-scoped REALTOR.
+	build := func() protocol.Discovery { return core.New(protocol.DefaultConfig()) }
+	if federated {
+		build = hier.Build(hier.Config{Protocol: protocol.DefaultConfig(), N: n, GroupSize: groupSize, Branch: 4})
 	}
 	e := newCell(ecfg, build)
 	src := PoissonSource(ecfg, lambda)

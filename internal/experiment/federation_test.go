@@ -10,9 +10,11 @@ func TestRunFederationRescues(t *testing.T) {
 	if len(pts) != 1 {
 		t.Fatalf("points %d", len(pts))
 	}
+	// All load lands in one of four groups: plain group-scoped REALTOR
+	// cannot see past it, and escalation must recover most of the rest.
 	p := pts[0]
-	if p.FedAdm <= p.PlainAdm {
-		t.Fatalf("federation did not help: plain=%v fed=%v", p.PlainAdm, p.FedAdm)
+	if p.FedAdm <= p.PlainAdm+0.1 || p.FedAdm < 0.5 {
+		t.Fatalf("federation did not rescue the hot group: plain=%v fed=%v", p.PlainAdm, p.FedAdm)
 	}
 	if err := p.Plain.Validate(); err != nil {
 		t.Fatal(err)

@@ -61,8 +61,8 @@ func TestCheapTablesMatchCommittedResults(t *testing.T) {
 		t.Skip("regenerates every simulator result table")
 	}
 	statelessCells := map[string]string{
-		"federation.txt": "federation.Discovery embeds REALTOR without forwarding its state",
-		"discovery.txt":  "HIER and FED embed REALTOR without forwarding its state; DHT exposes check.OverlayState instead (I4/I5-overlay)",
+		"federation.txt": "hier.H embeds REALTOR without forwarding its state",
+		"discovery.txt":  "hier.H (HIER, and FED at depth 1) embeds REALTOR without forwarding its state; DHT exposes check.OverlayState instead (I4/I5-overlay)",
 	}
 	defer SetParallelism(SetParallelism(8))
 	audit := bindOracle(t)

@@ -85,8 +85,8 @@ func Generate(seed int64) Scenario {
 	// every scenario. Most scenarios keep flood-REALTOR — the
 	// differential and the label-sensitive metamorphic relations only
 	// run there — while about a third swap in an overlay to fuzz the
-	// DHT, the hierarchy, and one-level federation under the invariant
-	// oracle.
+	// DHT, the hierarchy, and the hierarchy at depth 1 (one-level
+	// federation) under the invariant oracle.
 	switch r.Intn(8) {
 	case 0:
 		s.Discovery = "dht"

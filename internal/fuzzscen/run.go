@@ -12,7 +12,6 @@ import (
 	"realtor/internal/check"
 	"realtor/internal/core"
 	"realtor/internal/engine"
-	"realtor/internal/federation"
 	"realtor/internal/metrics"
 	"realtor/internal/policy"
 	"realtor/internal/protocol"
@@ -41,10 +40,13 @@ func Builder(s Scenario) engine.Builder {
 			GroupSize: fuzzGroupSize, Branch: fuzzBranch,
 		}))
 	case "fed":
-		gateways := federation.Gateways(hier.Groups(s.Nodes(), fuzzGroupSize))
-		return wrapPolicies(s, func() protocol.Discovery {
-			return federation.New(federation.Config{Protocol: cfg, GatewayFunc: gateways})
-		})
+		// HIER at depth 1: the root covers every level-0 community. At
+		// N <= fuzzGroupSize the depth is 0 whatever the branch, and 2 is
+		// the smallest one Validate accepts.
+		return wrapPolicies(s, hier.Build(hier.Config{
+			Protocol: cfg, N: s.Nodes(),
+			GroupSize: fuzzGroupSize, Branch: max(2, (s.Nodes()+fuzzGroupSize-1)/fuzzGroupSize),
+		}))
 	}
 	return wrapPolicies(s, func() protocol.Discovery { return core.New(cfg) })
 }

@@ -93,11 +93,11 @@ type Scenario struct {
 	// Discovery selects the protocol under test: "" (REALTOR, the
 	// default), "dht" (the Chord-style overlay), "hier" (k-level
 	// hierarchical REALTOR, which also scopes engine floods to its
-	// level-0 communities), or "fed" (one-level federation over
-	// contiguous neighbor groups). The fast-vs-reference differential
-	// and the label-sensitive metamorphic relations stay REALTOR-only —
-	// overlay scenarios exercise the invariant oracle and the engine
-	// instead.
+	// level-0 communities), or "fed" (the same hierarchy at depth 1:
+	// one-level federation over contiguous neighbor groups). The
+	// fast-vs-reference differential and the label-sensitive metamorphic
+	// relations stay REALTOR-only — overlay scenarios exercise the
+	// invariant oracle and the engine instead.
 	Discovery string `json:"discovery,omitempty"`
 
 	// Workload: Poisson arrivals at Lambda tasks/s of mean size

@@ -1,20 +1,25 @@
 // Package hier implements hierarchical REALTOR: communities of
-// community-organizers, generalizing internal/federation's single
-// escalation level to a k-level tree. Level-0 communities are contiguous
-// node-ID blocks whose floods the engine scopes via Config.Groups; the
-// organizer of any block is its lowest node ID. A node whose local
-// community has no capacity escalates a RELAY up the tree — rate-limited
-// like federation's gateways — and the receiving organizer fans the
-// relay down to its child organizers, skipping the subtree the request
-// came from (those communities were covered by the previous, narrower
+// community-organizers, the paper's Section 7 future work ("inter-
+// neighbor-group resource discovery and allocation") as a k-level tree.
+// Level-0 communities are contiguous node-ID blocks whose floods the
+// engine scopes via Config.Groups; the organizer of any block is its
+// lowest node ID. A node whose local community has no capacity
+// escalates a RELAY up the tree — rate-limited by the same Upper_limit
+// discipline as Algorithm H — and the receiving organizer fans the relay
+// down to its child organizers, skipping the subtree the request came
+// from (those communities were covered by the previous, narrower
 // escalation). Level-0 organizers answer a relay by re-flooding HELP
 // inside their own community with the origin as the asking organizer, so
-// pledges travel straight back to the origin — exactly federation's
-// gateway behaviour, applied recursively.
+// pledges travel straight back to the origin and no organizer holds
+// state about the relay.
 //
 // Escalation widens adaptively: each escalation targets one level higher
 // than the last (up to the root) until a migration succeeds, which
 // resets the next escalation to level 1.
+//
+// One-level federation (the FED contender of the studies) is this tree
+// at depth 1: Branch ≥ ⌈N/GroupSize⌉ puts every level-0 organizer under
+// the root, so one escalation reaches every foreign community once.
 package hier
 
 import (
@@ -39,11 +44,11 @@ type Config struct {
 	GroupSize int
 
 	// Branch is how many child blocks each higher-level organizer
-	// aggregates. 0 means 8.
+	// aggregates. 0 means 8; 1 is rejected (blocks would never grow).
 	Branch int
 
 	// EscalateEvery rate-limits upward escalation per node; 0 means
-	// Protocol.HelpUpper (the same pinned default as federation).
+	// Protocol.HelpUpper, Algorithm H's own ceiling on the HELP interval.
 	EscalateEvery sim.Time
 }
 
@@ -57,6 +62,9 @@ func (c Config) Validate() error {
 	}
 	if c.GroupSize < 0 || c.Branch < 0 || c.EscalateEvery < 0 {
 		return fmt.Errorf("hier: negative parameter")
+	}
+	if c.Branch == 1 {
+		return fmt.Errorf("hier: branch 1 never widens a block")
 	}
 	return nil
 }
@@ -255,7 +263,8 @@ func (h *H) maybeEscalate(size float64) {
 		return // one community covers everything; nothing above to ask
 	}
 	now := h.env.Now()
-	if h.hasEsc && now-h.lastEsc < h.cfg.escalateEvery() {
+	// Suppress on <=, as Algorithm H spaces HELPs and I1 audits them.
+	if h.hasEsc && now-h.lastEsc <= h.cfg.escalateEvery() {
 		return
 	}
 	h.lastEsc, h.hasEsc = now, true

@@ -64,8 +64,8 @@ func TestGroupsMatchesTree(t *testing.T) {
 
 // TestLevel0RelayRefloodsForOrigin: a level-0 organizer answers an
 // escalation by flooding HELP in its own community with the origin as
-// sender, so pledges return straight to the origin — federation's
-// gateway behaviour.
+// sender and the origin's demand, so pledges return straight to the
+// origin and the organizer keeps no state about the relay.
 func TestLevel0RelayRefloodsForOrigin(t *testing.T) {
 	cfg := testConfig(64)
 	h := hier.Build(cfg)().(*hier.H)
@@ -77,8 +77,8 @@ func TestLevel0RelayRefloodsForOrigin(t *testing.T) {
 	if len(floods) != 1 {
 		t.Fatalf("want exactly one HELP reflood, got %d", len(floods))
 	}
-	if floods[0].Msg.From != 40 {
-		t.Fatalf("reflood From = %d, want the origin 40", floods[0].Msg.From)
+	if floods[0].Msg.From != 40 || floods[0].Msg.Demand != 3 {
+		t.Fatalf("reflood HELP %+v, want From the origin 40 and Demand 3", floods[0].Msg)
 	}
 	if h.Relayed() != 1 {
 		t.Fatalf("Relayed = %d, want 1", h.Relayed())
@@ -128,10 +128,15 @@ func TestEscalationRateLimitAndWidening(t *testing.T) {
 	if h.Escalations() != 1 {
 		t.Fatal("escalation fired inside the rate-limit window")
 	}
+	env.Advance(10)
+	h.Candidates(5) // exactly EscalateEvery later: suppressed, like Algorithm H's HELP spacing
+	if h.Escalations() != 1 {
+		t.Fatal("escalation fired at exactly EscalateEvery")
+	}
 
 	env.Reset()
-	env.Advance(11)
-	h.Candidates(5) // widened to level 2: block [0,32), children 0 and 16
+	env.Advance(1e-9)
+	h.Candidates(5) // just after: widened to level 2, block [0,32), children 0 and 16
 	if h.Escalations() != 2 {
 		t.Fatalf("escalations = %d, want 2 after the window", h.Escalations())
 	}
@@ -151,6 +156,148 @@ func TestEscalationRateLimitAndWidening(t *testing.T) {
 	h.Candidates(5)
 	if got := len(env.Unicasts(protocol.Relay)); got != 1 {
 		t.Fatalf("after reset want a level-1 escalation (1 unicast), got %d", got)
+	}
+}
+
+// TestEscalationGates: the rate limit defaults to Algorithm H's
+// ceiling, a non-empty pledge list never escalates, everything but RELAY
+// reaches the community REALTOR, and a dead node neither escalates nor
+// serves a relay.
+func TestEscalationGates(t *testing.T) {
+	help := protocol.DefaultConfig().HelpUpper
+	for _, tc := range []struct {
+		name  string
+		drive func(h *hier.H, env *protocoltest.FakeEnv)
+		want  uint64 // escalations
+	}{
+		{"zero EscalateEvery means HelpUpper", func(h *hier.H, env *protocoltest.FakeEnv) {
+			h.Candidates(5)
+			env.Advance(help)
+			h.Candidates(5)
+			if h.Escalations() != 1 {
+				t.Fatal("escalated at exactly HelpUpper")
+			}
+			env.Advance(1e-9)
+			h.Candidates(5)
+		}, 2},
+		{"candidates exist", func(h *hier.H, env *protocoltest.FakeEnv) {
+			h.Deliver(protocol.Message{Kind: protocol.Pledge, From: 3, Headroom: 60})
+			if got := h.Candidates(10); len(got) != 1 {
+				t.Fatalf("candidates %v, want the one pledge", got)
+			}
+		}, 0},
+		{"community REALTOR answers HELP and crossings", func(h *hier.H, env *protocoltest.FakeEnv) {
+			env.Backlog = 20
+			h.Deliver(protocol.Message{Kind: protocol.Help, From: 7})
+			env.Backlog = 95
+			h.OnUsageCrossing(true)
+			if got := len(env.Unicasts(protocol.Pledge)); got != 2 {
+				t.Fatalf("pledges %d, want a HELP reply and a crossing pledge", got)
+			}
+		}, 0},
+		{"dead node", func(h *hier.H, env *protocoltest.FakeEnv) {
+			h.OnNodeDeath()
+			h.OnArrival(95)
+			h.Candidates(5)
+			h.Deliver(protocol.Message{Kind: protocol.Relay, From: 40, Origin: 40, Demand: 3})
+			h.Deliver(protocol.Message{Kind: protocol.Relay, From: 40, Origin: 40, Demand: 3, Level: 1})
+			if len(env.Outbox) != 0 || h.Relayed() != 0 {
+				t.Fatalf("dead node sent %v", env.Outbox)
+			}
+		}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := hier.Build(testConfig(64))().(*hier.H)
+			env := protocoltest.New(0, 100)
+			h.Attach(env)
+			tc.drive(h, env)
+			if got := h.Escalations(); got != tc.want {
+				t.Fatalf("escalations = %d, want %d", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestDepthOneIsFederation pins the contract one-level federation rests
+// on: at Branch ≥ ⌈N/GroupSize⌉ the tree has depth 1, and one escalation
+// from a non-organizer reaches every foreign level-0 organizer exactly
+// once — through the root — and never the origin's own block.
+func TestDepthOneIsFederation(t *testing.T) {
+	const n, gs = 50, 8 // seven blocks, the last one ragged
+	for _, branch := range []int{7, 64} {
+		if d := hier.NewTree(n, gs, branch).Depth(); d != 1 {
+			t.Fatalf("branch %d: depth %d, want 1", branch, d)
+		}
+		build := hier.Build(hier.Config{Protocol: protocol.DefaultConfig(), N: n, GroupSize: gs, Branch: branch})
+		for _, origin := range []topology.NodeID{3, 13, 49} {
+			envs := map[topology.NodeID]*protocoltest.FakeEnv{}
+			nodes := map[topology.NodeID]*hier.H{}
+			node := func(id topology.NodeID) (*hier.H, *protocoltest.FakeEnv) {
+				if nodes[id] == nil {
+					nodes[id], envs[id] = build().(*hier.H), protocoltest.New(id, 100)
+					nodes[id].Attach(envs[id])
+				}
+				return nodes[id], envs[id]
+			}
+			h, env := node(origin)
+			h.Candidates(5) // empty pledge list: escalate
+			queue := env.Unicasts(protocol.Relay)
+			if len(queue) != 1 || queue[0].To != 0 {
+				t.Fatalf("origin %d sent %v, want one RELAY to the root 0", origin, queue)
+			}
+			for len(queue) > 0 {
+				s := queue[0]
+				queue = queue[1:]
+				dst, denv := node(s.To)
+				before := len(denv.Outbox)
+				dst.Deliver(s.Msg)
+				for _, out := range denv.Outbox[before:] {
+					if !out.Flooded && out.Msg.Kind == protocol.Relay {
+						queue = append(queue, out)
+					}
+				}
+			}
+			reached := map[topology.NodeID]int{}
+			for id, e := range envs {
+				for _, f := range e.Floods(protocol.Help) {
+					if f.Msg.From != origin {
+						t.Fatalf("node %d reflooded for %d, want the origin %d", id, f.Msg.From, origin)
+					}
+					reached[id]++
+				}
+			}
+			want := map[topology.NodeID]int{}
+			for org := topology.NodeID(0); org < n; org += gs {
+				if org != origin/gs*gs {
+					want[org] = 1
+				}
+			}
+			if fmt.Sprint(reached) != fmt.Sprint(want) {
+				t.Fatalf("branch %d, origin %d: refloods %v, want %v", branch, origin, reached, want)
+			}
+		}
+	}
+}
+
+// TestValidate covers the parameter checks, including branch 1, whose
+// blocks never grow (NewTree would not return).
+func TestValidate(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*hier.Config)
+		ok   bool
+	}{
+		{"valid", func(*hier.Config) {}, true},
+		{"branch 0 means 8", func(c *hier.Config) { c.Branch = 0 }, true},
+		{"no nodes", func(c *hier.Config) { c.N = 0 }, false},
+		{"negative group size", func(c *hier.Config) { c.GroupSize = -1 }, false},
+		{"branch 1", func(c *hier.Config) { c.Branch = 1 }, false},
+	} {
+		cfg := hier.Config{Protocol: protocol.DefaultConfig(), N: 16, GroupSize: 4, Branch: 2}
+		tc.edit(&cfg)
+		if err := cfg.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
+		}
 	}
 }
 

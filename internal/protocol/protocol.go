@@ -19,8 +19,8 @@ type Kind int
 
 // Message kinds. HELP and PLEDGE are the community protocol of Section 4;
 // ADVERT is the unsolicited availability broadcast used by the push
-// baselines; RELAY is the inter-group HELP escalation of the federation
-// and hierarchical extensions (the paper's Section 7 future work). The
+// baselines; RELAY is the inter-group HELP escalation of the hierarchical
+// extension (the paper's Section 7 future work). The
 // DHT* kinds are the structured-overlay traffic
 // of protocol/dht: directory writes (PUT), key lookups (GET) and lookup
 // answers (FOUND), each routed hop by hop over the real topology.
