@@ -101,14 +101,17 @@ policy-smoke:
 # scenarios, the seeded mutant must be caught on the live backend too,
 # and one fault-free scenario must agree across sim and live within the
 # documented tolerance bands (EXPERIMENTS.md V2) at the 200x clock scale
-# -parity runs its live leg at. The last line runs one live catalogue
-# entry (about a second of wall clock) and checks it exits 0 and prints the
-# header of the committed table.
+# -parity runs its live leg at. The last two lines run one live catalogue
+# entry (about a second of wall clock each), once over the channel pipe
+# and once over loopback UDP sockets, and check each exits 0 and prints
+# the header of the committed table.
 parity-smoke:
 	$(GO) run ./cmd/realtor-scen fuzz -backend live -n 5
 	$(GO) run ./cmd/realtor-scen fuzz -backend live -n 10 -mutant expiry
 	$(GO) run ./cmd/realtor-scen fuzz -parity -n 1 -seed 13
 	out=$$($(GO) run ./cmd/realtor-sim -fig live-attack -quick) && \
+		test "$$(printf '%s\n' "$$out" | head -1)" = "$$(head -1 results/live_attack.txt)"
+	out=$$($(GO) run ./cmd/realtor-sim -fig live-attack -quick -transport udp) && \
 		test "$$(printf '%s\n' "$$out" | head -1)" = "$$(head -1 results/live_attack.txt)"
 
 # Scenario-package smoke (CI gate, well under a minute): every committed

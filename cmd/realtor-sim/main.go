@@ -16,7 +16,7 @@
 //	realtor-sim -fig 8                  # migration rate vs λ
 //	realtor-sim -fig all                # figures 5-8 in one sweep
 //	realtor-sim -fig 9                  # Figure 9: the live 20-host cluster
-//	realtor-sim -fig 9 -transport udp   # ...over real UDP loopback (or tcp)
+//	realtor-sim -fig 9 -transport udp   # ...over real UDP loopback sockets
 //	realtor-sim -fig deadlines          # EDF vs FIFO on the live runtime
 //	realtor-sim -fig live-attack        # live survivability: 4 of 12 hosts down
 //	realtor-sim -fig scale              # per-node overhead vs system size
@@ -112,7 +112,7 @@ func run(args []string, out, errw io.Writer) int {
 	asPlot := fs.Bool("plot", false, "draw ASCII charts instead of tables (figs 5-8, attack)")
 	diff := fs.Bool("diff", false, "also print replication-paired differences vs Push-1 (figs 5-8)")
 	lambdas := fs.String("lambdas", "", "comma-separated task arrival rates of a λ-sweep (default: the study's own)")
-	transportName := fs.String("transport", "", "live studies' fabric: chan|udp|tcp (default chan)")
+	transportName := fs.String("transport", "", "live studies' fabric: chan|udp (default chan)")
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0),
 		"worker goroutines for independent runs (output is identical for any value)")
 	shards := fs.Int("shards", 1,

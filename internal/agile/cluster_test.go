@@ -159,7 +159,8 @@ func TestOneTryMigrationRejectsWhenTargetFull(t *testing.T) {
 func TestLossyTransportTimesOutNotHangs(t *testing.T) {
 	cfg := fastConfig(2)
 	cfg.TimeScale = 20
-	nw := transport.NewChan(2, transport.WithLoss(1.0, 3)) // black hole
+	nw := transport.NewFault(transport.NewChan(2), 3)
+	nw.SetDefaultDrop(1) // black hole
 	c, err := NewCluster(cfg, nw)
 	if err != nil {
 		t.Fatal(err)
@@ -340,29 +341,6 @@ func TestLiveRetryWalksList(t *testing.T) {
 	}
 	if host, ok := c.Naming().Lookup(3); !ok || (host != 2 && host != 1) {
 		t.Fatalf("component 3 at %v ok=%v", host, ok)
-	}
-}
-
-func TestLiveClusterOverTCP(t *testing.T) {
-	cfg := fastConfig(4)
-	nw, err := transport.NewTCP(cfg.Hosts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewCluster(cfg, nw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Stop()
-	st := c.Drive(2, 2, 100, 4)
-	if err := st.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if p := st.AdmissionProbability(); p < 0.9 {
-		t.Fatalf("admission %v over TCP", p)
-	}
-	if nw.Dropped() != 0 {
-		t.Fatalf("TCP fabric dropped %d packets", nw.Dropped())
 	}
 }
 

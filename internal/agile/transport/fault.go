@@ -5,54 +5,29 @@ import (
 	"math/rand"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// FaultRule describes the chaos injected on one DIRECTED endpoint pair.
-// The zero value injects nothing.
-type FaultRule struct {
-	Drop      float64       // probability a packet is silently dropped
-	Duplicate float64       // probability a packet is delivered twice
-	Delay     time.Duration // fixed extra delivery delay
-	Jitter    time.Duration // uniform random extra delay in [0, Jitter)
-}
-
-func (r FaultRule) validate() {
-	if r.Drop < 0 || r.Drop > 1 || r.Duplicate < 0 || r.Duplicate > 1 ||
-		r.Delay < 0 || r.Jitter < 0 {
-		panic("transport: invalid fault rule")
-	}
-}
-
-// FaultNetwork wraps any Network with deterministic chaos: per-pair
-// drop/duplicate/delay rules and a runtime-togglable partition. It is the
-// live-cluster counterpart of the simulator's link faults — the same
-// scenario (split the cluster, watch it survive, heal it) can be forced
-// on a real TCP or UDP fabric without touching the inner transport.
+// FaultNetwork wraps any Network with seeded packet loss on each DIRECTED
+// endpoint pair: a default drop probability for every pair, overridden
+// per pair. It is the live-cluster counterpart of the simulator's link
+// faults — a scenario's LossProb is the default, and a cut link is a
+// per-pair probability of 1 — applied without touching the inner fabric.
 //
-// Randomness is drawn from one seeded stream per directed pair, so the
-// fault pattern each pair experiences is a deterministic function of
-// (seed, pair, per-pair send count) regardless of how goroutines
-// interleave across pairs.
-//
-// Close flushes in-flight delayed deliveries into the inner network
-// before closing it, and is safe against concurrent senders.
+// Randomness is drawn from one seeded stream per directed pair, and only
+// while that pair's probability is positive, so the loss pattern each
+// pair experiences is a deterministic function of (seed, pair, per-pair
+// send count) regardless of how goroutines interleave across pairs.
 type FaultNetwork struct {
 	inner Network
 
-	mu    sync.RWMutex // guards def, rules, part
-	def   FaultRule
-	rules map[[2]int]FaultRule
-	part  []int // partition group per endpoint; nil = fully connected
+	mu    sync.RWMutex // guards def, drops
+	def   float64
+	drops map[[2]int]float64
 
 	rnds      []pairRand // n*n seeded streams, indexed from*n+to
 	endpoints []*faultEndpoint
 
-	faultDrops atomic.Uint64 // injected drops (rules + partition)
-
-	closed  atomic.Bool
-	closeMu sync.RWMutex
-	wg      sync.WaitGroup // pending delayed deliveries
+	faultDrops atomic.Uint64 // packets the loss layer discarded
 }
 
 type pairRand struct {
@@ -60,14 +35,13 @@ type pairRand struct {
 	r  *rand.Rand
 }
 
-// NewFault wraps inner. The seed fixes every per-pair fault stream; the
-// default rule injects nothing until SetDefaultRule/SetRule/SetPartition
-// are called.
+// NewFault wraps inner. The seed fixes every per-pair loss stream; no
+// packet is dropped until SetDefaultDrop or SetDrop is called.
 func NewFault(inner Network, seed int64) *FaultNetwork {
 	n := inner.N()
 	f := &FaultNetwork{
 		inner: inner,
-		rules: make(map[[2]int]FaultRule),
+		drops: make(map[[2]int]float64),
 		rnds:  make([]pairRand, n*n),
 	}
 	for from := 0; from < n; from++ {
@@ -83,62 +57,27 @@ func NewFault(inner Network, seed int64) *FaultNetwork {
 	return f
 }
 
-// SetDefaultRule sets the rule used for every pair without a specific one.
-func (f *FaultNetwork) SetDefaultRule(r FaultRule) {
-	r.validate()
-	f.mu.Lock()
-	f.def = r
-	f.mu.Unlock()
-}
-
-// SetRule overrides the fault rule for the directed pair from→to.
-func (f *FaultNetwork) SetRule(from, to int, r FaultRule) {
-	r.validate()
-	f.mu.Lock()
-	f.rules[[2]int{from, to}] = r
-	f.mu.Unlock()
-}
-
-// SetPartition splits the cluster: endpoints in different groups cannot
-// exchange packets (sends are silently dropped and counted), endpoints in
-// the same group are unaffected. An endpoint listed in no group is
-// isolated from everyone. Calling SetPartition again replaces the split.
-func (f *FaultNetwork) SetPartition(groups ...[]int) {
-	part := make([]int, f.inner.N())
-	for i := range part {
-		part[i] = -1 - i // unique negative group: isolated by default
+func validDrop(p float64) {
+	if p < 0 || p > 1 {
+		panic(fmt.Sprintf("transport: drop probability %v outside [0,1]", p))
 	}
-	for gi, g := range groups {
-		for _, id := range g {
-			if id < 0 || id >= len(part) {
-				panic(fmt.Sprintf("transport: partition member %d out of range", id))
-			}
-			part[id] = gi
-		}
-	}
+}
+
+// SetDefaultDrop sets the drop probability of every pair without its own.
+func (f *FaultNetwork) SetDefaultDrop(p float64) {
+	validDrop(p)
 	f.mu.Lock()
-	f.part = part
+	f.def = p
 	f.mu.Unlock()
 }
 
-// Heal removes the partition; fault rules stay in force.
-func (f *FaultNetwork) Heal() {
+// SetDrop overrides the drop probability of the directed pair from→to.
+func (f *FaultNetwork) SetDrop(from, to int, p float64) {
+	validDrop(p)
 	f.mu.Lock()
-	f.part = nil
+	f.drops[[2]int{from, to}] = p
 	f.mu.Unlock()
 }
-
-// Partitioned reports whether a partition is currently in force.
-func (f *FaultNetwork) Partitioned() bool {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.part != nil
-}
-
-// FaultDrops returns the number of packets the chaos layer itself
-// discarded (rule drops plus partition drops); these never reach the
-// inner network and are included in Dropped.
-func (f *FaultNetwork) FaultDrops() uint64 { return f.faultDrops.Load() }
 
 // N implements Network.
 func (f *FaultNetwork) N() int { return f.inner.N() }
@@ -149,89 +88,36 @@ func (f *FaultNetwork) Endpoint(id int) Endpoint { return f.endpoints[id] }
 // Sent implements Network: packets that actually entered the inner fabric.
 func (f *FaultNetwork) Sent() uint64 { return f.inner.Sent() }
 
-// Dropped implements Network: inner drops plus injected fault drops.
+// Dropped implements Network: inner drops plus injected loss.
 func (f *FaultNetwork) Dropped() uint64 { return f.inner.Dropped() + f.faultDrops.Load() }
 
-// Close implements Network. Delayed deliveries already scheduled are
-// flushed into the inner network first, so Close never races them.
-func (f *FaultNetwork) Close() error {
-	f.closeMu.Lock()
-	already := f.closed.Swap(true)
-	f.closeMu.Unlock()
-	if already {
-		return nil
-	}
-	f.wg.Wait() // flush pending delayed deliveries
-	return f.inner.Close()
-}
+// Close implements Network.
+func (f *FaultNetwork) Close() error { return f.inner.Close() }
 
-// ruleFor returns the effective rule and partition verdict for from→to.
-func (f *FaultNetwork) ruleFor(from, to int) (FaultRule, bool) {
+// dropFor returns the effective drop probability for from→to.
+func (f *FaultNetwork) dropFor(from, to int) float64 {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	cut := f.part != nil && f.part[from] != f.part[to]
-	if r, ok := f.rules[[2]int{from, to}]; ok {
-		return r, cut
+	if p, ok := f.drops[[2]int{from, to}]; ok {
+		return p
 	}
-	return f.def, cut
+	return f.def
 }
 
-// send applies the pair's chaos and forwards surviving copies to the
-// inner endpoint. Delayed copies ride time.AfterFunc; the WaitGroup is
-// bumped under closeMu so Close cannot start waiting between the closed
-// check and the Add (the same discipline as ChanNetwork.deliver).
+// send draws the pair's loss and forwards a surviving packet to the
+// inner endpoint. A lost packet is silent, like the real thing.
 func (f *FaultNetwork) send(from, to int, p Packet) error {
-	rule, cut := f.ruleFor(from, to)
-	if cut {
-		f.faultDrops.Add(1)
-		return nil // a partition is silent, like the real thing
-	}
-	copies := 1
-	var delay time.Duration
-	if rule != (FaultRule{}) {
+	if drop := f.dropFor(from, to); drop > 0 {
 		pr := &f.rnds[from*f.inner.N()+to]
 		pr.mu.Lock()
-		if rule.Drop > 0 && pr.r.Float64() < rule.Drop {
-			copies = 0
-		} else if rule.Duplicate > 0 && pr.r.Float64() < rule.Duplicate {
-			copies = 2
-		}
-		delay = rule.Delay
-		if rule.Jitter > 0 {
-			delay += time.Duration(pr.r.Int63n(int64(rule.Jitter)))
-		}
+		lost := pr.r.Float64() < drop
 		pr.mu.Unlock()
-	}
-	if copies == 0 {
-		f.faultDrops.Add(1)
-		return nil
-	}
-	inner := f.inner.Endpoint(from)
-	if delay <= 0 {
-		var first error
-		for i := 0; i < copies; i++ {
-			if err := inner.Send(to, p); err != nil && first == nil {
-				first = err
-			}
+		if lost {
+			f.faultDrops.Add(1)
+			return nil
 		}
-		return first
 	}
-	f.closeMu.RLock()
-	if f.closed.Load() {
-		f.closeMu.RUnlock()
-		f.faultDrops.Add(uint64(copies))
-		return nil
-	}
-	f.wg.Add(1)
-	f.closeMu.RUnlock()
-	n := copies
-	time.AfterFunc(delay, func() {
-		defer f.wg.Done()
-		for i := 0; i < n; i++ {
-			inner.Send(to, p) // inner handles post-close sends safely
-		}
-	})
-	return nil
+	return f.inner.Endpoint(from).Send(to, p)
 }
 
 type faultEndpoint struct {
@@ -242,7 +128,7 @@ type faultEndpoint struct {
 // ID implements Endpoint.
 func (e *faultEndpoint) ID() int { return e.id }
 
-// Inbox implements Endpoint: receiving is untouched by the chaos layer.
+// Inbox implements Endpoint: receiving is untouched by the loss layer.
 func (e *faultEndpoint) Inbox() <-chan Packet { return e.net.inner.Endpoint(e.id).Inbox() }
 
 // Send implements Endpoint.
@@ -254,8 +140,8 @@ func (e *faultEndpoint) Send(to int, p Packet) error {
 }
 
 // Broadcast implements Endpoint. It iterates per-destination sends so
-// each pair's fault rule and the partition apply independently, exactly
-// as they would on the iterated-unicast fabrics underneath.
+// each pair's loss applies independently, exactly as it would on the
+// iterated-unicast fabrics underneath.
 func (e *faultEndpoint) Broadcast(p Packet) error {
 	var first error
 	for i := 0; i < e.net.N(); i++ {

@@ -55,7 +55,7 @@ func TestFaultDropDeterministicPerSeed(t *testing.T) {
 	run := func(seed int64) int {
 		f := NewFault(NewChan(2), seed)
 		defer f.Close()
-		f.SetDefaultRule(FaultRule{Drop: 0.5})
+		f.SetDefaultDrop(0.5)
 		for i := 0; i < 200; i++ {
 			f.Endpoint(0).Send(1, Packet{})
 		}
@@ -66,106 +66,43 @@ func TestFaultDropDeterministicPerSeed(t *testing.T) {
 		t.Fatalf("same seed delivered %d vs %d", a, b)
 	}
 	if a == 0 || a == 200 {
-		t.Fatalf("Drop=0.5 delivered %d/200", a)
-	}
-}
-
-func TestFaultDuplicate(t *testing.T) {
-	f := NewFault(NewChan(2), 3)
-	defer f.Close()
-	f.SetRule(0, 1, FaultRule{Duplicate: 1})
-	for i := 0; i < 10; i++ {
-		f.Endpoint(0).Send(1, Packet{})
-	}
-	if got := drainFor(f.Endpoint(1), 50*time.Millisecond); got != 20 {
-		t.Fatalf("Duplicate=1 delivered %d, want 20", got)
-	}
-}
-
-func TestFaultDelayAndJitterDeliverLate(t *testing.T) {
-	f := NewFault(NewChan(2), 5)
-	defer f.Close()
-	f.SetRule(0, 1, FaultRule{Delay: 40 * time.Millisecond, Jitter: 10 * time.Millisecond})
-	start := time.Now()
-	f.Endpoint(0).Send(1, Packet{})
-	recvOne(t, f.Endpoint(1))
-	if d := time.Since(start); d < 35*time.Millisecond {
-		t.Fatalf("delivery took %v, want ≥ delay", d)
+		t.Fatalf("drop 0.5 delivered %d/200", a)
 	}
 }
 
 func TestFaultRuleValidation(t *testing.T) {
 	f := NewFault(NewChan(2), 1)
 	defer f.Close()
-	for _, bad := range []FaultRule{{Drop: -0.1}, {Drop: 1.1}, {Duplicate: 2}, {Delay: -time.Second}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("rule %+v accepted", bad)
-				}
+	for _, bad := range []float64{-0.1, 1.1} {
+		for _, set := range []func(float64){f.SetDefaultDrop, func(p float64) { f.SetDrop(0, 1, p) }} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("drop probability %v accepted", bad)
+					}
+				}()
+				set(bad)
 			}()
-			f.SetDefaultRule(bad)
-		}()
+		}
 	}
 }
 
-func TestFaultPartitionBlocksAndHealRestores(t *testing.T) {
-	f := NewFault(NewChan(4), 1)
-	defer f.Close()
-	f.SetPartition([]int{0, 1}, []int{2, 3})
-	if !f.Partitioned() {
-		t.Fatal("Partitioned() false after SetPartition")
-	}
-	f.Endpoint(0).Send(2, Packet{}) // cross-group: dropped
-	f.Endpoint(0).Send(1, Packet{}) // same-group: delivered
-	if got := drainFor(f.Endpoint(2), 30*time.Millisecond); got != 0 {
-		t.Fatalf("cross-partition delivery: %d packets", got)
-	}
-	recvOne(t, f.Endpoint(1))
-	if f.FaultDrops() != 1 {
-		t.Fatalf("fault drops %d, want 1", f.FaultDrops())
-	}
-	// A broadcast from 0 only reaches its own side.
-	f.Endpoint(0).Broadcast(Packet{})
-	recvOne(t, f.Endpoint(1))
-	if got := drainFor(f.Endpoint(3), 30*time.Millisecond); got != 0 {
-		t.Fatal("broadcast crossed the partition")
-	}
-	f.Heal()
-	if f.Partitioned() {
-		t.Fatal("Partitioned() true after Heal")
-	}
-	f.Endpoint(0).Send(2, Packet{})
-	recvOne(t, f.Endpoint(2))
-}
-
-func TestFaultPartitionIsolatesUnlistedEndpoints(t *testing.T) {
-	f := NewFault(NewChan(3), 1)
-	defer f.Close()
-	f.SetPartition([]int{0, 1}) // 2 in no group → isolated
-	f.Endpoint(0).Send(2, Packet{})
-	f.Endpoint(2).Send(0, Packet{})
-	if got := drainFor(f.Endpoint(2), 30*time.Millisecond); got != 0 {
-		t.Fatal("isolated endpoint received a packet")
-	}
-	if got := drainFor(f.Endpoint(0), 30*time.Millisecond); got != 0 {
-		t.Fatal("isolated endpoint's send was delivered")
-	}
-}
-
-// The acceptance scenario: a FaultNetwork-wrapped TCP cluster under
-// concurrent traffic survives a forced partition and heal, and tearing
-// it down leaks no goroutines.
-func TestFaultTCPPartitionHealNoGoroutineLeaks(t *testing.T) {
+// The acceptance scenario: a FaultNetwork-wrapped UDP cluster under
+// concurrent traffic survives a cut of every cross pair between two
+// halves — the same drop-1 pair rules a live cut installs — and its
+// heal, and tearing it down leaks no goroutines.
+func TestFaultUDPCutHealNoGoroutineLeaks(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
-	tcp, err := NewTCP(4)
+	udp, err := NewUDP(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := NewFault(tcp, 42)
-	f.SetDefaultRule(FaultRule{Delay: time.Millisecond, Jitter: time.Millisecond})
+	f := NewFault(udp, 42)
 
+	const probeSeq = 1 << 40
+	probed := make(chan struct{})
+	var probeOnce sync.Once
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for id := 0; id < 4; id++ {
@@ -184,26 +121,47 @@ func TestFaultTCPPartitionHealNoGoroutineLeaks(t *testing.T) {
 		}(f.Endpoint(id))
 		go func(e Endpoint) { // receiver
 			defer wg.Done()
-			for range e.Inbox() {
+			for p := range e.Inbox() {
+				if p.Adm != nil && p.Adm.Seq == probeSeq {
+					probeOnce.Do(func() { close(probed) })
+				}
 			}
 		}(f.Endpoint(id))
 	}
 
+	cut := func(p float64) {
+		for _, a := range []int{0, 1} {
+			for _, b := range []int{2, 3} {
+				f.SetDrop(a, b, p)
+				f.SetDrop(b, a, p)
+			}
+		}
+	}
 	time.Sleep(20 * time.Millisecond)
-	f.SetPartition([]int{0, 1}, []int{2, 3})
+	cut(1)
 	time.Sleep(30 * time.Millisecond)
-	if f.FaultDrops() == 0 {
-		t.Error("no fault drops while partitioned under traffic")
+	if f.faultDrops.Load() == 0 {
+		t.Error("no drops while the halves were cut under traffic")
 	}
-	f.Heal()
-	time.Sleep(20 * time.Millisecond)
+	cut(0)
 
-	// Post-heal cross-group delivery works (through real TCP, which may
-	// need its reconnect path after idle connections broke).
-	probe := f.Endpoint(0)
-	if err := probe.Send(2, Packet{Adm: &Admission{Seq: 999999}}); err != nil {
-		t.Fatalf("post-heal send failed: %v", err)
+	// Post-heal cross-half delivery works. Loopback UDP may lose a
+	// datagram under burst, so the probe repeats until one lands.
+	deadline := time.After(2 * time.Second)
+	tick := time.NewTicker(10 * time.Millisecond)
+	for delivered := false; !delivered; {
+		if err := f.Endpoint(0).Send(2, Packet{Adm: &Admission{Seq: probeSeq}}); err != nil {
+			t.Fatalf("post-heal send failed: %v", err)
+		}
+		select {
+		case <-probed:
+			delivered = true
+		case <-tick.C:
+		case <-deadline:
+			t.Fatal("no post-heal probe crossed the healed cut")
+		}
 	}
+	tick.Stop()
 
 	close(stop)
 	if err := f.Close(); err != nil {
@@ -211,9 +169,9 @@ func TestFaultTCPPartitionHealNoGoroutineLeaks(t *testing.T) {
 	}
 	wg.Wait() // receivers exit when inboxes close
 
-	// All accept/read loops and delayed deliveries must be gone.
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+	// All read loops must be gone.
+	deadline2 := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline2) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	if g := runtime.NumGoroutine(); g > baseline {
@@ -222,12 +180,11 @@ func TestFaultTCPPartitionHealNoGoroutineLeaks(t *testing.T) {
 	}
 }
 
-// Regression for the ChanNetwork shutdown race: concurrent Send and
-// Close used to trip "WaitGroup.Add called concurrently with Wait"
-// (and could push into a closed inbox). Run with -race.
+// Regression for the ChanNetwork shutdown race: a Send concurrent with
+// Close must never push into a closed inbox. Run with -race.
 func TestChanCloseDeliverRace(t *testing.T) {
 	for i := 0; i < 100; i++ {
-		n := NewChan(2, WithLatency(50*time.Microsecond))
+		n := NewChan(2)
 		var wg sync.WaitGroup
 		stop := make(chan struct{})
 		wg.Add(1)
@@ -247,87 +204,5 @@ func TestChanCloseDeliverRace(t *testing.T) {
 		n.Close()
 		close(stop)
 		wg.Wait()
-	}
-}
-
-// FaultNetwork close is likewise safe against in-flight delayed sends.
-func TestFaultCloseFlushesDelayedSends(t *testing.T) {
-	for i := 0; i < 50; i++ {
-		f := NewFault(NewChan(2), int64(i))
-		f.SetDefaultRule(FaultRule{Delay: 100 * time.Microsecond})
-		for j := 0; j < 20; j++ {
-			f.Endpoint(0).Send(1, Packet{})
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err) // idempotent
-		}
-	}
-}
-
-func TestTCPWriteReconnectsAfterBrokenConnection(t *testing.T) {
-	nw, err := NewTCP(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nw.Close()
-	ep := nw.endpoints[0]
-	if err := ep.Send(1, Packet{Adm: &Admission{Seq: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	recvOne(t, nw.Endpoint(1))
-	// Sever the established connection underneath the endpoint; the next
-	// write must fail once internally, redial, and still succeed.
-	ep.mu.Lock()
-	c := ep.conns[1]
-	ep.mu.Unlock()
-	c.conn.Close()
-	time.Sleep(5 * time.Millisecond) // let the peer's read loop observe EOF
-	if err := ep.Send(1, Packet{Adm: &Admission{Seq: 2}}); err != nil {
-		t.Fatalf("send after severed connection: %v", err)
-	}
-	p := recvOne(t, nw.Endpoint(1))
-	if p.Adm == nil || p.Adm.Seq != 2 {
-		t.Fatalf("reconnected send delivered %+v", p)
-	}
-	if nw.Dropped() == 0 {
-		t.Error("broken-connection write not counted as dropped")
-	}
-}
-
-func TestTCPDialRetryGivesUpWhenPeerGone(t *testing.T) {
-	nw, err := NewTCP(2, WithDialRetry(3, time.Millisecond, 4*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nw.Close()
-	// Kill endpoint 1's listener so every dial attempt fails.
-	nw.endpoints[1].ln.Close()
-	start := time.Now()
-	if err := nw.Endpoint(0).Send(1, Packet{}); err == nil {
-		t.Fatal("send to dead listener succeeded")
-	}
-	// Two backoff sleeps happened (attempts 2 and 3).
-	if d := time.Since(start); d < 2*time.Millisecond {
-		t.Fatalf("retries returned in %v; backoff not applied", d)
-	}
-}
-
-func TestWithDialRetryValidation(t *testing.T) {
-	for _, bad := range [][3]any{
-		{0, time.Millisecond, time.Second},
-		{2, time.Duration(0), time.Second},
-		{2, time.Second, time.Millisecond},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("policy %v accepted", bad)
-				}
-			}()
-			WithDialRetry(bad[0].(int), bad[1].(time.Duration), bad[2].(time.Duration))
-		}()
 	}
 }

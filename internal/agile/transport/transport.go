@@ -2,31 +2,29 @@
 // Objects runtime. The paper's implementation used IP multicast for HELP,
 // UDP for PLEDGE, and TCP for admission negotiation on a 20-host cluster;
 // here a Network abstracts that as per-host endpoints with unicast and
-// broadcast, with three implementations:
+// broadcast, with two fabrics:
 //
-//   - ChanNetwork: in-process channels with configurable latency and loss
-//     (the default for experiments and tests — deterministic-ish, fast).
+//   - ChanNetwork: a plain in-process channel pipe (the default for
+//     experiments and tests — fast, and lossless unless an inbox fills).
 //   - UDPNetwork: real UDP sockets over the loopback interface, with
 //     broadcast emulated by iterated unicast (the multicast substitution
 //     documented in DESIGN.md).
-//   - TCPNetwork: real loopback TCP with persistent per-pair connections —
-//     reliable and ordered, matching the paper's use of TCP for admission
-//     negotiation.
 //
-// The datagram fabrics drop packets rather than block when a receiver's
-// inbox is full — the same best-effort semantics as the UDP substrate
-// they stand in for.
+// Loss and link cuts live in one place, FaultNetwork, which wraps either
+// fabric with seeded per-directed-pair drop probabilities.
+//
+// Both fabrics drop packets rather than block when a receiver's inbox is
+// full — the same best-effort semantics as the UDP substrate they stand
+// in for.
 package transport
 
 import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"realtor/internal/protocol"
 )
@@ -101,72 +99,43 @@ type Network interface {
 // Factory builds a network with n endpoints.
 type Factory func(n int) (Network, error)
 
-// ByName returns the factory for a transport name ("chan", "udp",
-// "tcp"), shared by realtor-sim's -transport flag and the live studies
-// of internal/experiment.
+// ByName returns the factory for a transport name ("chan" or "udp"),
+// shared by realtor-sim's -transport flag and the live studies of
+// internal/experiment.
 func ByName(name string) (Factory, error) {
 	switch name {
 	case "chan":
 		return func(n int) (Network, error) { return NewChan(n), nil }, nil
 	case "udp":
 		return func(n int) (Network, error) { return NewUDP(n) }, nil
-	case "tcp":
-		return func(n int) (Network, error) { return NewTCP(n) }, nil
 	default:
-		return nil, fmt.Errorf("unknown transport %q (want chan, udp or tcp)", name)
+		return nil, fmt.Errorf("unknown transport %q (want chan or udp)", name)
 	}
 }
 
 const inboxDepth = 4096
 
-// ChanNetwork is the in-process implementation.
+// ChanNetwork is the in-process implementation: a send lands in the
+// receiver's buffered inbox at once, or is dropped if the inbox is full.
 type ChanNetwork struct {
 	endpoints []*chanEndpoint
-	latency   time.Duration
-	loss      float64
-	rnd       *rand.Rand
-	rndMu     sync.Mutex
 
 	sent    atomic.Uint64
 	dropped atomic.Uint64
 
-	// closed/closeMu/wg implement a race-free shutdown: deliver holds
-	// closeMu for reading across its closed-check and wg.Add, so Close
-	// (which takes it for writing before swapping closed and waiting)
-	// can never start wg.Wait between the two — the race that used to
-	// panic with "Add called concurrently with Wait" under -race. The
-	// delayed-delivery callbacks themselves never take the lock; wg
-	// alone fences them against the inbox close.
-	closed  atomic.Bool
+	// closeMu fences the inboxes: deliver holds it for reading across
+	// its closed check and push, and Close takes it for writing before
+	// closing them, so a send can never hit a closed inbox.
 	closeMu sync.RWMutex
-	wg      sync.WaitGroup
-}
-
-// ChanOption configures a ChanNetwork.
-type ChanOption func(*ChanNetwork)
-
-// WithLatency delays every delivery by d wall-clock time.
-func WithLatency(d time.Duration) ChanOption {
-	return func(n *ChanNetwork) { n.latency = d }
-}
-
-// WithLoss drops each packet independently with probability p.
-func WithLoss(p float64, seed int64) ChanOption {
-	return func(n *ChanNetwork) {
-		n.loss = p
-		n.rnd = rand.New(rand.NewSource(seed))
-	}
+	closed  bool
 }
 
 // NewChan returns an in-process network with n endpoints.
-func NewChan(n int, opts ...ChanOption) *ChanNetwork {
+func NewChan(n int) *ChanNetwork {
 	if n <= 0 {
 		panic("transport: need at least one endpoint")
 	}
 	net := &ChanNetwork{}
-	for _, o := range opts {
-		o(net)
-	}
 	for i := 0; i < n; i++ {
 		net.endpoints = append(net.endpoints, &chanEndpoint{
 			net: net, id: i, inbox: make(chan Packet, inboxDepth),
@@ -187,58 +156,28 @@ func (n *ChanNetwork) Sent() uint64 { return n.sent.Load() }
 // Dropped implements Network.
 func (n *ChanNetwork) Dropped() uint64 { return n.dropped.Load() }
 
-// Close implements Network. Pending delayed deliveries are flushed or
-// dropped before inboxes close.
+// Close implements Network.
 func (n *ChanNetwork) Close() error {
 	n.closeMu.Lock()
 	defer n.closeMu.Unlock()
-	if n.closed.Swap(true) {
+	if n.closed {
 		return nil
 	}
-	n.wg.Wait()
+	n.closed = true
 	for _, e := range n.endpoints {
 		close(e.inbox)
 	}
 	return nil
 }
 
-func (n *ChanNetwork) lose() bool {
-	if n.loss <= 0 {
-		return false
-	}
-	n.rndMu.Lock()
-	defer n.rndMu.Unlock()
-	return n.rnd.Float64() < n.loss
-}
-
 func (n *ChanNetwork) deliver(to int, p Packet) {
 	n.closeMu.RLock()
 	defer n.closeMu.RUnlock()
-	if n.closed.Load() {
+	if n.closed {
 		n.dropped.Add(1)
 		return
 	}
 	n.sent.Add(1)
-	if n.lose() {
-		n.dropped.Add(1)
-		return
-	}
-	if n.latency <= 0 {
-		n.push(to, p)
-		return
-	}
-	n.wg.Add(1)
-	time.AfterFunc(n.latency, func() {
-		defer n.wg.Done()
-		if n.closed.Load() {
-			n.dropped.Add(1)
-			return
-		}
-		n.push(to, p)
-	})
-}
-
-func (n *ChanNetwork) push(to int, p Packet) {
 	select {
 	case n.endpoints[to].inbox <- p:
 	default:

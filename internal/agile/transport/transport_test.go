@@ -24,15 +24,10 @@ func networks(t *testing.T, n int) map[string]Network {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tcp, err := NewTCP(n)
-	if err != nil {
-		t.Fatal(err)
-	}
 	return map[string]Network{
 		"chan":  NewChan(n),
 		"udp":   udp,
-		"tcp":   tcp,
-		"fault": NewFault(NewChan(n), 1), // chaos layer, no rules: pass-through
+		"fault": NewFault(NewChan(n), 1), // loss layer, no drops set: pass-through
 	}
 }
 
@@ -123,33 +118,6 @@ func TestSentCounters(t *testing.T) {
 	}
 }
 
-func TestChanLatency(t *testing.T) {
-	nw := NewChan(2, WithLatency(60*time.Millisecond))
-	defer nw.Close()
-	start := time.Now()
-	nw.Endpoint(0).Send(1, Packet{})
-	recvOne(t, nw.Endpoint(1))
-	if d := time.Since(start); d < 50*time.Millisecond {
-		t.Fatalf("delivery took %v, want ≥ latency", d)
-	}
-}
-
-func TestChanLoss(t *testing.T) {
-	nw := NewChan(2, WithLoss(1.0, 1))
-	defer nw.Close()
-	for i := 0; i < 10; i++ {
-		nw.Endpoint(0).Send(1, Packet{})
-	}
-	select {
-	case p := <-nw.Endpoint(1).Inbox():
-		t.Fatalf("lossy network delivered %+v", p)
-	case <-time.After(50 * time.Millisecond):
-	}
-	if nw.Dropped() != 10 {
-		t.Fatalf("dropped %d, want 10", nw.Dropped())
-	}
-}
-
 func TestCloseIdempotentAndClosesInboxes(t *testing.T) {
 	for name, nw := range networks(t, 2) {
 		t.Run(name, func(t *testing.T) {
@@ -213,35 +181,5 @@ func TestUDPManyPacketsNoCorruption(t *testing.T) {
 			}
 			return
 		}
-	}
-}
-
-func TestTCPOrderedReliable(t *testing.T) {
-	nw, err := NewTCP(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nw.Close()
-	const count = 2000
-	go func() {
-		for i := 0; i < count; i++ {
-			if err := nw.Endpoint(0).Send(1, Packet{Adm: &Admission{Seq: uint64(i)}}); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
-	for i := 0; i < count; i++ {
-		select {
-		case p := <-nw.Endpoint(1).Inbox():
-			if p.Adm == nil || p.Adm.Seq != uint64(i) {
-				t.Fatalf("packet %d out of order or corrupt: %+v", i, p.Adm)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("timeout at packet %d (dropped %d)", i, nw.Dropped())
-		}
-	}
-	if nw.Sent() != count {
-		t.Fatalf("sent %d, want %d", nw.Sent(), count)
 	}
 }

@@ -54,7 +54,7 @@ type Options struct {
 	CSV, Plot, Diff bool   // figures 5–8 presentation; Plot also charts the attack study
 	Policy          string // policy study: spec of an extra "custom" contender
 	Scenario        string // attack study: random|region|flap|exhaust ("" = random)
-	Transport       string // live studies: chan|udp|tcp ("" = chan)
+	Transport       string // live studies: chan|udp ("" = chan)
 }
 
 // ErrOption marks a Run error caused by an Options value (a malformed

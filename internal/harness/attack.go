@@ -62,7 +62,7 @@ func RunLiveAttack(cfg agile.Config, study AttackStudy, lambda, meanSize, durati
 	defer c.Stop()
 	c.EnableTimeline(binWidth)
 
-	faults := newLiveFaults(c, fn, transport.FaultRule{}, &Hooks{}, study.Events())
+	faults := newLiveFaults(c, fn, 0, &Hooks{}, study.Events())
 	faults.start()
 	st := c.Drive(lambda, meanSize, duration, seed)
 	faults.stop()

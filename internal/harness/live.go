@@ -71,15 +71,12 @@ func (b liveBackend) Start(s fuzzscen.Scenario, build engine.Builder, hooks *Hoo
 	}
 	// The in-process fabric, wrapped in a FaultNetwork so the fault
 	// schedule can cut pairs and LossProb can drop packets.
+	// The simulator's LossProb drops only protocol messages; a real
+	// lossy fabric loses admission traffic too — the live backend models
+	// the fabric (negotiation timeouts then reject the task, conserving
+	// outcomes).
 	fn := transport.NewFault(transport.NewChan(n), s.EngineSeed)
-	base := transport.FaultRule{Drop: s.LossProb}
-	if s.LossProb > 0 {
-		// The simulator's LossProb drops only protocol messages; a real
-		// lossy fabric loses admission traffic too — the live backend
-		// models the fabric (negotiation timeouts then reject the task,
-		// conserving outcomes).
-		fn.SetDefaultRule(base)
-	}
+	fn.SetDefaultDrop(s.LossProb)
 	ccfg := agile.DefaultConfig()
 	ccfg.Hosts = n
 	ccfg.QueueCapacity = s.QueueCapacity
@@ -100,7 +97,7 @@ func (b liveBackend) Start(s fuzzscen.Scenario, build engine.Builder, hooks *Hoo
 		s:          s,
 		g:          s.Graph(),
 		onProgress: onProgress,
-		faults:     newLiveFaults(c, fn, base, hooks, s.Events),
+		faults:     newLiveFaults(c, fn, s.LossProb, hooks, s.Events),
 	}, nil
 }
 
@@ -191,8 +188,9 @@ func (i *liveInstance) Close() {
 }
 
 // liveWorld adapts the cluster to the oracle's World surface. Graph is
-// nil: the live fabrics are fully connected (cuts are chaos rules, not
-// topology), so I6 and the phantom-partition check do not apply.
+// nil: the live fabrics are fully connected (cuts are drop-1 pair
+// rules, not topology), so I6 and the phantom-partition check do not
+// apply.
 type liveWorld struct {
 	c *agile.Cluster
 }
@@ -231,12 +229,12 @@ func (w liveWorld) Graph() *topology.Graph { return nil }
 // attack package compiles, mapped onto wall-clock timers. Kills and
 // revives go through Host.Kill/Revive (which emit the NodeKill /
 // NodeRevive trace events themselves); cuts become bidirectional
-// full-drop fault rules on the transport's chaos layer, traced as
+// drop-1 pair probabilities on the transport's loss layer, traced as
 // LinkCut/LinkRestore; exhaustion goes through Host.Inject.
 type liveFaults struct {
 	c     *agile.Cluster
 	fn    *transport.FaultNetwork
-	base  transport.FaultRule // rule restored when a cut heals
+	loss  float64 // drop probability restored when a cut heals
 	hooks *Hooks
 	evs   []fuzzscen.Event
 
@@ -245,9 +243,9 @@ type liveFaults struct {
 	wg       sync.WaitGroup
 }
 
-func newLiveFaults(c *agile.Cluster, fn *transport.FaultNetwork, base transport.FaultRule,
+func newLiveFaults(c *agile.Cluster, fn *transport.FaultNetwork, loss float64,
 	hooks *Hooks, evs []fuzzscen.Event) *liveFaults {
-	return &liveFaults{c: c, fn: fn, base: base, hooks: hooks, evs: evs, stopCh: make(chan struct{})}
+	return &liveFaults{c: c, fn: fn, loss: loss, hooks: hooks, evs: evs, stopCh: make(chan struct{})}
 }
 
 func (f *liveFaults) start() {
@@ -357,17 +355,18 @@ func (f *liveFaults) run(ev fuzzscen.Event) {
 	}
 }
 
-// setCut installs (or heals) a bidirectional full-drop rule for a pair
-// and traces the topology change with the simulator's vocabulary.
+// setCut installs (or heals, back to the scenario's loss) a
+// bidirectional full drop for a pair and traces the topology change
+// with the simulator's vocabulary.
 func (f *liveFaults) setCut(a, b int, cut bool) {
-	rule := f.base
+	drop := f.loss
 	kind := trace.LinkRestore
 	if cut {
-		rule = transport.FaultRule{Drop: 1}
+		drop = 1
 		kind = trace.LinkCut
 	}
-	f.fn.SetRule(a, b, rule)
-	f.fn.SetRule(b, a, rule)
+	f.fn.SetDrop(a, b, drop)
+	f.fn.SetDrop(b, a, drop)
 	f.hooks.Record(trace.Event{At: sim.Time(f.c.Now()), Kind: kind,
 		Node: topology.NodeID(a), Peer: topology.NodeID(b)})
 }

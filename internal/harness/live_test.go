@@ -3,6 +3,7 @@ package harness
 import (
 	"testing"
 
+	"realtor/internal/agile/transport"
 	"realtor/internal/fuzzscen"
 )
 
@@ -86,6 +87,43 @@ func TestParitySimVsLive(t *testing.T) {
 	}
 	if rep.Sim.Stats.Offered == 0 {
 		t.Fatal("parity scenario offered no tasks")
+	}
+}
+
+// TestLiveCutHealRestoresScenarioLoss pins what a healed live cut
+// leaves behind: the scenario's LossProb on that pair again, not a
+// clean link. Each leg counts the packets lost out of 400 sent 0→1 on
+// the fabric Start built (idle hosts ignore empty packets).
+func TestLiveCutHealRestoresScenarioLoss(t *testing.T) {
+	s, ok := quietScenario(200)
+	if !ok {
+		t.Fatal("no generated seed ≤ 200 is event- and loss-free")
+	}
+	s.LossProb = 0.5
+	inst, err := Live(testLiveCfg()).Start(s, fuzzscen.Builder(s), &Hooks{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.Close()
+	f := inst.(*liveInstance).faults
+	lost := func() uint64 {
+		before := f.fn.Dropped()
+		for i := 0; i < 400; i++ {
+			f.fn.Endpoint(0).Send(1, transport.Packet{})
+		}
+		return f.fn.Dropped() - before
+	}
+	inBand := func(n uint64) bool { return n >= 140 && n <= 260 } // 400·0.5 ± 6σ
+	if n := lost(); !inBand(n) {
+		t.Fatalf("before the cut: lost %d of 400 at LossProb 0.5", n)
+	}
+	f.setCut(0, 1, true)
+	if n := lost(); n != 400 {
+		t.Fatalf("cut pair lost %d of 400, want all", n)
+	}
+	f.setCut(0, 1, false)
+	if n := lost(); !inBand(n) {
+		t.Fatalf("healed pair lost %d of 400, want LossProb 0.5 again", n)
 	}
 }
 
