@@ -58,9 +58,7 @@ profile:
 fuzz:
 	$(GO) test -fuzz FuzzPledgeList -fuzztime 15s ./internal/protocol
 	$(GO) test -fuzz FuzzRunQueue -fuzztime 15s ./internal/agile/sched
-	$(GO) test -fuzz FuzzCUS -fuzztime 15s ./internal/agile/sched
 	$(GO) test -fuzz FuzzMeshMetrics -fuzztime 15s ./internal/topology
-	$(GO) test -fuzz FuzzRemoveNodeLinks -fuzztime 15s ./internal/topology
 	$(GO) test -fuzz FuzzCutRestoreEqualsRebuild -fuzztime 15s ./internal/topology
 	$(GO) test -fuzz FuzzCutMeshEqualsBFS -fuzztime 15s ./internal/topology
 	$(GO) test -fuzz FuzzVariateBounds -fuzztime 15s ./internal/rng

@@ -23,6 +23,8 @@ var (
 	makeInFence   = regexp.MustCompile(`^\s*make ([a-z][a-z0-9-]*)`)
 	dirPath       = regexp.MustCompile(`\b(cmd|examples)/([a-z][a-z0-9-]*)`)
 	resultsFile   = regexp.MustCompile("`results/([a-z0-9_]+\\.txt)`")
+	makeFuzzLine  = regexp.MustCompile(`-fuzz (Fuzz\w+) .*?(\./\S+)`)
+	fuzzFuncDecl  = regexp.MustCompile(`(?m)^func (Fuzz\w+)\(`)
 )
 
 // The docs that teach the workflow may only name things that exist:
@@ -64,6 +66,64 @@ func TestDocsNameRealTargetsAndBinaries(t *testing.T) {
 					t.Errorf("%s:%d names %s, which does not exist", doc, i+1, m[0])
 				}
 			}
+		}
+	}
+}
+
+// `make fuzz` is the short pass "over every fuzz target": its lines
+// must name exactly the func Fuzz* targets declared in the tree, each
+// with the package that declares it. Adding a fuzz target without its
+// Makefile line, or deleting one and leaving the line behind (which
+// fails only when someone runs `make fuzz`), fails here.
+func TestMakeFuzzNamesEveryFuzzTarget(t *testing.T) {
+	mk, err := os.ReadFile(filepath.Join(repoRoot, "Makefile"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, body, ok := strings.Cut(string(mk), "\nfuzz:\n")
+	if !ok {
+		t.Fatal("Makefile defines no fuzz target")
+	}
+	body, _, _ = strings.Cut(body, "\n\n")
+	listed := map[string]bool{}
+	for _, m := range makeFuzzLine.FindAllStringSubmatch(body, -1) {
+		listed[m[1]+" "+m[2]] = true
+	}
+	declared := map[string]bool{}
+	err = filepath.WalkDir(repoRoot, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && path == filepath.Join(repoRoot, "bench", "out") {
+			return filepath.SkipDir // run output, see TestNoUnreferencedExports
+		}
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(repoRoot, filepath.Dir(path))
+		if err != nil {
+			return err
+		}
+		for _, m := range fuzzFuncDecl.FindAllStringSubmatch(string(src), -1) {
+			declared[m[1]+" ./"+filepath.ToSlash(rel)] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(declared) == 0 {
+		t.Fatal("found no func Fuzz* declarations; the walk is not seeing the tree")
+	}
+	for k := range declared {
+		if !listed[k] {
+			t.Errorf("fuzz target %s is not run by `make fuzz`", k)
+		}
+	}
+	for k := range listed {
+		if !declared[k] {
+			t.Errorf("`make fuzz` runs %s, which no test file declares", k)
 		}
 	}
 }

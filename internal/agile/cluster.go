@@ -51,11 +51,11 @@ type Config struct {
 	// the simulation's one-try setting).
 	MaxTries int
 
-	// DeadlineSlack sets the mean deadline slack: each driven component's
-	// deadline is arrival + U × mean task size, with U drawn uniformly
-	// from [0.25, 1.75] × DeadlineSlack — mixed urgency classes, without
-	// which EDF degenerates to FIFO (constant slack makes deadline order
-	// equal arrival order). 0 means the Drive default of 10.
+	// DeadlineSlack, in scaled seconds, gives every driven component a
+	// deadline of arrival + U × DeadlineSlack, with U uniform in
+	// [0.25, 1.75] — mixed urgency classes, without which EDF degenerates
+	// to FIFO (constant slack makes deadline order equal arrival order).
+	// 0 means no deadlines.
 	DeadlineSlack float64
 
 	// Trace optionally receives the same event vocabulary the simulator
@@ -221,12 +221,6 @@ func (c *Cluster) N() int { return len(c.hosts) }
 // Host returns host id.
 func (c *Cluster) Host(id int) *Host { return c.hosts[id] }
 
-// Naming returns the cluster's naming service.
-func (c *Cluster) Naming() *naming.Service { return c.naming }
-
-// Network returns the underlying transport.
-func (c *Cluster) Network() transport.Network { return c.net }
-
 // Stop shuts down all hosts and the transport.
 func (c *Cluster) Stop() {
 	for _, h := range c.hosts {
@@ -331,60 +325,18 @@ func (c *Cluster) settle() {
 	time.Sleep(time.Duration(tries+1)*c.cfg.NegotiationTimeout + 50*time.Millisecond)
 }
 
-// Drive submits a Poisson workload: system-wide rate lambda (in scaled
-// seconds), exponential sizes with the given mean, uniformly random
-// hosts, for duration scaled seconds of arrivals. It blocks until all
-// arrivals are submitted, then waits for in-flight negotiations to
-// settle and returns the aggregated stats. The cluster remains running.
-func (c *Cluster) Drive(lambda, meanSize, duration float64, seed int64) metrics.RunStats {
-	if lambda <= 0 || meanSize <= 0 || duration <= 0 {
-		panic("agile: workload parameters must be positive")
-	}
-	stream := rng.New(seed)
-	arrivals := stream.Derive("arrivals")
-	sizes := stream.Derive("sizes")
-	hosts := stream.Derive("hosts")
-	slacks := stream.Derive("slacks")
-
-	var id uint64
-	start := c.now()
-	next := start
-	for {
-		next += arrivals.Exp(1 / lambda)
-		if next-start > duration {
-			break
-		}
-		// Sleep in wall time until the arrival instant.
-		if delta := next - c.now(); delta > 0 {
-			time.Sleep(c.toWall(delta))
-		}
-		id++
-		slack := c.cfg.DeadlineSlack
-		if slack <= 0 {
-			slack = 10
-		}
-		slack *= slacks.Uniform(0.25, 1.75)
-		comp := Component{
-			ID:       id,
-			Cost:     sizes.Exp(meanSize),
-			Deadline: next + slack*meanSize,
-			Priority: 0,
-		}
-		c.hosts[hosts.Intn(len(c.hosts))].Submit(comp)
-	}
-	c.settle()
-	return c.RunStats()
-}
-
-// DriveSourceCtx replays a pre-built workload source on the live
-// cluster: each task arrives at its scaled Arrive instant on its
-// designated node, exactly as the simulator's engine.Run consumes the
-// same source (the drive stops at the first task with Arrive ≥ duration,
-// matching the engine's cutoff, so Offered counts agree run-for-run).
-// Deadlines are not modelled — the simulator has none — and task Require
-// attributes are ignored (the live fabric is attribute-free). It blocks
-// until all arrivals are submitted and in-flight negotiations settle,
-// then returns the aggregated stats. The cluster remains running.
+// Drive replays a workload source on the live cluster: each task
+// arrives at its scaled Arrive instant on its designated host, exactly
+// as the simulator's engine.Run consumes the same source (the drive
+// stops at the first task with Arrive ≥ duration, matching the engine's
+// cutoff, so Offered counts agree run-for-run). Task Require attributes
+// are ignored (the live fabric is attribute-free). With DeadlineSlack
+// set, each component's deadline is its arrival plus U × DeadlineSlack,
+// U drawn from [0.25, 1.75] by a generator keyed on the task ID, so the
+// same source yields the same deadlines under every dispatch policy.
+// It blocks until all arrivals are submitted and in-flight negotiations
+// settle, then returns the aggregated stats. The cluster remains
+// running.
 //
 // Cancellation is cooperative: the context is polled before each
 // submission and interrupts the wall-clock wait for the next arrival
@@ -393,7 +345,7 @@ func (c *Cluster) Drive(lambda, meanSize, duration float64, seed int64) metrics.
 // resolved), and reports canceled=true with whatever stats had
 // accumulated — partial numbers that must not be compared against a
 // completed run.
-func (c *Cluster) DriveSourceCtx(ctx context.Context, src workload.Source, duration float64) (st metrics.RunStats, canceled bool) {
+func (c *Cluster) Drive(ctx context.Context, src workload.Source, duration float64) (st metrics.RunStats, canceled bool) {
 	if duration <= 0 {
 		panic("agile: drive duration must be positive")
 	}
@@ -417,8 +369,16 @@ func (c *Cluster) DriveSourceCtx(ctx context.Context, src workload.Source, durat
 		}
 		// Task IDs are shifted by one so a source emitting ID 0 cannot
 		// collide with "unregistered" sentinels anywhere downstream.
-		c.hosts[int(t.Node)].Submit(Component{ID: t.ID + 1, Cost: t.Size})
+		comp := Component{ID: t.ID + 1, Cost: t.Size}
+		if c.cfg.DeadlineSlack > 0 {
+			u := rng.SeedLight(t.ID, deadlineSeed)
+			comp.Deadline = start + float64(t.Arrive) + (0.25+1.5*u.Float64())*c.cfg.DeadlineSlack
+		}
+		c.hosts[int(t.Node)].Submit(comp)
 	}
 	c.settle()
 	return c.RunStats(), false
 }
+
+// deadlineSeed salts the per-task deadline draw.
+const deadlineSeed = 0xd3ad1e

@@ -1,12 +1,19 @@
 package agile
 
 import (
+	"context"
+	"math"
 	"testing"
 	"time"
 
 	"realtor/internal/agile/transport"
 	"realtor/internal/core"
+	"realtor/internal/metrics"
 	"realtor/internal/protocol"
+	"realtor/internal/rng"
+	"realtor/internal/sim"
+	"realtor/internal/topology"
+	"realtor/internal/workload"
 )
 
 // fastConfig keeps live tests quick: small cluster, high time scale.
@@ -26,6 +33,14 @@ func newTestCluster(t *testing.T, cfg Config) *Cluster {
 	}
 	t.Cleanup(c.Stop)
 	return c
+}
+
+// drivePoisson drives a Poisson source (rate lambda, exponential sizes
+// of the given mean, uniform hosts) for duration scaled seconds.
+func drivePoisson(c *Cluster, lambda, meanSize, duration float64, seed int64) metrics.RunStats {
+	src := workload.NewPoisson(lambda, meanSize, c.N(), rng.New(seed))
+	st, _ := c.Drive(context.Background(), src, duration)
+	return st
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -60,7 +75,7 @@ func TestSingleTaskRunsToCompletion(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
 		if c.Host(0).Stats.Completed.Load() == 1 {
-			if c.Naming().Len() != 0 {
+			if c.naming.Len() != 0 {
 				t.Fatal("completed component still registered")
 			}
 			return
@@ -73,7 +88,7 @@ func TestSingleTaskRunsToCompletion(t *testing.T) {
 func TestLowLoadAllAdmitted(t *testing.T) {
 	c := newTestCluster(t, fastConfig(5))
 	// λ=1 over 5 hosts at mean 2: per-host utilization 0.4.
-	st := c.Drive(1, 2, 120, 1)
+	st := drivePoisson(c, 1, 2, 120, 1)
 	if err := st.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +103,7 @@ func TestLowLoadAllAdmitted(t *testing.T) {
 func TestOverloadRejectsAndMigrates(t *testing.T) {
 	c := newTestCluster(t, fastConfig(5))
 	// Heavy: λ=4 × mean 2 = 8 s/s of work on 5 s/s of capacity.
-	st := c.Drive(4, 2, 200, 2)
+	st := drivePoisson(c, 4, 2, 200, 2)
 	if err := st.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -120,12 +135,12 @@ func TestMigrationMovesComponentExactlyOnce(t *testing.T) {
 		t.Fatalf("migrated in %d, want 1", got)
 	}
 	// The component must be registered exactly once, on host 1.
-	host, ok := c.Naming().Lookup(2)
+	host, ok := c.naming.Lookup(2)
 	if !ok || host != 1 {
 		t.Fatalf("component 2 at %v (ok=%v), want host 1", host, ok)
 	}
 	h1.Inspect(func(h *Host) {
-		if h.Queue().Len() == 0 {
+		if h.queue.Len() == 0 {
 			t.Error("host 1 queue empty after migration")
 		}
 	})
@@ -151,7 +166,7 @@ func TestOneTryMigrationRejectsWhenTargetFull(t *testing.T) {
 	if st.Rejected != 1 {
 		t.Fatalf("rejected %d, want 1 (one-try semantics)", st.Rejected)
 	}
-	if _, ok := c.Naming().Lookup(3); ok {
+	if _, ok := c.naming.Lookup(3); ok {
 		t.Fatal("rejected component registered")
 	}
 }
@@ -187,7 +202,7 @@ func TestLiveClusterOverUDP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Stop()
-	st := c.Drive(2, 2, 100, 4)
+	st := drivePoisson(c, 2, 2, 100, 4)
 	if err := st.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +218,7 @@ func TestBaselineDiscoveryOnLiveRuntime(t *testing.T) {
 	cfg := fastConfig(4)
 	cfg.Discovery = func() protocol.Discovery { return core.NewPurePush(cfg.Protocol) }
 	c := newTestCluster(t, cfg)
-	st := c.Drive(2, 2, 100, 5)
+	st := drivePoisson(c, 2, 2, 100, 5)
 	if err := st.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -211,8 +226,8 @@ func TestBaselineDiscoveryOnLiveRuntime(t *testing.T) {
 		t.Fatalf("Push-1 live admission %v", p)
 	}
 	// Pure push must actually have broadcast adverts.
-	if c.Network().Sent() < 100 {
-		t.Fatalf("suspiciously few packets for pure push: %d", c.Network().Sent())
+	if c.net.Sent() < 100 {
+		t.Fatalf("suspiciously few packets for pure push: %d", c.net.Sent())
 	}
 }
 
@@ -264,11 +279,11 @@ func TestLiveKillAndRevive(t *testing.T) {
 		if h.Alive() {
 			t.Error("killed host alive")
 		}
-		if h.Queue().Len() != 0 {
+		if h.queue.Len() != 0 {
 			t.Error("killed host kept its queue")
 		}
 	})
-	if c.Naming().Len() != 0 {
+	if c.naming.Len() != 0 {
 		t.Fatal("killed host's components still registered")
 	}
 	// Arrivals at the dead host are lost.
@@ -288,7 +303,7 @@ func TestLiveKillAndRevive(t *testing.T) {
 			t.Error("revived host not alive")
 		}
 	})
-	if host, ok := c.Naming().Lookup(3); !ok || host != 0 {
+	if host, ok := c.naming.Lookup(3); !ok || host != 0 {
 		t.Fatalf("component 3 at %v ok=%v after revive", host, ok)
 	}
 }
@@ -303,7 +318,7 @@ func TestLiveClusterSurvivesHostLoss(t *testing.T) {
 		time.Sleep(150 * time.Millisecond)
 		c.Host(2).Revive()
 	}()
-	st := c.Drive(2, 2, 250, 9)
+	st := drivePoisson(c, 2, 2, 250, 9)
 	if err := st.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +354,7 @@ func TestLiveRetryWalksList(t *testing.T) {
 	if h2.Stats.MigratedIn.Load()+h1.Stats.MigratedIn.Load() == 0 {
 		t.Fatal("no migration happened at all")
 	}
-	if host, ok := c.Naming().Lookup(3); !ok || (host != 2 && host != 1) {
+	if host, ok := c.naming.Lookup(3); !ok || (host != 2 && host != 1) {
 		t.Fatalf("component 3 at %v ok=%v", host, ok)
 	}
 }
@@ -351,7 +366,7 @@ func TestStaleVersionAdmissionDenied(t *testing.T) {
 	h1 := c.Host(1)
 	// Component 7 is registered at host 0 with version 1; a request
 	// carrying a stale observed version must be denied outright.
-	c.Naming().Register(7, 0)
+	c.naming.Register(7, 0)
 	h1.Inspect(func(h *Host) {
 		h.handleAdmissionRequest(0, transport.Admission{
 			Request: true, Seq: 1, Component: 7, Cost: 5, Version: 99,
@@ -362,7 +377,7 @@ func TestStaleVersionAdmissionDenied(t *testing.T) {
 		t.Fatalf("stale-version request accepted: migrated-in %d", got)
 	}
 	h1.Inspect(func(h *Host) {
-		if h.Queue().Len() != 0 {
+		if h.queue.Len() != 0 {
 			t.Error("stale-version component enqueued")
 		}
 	})
@@ -373,7 +388,7 @@ func TestStaleVersionAdmissionDenied(t *testing.T) {
 		})
 	})
 	time.Sleep(20 * time.Millisecond)
-	if host, ok := c.Naming().Lookup(7); !ok || host != 1 {
+	if host, ok := c.naming.Lookup(7); !ok || host != 1 {
 		t.Fatalf("component 7 at %v ok=%v, want host 1", host, ok)
 	}
 	if got := h1.Stats.MigratedIn.Load(); got != 1 {
@@ -390,9 +405,9 @@ func TestLostGrantCountsAsPlacedNotDuplicated(t *testing.T) {
 	// Simulate "previous attempt's grant was lost": the component is
 	// registered and already placed at host 2. A retry from host 0 must
 	// recognize the placement instead of shipping a duplicate.
-	c.Naming().Register(9, 0)
-	e, _ := c.Naming().Get(9)
-	c.Naming().Move(9, 2, e.Version)
+	c.naming.Register(9, 0)
+	e, _ := c.naming.Get(9)
+	c.naming.Move(9, 2, e.Version)
 	h0.Inspect(func(h *Host) {
 		h.tryMigrate(Component{ID: 9, Cost: 5, Deadline: 1e6}, 0, 2)
 	})
@@ -406,5 +421,76 @@ func TestLostGrantCountsAsPlacedNotDuplicated(t *testing.T) {
 	// And no duplicate was shipped anywhere.
 	if got := c.Host(1).Stats.MigratedIn.Load() + c.Host(2).Stats.MigratedIn.Load(); got != 0 {
 		t.Fatalf("duplicate shipment detected: %d", got)
+	}
+}
+
+// driveDeadlines drives a fixed 24-task trace over three hosts whose
+// queues hold it all and drain none of it within the test, and returns
+// every queued component's deadline by ID together with the cluster
+// clock read just before the drive began.
+func driveDeadlines(t *testing.T, slack float64) (map[uint64]float64, float64) {
+	t.Helper()
+	cfg := fastConfig(3)
+	cfg.QueueCapacity = 1e6
+	cfg.TimeScale = 100
+	cfg.NegotiationTimeout = 10 * time.Millisecond
+	cfg.DeadlineSlack = slack
+	c := newTestCluster(t, cfg)
+	tasks := make([]workload.Task, 24)
+	for i := range tasks {
+		tasks[i] = workload.Task{ID: uint64(i), Node: topology.NodeID(i % 3),
+			Size: 1e4, Arrive: sim.Time(i) * 0.25}
+	}
+	before := c.Now()
+	if _, canceled := c.Drive(context.Background(), workload.NewTrace(tasks), 100); canceled {
+		t.Fatal("drive canceled")
+	}
+	deadlines := map[uint64]float64{}
+	for id := 0; id < c.N(); id++ {
+		c.Host(id).Inspect(func(h *Host) {
+			for _, j := range h.queue.Snapshot() {
+				deadlines[j.ID] = j.Deadline
+			}
+		})
+	}
+	if len(deadlines) != len(tasks) {
+		t.Fatalf("%d of %d components queued", len(deadlines), len(tasks))
+	}
+	return deadlines, before
+}
+
+// The drive loop's deadline rule: arrival + U·DeadlineSlack with U in
+// [0.25, 1.75], drawn per task ID, so the same source yields the same
+// deadlines (relative to the drive's start) on every run; slack 0 means
+// no deadlines at all.
+func TestDriveDeadlineRule(t *testing.T) {
+	const slack = 15
+	first, before := driveDeadlines(t, slack)
+	second, _ := driveDeadlines(t, slack)
+	// The drive starts a few wall-milliseconds after `before`; at 100x
+	// that is well under one scaled second.
+	const startSkew = 1.0
+	spread := map[float64]bool{}
+	for id, d := range first {
+		rel := d - before - float64(id-1)*0.25 // component IDs are task IDs + 1
+		if rel < 0.25*slack || rel > 1.75*slack+startSkew {
+			t.Fatalf("component %d: deadline %.3f s after arrival, want within [%g, %g]",
+				id, rel, 0.25*slack, 1.75*slack)
+		}
+		spread[math.Round(rel)] = true
+		// Both runs start their drives at different cluster instants, so
+		// compare deadlines relative to component 1's.
+		if got, want := second[id]-second[1], d-first[1]; math.Abs(got-want) > 1e-9 {
+			t.Fatalf("component %d: relative deadline %v on the second run, %v on the first", id, got, want)
+		}
+	}
+	if len(spread) < 4 {
+		t.Fatalf("deadline slack takes only %d distinct values; want mixed urgency", len(spread))
+	}
+	none, _ := driveDeadlines(t, 0)
+	for id, d := range none {
+		if d != 0 {
+			t.Fatalf("component %d carries deadline %v with DeadlineSlack 0", id, d)
+		}
 	}
 }

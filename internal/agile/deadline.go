@@ -1,11 +1,14 @@
 package agile
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"realtor/internal/agile/sched"
 	"realtor/internal/agile/transport"
+	"realtor/internal/rng"
+	"realtor/internal/workload"
 )
 
 // DeadlineResult compares dispatch policies on the live runtime at one
@@ -13,14 +16,14 @@ import (
 // buys over plain FIFO service.
 type DeadlineResult struct {
 	Lambda    float64
-	Slack     float64 // deadline slack in mean task sizes
 	Policy    sched.Policy
 	Admission float64
 	Miss      DeadlineStats
 }
 
 // RunDeadlineStudy drives the identical workload through an EDF cluster
-// and a FIFO cluster for each λ and reports deadline miss rates.
+// and a FIFO cluster for each λ and reports deadline miss rates. slack is
+// the mean deadline slack in scaled seconds (Config.DeadlineSlack).
 func RunDeadlineStudy(base Config, lambdas []float64, meanSize, slack, duration float64,
 	seed int64, mkNet transport.Factory) ([]DeadlineResult, error) {
 	var out []DeadlineResult
@@ -38,12 +41,12 @@ func RunDeadlineStudy(base Config, lambdas []float64, meanSize, slack, duration 
 				nw.Close()
 				return nil, err
 			}
-			st := c.Drive(lambda, meanSize, duration, seed+int64(i))
+			st, _ := c.Drive(context.Background(),
+				workload.NewPoisson(lambda, meanSize, cfg.Hosts, rng.New(seed+int64(i))), duration)
 			dl := c.Deadlines()
 			c.Stop()
 			out = append(out, DeadlineResult{
 				Lambda:    lambda,
-				Slack:     slack,
 				Policy:    policy,
 				Admission: st.AdmissionProbability(),
 				Miss:      dl,

@@ -1,11 +1,14 @@
 package agile
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"realtor/internal/agile/transport"
 	"realtor/internal/metrics"
+	"realtor/internal/rng"
+	"realtor/internal/workload"
 )
 
 // F9Point is one λ of the Figure 9 measurement.
@@ -33,7 +36,8 @@ func RunFigure9(cfg Config, lambdas []float64, meanSize, duration float64,
 			nw.Close()
 			return nil, err
 		}
-		st := c.Drive(lambda, meanSize, duration, seed+int64(i))
+		st, _ := c.Drive(context.Background(),
+			workload.NewPoisson(lambda, meanSize, cfg.Hosts, rng.New(seed+int64(i))), duration)
 		pkts := nw.Sent()
 		c.Stop()
 		if err := st.Validate(); err != nil {

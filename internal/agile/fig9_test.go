@@ -59,7 +59,7 @@ func TestDeadlineStudyConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunDeadlineStudy(cfg, []float64{1.2}, 5, 2, 250, 1, mk)
+	res, err := RunDeadlineStudy(cfg, []float64{1.2}, 5, 10, 250, 1, mk)
 	if err != nil {
 		t.Fatal(err)
 	}

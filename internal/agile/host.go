@@ -1,9 +1,9 @@
 // Package agile is the live Agile Objects runtime of Sections 3 and 6:
-// goroutine-per-host servers that schedule timer-style components with a
-// static-priority + EDF run queue, discover spare capacity with the very
-// same REALTOR implementation the simulator uses (internal/core), and
-// migrate components through speculative admission negotiation, updating
-// a versioned naming service. It reproduces the paper's Figure 9
+// goroutine-per-host servers that schedule timer-style components with an
+// EDF run queue, discover spare capacity with the very same REALTOR
+// implementation the simulator uses (internal/core), and migrate
+// components through speculative admission negotiation, updating a
+// versioned naming service. It reproduces the paper's Figure 9
 // measurement without the 20-machine cluster: hosts are actors exchanging
 // real messages over an in-process or UDP transport, and the clock is
 // wall time scaled by a configurable factor.
@@ -33,19 +33,16 @@ import (
 type Component struct {
 	ID       uint64
 	Cost     float64 // execution time in scaled seconds
-	Deadline float64 // absolute, scaled seconds since cluster start
-	Priority int
+	Deadline float64 // absolute, scaled seconds since cluster start; 0 = none
 }
 
 // HostStats are one host's counters, safe to read while running.
 type HostStats struct {
 	Offered     atomic.Uint64 // components first submitted to this host
-	Admitted    atomic.Uint64 // locally admitted (incl. migrated-in)
 	RejectedRun atomic.Uint64 // local queue full at submission
 	MigratedOut atomic.Uint64 // successfully pushed to another host
 	MigratedIn  atomic.Uint64
 	MigrateFail atomic.Uint64 // denied by the remote admission control
-	Lost        atomic.Uint64 // negotiation timed out (packet loss)
 	Completed   atomic.Uint64
 	// DeadlineMiss counts completed components that finished after their
 	// absolute deadline (deadline 0 means "no deadline").
@@ -92,7 +89,6 @@ type Host struct {
 	cluster *Cluster
 	ep      transport.Endpoint
 	queue   *sched.RunQueue
-	cus     *sched.CUS
 	disco   protocol.Discovery
 
 	cmds chan func()
@@ -126,8 +122,7 @@ func newHost(id int, c *Cluster) *Host {
 		id:      id,
 		cluster: c,
 		ep:      c.net.Endpoint(id),
-		queue:   sched.NewRunQueueWithPolicy(c.cfg.QueueCapacity, c.cfg.SchedPolicy),
-		cus:     sched.NewCUS(1.0),
+		queue:   sched.NewRunQueue(c.cfg.QueueCapacity, c.cfg.SchedPolicy),
 		cmds:    make(chan func(), 1024),
 		done:    make(chan struct{}),
 		pending: make(map[uint64]*pendingMigration),
@@ -214,7 +209,6 @@ func (h *Host) Kill() {
 			if !ok {
 				break
 			}
-			h.cus.Release(j.ID)
 			h.cluster.naming.Deregister(j.ID)
 		}
 		h.above = false
@@ -287,7 +281,6 @@ func (h *Host) drain() {
 				h.Stats.LatenessMax.Max(late)
 			}
 		}
-		h.cus.Release(j.ID)
 		h.cluster.naming.Deregister(j.ID)
 	}
 }
@@ -317,7 +310,6 @@ func (h *Host) Submit(c Component) {
 		h.cluster.naming.Register(c.ID, naming.HostID(h.id))
 		h.disco.OnArrival(c.Cost)
 		if h.acceptLocal(c) {
-			h.Stats.Admitted.Add(1)
 			h.cluster.emit(trace.Event{At: sim.Time(h.now()), Kind: trace.AdmitLocal,
 				Node: self, Peer: -1, Size: c.Cost})
 			h.cluster.recordOutcome(at, true)
@@ -327,16 +319,13 @@ func (h *Host) Submit(c Component) {
 	})
 }
 
-// acceptLocal enqueues the component if it fits, registering it with the
-// naming service and re-arming threshold-crossing detection.
+// acceptLocal enqueues the component if it fits — the run queue's
+// utilization test is the whole admission control — registering it
+// with the naming service and re-arming threshold-crossing detection.
 func (h *Host) acceptLocal(c Component) bool {
-	if !h.queue.Fits(c.Cost) {
+	if !h.queue.Push(sched.Job{ID: c.ID, Deadline: c.Deadline, Cost: c.Cost}) {
 		return false
 	}
-	if !h.queue.Push(sched.Job{ID: c.ID, Priority: c.Priority, Deadline: c.Deadline, Cost: c.Cost}) {
-		return false
-	}
-	h.cus.Admit(c.ID, c.Cost, h.queue.Capacity()) // rate-share while queued
 	if e, ok := h.cluster.naming.Get(c.ID); !ok {
 		h.cluster.naming.Register(c.ID, naming.HostID(h.id))
 	} else if e.Host != naming.HostID(h.id) {
@@ -350,7 +339,7 @@ func (h *Host) acceptLocal(c Component) bool {
 }
 
 // armDrainTimer schedules a drain at the moment the queue is expected to
-// empty, so completions (and their naming/CUS cleanup) happen on time
+// empty, so completions (and their naming cleanup) happen on time
 // even on an otherwise idle host. Queues drain lazily on every event;
 // this timer is only the idle-host backstop.
 func (h *Host) armDrainTimer() {
@@ -454,7 +443,6 @@ func (h *Host) tryMigrate(c Component, at float64, attempt int) {
 		Component: c.ID,
 		Cost:      c.Cost,
 		Deadline:  c.Deadline,
-		Priority:  c.Priority,
 		Version:   entry.Version,
 	}
 	pm := &pendingMigration{comp: c, target: target, at: at, attempt: attempt}
@@ -465,7 +453,6 @@ func (h *Host) tryMigrate(c Component, at float64, attempt int) {
 		h.post(func() {
 			if _, live := h.pending[seq]; live {
 				delete(h.pending, seq)
-				h.Stats.Lost.Add(1)
 				h.cluster.emit(trace.Event{At: sim.Time(h.now()), Kind: trace.MigrateFail,
 					Node: self, Peer: topology.NodeID(target), Size: c.Cost, Info: "timeout"})
 				h.disco.OnMigrationOutcome(topology.NodeID(target), c.Cost, false)
@@ -506,7 +493,8 @@ func (h *Host) handlePacket(p transport.Packet) {
 // is an enqueue (utilization test via queue headroom) and the response
 // completes the move. The naming version check makes placement
 // at-most-once: a request carrying a stale version lost a race with
-// another placement of the same component and is denied.
+// another placement of the same component and is denied, so a duplicate
+// request never reaches acceptLocal.
 func (h *Host) handleAdmissionRequest(from int, adm transport.Admission) {
 	if e, ok := h.cluster.naming.Get(adm.Component); !ok || e.Version != adm.Version {
 		rsp := adm
@@ -515,11 +503,10 @@ func (h *Host) handleAdmissionRequest(from int, adm transport.Admission) {
 		h.ep.Send(from, transport.Packet{Adm: &rsp})
 		return
 	}
-	c := Component{ID: adm.Component, Cost: adm.Cost, Deadline: adm.Deadline, Priority: adm.Priority}
+	c := Component{ID: adm.Component, Cost: adm.Cost, Deadline: adm.Deadline}
 	granted := h.acceptLocal(c)
 	if granted {
 		h.Stats.MigratedIn.Add(1)
-		h.Stats.Admitted.Add(1)
 	}
 	rsp := adm
 	rsp.Request = false
@@ -575,10 +562,6 @@ func (h *Host) deregisterIfLocal(id uint64) {
 	}
 }
 
-// Queue exposes the run queue for tests (actor-loop confined; call only
-// via Inspect).
-func (h *Host) Queue() *sched.RunQueue { return h.queue }
-
 // Usage returns Backlog/Capacity. Actor-loop confined: read it only
 // from this host's actor context (an observer callback this host
 // emitted, or Inspect).
@@ -628,7 +611,6 @@ func (h *Host) Inject(size float64) float64 {
 		if !h.queue.Push(sched.Job{ID: id, Cost: size}) {
 			return
 		}
-		h.cus.Admit(id, size, h.queue.Capacity())
 		accepted = size
 		if o := h.cluster.cfg.Observer; o != nil {
 			o.OnInject(sim.Time(h.now()), topology.NodeID(h.id), size)

@@ -7,7 +7,6 @@ package naming
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -26,7 +25,6 @@ type Entry struct {
 type Service struct {
 	mu      sync.RWMutex
 	entries map[uint64]Entry
-	moves   uint64
 }
 
 // New returns an empty naming service.
@@ -81,7 +79,6 @@ func (s *Service) Move(component uint64, host HostID, expected uint64) (uint64, 
 	e.Host = host
 	e.Version++
 	s.entries[component] = e
-	s.moves++
 	return e.Version, nil
 }
 
@@ -98,26 +95,4 @@ func (s *Service) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.entries)
-}
-
-// Moves returns the number of successful moves, a cluster-wide migration
-// counter used by the Figure 9 experiment.
-func (s *Service) Moves() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.moves
-}
-
-// OnHost lists components currently placed on host, sorted by ID.
-func (s *Service) OnHost(host HostID) []uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []uint64
-	for id, e := range s.entries {
-		if e.Host == host {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

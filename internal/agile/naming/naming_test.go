@@ -33,12 +33,8 @@ func TestMoveVersioning(t *testing.T) {
 	if _, err := s.Move(1, 9, 1); err == nil {
 		t.Fatal("stale move accepted")
 	}
-	h, _ := s.Lookup(1)
-	if h != 5 {
-		t.Fatalf("host %d, want 5", h)
-	}
-	if s.Moves() != 1 {
-		t.Fatalf("moves %d", s.Moves())
+	if e, _ := s.Get(1); e.Host != 5 || e.Version != 2 {
+		t.Fatalf("entry %+v, want host 5 at version 2", e)
 	}
 }
 
@@ -56,20 +52,6 @@ func TestDeregister(t *testing.T) {
 	s.Deregister(1) // idempotent
 	if s.Len() != 0 {
 		t.Fatal("deregister failed")
-	}
-}
-
-func TestOnHost(t *testing.T) {
-	s := New()
-	s.Register(3, 1)
-	s.Register(1, 1)
-	s.Register(2, 0)
-	got := s.OnHost(1)
-	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Fatalf("OnHost(1) = %v", got)
-	}
-	if len(s.OnHost(9)) != 0 {
-		t.Fatal("empty host listed components")
 	}
 }
 
@@ -96,9 +78,6 @@ func TestConcurrentMoves(t *testing.T) {
 	n := 0
 	for range wins {
 		n++
-	}
-	if uint64(n) != s.Moves() {
-		t.Fatalf("wins %d != recorded moves %d", n, s.Moves())
 	}
 	if n < 1 {
 		t.Fatal("no move won")

@@ -12,7 +12,7 @@ func FuzzRunQueue(f *testing.F) {
 	f.Add([]byte{255, 255, 255, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, policy := range []Policy{EDF, FIFO} {
-			q := NewRunQueueWithPolicy(40, policy)
+			q := NewRunQueue(40, policy)
 			id := uint64(0)
 			for i := 0; i+2 < len(data); i += 3 {
 				op, a, b := data[i], data[i+1], data[i+2]
@@ -21,8 +21,7 @@ func FuzzRunQueue(f *testing.F) {
 					id++
 					cost := float64(a%32)/4 + 0.25
 					want := q.Fits(cost)
-					got := q.Push(Job{ID: id, Priority: int(b % 3),
-						Deadline: float64(b), Cost: cost})
+					got := q.Push(Job{ID: id, Deadline: float64(b), Cost: cost})
 					if want != got {
 						t.Fatalf("%v: Fits=%v but Push=%v", policy, want, got)
 					}
@@ -44,35 +43,6 @@ func FuzzRunQueue(f *testing.F) {
 				if (q.Len() == 0) != (q.Backlog() == 0) {
 					t.Fatalf("%v: len %d vs backlog %v", policy, q.Len(), q.Backlog())
 				}
-			}
-		}
-	})
-}
-
-// FuzzCUS drives admit/release and checks the utilization bound.
-func FuzzCUS(f *testing.F) {
-	f.Add([]byte{10, 5, 0, 20, 10, 1})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		c := NewCUS(1.0)
-		var live []uint64
-		id := uint64(0)
-		for i := 0; i+2 < len(data); i += 3 {
-			cost := float64(data[i]%50)/50 + 0.01
-			period := float64(data[i+1]%9) + 1
-			if data[i+2]%2 == 0 || len(live) == 0 {
-				id++
-				if c.Admit(id, cost, period) {
-					live = append(live, id)
-				}
-			} else {
-				c.Release(live[0])
-				live = live[1:]
-			}
-			if c.Used() > c.Utilization()+1e-9 || c.Used() < -1e-9 {
-				t.Fatalf("utilization bound violated: %v", c.Used())
-			}
-			if c.Reservations() != len(live) {
-				t.Fatalf("reservations %d vs live %d", c.Reservations(), len(live))
 			}
 		}
 	})

@@ -1,9 +1,10 @@
 // Package sched provides the job-scheduling substrate of the Agile
 // Objects runtime (Section 6): "Job Scheduler provides a simple form of
 // real-time task scheduler with static priority and EDF (Earliest
-// Deadline First) in the same priority", plus the Constant Utilization
-// Server used for guaranteed-rate CPU management, whose admission test
-// "becomes a simple utilization test".
+// Deadline First) in the same priority". Every component runs at one
+// priority, so the queue orders by deadline alone. The paper's Constant
+// Utilization Server admission "becomes a simple utilization test";
+// here that test is RunQueue.Fits against the bounded backlog.
 package sched
 
 import (
@@ -14,7 +15,6 @@ import (
 // Job is one schedulable unit of work on a host.
 type Job struct {
 	ID       uint64
-	Priority int     // lower value = more urgent (static priority)
 	Deadline float64 // absolute deadline, seconds since host epoch
 	Cost     float64 // remaining execution time, seconds
 }
@@ -23,8 +23,9 @@ type Job struct {
 type Policy int
 
 // Scheduling policies: EDF is the paper's job scheduler ("static priority
-// and EDF in the same priority"); FIFO serves in arrival order and exists
-// as the ablation baseline quantifying what EDF buys.
+// and EDF in the same priority", with one priority level); FIFO serves in
+// arrival order and exists as the ablation baseline quantifying what EDF
+// buys. The zero value is EDF.
 const (
 	EDF Policy = iota
 	FIFO
@@ -38,8 +39,8 @@ func (p Policy) String() string {
 	return "EDF"
 }
 
-// jobHeap orders by (Priority, Deadline, ID) under EDF and by insertion
-// sequence under FIFO.
+// jobHeap orders by (Deadline, ID) under EDF and by insertion sequence
+// under FIFO.
 type jobHeap struct {
 	jobs   []Job
 	seqs   []uint64
@@ -51,9 +52,6 @@ func (h jobHeap) Len() int { return len(h.jobs) }
 func (h jobHeap) Less(i, j int) bool {
 	if h.policy == FIFO {
 		return h.seqs[i] < h.seqs[j]
-	}
-	if h.jobs[i].Priority != h.jobs[j].Priority {
-		return h.jobs[i].Priority < h.jobs[j].Priority
 	}
 	if h.jobs[i].Deadline != h.jobs[j].Deadline {
 		return h.jobs[i].Deadline < h.jobs[j].Deadline
@@ -85,9 +83,9 @@ func (h *jobHeap) Pop() any {
 	return j
 }
 
-// RunQueue is a static-priority + EDF run queue with bounded total
-// backlog, measured in seconds of execution time — the host-level "queue
-// of N seconds" of the paper's experiments. It is not goroutine-safe;
+// RunQueue is an EDF (or FIFO) run queue with bounded total backlog,
+// measured in seconds of execution time — the host-level "queue of N
+// seconds" of the paper's experiments. It is not goroutine-safe;
 // each host's actor loop owns its queue.
 type RunQueue struct {
 	capacity float64
@@ -96,23 +94,14 @@ type RunQueue struct {
 	seq      uint64
 }
 
-// NewRunQueue returns an empty EDF queue holding at most capacity seconds
-// of work.
-func NewRunQueue(capacity float64) *RunQueue {
-	return NewRunQueueWithPolicy(capacity, EDF)
-}
-
-// NewRunQueueWithPolicy returns an empty queue with the given dispatch
-// policy.
-func NewRunQueueWithPolicy(capacity float64, policy Policy) *RunQueue {
+// NewRunQueue returns an empty queue holding at most capacity seconds of
+// work, dispatched in the given policy's order.
+func NewRunQueue(capacity float64, policy Policy) *RunQueue {
 	if capacity <= 0 {
 		panic("sched: capacity must be positive")
 	}
 	return &RunQueue{capacity: capacity, heap: jobHeap{policy: policy}}
 }
-
-// Policy returns the queue's dispatch policy.
-func (q *RunQueue) Policy() Policy { return q.heap.policy }
 
 // Capacity returns the backlog bound in seconds.
 func (q *RunQueue) Capacity() float64 { return q.capacity }
@@ -138,7 +127,8 @@ func (q *RunQueue) Backlog() float64 { return q.backlog }
 // Len returns the number of queued jobs.
 func (q *RunQueue) Len() int { return len(q.heap.jobs) }
 
-// Fits reports whether a job of the given cost can be enqueued.
+// Fits reports whether a job of the given cost can be enqueued: the
+// utilization test that is the runtime's whole admission control.
 func (q *RunQueue) Fits(cost float64) bool {
 	return q.backlog+cost <= q.capacity
 }
@@ -156,14 +146,6 @@ func (q *RunQueue) Push(j Job) bool {
 	q.seq++
 	q.backlog += j.Cost
 	return true
-}
-
-// Peek returns the job that would run next without removing it.
-func (q *RunQueue) Peek() (Job, bool) {
-	if len(q.heap.jobs) == 0 {
-		return Job{}, false
-	}
-	return q.heap.jobs[0], true
 }
 
 // Pop removes and returns the next job in policy order.
@@ -220,68 +202,3 @@ func (q *RunQueue) Snapshot() []Job {
 	}
 	return out
 }
-
-// CUS is a Constant Utilization Server [Bonomi & Kumar; Deng & Liu]: a
-// guaranteed-rate abstraction whose admission control reduces to a
-// utilization test. Each admitted reservation consumes Cost/Period of the
-// server's bandwidth; the sum may not exceed the server's utilization.
-type CUS struct {
-	utilization float64 // server bandwidth in (0, 1]
-	used        float64
-	reserved    map[uint64]float64
-}
-
-// NewCUS returns a server with the given bandwidth.
-func NewCUS(utilization float64) *CUS {
-	if utilization <= 0 || utilization > 1 {
-		panic("sched: CUS utilization outside (0,1]")
-	}
-	return &CUS{utilization: utilization, reserved: make(map[uint64]float64)}
-}
-
-// Utilization returns the server's total bandwidth.
-func (c *CUS) Utilization() float64 { return c.utilization }
-
-// Used returns the bandwidth currently reserved.
-func (c *CUS) Used() float64 { return c.used }
-
-// Spare returns the unreserved bandwidth — the "available CPU resource
-// can be directly measured in terms of unallocated utilization" quantity
-// that REALTOR's pledges advertise in the live system.
-func (c *CUS) Spare() float64 { return c.utilization - c.used }
-
-// Admit reserves cost/period bandwidth for reservation id. It returns
-// false when the utilization test fails, and panics on duplicate IDs or
-// non-positive parameters (caller bugs).
-func (c *CUS) Admit(id uint64, cost, period float64) bool {
-	if cost <= 0 || period <= 0 {
-		panic("sched: reservation cost and period must be positive")
-	}
-	if _, dup := c.reserved[id]; dup {
-		panic(fmt.Sprintf("sched: duplicate reservation %d", id))
-	}
-	u := cost / period
-	if c.used+u > c.utilization+1e-12 {
-		return false
-	}
-	c.reserved[id] = u
-	c.used += u
-	return true
-}
-
-// Release frees a reservation. Releasing an unknown ID is a no-op so that
-// completion and migration paths may both release defensively.
-func (c *CUS) Release(id uint64) {
-	u, ok := c.reserved[id]
-	if !ok {
-		return
-	}
-	delete(c.reserved, id)
-	c.used -= u
-	if c.used < 0 {
-		c.used = 0
-	}
-}
-
-// Reservations returns the number of live reservations.
-func (c *CUS) Reservations() int { return len(c.reserved) }

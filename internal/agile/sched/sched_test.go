@@ -8,11 +8,11 @@ import (
 )
 
 func TestRunQueueOrdering(t *testing.T) {
-	q := NewRunQueue(100)
-	q.Push(Job{ID: 1, Priority: 1, Deadline: 10, Cost: 1})
-	q.Push(Job{ID: 2, Priority: 0, Deadline: 50, Cost: 1})
-	q.Push(Job{ID: 3, Priority: 0, Deadline: 20, Cost: 1})
-	q.Push(Job{ID: 4, Priority: 1, Deadline: 5, Cost: 1})
+	q := NewRunQueue(100, EDF)
+	q.Push(Job{ID: 1, Deadline: 10, Cost: 1})
+	q.Push(Job{ID: 2, Deadline: 50, Cost: 1})
+	q.Push(Job{ID: 3, Deadline: 20, Cost: 1})
+	q.Push(Job{ID: 4, Deadline: 5, Cost: 1})
 	var order []uint64
 	for {
 		j, ok := q.Pop()
@@ -21,8 +21,8 @@ func TestRunQueueOrdering(t *testing.T) {
 		}
 		order = append(order, j.ID)
 	}
-	// Priority 0 first (EDF within): 3 then 2; then priority 1: 4 then 1.
-	want := []uint64{3, 2, 4, 1}
+	// Earliest deadline first, whatever the insertion order.
+	want := []uint64{4, 1, 3, 2}
 	for i := range want {
 		if order[i] != want[i] {
 			t.Fatalf("order %v, want %v", order, want)
@@ -31,9 +31,9 @@ func TestRunQueueOrdering(t *testing.T) {
 }
 
 func TestRunQueueEDFTieBreaksByID(t *testing.T) {
-	q := NewRunQueue(100)
-	q.Push(Job{ID: 9, Priority: 0, Deadline: 10, Cost: 1})
-	q.Push(Job{ID: 2, Priority: 0, Deadline: 10, Cost: 1})
+	q := NewRunQueue(100, EDF)
+	q.Push(Job{ID: 9, Deadline: 10, Cost: 1})
+	q.Push(Job{ID: 2, Deadline: 10, Cost: 1})
 	j, _ := q.Pop()
 	if j.ID != 2 {
 		t.Fatalf("tie-break popped %d, want 2", j.ID)
@@ -41,7 +41,7 @@ func TestRunQueueEDFTieBreaksByID(t *testing.T) {
 }
 
 func TestRunQueueCapacity(t *testing.T) {
-	q := NewRunQueue(10)
+	q := NewRunQueue(10, EDF)
 	if !q.Push(Job{ID: 1, Cost: 6}) {
 		t.Fatal("push 6 into empty 10 failed")
 	}
@@ -63,9 +63,9 @@ func TestRunQueueInvalidPanics(t *testing.T) {
 				t.Fatal("expected panic for zero capacity")
 			}
 		}()
-		NewRunQueue(0)
+		NewRunQueue(0, EDF)
 	}()
-	q := NewRunQueue(10)
+	q := NewRunQueue(10, EDF)
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -85,9 +85,9 @@ func TestRunQueueInvalidPanics(t *testing.T) {
 }
 
 func TestDrainCompletesInOrder(t *testing.T) {
-	q := NewRunQueue(100)
-	q.Push(Job{ID: 1, Priority: 0, Deadline: 5, Cost: 2})
-	q.Push(Job{ID: 2, Priority: 0, Deadline: 1, Cost: 3})
+	q := NewRunQueue(100, EDF)
+	q.Push(Job{ID: 1, Deadline: 5, Cost: 2})
+	q.Push(Job{ID: 2, Deadline: 1, Cost: 3})
 	done := q.Drain(4)
 	// Job 2 (earlier deadline) runs first: 3s; then 1s of job 1 remains 1s.
 	if len(done) != 1 || done[0].ID != 2 {
@@ -96,7 +96,7 @@ func TestDrainCompletesInOrder(t *testing.T) {
 	if math.Abs(q.Backlog()-1) > 1e-12 {
 		t.Fatalf("backlog %v, want 1", q.Backlog())
 	}
-	head, _ := q.Peek()
+	head := q.Snapshot()[0]
 	if head.ID != 1 || math.Abs(head.Cost-1) > 1e-12 {
 		t.Fatalf("head %+v", head)
 	}
@@ -110,7 +110,7 @@ func TestDrainCompletesInOrder(t *testing.T) {
 }
 
 func TestDrainZeroIsNoop(t *testing.T) {
-	q := NewRunQueue(10)
+	q := NewRunQueue(10, EDF)
 	q.Push(Job{ID: 1, Cost: 5})
 	if got := q.Drain(0); len(got) != 0 {
 		t.Fatal("drain(0) completed jobs")
@@ -121,9 +121,9 @@ func TestDrainZeroIsNoop(t *testing.T) {
 }
 
 func TestSnapshotNonDestructive(t *testing.T) {
-	q := NewRunQueue(100)
+	q := NewRunQueue(100, EDF)
 	for i := 0; i < 5; i++ {
-		q.Push(Job{ID: uint64(i), Priority: i % 2, Deadline: float64(10 - i), Cost: 1})
+		q.Push(Job{ID: uint64(i), Deadline: float64(10 - i%3), Cost: 1})
 	}
 	snap := q.Snapshot()
 	if len(snap) != 5 || q.Len() != 5 {
@@ -131,8 +131,7 @@ func TestSnapshotNonDestructive(t *testing.T) {
 	}
 	for i := 1; i < len(snap); i++ {
 		a, b := snap[i-1], snap[i]
-		if a.Priority > b.Priority ||
-			(a.Priority == b.Priority && a.Deadline > b.Deadline) {
+		if a.Deadline > b.Deadline || (a.Deadline == b.Deadline && a.ID > b.ID) {
 			t.Fatalf("snapshot out of order: %+v before %+v", a, b)
 		}
 	}
@@ -143,18 +142,16 @@ func TestSnapshotNonDestructive(t *testing.T) {
 func TestQuickRunQueueInvariants(t *testing.T) {
 	type op struct {
 		Cost     uint8
-		Priority uint8
 		Deadline uint8
 		Drain    uint8
 	}
 	id := uint64(0)
 	f := func(ops []op) bool {
-		q := NewRunQueue(50)
+		q := NewRunQueue(50, EDF)
 		for _, o := range ops {
 			id++
 			cost := float64(o.Cost%40)/4 + 0.25
-			q.Push(Job{ID: id, Priority: int(o.Priority % 3),
-				Deadline: float64(o.Deadline), Cost: cost})
+			q.Push(Job{ID: id, Deadline: float64(o.Deadline), Cost: cost})
 			q.Drain(float64(o.Drain) / 8)
 			sum := 0.0
 			for _, j := range q.Snapshot() {
@@ -175,22 +172,18 @@ func TestQuickRunQueueInvariants(t *testing.T) {
 }
 
 // Property: popping everything yields the same order as sorting by
-// (priority, deadline, id).
+// (deadline, id).
 func TestQuickPopIsSorted(t *testing.T) {
 	f := func(raw []uint16) bool {
-		q := NewRunQueue(1e9)
+		q := NewRunQueue(1e9, EDF)
 		jobs := make([]Job, 0, len(raw))
 		for i, r := range raw {
-			j := Job{ID: uint64(i), Priority: int(r % 4),
-				Deadline: float64(r / 4 % 16), Cost: 1}
+			j := Job{ID: uint64(i), Deadline: float64(r % 16), Cost: 1}
 			jobs = append(jobs, j)
 			q.Push(j)
 		}
 		sort.Slice(jobs, func(i, k int) bool {
 			a, b := jobs[i], jobs[k]
-			if a.Priority != b.Priority {
-				return a.Priority < b.Priority
-			}
 			if a.Deadline != b.Deadline {
 				return a.Deadline < b.Deadline
 			}
@@ -209,120 +202,11 @@ func TestQuickPopIsSorted(t *testing.T) {
 	}
 }
 
-func TestCUSAdmissionTest(t *testing.T) {
-	c := NewCUS(1.0)
-	if !c.Admit(1, 2, 10) { // 0.2
-		t.Fatal("admit 0.2 failed")
-	}
-	if !c.Admit(2, 5, 10) { // 0.5
-		t.Fatal("admit 0.5 failed")
-	}
-	if c.Admit(3, 4, 10) { // 0.4 > spare 0.3
-		t.Fatal("over-admission succeeded")
-	}
-	if !c.Admit(4, 3, 10) { // exactly 0.3
-		t.Fatal("exact-fit admission failed")
-	}
-	if math.Abs(c.Spare()) > 1e-9 {
-		t.Fatalf("spare %v, want 0", c.Spare())
-	}
-	if c.Reservations() != 3 {
-		t.Fatalf("reservations %d", c.Reservations())
-	}
-}
-
-func TestCUSRelease(t *testing.T) {
-	c := NewCUS(0.8)
-	c.Admit(1, 4, 10)
-	c.Release(1)
-	if c.Used() != 0 {
-		t.Fatalf("used %v after release", c.Used())
-	}
-	c.Release(99) // unknown: no-op
-	if !c.Admit(2, 8, 10) {
-		t.Fatal("bandwidth not returned after release")
-	}
-}
-
-func TestCUSPanics(t *testing.T) {
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("expected panic for utilization > 1")
-			}
-		}()
-		NewCUS(1.5)
-	}()
-	c := NewCUS(1)
-	c.Admit(1, 1, 10)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("expected panic for duplicate id")
-			}
-		}()
-		c.Admit(1, 1, 10)
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("expected panic for zero period")
-			}
-		}()
-		c.Admit(2, 1, 0)
-	}()
-}
-
-// Property: Used never exceeds Utilization no matter the admit/release
-// sequence, and equals the sum of live reservations.
-func TestQuickCUSInvariant(t *testing.T) {
-	type op struct {
-		Cost    uint8
-		Period  uint8
-		Release bool
-	}
-	f := func(ops []op) bool {
-		c := NewCUS(1.0)
-		live := map[uint64]float64{}
-		id := uint64(0)
-		for _, o := range ops {
-			if o.Release && len(live) > 0 {
-				for k := range live {
-					c.Release(k)
-					delete(live, k)
-					break
-				}
-			} else {
-				id++
-				cost := float64(o.Cost%20)/20 + 0.05
-				period := float64(o.Period%5) + 1
-				if c.Admit(id, cost, period) {
-					live[id] = cost / period
-				}
-			}
-			sum := 0.0
-			for _, u := range live {
-				sum += u
-			}
-			if math.Abs(sum-c.Used()) > 1e-9 {
-				return false
-			}
-			if c.Used() > c.Utilization()+1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func BenchmarkRunQueuePushPop(b *testing.B) {
-	q := NewRunQueue(1e12)
+	q := NewRunQueue(1e12, EDF)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		q.Push(Job{ID: uint64(i), Priority: i % 3, Deadline: float64(i % 97), Cost: 1})
+		q.Push(Job{ID: uint64(i), Deadline: float64(i % 97), Cost: 1})
 		if i%2 == 1 {
 			q.Pop()
 			q.Pop()
@@ -331,14 +215,14 @@ func BenchmarkRunQueuePushPop(b *testing.B) {
 }
 
 func TestFIFOPolicyOrdering(t *testing.T) {
-	q := NewRunQueueWithPolicy(100, FIFO)
-	if q.Policy() != FIFO || q.Policy().String() != "FIFO" {
-		t.Fatal("policy accessor")
+	q := NewRunQueue(100, FIFO)
+	if FIFO.String() != "FIFO" {
+		t.Fatal("FIFO string")
 	}
-	// Insertion order wins regardless of deadlines and priorities.
-	q.Push(Job{ID: 1, Priority: 5, Deadline: 100, Cost: 1})
-	q.Push(Job{ID: 2, Priority: 0, Deadline: 1, Cost: 1})
-	q.Push(Job{ID: 3, Priority: 0, Deadline: 0.5, Cost: 1})
+	// Insertion order wins regardless of deadlines.
+	q.Push(Job{ID: 1, Deadline: 100, Cost: 1})
+	q.Push(Job{ID: 2, Deadline: 1, Cost: 1})
+	q.Push(Job{ID: 3, Deadline: 0.5, Cost: 1})
 	var order []uint64
 	for {
 		j, ok := q.Pop()
@@ -356,20 +240,23 @@ func TestFIFOPolicyOrdering(t *testing.T) {
 }
 
 func TestFIFODrainOrder(t *testing.T) {
-	q := NewRunQueueWithPolicy(100, FIFO)
+	q := NewRunQueue(100, FIFO)
 	q.Push(Job{ID: 1, Deadline: 100, Cost: 2})
 	q.Push(Job{ID: 2, Deadline: 1, Cost: 2})
 	done := q.Drain(3)
 	if len(done) != 1 || done[0].ID != 1 {
 		t.Fatalf("FIFO drain completed %v, want job 1 first", done)
 	}
-	if head, _ := q.Peek(); head.ID != 2 || head.Cost != 1 {
+	if head := q.Snapshot()[0]; head.ID != 2 || head.Cost != 1 {
 		t.Fatalf("head %+v", head)
 	}
 }
 
+// The zero Policy is EDF, so a Config that names no policy runs the
+// paper's scheduler.
 func TestEDFDefaultPolicy(t *testing.T) {
-	if NewRunQueue(10).Policy() != EDF {
+	var p Policy
+	if p != EDF {
 		t.Fatal("default policy not EDF")
 	}
 	if EDF.String() != "EDF" {
@@ -378,7 +265,7 @@ func TestEDFDefaultPolicy(t *testing.T) {
 }
 
 func TestSnapshotFIFO(t *testing.T) {
-	q := NewRunQueueWithPolicy(100, FIFO)
+	q := NewRunQueue(100, FIFO)
 	for i := 5; i > 0; i-- {
 		q.Push(Job{ID: uint64(i), Deadline: float64(i), Cost: 1})
 	}

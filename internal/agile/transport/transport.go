@@ -42,7 +42,6 @@ type Admission struct {
 	Component uint64
 	Cost      float64 // remaining execution time, seconds
 	Deadline  float64
-	Priority  int
 	Version   uint64 // naming version observed by the requester
 	Granted   bool   // response only
 }

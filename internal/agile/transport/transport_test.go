@@ -79,7 +79,7 @@ func TestAdmissionPayloadRoundTrip(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			defer nw.Close()
 			adm := &Admission{Request: true, Seq: 7, Component: 99, Cost: 3.5,
-				Deadline: 12, Priority: 2, Version: 4}
+				Deadline: 12, Version: 4}
 			if err := nw.Endpoint(0).Send(1, Packet{Adm: adm}); err != nil {
 				t.Fatal(err)
 			}

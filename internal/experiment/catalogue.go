@@ -305,13 +305,14 @@ func figure9Report(o Options) (string, error) {
 }
 
 // deadlinesReport runs A6: EDF vs FIFO on the live runtime with
-// mixed-urgency deadlines at slack 3.
+// mixed-urgency deadlines at a mean slack of 15 scaled seconds (three
+// mean task sizes).
 func deadlinesReport(o Options) (string, error) {
 	cfg, duration, mk, err := o.liveCluster()
 	if err != nil {
 		return "", err
 	}
-	res, err := agile.RunDeadlineStudy(cfg, o.lambdasOr([]float64{1.8, 2.2, 2.6}), 5, 3, duration, o.Seed, mk)
+	res, err := agile.RunDeadlineStudy(cfg, o.lambdasOr([]float64{1.8, 2.2, 2.6}), 5, 15, duration, o.Seed, mk)
 	if err != nil {
 		return "", err
 	}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -8,6 +9,8 @@ import (
 	"realtor/internal/agile/transport"
 	"realtor/internal/fuzzscen"
 	"realtor/internal/metrics"
+	"realtor/internal/rng"
+	"realtor/internal/workload"
 )
 
 // AttackStudy is the live-runtime counterpart of the simulator's A1
@@ -64,7 +67,7 @@ func RunLiveAttack(cfg agile.Config, study AttackStudy, lambda, meanSize, durati
 
 	faults := newLiveFaults(c, fn, 0, &Hooks{}, study.Events())
 	faults.start()
-	st := c.Drive(lambda, meanSize, duration, seed)
+	st, _ := c.Drive(context.Background(), workload.NewPoisson(lambda, meanSize, cfg.Hosts, rng.New(seed)), duration)
 	faults.stop()
 	return AttackResult{Stats: st, Timeline: c.Timeline(), Study: study}, nil
 }

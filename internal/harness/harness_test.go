@@ -118,8 +118,8 @@ func TestBackendContracts(t *testing.T) {
 	if got, want := l.Slack(), sim.Time(0.02*50); got != want {
 		t.Fatalf("default live slack %v, want %v (0.02×default scale)", got, want)
 	}
-	if got := Live(LiveConfig{TimeScale: 200, Slack: 7}).Slack(); got != 7 {
-		t.Fatalf("explicit slack not honoured: %v", got)
+	if got, want := Live(LiveConfig{TimeScale: 200}).Slack(), sim.Time(0.02*200); got != want {
+		t.Fatalf("live slack at 200x %v, want %v (0.02×scale)", got, want)
 	}
 }
 

@@ -24,11 +24,6 @@ type LiveConfig struct {
 	// TimeScale is scaled seconds per wall second (default 50): a
 	// 30-scaled-second scenario then takes 0.6 wall seconds.
 	TimeScale float64
-
-	// Slack overrides the oracle clock tolerance in scaled seconds;
-	// 0 means the default 0.02×TimeScale (20 wall-milliseconds of drift
-	// between a protocol decision's clock read and the observer's).
-	Slack sim.Time
 }
 
 // liveBackend runs scenarios on the goroutine-per-host Agile cluster:
@@ -44,9 +39,6 @@ func Live(cfg LiveConfig) Backend {
 	if cfg.TimeScale <= 0 {
 		cfg.TimeScale = 50
 	}
-	if cfg.Slack <= 0 {
-		cfg.Slack = sim.Time(0.02 * cfg.TimeScale)
-	}
 	return liveBackend{cfg: cfg}
 }
 
@@ -54,8 +46,10 @@ func Live(cfg LiveConfig) Backend {
 func (liveBackend) Name() string { return "live" }
 
 // Slack implements Backend: wall time is not exact, so timing-sensitive
-// invariants (I1, I3, timestamp checks in I2/I4) widen by this much.
-func (b liveBackend) Slack() sim.Time { return b.cfg.Slack }
+// invariants (I1, I3, timestamp checks in I2/I4) widen by 0.02×TimeScale
+// scaled seconds — 20 wall-milliseconds of drift between a protocol
+// decision's clock read and the observer's.
+func (b liveBackend) Slack() sim.Time { return sim.Time(0.02 * b.cfg.TimeScale) }
 
 // Start implements Backend.
 func (b liveBackend) Start(s fuzzscen.Scenario, build engine.Builder, hooks *Hooks, onProgress func(Progress)) (Instance, error) {
@@ -125,7 +119,7 @@ func (i *liveInstance) World() check.World { return liveWorld{c: i.c} }
 func (i *liveInstance) Run(ctx context.Context) metrics.RunStats {
 	stopProbe := i.startProbe()
 	i.faults.start()
-	st, canceled := i.c.DriveSourceCtx(ctx, i.s.Workload(i.g), i.s.Duration)
+	st, canceled := i.c.Drive(ctx, i.s.Workload(i.g), i.s.Duration)
 	i.canceled = canceled
 	i.faults.stop()
 	stopProbe()

@@ -7,14 +7,12 @@ import (
 	"realtor/internal/fuzzscen"
 )
 
-// testLiveCfg runs live scenarios fast (400× wall clock) with a slack
-// wide enough for race-detector scheduling noise: 40 scaled seconds is
-// 100 wall-milliseconds of tolerated drift per clock read. The mutant
-// catch below does not depend on slack (stale-candidate use trips the
-// oracle's freshness cross-check, not a timestamp comparison), so the
-// generous band costs no detection power where it matters.
+// testLiveCfg runs live scenarios fast (400× wall clock), so the
+// backend's oracle slack is 8 scaled seconds: the same 20
+// wall-milliseconds of tolerated drift per clock read as every other
+// live run.
 func testLiveCfg() LiveConfig {
-	return LiveConfig{TimeScale: 400, Slack: 40}
+	return LiveConfig{TimeScale: 400}
 }
 
 // TestLiveHonestRunsAreOracleClean is the live-backend mirror of the

@@ -31,13 +31,6 @@ type Node struct {
 	asOf    sim.Time // when backlog was last materialized
 
 	alive bool
-
-	// accepted/completed counters for per-node reporting
-	accepted uint64
-	rejected uint64
-
-	// integral of backlog over time, for mean-occupancy statistics
-	backlogIntegral float64
 }
 
 // New returns an alive node with the given queue capacity in seconds.
@@ -98,14 +91,8 @@ func (n *Node) advance(now sim.Time) {
 		panic(fmt.Sprintf("node %d: time moved backwards (%v -> %v)", n.id, n.asOf, now))
 	}
 	// Backlog is piecewise linear: it drains at one second per second
-	// until it hits zero, then stays there. Accumulate its exact integral.
-	if n.backlog >= dt {
-		n.backlogIntegral += n.backlog*dt - dt*dt/2
-		n.backlog -= dt
-	} else {
-		n.backlogIntegral += n.backlog * n.backlog / 2
-		n.backlog = 0
-	}
+	// until it hits zero, then stays there.
+	n.backlog = max(n.backlog-dt, 0)
 	n.asOf = now
 }
 
@@ -149,25 +136,8 @@ func (n *Node) Accept(now sim.Time, size float64) bool {
 		panic("node: task size must be positive")
 	}
 	if !n.Fits(now, size) {
-		n.rejected++
 		return false
 	}
 	n.backlog += size
-	n.accepted++
 	return true
-}
-
-// Accepted returns the number of tasks this node admitted.
-func (n *Node) Accepted() uint64 { return n.accepted }
-
-// Rejected returns the number of local Accept calls that failed.
-func (n *Node) Rejected() uint64 { return n.rejected }
-
-// MeanBacklog returns the time-average backlog over [0, now].
-func (n *Node) MeanBacklog(now sim.Time) float64 {
-	n.advance(now)
-	if now <= 0 {
-		return n.backlog
-	}
-	return n.backlogIntegral / float64(now)
 }

@@ -26,9 +26,8 @@ type tokenBucket struct {
 	cfg BucketConfig
 	ctx Context
 
-	tokens     float64
-	last       sim.Time
-	suppressed uint64
+	tokens float64
+	last   sim.Time
 }
 
 func (t *tokenBucket) Name() string { return "bucket" }
@@ -39,7 +38,6 @@ func (t *tokenBucket) Bind(ctx Context) {
 	t.ctx = ctx
 	t.tokens = t.cfg.Burst
 	t.last = ctx.Env.Now()
-	t.suppressed = 0
 }
 
 // OnFlood implements Policy.
@@ -51,7 +49,6 @@ func (t *tokenBucket) OnFlood(m protocol.Message) bool {
 	t.tokens = math.Min(t.cfg.Burst, t.tokens+t.cfg.Rate*float64(now-t.last))
 	t.last = now
 	if t.tokens < 1 {
-		t.suppressed++
 		return false
 	}
 	t.tokens--

@@ -27,8 +27,6 @@ type elastic struct {
 	base   float64                 // attach-time capacity: floor and MaxScale anchor
 	hi, lo int                     // consecutive samples beyond each watermark
 	timer  protocol.Timer
-
-	grows, shrinks uint64
 }
 
 func (e *elastic) Name() string { return "elastic" }
@@ -39,7 +37,6 @@ func (e *elastic) Bind(ctx Context) {
 	e.scaler, _ = ctx.Env.(protocol.CapacityScaler)
 	e.base = ctx.Env.Capacity()
 	e.hi, e.lo = 0, 0
-	e.grows, e.shrinks = 0, 0
 	e.timer = ctx.Env.After(e.cfg.CheckEvery, e.tick)
 }
 
@@ -75,14 +72,14 @@ func (e *elastic) tick() {
 	if e.hi >= e.cfg.SustainFor {
 		e.hi = 0
 		want := math.Min(e.base*e.cfg.MaxScale, cap*e.cfg.Factor)
-		if want > cap && e.scaler.SetCapacity(want) {
-			e.grows++
+		if want > cap {
+			e.scaler.SetCapacity(want)
 		}
 	} else if e.lo >= e.cfg.SustainFor {
 		e.lo = 0
 		want := math.Max(e.base, cap/e.cfg.Factor)
-		if want < cap && e.scaler.SetCapacity(want) {
-			e.shrinks++
+		if want < cap {
+			e.scaler.SetCapacity(want)
 		}
 	}
 }

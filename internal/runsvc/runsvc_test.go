@@ -26,6 +26,21 @@ func writePkg(t *testing.T, root string, seed int64) string {
 	return name
 }
 
+// writeLongPkg is writePkg with the run stretched 200-fold, so that a
+// Cancel issued right after Submit finds the run queued or running: the
+// unstretched package can finish in under a millisecond, before the
+// Cancel lands on a loaded machine.
+func writeLongPkg(t *testing.T, root string, seed int64) string {
+	t.Helper()
+	name := fmt.Sprintf("svc-long-seed-%d", seed)
+	sc := fuzzscen.Generate(seed)
+	sc.Duration *= 200
+	if _, err := scenario.WritePackage(root, scenario.Export(name, sc)); err != nil {
+		t.Fatalf("write package: %v", err)
+	}
+	return name
+}
+
 // inlineSpec is the scenario.json of the fuzz scenario for seed, for
 // Request.Spec submissions that need no package root.
 func inlineSpec(seed int64) json.RawMessage {
@@ -232,7 +247,7 @@ func TestWatchStreamsSnapshotsToTerminal(t *testing.T) {
 // recorded.
 func TestCancelYieldsCanceledStateAndNoSummary(t *testing.T) {
 	root := t.TempDir()
-	name := writePkg(t, root, 3)
+	name := writeLongPkg(t, root, 3)
 	s, err := New(Config{ScenarioRoot: root})
 	if err != nil {
 		t.Fatalf("new service: %v", err)

@@ -79,32 +79,6 @@ func TestRunUntilEmptyQueueAdvancesClock(t *testing.T) {
 	}
 }
 
-// Halt during RunUntil stops event delivery immediately and freezes the
-// clock at the halting event's timestamp (it must not jump to end).
-func TestRunUntilHaltMidRun(t *testing.T) {
-	s := New()
-	var fired []Time
-	for i := 1; i <= 10; i++ {
-		i := i
-		s.At(Time(i), func(now Time) {
-			fired = append(fired, now)
-			if i == 4 {
-				s.Halt()
-			}
-		})
-	}
-	s.RunUntil(100)
-	if len(fired) != 4 {
-		t.Fatalf("fired %d events, want 4 (halt after t=4)", len(fired))
-	}
-	if s.Now() != 4 {
-		t.Fatalf("clock at %v after Halt, want 4", s.Now())
-	}
-	if s.Pending() != 6 {
-		t.Fatalf("pending %d after Halt, want 6", s.Pending())
-	}
-}
-
 // The heap must stay consistent under a random interleaving of schedule,
 // cancel, and step operations — a stress test of removeAt's dual sift and
 // the free-list recycling.

@@ -112,13 +112,12 @@ type eventRec struct {
 // Scheduler is the simulation executive. The zero value is not ready to
 // use; create one with New.
 type Scheduler struct {
-	now    Time
-	heap   []heapItem
-	pool   []eventRec
-	free   []int32 // released pool slots available for reuse
-	seq    uint64
-	fired  uint64
-	halted bool
+	now   Time
+	heap  []heapItem
+	pool  []eventRec
+	free  []int32 // released pool slots available for reuse
+	seq   uint64
+	fired uint64
 
 	lastKey   EventKey // key of the most recently fired event
 	scheduled uint64
@@ -348,9 +347,9 @@ func (s *Scheduler) Cancel(e Event) {
 }
 
 // Step fires the single earliest event. It reports false when the queue is
-// empty or the scheduler was halted.
+// empty.
 func (s *Scheduler) Step() bool {
-	if s.halted || len(s.heap) == 0 {
+	if len(s.heap) == 0 {
 		return false
 	}
 	it := s.heap[0]
@@ -396,7 +395,7 @@ func (s *Scheduler) LastFiredKey() EventKey { return s.lastKey }
 // lookahead horizon no cross-shard influence can penetrate.
 func (s *Scheduler) RunBelow(bound EventKey) int {
 	n := 0
-	for !s.halted && len(s.heap) > 0 {
+	for len(s.heap) > 0 {
 		it := s.heap[0]
 		if !(EventKey{When: it.when, Src: it.src, Seq: it.seq}).Less(bound) {
 			break
@@ -444,7 +443,7 @@ func (s *Scheduler) KernelStats() KernelStats {
 	}
 }
 
-// Run executes events until the queue drains or Halt is called.
+// Run executes events until the queue drains.
 func (s *Scheduler) Run() {
 	for s.Step() {
 	}
@@ -455,20 +454,13 @@ func (s *Scheduler) Run() {
 func (s *Scheduler) RunUntil(end Time) {
 	// Peeking s.heap[0] is safe: the root of the 4-ary heap is always the
 	// earliest (when, seq) pair, exactly as with the old binary heap.
-	for !s.halted && len(s.heap) > 0 && s.heap[0].when <= end {
+	for len(s.heap) > 0 && s.heap[0].when <= end {
 		s.Step()
 	}
-	if !s.halted && s.now < end {
+	if s.now < end {
 		s.now = end
 	}
 }
-
-// Halt stops Run/RunUntil after the current event returns. Pending events
-// stay queued so a test can inspect them.
-func (s *Scheduler) Halt() { s.halted = true }
-
-// Halted reports whether Halt was called.
-func (s *Scheduler) Halted() bool { return s.halted }
 
 // Ticker repeatedly invokes a handler at a fixed period until stopped.
 // It is the building block for periodic push advertisement.

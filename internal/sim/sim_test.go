@@ -153,26 +153,6 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestHalt(t *testing.T) {
-	s := New()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		s.At(Time(i), func(Time) {
-			count++
-			if count == 3 {
-				s.Halt()
-			}
-		})
-	}
-	s.Run()
-	if count != 3 {
-		t.Fatalf("halted run fired %d, want 3", count)
-	}
-	if !s.Halted() {
-		t.Fatal("Halted() false after Halt")
-	}
-}
-
 func TestFiredCounter(t *testing.T) {
 	s := New()
 	for i := 0; i < 7; i++ {

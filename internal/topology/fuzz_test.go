@@ -34,35 +34,3 @@ func FuzzMeshMetrics(f *testing.F) {
 		}
 	})
 }
-
-// FuzzRemoveNodeLinks detaches fuzz-chosen nodes and checks adjacency
-// stays symmetric and the link count consistent.
-func FuzzRemoveNodeLinks(f *testing.F) {
-	f.Add([]byte{0, 12, 24})
-	f.Add([]byte{5, 5, 5, 5})
-	f.Fuzz(func(t *testing.T, kills []byte) {
-		g := Mesh(5, 5)
-		for _, k := range kills {
-			g.RemoveNodeLinks(NodeID(int(k) % g.N()))
-			total := 0
-			for i := 0; i < g.N(); i++ {
-				for _, nb := range g.Neighbors(NodeID(i)) {
-					total++
-					found := false
-					for _, back := range g.Neighbors(nb) {
-						if back == NodeID(i) {
-							found = true
-							break
-						}
-					}
-					if !found {
-						t.Fatalf("asymmetric adjacency after removals")
-					}
-				}
-			}
-			if total != 2*g.Links() {
-				t.Fatalf("directed edge count %d vs links %d", total, g.Links())
-			}
-		}
-	})
-}

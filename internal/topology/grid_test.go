@@ -69,9 +69,12 @@ func TestGridFastPathClearedByMutation(t *testing.T) {
 	}
 
 	g2 := Mesh(4, 4)
-	g2.RemoveNodeLinks(5)
-	if got := g2.Dist(1, 9); got != 4 {
-		t.Fatalf("after RemoveNodeLinks(5) Dist(1,9) = %d, want 4", got)
+	g2.RestoreLink(0, 15) // a pair the grid never had
+	if g2.gridCols != 0 {
+		t.Fatal("gridCols survived a non-grid RestoreLink")
+	}
+	if got := g2.Dist(1, 15); got != 2 {
+		t.Fatalf("after RestoreLink(0,15) Dist(1,15) = %d, want 2 (1-0-15)", got)
 	}
 }
 
@@ -79,7 +82,7 @@ func TestGridFastPathClearedByMutation(t *testing.T) {
 // mesh through cuts and heals of its own links — the cut list grows and
 // shrinks, distances detour around the cuts — and is pristine again once
 // the last cut heals: closed-form Diameter, Reachable without component
-// labels. A link the grid never had, or a detached node, retires it.
+// labels. A link the grid never had retires it, outstanding cuts and all.
 func TestLargeMeshKeepsGridThroughCuts(t *testing.T) {
 	const side = 40 // 1600 nodes
 	id := func(r, c int) NodeID { return NodeID(r*side + c) }
@@ -137,15 +140,8 @@ func TestLargeMeshKeepsGridThroughCuts(t *testing.T) {
 	if d := g.Dist(id(0, 1), id(side-1, side-1)); d != 2 {
 		t.Fatalf("Dist over the new link = %d, want 2", d)
 	}
-
-	g2 := Mesh(side, side)
-	g2.CutLink(h[0], h[1])
-	g2.RemoveNodeLinks(id(3, 3))
-	if g2.gridCols != 0 || g2.cuts != nil {
-		t.Fatalf("RemoveNodeLinks kept the grid (cols %d, cuts %v)", g2.gridCols, g2.cuts)
-	}
-	if d := g2.Dist(id(3, 2), id(3, 4)); d != 4 {
-		t.Fatalf("Dist around the detached node = %d, want 4", d)
+	if d := g.Dist(h[0], h[1]); d != 3 {
+		t.Fatalf("Dist across the cut once the grid retired = %d, want 3", d)
 	}
 }
 

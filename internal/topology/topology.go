@@ -32,9 +32,9 @@ type NodeID int
 // (computed on demand, CAS'd in, immutable afterwards), and the component
 // labels are an immutable value behind another, so the parallel
 // experiment runner may share one Graph across engines. Mutators (AddLink,
-// RemoveNodeLinks, CutLink, RestoreLink) are NOT safe to run concurrently
-// with queries or each other; mutate only during single-threaded setup or
-// inside a single engine's event loop. The engine never mutates a shared
+// CutLink, RestoreLink) are NOT safe to run concurrently with queries or
+// each other; mutate only during single-threaded setup or inside a single
+// engine's event loop. The engine never mutates a shared
 // graph: its CutLink/RestoreLink copy-on-write a private clone first, so
 // pristine graphs shared across parallel experiment cells stay frozen.
 type Graph struct {
@@ -205,18 +205,6 @@ func (g *Graph) gridLinkOf(a, b NodeID) gridLink {
 // the case the whole-graph closed forms hold for.
 func (g *Graph) isPristineGrid() bool {
 	return g.gridCols > 0 && len(g.cuts) == 0
-}
-
-// RemoveNodeLinks detaches a node from all its neighbors (used by attack
-// injection: a dead node keeps its ID but loses connectivity).
-func (g *Graph) RemoveNodeLinks(id NodeID) {
-	for _, nb := range g.adj[id] {
-		g.adj[nb] = remove(g.adj[nb], id)
-		g.links--
-	}
-	g.adj[id] = nil
-	g.linksChanged()
-	g.dist.Store(nil)
 }
 
 // CutLink severs the undirected link {a, b} mid-run, if present, and
@@ -760,17 +748,6 @@ func (g *Graph) MeanPathLength() float64 {
 		return 0
 	}
 	return float64(sum) / float64(cnt)
-}
-
-// Eccentricity returns the maximum distance from id to any reachable node.
-func (g *Graph) Eccentricity(id NodeID) int {
-	max := 0
-	for _, d := range g.row(g.ensureDist(), id) {
-		if d > max {
-			max = d
-		}
-	}
-	return max
 }
 
 // Degrees returns the sorted degree sequence, useful in tests.
