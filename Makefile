@@ -101,16 +101,24 @@ policy-smoke:
 # documented tolerance bands (EXPERIMENTS.md V2) at the 200x clock scale
 # -parity runs its live leg at. The last two lines run one live catalogue
 # entry (about a second of wall clock each), once over the channel pipe
-# and once over loopback UDP sockets, and check each exits 0 and prints
-# the header of the committed table.
+# and once over loopback UDP sockets, and check each exits 0, prints the
+# header of the committed table, and that its interval rows' offered
+# column (one count per component, from the cluster's outcome hook)
+# sums to the offered count on its overall line.
+LIVE_ATTACK_SUMS = awk '/^overall/ { match($$0, /offered [0-9]+/); want = substr($$0, RSTART + 8, RLENGTH - 8) } \
+	/^\[/ { sum += $$(NF - 2) } \
+	END { if (want == "" || sum != want) { print "live-attack: interval rows offer " sum ", overall line says " want; exit 1 } }'
+
 parity-smoke:
 	$(GO) run ./cmd/realtor-scen fuzz -backend live -n 5
 	$(GO) run ./cmd/realtor-scen fuzz -backend live -n 10 -mutant expiry
 	$(GO) run ./cmd/realtor-scen fuzz -parity -n 1 -seed 13
 	out=$$($(GO) run ./cmd/realtor-sim -fig live-attack -quick) && \
-		test "$$(printf '%s\n' "$$out" | head -1)" = "$$(head -1 results/live_attack.txt)"
+		test "$$(printf '%s\n' "$$out" | head -1)" = "$$(head -1 results/live_attack.txt)" && \
+		printf '%s\n' "$$out" | $(LIVE_ATTACK_SUMS)
 	out=$$($(GO) run ./cmd/realtor-sim -fig live-attack -quick -transport udp) && \
-		test "$$(printf '%s\n' "$$out" | head -1)" = "$$(head -1 results/live_attack.txt)"
+		test "$$(printf '%s\n' "$$out" | head -1)" = "$$(head -1 results/live_attack.txt)" && \
+		printf '%s\n' "$$out" | $(LIVE_ATTACK_SUMS)
 
 # Scenario-package smoke (CI gate, well under a minute): every committed
 # package under scenarios/ gated on the sim backend at 1 and 4 shards —

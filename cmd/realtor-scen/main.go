@@ -34,8 +34,8 @@
 //	realtor-scen fuzz fuzz-7                # the same layers on packages
 //
 // The gate fails a package on any invariant-oracle violation, any
-// expect-band miss, or (sim only) any drift from golden.json beyond the
-// golden's per-metric tolerances; the failure prints a per-metric diff
+// expect-band miss, or (sim only) any drift from golden.json (every
+// metric is compared exactly); the failure prints a per-metric diff
 // table. Exit status: 0 clean, 1 gate failure (fuzz: a counterexample,
 // or an uncaught mutant), 2 usage error; serve exits 0 after a
 // signal-driven drain.

@@ -3,7 +3,6 @@ package agile
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -64,6 +63,13 @@ type Config struct {
 	// recorder must serialize internally (trace.JSONL does).
 	Trace trace.Recorder
 
+	// OnOutcome, when set, is called once per submitted component with
+	// its final fate and its submission instant on the scaled cluster
+	// clock — the live counterpart of engine.Config.OnOutcome. Like
+	// Trace it fires concurrently from the hosts' actor goroutines, so
+	// the callback must serialize internally.
+	OnOutcome func(arrive float64, admitted bool)
+
 	// Observer optionally receives every protocol message at its
 	// send/deliver/drop points plus queue injections — the same
 	// full-payload surface as engine.Config.Observer. Callbacks fire on
@@ -107,67 +113,12 @@ type Cluster struct {
 	hosts  []*Host
 	epoch  time.Time
 
-	binMu    sync.Mutex
-	binWidth float64
-	bins     []TimelineBin
-
 	// Protocol-message counters, mirroring the simulator's accounting:
 	// floods count once per flood, unicasts once per message.
 	helpMsgs    atomic.Uint64
 	pledgeMsgs  atomic.Uint64
 	advertMsgs  atomic.Uint64
 	controlMsgs atomic.Uint64
-}
-
-// TimelineBin is one interval of the live admission timeline.
-type TimelineBin struct {
-	Start    float64 // scaled seconds
-	Offered  uint64
-	Admitted uint64
-}
-
-// AdmissionProbability returns Admitted/Offered (1 when idle, so quiet
-// intervals plot as "no loss").
-func (b TimelineBin) AdmissionProbability() float64 {
-	if b.Offered == 0 {
-		return 1
-	}
-	return float64(b.Admitted) / float64(b.Offered)
-}
-
-// EnableTimeline starts recording offered/admitted counts per width
-// scaled seconds. Call before driving load.
-func (c *Cluster) EnableTimeline(width float64) {
-	if width <= 0 {
-		panic("agile: timeline width must be positive")
-	}
-	c.binMu.Lock()
-	c.binWidth = width
-	c.binMu.Unlock()
-}
-
-// recordOutcome buckets one task fate by its submission time.
-func (c *Cluster) recordOutcome(at float64, admitted bool) {
-	c.binMu.Lock()
-	defer c.binMu.Unlock()
-	if c.binWidth <= 0 {
-		return
-	}
-	idx := int(at / c.binWidth)
-	for len(c.bins) <= idx {
-		c.bins = append(c.bins, TimelineBin{Start: float64(len(c.bins)) * c.binWidth})
-	}
-	c.bins[idx].Offered++
-	if admitted {
-		c.bins[idx].Admitted++
-	}
-}
-
-// Timeline returns a copy of the recorded bins.
-func (c *Cluster) Timeline() []TimelineBin {
-	c.binMu.Lock()
-	defer c.binMu.Unlock()
-	return append([]TimelineBin(nil), c.bins...)
 }
 
 // NewCluster builds and starts a cluster on the given network. The
@@ -207,6 +158,13 @@ func (c *Cluster) Now() float64 { return c.now() }
 // callers scheduling external events (fault schedules) against the
 // cluster clock.
 func (c *Cluster) ToWall(scaled float64) time.Duration { return c.toWall(scaled) }
+
+// outcome reports one component's fate if a hook is configured.
+func (c *Cluster) outcome(arrive float64, admitted bool) {
+	if c.cfg.OnOutcome != nil {
+		c.cfg.OnOutcome(arrive, admitted)
+	}
+}
 
 // emit records one trace event if a recorder is configured.
 func (c *Cluster) emit(ev trace.Event) {

@@ -225,7 +225,7 @@ func (h *Host) Kill() {
 			h.cluster.emit(trace.Event{At: sim.Time(now), Kind: trace.Reject,
 				Node: topology.NodeID(h.id), Peer: -1, Size: pm.comp.Cost, Info: "origin-died"})
 			h.deregisterIfLocal(pm.comp.ID)
-			h.cluster.recordOutcome(pm.at, false)
+			h.cluster.outcome(pm.at, false)
 		}
 		h.disco.OnNodeDeath()
 	})
@@ -301,7 +301,7 @@ func (h *Host) Submit(c Component) {
 			h.Stats.RejectedRun.Add(1) // arrivals at a downed host are lost
 			h.cluster.emit(trace.Event{At: sim.Time(now), Kind: trace.Reject,
 				Node: self, Peer: -1, Size: c.Cost, Info: "dead-node"})
-			h.cluster.recordOutcome(at, false)
+			h.cluster.outcome(at, false)
 			return
 		}
 		h.drain()
@@ -312,7 +312,7 @@ func (h *Host) Submit(c Component) {
 		if h.acceptLocal(c) {
 			h.cluster.emit(trace.Event{At: sim.Time(h.now()), Kind: trace.AdmitLocal,
 				Node: self, Peer: -1, Size: c.Cost})
-			h.cluster.recordOutcome(at, true)
+			h.cluster.outcome(at, true)
 			return
 		}
 		h.tryMigrate(c, at, 1)
@@ -406,7 +406,7 @@ func (h *Host) tryMigrate(c Component, at float64, attempt int) {
 		h.Stats.MigratedOut.Add(1)
 		h.cluster.emit(trace.Event{At: sim.Time(h.now()), Kind: trace.MigrateOK,
 			Node: self, Peer: topology.NodeID(entry.Host), Size: c.Cost, Info: "late-grant"})
-		h.cluster.recordOutcome(at, true)
+		h.cluster.outcome(at, true)
 		return
 	}
 	if !registered {
@@ -414,7 +414,7 @@ func (h *Host) tryMigrate(c Component, at float64, attempt int) {
 		h.Stats.RejectedRun.Add(1)
 		h.cluster.emit(trace.Event{At: sim.Time(h.now()), Kind: trace.Reject,
 			Node: self, Peer: -1, Size: c.Cost, Info: "vanished"})
-		h.cluster.recordOutcome(at, false)
+		h.cluster.outcome(at, false)
 		return
 	}
 	var target = -1
@@ -429,7 +429,7 @@ func (h *Host) tryMigrate(c Component, at float64, attempt int) {
 		h.cluster.emit(trace.Event{At: sim.Time(h.now()), Kind: trace.Reject,
 			Node: self, Peer: -1, Size: c.Cost, Info: "no-candidate"})
 		h.deregisterIfLocal(c.ID)
-		h.cluster.recordOutcome(at, false)
+		h.cluster.outcome(at, false)
 		return
 	}
 	h.cluster.emit(trace.Event{At: sim.Time(h.now()), Kind: trace.MigrateTry,
@@ -464,7 +464,7 @@ func (h *Host) tryMigrate(c Component, at float64, attempt int) {
 				h.cluster.emit(trace.Event{At: sim.Time(h.now()), Kind: trace.Reject,
 					Node: self, Peer: -1, Size: c.Cost, Info: "tries-exhausted"})
 				h.deregisterIfLocal(c.ID)
-				h.cluster.recordOutcome(at, false)
+				h.cluster.outcome(at, false)
 			}
 		})
 	})
@@ -527,7 +527,7 @@ func (h *Host) handleAdmissionResponse(adm transport.Admission) {
 		h.Stats.MigratedOut.Add(1)
 		h.cluster.emit(trace.Event{At: sim.Time(h.now()), Kind: trace.MigrateOK,
 			Node: self, Peer: topology.NodeID(pm.target), Size: pm.comp.Cost})
-		h.cluster.recordOutcome(pm.at, true)
+		h.cluster.outcome(pm.at, true)
 		return
 	}
 	h.Stats.MigrateFail.Add(1)
@@ -543,7 +543,7 @@ func (h *Host) handleAdmissionResponse(adm transport.Admission) {
 	h.cluster.emit(trace.Event{At: sim.Time(h.now()), Kind: trace.Reject,
 		Node: self, Peer: -1, Size: pm.comp.Cost, Info: "tries-exhausted"})
 	h.deregisterIfLocal(pm.comp.ID)
-	h.cluster.recordOutcome(pm.at, false)
+	h.cluster.outcome(pm.at, false)
 }
 
 func (h *Host) maxTries() int {

@@ -54,20 +54,6 @@ type Packet struct {
 	Adm  *Admission
 }
 
-// Kind names the payload for logs and counters.
-func (p Packet) Kind() string {
-	switch {
-	case p.Disc != nil:
-		return p.Disc.Kind.String()
-	case p.Adm != nil && p.Adm.Request:
-		return "ADM-REQ"
-	case p.Adm != nil:
-		return "ADM-RSP"
-	default:
-		return "EMPTY"
-	}
-}
-
 // Endpoint is one host's attachment to the network.
 type Endpoint interface {
 	// ID returns the endpoint's host ID.

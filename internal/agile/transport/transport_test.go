@@ -87,9 +87,6 @@ func TestAdmissionPayloadRoundTrip(t *testing.T) {
 			if p.Adm == nil || *p.Adm != *adm {
 				t.Fatalf("admission round trip: %+v", p.Adm)
 			}
-			if p.Kind() != "ADM-REQ" {
-				t.Fatalf("kind %q", p.Kind())
-			}
 		})
 	}
 }
@@ -131,21 +128,6 @@ func TestCloseIdempotentAndClosesInboxes(t *testing.T) {
 				t.Fatal("inbox still open after close")
 			}
 		})
-	}
-}
-
-func TestKindNames(t *testing.T) {
-	cases := map[string]Packet{
-		"HELP":    {Disc: &protocol.Message{Kind: protocol.Help}},
-		"PLEDGE":  {Disc: &protocol.Message{Kind: protocol.Pledge}},
-		"ADM-REQ": {Adm: &Admission{Request: true}},
-		"ADM-RSP": {Adm: &Admission{}},
-		"EMPTY":   {},
-	}
-	for want, p := range cases {
-		if p.Kind() != want {
-			t.Fatalf("kind %q, want %q", p.Kind(), want)
-		}
 	}
 }
 

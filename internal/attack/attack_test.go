@@ -14,7 +14,9 @@ import (
 	"realtor/internal/workload"
 )
 
-func newEngine(reroute bool, binWidth sim.Time) *engine.Engine {
+// newEngine builds the 5×5 test cell; a non-nil tl receives every task
+// outcome, bucketed by arrival.
+func newEngine(reroute bool, tl *metrics.Timeline) *engine.Engine {
 	cfg := engine.Config{
 		Graph:               topology.Mesh(5, 5),
 		QueueCapacity:       100,
@@ -24,7 +26,9 @@ func newEngine(reroute bool, binWidth sim.Time) *engine.Engine {
 		Duration:            600,
 		Seed:                1,
 		RerouteDeadArrivals: reroute,
-		BinWidth:            binWidth,
+	}
+	if tl != nil {
+		cfg.OnOutcome = func(t workload.Task, _ sim.Time, ok bool) { tl.Record(float64(t.Arrive), ok) }
 	}
 	return engine.New(cfg, func() protocol.Discovery { return core.New(protocol.DefaultConfig()) })
 }
@@ -34,7 +38,7 @@ func poisson(lambda float64, seed int64) *workload.Poisson {
 }
 
 func TestKillAndReviveTimeline(t *testing.T) {
-	e := newEngine(true, 0)
+	e := newEngine(true, nil)
 	Kill{Targets: []topology.NodeID{1, 2, 3}, At: 100, Revive: 300}.Apply(e)
 	e.Scheduler().At(150, func(sim.Time) {
 		if e.AliveCount() != 22 {
@@ -53,7 +57,7 @@ func TestKillAndReviveTimeline(t *testing.T) {
 }
 
 func TestKillWithoutRevive(t *testing.T) {
-	e := newEngine(true, 0)
+	e := newEngine(true, nil)
 	Kill{Targets: []topology.NodeID{0}, At: 100}.Apply(e)
 	st := e.Run(poisson(3, 2))
 	if e.AliveCount() != 24 {
@@ -65,8 +69,8 @@ func TestKillWithoutRevive(t *testing.T) {
 }
 
 func TestRandomKillDeterministic(t *testing.T) {
-	e1 := newEngine(true, 0)
-	e2 := newEngine(true, 0)
+	e1 := newEngine(true, nil)
+	e2 := newEngine(true, nil)
 	rk := RandomKill{Count: 5, N: 25, At: 100, Seed: 7}
 	rk.Apply(e1)
 	rk.Apply(e2)
@@ -81,7 +85,7 @@ func TestRandomKillDeterministic(t *testing.T) {
 }
 
 func TestRandomKillTooManyPanics(t *testing.T) {
-	e := newEngine(true, 0)
+	e := newEngine(true, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -117,7 +121,7 @@ func TestRegionSurvivability(t *testing.T) {
 	// Take out a 2x2 corner mid-run with rerouting (migration path): the
 	// system must keep admitting most tasks — the paper's survivability
 	// claim.
-	e := newEngine(true, 0)
+	e := newEngine(true, nil)
 	Region{Rows: 5, Cols: 5, R0: 0, R1: 2, C0: 0, C1: 2, At: 200, Revive: 400}.Apply(e)
 	st := e.Run(poisson(4, 4))
 	if err := st.Validate(); err != nil {
@@ -129,7 +133,7 @@ func TestRegionSurvivability(t *testing.T) {
 }
 
 func TestFlap(t *testing.T) {
-	e := newEngine(true, 0)
+	e := newEngine(true, nil)
 	Flap{Target: 12, Start: 100, DownFor: 20, UpFor: 20, Until: 500}.Apply(e)
 	st := e.Run(poisson(4, 5))
 	if err := st.Validate(); err != nil {
@@ -148,7 +152,7 @@ func TestFlap(t *testing.T) {
 }
 
 func TestNodeChurn(t *testing.T) {
-	e := newEngine(true, 0)
+	e := newEngine(true, nil)
 	NodeChurn{Start: 100, Until: 500, Interval: 10, Down: 30, N: 25, Seed: 9}.Apply(e)
 	var sawDown bool
 	for probe := sim.Time(150); probe < 500; probe += 50 {
@@ -177,7 +181,7 @@ func TestNodeChurn(t *testing.T) {
 
 func TestNodeChurnDeterministic(t *testing.T) {
 	run := func() metrics.RunStats {
-		e := newEngine(true, 0)
+		e := newEngine(true, nil)
 		NodeChurn{Start: 100, Until: 400, Interval: 5, Down: 20, N: 25, Seed: 3}.Apply(e)
 		return e.Run(poisson(4, 7))
 	}
@@ -192,11 +196,11 @@ func TestNodeChurnInvalidPanics(t *testing.T) {
 			t.Fatal("no panic for zero interval")
 		}
 	}()
-	NodeChurn{Start: 0, Until: 10, Interval: 0, Down: 1, N: 5}.Apply(newEngine(true, 0))
+	NodeChurn{Start: 0, Until: 10, Interval: 0, Down: 1, N: 5}.Apply(newEngine(true, nil))
 }
 
 func TestFlapInvalidPanics(t *testing.T) {
-	e := newEngine(true, 0)
+	e := newEngine(true, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -206,7 +210,7 @@ func TestFlapInvalidPanics(t *testing.T) {
 }
 
 func TestExhaustSaturatesVictim(t *testing.T) {
-	e := newEngine(true, 0)
+	e := newEngine(true, nil)
 	Exhaust{Target: 6, At: 100, Until: 590, Interval: 1, Chunk: 50}.Apply(e)
 	st := e.Run(poisson(3, 6))
 	if err := st.Validate(); err != nil {
@@ -225,7 +229,7 @@ func TestExhaustSaturatesVictim(t *testing.T) {
 }
 
 func TestExhaustInvalidPanics(t *testing.T) {
-	e := newEngine(true, 0)
+	e := newEngine(true, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -253,7 +257,7 @@ func TestCompositeAndNames(t *testing.T) {
 			t.Fatalf("%T has empty name", s)
 		}
 	}
-	e := newEngine(true, 0)
+	e := newEngine(true, nil)
 	c.Apply(e)
 	st := e.Run(poisson(3, 7))
 	if err := st.Validate(); err != nil {
@@ -264,13 +268,14 @@ func TestCompositeAndNames(t *testing.T) {
 func TestBinnedTimelineShowsDip(t *testing.T) {
 	// Without rerouting, killing 8 nodes makes admission dip during the
 	// outage and recover afterwards — visible in the binned timeline.
-	e := newEngine(false, 50)
+	tl := metrics.Timeline{Width: 50}
+	e := newEngine(false, &tl)
 	RandomKill{Count: 8, N: 25, At: 200, Revive: 400, Seed: 3}.Apply(e)
 	st := e.Run(poisson(4, 8))
 	if err := st.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bins := e.Bins()
+	bins := tl.Bins
 	if len(bins) < 10 {
 		t.Fatalf("bins %d", len(bins))
 	}

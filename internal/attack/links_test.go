@@ -8,7 +8,7 @@ import (
 )
 
 func TestLinkCutAndRestoreTimeline(t *testing.T) {
-	e := newEngine(false, 0)
+	e := newEngine(false, nil)
 	links := [][2]topology.NodeID{{0, 1}, {5, 6}}
 	LinkCut{Links: links, At: 100, Restore: 300}.Apply(e)
 	e.Scheduler().At(150, func(sim.Time) {
@@ -32,7 +32,7 @@ func TestLinkCutAndRestoreTimeline(t *testing.T) {
 // earlier permanent cut stays down even when a later overlapping
 // cut-and-restore window closes.
 func TestLinkCutRestoreIsScopedToItsOwnCuts(t *testing.T) {
-	e := newEngine(false, 0)
+	e := newEngine(false, nil)
 	permanent := LinkCut{Links: [][2]topology.NodeID{{0, 1}}, At: 50} // never restored
 	window := LinkCut{Links: [][2]topology.NodeID{{0, 1}, {5, 6}}, At: 100, Restore: 200}
 	permanent.Apply(e)
@@ -49,7 +49,7 @@ func TestLinkCutRestoreIsScopedToItsOwnCuts(t *testing.T) {
 }
 
 func TestPartitionSplitsAndHeals(t *testing.T) {
-	e := newEngine(false, 0)
+	e := newEngine(false, nil)
 	p := Partition{Rows: 5, Cols: 5, Col: 2, At: 100, Heal: 300}
 	if got := len(p.Links()); got != 5 {
 		t.Fatalf("partition cuts %d links, want 5", got)
@@ -101,7 +101,7 @@ func TestPartitionValidatesBoundary(t *testing.T) {
 // overlay to full strength once every down-window has elapsed.
 func TestLinkChurnDeterministicAndHeals(t *testing.T) {
 	run := func() (int, [][2]topology.NodeID) {
-		e := newEngine(false, 0)
+		e := newEngine(false, nil)
 		LinkChurn{Start: 100, Until: 400, Interval: 10, Down: 25, Seed: 7}.Apply(e)
 		min := 40
 		e.Scheduler().NewTicker(5, func(sim.Time) {
@@ -128,7 +128,7 @@ func TestLinkChurnDeterministicAndHeals(t *testing.T) {
 // Pinned semantics (see Flap's doc): a flap window ending mid-down
 // leaves the node dead for the rest of the run.
 func TestFlapEndingMidDownLeavesNodeDead(t *testing.T) {
-	e := newEngine(true, 0)
+	e := newEngine(true, nil)
 	// Downs at t=10 and t=20; up at t=15; the up at t=25 is ≥ Until=22
 	// and is never scheduled — the node stays dead.
 	Flap{Target: 3, Start: 10, DownFor: 5, UpFor: 5, Until: 22}.Apply(e)

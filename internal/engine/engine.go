@@ -64,11 +64,6 @@ type Config struct {
 	// random alive node instead of dropping them (attack experiments).
 	RerouteDeadArrivals bool
 
-	// BinWidth, when positive, additionally records offered/admitted
-	// counts per BinWidth-second interval over the whole run (warmup
-	// included), for timeline plots of attack scenarios.
-	BinWidth sim.Time
-
 	// FloodRadius, when positive, limits every flood to nodes within
 	// that many hops of the sender — the "mechanism in place limiting
 	// the scope of neighbors, for example, as an IP multicast group"
@@ -111,10 +106,12 @@ type Config struct {
 	// tracing a long run produces a lot of events.
 	Trace trace.Recorder
 
-	// OnOutcome, when set, is called once per task with its final fate
-	// (admitted or rejected), letting experiments bucket admission by
-	// task class without touching the aggregate stats.
-	OnOutcome func(t workload.Task, admitted bool)
+	// OnOutcome, when set, is called once per task (warmup included)
+	// with its final fate — admitted or rejected — and the verdict
+	// instant at. Experiments bucket admission from it (by task class,
+	// arrival interval, or arrival→placement latency) without touching
+	// the aggregate stats.
+	OnOutcome func(t workload.Task, at sim.Time, admitted bool)
 
 	// Observer, when set, sees every protocol message the engine
 	// schedules and delivers, with full message contents — unlike Trace
@@ -303,22 +300,6 @@ type Engine struct {
 	// canceled is set when RunCtx stopped at a checkpoint because its
 	// context was done; the partial stats skip validation.
 	canceled bool
-}
-
-// Bin is one interval of the optional admission timeline.
-type Bin struct {
-	Start    sim.Time
-	Offered  uint64
-	Admitted uint64
-}
-
-// AdmissionProbability returns Admitted/Offered for the bin (1 if empty,
-// so idle intervals plot as "no loss").
-func (b Bin) AdmissionProbability() float64 {
-	if b.Offered == 0 {
-		return 1
-	}
-	return float64(b.Admitted) / float64(b.Offered)
 }
 
 // New constructs an engine: one node and one Discovery per topology node,
@@ -754,49 +735,6 @@ func (a *arrival) Fire(now sim.Time) {
 	e.scheduleNext(a.src)
 }
 
-// binFor returns the timeline bin covering time t on the executing
-// shard's slice of the timeline, or nil if binning is off. Bins are
-// appended lazily; Bins() merges the slices by interval index.
-func (e *Engine) binFor(c *shardCtx, t sim.Time) *Bin {
-	if e.cfg.BinWidth <= 0 {
-		return nil
-	}
-	idx := int(t / e.cfg.BinWidth)
-	for len(c.bins) <= idx {
-		c.bins = append(c.bins, Bin{Start: sim.Time(len(c.bins)) * e.cfg.BinWidth})
-	}
-	return &c.bins[idx]
-}
-
-// Bins returns the admission timeline (empty unless cfg.BinWidth > 0).
-// Bin counts are unsigned sums merged by interval index, so the result
-// is identical at every shard count.
-func (e *Engine) Bins() []Bin {
-	if e.shards == 1 {
-		return e.ctxs[0].bins
-	}
-	maxLen := 0
-	for _, c := range e.ctxs {
-		if len(c.bins) > maxLen {
-			maxLen = len(c.bins)
-		}
-	}
-	if maxLen == 0 {
-		return nil
-	}
-	out := make([]Bin, maxLen)
-	for i := range out {
-		out[i].Start = sim.Time(i) * e.cfg.BinWidth
-	}
-	for _, c := range e.ctxs {
-		for i, b := range c.bins {
-			out[i].Offered += b.Offered
-			out[i].Admitted += b.Admitted
-		}
-	}
-	return out
-}
-
 // Attrs returns a node's current placement attributes (zero when the
 // engine runs unconstrained).
 func (e *Engine) Attrs(id topology.NodeID) resource.Attrs {
@@ -855,9 +793,6 @@ func (e *Engine) handleArrival(c *shardCtx, now sim.Time, t workload.Task,
 	if measured {
 		st.Offered++
 	}
-	if b := e.binFor(c, now); b != nil {
-		b.Offered++
-	}
 	e.traceCtx(c, trace.Event{At: now, Kind: trace.Arrival, Node: t.Node, Peer: -1, Size: t.Size})
 	switch mode {
 	case arrRejectDead:
@@ -865,14 +800,14 @@ func (e *Engine) handleArrival(c *shardCtx, now sim.Time, t workload.Task,
 			st.Rejected++
 		}
 		e.traceCtx(c, trace.Event{At: now, Kind: trace.Reject, Node: id, Peer: -1, Size: t.Size, Info: "dead-node"})
-		e.outcomeCtx(c, t, false)
+		e.outcomeCtx(c, t, now, false)
 		return
 	case arrRejectNoAlive:
 		if measured {
 			st.Rejected++
 		}
 		e.traceCtx(c, trace.Event{At: now, Kind: trace.Reject, Node: id, Peer: -1, Size: t.Size, Info: "no-alive-node"})
-		e.outcomeCtx(c, t, false)
+		e.outcomeCtx(c, t, now, false)
 		return
 	}
 
@@ -893,11 +828,8 @@ func (e *Engine) handleArrival(c *shardCtx, now sim.Time, t workload.Task,
 		if measured {
 			st.Admitted++
 		}
-		if b := e.binFor(c, now); b != nil {
-			b.Admitted++
-		}
 		e.traceCtx(c, trace.Event{At: now, Kind: trace.AdmitLocal, Node: id, Peer: -1, Size: t.Size})
-		e.outcomeCtx(c, t, true)
+		e.outcomeCtx(c, t, now, true)
 		e.afterAccept(c, now, id)
 		return
 	}
@@ -934,7 +866,7 @@ func (e *Engine) tryMigrationN(c *shardCtx, now sim.Time, from topology.NodeID,
 			e.statsPer[from].Rejected++
 		}
 		e.traceCtx(c, trace.Event{At: now, Kind: trace.Reject, Node: from, Peer: -1, Size: t.Size, Info: "no-candidate"})
-		e.outcomeCtx(c, t, false)
+		e.outcomeCtx(c, t, now, false)
 		return
 	}
 	e.traceCtx(c, trace.Event{At: now, Kind: trace.MigrateTry, Node: from, Peer: target, Size: t.Size})
@@ -964,7 +896,6 @@ func (e *Engine) tryMigrationN(c *shardCtx, now sim.Time, from topology.NodeID,
 	mg.from, mg.target, mg.task = from, target, t
 	mg.measured, mg.attempt = measured, attempt
 	mg.fromGen = e.gen[from]
-	mg.arrivedAt = now // bin by arrival time, not completion time
 	e.schedule(c, target, now+delay, int32(from), e.nodeSeq[from], mg)
 	e.nodeSeq[from]++
 }
@@ -973,15 +904,14 @@ func (e *Engine) tryMigrationN(c *shardCtx, now sim.Time, from topology.NodeID,
 // transfer, executing on the target's shard; recycled through the
 // executing shard's free list like wave.
 type migration struct {
-	e         *Engine
-	from      topology.NodeID
-	target    topology.NodeID
-	task      workload.Task
-	measured  bool
-	attempt   int
-	fromGen   int
-	arrivedAt sim.Time
-	next      *migration // free-list link
+	e        *Engine
+	from     topology.NodeID
+	target   topology.NodeID
+	task     workload.Task
+	measured bool
+	attempt  int
+	fromGen  int
+	next     *migration // free-list link
 }
 
 // Fire implements sim.Runner: complete the transfer at the destination
@@ -989,7 +919,7 @@ type migration struct {
 // the executing shard's pool first.
 func (mg *migration) Fire(arr sim.Time) {
 	e, from, target, t := mg.e, mg.from, mg.target, mg.task
-	measured, attempt, fromGen, arrivedAt := mg.measured, mg.attempt, mg.fromGen, mg.arrivedAt
+	measured, attempt, fromGen := mg.measured, mg.attempt, mg.fromGen
 	c := e.ctxOf(target)
 	mg.task = workload.Task{}
 	mg.next = c.freeMigrations
@@ -1004,11 +934,8 @@ func (mg *migration) Fire(arr sim.Time) {
 			e.statsPer[target].Admitted++
 			e.statsPer[target].Migrated++
 		}
-		if b := e.binFor(c, arrivedAt); b != nil {
-			b.Admitted++
-		}
 		e.traceCtx(c, trace.Event{At: arr, Kind: trace.MigrateOK, Node: from, Peer: target, Size: t.Size})
-		e.outcomeCtx(c, t, true)
+		e.outcomeCtx(c, t, arr, true)
 		e.afterAccept(c, arr, target)
 	} else {
 		if measured {
@@ -1029,7 +956,7 @@ func (mg *migration) Fire(arr sim.Time) {
 			}
 			e.traceCtx(c, trace.Event{At: arr, Kind: trace.Reject, Node: from, Peer: target,
 				Size: t.Size, Info: "origin-unreachable"})
-			e.outcomeCtx(c, t, false)
+			e.outcomeCtx(c, t, arr, false)
 		}
 		return
 	}
@@ -1092,7 +1019,7 @@ func (mr *migResult) Fire(at sim.Time) {
 	}
 	e.traceCtx(c, trace.Event{At: at, Kind: trace.Reject, Node: from, Peer: -1,
 		Size: t.Size, Info: "tries-exhausted"})
-	e.outcomeCtx(c, t, false)
+	e.outcomeCtx(c, t, at, false)
 }
 
 // randomAlive draws a uniformly random alive node: the k-th alive one in

@@ -407,7 +407,7 @@ func TestOnOutcomeCoversAllFates(t *testing.T) {
 	cfg := testEngineConfig()
 	var outcomes int
 	var admitted int
-	cfg.OnOutcome = func(_ workload.Task, ok bool) {
+	cfg.OnOutcome = func(_ workload.Task, _ sim.Time, ok bool) {
 		outcomes++
 		if ok {
 			admitted++

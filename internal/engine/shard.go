@@ -27,16 +27,14 @@ import (
 )
 
 // shardCtx is the per-shard execution context: the shard's scheduler,
-// its outbound cross-shard mail, its ordered-emission buffers, its slice
-// of the admission timeline, and its runner pools. During a phase it is
+// its outbound cross-shard mail, its ordered-emission buffers, and its
+// runner pools. During a phase it is
 // touched only by its own worker; between phases only by the
 // coordinator — so nothing in it needs a lock.
 type shardCtx struct {
 	e     *Engine
 	idx   int32
 	sched *sim.Scheduler
-
-	bins []Bin // this shard's slice of the admission timeline
 
 	// mail holds events created this phase for other shards; the
 	// coordinator moves them onto the destination queues at the barrier.
@@ -95,7 +93,7 @@ type emitRec struct {
 	idx      uint64
 	kind     uint8
 	ev       trace.Event     // emitTrace
-	at       sim.Time        // observer kinds
+	at       sim.Time        // observer kinds, emitOutcome
 	node     topology.NodeID // sender
 	peer     topology.NodeID // recipient
 	m        protocol.Message
@@ -193,19 +191,20 @@ func (e *Engine) observe(c *shardCtx, kind uint8, at sim.Time, from, to topology
 	}
 }
 
-// outcomeCtx reports a task's final fate. Sharded runs always buffer —
-// OnOutcome closures (experiment bucketing) are neither locked nor
-// order-tolerant — and replay in canonical order at the barrier.
-func (e *Engine) outcomeCtx(c *shardCtx, t workload.Task, admitted bool) {
+// outcomeCtx reports a task's final fate, decided at instant at.
+// Sharded runs always buffer — OnOutcome closures (experiment bucketing)
+// are neither locked nor order-tolerant — and replay in canonical order
+// at the barrier.
+func (e *Engine) outcomeCtx(c *shardCtx, t workload.Task, at sim.Time, admitted bool) {
 	if e.cfg.OnOutcome == nil {
 		return
 	}
 	if e.direct(c, e.shards == 1) {
-		e.cfg.OnOutcome(t, admitted)
+		e.cfg.OnOutcome(t, at, admitted)
 		return
 	}
 	r := c.buffer(emitOutcome)
-	r.task, r.admitted = t, admitted
+	r.task, r.at, r.admitted = t, at, admitted
 }
 
 func (e *Engine) startWorkers() {
@@ -432,7 +431,7 @@ func (e *Engine) flushBuffers() {
 		case emitTrace:
 			e.traceCtx(nil, r.ev)
 		case emitOutcome:
-			e.outcomeCtx(nil, r.task, r.admitted)
+			e.outcomeCtx(nil, r.task, r.at, r.admitted)
 		default:
 			e.observe(nil, r.kind, r.at, r.node, r.peer, &r.m, r.reason)
 		}

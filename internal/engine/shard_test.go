@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"realtor/internal/core"
+	"realtor/internal/metrics"
 	"realtor/internal/protocol"
 	"realtor/internal/rng"
 	"realtor/internal/sim"
@@ -23,6 +24,7 @@ type seqRecorder struct {
 	traces   []trace.Event
 	msgs     []msgRec
 	outcomes []outcomeSum
+	timeline metrics.Timeline
 	// merged is the one log a consumer of both Trace and OnOutcome keeps:
 	// 't' per trace event, 'o' per outcome, in callback order.
 	merged []byte
@@ -39,6 +41,7 @@ type msgRec struct {
 
 type outcomeSum struct {
 	arrive   sim.Time
+	at       sim.Time
 	node     topology.NodeID
 	size     float64
 	admitted bool
@@ -62,20 +65,22 @@ func (r *seqRecorder) OnInject(at sim.Time, id topology.NodeID, size float64) {
 	r.msgs = append(r.msgs, msgRec{kind: "inject", at: at, to: id})
 }
 
-func (r *seqRecorder) onOutcome(t workload.Task, admitted bool) {
-	r.outcomes = append(r.outcomes, outcomeSum{arrive: t.Arrive, node: t.Node, size: t.Size, admitted: admitted})
+func (r *seqRecorder) onOutcome(t workload.Task, at sim.Time, admitted bool) {
+	r.outcomes = append(r.outcomes, outcomeSum{arrive: t.Arrive, at: at, node: t.Node, size: t.Size, admitted: admitted})
 	r.merged = append(r.merged, 'o')
+	r.timeline.Record(float64(t.Arrive), admitted)
 }
 
 // runShardScenario drives one adversarial fixed-seed scenario — loss,
-// dead-node rerouting, node churn, link churn, retries, binning — at
-// the given shard count and returns everything observable.
-func runShardScenario(t *testing.T, shards int) (*seqRecorder, []Bin, string) {
+// dead-node rerouting, node churn, link churn, retries — at the given
+// shard count and returns everything observable, including the
+// admission timeline its outcomes bucket into 50-second bins.
+func runShardScenario(t *testing.T, shards int) (*seqRecorder, string) {
 	t.Helper()
-	rec := &seqRecorder{}
+	rec := &seqRecorder{timeline: metrics.Timeline{Width: 50}}
 	cfg := Config{
 		Graph:               topology.Mesh(10, 10),
-		QueueCapacity:       100,
+		QueueCapacity:       20, // small enough that queues cross the help threshold and tasks migrate
 		HopDelay:            0.01,
 		Threshold:           0.9,
 		Warmup:              20,
@@ -85,7 +90,6 @@ func runShardScenario(t *testing.T, shards int) (*seqRecorder, []Bin, string) {
 		LossProb:            0.05,
 		RerouteDeadArrivals: true,
 		MaxTries:            2,
-		BinWidth:            50,
 		Seed:                7,
 		Trace:               rec,
 		Observer:            rec,
@@ -101,7 +105,7 @@ func runShardScenario(t *testing.T, shards int) (*seqRecorder, []Bin, string) {
 	s.At(120, func(sim.Time) { e.Revive(33); e.RestoreLink(44, 45) })
 	s.At(150, func(sim.Time) { e.Inject(150, 11, 40) })
 	st := e.Run(workload.NewPoisson(8, 5, cfg.Graph.N(), rng.New(99)))
-	return rec, e.Bins(), fmt.Sprintf("%+v", st)
+	return rec, fmt.Sprintf("%+v", st)
 }
 
 // TestShardedRunByteIdentical is the kernel's core promise: the same
@@ -109,16 +113,25 @@ func runShardScenario(t *testing.T, shards int) (*seqRecorder, []Bin, string) {
 // and the same observable event sequence — ordering included — at any
 // shard count.
 func TestShardedRunByteIdentical(t *testing.T) {
-	ref, refBins, refStats := runShardScenario(t, 1)
-	if len(ref.traces) == 0 || len(ref.msgs) == 0 || len(ref.outcomes) == 0 {
+	ref, refStats := runShardScenario(t, 1)
+	if len(ref.traces) == 0 || len(ref.msgs) == 0 || len(ref.outcomes) == 0 || len(ref.timeline.Bins) < 4 {
 		t.Fatal("reference run observed nothing; scenario is vacuous")
 	}
+	placedLater := 0 // verdicts decided after the arrival instant: migrations
+	for _, o := range ref.outcomes {
+		if o.admitted && o.at != o.arrive {
+			placedLater++
+		}
+	}
+	if placedLater == 0 {
+		t.Fatal("no task was placed by migration; the replayed verdict instants go unchecked")
+	}
 	for _, shards := range []int{2, 4, 8} {
-		got, bins, stats := runShardScenario(t, shards)
+		got, stats := runShardScenario(t, shards)
 		if stats != refStats {
 			t.Fatalf("shards=%d: stats diverged\n got %s\nwant %s", shards, stats, refStats)
 		}
-		if !reflect.DeepEqual(bins, refBins) {
+		if !reflect.DeepEqual(got.timeline, ref.timeline) {
 			t.Fatalf("shards=%d: admission timeline diverged", shards)
 		}
 		if !reflect.DeepEqual(got.outcomes, ref.outcomes) {
@@ -146,8 +159,8 @@ func TestShardedRunByteIdentical(t *testing.T) {
 // events around it, as on one shard — not after the phase's last trace
 // event, which is where a second buffer with its own sort put it.
 func TestShardedReplayInterleavesOutcomesWithTrace(t *testing.T) {
-	ref, _, _ := runShardScenario(t, 1)
-	got, _, _ := runShardScenario(t, 2)
+	ref, _ := runShardScenario(t, 1)
+	got, _ := runShardScenario(t, 2)
 	if !bytes.Equal(got.merged, ref.merged) {
 		i := 0
 		for i < len(got.merged) && i < len(ref.merged) && got.merged[i] == ref.merged[i] {

@@ -56,7 +56,11 @@ func (r *fullRecorder) OnDrop(at sim.Time, from, to topology.NodeID, m protocol.
 func (r *fullRecorder) OnInject(at sim.Time, id topology.NodeID, size float64) {
 	r.log = append(r.log, record{what: "inject", at: at, to: id, task: workload.Task{Size: size}})
 }
-func (r *fullRecorder) onOutcome(t workload.Task, admitted bool) {
+
+// onOutcome leaves the verdict instant out of the record, so the
+// baseline digests pinned before the hook carried it still apply;
+// TestShardedRunByteIdentical compares it across shard counts.
+func (r *fullRecorder) onOutcome(t workload.Task, _ sim.Time, admitted bool) {
 	r.log = append(r.log, record{what: "outcome", task: t, admitted: admitted})
 }
 

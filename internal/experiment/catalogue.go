@@ -334,5 +334,5 @@ func liveAttackReport(o Options) (string, error) {
 		return "", err
 	}
 	return "# L1 live survivability: 4 of 12 hosts down for the middle third\n" +
-		harness.AttackTable(res, duration/10), nil
+		harness.AttackTable(res), nil
 }

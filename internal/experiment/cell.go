@@ -15,7 +15,7 @@ const MeanTaskSize = 5
 // 100-second queues, 0.01 s per hop, help threshold 0.9 — measuring
 // [warmup, duration) and seeded with seed. The constants are written
 // here and nowhere else: a study sets on the result only the fields it
-// varies (LossProb, MaxTries, Groups, Attrs, Shards, BinWidth, …).
+// varies (LossProb, MaxTries, Groups, Attrs, Shards, OnOutcome, …).
 func PaperCell(g *topology.Graph, warmup, duration sim.Time, seed int64) engine.Config {
 	return engine.Config{
 		Graph:         g,

@@ -3,7 +3,7 @@
 // hierarchical REALTOR — plus one-level federation (HIER at depth 1),
 // swept across mesh sizes from 2.5k to ~100k nodes and four adverse
 // conditions. Every cell is one deterministic engine run; the table is
-// the same bytes at any shard count (trace-derived latency included).
+// the same bytes at any shard count (outcome-derived latency included).
 package experiment
 
 import (
@@ -20,7 +20,6 @@ import (
 	"realtor/internal/rng"
 	"realtor/internal/sim"
 	"realtor/internal/topology"
-	"realtor/internal/trace"
 	"realtor/internal/workload"
 )
 
@@ -171,63 +170,27 @@ func discoveryAttacks(n int, warmup, duration sim.Time, seed int64) []struct {
 	}
 }
 
-// latKey identifies a task FIFO: the engine reports task events by
-// (origin node, size), and sizes are exact float64 draws, so collisions
-// between distinct in-flight tasks at one node are vanishingly rare and
-// FIFO order breaks the tie deterministically when they do happen.
-type latKey struct {
-	node topology.NodeID
-	size float64
-}
-
-// latencyTracker derives discovery latency from the trace stream:
-// arrival → admit-local / migrate-ok, per task. Trace replay is
-// canonical at any shard count, so the accumulated sum is too. Only
-// tasks that *arrived* inside the measurement window count, matching
-// the engine's own stats gating.
-type latencyTracker struct {
+// placementLatency sums arrival → placement time over the admitted
+// tasks that *arrived* inside the measurement window, matching the
+// engine's own stats gating. It is fed from OnOutcome, which the engine
+// calls once per task in canonical order at any shard count, so the
+// accumulated sum is the same bits at every shard count too.
+type placementLatency struct {
 	warmup, duration sim.Time
-	pending          map[latKey][]sim.Time
 	sum              float64
 	n                uint64
 }
 
-func newLatencyTracker(warmup, duration sim.Time) *latencyTracker {
-	return &latencyTracker{warmup: warmup, duration: duration, pending: map[latKey][]sim.Time{}}
-}
-
-// Record implements trace.Recorder.
-func (l *latencyTracker) Record(e trace.Event) {
-	switch e.Kind {
-	case trace.Arrival:
-		k := latKey{e.Node, e.Size}
-		l.pending[k] = append(l.pending[k], e.At)
-	case trace.AdmitLocal, trace.MigrateOK:
-		if at, ok := l.pop(latKey{e.Node, e.Size}); ok && at >= l.warmup && at < l.duration {
-			l.sum += float64(e.At - at)
-			l.n++
-		}
-	case trace.Reject:
-		l.pop(latKey{e.Node, e.Size})
+// observe is the cell's OnOutcome hook.
+func (l *placementLatency) observe(t workload.Task, at sim.Time, admitted bool) {
+	if admitted && t.Arrive >= l.warmup && t.Arrive < l.duration {
+		l.sum += float64(at - t.Arrive)
+		l.n++
 	}
-}
-
-func (l *latencyTracker) pop(k latKey) (sim.Time, bool) {
-	q := l.pending[k]
-	if len(q) == 0 {
-		return 0, false
-	}
-	at := q[0]
-	if len(q) == 1 {
-		delete(l.pending, k)
-	} else {
-		l.pending[k] = q[1:]
-	}
-	return at, true
 }
 
 // Mean returns the average latency over placed in-window tasks.
-func (l *latencyTracker) Mean() float64 {
+func (l *placementLatency) Mean() float64 {
 	if l.n == 0 {
 		return 0
 	}
@@ -267,7 +230,7 @@ func RunDiscovery(st DiscoveryStudy, shards int) []DiscoveryPoint {
 }
 
 // discoveryPoint reduces one cell's run to its table row.
-func discoveryPoint(n int, proto, atk string, stats metrics.RunStats, lat *latencyTracker) DiscoveryPoint {
+func discoveryPoint(n int, proto, atk string, stats metrics.RunStats, lat *placementLatency) DiscoveryPoint {
 	p := DiscoveryPoint{
 		Nodes:       n,
 		Protocol:    proto,
@@ -283,14 +246,14 @@ func discoveryPoint(n int, proto, atk string, stats metrics.RunStats, lat *laten
 }
 
 func runDiscoveryCell(st DiscoveryStudy, g *topology.Graph, warmup, duration sim.Time,
-	hot int, c discoveryContender, scen attack.Scenario, shards int) (metrics.RunStats, *latencyTracker) {
+	hot int, c discoveryContender, scen attack.Scenario, shards int) (metrics.RunStats, *placementLatency) {
 	n := g.N()
-	lat := newLatencyTracker(warmup, duration)
+	lat := &placementLatency{warmup: warmup, duration: duration}
 	ecfg := PaperCell(g, warmup, duration, st.Seed)
 	ecfg.Shards = shards
 	ecfg.Groups = c.Groups
 	ecfg.RerouteDeadArrivals = true
-	ecfg.Trace = lat
+	ecfg.OnOutcome = lat.observe
 	e := newCell(ecfg, c.Build)
 	if scen != nil {
 		scen.Apply(e)

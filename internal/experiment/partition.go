@@ -98,7 +98,7 @@ func RunPartition(st PartitionStudy, lambdas []float64, seed int64) []PartitionP
 		}
 		var phases [4]ratio // before, left-split, right-split, after
 		ecfg := PaperCell(topology.Mesh(st.Rows, st.Cols), st.Warmup, st.Duration, seed)
-		ecfg.OnOutcome = func(t workload.Task, ok bool) {
+		ecfg.OnOutcome = func(t workload.Task, _ sim.Time, ok bool) {
 			switch {
 			case t.Arrive < st.Warmup:
 				// outside the measured window

@@ -6,11 +6,12 @@ import (
 
 	"realtor/internal/attack"
 	"realtor/internal/core"
-	"realtor/internal/engine"
+	"realtor/internal/metrics"
 	"realtor/internal/policy"
 	"realtor/internal/protocol"
 	"realtor/internal/sim"
 	"realtor/internal/topology"
+	"realtor/internal/workload"
 )
 
 // PolicyRow is one (policy variant, attack scenario) cell of the
@@ -116,8 +117,9 @@ func RunPolicy(st PolicyStudy, variants ...PolicyVariant) []PolicyRow {
 
 func runPolicyCell(st PolicyStudy, vTag string, pcfg policy.Config, aTag string, sc attack.Scenario) PolicyRow {
 	ecfg := PaperCell(topology.Mesh(5, 5), st.Warmup, st.Duration, st.Seed)
-	ecfg.BinWidth = st.BinWidth
 	ecfg.Shards = st.Shards
+	tl := metrics.Timeline{Width: float64(st.BinWidth)}
+	ecfg.OnOutcome = func(t workload.Task, _ sim.Time, ok bool) { tl.Record(float64(t.Arrive), ok) }
 	pc := pcfg
 	pc.Seed = uint64(st.Seed)
 	build := policy.New(pc, func() protocol.Discovery { return core.New(protocol.DefaultConfig()) })
@@ -133,7 +135,7 @@ func runPolicyCell(st PolicyStudy, vTag string, pcfg policy.Config, aTag string,
 		Admission:    stats.AdmissionProbability(),
 		CostPerTask:  stats.CostPerAdmitted(),
 		MessageUnits: stats.MessageUnits,
-		RecoverAfter: recoverAfter(e.Bins(), st),
+		RecoverAfter: recoverAfter(tl.Bins, st),
 	}
 	if stats.Offered > 0 {
 		row.RejectPct = 100 * float64(stats.Rejected) / float64(stats.Offered)
@@ -143,10 +145,10 @@ func runPolicyCell(st PolicyStudy, vTag string, pcfg policy.Config, aTag string,
 
 // recoverAfter scans the admission timeline for the first post-attack
 // bin regaining 95% of the pre-attack mean.
-func recoverAfter(bins []engine.Bin, st PolicyStudy) float64 {
+func recoverAfter(bins []metrics.Bin, st PolicyStudy) float64 {
 	var pre, preN float64
 	for _, b := range bins {
-		if b.Start >= st.Warmup && b.Start+st.BinWidth <= st.AttackAt && b.Offered > 0 {
+		if b.Start >= float64(st.Warmup) && b.Start+float64(st.BinWidth) <= float64(st.AttackAt) && b.Offered > 0 {
 			pre += b.AdmissionProbability()
 			preN++
 		}
@@ -156,11 +158,11 @@ func recoverAfter(bins []engine.Bin, st PolicyStudy) float64 {
 	}
 	target := 0.95 * pre / preN
 	for _, b := range bins {
-		if b.Start < st.Recover || b.Offered == 0 {
+		if b.Start < float64(st.Recover) || b.Offered == 0 {
 			continue
 		}
 		if b.AdmissionProbability() >= target {
-			return float64(b.Start - st.Recover)
+			return b.Start - float64(st.Recover)
 		}
 	}
 	return -1

@@ -42,11 +42,10 @@ var leadingRungs = map[string]func() string{
 // ladders' rungs) and a clean oracle. It takes about 40 s on 2 cores,
 // most of it the figures' λ-sweep (19 s) and discovery's block (13 s).
 //
-// Under InlineHooks (see bindOracle) D1's latencyTracker receives its
-// trace events in the shard workers' order rather than the replay
-// order, and sums its floats in that order. Only the last bits of its
-// mean-latency column can move, and that column is printed at %.4f; the
-// 2 500-node block matches at 4 shards byte for byte.
+// D1's latency column sums floats in OnOutcome order. The engine
+// replays outcomes in canonical order at every shard count, even under
+// the InlineHooks the oracle binding sets (see bindOracle), so the
+// 2 500-node block at 4 shards is exact by construction.
 //
 // Cells whose Discovery exposes no check.ProtocolState (no pledge list,
 // membership set or HELP interval to read) get only the backend-level

@@ -9,6 +9,7 @@ import (
 	"realtor/internal/protocol"
 	"realtor/internal/resource"
 	"realtor/internal/rng"
+	"realtor/internal/sim"
 	"realtor/internal/topology"
 	"realtor/internal/workload"
 )
@@ -46,7 +47,7 @@ func RunSecurity(lambda, secureFraction float64, seed int64) SecurityResult {
 
 	ecfg := PaperCell(graph, 100, 900, seed)
 	ecfg.Attrs = attrs
-	ecfg.OnOutcome = func(t workload.Task, ok bool) {
+	ecfg.OnOutcome = func(t workload.Task, _ sim.Time, ok bool) {
 		cls := 0
 		if t.Require.Security >= 2 {
 			cls = 1

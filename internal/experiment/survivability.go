@@ -5,11 +5,12 @@ import (
 	"strings"
 
 	"realtor/internal/attack"
-	"realtor/internal/engine"
+	"realtor/internal/metrics"
 	"realtor/internal/plot"
 	"realtor/internal/protocol"
 	"realtor/internal/sim"
 	"realtor/internal/topology"
+	"realtor/internal/workload"
 )
 
 // The survivability study (A1 in DESIGN.md) subjects each discovery
@@ -58,19 +59,18 @@ func survivabilityReport(name string, seed int64, asPlot bool) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("%w: unknown scenario %q (want random|region|flap|exhaust)", ErrOption, name)
 	}
-	type timeline struct {
-		overall float64
-		bins    []engine.Bin
-	}
 	protos := StandardProtocols(protocol.DefaultConfig())
-	runs := collect(len(protos), 0, func(i int) timeline {
+	overall := make([]float64, len(protos))
+	timelines := make([]metrics.Timeline, len(protos))
+	forEach(len(protos), 0, func(i int) {
 		cfg := PaperCell(topology.Mesh(5, 5), 100, survDuration, seed)
 		cfg.RerouteDeadArrivals = true
-		cfg.BinWidth = survBinWidth
+		tl := &timelines[i]
+		tl.Width = float64(survBinWidth)
+		cfg.OnOutcome = func(t workload.Task, _ sim.Time, ok bool) { tl.Record(float64(t.Arrive), ok) }
 		e := newCell(cfg, protos[i].Build)
 		sc.Apply(e)
-		st := e.Run(PoissonSource(cfg, survLambda))
-		return timeline{st.AdmissionProbability(), e.Bins()}
+		overall[i] = e.Run(PoissonSource(cfg, survLambda)).AdmissionProbability()
 	})
 
 	var b strings.Builder
@@ -78,10 +78,10 @@ func survivabilityReport(name string, seed int64, asPlot bool) (string, error) {
 		sc.Name(), float64(survLambda), float64(survAttackAt), float64(survRecover))
 	if asPlot {
 		var curves []plot.Series
-		for i, r := range runs {
+		for i, tl := range timelines {
 			var xs, ys []float64
-			for _, bin := range r.bins {
-				xs = append(xs, float64(bin.Start+survBinWidth/2))
+			for _, bin := range tl.Bins {
+				xs = append(xs, bin.Start+float64(survBinWidth/2))
 				ys = append(ys, bin.AdmissionProbability())
 			}
 			curves = append(curves, plot.Series{Label: protos[i].Label, X: xs, Y: ys})
@@ -98,9 +98,9 @@ func survivabilityReport(name string, seed int64, asPlot bool) (string, error) {
 		fmt.Fprintf(&b, "  [%g,%g)", float64(t), float64(t+survBinWidth))
 	}
 	b.WriteByte('\n')
-	for i, r := range runs {
-		fmt.Fprintf(&b, "%-14s%-10.4f", protos[i].Label, r.overall)
-		for _, bin := range r.bins {
+	for i, tl := range timelines {
+		fmt.Fprintf(&b, "%-14s%-10.4f", protos[i].Label, overall[i])
+		for _, bin := range tl.Bins {
 			fmt.Fprintf(&b, "  %7.4f", bin.AdmissionProbability())
 		}
 		b.WriteByte('\n')

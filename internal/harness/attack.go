@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 
 	"realtor/internal/agile"
 	"realtor/internal/agile/transport"
@@ -38,13 +39,15 @@ func (s AttackStudy) Events() []fuzzscen.Event {
 // AttackResult is one live attack run.
 type AttackResult struct {
 	Stats    metrics.RunStats
-	Timeline []agile.TimelineBin
+	Timeline metrics.Timeline
 	Study    AttackStudy
 }
 
 // RunLiveAttack drives a Poisson load while the study's kill/revive
 // schedule executes on wall-clock timers, and returns the overall stats
-// plus a binned admission timeline.
+// plus the admission timeline: every component's fate, from the
+// cluster's OnOutcome hook, in binWidth-wide bins of its submission
+// instant. cfg.OnOutcome is replaced.
 func RunLiveAttack(cfg agile.Config, study AttackStudy, lambda, meanSize, duration, binWidth float64,
 	seed int64, mkNet transport.Factory) (AttackResult, error) {
 	for _, v := range study.Victims {
@@ -57,23 +60,29 @@ func RunLiveAttack(cfg agile.Config, study AttackStudy, lambda, meanSize, durati
 		return AttackResult{}, err
 	}
 	fn := transport.NewFault(inner, seed)
+	var mu sync.Mutex // host actors report outcomes concurrently
+	tl := metrics.Timeline{Width: binWidth}
+	cfg.OnOutcome = func(arrive float64, admitted bool) {
+		mu.Lock()
+		tl.Record(arrive, admitted)
+		mu.Unlock()
+	}
 	c, err := agile.NewCluster(cfg, fn)
 	if err != nil {
 		fn.Close()
 		return AttackResult{}, err
 	}
-	defer c.Stop()
-	c.EnableTimeline(binWidth)
 
 	faults := newLiveFaults(c, fn, 0, &Hooks{}, study.Events())
 	faults.start()
 	st, _ := c.Drive(context.Background(), workload.NewPoisson(lambda, meanSize, cfg.Hosts, rng.New(seed)), duration)
 	faults.stop()
-	return AttackResult{Stats: st, Timeline: c.Timeline(), Study: study}, nil
+	c.Stop() // no outcome fires after the actors exit
+	return AttackResult{Stats: st, Timeline: tl, Study: study}, nil
 }
 
 // AttackTable renders a live attack timeline.
-func AttackTable(r AttackResult, binWidth float64) string {
+func AttackTable(r AttackResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "overall admission: %.4f  (offered %d, migrated %d)\n",
 		r.Stats.AdmissionProbability(), r.Stats.Offered, r.Stats.Migrated)
@@ -83,9 +92,9 @@ func AttackTable(r AttackResult, binWidth float64) string {
 	}
 	b.WriteByte('\n')
 	fmt.Fprintf(&b, "%-14s%-10s%-10s%-10s\n", "interval", "offered", "admitted", "admission")
-	for _, bin := range r.Timeline {
+	for _, bin := range r.Timeline.Bins {
 		fmt.Fprintf(&b, "[%4.0f,%4.0f)  %-10d%-10d%-10.4f\n",
-			bin.Start, bin.Start+binWidth, bin.Offered, bin.Admitted,
+			bin.Start, bin.Start+r.Timeline.Width, bin.Offered, bin.Admitted,
 			bin.AdmissionProbability())
 	}
 	return b.String()

@@ -28,11 +28,22 @@ func TestRunLiveAttackTimeline(t *testing.T) {
 	if err := res.Stats.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Timeline) < 5 {
-		t.Fatalf("timeline bins %d", len(res.Timeline))
+	if len(res.Timeline.Bins) < 5 {
+		t.Fatalf("timeline bins %d", len(res.Timeline.Bins))
+	}
+	// Every submitted component reports its fate exactly once, so the
+	// bins sum to the drive's own counters.
+	var offered, admitted uint64
+	for _, b := range res.Timeline.Bins {
+		offered += b.Offered
+		admitted += b.Admitted
+	}
+	if offered != res.Stats.Offered || admitted != res.Stats.Admitted {
+		t.Fatalf("timeline sums offered %d admitted %d, stats %d/%d",
+			offered, admitted, res.Stats.Offered, res.Stats.Admitted)
 	}
 	var before, during float64 = 1, 1
-	for _, b := range res.Timeline {
+	for _, b := range res.Timeline.Bins {
 		switch {
 		case b.Start < 100:
 			before = min(before, b.AdmissionProbability())
@@ -43,7 +54,7 @@ func TestRunLiveAttackTimeline(t *testing.T) {
 	if during >= before {
 		t.Fatalf("no admission dip during live attack: before=%v during=%v", before, during)
 	}
-	tab := AttackTable(res, 50)
+	tab := AttackTable(res)
 	if !strings.Contains(tab, "interval") || !strings.Contains(tab, "victims") {
 		t.Fatalf("attack table malformed:\n%s", tab)
 	}

@@ -1,15 +1,14 @@
 // Package metrics collects the statistics reported in the paper's
 // evaluation: admission probability, message counts (total, per admitted
 // task) and migration rate, plus generic building blocks (counters,
-// time-weighted gauges, running summaries, replication aggregation).
+// admission timelines, running summaries, histograms, replication
+// aggregation).
 package metrics
 
 import (
 	"fmt"
 	"math"
 	"sort"
-
-	"realtor/internal/sim"
 )
 
 // Counter is a monotonically non-decreasing event count. The zero value
@@ -115,33 +114,45 @@ func (s *Summary) Merge(other *Summary) {
 	}
 }
 
-// TimeWeighted tracks the time-average of a piecewise-constant signal
-// (e.g. number of community members, queue occupancy bands).
-type TimeWeighted struct {
-	last     float64
-	lastAt   sim.Time
-	integral float64
-	started  bool
+// Bin is one interval of an admission timeline.
+type Bin struct {
+	Start    float64
+	Offered  uint64
+	Admitted uint64
 }
 
-// Set records that the signal took value v at time now.
-func (t *TimeWeighted) Set(now sim.Time, v float64) {
-	if t.started {
-		if now < t.lastAt {
-			panic("metrics: time-weighted update out of order")
-		}
-		t.integral += t.last * float64(now-t.lastAt)
+// AdmissionProbability returns Admitted/Offered for the bin (1 if empty,
+// so idle intervals plot as "no loss").
+func (b Bin) AdmissionProbability() float64 {
+	if b.Offered == 0 {
+		return 1
 	}
-	t.last, t.lastAt, t.started = v, now, true
+	return float64(b.Admitted) / float64(b.Offered)
 }
 
-// Mean returns the time-average over [first Set, now].
-func (t *TimeWeighted) Mean(now sim.Time) float64 {
-	if !t.started || now <= 0 {
-		return 0
+// Timeline buckets task outcomes into Width-wide intervals by arrival
+// instant: a task counts in the bin its arrival falls in, whenever its
+// verdict lands, so no bin can admit more than it was offered. Bins are
+// appended lazily up to the latest arrival recorded. Both kernels feed
+// it from their outcome hook; the zero Width is invalid.
+type Timeline struct {
+	Width float64
+	Bins  []Bin
+}
+
+// Record counts one task that arrived at instant arrive.
+func (tl *Timeline) Record(arrive float64, admitted bool) {
+	if tl.Width <= 0 {
+		panic("metrics: timeline width must be positive")
 	}
-	integral := t.integral + t.last*float64(now-t.lastAt)
-	return integral / float64(now)
+	idx := int(arrive / tl.Width)
+	for len(tl.Bins) <= idx {
+		tl.Bins = append(tl.Bins, Bin{Start: float64(len(tl.Bins)) * tl.Width})
+	}
+	tl.Bins[idx].Offered++
+	if admitted {
+		tl.Bins[idx].Admitted++
+	}
 }
 
 // Histogram is a fixed-bucket histogram for latency/size distributions.

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -114,26 +115,34 @@ func TestSummaryCI95Shrinks(t *testing.T) {
 	}
 }
 
-func TestTimeWeighted(t *testing.T) {
-	var tw TimeWeighted
-	tw.Set(0, 10)
-	tw.Set(5, 20) // 10 for 5s
-	tw.Set(8, 0)  // 20 for 3s
-	// at t=10: integral = 50 + 60 + 0 = 110, mean = 11
-	if got := tw.Mean(10); math.Abs(got-11) > 1e-12 {
-		t.Fatalf("time-weighted mean %v, want 11", got)
+// TestTimeline pins arrival-instant bucketing: a task counts in the bin
+// its arrival falls in, bins are appended lazily up to the latest
+// arrival, and an empty bin reads as full admission.
+func TestTimeline(t *testing.T) {
+	tl := Timeline{Width: 10}
+	tl.Record(3, true)
+	tl.Record(9.999, false)
+	tl.Record(25, true)
+	want := []Bin{{Start: 0, Offered: 2, Admitted: 1}, {Start: 10}, {Start: 20, Offered: 1, Admitted: 1}}
+	if !reflect.DeepEqual(tl.Bins, want) {
+		t.Fatalf("bins %+v, want %+v", tl.Bins, want)
+	}
+	if p := tl.Bins[0].AdmissionProbability(); p != 0.5 {
+		t.Fatalf("bin 0 admission %v, want 0.5", p)
+	}
+	if p := tl.Bins[1].AdmissionProbability(); p != 1 {
+		t.Fatalf("empty bin admission %v, want 1", p)
 	}
 }
 
-func TestTimeWeightedOutOfOrderPanics(t *testing.T) {
-	var tw TimeWeighted
-	tw.Set(5, 1)
+func TestTimelineZeroWidthPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	tw.Set(3, 2)
+	var tl Timeline
+	tl.Record(1, true)
 }
 
 func TestHistogram(t *testing.T) {

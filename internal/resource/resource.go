@@ -39,38 +39,6 @@ func (a Attrs) Satisfies(req Attrs) bool {
 		a.Security >= req.Security
 }
 
-// Meet returns the component-wise minimum of two attribute vectors — the
-// strongest requirement both satisfy.
-func Meet(x, y Attrs) Attrs {
-	out := x
-	if y.Bandwidth < out.Bandwidth {
-		out.Bandwidth = y.Bandwidth
-	}
-	if y.Memory < out.Memory {
-		out.Memory = y.Memory
-	}
-	if y.Security < out.Security {
-		out.Security = y.Security
-	}
-	return out
-}
-
-// Join returns the component-wise maximum — the weakest offer that
-// covers both requirements.
-func Join(x, y Attrs) Attrs {
-	out := x
-	if y.Bandwidth > out.Bandwidth {
-		out.Bandwidth = y.Bandwidth
-	}
-	if y.Memory > out.Memory {
-		out.Memory = y.Memory
-	}
-	if y.Security > out.Security {
-		out.Security = y.Security
-	}
-	return out
-}
-
 // String renders the attributes compactly.
 func (a Attrs) String() string {
 	return fmt.Sprintf("bw=%g mem=%g sec=%d", a.Bandwidth, a.Memory, a.Security)

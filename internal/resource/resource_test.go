@@ -26,51 +26,10 @@ func TestSatisfies(t *testing.T) {
 	}
 }
 
-func TestMeetJoin(t *testing.T) {
-	x := Attrs{Bandwidth: 10, Memory: 64, Security: 1}
-	y := Attrs{Bandwidth: 100, Memory: 32, Security: 2}
-	m := Meet(x, y)
-	if m != (Attrs{Bandwidth: 10, Memory: 32, Security: 1}) {
-		t.Fatalf("meet %+v", m)
-	}
-	j := Join(x, y)
-	if j != (Attrs{Bandwidth: 100, Memory: 64, Security: 2}) {
-		t.Fatalf("join %+v", j)
-	}
-}
-
 func TestString(t *testing.T) {
 	s := Attrs{Bandwidth: 10, Memory: 20, Security: 3}.String()
 	if !strings.Contains(s, "sec=3") {
 		t.Fatalf("string %q", s)
-	}
-}
-
-// Lattice properties: Meet is the greatest lower bound, Join the least
-// upper bound, with respect to Satisfies as the order.
-func TestQuickLattice(t *testing.T) {
-	gen := func(a, b, c uint8) Attrs {
-		return Attrs{Bandwidth: float64(a % 8), Memory: float64(b % 8), Security: int(c % 4)}
-	}
-	f := func(a1, a2, a3, b1, b2, b3 uint8) bool {
-		x, y := gen(a1, a2, a3), gen(b1, b2, b3)
-		m, j := Meet(x, y), Join(x, y)
-		// x and y both satisfy the meet (as a requirement) and the join
-		// satisfies both x and y.
-		if !x.Satisfies(m) || !y.Satisfies(m) {
-			return false
-		}
-		if !j.Satisfies(x) || !j.Satisfies(y) {
-			return false
-		}
-		// Idempotence and commutativity.
-		if Meet(x, x) != x || Join(x, x) != x {
-			return false
-		}
-		return Meet(x, y) == Meet(y, x) && Join(x, y) == Join(y, x)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -8,16 +8,11 @@ import (
 	"strings"
 )
 
-// Golden is a blessed run summary plus per-metric drift tolerances.
-// A missing tolerance means exact: the simulator is deterministic, so
-// the default posture is "any drift is a change someone must bless".
-// Tolerances are absolute, keyed by the summary's JSON field names, and
-// exist for metrics a legitimate refactor may nudge (e.g. message_units
-// under a cost-model tweak) — the trace digest never tolerates drift
-// and is compared only when trace_events matches exactly.
+// Golden is a blessed run summary. Every metric, the trace digest
+// included, is compared exactly: the simulator is deterministic, so any
+// drift is a change someone must bless.
 type Golden struct {
-	Summary    Summary            `json:"summary"`
-	Tolerances map[string]float64 `json:"tolerances,omitempty"`
+	Summary Summary `json:"summary"`
 }
 
 // Canonical renders the golden in the blessed byte form (the same
@@ -30,26 +25,14 @@ func (g Golden) Canonical() []byte {
 	return append(b, '\n')
 }
 
-// DecodeGolden parses golden.json bytes strictly and checks tolerance
-// keys against the known metric names.
+// DecodeGolden parses golden.json bytes strictly: an unknown field is
+// an error.
 func DecodeGolden(data []byte) (Golden, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var g Golden
 	if err := dec.Decode(&g); err != nil {
 		return Golden{}, fmt.Errorf("scenario: golden: %w", err)
-	}
-	known := map[string]bool{}
-	for _, m := range numericMetrics {
-		known[m.name] = true
-	}
-	for k, v := range g.Tolerances {
-		if !known[k] {
-			return Golden{}, fmt.Errorf("scenario: golden: tolerance for unknown metric %q", k)
-		}
-		if v < 0 {
-			return Golden{}, fmt.Errorf("scenario: golden: negative tolerance for %q", k)
-		}
 	}
 	return g, nil
 }
@@ -58,7 +41,6 @@ func DecodeGolden(data []byte) (Golden, error) {
 type MetricDiff struct {
 	Metric    string
 	Want, Got string
-	Tol       float64
 	OK        bool
 }
 
@@ -82,19 +64,16 @@ var numericMetrics = []struct {
 	{"reject_pct", func(s Summary) float64 { return s.RejectPct }},
 }
 
-// Diff compares a fresh summary against the golden, one row per metric.
-// Numeric rows pass when |got-want| ≤ the metric's tolerance (default
-// 0); the trace rows demand exact equality always.
+// Diff compares a fresh summary against the golden, one row per metric;
+// a row passes only on exact equality.
 func (g Golden) Diff(got Summary) []MetricDiff {
 	out := make([]MetricDiff, 0, len(numericMetrics)+2)
 	for _, m := range numericMetrics {
 		w, v := m.get(g.Summary), m.get(got)
-		tol := g.Tolerances[m.name]
 		out = append(out, MetricDiff{
 			Metric: m.name,
 			Want:   fmtNum(w), Got: fmtNum(v),
-			Tol: tol,
-			OK:  math.Abs(v-w) <= tol,
+			OK: v == w,
 		})
 	}
 	out = append(out, MetricDiff{
@@ -126,17 +105,13 @@ func Drifted(diffs []MetricDiff) bool {
 // too.
 func Report(diffs []MetricDiff) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-16s %-22s %-22s %-6s %s\n", "metric", "golden", "got", "ok", "tolerance")
+	fmt.Fprintf(&b, "%-16s %-22s %-22s %s\n", "metric", "golden", "got", "ok")
 	for _, d := range diffs {
 		status := "PASS"
 		if !d.OK {
 			status = "FAIL"
 		}
-		tol := "exact"
-		if d.Tol > 0 {
-			tol = fmt.Sprintf("±%g", d.Tol)
-		}
-		fmt.Fprintf(&b, "%-16s %-22s %-22s %-6s %s\n", d.Metric, d.Want, d.Got, status, tol)
+		fmt.Fprintf(&b, "%-16s %-22s %-22s %s\n", d.Metric, d.Want, d.Got, status)
 	}
 	return b.String()
 }

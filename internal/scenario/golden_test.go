@@ -36,21 +36,8 @@ func TestGoldenDiffExactByDefault(t *testing.T) {
 	}
 }
 
-func TestGoldenTolerancesAbsorbDeclaredDrift(t *testing.T) {
-	g := Golden{Summary: testSummary(), Tolerances: map[string]float64{"message_units": 1}}
-	got := testSummary()
-	got.MessageUnits += 0.75
-	if Drifted(g.Diff(got)) {
-		t.Fatal("in-tolerance drift failed the gate")
-	}
-	got.MessageUnits = testSummary().MessageUnits + 1.5
-	if !Drifted(g.Diff(got)) {
-		t.Fatal("out-of-tolerance drift passed the gate")
-	}
-}
-
-// The trace digest never tolerates drift, even with a (rejected)
-// attempt to declare a tolerance for it.
+// The trace digest never tolerates drift, and a golden cannot declare
+// a tolerance for any metric: "tolerances" is an unknown field.
 func TestGoldenDigestAlwaysExact(t *testing.T) {
 	g := Golden{Summary: testSummary()}
 	got := testSummary()
@@ -59,12 +46,14 @@ func TestGoldenDigestAlwaysExact(t *testing.T) {
 	if !Drifted(diffs) {
 		t.Fatal("digest drift passed")
 	}
-	if _, err := DecodeGolden([]byte(`{"summary":{},"tolerances":{"trace_digest":1}}`)); err == nil ||
-		!strings.Contains(err.Error(), "trace_digest") {
-		t.Fatalf("err = %v, want rejection of trace_digest tolerance", err)
-	}
-	if _, err := DecodeGolden([]byte(`{"summary":{},"tolerances":{"admission_pct":-1}}`)); err == nil {
-		t.Fatal("negative tolerance accepted")
+	for _, raw := range []string{
+		`{"summary":{},"tolerances":{"trace_digest":1}}`,
+		`{"summary":{},"tolerances":{"message_units":1}}`,
+	} {
+		if _, err := DecodeGolden([]byte(raw)); err == nil ||
+			!strings.Contains(err.Error(), `unknown field "tolerances"`) {
+			t.Fatalf("%s: err = %v, want rejection as an unknown field", raw, err)
+		}
 	}
 }
 

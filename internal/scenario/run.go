@@ -174,13 +174,9 @@ func Backend(name string, shards int) (harness.Backend, error) {
 	return nil, fmt.Errorf("scenario: unknown backend %q (want sim|live)", name)
 }
 
-// Bless writes (or rewrites) the package's golden.json from a summary,
-// preserving any tolerances the old golden declared.
+// Bless writes (or rewrites) the package's golden.json from a summary.
 func Bless(p *Package, sum Summary) error {
 	g := Golden{Summary: sum}
-	if p.Golden != nil {
-		g.Tolerances = p.Golden.Tolerances
-	}
 	if err := os.WriteFile(filepath.Join(p.Dir, GoldenFile), g.Canonical(), 0o644); err != nil {
 		return fmt.Errorf("scenario: %w", err)
 	}

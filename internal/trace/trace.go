@@ -161,13 +161,3 @@ func (f Filter) Record(e Event) {
 		f.Next.Record(e)
 	}
 }
-
-// Multi fans one event out to several recorders.
-type Multi []Recorder
-
-// Record implements Recorder.
-func (m Multi) Record(e Event) {
-	for _, r := range m {
-		r.Record(e)
-	}
-}
