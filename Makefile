@@ -56,7 +56,8 @@ profile:
 
 # Short fuzz pass over every fuzz target (stdlib fuzzing, no deps).
 fuzz:
-	$(GO) test -fuzz FuzzPledgeList -fuzztime 15s ./internal/protocol
+	$(GO) test -fuzz FuzzPledgeList$$ -fuzztime 15s ./internal/protocol
+	$(GO) test -fuzz FuzzPledgeListMatchesReference -fuzztime 15s ./internal/protocol
 	$(GO) test -fuzz FuzzRunQueue -fuzztime 15s ./internal/agile/sched
 	$(GO) test -fuzz FuzzMeshMetrics -fuzztime 15s ./internal/topology
 	$(GO) test -fuzz FuzzCutRestoreEqualsRebuild -fuzztime 15s ./internal/topology

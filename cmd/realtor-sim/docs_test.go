@@ -23,7 +23,7 @@ var (
 	makeInFence   = regexp.MustCompile(`^\s*make ([a-z][a-z0-9-]*)`)
 	dirPath       = regexp.MustCompile(`\b(cmd|examples)/([a-z][a-z0-9-]*)`)
 	resultsFile   = regexp.MustCompile("`results/([a-z0-9_]+\\.txt)`")
-	makeFuzzLine  = regexp.MustCompile(`-fuzz (Fuzz\w+) .*?(\./\S+)`)
+	makeFuzzLine  = regexp.MustCompile(`-fuzz (Fuzz\w+)\$* .*?(\./\S+)`)
 	fuzzFuncDecl  = regexp.MustCompile(`(?m)^func (Fuzz\w+)\(`)
 )
 

@@ -64,8 +64,9 @@ type Config struct {
 	Trace trace.Recorder
 
 	// OnOutcome, when set, is called once per submitted component with
-	// its final fate and its submission instant on the scaled cluster
-	// clock — the live counterpart of engine.Config.OnOutcome. Like
+	// its final fate and its Component.Arrive — for a driven task, the
+	// task's Arrive on the drive's clock, which starts when Drive is
+	// called — the live counterpart of engine.Config.OnOutcome. Like
 	// Trace it fires concurrently from the hosts' actor goroutines, so
 	// the callback must serialize internally.
 	OnOutcome func(arrive float64, admitted bool)
@@ -327,7 +328,7 @@ func (c *Cluster) Drive(ctx context.Context, src workload.Source, duration float
 		}
 		// Task IDs are shifted by one so a source emitting ID 0 cannot
 		// collide with "unregistered" sentinels anywhere downstream.
-		comp := Component{ID: t.ID + 1, Cost: t.Size}
+		comp := Component{ID: t.ID + 1, Cost: t.Size, Arrive: float64(t.Arrive)}
 		if c.cfg.DeadlineSlack > 0 {
 			u := rng.SeedLight(t.ID, deadlineSeed)
 			comp.Deadline = start + float64(t.Arrive) + (0.25+1.5*u.Float64())*c.cfg.DeadlineSlack

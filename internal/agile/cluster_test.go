@@ -3,6 +3,7 @@ package agile
 import (
 	"context"
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -409,7 +410,7 @@ func TestLostGrantCountsAsPlacedNotDuplicated(t *testing.T) {
 	e, _ := c.naming.Get(9)
 	c.naming.Move(9, 2, e.Version)
 	h0.Inspect(func(h *Host) {
-		h.tryMigrate(Component{ID: 9, Cost: 5, Deadline: 1e6}, 0, 2)
+		h.tryMigrate(Component{ID: 9, Cost: 5, Deadline: 1e6}, 2)
 	})
 	time.Sleep(30 * time.Millisecond)
 	if got := h0.Stats.MigratedOut.Load(); got != 1 {
@@ -492,5 +493,57 @@ func TestDriveDeadlineRule(t *testing.T) {
 		if d != 0 {
 			t.Fatalf("component %d carries deadline %v with DeadlineSlack 0", id, d)
 		}
+	}
+}
+
+// recordingSource remembers the Arrive of every task it hands out.
+type recordingSource struct {
+	src     workload.Source
+	arrives map[float64]int
+}
+
+func (r *recordingSource) Next() (workload.Task, bool) {
+	t, ok := r.src.Next()
+	if ok {
+		r.arrives[float64(t.Arrive)]++
+	}
+	return t, ok
+}
+
+// OnOutcome reports a driven task's own Arrive, on the drive's clock —
+// not the cluster clock, which had been running since NewCluster when
+// Drive began — so every reported instant is one a submitted task
+// carries, and none lies past the drive's duration.
+func TestOnOutcomeReportsTheTasksArrive(t *testing.T) {
+	const duration = 40.0
+	var mu sync.Mutex
+	var got []float64
+	cfg := fastConfig(4)
+	cfg.OnOutcome = func(arrive float64, _ bool) {
+		mu.Lock()
+		got = append(got, arrive)
+		mu.Unlock()
+	}
+	c, err := NewCluster(cfg, transport.NewChan(cfg.Hosts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond) // the cluster clock runs ahead of the drive's
+	src := &recordingSource{src: workload.NewPoisson(3, 2, c.N(), rng.New(5)), arrives: map[float64]int{}}
+	st, _ := c.Drive(context.Background(), src, duration)
+	c.Stop() // no outcome fires after the actors exit
+	mu.Lock()
+	defer mu.Unlock()
+	if uint64(len(got)) != st.Offered || len(got) == 0 {
+		t.Fatalf("%d outcomes for %d offered tasks", len(got), st.Offered)
+	}
+	for _, at := range got {
+		if at >= duration {
+			t.Fatalf("outcome stamped %v, past the %v-second drive", at, duration)
+		}
+		if src.arrives[at] == 0 {
+			t.Fatalf("outcome stamped %v, which no submitted task (or too few) carries", at)
+		}
+		src.arrives[at]--
 	}
 }

@@ -34,6 +34,9 @@ type Component struct {
 	ID       uint64
 	Cost     float64 // execution time in scaled seconds
 	Deadline float64 // absolute, scaled seconds since cluster start; 0 = none
+	// Arrive is the task's arrival instant on the drive's clock (scaled
+	// seconds since Drive began), the instant Config.OnOutcome reports.
+	Arrive float64
 }
 
 // HostStats are one host's counters, safe to read while running.
@@ -112,7 +115,6 @@ type Host struct {
 type pendingMigration struct {
 	comp    Component
 	target  int
-	at      float64 // submission time, for the timeline
 	attempt int
 	timer   *time.Timer
 }
@@ -225,7 +227,7 @@ func (h *Host) Kill() {
 			h.cluster.emit(trace.Event{At: sim.Time(now), Kind: trace.Reject,
 				Node: topology.NodeID(h.id), Peer: -1, Size: pm.comp.Cost, Info: "origin-died"})
 			h.deregisterIfLocal(pm.comp.ID)
-			h.cluster.outcome(pm.at, false)
+			h.cluster.outcome(pm.comp.Arrive, false)
 		}
 		h.disco.OnNodeDeath()
 	})
@@ -290,7 +292,6 @@ func (h *Host) usage() float64 { return h.queue.Backlog() / h.queue.Capacity() }
 // Submit offers a fresh component to this host (called by the workload
 // driver). It runs on the actor loop.
 func (h *Host) Submit(c Component) {
-	at := h.now()
 	h.post(func() {
 		now := h.now()
 		self := topology.NodeID(h.id)
@@ -301,7 +302,7 @@ func (h *Host) Submit(c Component) {
 			h.Stats.RejectedRun.Add(1) // arrivals at a downed host are lost
 			h.cluster.emit(trace.Event{At: sim.Time(now), Kind: trace.Reject,
 				Node: self, Peer: -1, Size: c.Cost, Info: "dead-node"})
-			h.cluster.outcome(at, false)
+			h.cluster.outcome(c.Arrive, false)
 			return
 		}
 		h.drain()
@@ -312,10 +313,10 @@ func (h *Host) Submit(c Component) {
 		if h.acceptLocal(c) {
 			h.cluster.emit(trace.Event{At: sim.Time(h.now()), Kind: trace.AdmitLocal,
 				Node: self, Peer: -1, Size: c.Cost})
-			h.cluster.outcome(at, true)
+			h.cluster.outcome(c.Arrive, true)
 			return
 		}
-		h.tryMigrate(c, at, 1)
+		h.tryMigrate(c, 1)
 	})
 }
 
@@ -397,7 +398,7 @@ func (h *Host) afterAccept() {
 // a *lost grant* observes the move and counts the component placed
 // instead of launching a duplicate, and a destination rejects any
 // request whose observed version is stale.
-func (h *Host) tryMigrate(c Component, at float64, attempt int) {
+func (h *Host) tryMigrate(c Component, attempt int) {
 	self := topology.NodeID(h.id)
 	entry, registered := h.cluster.naming.Get(c.ID)
 	if registered && entry.Host != naming.HostID(h.id) {
@@ -406,7 +407,7 @@ func (h *Host) tryMigrate(c Component, at float64, attempt int) {
 		h.Stats.MigratedOut.Add(1)
 		h.cluster.emit(trace.Event{At: sim.Time(h.now()), Kind: trace.MigrateOK,
 			Node: self, Peer: topology.NodeID(entry.Host), Size: c.Cost, Info: "late-grant"})
-		h.cluster.outcome(at, true)
+		h.cluster.outcome(c.Arrive, true)
 		return
 	}
 	if !registered {
@@ -414,7 +415,7 @@ func (h *Host) tryMigrate(c Component, at float64, attempt int) {
 		h.Stats.RejectedRun.Add(1)
 		h.cluster.emit(trace.Event{At: sim.Time(h.now()), Kind: trace.Reject,
 			Node: self, Peer: -1, Size: c.Cost, Info: "vanished"})
-		h.cluster.outcome(at, false)
+		h.cluster.outcome(c.Arrive, false)
 		return
 	}
 	var target = -1
@@ -429,7 +430,7 @@ func (h *Host) tryMigrate(c Component, at float64, attempt int) {
 		h.cluster.emit(trace.Event{At: sim.Time(h.now()), Kind: trace.Reject,
 			Node: self, Peer: -1, Size: c.Cost, Info: "no-candidate"})
 		h.deregisterIfLocal(c.ID)
-		h.cluster.outcome(at, false)
+		h.cluster.outcome(c.Arrive, false)
 		return
 	}
 	h.cluster.emit(trace.Event{At: sim.Time(h.now()), Kind: trace.MigrateTry,
@@ -445,7 +446,7 @@ func (h *Host) tryMigrate(c Component, at float64, attempt int) {
 		Deadline:  c.Deadline,
 		Version:   entry.Version,
 	}
-	pm := &pendingMigration{comp: c, target: target, at: at, attempt: attempt}
+	pm := &pendingMigration{comp: c, target: target, attempt: attempt}
 	h.pending[seq] = pm
 	// Negotiation timeout: with a lossy transport the response may never
 	// come; a lost negotiation counts as a rejected task (one try only).
@@ -457,14 +458,14 @@ func (h *Host) tryMigrate(c Component, at float64, attempt int) {
 					Node: self, Peer: topology.NodeID(target), Size: c.Cost, Info: "timeout"})
 				h.disco.OnMigrationOutcome(topology.NodeID(target), c.Cost, false)
 				if attempt < h.maxTries() && !h.killed {
-					h.tryMigrate(c, at, attempt+1)
+					h.tryMigrate(c, attempt+1)
 					return
 				}
 				h.Stats.RejectedRun.Add(1)
 				h.cluster.emit(trace.Event{At: sim.Time(h.now()), Kind: trace.Reject,
 					Node: self, Peer: -1, Size: c.Cost, Info: "tries-exhausted"})
 				h.deregisterIfLocal(c.ID)
-				h.cluster.outcome(at, false)
+				h.cluster.outcome(c.Arrive, false)
 			}
 		})
 	})
@@ -527,7 +528,7 @@ func (h *Host) handleAdmissionResponse(adm transport.Admission) {
 		h.Stats.MigratedOut.Add(1)
 		h.cluster.emit(trace.Event{At: sim.Time(h.now()), Kind: trace.MigrateOK,
 			Node: self, Peer: topology.NodeID(pm.target), Size: pm.comp.Cost})
-		h.cluster.outcome(pm.at, true)
+		h.cluster.outcome(pm.comp.Arrive, true)
 		return
 	}
 	h.Stats.MigrateFail.Add(1)
@@ -536,14 +537,14 @@ func (h *Host) handleAdmissionResponse(adm transport.Admission) {
 	// Section 3: try the next node in the list (the failed candidate was
 	// just evicted by OnMigrationOutcome), up to the configured bound.
 	if pm.attempt < h.maxTries() && !h.killed {
-		h.tryMigrate(pm.comp, pm.at, pm.attempt+1)
+		h.tryMigrate(pm.comp, pm.attempt+1)
 		return
 	}
 	h.Stats.RejectedRun.Add(1)
 	h.cluster.emit(trace.Event{At: sim.Time(h.now()), Kind: trace.Reject,
 		Node: self, Peer: -1, Size: pm.comp.Cost, Info: "tries-exhausted"})
 	h.deregisterIfLocal(pm.comp.ID)
-	h.cluster.outcome(pm.at, false)
+	h.cluster.outcome(pm.comp.Arrive, false)
 }
 
 func (h *Host) maxTries() int {

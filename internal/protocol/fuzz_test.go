@@ -57,3 +57,22 @@ func FuzzPledgeList(f *testing.F) {
 		}
 	})
 }
+
+// FuzzPledgeListMatchesReference replays arbitrary op sequences, four
+// bytes per op, on the rank-on-read list and on the always-ranked
+// reference (refPledgeList) and fails at the first read or write whose
+// result differs.
+func FuzzPledgeListMatchesReference(f *testing.F) {
+	f.Add([]byte{0, 1, 5, 8, 0, 2, 4, 1, 2, 1, 1, 8, 0, 2, 5, 12})
+	f.Add([]byte{1, 3, 3, 9, 1, 4, 3, 9, 3, 3, 0, 8, 0, 5, 0, 0, 1, 4, 2, 10})
+	f.Add([]byte{0, 0, 5, 1, 0, 1, 5, 1, 0, 2, 5, 1, 0, 0, 2, 2, 0, 1, 1, 8})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ops := make([]pledgeOp, 0, len(data)/4)
+		for i := 0; i+3 < len(data); i += 4 {
+			ops = append(ops, pledgeOp{Kind: data[i], Node: data[i+1], Val: data[i+2], Dt: data[i+3]})
+		}
+		if err := diffPledgeOps(ops); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

@@ -9,6 +9,7 @@ package protocol
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"realtor/internal/sim"
 	"realtor/internal/topology"
@@ -136,17 +137,21 @@ type Candidate struct {
 // exactly is already expired (DESIGN.md §8; pinned by
 // TestPledgeListExpiryBoundaryIsHalfOpen).
 //
-// Representation: a dense slice kept permanently in better() order (best
-// candidate first) by incremental insertion, rather than a map. Community
-// sizes are small (tens of entries), so ordered insertion is cheap, Best
-// becomes a head peek, and Snapshot becomes a copy into a reused scratch
-// buffer — no per-call map iteration, sorting, or allocation on the
-// simulator's hot path.
+// Representation: one dense slice, ranked in better() order (best
+// first) when it is read, not when it is written — Pure PUSH writes a
+// list about 27 times per read. Update and Debit overwrite or append in
+// place and mark the list dirty; the first ordered read after them
+// (Best, Snapshot, Each) sorts it once. better() is a strict total order
+// (IDs are unique within a list), so that order, and every RNG draw
+// downstream of it, is the one an always-sorted list would hold.
+// Removal and expiry keep the slice's order. Nothing allocates once the
+// list has held its peak size.
 type PledgeList struct {
 	ttl     sim.Time
-	entries []Candidate // live entries, better()-sorted, best first
+	entries []Candidate // live entries, better()-ranked unless dirty
+	dirty   bool        // entries written since they were last ranked
 	scratch []Candidate // reusable Snapshot buffer
-	log     WriteLog    // entries inserted, refreshed or re-ranked
+	log     WriteLog    // entries inserted, refreshed or debited
 }
 
 // NewPledgeList returns an empty list whose entries live for ttl seconds.
@@ -173,46 +178,26 @@ func (l *PledgeList) removeAt(i int) {
 	l.entries = l.entries[:len(l.entries)-1]
 }
 
-// rank returns the index in entries[lo:hi] — a better()-sorted span —
-// before which c belongs. The order is total (IDs are unique), so the
-// rank is unique and iteration order, and with it every downstream RNG
-// draw, is identical to sorting a fresh snapshot.
-func (l *PledgeList) rank(c Candidate, lo, hi int) int {
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if better(c, l.entries[mid]) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
+// write stores c at index i, or appends it when i < 0, notes the write
+// and leaves the ranking to the next ordered read.
+func (l *PledgeList) write(i int, c Candidate) {
+	if i < 0 {
+		l.entries = append(l.entries, c)
+	} else {
+		l.entries[i] = c
 	}
-	return lo
-}
-
-// insert places c at its better()-rank.
-func (l *PledgeList) insert(c Candidate) {
-	lo := l.rank(c, 0, len(l.entries))
-	l.entries = append(l.entries, Candidate{})
-	copy(l.entries[lo+1:], l.entries[lo:])
-	l.entries[lo] = c
+	l.dirty = true
 	l.log.Note(c.ID)
 }
 
-// replaceAt overwrites the entry at index i with c (same ID, new
-// headroom or timestamp) and moves it to c's better()-rank, shifting
-// only the entries between the two positions — the same final order as
-// removeAt(i) followed by insert(c), for one copy over a shorter span.
-func (l *PledgeList) replaceAt(i int, c Candidate) {
-	l.log.Note(c.ID)
-	if i > 0 && better(c, l.entries[i-1]) {
-		j := l.rank(c, 0, i-1)
-		copy(l.entries[j+1:i+1], l.entries[j:i])
-		l.entries[j] = c
-		return
+// ranked sorts the entries into better() order if a write has
+// disordered them, and returns them.
+func (l *PledgeList) ranked() []Candidate {
+	if l.dirty {
+		slices.SortFunc(l.entries, compare)
+		l.dirty = false
 	}
-	j := l.rank(c, i+1, len(l.entries)) - 1
-	copy(l.entries[i:j], l.entries[i+1:j+1])
-	l.entries[j] = c
+	return l.entries
 }
 
 // Update records availability info from a node. A non-positive headroom
@@ -234,12 +219,7 @@ func (l *PledgeList) UpdateAt(at sim.Time, from topology.NodeID, headroom float6
 		}
 		return
 	}
-	c := Candidate{ID: from, Headroom: headroom, At: at}
-	if i >= 0 {
-		l.replaceAt(i, c)
-	} else {
-		l.insert(c)
-	}
+	l.write(i, Candidate{ID: from, Headroom: headroom, At: at})
 }
 
 // Remove deletes an entry outright (e.g. after a failed migration try).
@@ -263,7 +243,7 @@ func (l *PledgeList) Debit(id topology.NodeID, size float64) {
 		l.removeAt(i)
 		return
 	}
-	l.replaceAt(i, c)
+	l.write(i, c)
 }
 
 // Get returns the entry for id, if present and regardless of freshness.
@@ -274,8 +254,8 @@ func (l *PledgeList) Get(id topology.NodeID) (Candidate, bool) {
 	return Candidate{}, false
 }
 
-// Log returns the list's write log: every insert, refresh and Debit
-// re-rank is noted in it. Readers must not write to it.
+// Log returns the list's write log: every insert, refresh and Debit is
+// noted in it. Readers must not write to it.
 func (l *PledgeList) Log() *WriteLog { return &l.log }
 
 // TTL returns the soft-state lifetime entries were created with.
@@ -285,10 +265,11 @@ func (l *PledgeList) TTL() sim.Time { return l.ttl }
 // entries that have aged past the TTL but have not yet been compacted.
 // Unlike Len/Best/Snapshot it performs NO expiry and NO allocation, so
 // external invariant checkers can inspect the list without perturbing
-// it. fn must not retain the candidate slice; returning false stops the
-// iteration.
+// what it holds; it may rank the slice in place, which changes nothing
+// any reader can see. fn must not retain the candidate slice and must
+// not write to the list; returning false stops the iteration.
 func (l *PledgeList) Each(fn func(Candidate) bool) {
-	for _, c := range l.entries {
+	for _, c := range l.ranked() {
 		if !fn(c) {
 			return
 		}
@@ -301,14 +282,18 @@ func (l *PledgeList) Each(fn func(Candidate) bool) {
 // expired at exactly now-At == TTL, matching the half-open validity
 // window documented on PledgeList.
 func (l *PledgeList) expire(now sim.Time) {
+	e, ttl := l.entries, l.ttl
 	k := 0
-	for _, c := range l.entries {
-		if now-c.At < l.ttl {
-			l.entries[k] = c
+	for k < len(e) && now-e[k].At < ttl {
+		k++ // entries before the first expired one stay where they are
+	}
+	for i := k + 1; i < len(e); i++ {
+		if now-e[i].At < ttl {
+			e[k] = e[i]
 			k++
 		}
 	}
-	l.entries = l.entries[:k]
+	l.entries = e[:k]
 }
 
 // Len returns the number of live entries at time now.
@@ -320,12 +305,12 @@ func (l *PledgeList) Len(now sim.Time) int {
 // Best returns the live candidate with the most advertised headroom that
 // could fit a task of the given size, breaking ties by freshness then by
 // lowest ID (for determinism). ok is false if no candidate fits: the head
-// of the ordered list has the maximum headroom, so either it fits — and
+// of the ranked list has the maximum headroom, so either it fits — and
 // is the better()-best fitting entry — or nothing does.
 func (l *PledgeList) Best(now sim.Time, size float64) (Candidate, bool) {
 	l.expire(now)
-	if len(l.entries) > 0 && l.entries[0].Headroom >= size {
-		return l.entries[0], true
+	if e := l.ranked(); len(e) > 0 && e[0].Headroom >= size {
+		return e[0], true
 	}
 	return Candidate{}, false
 }
@@ -340,6 +325,18 @@ func better(a, b Candidate) bool {
 	return a.ID < b.ID
 }
 
+// compare is better() for slices.SortFunc. Two entries of one list with
+// equal IDs are the same entry.
+func compare(a, b Candidate) int {
+	if better(a, b) {
+		return -1
+	}
+	if a.ID == b.ID {
+		return 0
+	}
+	return 1
+}
+
 // Snapshot returns the live candidates sorted best-first. The engine uses
 // it when the protocol must hand over "a list of hosts" (Section 3).
 //
@@ -349,7 +346,7 @@ func better(a, b Candidate) bool {
 // single-threaded, per the Discovery contract.)
 func (l *PledgeList) Snapshot(now sim.Time) []Candidate {
 	l.expire(now)
-	l.scratch = append(l.scratch[:0], l.entries...)
+	l.scratch = append(l.scratch[:0], l.ranked()...)
 	return l.scratch
 }
 

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -283,68 +284,243 @@ func TestConfigValidateCatches(t *testing.T) {
 	}
 }
 
-// updateAtRef and debitRef are UpdateAt and Debit as they were before
-// replaceAt: take the entry out, put the new one in. They are the
-// specification the in-place move is tested against.
-func updateAtRef(l *PledgeList, at sim.Time, from topology.NodeID, headroom float64) {
-	if i := l.find(from); i >= 0 {
-		l.removeAt(i)
-	}
-	if headroom <= 0 {
-		return
-	}
-	l.insert(Candidate{ID: from, Headroom: headroom, At: at})
+// refPledgeList is PledgeList as it was before ranking moved to read
+// time: the slice is kept in better() order on every write, a refresh
+// or Debit moving its entry to the new rank by a binary search and a
+// shift over the span in between. It is the specification the
+// rank-on-read list is tested against.
+type refPledgeList struct {
+	ttl     sim.Time
+	entries []Candidate // better()-sorted, best first
+	log     WriteLog
 }
 
-func debitRef(l *PledgeList, id topology.NodeID, size float64) {
+func (l *refPledgeList) find(id topology.NodeID) int {
+	for i := range l.entries {
+		if l.entries[i].ID == id {
+			return i
+		}
+	}
+	return -1
+}
+
+func (l *refPledgeList) removeAt(i int) {
+	copy(l.entries[i:], l.entries[i+1:])
+	l.entries = l.entries[:len(l.entries)-1]
+}
+
+// rank returns the index in entries[lo:hi] before which c belongs.
+func (l *refPledgeList) rank(c Candidate, lo, hi int) int {
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if better(c, l.entries[mid]) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+func (l *refPledgeList) insert(c Candidate) {
+	lo := l.rank(c, 0, len(l.entries))
+	l.entries = append(l.entries, Candidate{})
+	copy(l.entries[lo+1:], l.entries[lo:])
+	l.entries[lo] = c
+	l.log.Note(c.ID)
+}
+
+func (l *refPledgeList) replaceAt(i int, c Candidate) {
+	l.log.Note(c.ID)
+	if i > 0 && better(c, l.entries[i-1]) {
+		j := l.rank(c, 0, i-1)
+		copy(l.entries[j+1:i+1], l.entries[j:i])
+		l.entries[j] = c
+		return
+	}
+	j := l.rank(c, i+1, len(l.entries)) - 1
+	copy(l.entries[i:j], l.entries[i+1:j+1])
+	l.entries[j] = c
+}
+
+func (l *refPledgeList) UpdateAt(at sim.Time, from topology.NodeID, headroom float64) {
+	i := l.find(from)
+	if headroom <= 0 {
+		if i >= 0 {
+			l.removeAt(i)
+		}
+		return
+	}
+	c := Candidate{ID: from, Headroom: headroom, At: at}
+	if i >= 0 {
+		l.replaceAt(i, c)
+	} else {
+		l.insert(c)
+	}
+}
+
+func (l *refPledgeList) Remove(id topology.NodeID) {
+	if i := l.find(id); i >= 0 {
+		l.removeAt(i)
+	}
+}
+
+func (l *refPledgeList) Debit(id topology.NodeID, size float64) {
 	i := l.find(id)
 	if i < 0 {
 		return
 	}
 	c := l.entries[i]
-	l.removeAt(i)
 	c.Headroom -= size
 	if c.Headroom <= 0 {
+		l.removeAt(i)
 		return
 	}
-	l.insert(c)
+	l.replaceAt(i, c)
 }
 
-// Property: on random update / debit / remove / expire sequences the
-// in-place move leaves the list entry for entry where remove-then-insert
-// leaves it — so Best, Snapshot and every RNG draw downstream of their
-// order are unchanged. Headrooms and timestamps come from small ranges
-// so ties on both keys, moves in both directions and no-op moves occur.
-func TestPledgeListMoveMatchesRemoveInsert(t *testing.T) {
-	type op struct {
-		Kind, Node, Val, Dt uint8
+func (l *refPledgeList) Get(id topology.NodeID) (Candidate, bool) {
+	if i := l.find(id); i >= 0 {
+		return l.entries[i], true
 	}
-	f := func(ops []op) bool {
-		got, want := NewPledgeList(6), NewPledgeList(6)
-		now := sim.Time(0)
-		for _, o := range ops {
-			now += sim.Time(o.Dt % 3)
-			id := topology.NodeID(o.Node % 12)
-			switch o.Kind % 4 {
-			case 0, 1:
-				h := float64(o.Val%6) - 1 // ≤ 0 retracts
-				got.UpdateAt(now-sim.Time(o.Val%2), id, h)
-				updateAtRef(want, now-sim.Time(o.Val%2), id, h)
-			case 2:
-				got.Debit(id, float64(o.Val%3))
-				debitRef(want, id, float64(o.Val%3))
-			case 3:
-				got.Remove(id)
-				want.Remove(id)
+	return Candidate{}, false
+}
+
+func (l *refPledgeList) expire(now sim.Time) {
+	k := 0
+	for _, c := range l.entries {
+		if now-c.At < l.ttl {
+			l.entries[k] = c
+			k++
+		}
+	}
+	l.entries = l.entries[:k]
+}
+
+func (l *refPledgeList) Len(now sim.Time) int {
+	l.expire(now)
+	return len(l.entries)
+}
+
+func (l *refPledgeList) Best(now sim.Time, size float64) (Candidate, bool) {
+	l.expire(now)
+	if len(l.entries) > 0 && l.entries[0].Headroom >= size {
+		return l.entries[0], true
+	}
+	return Candidate{}, false
+}
+
+func (l *refPledgeList) Snapshot(now sim.Time) []Candidate {
+	l.expire(now)
+	return slices.Clone(l.entries)
+}
+
+// pledgeOp is one step of a differential run: Kind picks update (twice
+// as likely), debit or remove; Node and Val its arguments; Dt advances
+// the clock and decides whether the step also expires both lists and
+// whether it reads them through the public API.
+type pledgeOp struct {
+	Kind, Node, Val, Dt uint8
+}
+
+// bestSizes are the task sizes each read asks Best for: below, between
+// and above the headrooms the ops write.
+var bestSizes = []float64{0.5, 1, 2.5, 4, 10}
+
+// diffPledgeOps replays ops on a PledgeList and on refPledgeList and
+// returns the first difference. After every op it compares, without
+// ranking the list under test, its entries as a set against the
+// reference (and entry for entry whenever it is not dirty), Get for
+// every node, and the write log's count and named IDs. At the steps
+// Dt selects — so that several writes pile up between reads — it reads
+// both through Snapshot, Each, Best and Len and compares the answers.
+// Headrooms and timestamps come from small ranges so ties on both keys,
+// moves in both directions and no-op moves occur.
+func diffPledgeOps(ops []pledgeOp) error {
+	got, want := NewPledgeList(6), &refPledgeList{ttl: 6}
+	now := sim.Time(0)
+	for step, o := range ops {
+		now += sim.Time(o.Dt % 3)
+		id := topology.NodeID(o.Node % 12)
+		switch o.Kind % 4 {
+		case 0, 1:
+			h := float64(o.Val%6) - 1 // ≤ 0 retracts
+			got.UpdateAt(now-sim.Time(o.Val%2), id, h)
+			want.UpdateAt(now-sim.Time(o.Val%2), id, h)
+		case 2:
+			got.Debit(id, float64(o.Val%3))
+			want.Debit(id, float64(o.Val%3))
+		case 3:
+			got.Remove(id)
+			want.Remove(id)
+		}
+		if o.Dt%4 == 0 {
+			got.expire(now)
+			want.expire(now)
+		}
+		fail := func(what string, g, w any) error {
+			return fmt.Errorf("step %d %+v: %s = %+v, want %+v", step, o, what, g, w)
+		}
+		ranked := slices.Clone(got.entries)
+		slices.SortFunc(ranked, compare)
+		if !slices.Equal(ranked, want.entries) {
+			return fail("entries (ranked)", ranked, want.entries)
+		}
+		if !got.dirty && !slices.Equal(got.entries, want.entries) {
+			return fail("entries (clean)", got.entries, want.entries)
+		}
+		for n := topology.NodeID(0); n < 12; n++ {
+			gc, gok := got.Get(n)
+			wc, wok := want.Get(n)
+			if gc != wc || gok != wok {
+				return fail(fmt.Sprintf("Get(%d)", n), gc, wc)
 			}
-			if o.Dt%4 == 0 {
-				got.expire(now)
-				want.expire(now)
+		}
+		if got.Log().Count() != want.log.Count() {
+			return fail("Log().Count()", got.Log().Count(), want.log.Count())
+		}
+		for k := uint64(0); k < want.log.Count(); k++ {
+			gid, gok := got.Log().Written(k)
+			wid, wok := want.log.Written(k)
+			if gid != wid || gok != wok {
+				return fail(fmt.Sprintf("Written(%d)", k), gid, wid)
 			}
-			if !slices.Equal(got.entries, want.entries) {
-				t.Logf("after %+v:\n got %+v\nwant %+v", o, got.entries, want.entries)
-				return false
+		}
+		if o.Dt&8 == 0 {
+			continue
+		}
+		var each []Candidate
+		got.Each(func(c Candidate) bool { each = append(each, c); return true })
+		if !slices.Equal(each, want.entries) {
+			return fail("Each order", each, want.entries)
+		}
+		for _, size := range bestSizes {
+			gc, gok := got.Best(now, size)
+			wc, wok := want.Best(now, size)
+			if gc != wc || gok != wok {
+				return fail(fmt.Sprintf("Best(%v)", size), gc, wc)
 			}
+		}
+		if g, w := got.Snapshot(now), want.Snapshot(now); !slices.Equal(g, w) {
+			return fail("Snapshot", g, w)
+		}
+		if g, w := got.Len(now), want.Len(now); g != w {
+			return fail("Len", g, w)
+		}
+	}
+	return nil
+}
+
+// Property: on random update / debit / remove / expire sequences with
+// reads at random points, the rank-on-read list answers every read and
+// names every write exactly as the always-ranked reference does — so
+// Best, Snapshot, the oracle's Each walk and every RNG draw downstream
+// of their order are unchanged.
+func TestPledgeListMatchesReference(t *testing.T) {
+	f := func(ops []pledgeOp) bool {
+		if err := diffPledgeOps(ops); err != nil {
+			t.Log(err)
+			return false
 		}
 		return true
 	}
@@ -383,8 +559,9 @@ func TestPledgeListWriteLogNamesWrites(t *testing.T) {
 }
 
 // PledgeList updates allocate nothing once the list has held its peak
-// size: inserts, refreshes, re-ranks, Debits, retractions and removals
-// all work in place, and noting them in the write log is free.
+// size: inserts, refreshes, Debits, retractions and removals all work in
+// place, noting them in the write log is free, and so is the re-rank
+// the next Best or Snapshot does.
 func TestPledgeListUpdatesAllocateNothing(t *testing.T) {
 	l := NewPledgeList(100)
 	for i := 0; i < 32; i++ {
@@ -402,6 +579,8 @@ func TestPledgeListUpdatesAllocateNothing(t *testing.T) {
 		l.Update(now, 9, 3)
 		l.UpdateAt(now-1, 10, 4)
 		l.Best(now, 2)
+		l.Update(now, 3, 7)
+		l.Snapshot(now)
 	}
 	round()
 	if allocs := testing.AllocsPerRun(50, round); allocs != 0 {

@@ -464,6 +464,10 @@ func (s *Service) worker() {
 	}
 }
 
+// runWith runs one job's scenario (a variable so a test can make it
+// panic).
+var runWith = scenario.RunWith
+
 // runJob executes one dequeued job end to end.
 func (s *Service) runJob(j *job) {
 	// Claim: queued → running, unless Cancel (or Close) got there first.
@@ -500,7 +504,14 @@ func (s *Service) runJob(j *job) {
 		s.finish(j, StateFailed, err.Error(), nil)
 		return
 	}
-	res, err := scenario.RunWith(j.pkg, be, j.req.Shards, scenario.RunConfig{
+	// A panic in the run fails the job like any error — recorded in
+	// history, watchers closed — and the worker drains on.
+	defer func() {
+		if v := recover(); v != nil {
+			s.finish(j, StateFailed, fmt.Sprintf("panic: %v", v), nil)
+		}
+	}()
+	res, err := runWith(j.pkg, be, j.req.Shards, scenario.RunConfig{
 		Ctx:        ctx,
 		OnProgress: func(p harness.Progress) { j.progress(p) },
 	})

@@ -6,11 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"realtor/internal/fuzzscen"
+	"realtor/internal/harness"
 	"realtor/internal/scenario"
 )
 
@@ -463,5 +465,59 @@ func TestHistoryPersistsAcrossRestart(t *testing.T) {
 
 	if len(s2.List()) != 2 {
 		t.Fatalf("List after restart returned %d runs, want 2", len(s2.List()))
+	}
+}
+
+// A run that panics fails its job with "panic: <value>" and a history
+// record, and the single worker survives it to run the next job; once
+// the service closes, none of its goroutines are left behind.
+func TestPanickingRunFailsTheJobAndTheWorkerDrainsOn(t *testing.T) {
+	root := t.TempDir()
+	bad, good := writePkg(t, root, 3), writePkg(t, root, 5)
+	orig := runWith
+	t.Cleanup(func() { runWith = orig })
+	runWith = func(p *scenario.Package, be harness.Backend, shards int, rc scenario.RunConfig) (scenario.Result, error) {
+		if p.Spec.Name == bad {
+			panic("seeded run bug")
+		}
+		return orig(p, be, shards, rc)
+	}
+	before := runtime.NumGoroutine()
+	hist := filepath.Join(t.TempDir(), "history.jsonl")
+	s, err := New(Config{ScenarioRoot: root, HistoryPath: hist, Workers: 1})
+	if err != nil {
+		t.Fatalf("new service: %v", err)
+	}
+	vb, err := s.Submit(Request{Package: bad})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	vg, err := s.Submit(Request{Package: good})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	if fin := waitTerminal(t, s, vb.ID); fin.State != StateFailed || fin.Error != "panic: seeded run bug" {
+		t.Fatalf("panicking run: state %s, error %q; want failed, %q", fin.State, fin.Error, "panic: seeded run bug")
+	}
+	if fin := waitTerminal(t, s, vg.ID); fin.State != StateDone {
+		t.Fatalf("run after the panic: state %s (error %q), want done", fin.State, fin.Error)
+	}
+	s.Close()
+
+	s2, err := New(Config{ScenarioRoot: root, HistoryPath: hist})
+	if err != nil {
+		t.Fatalf("reopen service: %v", err)
+	}
+	rec, err := s2.Get(vb.ID)
+	s2.Close()
+	if err != nil || rec.State != StateFailed || rec.Error != "panic: seeded run bug" {
+		t.Fatalf("history record of the panicking run: %+v (%v)", rec, err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before New", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
