@@ -1,7 +1,7 @@
 GO ?= go
 PROFILE_FIG ?= 5
 
-.PHONY: all build vet fmt-check verify test race bench profile fuzz fuzz-smoke parity-smoke shard-smoke policy-smoke scen-smoke daemon-smoke bench-smoke cover-check results results-check clean
+.PHONY: all build vet fmt-check verify test race bench profile fuzz fuzz-smoke parity-smoke shard-smoke scen-smoke daemon-smoke bench-smoke cover-check results results-check clean
 
 all: build vet test
 
@@ -84,16 +84,6 @@ fuzz-smoke:
 shard-smoke:
 	$(GO) run ./cmd/realtor-scen fuzz -backend sim -shards 4 -n 50
 	$(GO) run ./cmd/realtor-scen fuzz -backend sim -shards 4 -n 50 -mutant expiry
-
-# Policy-middleware smoke (CI gate, ~1 minute): generated scenarios with
-# the full traffic-protection stack forced on must stay oracle-clean
-# (I1–I11) and differential-exact, on the sequential and the sharded
-# kernel, and the seeded miswired-breaker mutant must be caught by the
-# I10 audit.
-policy-smoke:
-	$(GO) run ./cmd/realtor-scen fuzz -seed 1 -n 200 -policy all
-	$(GO) run ./cmd/realtor-scen fuzz -backend sim -shards 4 -n 50 -policy all
-	$(GO) run ./cmd/realtor-scen fuzz -seed 1 -n 100 -mutant breaker
 
 # Sim/live parity smoke (CI gate, well under 2 minutes): the invariant
 # oracle must stay silent on live-cluster replays of generated

@@ -12,7 +12,6 @@ import (
 	"realtor/internal/engine"
 	"realtor/internal/fuzzscen"
 	"realtor/internal/harness"
-	"realtor/internal/policy"
 	"realtor/internal/scenario"
 )
 
@@ -35,8 +34,7 @@ import (
 // mutants are the seeded bugs -mutant selects. A mutant sweep passes
 // only if the oracle catches the bug on at least one scenario.
 var mutants = map[string]func(fuzzscen.Scenario) engine.Builder{
-	"expiry":  fuzzscen.MutantBuilder,        // pledges served past their refresh window (I3)
-	"breaker": fuzzscen.BrokenBreakerBuilder, // miswired circuit breaker (I10)
+	"expiry": fuzzscen.MutantBuilder, // pledges served past their refresh window (I3)
 }
 
 // parityTimeScale is the clock of -parity's live leg, in scaled seconds
@@ -54,11 +52,6 @@ type fuzzOptions struct {
 	meta    bool
 	live    harness.Backend // -parity's live leg; nil without -parity
 	set     []*flag.Flag    // the flags given, for the printed replay commands
-
-	// forced is the -policy override: an enabled config replaces whatever
-	// middleware the generator drew, an explicit "none" strips it, nil
-	// leaves the generator's choice alone.
-	forced *policy.Config
 
 	// build is the protocol under test: the honest one, or the -mutant
 	// seeded bug, which the oracle must catch (mutant names it).
@@ -142,8 +135,7 @@ func parseFuzz(args []string, errw io.Writer) (fuzzOptions, []fuzzCase, int) {
 	seed := fs.Int64("seed", 1, "first generated seed (seeds seed..seed+n-1 are swept)")
 	n := fs.Int("n", 100, "number of generated seeds")
 	meta := fs.Bool("meta", false, "also check the metamorphic relations (relabel, capacity, flood scope; sim only)")
-	mutant := fs.String("mutant", "", "run this seeded bug and demand the oracle catches it: expiry | breaker")
-	policySpec := fs.String("policy", "", "force this policy spec onto every scenario (\"none\" strips; see realtor-sim -policy for the grammar)")
+	mutant := fs.String("mutant", "", "run this seeded bug and demand the oracle catches it: expiry")
 	backend := fs.String("backend", "sim", "backend: sim | live")
 	shards := fs.Int("shards", 1, "sim kernel shard count")
 	parity := fs.Bool("parity", false, "run each scenario on sim and live and compare aggregate metrics")
@@ -165,15 +157,8 @@ func parseFuzz(args []string, errw io.Writer) (fuzzOptions, []fuzzCase, int) {
 	fs.Visit(func(f *flag.Flag) { o.set = append(o.set, f) })
 	if o.mutant != "" {
 		if o.build = mutants[o.mutant]; o.build == nil {
-			return usage(fmt.Errorf("unknown -mutant %q (want expiry|breaker)", o.mutant))
+			return usage(fmt.Errorf("unknown -mutant %q (want expiry)", o.mutant))
 		}
-	}
-	if *policySpec != "" {
-		cfg, err := policy.ParseSpec(*policySpec)
-		if err != nil {
-			return usage(err)
-		}
-		o.forced = &cfg
 	}
 	if *parity {
 		o.live = harness.Live(harness.LiveConfig{TimeScale: parityTimeScale})
@@ -183,7 +168,7 @@ func parseFuzz(args []string, errw io.Writer) (fuzzOptions, []fuzzCase, int) {
 	if !*all && fs.NArg() == 0 {
 		for i := range int64(*n) {
 			s := fuzzscen.Generate(*seed + i)
-			cases = append(cases, fuzzCase{name: fmt.Sprintf("fuzz-%d", s.Seed), s: o.applyForced(s), generated: true})
+			cases = append(cases, fuzzCase{name: fmt.Sprintf("fuzz-%d", s.Seed), s: s, generated: true})
 		}
 		return o, cases, 0
 	}
@@ -197,27 +182,9 @@ func parseFuzz(args []string, errw io.Writer) (fuzzOptions, []fuzzCase, int) {
 			fmt.Fprintf(errw, "realtor-scen: %v\n", err)
 			return fuzzOptions{}, nil, 1
 		}
-		cases = append(cases, fuzzCase{name: p.Spec.Name, s: o.applyForced(p.Spec.Effective())})
+		cases = append(cases, fuzzCase{name: p.Spec.Name, s: p.Spec.Effective()})
 	}
 	return o, cases, 0
-}
-
-// applyForced applies the -policy override. It happens before the
-// check, not inside it, so the shrinker is still free to drop the
-// forced policies while minimizing.
-func (o fuzzOptions) applyForced(s fuzzscen.Scenario) fuzzscen.Scenario {
-	switch {
-	case o.forced == nil:
-	case !o.forced.Enabled():
-		s.Policies = nil
-	default:
-		cfg := *o.forced
-		if cfg.Seed == 0 {
-			cfg.Seed = uint64(s.Seed)
-		}
-		s.Policies = &cfg
-	}
-	return s
 }
 
 // deterministic reports whether the sweep runs only on the simulator,

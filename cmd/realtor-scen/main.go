@@ -26,9 +26,7 @@
 //	                                        # as the unblessed package fuzz-<seed>
 //	realtor-scen fuzz -n 50 -meta           # also the metamorphic relations
 //	realtor-scen fuzz -n 50 -mutant expiry  # the seeded soft-state-expiry bug
-//	                                        # must be caught (breaker: the
-//	                                        # miswired circuit breaker, I10)
-//	realtor-scen fuzz -n 50 -policy all     # force the full policy stack on
+//	                                        # must be caught
 //	realtor-scen fuzz -backend live -n 25   # the oracle on the live cluster
 //	realtor-scen fuzz -parity -n 1 -seed 13 # sim vs live aggregate metrics
 //	realtor-scen fuzz fuzz-7                # the same layers on packages

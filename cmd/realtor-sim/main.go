@@ -30,9 +30,6 @@
 //	realtor-sim -fig loss               # robustness to message loss
 //	realtor-sim -fig retries            # one-try vs walk-the-list migration
 //	realtor-sim -fig partition          # survivability across a mesh bisection
-//	realtor-sim -fig policy             # traffic-protection middleware head-to-head
-//	realtor-sim -fig policy -policy "bucket:rate=0.5,burst=2;breaker"
-//	                                    # add a custom policy stack to the line-up
 //	realtor-sim -fig attack             # survivability under a random 8-node kill
 //	realtor-sim -fig attack -scenario region   # 2x2 corner of the mesh
 //	realtor-sim -fig attack -scenario flap     # one flapping node
@@ -125,8 +122,6 @@ func run(args []string, out, errw io.Writer) int {
 		"protocol to trace: Pull-.9|Push-1|Push-.9|Pull-100|REALTOR-100 (with -trace)")
 	asJSON := fs.Bool("json", false, "emit the trace as JSON Lines instead of text (with -trace)")
 	kinds := fs.String("kinds", "", "comma-separated event kinds to keep in the trace (with -trace; empty = all)")
-	policySpec := fs.String("policy", "",
-		"extra policy-study contender, e.g. \"bucket:rate=0.5,burst=2;breaker:trip=3\" (with -fig policy)")
 	scenario := fs.String("scenario", "", "attack: random|region|flap|exhaust (with -fig attack; default random)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
@@ -173,7 +168,6 @@ func run(args []string, out, errw io.Writer) int {
 		"csv":         figure,
 		"diff":        figure,
 		"plot":        figure || study.Fig == "attack",
-		"policy":      study.Fig == "policy",
 		"scenario":    study.Fig == "attack",
 		"transport":   study.Live || mode == "-out",
 		"lambdas":     study.Sweep,
@@ -225,7 +219,7 @@ func run(args []string, out, errw io.Writer) int {
 	default:
 		o.Lambdas, o.Duration, o.Reps = ls, runFor, *reps
 		o.CSV, o.Plot, o.Diff = *csv, *asPlot, *diff
-		o.Policy, o.Scenario = *policySpec, *scenario
+		o.Scenario = *scenario
 		var table string
 		if table, err = study.Run(o); err == nil {
 			fmt.Fprint(out, table)

@@ -2,13 +2,10 @@ package main
 
 import (
 	"bytes"
-	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"realtor/internal/experiment"
 )
 
 // TestRunKernelStats pins the -kernelstats diagnostic: the counters must
@@ -52,72 +49,6 @@ func TestRunKernelStats(t *testing.T) {
 	}
 }
 
-// policyStudy runs `-fig policy -quick` with the given -policy spec: the
-// real cell grid, in a window short enough for unit tests.
-func policyStudy(t *testing.T, spec string) (string, error) {
-	t.Helper()
-	st, ok := experiment.Lookup("policy")
-	if !ok {
-		t.Fatal("no policy study in the catalogue")
-	}
-	return st.Run(experiment.Options{Seed: 1, Quick: true, Policy: spec})
-}
-
-// TestRunPolicyStudy exercises the -fig policy writer: header comments,
-// one section per arrival rate, every default variant present, and a
-// "custom" row when a -policy spec is supplied.
-func TestRunPolicyStudy(t *testing.T) {
-	out, err := policyStudy(t, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		"# R2 traffic-protection", "## lambda=5", "## lambda=8", "attack", "recover-s",
-		"baseline", "bucket", "breaker", "retry", "elastic", "stack",
-		"exhaust", "flap", "churn",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("policy study output missing %q:\n%s", want, out)
-		}
-	}
-	if strings.Contains(out, "custom") {
-		t.Fatal("custom row present without a -policy spec")
-	}
-
-	out, err = policyStudy(t, "bucket:rate=0.5,burst=2;breaker")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "custom") {
-		t.Fatalf("spec did not add a custom row:\n%s", out)
-	}
-}
-
-// TestRunPolicyStudyRejectsBadSpecs pins the -policy flag's validation:
-// malformed specs must fail fast — before any simulation — with a
-// pointed error that main turns into exit status 2.
-func TestRunPolicyStudyRejectsBadSpecs(t *testing.T) {
-	cases := []struct{ spec, want string }{
-		{"bogus", "unknown policy name"},
-		{"bucket:rate=-1", "must be positive"},
-		{"bucket:rate=0.5,burst=0", "at least 1 token"},
-		{"breaker:trip", "malformed parameter"},
-		{"retry:strategy=frob", "unknown retry strategy"},
-	}
-	for _, c := range cases {
-		out, err := policyStudy(t, c.spec)
-		if !errors.Is(err, experiment.ErrOption) {
-			t.Fatalf("spec %q: error %v is not an ErrOption", c.spec, err)
-		}
-		if !strings.Contains(err.Error(), c.want) {
-			t.Errorf("spec %q: error %q does not mention %q", c.spec, err, c.want)
-		}
-		if out != "" {
-			t.Errorf("spec %q: output written despite the error", c.spec)
-		}
-	}
-}
-
 func runCLI(args ...string) (int, string, string) {
 	var out, errw bytes.Buffer
 	code := run(args, &out, &errw)
@@ -132,7 +63,7 @@ func TestCLIUsageErrors(t *testing.T) {
 		{"-fig", "nope"},
 		{"-no-such-flag"},
 		{"-shards", "0"},
-		{"-fig", "ab", "-policy", "breaker"},
+		{"-fig", "policy"}, // R2 and its middleware are retired
 		{"-fig", "ab", "-scenario", "flap"},
 		{"-fig", "ab", "-transport", "udp"},
 		{"-fig", "9", "-transport", "carrier-pigeon"},

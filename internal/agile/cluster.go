@@ -180,7 +180,7 @@ func (c *Cluster) N() int { return len(c.hosts) }
 // Host returns host id.
 func (c *Cluster) Host(id int) *Host { return c.hosts[id] }
 
-// Stop shuts down all hosts and the transport.
+// Stop shuts down all hosts and the transport. A second Stop is a no-op.
 func (c *Cluster) Stop() {
 	for _, h := range c.hosts {
 		h.stop()

@@ -266,6 +266,23 @@ func TestStopIsIdempotentAndQuick(t *testing.T) {
 	}
 }
 
+// A caller may stop a cluster on an error path and again on a deferred
+// one: the second Stop returns, and a post after it is a silent no-op.
+func TestStopTwiceThenPost(t *testing.T) {
+	cfg := fastConfig(3)
+	c, err := NewCluster(cfg, transport.NewChan(cfg.Hosts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Stop()
+	c.Stop()
+	ran := false
+	c.Host(1).post(func() { ran = true })
+	if ran {
+		t.Fatal("a post after Stop ran on a stopped host")
+	}
+}
+
 func TestLiveKillAndRevive(t *testing.T) {
 	cfg := fastConfig(3)
 	cfg.TimeScale = 50

@@ -94,9 +94,10 @@ type Host struct {
 	queue   *sched.RunQueue
 	disco   protocol.Discovery
 
-	cmds chan func()
-	done chan struct{}
-	wg   sync.WaitGroup
+	cmds     chan func()
+	done     chan struct{}
+	stopOnce sync.Once
+	wg       sync.WaitGroup
 
 	lastDrain  float64 // scaled time of the last queue drain
 	above      bool    // usage above threshold?
@@ -147,9 +148,10 @@ func (h *Host) start() {
 	go h.loop()
 }
 
-// stop terminates the actor loop and waits for it.
+// stop terminates the actor loop and waits for it. It is idempotent, so
+// Cluster.Stop may run on both an error path and a deferred one.
 func (h *Host) stop() {
-	close(h.done)
+	h.stopOnce.Do(func() { close(h.done) })
 	h.wg.Wait()
 }
 
@@ -657,37 +659,6 @@ func (e *liveEnv) Headroom() float64 {
 }
 func (e *liveEnv) Capacity() float64 { return e.host.queue.Capacity() }
 
-// SetCapacity implements protocol.CapacityScaler, mirroring the sim
-// engine's resize semantics: clamp so queued work still fits, trace the
-// resize, then re-evaluate the crossing state in both directions (the
-// pending drain-to-threshold timer is stale once the threshold moves).
-// Policies call Env methods only from protocol hooks, which run on the
-// host's actor loop, so this needs no extra synchronization.
-func (e *liveEnv) SetCapacity(cap float64) bool {
-	h := e.host
-	h.drain()
-	applied, ok := h.queue.SetCapacity(cap)
-	if !ok {
-		return false
-	}
-	self := topology.NodeID(h.id)
-	h.cluster.emit(trace.Event{At: sim.Time(h.now()), Kind: trace.Resize,
-		Node: self, Peer: -1, Size: applied})
-	thr := h.cluster.cfg.Protocol.Threshold * applied
-	if h.queue.Backlog() > thr {
-		h.afterAccept() // fires/reschedules against the new threshold
-	} else if h.above {
-		if h.crossing != nil {
-			h.crossing.Stop()
-		}
-		h.above = false
-		h.cluster.emit(trace.Event{At: sim.Time(h.now()), Kind: trace.CrossDown,
-			Node: self, Peer: -1})
-		h.disco.OnUsageCrossing(false)
-	}
-	return true
-}
-
 func (e *liveEnv) Flood(m protocol.Message) {
 	h := e.host
 	c := h.cluster
@@ -695,7 +666,7 @@ func (e *liveEnv) Flood(m protocol.Message) {
 	self := topology.NodeID(h.id)
 	c.countFlood(m.Kind)
 	c.emit(trace.Event{At: now, Kind: trace.MsgSend, Node: self, Peer: -1,
-		Info: protocol.FloodInfo(m.Kind, m.Reissue)})
+		Info: protocol.FloodInfo(m.Kind)})
 	// OnSend fires once per recipient — the fabric broadcasts by
 	// iterated unicast, and that is what the conservation ledger counts.
 	if o := c.cfg.Observer; o != nil {

@@ -106,21 +106,6 @@ func NewRunQueue(capacity float64, policy Policy) *RunQueue {
 // Capacity returns the backlog bound in seconds.
 func (q *RunQueue) Capacity() float64 { return q.capacity }
 
-// SetCapacity resizes the backlog bound to c seconds, for the
-// elastic-capacity policy. The bound is clamped so already-queued work
-// still fits (shrinking never sheds admitted jobs). Returns the capacity
-// actually applied, or false (and no change) when c is non-positive.
-func (q *RunQueue) SetCapacity(c float64) (float64, bool) {
-	if c <= 0 {
-		return q.capacity, false
-	}
-	if c < q.backlog {
-		c = q.backlog
-	}
-	q.capacity = c
-	return c, true
-}
-
 // Backlog returns the queued seconds of work.
 func (q *RunQueue) Backlog() float64 { return q.backlog }
 

@@ -37,7 +37,6 @@ type Decision struct {
 	Demand      float64
 	Communities int
 	Grant       float64
-	Reissue     bool // policy-layer retry of an earlier flood
 }
 
 func (d Decision) String() string {
@@ -73,7 +72,6 @@ func (l *DecisionLog) OnSend(now sim.Time, from, to topology.NodeID, m protocol.
 		At: now, Node: from, Peer: to, Sent: true,
 		MsgKind: m.Kind, Headroom: m.Headroom, Members: m.Members,
 		Demand: m.Demand, Communities: m.Communities, Grant: m.Grant,
-		Reissue: m.Reissue,
 	})
 }
 
@@ -90,7 +88,6 @@ func (l *DecisionLog) OnDrop(now sim.Time, from, to topology.NodeID, m protocol.
 		At: now, Node: from, Peer: to, Sent: true, Info: reason,
 		MsgKind: m.Kind, Headroom: m.Headroom, Members: m.Members,
 		Demand: m.Demand, Communities: m.Communities, Grant: m.Grant,
-		Reissue: m.Reissue,
 	})
 }
 

@@ -33,20 +33,9 @@
 //	    steps of Algorithm H (interval frozen while both counters are).
 //	I8  Crossing alternation: cross-up and cross-down events on one node
 //	    strictly alternate, resetting on node death.
-//	I9  Token-bucket legality (policy layer): a node running the
-//	    token-bucket policy never emits HELP floods above the configured
-//	    rate over any window — checked by replaying the bucket's refill
-//	    arithmetic at each observed emission (original or reissue).
-//	I10 Breaker legality (policy layer): circuit breakers move only
-//	    along closed→open→half-open→{closed,open}; no migration try
-//	    targets a cooling-open breaker, and the monotone audit counters
-//	    satisfy HalfOpens ≤ Trips and Probes ≤ HalfOpens (probes only
-//	    while half-open, one per half-open period).
-//	I11 Retry conservation (policy layer): reflooded HELPs on the wire
-//	    never exceed the reissues the retrier attempted, reissues are
-//	    bounded by (MaxAttempts−1) per original, and task conservation
-//	    (I5) holds unchanged — a retried exchange never duplicates a
-//	    task outcome.
+//
+// I9–I11 are retired (DESIGN.md §8.2) and their numbers are not
+// reused: the next new invariant is I12.
 //
 // The oracle is backend-agnostic: it inspects the run exclusively
 // through the World interface (node liveness and resource state plus
@@ -78,11 +67,9 @@ package check
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"realtor/internal/engine"
-	"realtor/internal/policy"
 	"realtor/internal/protocol"
 	"realtor/internal/sim"
 	"realtor/internal/topology"
@@ -280,17 +267,6 @@ type Oracle struct {
 	// has no link-level overlay; I6 is then not checked.
 	shadow *topology.Graph
 
-	// I9 token-bucket replay, per node incarnation: tokens sampled only
-	// at observed emissions (exact, because the refill cap composes
-	// across sampling points — see policy.tokenBucket).
-	bktInit   []bool
-	bktTokens []float64
-	bktLast   []sim.Time
-	birth     []sim.Time // start of the node's current incarnation
-
-	// I11 retry ledger: refloods observed on the wire per incarnation.
-	refloods []uint64
-
 	// I4-overlay / I5-overlay structured-overlay bookkeeping
 	// (overlay.go).
 	ov overlayAudit
@@ -336,12 +312,7 @@ func NewWorldOracle(w World, slack sim.Time) *Oracle {
 
 		exhaustive: exhaustiveI4,
 
-		bktInit:   make([]bool, n),
-		bktTokens: make([]float64, n),
-		bktLast:   make([]sim.Time, n),
-		birth:     make([]sim.Time, n),
-		refloods:  make([]uint64, n),
-		ov:        newOverlayAudit(n),
+		ov: newOverlayAudit(n),
 	}
 	if g := w.Graph(); g != nil {
 		o.shadow = g.Clone()
@@ -563,18 +534,10 @@ func (o *Oracle) Record(ev trace.Event) {
 
 	case trace.MigrateTry:
 		o.checkFreshTarget(ev.At, ev.Node, ev.Peer)
-		o.checkBreakerTry(ev.At, ev.Node, ev.Peer)
 
 	case trace.MsgSend:
-		switch ev.Info {
-		case "flood-HELP":
+		if ev.Info == "flood-HELP" {
 			o.checkHelpFlood(ev.At, ev.Node)
-			o.checkBucket(ev.At, ev.Node)
-		case "reflood-HELP":
-			// Policy-layer reissue: exempt from I1 (the inner governor
-			// never saw it) but bucket-gated (I9) and ledgered (I11).
-			o.refloods[ev.Node]++
-			o.checkBucket(ev.At, ev.Node)
 		}
 
 	case trace.CrossUp:
@@ -591,24 +554,19 @@ func (o *Oracle) Record(ev trace.Event) {
 
 	case trace.NodeKill:
 		// Protocol state is dropped on death; a revived node runs a
-		// fresh instance with a reset governor, crossing state, and
-		// policy stack (full bucket, empty retry ledger), and nothing
-		// delivered to the dead incarnation may justify its soft state.
+		// fresh instance with a reset governor and crossing state, and
+		// nothing delivered to the dead incarnation may justify its
+		// soft state.
 		o.pledges.clear(ev.Node)
 		o.helps.clear(ev.Node)
 		o.cur[ev.Node] = cursor{}
 		o.above[ev.Node] = false
 		o.helpSeen[ev.Node] = false
 		o.ivSeen[ev.Node] = false
-		o.bktInit[ev.Node] = false
-		o.refloods[ev.Node] = 0
 
 	case trace.NodeRevive:
 		o.helpSeen[ev.Node] = false
 		o.ivSeen[ev.Node] = false
-		o.bktInit[ev.Node] = false
-		o.birth[ev.Node] = ev.At
-		o.refloods[ev.Node] = 0
 
 	case trace.LinkCut:
 		if o.shadow != nil {
@@ -684,126 +642,6 @@ func (o *Oracle) checkInterval(now sim.Time, node topology.NodeID, lim limits,
 	}
 	o.ivSeen[node] = true
 	o.lastIv[node], o.lastPen[node], o.lastRew[node] = iv, pen, rew
-}
-
-// auditor returns the policy-layer audit surface on a node, or nil
-// when the node runs no policy stack.
-func (o *Oracle) auditor(id topology.NodeID) policy.Auditor {
-	a, _ := o.w.Discovery(id).(policy.Auditor)
-	return a
-}
-
-// checkBucket asserts I9 at each HELP emission (original or reissue):
-// replaying the token bucket's refill arithmetic, every emission must
-// find at least one whole token. The real bucket also refills at
-// suppressed attempts the oracle cannot see, but the refill cap
-// min(burst, t + rate·dt) composes across sampling points — stepwise
-// capping equals capping once over the total elapsed time — so the
-// replay sampled only at emissions is exact up to float rounding. The
-// epsilon covers that rounding; the slack term covers live-backend
-// drift between the policy's clock read and the observer's.
-func (o *Oracle) checkBucket(now sim.Time, node topology.NodeID) {
-	a := o.auditor(node)
-	if a == nil {
-		return
-	}
-	rate, burst, on := a.BucketLimits()
-	if !on {
-		return
-	}
-	if !o.bktInit[node] {
-		o.bktInit[node] = true
-		o.bktTokens[node] = burst
-		o.bktLast[node] = o.birth[node]
-	}
-	t := math.Min(burst, o.bktTokens[node]+rate*float64(now-o.bktLast[node]))
-	o.bktLast[node] = now
-	tol := 1e-6 + float64(o.slack)*rate
-	if t < 1-tol {
-		o.fail(now, "I9-token-bucket", node,
-			"HELP flood with only %.6g tokens accrued (rate %.6g, burst %.6g): emission above the configured rate",
-			t, rate, burst)
-	}
-	if t--; t < 0 {
-		t = 0
-	}
-	o.bktTokens[node] = t
-}
-
-// checkBreakerTry asserts I10's filtering side at a migration try: the
-// chosen target's breaker on the trying node must not be open and
-// still cooling — the breaker exists precisely to keep such targets
-// out of candidate lists until the cooldown expires. The counter
-// relations are re-audited here too, so a miswired state machine is
-// caught at its first migration, not only at run end.
-func (o *Oracle) checkBreakerTry(now sim.Time, from, target topology.NodeID) {
-	a := o.auditor(from)
-	if a == nil {
-		return
-	}
-	a.EachBreaker(now, func(b policy.BreakerSnapshot) bool {
-		if b.Target != target {
-			return true
-		}
-		if b.State == policy.Open && now+o.slack < b.Until {
-			o.fail(now, "I10-breaker-legality", from,
-				"migration try to node %d while its breaker is open until t=%.6g",
-				target, float64(b.Until))
-		}
-		return false
-	})
-	o.checkBreakerCounters(now, from, a)
-}
-
-// checkBreakerCounters asserts I10's state-machine legality from the
-// monotone audit counters, checkable at any observation point: there
-// is no closed→half-open edge (HalfOpens ≤ Trips), probes happen only
-// while half-open with at most one per half-open period (Probes ≤
-// HalfOpens), and the current state must be reachable through the
-// legal machine (Open needs a trip, HalfOpen needs a recorded
-// open→half-open transition).
-func (o *Oracle) checkBreakerCounters(now sim.Time, node topology.NodeID, a policy.Auditor) {
-	a.EachBreaker(now, func(b policy.BreakerSnapshot) bool {
-		switch {
-		case b.HalfOpens > b.Trips:
-			o.fail(now, "I10-breaker-legality", node,
-				"target %d: %d half-open transitions exceed %d trips (illegal closed→half-open edge)",
-				b.Target, b.HalfOpens, b.Trips)
-		case b.Probes > b.HalfOpens:
-			o.fail(now, "I10-breaker-legality", node,
-				"target %d: %d probes exceed %d half-open periods (probe outside half-open)",
-				b.Target, b.Probes, b.HalfOpens)
-		case b.State == policy.Open && b.Trips == 0:
-			o.fail(now, "I10-breaker-legality", node,
-				"target %d: breaker open with zero recorded trips", b.Target)
-		case b.State == policy.HalfOpen && b.HalfOpens == 0:
-			o.fail(now, "I10-breaker-legality", node,
-				"target %d: breaker half-open with zero recorded half-open transitions", b.Target)
-		}
-		return true
-	})
-}
-
-// checkRetryLedger asserts I11: retries are message-level only. The
-// refloods observed on the wire cannot exceed the reissues the retrier
-// attempted (the bucket may have gated some), and reissues are bounded
-// by MaxAttempts−1 per original HELP. Task conservation (I5) is
-// asserted independently and unchanged — a retried exchange never
-// duplicates a task outcome.
-func (o *Oracle) checkRetryLedger(now sim.Time, id topology.NodeID, a policy.Auditor) {
-	originals, reissued, maxTries, on := a.RetryLedger()
-	if !on {
-		return
-	}
-	if o.refloods[id] > reissued {
-		o.fail(now, "I11-retry-conservation", id,
-			"%d refloods on the wire exceed %d reissues attempted", o.refloods[id], reissued)
-	}
-	if lim := uint64(maxTries-1) * originals; reissued > lim {
-		o.fail(now, "I11-retry-conservation", id,
-			"%d reissues exceed (max_attempts-1)×originals = %d×%d",
-			reissued, maxTries-1, originals)
-	}
 }
 
 // checkFreshTarget asserts I3: the migration target chosen by `from`
@@ -1118,10 +956,6 @@ func (o *Oracle) FinishNode(now sim.Time, id topology.NodeID) {
 	if s, c := o.state(id); s != nil {
 		iv, pen, rew := s.HelpIntervalState()
 		o.checkInterval(now, id, c.lim, iv, pen, rew)
-	}
-	if a := o.auditor(id); a != nil {
-		o.checkBreakerCounters(now, id, a)
-		o.checkRetryLedger(now, id, a)
 	}
 }
 

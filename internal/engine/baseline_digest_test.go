@@ -119,12 +119,14 @@ var baselineDigests = map[string]string{
 
 // recordingDigest hashes one recording and its final statistics. Each
 // record is hashed as %+v rendered it when the digests were taken, while
-// protocol.Message still had a Reply field between Grant and View (no
-// baseline ever set it), so the digests of the deleted code still apply.
+// protocol.Message still had a Reply field between Grant and View and a
+// Reissue field after Level (no baseline ever set either), so the
+// digests of the deleted code still apply.
 func recordingDigest(log []record, stats string) string {
 	h := sha256.New()
 	for _, r := range log {
-		io.WriteString(h, strings.Replace(fmt.Sprintf("%+v\n", r), " View:", " Reply:false View:", 1))
+		line := strings.Replace(fmt.Sprintf("%+v\n", r), " View:", " Reply:false View:", 1)
+		io.WriteString(h, strings.Replace(line, "} reason:", " Reissue:false} reason:", 1))
 	}
 	fmt.Fprintf(h, "%s\n", stats)
 	return hex.EncodeToString(h.Sum(nil))

@@ -1078,37 +1078,6 @@ func (e *Engine) holdAbove(c *shardCtx, now sim.Time, id topology.NodeID, over f
 	e.nodeSeq[id]++
 }
 
-// resize changes node id's queue capacity mid-run (the elastic-capacity
-// policy's hook) through the same crossing bookkeeping as an admission,
-// so the I8 up/down alternation survives the threshold moving. Shrinking
-// below the current backlog is clamped by the node (usage stays ≤ 1);
-// after the resize the crossing state is re-evaluated in both
-// directions: the pending drain-time crossing is stale the moment the
-// threshold moves, and growing capacity can put usage below the
-// threshold right now.
-func (e *Engine) resize(c *shardCtx, now sim.Time, id topology.NodeID, want float64) bool {
-	if !e.nodes[id].Alive() {
-		return false
-	}
-	applied, ok := e.nodes[id].SetCapacity(now, want)
-	if !ok {
-		return false
-	}
-	e.traceCtx(c, trace.Event{At: now, Kind: trace.Resize, Node: id, Peer: -1, Size: applied})
-	thr := e.cfg.Threshold * applied
-	backlog := e.nodes[id].Backlog(now)
-	if backlog > thr {
-		e.holdAbove(c, now, id, backlog-thr)
-	} else if e.above[id] {
-		e.ctxOf(id).sched.Cancel(e.crossEvs[id])
-		e.crossEvs[id] = sim.Event{}
-		e.above[id] = false
-		e.traceCtx(c, trace.Event{At: now, Kind: trace.CrossDown, Node: id, Peer: -1})
-		e.disco[id].OnUsageCrossing(false)
-	}
-	return true
-}
-
 // crossing is the per-node downward-crossing runner: it fires when the
 // queue drains back to the threshold level.
 type crossing struct {
@@ -1277,11 +1246,6 @@ func (v *nodeEnv) Capacity() float64 {
 	return v.engine.nodes[v.id].Capacity()
 }
 
-// SetCapacity implements protocol.CapacityScaler for the elastic policy.
-func (v *nodeEnv) SetCapacity(c float64) bool {
-	return v.engine.resize(v.ctx, v.ctx.sched.Now(), v.id, c)
-}
-
 // Flood sends m to every member of the sender's scope — the whole mesh,
 // or the FloodRadius / Groups neighborhood — with per-hop latency, and
 // charges the paper's flood cost (#links) once. Liveness is not consulted
@@ -1304,7 +1268,7 @@ func (v *nodeEnv) Flood(m protocol.Message) {
 		}
 	}
 	e.traceCtx(c, trace.Event{At: now, Kind: trace.MsgSend, Node: v.id, Peer: -1,
-		Info: protocol.FloodInfo(m.Kind, m.Reissue)})
+		Info: protocol.FloodInfo(m.Kind)})
 	// The radius BFS already measured these distances; reuse them unless
 	// link churn invalidated the tables.
 	useDist := sc.dist != nil && !e.ownsGraph

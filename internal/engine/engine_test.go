@@ -594,7 +594,7 @@ func TestUntracedFloodAllocatesNothing(t *testing.T) {
 	send := func() {
 		env.Flood(protocol.Message{Kind: protocol.Help, From: 12})
 		env.Unicast(0, protocol.Message{Kind: protocol.Pledge, From: 12})
-		env.Flood(protocol.Message{Kind: protocol.Help, From: 12, Reissue: true})
+		env.Flood(protocol.Message{Kind: protocol.Help, From: 12})
 		e.envs[0].Unicast(24, protocol.Message{Kind: protocol.Pledge})
 		now++
 		e.Scheduler().RunUntil(now) // every wave lands and returns to the pool

@@ -47,7 +47,7 @@ func (v refEnv) Flood(m protocol.Message) {
 		}
 	}
 	e.traceCtx(v.ctx, trace.Event{At: now, Kind: trace.MsgSend, Node: v.id, Peer: -1,
-		Info: protocol.FloodInfo(m.Kind, m.Reissue)})
+		Info: protocol.FloodInfo(m.Kind)})
 	useDist := sc.dist != nil && !e.ownsGraph
 	for k, to := range sc.members {
 		if to == v.id {

@@ -72,6 +72,9 @@ type shardCtx struct {
 	active bool
 	in     chan sim.EventKey
 	done   chan struct{}
+	// panicked holds what a handler panicked with on this shard's
+	// worker, for runPhase to re-raise on the caller's goroutine.
+	panicked any
 }
 
 // mailEntry is one cross-shard event hand-off: the destination shard,
@@ -213,11 +216,23 @@ func (e *Engine) startWorkers() {
 		c.done = make(chan struct{}, 1)
 		go func(c *shardCtx) {
 			for bound := range c.in {
-				c.sched.RunBelow(bound)
+				c.runBelow(bound)
 				c.done <- struct{}{}
 			}
 		}(c)
 	}
+}
+
+// runBelow is one phase on a shard worker. A panic in a handler is kept
+// on the shard, not let loose on the worker's goroutine, where nothing
+// could recover it and it would end the process.
+func (c *shardCtx) runBelow(bound sim.EventKey) {
+	defer func() {
+		if v := recover(); v != nil {
+			c.panicked = v
+		}
+	}()
+	c.sched.RunBelow(bound)
 }
 
 func (e *Engine) stopWorkers() {
@@ -379,6 +394,14 @@ func (e *Engine) runPhase(bound sim.EventKey) {
 	for _, c := range e.ctxs {
 		if c.active {
 			<-c.done
+		}
+	}
+	// Every worker is idle again: re-raise the lowest shard's panic on
+	// the caller's goroutine, where RunCtx's deferred stopWorkers ends
+	// the workers and the caller may recover it.
+	for _, c := range e.ctxs {
+		if c.panicked != nil {
+			panic(c.panicked)
 		}
 	}
 }

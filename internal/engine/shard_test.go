@@ -263,3 +263,58 @@ func TestKernelStatsCounters(t *testing.T) {
 		}
 	}
 }
+
+// panicker is REALTOR that panics on a message delivered to node at
+// from t=100 on, when both shards are busy.
+type panicker struct {
+	*core.Realtor
+	env protocol.Env
+	at  topology.NodeID
+}
+
+func (p *panicker) Attach(env protocol.Env) {
+	p.env = env
+	p.Realtor.Attach(env)
+}
+
+func (p *panicker) Deliver(m protocol.Message) {
+	if p.env.Self() == p.at && p.env.Now() >= 100 {
+		panic("panicker: deliver")
+	}
+	p.Realtor.Deliver(m)
+}
+
+// A handler that panics on a shard worker's goroutine does not end the
+// process: the worker keeps the value, and the run re-raises it on the
+// caller's goroutine once every worker is idle, so the caller (a
+// daemon's job runner, say) can recover it.
+func TestShardWorkerPanicReachesCaller(t *testing.T) {
+	cfg := Config{
+		Graph:         topology.Mesh(10, 10),
+		QueueCapacity: 20,
+		HopDelay:      0.01,
+		Threshold:     0.9,
+		Duration:      200,
+		Shards:        2,
+		Seed:          7,
+	}
+	at := topology.NodeID(cfg.Graph.N() - 1) // shard bands are contiguous: the last node is on shard 1
+	e := New(cfg, func() protocol.Discovery {
+		return &panicker{Realtor: core.New(protocol.DefaultConfig()), at: at}
+	})
+	if e.shardOf[at] != 1 {
+		t.Fatalf("node %d is on shard %d, want 1", at, e.shardOf[at])
+	}
+	defer func() {
+		if v := recover(); v != "panicker: deliver" {
+			t.Fatalf("recovered %v, want the handler's panic", v)
+		}
+		// Kept by the worker, not raised inline by a one-shard phase on
+		// the coordinator: the worker path is the one under test.
+		if e.ctxs[1].panicked == nil {
+			t.Fatal("the panic did not happen on shard 1's worker")
+		}
+	}()
+	e.Run(workload.NewPoisson(20, 5, cfg.Graph.N(), rng.New(3)))
+	t.Fatal("the run returned although a handler panicked")
+}

@@ -11,7 +11,6 @@ import (
 	"realtor/internal/agile"
 	"realtor/internal/agile/transport"
 	"realtor/internal/harness"
-	"realtor/internal/policy"
 	"realtor/internal/protocol"
 	"realtor/internal/sim"
 )
@@ -52,14 +51,12 @@ type Options struct {
 	Reps     int
 
 	CSV, Plot, Diff bool   // figures 5–8 presentation; Plot also charts the attack study
-	Policy          string // policy study: spec of an extra "custom" contender
 	Scenario        string // attack study: random|region|flap|exhaust ("" = random)
 	Transport       string // live studies: chan|udp ("" = chan)
 }
 
-// ErrOption marks a Run error caused by an Options value (a malformed
-// Policy spec, an unknown Scenario or Transport) rather than by the
-// study itself.
+// ErrOption marks a Run error caused by an Options value (an unknown
+// Scenario or Transport) rather than by the study itself.
 var ErrOption = errors.New("invalid option")
 
 // Catalogue returns every study in results/INDEX.md order.
@@ -102,7 +99,6 @@ func Catalogue() []Study {
 			return "# C1 emergent community structure vs load\n" +
 				CommunityTable(RunCommunity([]float64{2, 4, 5, 6, 7, 8, 9, 10}, o.Seed)), nil
 		}},
-		{Fig: "policy", File: "policy.txt", Run: policyReport},
 		{Fig: "attack", File: "attack.txt", Run: func(o Options) (string, error) {
 			return survivabilityReport(o.Scenario, o.Seed, o.Plot)
 		}},
@@ -229,42 +225,6 @@ func discoveryReport(o Options) (string, error) {
 		"# builds that pressure within the short window, while the DHT pays\n" +
 		"# its standing directory upkeep regardless of demand.\n" +
 		DiscoveryTable(RunDiscovery(st, o.Shards)), nil
-}
-
-// policyReport runs the traffic-protection head-to-head (DESIGN.md §11)
-// at a calm (λ=5) and a saturating (λ=8) arrival rate: every policy
-// variant under every attack scenario, one table per rate. A non-empty
-// Options.Policy — parsed and validated by policy.ParseSpec, so
-// negative rates or unknown policy names are rejected before any
-// simulation runs — adds a "custom" contender to the default line-up.
-func policyReport(o Options) (string, error) {
-	var variants []PolicyVariant
-	if o.Policy != "" {
-		cfg, err := policy.ParseSpec(o.Policy)
-		if err != nil {
-			return "", fmt.Errorf("%w: %v", ErrOption, err)
-		}
-		variants = append(PolicyVariants(), PolicyVariant{Tag: "custom", Cfg: cfg})
-	}
-	var b strings.Builder
-	b.WriteString("# R2 traffic-protection policies: REALTOR wrapped in the\n" +
-		"# internal/policy middleware (token-bucket HELP limiting, circuit\n" +
-		"# breakers, retry with backoff, hysteresis elastic capacity) under\n" +
-		"# exhaustion, flapping, and link-churn attacks. The attack occupies\n" +
-		"# the middle third of the run; recover-s is seconds past its end\n" +
-		"# until admission regains 95% of the variant's own pre-attack mean\n" +
-		"# (\"-\" = not within the run).\n")
-	for _, lambda := range []float64{5, 8} {
-		st := DefaultPolicyStudy(lambda, o.Seed)
-		if o.Quick {
-			st.Warmup, st.Duration = 30, 300
-			st.AttackAt, st.Recover, st.BinWidth = 100, 200, 25
-		}
-		st.Shards = o.Shards
-		fmt.Fprintf(&b, "\n## lambda=%g\n", lambda)
-		b.WriteString(PolicyTable(RunPolicy(st, variants...)))
-	}
-	return b.String(), nil
 }
 
 // liveCluster is the live studies' shared recipe: 300 scaled seconds of

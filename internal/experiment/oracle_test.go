@@ -24,7 +24,7 @@ type cellAudit struct {
 	cells []auditedCell
 }
 
-// bindOracle binds the invariant oracle — I1–I11, exact (slack 0) — to
+// bindOracle binds the invariant oracle — I1–I8, exact (slack 0) — to
 // every engine newCell builds until the test ends. Every study builds
 // its engines through newCell, so this puts every cell of every
 // catalogue entry under the oracle; a new study is covered by being

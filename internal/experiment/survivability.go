@@ -26,9 +26,9 @@ const (
 	survLambda            = 5
 )
 
-// exhaust3 is the resource-exhaustion attack the survivability and
-// policy studies share: three interior nodes of the 5×5 mesh stuffed
-// with 30 bogus seconds of work per second each over [at, until).
+// exhaust3 is the survivability study's resource-exhaustion attack:
+// three interior nodes of the 5×5 mesh stuffed with 30 bogus seconds
+// of work per second each over [at, until).
 func exhaust3(at, until sim.Time) attack.Scenario {
 	var parts []attack.Scenario
 	for _, target := range []topology.NodeID{6, 12, 18} {

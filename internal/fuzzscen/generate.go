@@ -5,9 +5,7 @@
 package fuzzscen
 
 import (
-	"realtor/internal/policy"
 	"realtor/internal/rng"
-	"realtor/internal/sim"
 )
 
 // Generation ranges. TTLs are deliberately short relative to Duration
@@ -77,7 +75,7 @@ func Generate(seed int64) Scenario {
 		s.FloodRadius = 1 + r.Intn(3)
 	}
 	if r.Bernoulli(0.35) {
-		s.Policies = generatePolicies(r, seed)
+		skipRetiredPolicyDraws(r)
 	}
 
 	// The discovery protocol is drawn unconditionally (one Intn whether
@@ -100,48 +98,24 @@ func Generate(seed int64) Scenario {
 	return s
 }
 
-// generatePolicies draws a random subset of the traffic-protection
-// middleware with parameters scaled to fuzz-run durations (a cooldown
-// or backoff that outlasts a 20–60 s run would never exercise the
-// recovery paths the oracle checks). Drawing is unconditional for every
-// policy so the stream advances identically whether or not a policy
-// lands enabled — scenario reproducibility depends on it.
-func generatePolicies(r *rng.Stream, seed int64) *policy.Config {
-	cfg := &policy.Config{Seed: uint64(seed*2 + 5)}
-	bucket := r.Bernoulli(0.5)
-	rate, burst := r.Uniform(0.2, 2), float64(1+r.Intn(4))
-	breaker := r.Bernoulli(0.5)
-	trip, cool := 1+r.Intn(3), r.Uniform(2, 12)
-	retry := r.Bernoulli(0.5)
-	tries, base := 2+r.Intn(3), r.Uniform(0.5, 3)
-	strat := []string{policy.StrategyExp, policy.StrategyLinear, policy.StrategyConst}[r.Intn(3)]
-	jitter := r.Uniform(0, 0.5)
-	elastic := r.Bernoulli(0.4)
-	high, low := r.Uniform(0.8, 0.98), r.Uniform(0.2, 0.6)
-	sustain, factor := 1+r.Intn(3), r.Uniform(1.3, 2.5)
-	scale, every := r.Uniform(1.5, 4), r.Uniform(1, 5)
+// retiredPolicyDraws lists, in order, the draws the generator of the
+// retired traffic-protection middleware made: 0 for a Float64-backed
+// draw (Bernoulli or Uniform), n for Intn(n).
+var retiredPolicyDraws = [...]int{0, 0, 4, 0, 3, 0, 0, 3, 0, 3, 0, 0, 0, 0, 3, 0, 0, 0}
 
-	if bucket {
-		cfg.Bucket = &policy.BucketConfig{Rate: rate, Burst: burst}
-	}
-	if breaker {
-		cfg.Breaker = &policy.BreakerConfig{TripAfter: trip, Cooldown: sim.Time(cool)}
-	}
-	if retry {
-		cfg.Retry = &policy.RetryConfig{
-			MaxAttempts: tries, Base: sim.Time(base), Strategy: strat, Jitter: jitter,
+// skipRetiredPolicyDraws makes those draws and throws them away. The
+// middleware is gone, but the 35 % of seeds that drew it must advance
+// the stream exactly as before, so that every seed keeps its scenario,
+// its pinned violation list and its mutant catch rate
+// (TestGenerateStreamPinned).
+func skipRetiredPolicyDraws(r *rng.Stream) {
+	for _, n := range retiredPolicyDraws {
+		if n == 0 {
+			r.Float64()
+		} else {
+			r.Intn(n)
 		}
 	}
-	if elastic {
-		cfg.Elastic = &policy.ElasticConfig{
-			HighWater: high, LowWater: low, SustainFor: sustain,
-			Factor: factor, MaxScale: scale, CheckEvery: sim.Time(every),
-		}
-	}
-	if !cfg.Enabled() {
-		return nil
-	}
-	return cfg
 }
 
 func generateEvents(r *rng.Stream, s Scenario) []Event {

@@ -13,7 +13,6 @@ import (
 	"realtor/internal/core"
 	"realtor/internal/engine"
 	"realtor/internal/metrics"
-	"realtor/internal/policy"
 	"realtor/internal/protocol"
 	"realtor/internal/protocol/dht"
 	"realtor/internal/protocol/hier"
@@ -33,28 +32,28 @@ func Builder(s Scenario) engine.Builder {
 	cfg := s.ProtocolConfig()
 	switch s.Discovery {
 	case "dht":
-		return wrapPolicies(s, dht.Build(dht.Config{Protocol: cfg, N: s.Nodes()}))
+		return dht.Build(dht.Config{Protocol: cfg, N: s.Nodes()})
 	case "hier":
-		return wrapPolicies(s, hier.Build(hier.Config{
+		return hier.Build(hier.Config{
 			Protocol: cfg, N: s.Nodes(),
 			GroupSize: fuzzGroupSize, Branch: fuzzBranch,
-		}))
+		})
 	case "fed":
 		// HIER at depth 1: the root covers every level-0 community. At
 		// N <= fuzzGroupSize the depth is 0 whatever the branch, and 2 is
 		// the smallest one Validate accepts.
-		return wrapPolicies(s, hier.Build(hier.Config{
+		return hier.Build(hier.Config{
 			Protocol: cfg, N: s.Nodes(),
 			GroupSize: fuzzGroupSize, Branch: max(2, (s.Nodes()+fuzzGroupSize-1)/fuzzGroupSize),
-		}))
+		})
 	}
-	return wrapPolicies(s, func() protocol.Discovery { return core.New(cfg) })
+	return func() protocol.Discovery { return core.New(cfg) }
 }
 
 // ReferenceBuilder returns the slow reference twin's builder.
 func ReferenceBuilder(s Scenario) engine.Builder {
 	cfg := s.ProtocolConfig()
-	return wrapPolicies(s, func() protocol.Discovery { return check.NewReference(cfg) })
+	return func() protocol.Discovery { return check.NewReference(cfg) }
 }
 
 // MutantBuilder returns the soft-state-expiry mutant's builder — the
@@ -62,31 +61,7 @@ func ReferenceBuilder(s Scenario) engine.Builder {
 // protocol defects.
 func MutantBuilder(s Scenario) engine.Builder {
 	cfg := s.ProtocolConfig()
-	return wrapPolicies(s, func() protocol.Discovery { return check.NewStaleRealtor(cfg) })
-}
-
-// BrokenBreakerBuilder returns the honest protocol wrapped in the
-// deliberately miswired breaker stack (policy.NewBrokenBreaker) — the
-// seeded policy-layer mutant the I10 audit must catch (`make
-// policy-smoke`). The scenario's own policy config, if any, is kept;
-// its breaker is forced on with an eager trip threshold.
-func BrokenBreakerBuilder(s Scenario) engine.Builder {
-	cfg := s.ProtocolConfig()
-	var pc policy.Config
-	if s.Policies != nil {
-		pc = *s.Policies
-	}
-	return policy.NewBrokenBreaker(pc, func() protocol.Discovery { return core.New(cfg) })
-}
-
-// wrapPolicies interposes the scenario's policy middleware, identically
-// for every builder, so differential pairs stay exactly comparable with
-// policies active.
-func wrapPolicies(s Scenario, build engine.Builder) engine.Builder {
-	if s.Policies == nil {
-		return build
-	}
-	return policy.New(*s.Policies, build)
+	return func() protocol.Discovery { return check.NewStaleRealtor(cfg) }
 }
 
 // Differential replays the scenario through core.Realtor and through

@@ -19,7 +19,6 @@ import (
 
 	"realtor/internal/attack"
 	"realtor/internal/engine"
-	"realtor/internal/policy"
 	"realtor/internal/protocol"
 	"realtor/internal/protocol/hier"
 	"realtor/internal/rng"
@@ -116,12 +115,6 @@ type Scenario struct {
 	// only — the live cluster's hosts share one QueueCapacity.
 	Capacities []float64 `json:"capacities,omitempty"`
 
-	// Policies optionally wraps every protocol instance (fast path,
-	// reference, and mutant alike — the differential stays exact with
-	// policies active) in the traffic-protection middleware of
-	// internal/policy. Nil runs bare.
-	Policies *policy.Config `json:"policies,omitempty"`
-
 	// Events is the fault schedule.
 	Events []Event `json:"events,omitempty"`
 }
@@ -161,11 +154,6 @@ func (s Scenario) Validate() error {
 	}
 	if err := s.ProtocolConfig().Validate(); err != nil {
 		return fmt.Errorf("fuzzscen: protocol parameters: %w", err)
-	}
-	if s.Policies != nil {
-		if err := s.Policies.Validate(); err != nil {
-			return fmt.Errorf("fuzzscen: %w", err)
-		}
 	}
 	switch s.Discovery {
 	case "", "dht", "hier", "fed":

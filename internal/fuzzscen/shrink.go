@@ -5,11 +5,7 @@
 // as replayable as the original.
 package fuzzscen
 
-import (
-	"math"
-
-	"realtor/internal/policy"
-)
+import "math"
 
 // minShrinkDuration is the floor for duration halving: below this a run
 // barely gets past protocol warmup and everything fails vacuously.
@@ -58,11 +54,6 @@ func Shrink(s Scenario, fails func(Scenario) bool) Scenario {
 			func(c *Scenario) bool { ch := c.LossProb != 0; c.LossProb = 0; return ch },
 			func(c *Scenario) bool { ch := c.MaxTries != 0; c.MaxTries = 0; return ch },
 			func(c *Scenario) bool { ch := c.FloodRadius != 0; c.FloodRadius = 0; return ch },
-			func(c *Scenario) bool { ch := c.Policies != nil; c.Policies = nil; return ch },
-			dropPolicy(func(p *policy.Config) { p.Bucket = nil }, func(p *policy.Config) bool { return p.Bucket != nil }),
-			dropPolicy(func(p *policy.Config) { p.Breaker = nil }, func(p *policy.Config) bool { return p.Breaker != nil }),
-			dropPolicy(func(p *policy.Config) { p.Retry = nil }, func(p *policy.Config) bool { return p.Retry != nil }),
-			dropPolicy(func(p *policy.Config) { p.Elastic = nil }, func(p *policy.Config) bool { return p.Elastic != nil }),
 		} {
 			cand := s
 			if !sub(&cand) {
@@ -75,24 +66,4 @@ func Shrink(s Scenario, fails func(Scenario) bool) Scenario {
 		}
 	}
 	return s
-}
-
-// dropPolicy builds a scalar sub-step that removes one policy from the
-// stack. The Config is cloned before mutation — candidate scenarios are
-// struct copies of s, so writing through the shared Policies pointer
-// would corrupt the original.
-func dropPolicy(clear func(*policy.Config), present func(*policy.Config) bool) func(*Scenario) bool {
-	return func(c *Scenario) bool {
-		if c.Policies == nil || !present(c.Policies) {
-			return false
-		}
-		clone := *c.Policies
-		clear(&clone)
-		if !clone.Enabled() {
-			c.Policies = nil
-			return true
-		}
-		c.Policies = &clone
-		return true
-	}
 }

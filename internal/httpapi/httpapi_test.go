@@ -89,6 +89,11 @@ func TestHTTPErrorPaths(t *testing.T) {
 	}
 	resp.Body.Close()
 
+	// An inline spec that still carries the retired middleware's
+	// "policies" is refused, never run bare.
+	legacy := strings.Replace(string(scenario.Export("legacy", fuzzscen.Generate(31)).Canonical()),
+		`"scenario": {`, `"scenario": {"policies": {"bucket": {"rate": 1.5, "burst": 3}},`, 1)
+
 	cases := []struct {
 		label  string
 		method string
@@ -97,6 +102,7 @@ func TestHTTPErrorPaths(t *testing.T) {
 		want   int
 	}{
 		{"bad JSON", "POST", "/runs", `{"package":`, http.StatusBadRequest},
+		{"inline spec with policies", "POST", "/runs", `{"spec":` + legacy + `}`, http.StatusBadRequest},
 		{"unknown field", "POST", "/runs", `{"pakage":"x"}`, http.StatusBadRequest},
 		{"no selector", "POST", "/runs", `{}`, http.StatusBadRequest},
 		{"unknown package", "POST", "/runs", `{"package":"no-such"}`, http.StatusNotFound},

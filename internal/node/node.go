@@ -47,23 +47,6 @@ func (n *Node) ID() topology.NodeID { return n.id }
 // Capacity returns the queue capacity in seconds.
 func (n *Node) Capacity() float64 { return n.capacity }
 
-// SetCapacity resizes the queue to c seconds at time now, for the
-// elastic-capacity policy. The backlog is materialized first and the new
-// capacity clamped so queued work still fits (usage stays ≤ 1); shrinking
-// never sheds admitted tasks. Returns the capacity actually applied, or
-// false (and no change) when c is non-positive.
-func (n *Node) SetCapacity(now sim.Time, c float64) (float64, bool) {
-	if c <= 0 {
-		return n.capacity, false
-	}
-	n.advance(now)
-	if c < n.backlog {
-		c = n.backlog
-	}
-	n.capacity = c
-	return c, true
-}
-
 // Alive reports whether the node is up. Dead nodes accept nothing and
 // answer no protocol messages.
 func (n *Node) Alive() bool { return n.alive }

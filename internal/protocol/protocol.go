@@ -58,34 +58,24 @@ func (k Kind) String() string {
 	}
 }
 
-// floodPrefix[reissue] opens the trace text of a flood.
-var floodPrefix = [2]string{"flood-", "reflood-"}
-
-// floodInfos[reissue][kind] is that text in full, built once: every
+// floodInfos[kind] is the trace text of a flood, built once: every
 // flood is traced, and on an untraced run (the figure sweeps) the text
 // must cost nothing.
-var floodInfos = func() (t [2][numKinds]string) {
-	for r, prefix := range floodPrefix {
-		for k := Kind(0); k < numKinds; k++ {
-			t[r][k] = prefix + k.String()
-		}
+var floodInfos = func() (t [numKinds]string) {
+	for k := Kind(0); k < numKinds; k++ {
+		t[k] = "flood-" + k.String()
 	}
 	return t
 }()
 
 // FloodInfo returns the trace.Event Info every backend stamps on a
-// flood's msg-send event: "flood-<KIND>", or "reflood-<KIND>" for a
-// policy-layer reissue (Message.Reissue) so rate invariants on original
-// emissions (I1, I9) skip it while the retry ledger (I11) counts it.
-func FloodInfo(k Kind, reissue bool) string {
-	r := 0
-	if reissue {
-		r = 1
-	}
+// flood's msg-send event: "flood-<KIND>". The oracle's help-rate
+// invariant (I1) matches on "flood-HELP".
+func FloodInfo(k Kind) string {
 	if k < 0 || k >= numKinds {
-		return floodPrefix[r] + k.String()
+		return "flood-" + k.String()
 	}
-	return floodInfos[r][k]
+	return floodInfos[k]
 }
 
 // Message is a discovery protocol datagram. Field use per kind follows
@@ -115,10 +105,6 @@ type Message struct {
 	Origin topology.NodeID
 	Hop    int
 	Level  int
-
-	// Reissue marks a policy-layer retry of an earlier flood; backends
-	// trace it distinctly (see FloodInfo).
-	Reissue bool
 }
 
 // Candidate is one entry of a node's availability list: a host believed
@@ -449,17 +435,6 @@ type Env interface {
 	// After schedules fn to run d seconds from now on this node. The
 	// callback is suppressed if the node dies first.
 	After(d sim.Time, fn func()) Timer
-}
-
-// CapacityScaler is an optional Env extension: backends whose node
-// capacity can change mid-run (the sim engine, the live Agile runtime)
-// implement it so the elastic-capacity policy can resize the local
-// queue. SetCapacity returns false when the backend rejects the resize
-// (non-positive target, or the Env does not support scaling); the new
-// capacity is clamped so the current backlog still fits, keeping usage
-// within [0, 1].
-type CapacityScaler interface {
-	SetCapacity(c float64) bool
 }
 
 // Discovery is a resource-discovery protocol instance running on one

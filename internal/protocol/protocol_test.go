@@ -20,36 +20,32 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-// Every declared kind yields "flood-<KIND>" / "reflood-<KIND>" — the
-// oracle switches on the HELP pair verbatim — from the shared table,
-// without allocating; an undeclared kind still gets a well-formed text.
+// Every declared kind yields "flood-<KIND>" — the oracle switches on
+// "flood-HELP" verbatim — from the shared table, without allocating; an
+// undeclared kind still gets a well-formed text.
 func TestFloodInfo(t *testing.T) {
-	if FloodInfo(Help, false) != "flood-HELP" || FloodInfo(Help, true) != "reflood-HELP" {
-		t.Fatalf("HELP floods trace as %q / %q; check.Oracle matches on flood-HELP / reflood-HELP",
-			FloodInfo(Help, false), FloodInfo(Help, true))
+	if FloodInfo(Help) != "flood-HELP" {
+		t.Fatalf("HELP floods trace as %q; check.Oracle matches on flood-HELP", FloodInfo(Help))
 	}
 	if numKinds != DHTFound+1 {
 		t.Fatalf("numKinds = %d is not one past the last declared kind", numKinds)
 	}
 	for k := Kind(0); k < numKinds; k++ {
-		if got, want := FloodInfo(k, false), "flood-"+k.String(); got != want {
-			t.Errorf("FloodInfo(%v, false) = %q, want %q", k, got, want)
-		}
-		if got, want := FloodInfo(k, true), "reflood-"+k.String(); got != want {
-			t.Errorf("FloodInfo(%v, true) = %q, want %q", k, got, want)
+		if got, want := FloodInfo(k), "flood-"+k.String(); got != want {
+			t.Errorf("FloodInfo(%v) = %q, want %q", k, got, want)
 		}
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
 		for k := Kind(0); k < numKinds; k++ {
-			_, _ = FloodInfo(k, false), FloodInfo(k, true)
+			_ = FloodInfo(k)
 		}
 	}); allocs != 0 {
 		t.Errorf("FloodInfo allocates %.1f times over the declared kinds, want 0", allocs)
 	}
-	if got := FloodInfo(numKinds, true); got != "reflood-"+numKinds.String() {
+	if got := FloodInfo(numKinds); got != "flood-"+numKinds.String() {
 		t.Errorf("undeclared kind traces as %q", got)
 	}
-	if got := FloodInfo(-1, false); got != "flood-Kind(-1)" {
+	if got := FloodInfo(-1); got != "flood-Kind(-1)" {
 		t.Errorf("negative kind traces as %q", got)
 	}
 }

@@ -1,7 +1,7 @@
 // Package scenario implements declarative scenario packages with a
 // golden-run regression gate. A package is a directory holding
 // scenario.json — a Spec naming the protocol variant, the embedded
-// fuzzscen.Scenario (topology, workload, policy stack, fault schedule)
+// fuzzscen.Scenario (topology, workload, fault schedule)
 // and the expected outcome bands — plus an optional golden.json, the
 // blessed canonical Summary of a sim run. The runner executes a package
 // through the backend-agnostic harness with the invariant oracle

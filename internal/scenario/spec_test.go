@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"realtor/internal/fuzzscen"
-	"realtor/internal/policy"
 	"realtor/internal/workload"
 )
 
@@ -99,7 +98,7 @@ func TestCommittedSpecsAreCanonical(t *testing.T) {
 }
 
 // Malformed specs are rejected with errors naming the offending field —
-// including unknown protocol, policy, workload, and fault-op names.
+// including unknown protocol, workload, and fault-op names.
 func TestDecodeSpecFieldErrors(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -121,9 +120,6 @@ func TestDecodeSpecFieldErrors(t *testing.T) {
 		{"negative max tries", func(sp *Spec) { sp.Scenario.MaxTries = -1 }, "max_tries"},
 		{"help_init below HelpMin", func(sp *Spec) { sp.Scenario.HelpInit = 0.001 }, "HELP interval bounds (init=0.001"},
 		{"negative beta", func(sp *Spec) { sp.Scenario.Beta = -0.1 }, "beta=-0.1"},
-		{"unknown retry strategy", func(sp *Spec) {
-			sp.Scenario.Policies = &policy.Config{Retry: &policy.RetryConfig{MaxAttempts: 2, Base: 1, Strategy: "fib"}}
-		}, `unknown retry strategy "fib"`},
 		{"negative capacity", func(sp *Spec) { sp.Scenario.Capacities = []float64{5, -1} }, "capacity"},
 		{"admission band inverted", func(sp *Spec) { sp.Expect.AdmissionMinPct = 80; sp.Expect.AdmissionMaxPct = 20 }, "admission_max_pct"},
 		{"reject band overflow", func(sp *Spec) { sp.Expect.MaxRejectPct = 130 }, "max_reject_pct"},
@@ -152,6 +148,13 @@ func TestDecodeSpecRejectsUnknownFields(t *testing.T) {
 	raw = append(bytes.TrimRight(testSpec().Canonical(), "}\n"), []byte(`,"extra": 1}`)...)
 	if _, err := DecodeSpec(raw); err == nil {
 		t.Fatal("trailing unknown field accepted")
+	}
+	// A package written when the scenario could carry a traffic-protection
+	// middleware stack fails loudly: it must never run bare.
+	raw = bytes.Replace(testSpec().Canonical(), []byte(`"scenario": {`),
+		[]byte(`"scenario": {"policies": {"bucket": {"rate": 1.5, "burst": 3}},`), 1)
+	if _, err := DecodeSpec(raw); err == nil || !strings.Contains(err.Error(), `unknown field "policies"`) {
+		t.Fatalf("err = %v, want the retired policies field rejected as unknown", err)
 	}
 }
 

@@ -35,7 +35,6 @@ const (
 	LinkCut     Kind = "link-cut"     // overlay link Node—Peer severed
 	LinkRestore Kind = "link-restore" // overlay link Node—Peer healed
 	MsgDrop     Kind = "msg-drop"     // delivery dropped in flight (Info = cause)
-	Resize      Kind = "resize"       // elastic policy changed Node capacity (Size = new)
 )
 
 // Event is one recorded occurrence. Peer is -1 when not applicable.
