@@ -99,6 +99,7 @@ type Host struct {
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 
+	at         float64 // scaled instant of the actor step in progress
 	lastDrain  float64 // scaled time of the last queue drain
 	above      bool    // usage above threshold?
 	crossing   *time.Timer
@@ -171,11 +172,13 @@ func (h *Host) loop() {
 		case <-h.done:
 			return
 		case fn := <-h.cmds:
+			h.at = h.cluster.now()
 			fn()
 		case pkt, ok := <-h.ep.Inbox():
 			if !ok {
 				return
 			}
+			h.at = h.cluster.now()
 			if h.killed {
 				// A downed host drops traffic on the floor; account for
 				// protocol messages so the conservation ledger balances.
@@ -259,8 +262,11 @@ func (h *Host) Revive() {
 // via Inspect or accept momentary staleness).
 func (h *Host) Alive() bool { return !h.killed }
 
-// now returns the scaled cluster time in seconds.
-func (h *Host) now() float64 { return h.cluster.now() }
+// now returns the scaled instant at which the actor step in progress
+// began. One step reads one clock, as one simulator event does: the
+// instant a delivery's observer reports is the instant the protocol
+// stamps on what it delivered, however long the observer waited.
+func (h *Host) now() float64 { return h.at }
 
 // drain advances the run queue to the current time, completing jobs and
 // checking their deadlines. Completion instants are exact: jobs complete

@@ -349,9 +349,11 @@ var _ trace.Recorder = (*Hooks)(nil)
 var _ trace.MessageObserver = (*Hooks)(nil)
 
 // Bind points the forwarder at a constructed oracle and replays to it,
-// in order, every callback that arrived before: a live cluster's hosts
-// run from construction on (a DHT node publishes at once), so a send
-// can precede Bind while its delivery follows it.
+// in order, every callback that arrived before. A replayed audit reads
+// node state on the binding goroutine as it stands at Bind, not at the
+// callback's instant, so a backend whose runtime runs before Bind (the
+// live cluster's host actors) must hold its callbacks until the oracle
+// is bound rather than rely on the replay.
 func (h *Hooks) Bind(o *Oracle) {
 	h.mu.Lock()
 	h.o = o

@@ -16,7 +16,9 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"runtime/debug"
 	"sort"
 
 	"realtor/internal/protocol"
@@ -74,7 +76,20 @@ type shardCtx struct {
 	done   chan struct{}
 	// panicked holds what a handler panicked with on this shard's
 	// worker, for runPhase to re-raise on the caller's goroutine.
-	panicked any
+	panicked *workerPanic
+}
+
+// workerPanic carries a handler's panic from a shard worker to the
+// caller, with the worker's stack: the re-raise on the caller's
+// goroutine would otherwise print only the coordinator's stack, not
+// the handler's.
+type workerPanic struct {
+	value any
+	stack []byte
+}
+
+func (p *workerPanic) Error() string {
+	return fmt.Sprintf("%v\n\nshard worker stack:\n%s", p.value, p.stack)
 }
 
 // mailEntry is one cross-shard event hand-off: the destination shard,
@@ -229,7 +244,7 @@ func (e *Engine) startWorkers() {
 func (c *shardCtx) runBelow(bound sim.EventKey) {
 	defer func() {
 		if v := recover(); v != nil {
-			c.panicked = v
+			c.panicked = &workerPanic{value: v, stack: debug.Stack()}
 		}
 	}()
 	c.sched.RunBelow(bound)

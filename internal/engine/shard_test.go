@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"realtor/internal/core"
@@ -306,8 +307,13 @@ func TestShardWorkerPanicReachesCaller(t *testing.T) {
 		t.Fatalf("node %d is on shard %d, want 1", at, e.shardOf[at])
 	}
 	defer func() {
-		if v := recover(); v != "panicker: deliver" {
+		v := recover()
+		p, ok := v.(*workerPanic)
+		if !ok || p.value != "panicker: deliver" {
 			t.Fatalf("recovered %v, want the handler's panic", v)
+		}
+		if !strings.Contains(string(p.stack), "(*panicker).Deliver") {
+			t.Fatalf("carried stack does not name the handler:\n%s", p.stack)
 		}
 		// Kept by the worker, not raised inline by a one-shard phase on
 		// the coordinator: the worker path is the one under test.

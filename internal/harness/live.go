@@ -47,8 +47,9 @@ func (liveBackend) Name() string { return "live" }
 
 // Slack implements Backend: wall time is not exact, so timing-sensitive
 // invariants (I1, I3, timestamp checks in I2/I4) widen by 0.02×TimeScale
-// scaled seconds — 20 wall-milliseconds of drift between a protocol
-// decision's clock read and the observer's.
+// scaled seconds — 20 wall-milliseconds of drift between clock reads
+// the oracle compares across actor steps. Reads within one step agree
+// exactly: a host reads its clock once per step.
 func (b liveBackend) Slack() sim.Time { return sim.Time(0.02 * b.cfg.TimeScale) }
 
 // Start implements Backend.
@@ -79,8 +80,9 @@ func (b liveBackend) Start(s fuzzscen.Scenario, build engine.Builder, hooks *Hoo
 	ccfg.NegotiationTimeout = 50 * time.Millisecond
 	ccfg.MaxTries = s.MaxTries
 	ccfg.Discovery = build
-	ccfg.Trace = hooks
-	ccfg.Observer = hooks
+	g := &gate{h: hooks, open: make(chan struct{})}
+	ccfg.Trace = g
+	ccfg.Observer = g
 	c, err := agile.NewCluster(ccfg, fn)
 	if err != nil {
 		fn.Close()
@@ -90,15 +92,59 @@ func (b liveBackend) Start(s fuzzscen.Scenario, build engine.Builder, hooks *Hoo
 		c:          c,
 		s:          s,
 		g:          s.Graph(),
+		gate:       g,
 		onProgress: onProgress,
 		faults:     newLiveFaults(c, fn, s.LossProb, hooks, s.Events),
 	}, nil
+}
+
+// gate stands between the hosts and the hooks until Run. The hosts'
+// actors start inside agile.NewCluster, before the caller has bound the
+// oracle (a DHT node publishes at once), and an audit replayed at Bind
+// would read node state on the binding goroutine while the actors
+// write it, and see that state as of Bind rather than as of the
+// callback. Held here instead, an emitting host waits inside its own
+// callback, so when the gate opens the oracle audits each host on the
+// host's own goroutine, with the state exactly as it was at that step.
+type gate struct {
+	h    *Hooks
+	open chan struct{}
+	once sync.Once
+}
+
+var _ trace.Recorder = (*gate)(nil)
+var _ trace.MessageObserver = (*gate)(nil)
+
+// release opens the gate; it is idempotent.
+func (g *gate) release() { g.once.Do(func() { close(g.open) }) }
+
+func (g *gate) Record(ev trace.Event) { <-g.open; g.h.Record(ev) }
+
+func (g *gate) OnSend(now sim.Time, from, to topology.NodeID, m protocol.Message) {
+	<-g.open
+	g.h.OnSend(now, from, to, m)
+}
+
+func (g *gate) OnDeliver(now sim.Time, to topology.NodeID, m protocol.Message) {
+	<-g.open
+	g.h.OnDeliver(now, to, m)
+}
+
+func (g *gate) OnDrop(now sim.Time, from, to topology.NodeID, m protocol.Message, reason string) {
+	<-g.open
+	g.h.OnDrop(now, from, to, m, reason)
+}
+
+func (g *gate) OnInject(now sim.Time, node topology.NodeID, size float64) {
+	<-g.open
+	g.h.OnInject(now, node, size)
 }
 
 type liveInstance struct {
 	c          *agile.Cluster
 	s          fuzzscen.Scenario
 	g          *topology.Graph
+	gate       *gate
 	onProgress func(Progress)
 	faults     *liveFaults
 	canceled   bool
@@ -115,8 +161,10 @@ func (i *liveInstance) World() check.World { return liveWorld{c: i.c} }
 // when requested — ticks on its own goroutine (the live backend is
 // wall-clock anyway, so snapshots need no quiescent barrier; RunStats
 // aggregates under the hosts' own synchronization). Events is 0: the
-// live runtime has no event counter.
+// live runtime has no event counter. Run first opens the gate, so the
+// oracle must be bound between Start and Run.
 func (i *liveInstance) Run(ctx context.Context) metrics.RunStats {
+	i.gate.release()
 	stopProbe := i.startProbe()
 	i.faults.start()
 	st, canceled := i.c.Drive(ctx, i.s.Workload(i.g), i.s.Duration)
@@ -176,6 +224,7 @@ func (i *liveInstance) EachNodeSafe(fn func(id topology.NodeID)) {
 // Close implements Instance.
 func (i *liveInstance) Close() {
 	i.closeOnce.Do(func() {
+		i.gate.release() // a host held at the gate could not stop
 		i.faults.stop()
 		i.c.Stop() // also closes the fault network and its inner fabric
 	})

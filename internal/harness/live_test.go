@@ -2,9 +2,11 @@ package harness
 
 import (
 	"testing"
+	"time"
 
 	"realtor/internal/agile/transport"
 	"realtor/internal/fuzzscen"
+	"realtor/internal/trace"
 )
 
 // testLiveCfg runs live scenarios fast (400× wall clock), so the
@@ -39,6 +41,33 @@ func TestLiveHonestRunsAreOracleClean(t *testing.T) {
 	}
 	if offered == 0 {
 		t.Fatal("live runs offered no tasks; the drive loop is broken")
+	}
+}
+
+// TestLiveHoldsCallbacksUntilRun: the hosts run from Start on, and a
+// DHT node publishes at once, but nothing may reach the hooks before
+// Run. The caller binds the oracle in between, and an audit replayed at
+// Bind would read node state off the hosts' goroutines.
+func TestLiveHoldsCallbacksUntilRun(t *testing.T) {
+	s := fuzzscen.Generate(8)
+	if s.Discovery != "dht" {
+		t.Fatalf("seed 8 runs %q, want a DHT scenario", s.Discovery)
+	}
+	hooks := &Hooks{}
+	var seen trace.Buffer
+	hooks.Tee(&seen, nil)
+	inst, err := Live(testLiveCfg()).Start(s, fuzzscen.Builder(s), hooks, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond) // 20 scaled seconds: every first publish is due
+	n := len(seen.Events())
+	inst.Close()
+	if n != 0 {
+		t.Fatalf("%d trace events reached the hooks before Run", n)
+	}
+	if len(seen.Events()) == 0 {
+		t.Fatal("no host published at all; the held callbacks prove nothing")
 	}
 }
 
