@@ -1,7 +1,7 @@
 GO ?= go
 PROFILE_FIG ?= 5
 
-.PHONY: all build vet fmt-check verify test race bench profile fuzz fuzz-smoke parity-smoke shard-smoke scen-smoke daemon-smoke bench-smoke cover-check results results-check clean
+.PHONY: all build vet fmt-check verify test race bench profile fuzz fuzz-smoke parity-smoke live-pin shard-smoke scen-smoke daemon-smoke bench-smoke cover-check results results-check clean
 
 all: build vet test
 
@@ -74,6 +74,14 @@ fuzz-smoke:
 	$(GO) run ./cmd/realtor-scen fuzz -seed 1 -n 500
 	$(GO) run ./cmd/realtor-scen fuzz -seed 1 -n 150 -meta
 	$(GO) run ./cmd/realtor-scen fuzz -seed 1 -n 100 -mutant expiry
+
+# Live-table pin (CI gate, about a second): the three live-cluster
+# tables (figure_9.txt, deadlines.txt, live_attack.txt) regenerated
+# inside a testing/synctest bubble, on virtual time, and byte-compared
+# with results/. Needs Go 1.24 or later: synctest is behind
+# GOEXPERIMENT=synctest there (the CI job pins that toolchain).
+live-pin:
+	GOEXPERIMENT=synctest $(GO) test -count=1 -run TestLiveTablesMatchCommittedResults ./internal/experiment
 
 # Sharded-kernel smoke (CI gate, ~1 minute): the fuzz sweep — invariant
 # oracle plus fast-vs-reference differential — replayed on the

@@ -4,7 +4,8 @@
 // or its file's stem, and with no other flag `realtor-sim -fig X` runs
 // the recipe that wrote results/X.txt: byte for byte for the simulator
 // studies (Figures 5–8 and the extensions), a fresh wall-clock run for
-// the three live-cluster studies (Figure 9, deadlines, live-attack).
+// the three live-cluster studies (Figure 9, deadlines, live-attack),
+// whose committed files are virtual-time runs (`make live-pin`).
 // -out DIR writes every entry's file and INDEX.md, the way results/ was
 // written.
 //

@@ -9,7 +9,9 @@ import (
 	"realtor/internal/agile/naming"
 	"realtor/internal/agile/sched"
 	"realtor/internal/agile/transport"
+	"realtor/internal/core"
 	"realtor/internal/metrics"
+	"realtor/internal/place"
 	"realtor/internal/protocol"
 	"realtor/internal/rng"
 	"realtor/internal/trace"
@@ -64,7 +66,7 @@ type Config struct {
 	Trace trace.Recorder
 
 	// OnOutcome, when set, is called once per submitted component with
-	// its final fate and its Component.Arrive — for a driven task, the
+	// its final fate and its Arrive — for a driven task, the
 	// task's Arrive on the drive's clock, which starts when Drive is
 	// called — the live counterpart of engine.Config.OnOutcome. Like
 	// Trace it fires concurrently from the hosts' actor goroutines, so
@@ -141,6 +143,15 @@ func NewCluster(cfg Config, net transport.Network) (*Cluster, error) {
 	return c, nil
 }
 
+// newDiscovery builds a host's protocol instance (at start and on
+// revival).
+func (c *Cluster) newDiscovery() protocol.Discovery {
+	if c.cfg.Discovery != nil {
+		return c.cfg.Discovery()
+	}
+	return core.New(c.cfg.Protocol)
+}
+
 // now returns the scaled cluster time in seconds.
 func (c *Cluster) now() float64 {
 	return time.Since(c.epoch).Seconds() * c.cfg.TimeScale
@@ -159,13 +170,6 @@ func (c *Cluster) Now() float64 { return c.now() }
 // callers scheduling external events (fault schedules) against the
 // cluster clock.
 func (c *Cluster) ToWall(scaled float64) time.Duration { return c.toWall(scaled) }
-
-// outcome reports one component's fate if a hook is configured.
-func (c *Cluster) outcome(arrive float64, admitted bool) {
-	if c.cfg.OnOutcome != nil {
-		c.cfg.OnOutcome(arrive, admitted)
-	}
-}
 
 // emit records one trace event if a recorder is configured.
 func (c *Cluster) emit(ev trace.Event) {
@@ -231,18 +235,14 @@ func (c *Cluster) RunStats() metrics.RunStats {
 	var st metrics.RunStats
 	for _, h := range c.hosts {
 		st.Offered += h.Stats.Offered.Load()
-		st.Migrated += h.Stats.MigratedOut.Load()
+		st.Migrated += h.Stats.Migrated.Load()
 		st.MigrateFail += h.Stats.MigrateFail.Load()
+		st.Rejected += h.Stats.Rejected.Load()
 	}
 	// Admission is counted from the submitter's perspective: offered
-	// minus everything the one-try pipeline rejected.
-	var rejected uint64
-	for _, h := range c.hosts {
-		rejected += h.Stats.RejectedRun.Load()
-	}
-	st.Rejected = rejected
-	if st.Offered >= rejected {
-		st.Admitted = st.Offered - rejected
+	// minus everything the placement machines rejected.
+	if st.Offered >= st.Rejected {
+		st.Admitted = st.Offered - st.Rejected
 	}
 	st.HelpMsgs = c.helpMsgs.Load()
 	st.PledgeMsgs = c.pledgeMsgs.Load()
@@ -277,11 +277,7 @@ func (c *Cluster) countUnicast(k protocol.Kind) {
 // settle sleeps long enough for queued commands, in-flight negotiations
 // (including MaxTries retry chains) and their timeouts to resolve.
 func (c *Cluster) settle() {
-	tries := c.cfg.MaxTries
-	if tries <= 0 {
-		tries = 1
-	}
-	time.Sleep(time.Duration(tries+1)*c.cfg.NegotiationTimeout + 50*time.Millisecond)
+	time.Sleep(time.Duration(place.Tries(c.cfg.MaxTries)+1)*c.cfg.NegotiationTimeout + 50*time.Millisecond)
 }
 
 // Drive replays a workload source on the live cluster: each task
@@ -328,7 +324,8 @@ func (c *Cluster) Drive(ctx context.Context, src workload.Source, duration float
 		}
 		// Task IDs are shifted by one so a source emitting ID 0 cannot
 		// collide with "unregistered" sentinels anywhere downstream.
-		comp := Component{ID: t.ID + 1, Cost: t.Size, Arrive: float64(t.Arrive)}
+		comp := place.Task{Task: t}
+		comp.ID++
 		if c.cfg.DeadlineSlack > 0 {
 			u := rng.SeedLight(t.ID, deadlineSeed)
 			comp.Deadline = start + float64(t.Arrive) + (0.25+1.5*u.Float64())*c.cfg.DeadlineSlack

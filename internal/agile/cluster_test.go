@@ -10,7 +10,9 @@ import (
 	"realtor/internal/agile/transport"
 	"realtor/internal/core"
 	"realtor/internal/metrics"
+	"realtor/internal/place"
 	"realtor/internal/protocol"
+	"realtor/internal/protocol/protocoltest"
 	"realtor/internal/rng"
 	"realtor/internal/sim"
 	"realtor/internal/topology"
@@ -18,6 +20,11 @@ import (
 )
 
 // fastConfig keeps live tests quick: small cluster, high time scale.
+// comp is a component of cost scaled seconds with an absolute deadline.
+func comp(id uint64, cost, deadline float64) place.Task {
+	return place.Task{Task: workload.Task{ID: id, Size: cost}, Deadline: deadline}
+}
+
 func fastConfig(hosts int) Config {
 	cfg := DefaultConfig()
 	cfg.Hosts = hosts
@@ -72,7 +79,7 @@ func TestClusterEndpointMismatch(t *testing.T) {
 
 func TestSingleTaskRunsToCompletion(t *testing.T) {
 	c := newTestCluster(t, fastConfig(3))
-	c.Host(0).Submit(Component{ID: 1, Cost: 5, Deadline: 100})
+	c.Host(0).Submit(comp(1, 5, 100))
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
 		if c.Host(0).Stats.Completed.Load() == 1 {
@@ -124,16 +131,17 @@ func TestMigrationMovesComponentExactlyOnce(t *testing.T) {
 	h0, h1 := c.Host(0), c.Host(1)
 	// Make host 1 pledge to host 0's community: fill host 0 past the
 	// threshold so it HELPs, then overflow it so it must migrate.
-	h0.Submit(Component{ID: 1, Cost: 49, Deadline: 1e6}) // nearly full (cap 50)
-	time.Sleep(50 * time.Millisecond)                    // HELP + PLEDGE round trip
-	h0.Submit(Component{ID: 2, Cost: 30, Deadline: 1e6}) // overflow -> migrate
+	h0.Submit(comp(1, 49, 1e6))       // nearly full (cap 50)
+	time.Sleep(50 * time.Millisecond) // HELP + PLEDGE round trip
+	h0.Submit(comp(2, 30, 1e6))       // overflow -> migrate
 	time.Sleep(200 * time.Millisecond)
 
-	if got := h0.Stats.MigratedOut.Load(); got != 1 {
-		t.Fatalf("migrated out %d, want 1", got)
-	}
-	if got := h1.Stats.MigratedIn.Load(); got != 1 {
+	// The migration is counted once, where the component was admitted.
+	if got := h1.Stats.Migrated.Load(); got != 1 {
 		t.Fatalf("migrated in %d, want 1", got)
+	}
+	if got := h0.Stats.Migrated.Load(); got != 0 {
+		t.Fatalf("origin counted %d migrations too", got)
 	}
 	// The component must be registered exactly once, on host 1.
 	host, ok := c.naming.Lookup(2)
@@ -152,13 +160,13 @@ func TestOneTryMigrationRejectsWhenTargetFull(t *testing.T) {
 	cfg.TimeScale = 20
 	c := newTestCluster(t, cfg)
 	h0, h1 := c.Host(0), c.Host(1)
-	h0.Submit(Component{ID: 1, Cost: 49, Deadline: 1e6})
+	h0.Submit(comp(1, 49, 1e6))
 	time.Sleep(50 * time.Millisecond) // let host 1 pledge
 	// Now fill host 1 too, faster than its retraction can propagate any
 	// usable alternative (there is none anyway).
-	h1.Submit(Component{ID: 2, Cost: 49, Deadline: 1e6})
+	h1.Submit(comp(2, 49, 1e6))
 	time.Sleep(20 * time.Millisecond)
-	h0.Submit(Component{ID: 3, Cost: 30, Deadline: 1e6})
+	h0.Submit(comp(3, 30, 1e6))
 	time.Sleep(300 * time.Millisecond)
 	st := c.RunStats()
 	if st.Admitted != 2 {
@@ -183,8 +191,8 @@ func TestLossyTransportTimesOutNotHangs(t *testing.T) {
 	}
 	defer c.Stop()
 	h0 := c.Host(0)
-	h0.Submit(Component{ID: 1, Cost: 49, Deadline: 1e6})
-	h0.Submit(Component{ID: 2, Cost: 30, Deadline: 1e6}) // overflow, no candidates ever
+	h0.Submit(comp(1, 49, 1e6))
+	h0.Submit(comp(2, 30, 1e6)) // overflow, no candidates ever
 	time.Sleep(300 * time.Millisecond)
 	st := c.RunStats()
 	if st.Offered != 2 || st.Admitted != 1 || st.Rejected != 1 {
@@ -237,11 +245,11 @@ func TestRealtorPledgesFlowLive(t *testing.T) {
 	cfg.TimeScale = 20
 	c := newTestCluster(t, cfg)
 	h0 := c.Host(0)
-	h0.Submit(Component{ID: 1, Cost: 48, Deadline: 1e6})
+	h0.Submit(comp(1, 48, 1e6))
 	time.Sleep(100 * time.Millisecond)
 	// Hosts 1 and 2 should have pledged to host 0 after its HELP.
 	h0.Inspect(func(h *Host) {
-		if got := len(h.disco.Candidates(1)); got != 2 {
+		if got := len(h.Discovery().Candidates(1)); got != 2 {
 			t.Errorf("host 0 candidates = %d, want 2", got)
 		}
 	})
@@ -281,10 +289,10 @@ func TestDeliveryStampsTheObservedInstant(t *testing.T) {
 	cfg.Observer = obs
 	c := newTestCluster(t, cfg)
 	h0 := c.Host(0)
-	h0.Submit(Component{ID: 1, Cost: 48, Deadline: 1e6})
+	h0.Submit(comp(1, 48, 1e6))
 	time.Sleep(150 * time.Millisecond)
 	h0.Inspect(func(h *Host) {
-		cands := h.disco.Candidates(1)
+		cands := h.Discovery().Candidates(1)
 		if len(cands) != 2 {
 			t.Errorf("host 0 candidates = %d, want 2", len(cands))
 		}
@@ -305,7 +313,7 @@ func TestStopIsIdempotentAndQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Host(0).Submit(Component{ID: 1, Cost: 10, Deadline: 100})
+	c.Host(0).Submit(comp(1, 10, 100))
 	done := make(chan struct{})
 	go func() {
 		// A caller may stop a cluster on an error path and again on a
@@ -327,7 +335,7 @@ func TestLiveKillAndRevive(t *testing.T) {
 	cfg.TimeScale = 50
 	c := newTestCluster(t, cfg)
 	h0 := c.Host(0)
-	h0.Submit(Component{ID: 1, Cost: 40, Deadline: 1e6})
+	h0.Submit(comp(1, 40, 1e6))
 	time.Sleep(30 * time.Millisecond)
 	h0.Kill()
 	h0.Kill() // idempotent
@@ -344,16 +352,16 @@ func TestLiveKillAndRevive(t *testing.T) {
 		t.Fatal("killed host's components still registered")
 	}
 	// Arrivals at the dead host are lost.
-	h0.Submit(Component{ID: 2, Cost: 5, Deadline: 1e6})
+	h0.Submit(comp(2, 5, 1e6))
 	time.Sleep(30 * time.Millisecond)
-	if got := h0.Stats.RejectedRun.Load(); got != 1 {
+	if got := h0.Stats.Rejected.Load(); got != 1 {
 		t.Fatalf("dead-host rejections %d, want 1", got)
 	}
 	// Revive restores service with fresh protocol state.
 	h0.Revive()
 	h0.Revive() // idempotent
 	time.Sleep(10 * time.Millisecond)
-	h0.Submit(Component{ID: 3, Cost: 5, Deadline: 1e6})
+	h0.Submit(comp(3, 5, 1e6))
 	time.Sleep(50 * time.Millisecond)
 	h0.Inspect(func(h *Host) {
 		if !h.Alive() {
@@ -393,22 +401,22 @@ func TestLiveRetryWalksList(t *testing.T) {
 	c := newTestCluster(t, cfg)
 	h0, h1, h2 := c.Host(0), c.Host(1), c.Host(2)
 	// Fill host 0 so it HELPs; hosts 1 and 2 pledge.
-	h0.Submit(Component{ID: 1, Cost: 49, Deadline: 1e6})
+	h0.Submit(comp(1, 49, 1e6))
 	time.Sleep(50 * time.Millisecond)
 	// Fill host 1 quietly (below its crossing retraction? 49 > 45 so it
 	// retracts — fill host 1 to 40 instead so it stays pledged but can't
 	// take a 30s task).
-	h1.Submit(Component{ID: 2, Cost: 40, Deadline: 1e6})
+	h1.Submit(comp(2, 40, 1e6))
 	time.Sleep(20 * time.Millisecond)
 	// Overflow host 0 with a 30s task: best candidate is host 1 (pledged
 	// 50 before filling), which denies; retry lands it on host 2.
-	h0.Submit(Component{ID: 3, Cost: 30, Deadline: 1e6})
+	h0.Submit(comp(3, 30, 1e6))
 	time.Sleep(300 * time.Millisecond)
 	st := c.RunStats()
 	if st.Admitted != 3 {
 		t.Fatalf("admitted %d, want 3 (retry should rescue the task): %+v", st.Admitted, st)
 	}
-	if h2.Stats.MigratedIn.Load()+h1.Stats.MigratedIn.Load() == 0 {
+	if h2.Stats.Migrated.Load()+h1.Stats.Migrated.Load() == 0 {
 		t.Fatal("no migration happened at all")
 	}
 	if host, ok := c.naming.Lookup(3); !ok || (host != 2 && host != 1) {
@@ -425,12 +433,12 @@ func TestStaleVersionAdmissionDenied(t *testing.T) {
 	// carrying a stale observed version must be denied outright.
 	c.naming.Register(7, 0)
 	h1.Inspect(func(h *Host) {
-		h.handleAdmissionRequest(0, transport.Admission{
+		h.handlePacket(transport.Packet{From: 0, Adm: &transport.Admission{
 			Request: true, Seq: 1, Component: 7, Cost: 5, Version: 99,
-		})
+		}})
 	})
 	time.Sleep(20 * time.Millisecond)
-	if got := h1.Stats.MigratedIn.Load(); got != 0 {
+	if got := h1.Stats.Migrated.Load(); got != 0 {
 		t.Fatalf("stale-version request accepted: migrated-in %d", got)
 	}
 	h1.Inspect(func(h *Host) {
@@ -440,44 +448,57 @@ func TestStaleVersionAdmissionDenied(t *testing.T) {
 	})
 	// A matching version is accepted and moves the naming entry.
 	h1.Inspect(func(h *Host) {
-		h.handleAdmissionRequest(0, transport.Admission{
+		h.handlePacket(transport.Packet{From: 0, Adm: &transport.Admission{
 			Request: true, Seq: 2, Component: 7, Cost: 5, Version: 1,
-		})
+		}})
 	})
 	time.Sleep(20 * time.Millisecond)
 	if host, ok := c.naming.Lookup(7); !ok || host != 1 {
 		t.Fatalf("component 7 at %v ok=%v, want host 1", host, ok)
 	}
-	if got := h1.Stats.MigratedIn.Load(); got != 1 {
+	if got := h1.Stats.Migrated.Load(); got != 1 {
 		t.Fatalf("matching-version request not accepted: %d", got)
 	}
 }
 
+// A try whose grant was delivered but whose answer was lost times out
+// at the origin. Naming shows the component placed, so the origin
+// neither rejects it nor ships it again: the host that admitted it
+// already reported it.
 func TestLostGrantCountsAsPlacedNotDuplicated(t *testing.T) {
 	cfg := fastConfig(3)
 	cfg.TimeScale = 20
 	cfg.MaxTries = 3
+	var mu sync.Mutex
+	var outcomes int
+	cfg.OnOutcome = func(float64, bool) { mu.Lock(); outcomes++; mu.Unlock() }
 	c := newTestCluster(t, cfg)
 	h0 := c.Host(0)
-	// Simulate "previous attempt's grant was lost": the component is
-	// registered and already placed at host 2. A retry from host 0 must
-	// recognize the placement instead of shipping a duplicate.
 	c.naming.Register(9, 0)
 	e, _ := c.naming.Get(9)
 	c.naming.Move(9, 2, e.Version)
 	h0.Inspect(func(h *Host) {
-		h.tryMigrate(Component{ID: 9, Cost: 5, Deadline: 1e6}, 2)
+		h.resolve(place.Try{Task: place.Task{Task: workload.Task{ID: 9, Node: 0, Size: 5}},
+			From: 0, To: 1, Attempt: 2}, false, place.Timeout)
 	})
 	time.Sleep(30 * time.Millisecond)
-	if got := h0.Stats.MigratedOut.Load(); got != 1 {
-		t.Fatalf("lost-grant retry did not count as placed: %d", got)
+	if got := h0.Stats.Rejected.Load(); got != 0 {
+		t.Fatalf("lost-grant timeout rejected: %d", got)
 	}
-	if got := h0.Stats.RejectedRun.Load(); got != 0 {
-		t.Fatalf("lost-grant retry rejected: %d", got)
+	if got := h0.Stats.MigrateFail.Load(); got != 0 {
+		t.Fatalf("lost-grant timeout counted as a failed try: %d", got)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if outcomes != 0 {
+		t.Fatalf("origin reported %d outcomes for a task placed elsewhere", outcomes)
 	}
 	// And no duplicate was shipped anywhere.
-	if got := c.Host(1).Stats.MigratedIn.Load() + c.Host(2).Stats.MigratedIn.Load(); got != 0 {
+	if got := c.Host(1).Stats.Migrated.Load() + c.Host(2).Stats.Migrated.Load(); got != 0 {
 		t.Fatalf("duplicate shipment detected: %d", got)
+	}
+	if host, _ := c.naming.Lookup(9); host != 2 {
+		t.Fatalf("component 9 moved to %v", host)
 	}
 }
 
@@ -601,5 +622,73 @@ func TestOnOutcomeReportsTheTasksArrive(t *testing.T) {
 			t.Fatalf("outcome stamped %v, which no submitted task (or too few) carries", at)
 		}
 		src.arrives[at]--
+	}
+}
+
+// listed is an otherwise inert protocol that lists the same candidates,
+// best first, and drops the head of its list after a failed try, as a
+// pledge list evicts a failed candidate.
+type listed struct {
+	protocoltest.Inert
+	cands []protocol.Candidate
+}
+
+func (l *listed) Candidates(float64) []protocol.Candidate { return l.cands }
+
+func (l *listed) OnMigrationOutcome(_ topology.NodeID, _ float64, ok bool) {
+	if !ok && len(l.cands) > 0 {
+		l.cands = l.cands[1:]
+	}
+}
+
+// A try that timed out may still have its request in flight. The
+// origin's verdict claims the component back on naming before it
+// retries, so that stale request is denied when it lands, even while
+// the retry is still on its way: the component is admitted once, and
+// its outcome reported once.
+func TestVerdictClaimsTheComponentBack(t *testing.T) {
+	cfg := fastConfig(3)
+	cfg.TimeScale = 20
+	cfg.MaxTries = 2
+	cfg.NegotiationTimeout = time.Minute // the retry waits on host 2, however slow the run
+	cfg.Discovery = func() protocol.Discovery {
+		return &listed{cands: []protocol.Candidate{{ID: 1}, {ID: 2}}}
+	}
+	var mu sync.Mutex
+	var outcomes int
+	cfg.OnOutcome = func(float64, bool) { mu.Lock(); outcomes++; mu.Unlock() }
+	c := newTestCluster(t, cfg)
+	h0, h1, h2 := c.Host(0), c.Host(1), c.Host(2)
+	c.naming.Register(9, 0)
+	stale, _ := c.naming.Get(9)
+	// Hold host 2 so the retry cannot land before the stale request.
+	release := make(chan struct{})
+	var once sync.Once
+	free := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(free) // before the cluster's Stop, which waits for host 2
+	held := make(chan struct{})
+	go h2.Inspect(func(*Host) { close(held); <-release })
+	<-held
+	h0.Inspect(func(h *Host) {
+		h.resolve(place.Try{Task: comp(9, 5, 0), From: 0, To: 1, Attempt: 1}, false, place.Timeout)
+	})
+	h1.Inspect(func(h *Host) { // the first try's request, which host 0 never sent
+		h.handlePacket(transport.Packet{From: 0, Adm: &transport.Admission{
+			Request: true, Seq: 99, Component: 9, Cost: 5, Version: stale.Version}})
+	})
+	if got := h1.Stats.Migrated.Load(); got != 0 {
+		t.Fatalf("stale request admitted after the origin's verdict: %d", got)
+	}
+	free()
+	for deadline := time.Now().Add(5 * time.Second); h2.Stats.Migrated.Load() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if host, ok := c.naming.Lookup(9); !ok || host != 2 {
+		t.Fatalf("component 9 at %v ok=%v, want host 2 (the retry)", host, ok)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if outcomes != 1 || h2.Stats.Migrated.Load() != 1 {
+		t.Fatalf("%d outcomes, %d migrations at host 2; want 1 and 1", outcomes, h2.Stats.Migrated.Load())
 	}
 }

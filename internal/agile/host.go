@@ -1,8 +1,9 @@
 // Package agile is the live Agile Objects runtime of Sections 3 and 6:
 // goroutine-per-host servers that schedule timer-style components with an
 // EDF run queue, discover spare capacity with the very same REALTOR
-// implementation the simulator uses (internal/core), and migrate
-// components through speculative admission negotiation, updating a
+// implementation the simulator uses (internal/core), and place
+// components with the simulator's placement machine (internal/place),
+// migrating them through speculative admission negotiation and a
 // versioned naming service. It reproduces the paper's Figure 9
 // measurement without the 20-machine cluster: hosts are actors exchanging
 // real messages over an in-process or UDP transport, and the clock is
@@ -19,33 +20,21 @@ import (
 	"realtor/internal/agile/naming"
 	"realtor/internal/agile/sched"
 	"realtor/internal/agile/transport"
-	"realtor/internal/core"
+	"realtor/internal/place"
 	"realtor/internal/protocol"
+	"realtor/internal/resource"
 	"realtor/internal/sim"
 	"realtor/internal/topology"
 	"realtor/internal/trace"
+	"realtor/internal/workload"
 )
-
-// Component is a migratable unit of work: in the paper's measurement
-// "each task [is] a timer waiting to expire", so the migratable state is
-// just the remaining time — which is exactly what makes speculative
-// migration cheap.
-type Component struct {
-	ID       uint64
-	Cost     float64 // execution time in scaled seconds
-	Deadline float64 // absolute, scaled seconds since cluster start; 0 = none
-	// Arrive is the task's arrival instant on the drive's clock (scaled
-	// seconds since Drive began), the instant Config.OnOutcome reports.
-	Arrive float64
-}
 
 // HostStats are one host's counters, safe to read while running.
 type HostStats struct {
 	Offered     atomic.Uint64 // components first submitted to this host
-	RejectedRun atomic.Uint64 // local queue full at submission
-	MigratedOut atomic.Uint64 // successfully pushed to another host
-	MigratedIn  atomic.Uint64
-	MigrateFail atomic.Uint64 // denied by the remote admission control
+	Rejected    atomic.Uint64 // components this host's machine rejected
+	Migrated    atomic.Uint64 // components migrated in and admitted here
+	MigrateFail atomic.Uint64 // tries denied here, or timed out at their origin
 	Completed   atomic.Uint64
 	// DeadlineMiss counts completed components that finished after their
 	// absolute deadline (deadline 0 means "no deadline").
@@ -92,7 +81,8 @@ type Host struct {
 	cluster *Cluster
 	ep      transport.Endpoint
 	queue   *sched.RunQueue
-	disco   protocol.Discovery
+	env     *liveEnv
+	m       place.Machine // holds the host's Discovery instance
 
 	cmds     chan func()
 	done     chan struct{}
@@ -101,12 +91,13 @@ type Host struct {
 
 	at         float64 // scaled instant of the actor step in progress
 	lastDrain  float64 // scaled time of the last queue drain
-	above      bool    // usage above threshold?
 	crossing   *time.Timer
+	crossSeq   uint64      // generation of the armed crossing
 	drainTimer *time.Timer // fires when the queue is expected to empty
 
 	admSeq    uint64
 	pending   map[uint64]*pendingMigration
+	offered   uint64 // naming version the admission request in hand observed
 	injectSeq uint64
 
 	killed bool
@@ -114,11 +105,10 @@ type Host struct {
 	Stats HostStats
 }
 
+// pendingMigration is a try this host originated, awaiting its verdict.
 type pendingMigration struct {
-	comp    Component
-	target  int
-	attempt int
-	timer   *time.Timer
+	tr    place.Try
+	timer *time.Timer
 }
 
 func newHost(id int, c *Cluster) *Host {
@@ -131,12 +121,10 @@ func newHost(id int, c *Cluster) *Host {
 		done:    make(chan struct{}),
 		pending: make(map[uint64]*pendingMigration),
 	}
-	if c.cfg.Discovery != nil {
-		h.disco = c.cfg.Discovery()
-	} else {
-		h.disco = core.New(c.cfg.Protocol)
-	}
-	h.disco.Attach(&liveEnv{host: h})
+	h.env = &liveEnv{host: h}
+	d := c.newDiscovery()
+	h.m = place.New(topology.NodeID(id), h.env, d, c.cfg.Protocol.Threshold, c.cfg.MaxTries)
+	d.Attach(h.env)
 	return h
 }
 
@@ -198,17 +186,17 @@ func (h *Host) loop() {
 // Kill takes the host down without stopping its actor: the queue is
 // discarded (work in flight is lost, as on a crashed machine), protocol
 // soft state is dropped, and incoming traffic is ignored until Revive.
-// Negotiations this host originated resolve as rejections — a crashed
-// origin can never place its components, and leaving them unresolved
-// would both leak a timeline outcome and break task conservation (I5).
+// Negotiations this host originated resolve with place.OriginDied — a
+// crashed origin can never place its components, and leaving them
+// unresolved would both leak a timeline outcome and break task
+// conservation (I5).
 func (h *Host) Kill() {
 	h.post(func() {
 		if h.killed {
 			return
 		}
 		h.killed = true
-		now := h.now()
-		h.cluster.emit(trace.Event{At: sim.Time(now), Kind: trace.NodeKill,
+		h.cluster.emit(trace.Event{At: sim.Time(h.now()), Kind: trace.NodeKill,
 			Node: topology.NodeID(h.id), Peer: -1})
 		h.drain()
 		for {
@@ -218,23 +206,15 @@ func (h *Host) Kill() {
 			}
 			h.cluster.naming.Deregister(j.ID)
 		}
-		h.above = false
-		if h.crossing != nil {
-			h.crossing.Stop()
-		}
 		if h.drainTimer != nil {
 			h.drainTimer.Stop()
 		}
+		h.m.Kill()
 		for seq, pm := range h.pending {
 			pm.timer.Stop()
 			delete(h.pending, seq)
-			h.Stats.RejectedRun.Add(1)
-			h.cluster.emit(trace.Event{At: sim.Time(now), Kind: trace.Reject,
-				Node: topology.NodeID(h.id), Peer: -1, Size: pm.comp.Cost, Info: "origin-died"})
-			h.deregisterIfLocal(pm.comp.ID)
-			h.cluster.outcome(pm.comp.Arrive, false)
+			h.resolve(pm.tr, false, place.OriginDied)
 		}
-		h.disco.OnNodeDeath()
 	})
 }
 
@@ -249,12 +229,9 @@ func (h *Host) Revive() {
 		h.lastDrain = h.now()
 		h.cluster.emit(trace.Event{At: sim.Time(h.lastDrain), Kind: trace.NodeRevive,
 			Node: topology.NodeID(h.id), Peer: -1})
-		if h.cluster.cfg.Discovery != nil {
-			h.disco = h.cluster.cfg.Discovery()
-		} else {
-			h.disco = core.New(h.cluster.cfg.Protocol)
-		}
-		h.disco.Attach(&liveEnv{host: h})
+		d := h.cluster.newDiscovery()
+		h.m.Revive(d)
+		d.Attach(h.env)
 	})
 }
 
@@ -295,56 +272,22 @@ func (h *Host) drain() {
 	}
 }
 
-func (h *Host) usage() float64 { return h.queue.Backlog() / h.queue.Capacity() }
-
-// Submit offers a fresh component to this host (called by the workload
-// driver). It runs on the actor loop.
-func (h *Host) Submit(c Component) {
+// Submit offers a fresh component to this host, on the actor loop. In
+// the paper's measurement "each task [is] a timer waiting to expire", so
+// a component's migratable state is its remaining time (Size) and its
+// absolute deadline (0 for none). It is born here: registered before
+// admission, so that a later migration is a naming *move* (Figure 1).
+func (h *Host) Submit(t place.Task) {
 	h.post(func() {
-		now := h.now()
-		self := topology.NodeID(h.id)
-		h.Stats.Offered.Add(1)
-		h.cluster.emit(trace.Event{At: sim.Time(now), Kind: trace.Arrival,
-			Node: self, Peer: -1, Size: c.Cost})
+		t.Node = topology.NodeID(h.id)
 		if h.killed {
-			h.Stats.RejectedRun.Add(1) // arrivals at a downed host are lost
-			h.cluster.emit(trace.Event{At: sim.Time(now), Kind: trace.Reject,
-				Node: self, Peer: -1, Size: c.Cost, Info: "dead-node"})
-			h.cluster.outcome(c.Arrive, false)
+			h.m.Arrive(sim.Time(h.now()), t, place.DeadNode) // arrivals at a downed host are lost
 			return
 		}
 		h.drain()
-		// The component is born here: register before admission so that a
-		// later migration is a naming *move*, exactly as in Figure 1.
-		h.cluster.naming.Register(c.ID, naming.HostID(h.id))
-		h.disco.OnArrival(c.Cost)
-		if h.acceptLocal(c) {
-			h.cluster.emit(trace.Event{At: sim.Time(h.now()), Kind: trace.AdmitLocal,
-				Node: self, Peer: -1, Size: c.Cost})
-			h.cluster.outcome(c.Arrive, true)
-			return
-		}
-		h.tryMigrate(c, 1)
+		h.cluster.naming.Register(t.ID, naming.HostID(h.id))
+		h.m.Arrive(sim.Time(h.now()), t, "")
 	})
-}
-
-// acceptLocal enqueues the component if it fits — the run queue's
-// utilization test is the whole admission control — registering it
-// with the naming service and re-arming threshold-crossing detection.
-func (h *Host) acceptLocal(c Component) bool {
-	if !h.queue.Push(sched.Job{ID: c.ID, Deadline: c.Deadline, Cost: c.Cost}) {
-		return false
-	}
-	if e, ok := h.cluster.naming.Get(c.ID); !ok {
-		h.cluster.naming.Register(c.ID, naming.HostID(h.id))
-	} else if e.Host != naming.HostID(h.id) {
-		// Migrated in: record the move (versioned, so a duplicate or
-		// stale notification cannot clobber a newer location).
-		h.cluster.naming.Move(c.ID, naming.HostID(h.id), e.Version)
-	}
-	h.afterAccept()
-	h.armDrainTimer()
-	return true
 }
 
 // armDrainTimer schedules a drain at the moment the queue is expected to
@@ -366,118 +309,28 @@ func (h *Host) armDrainTimer() {
 	})
 }
 
-// afterAccept mirrors the simulator's crossing detection: fire the rising
-// edge immediately and schedule the falling edge at the deterministic
-// drain-to-threshold time.
-func (h *Host) afterAccept() {
-	thr := h.cluster.cfg.Protocol.Threshold * h.queue.Capacity()
-	backlog := h.queue.Backlog()
-	if backlog <= thr {
-		return
-	}
-	if !h.above {
-		h.above = true
-		h.cluster.emit(trace.Event{At: sim.Time(h.now()), Kind: trace.CrossUp,
-			Node: topology.NodeID(h.id), Peer: -1})
-		h.disco.OnUsageCrossing(true)
-	}
-	if h.crossing != nil {
-		h.crossing.Stop()
-	}
-	wall := h.cluster.toWall(backlog - thr)
-	h.crossing = time.AfterFunc(wall, func() {
-		h.post(func() {
-			h.drain()
-			if h.above && h.usage() <= h.cluster.cfg.Protocol.Threshold {
-				h.above = false
-				h.cluster.emit(trace.Event{At: sim.Time(h.now()), Kind: trace.CrossDown,
-					Node: topology.NodeID(h.id), Peer: -1})
-				h.disco.OnUsageCrossing(false)
-			}
-		})
-	})
-}
-
-// tryMigrate performs one speculative-migration attempt: pick the best
-// candidate, ship the component state with the admission request, and
-// resolve on the response (or a timeout, since the transport may be
-// lossy). The versioned naming service provides at-most-once placement:
-// a destination moves the naming entry when it accepts, so a retry after
-// a *lost grant* observes the move and counts the component placed
-// instead of launching a duplicate, and a destination rejects any
-// request whose observed version is stale.
-func (h *Host) tryMigrate(c Component, attempt int) {
-	self := topology.NodeID(h.id)
-	entry, registered := h.cluster.naming.Get(c.ID)
-	if registered && entry.Host != naming.HostID(h.id) {
-		// A previous attempt's grant was delivered to the destination but
-		// its response never reached us: the component is already placed.
-		h.Stats.MigratedOut.Add(1)
-		h.cluster.emit(trace.Event{At: sim.Time(h.now()), Kind: trace.MigrateOK,
-			Node: self, Peer: topology.NodeID(entry.Host), Size: c.Cost, Info: "late-grant"})
-		h.cluster.outcome(c.Arrive, true)
-		return
-	}
-	if !registered {
-		// Defensive: the component vanished (already rejected elsewhere).
-		h.Stats.RejectedRun.Add(1)
-		h.cluster.emit(trace.Event{At: sim.Time(h.now()), Kind: trace.Reject,
-			Node: self, Peer: -1, Size: c.Cost, Info: "vanished"})
-		h.cluster.outcome(c.Arrive, false)
-		return
-	}
-	var target = -1
-	for _, cand := range h.disco.Candidates(c.Cost) {
-		if int(cand.ID) != h.id {
-			target = int(cand.ID)
+// resolve hands the machine the verdict of a try this host originated.
+// An answer that is not a grant is checked against naming first: a
+// grant whose answer was lost still moved the component (LateGrant),
+// and a component that left naming was placed and has since completed
+// or died with its host (Vanished). Either way the host that accepted
+// it reported it, so the verdict is a placement. Otherwise the origin
+// claims the component back — a versioned move onto itself — so that a
+// request still in flight can no longer be admitted anywhere, and the
+// machine's retry or reject is the component's only fate.
+func (h *Host) resolve(tr place.Try, granted bool, why string) {
+	up := why != place.OriginDied
+	for !granted {
+		e, ok := h.cluster.naming.Get(tr.Task.ID)
+		if !ok {
+			granted, why = true, place.Vanished
+		} else if e.Host != naming.HostID(h.id) {
+			granted, why, tr.To = true, place.LateGrant, topology.NodeID(e.Host)
+		} else if _, err := h.cluster.naming.Move(tr.Task.ID, e.Host, e.Version); err == nil {
 			break
 		}
 	}
-	if target < 0 {
-		h.Stats.RejectedRun.Add(1)
-		h.cluster.emit(trace.Event{At: sim.Time(h.now()), Kind: trace.Reject,
-			Node: self, Peer: -1, Size: c.Cost, Info: "no-candidate"})
-		h.deregisterIfLocal(c.ID)
-		h.cluster.outcome(c.Arrive, false)
-		return
-	}
-	h.cluster.emit(trace.Event{At: sim.Time(h.now()), Kind: trace.MigrateTry,
-		Node: self, Peer: topology.NodeID(target), Size: c.Cost})
-	h.cluster.controlMsgs.Add(1)
-	h.admSeq++
-	seq := h.admSeq
-	req := &transport.Admission{
-		Request:   true,
-		Seq:       seq,
-		Component: c.ID,
-		Cost:      c.Cost,
-		Deadline:  c.Deadline,
-		Version:   entry.Version,
-	}
-	pm := &pendingMigration{comp: c, target: target, attempt: attempt}
-	h.pending[seq] = pm
-	// Negotiation timeout: with a lossy transport the response may never
-	// come; a lost negotiation counts as a rejected task (one try only).
-	pm.timer = time.AfterFunc(h.cluster.cfg.NegotiationTimeout, func() {
-		h.post(func() {
-			if _, live := h.pending[seq]; live {
-				delete(h.pending, seq)
-				h.cluster.emit(trace.Event{At: sim.Time(h.now()), Kind: trace.MigrateFail,
-					Node: self, Peer: topology.NodeID(target), Size: c.Cost, Info: "timeout"})
-				h.disco.OnMigrationOutcome(topology.NodeID(target), c.Cost, false)
-				if attempt < h.maxTries() && !h.killed {
-					h.tryMigrate(c, attempt+1)
-					return
-				}
-				h.Stats.RejectedRun.Add(1)
-				h.cluster.emit(trace.Event{At: sim.Time(h.now()), Kind: trace.Reject,
-					Node: self, Peer: -1, Size: c.Cost, Info: "tries-exhausted"})
-				h.deregisterIfLocal(c.ID)
-				h.cluster.outcome(c.Arrive, false)
-			}
-		})
-	})
-	h.ep.Send(target, transport.Packet{Adm: req})
+	h.m.Verdict(sim.Time(h.now()), tr, granted, up, why)
 }
 
 func (h *Host) handlePacket(p transport.Packet) {
@@ -489,92 +342,34 @@ func (h *Host) handlePacket(p transport.Packet) {
 		if o := h.cluster.cfg.Observer; o != nil {
 			o.OnDeliver(sim.Time(h.now()), topology.NodeID(h.id), *p.Disc)
 		}
-		h.disco.Deliver(*p.Disc)
+		h.m.Disco.Deliver(*p.Disc)
 	case p.Adm != nil && p.Adm.Request:
-		h.handleAdmissionRequest(p.From, *p.Adm)
+		// The destination side of speculative migration: the component
+		// state arrived with the request, so admission is an enqueue and
+		// the answer completes the move.
+		adm := *p.Adm
+		tr := place.Try{From: topology.NodeID(p.From), To: topology.NodeID(h.id),
+			Task: place.Task{Task: workload.Task{ID: adm.Component, Node: topology.NodeID(p.From),
+				Size: adm.Cost, Arrive: sim.Time(adm.Arrive)}, Deadline: adm.Deadline}}
+		adm.Request = false
+		h.offered = adm.Version
+		adm.Granted = h.m.Admit(sim.Time(h.now()), tr)
+		h.ep.Send(p.From, transport.Packet{Adm: &adm})
 	case p.Adm != nil:
-		h.handleAdmissionResponse(*p.Adm)
-	}
-}
-
-// handleAdmissionRequest is the destination side of speculative
-// migration: the component state arrived with the request, so admission
-// is an enqueue (utilization test via queue headroom) and the response
-// completes the move. The naming version check makes placement
-// at-most-once: a request carrying a stale version lost a race with
-// another placement of the same component and is denied, so a duplicate
-// request never reaches acceptLocal.
-func (h *Host) handleAdmissionRequest(from int, adm transport.Admission) {
-	if e, ok := h.cluster.naming.Get(adm.Component); !ok || e.Version != adm.Version {
-		rsp := adm
-		rsp.Request = false
-		rsp.Granted = false
-		h.ep.Send(from, transport.Packet{Adm: &rsp})
-		return
-	}
-	c := Component{ID: adm.Component, Cost: adm.Cost, Deadline: adm.Deadline}
-	granted := h.acceptLocal(c)
-	if granted {
-		h.Stats.MigratedIn.Add(1)
-	}
-	rsp := adm
-	rsp.Request = false
-	rsp.Granted = granted
-	h.ep.Send(from, transport.Packet{Adm: &rsp})
-}
-
-func (h *Host) handleAdmissionResponse(adm transport.Admission) {
-	pm, ok := h.pending[adm.Seq]
-	if !ok {
-		return // late response after timeout: already accounted
-	}
-	delete(h.pending, adm.Seq)
-	pm.timer.Stop()
-	self := topology.NodeID(h.id)
-	h.disco.OnMigrationOutcome(topology.NodeID(pm.target), pm.comp.Cost, adm.Granted)
-	if adm.Granted {
-		h.Stats.MigratedOut.Add(1)
-		h.cluster.emit(trace.Event{At: sim.Time(h.now()), Kind: trace.MigrateOK,
-			Node: self, Peer: topology.NodeID(pm.target), Size: pm.comp.Cost})
-		h.cluster.outcome(pm.comp.Arrive, true)
-		return
-	}
-	h.Stats.MigrateFail.Add(1)
-	h.cluster.emit(trace.Event{At: sim.Time(h.now()), Kind: trace.MigrateFail,
-		Node: self, Peer: topology.NodeID(pm.target), Size: pm.comp.Cost})
-	// Section 3: try the next node in the list (the failed candidate was
-	// just evicted by OnMigrationOutcome), up to the configured bound.
-	if pm.attempt < h.maxTries() && !h.killed {
-		h.tryMigrate(pm.comp, pm.attempt+1)
-		return
-	}
-	h.Stats.RejectedRun.Add(1)
-	h.cluster.emit(trace.Event{At: sim.Time(h.now()), Kind: trace.Reject,
-		Node: self, Peer: -1, Size: pm.comp.Cost, Info: "tries-exhausted"})
-	h.deregisterIfLocal(pm.comp.ID)
-	h.cluster.outcome(pm.comp.Arrive, false)
-}
-
-func (h *Host) maxTries() int {
-	if h.cluster.cfg.MaxTries <= 0 {
-		return 1
-	}
-	return h.cluster.cfg.MaxTries
-}
-
-// deregisterIfLocal removes a rejected component's naming entry, but only
-// while it still points here — a late grant may already have moved it,
-// and that newer location must win.
-func (h *Host) deregisterIfLocal(id uint64) {
-	if e, ok := h.cluster.naming.Get(id); ok && e.Host == naming.HostID(h.id) {
-		h.cluster.naming.Deregister(id)
+		pm, ok := h.pending[p.Adm.Seq]
+		if !ok {
+			return // late answer after a timeout: already resolved
+		}
+		delete(h.pending, p.Adm.Seq)
+		pm.timer.Stop()
+		h.resolve(pm.tr, p.Adm.Granted, "")
 	}
 }
 
 // Usage returns Backlog/Capacity. Actor-loop confined: read it only
 // from this host's actor context (an observer callback this host
 // emitted, or Inspect).
-func (h *Host) Usage() float64 { return h.usage() }
+func (h *Host) Usage() float64 { return h.queue.Backlog() / h.queue.Capacity() }
 
 // Headroom returns Capacity − Backlog (actor-loop confined, see Usage).
 func (h *Host) Headroom() float64 { return h.queue.Capacity() - h.queue.Backlog() }
@@ -584,7 +379,7 @@ func (h *Host) Capacity() float64 { return h.queue.Capacity() }
 
 // Discovery returns the host's protocol instance, which is replaced on
 // Revive. Actor-loop confined, see Usage.
-func (h *Host) Discovery() protocol.Discovery { return h.disco }
+func (h *Host) Discovery() protocol.Discovery { return h.m.Disco }
 
 // Inject forces up to size seconds of bogus work into the host's queue
 // through the same bookkeeping as a real admission — threshold-crossing
@@ -624,8 +419,8 @@ func (h *Host) Inject(size float64) float64 {
 		if o := h.cluster.cfg.Observer; o != nil {
 			o.OnInject(sim.Time(h.now()), topology.NodeID(h.id), size)
 		}
-		h.afterAccept()
 		h.armDrainTimer()
+		h.m.Inject(sim.Time(h.now()))
 	})
 	select {
 	case <-done:
@@ -650,20 +445,22 @@ func (h *Host) Inspect(fn func(h *Host)) {
 }
 
 // liveEnv adapts the actor host to protocol.Env, letting the simulator's
-// REALTOR implementation run unmodified on the live runtime.
+// REALTOR implementation run unmodified on the live runtime, and to
+// place.Port, letting the simulator's placement machine run on it too.
 type liveEnv struct {
 	host *Host
 }
 
-var _ protocol.Env = (*liveEnv)(nil)
+var (
+	_ protocol.Env = (*liveEnv)(nil)
+	_ place.Port   = (*liveEnv)(nil)
+)
 
 func (e *liveEnv) Self() topology.NodeID { return topology.NodeID(e.host.id) }
 func (e *liveEnv) Now() sim.Time         { return sim.Time(e.host.now()) }
-func (e *liveEnv) Usage() float64        { return e.host.usage() }
-func (e *liveEnv) Headroom() float64 {
-	return e.host.queue.Capacity() - e.host.queue.Backlog()
-}
-func (e *liveEnv) Capacity() float64 { return e.host.queue.Capacity() }
+func (e *liveEnv) Usage() float64        { return e.host.Usage() }
+func (e *liveEnv) Headroom() float64     { return e.host.Headroom() }
+func (e *liveEnv) Capacity() float64     { return e.host.queue.Capacity() }
 
 func (e *liveEnv) Flood(m protocol.Message) {
 	h := e.host
@@ -723,6 +520,115 @@ func (t *liveTimer) Stop() {
 	t.stopped.Store(true)
 	t.timer.Stop()
 }
+
+// Backlog is the run queue's, drained at the start of the actor step.
+func (e *liveEnv) Backlog(sim.Time) float64 { return e.host.queue.Backlog() }
+
+// Accept enqueues the component if it fits. A component migrating in
+// is first moved here on naming, against the version its origin
+// observed when it sent the request: the versioned move makes placement
+// at-most-once, so a request that lost a race with another placement,
+// or with its origin's own verdict (see resolve), is denied and never
+// reaches the queue.
+func (e *liveEnv) Accept(_ sim.Time, t place.Task) bool {
+	h := e.host
+	if !h.queue.Fits(t.Size) {
+		return false
+	}
+	if t.Node != topology.NodeID(h.id) {
+		if _, err := h.cluster.naming.Move(t.ID, naming.HostID(h.id), h.offered); err != nil {
+			return false
+		}
+	}
+	h.queue.Push(sched.Job{ID: t.ID, Deadline: t.Deadline, Cost: t.Size})
+	h.armDrainTimer()
+	return true
+}
+
+// Emit counts a placement step into the host's counters and traces it.
+func (e *liveEnv) Emit(ev trace.Event, _ sim.Time) {
+	h := e.host
+	switch ev.Kind {
+	case trace.Arrival:
+		h.Stats.Offered.Add(1)
+	case trace.MigrateTry:
+		h.cluster.controlMsgs.Add(1)
+	case trace.MigrateOK:
+		h.Stats.Migrated.Add(1)
+	case trace.MigrateFail:
+		h.Stats.MigrateFail.Add(1)
+	case trace.Reject:
+		h.Stats.Rejected.Add(1)
+	}
+	h.cluster.emit(ev)
+}
+
+// Outcome reports a component's fate. A rejected one leaves naming,
+// but only while its entry still points here.
+func (e *liveEnv) Outcome(t place.Task, _ sim.Time, admitted bool) {
+	c := e.host.cluster
+	if !admitted {
+		if entry, ok := c.naming.Get(t.ID); ok && entry.Host == naming.HostID(e.host.id) {
+			c.naming.Deregister(t.ID)
+		}
+	}
+	if c.cfg.OnOutcome != nil {
+		c.cfg.OnOutcome(float64(t.Arrive), admitted)
+	}
+}
+
+// Request ships the component's state with the admission request
+// (speculative migration) and waits for the answer — or for the
+// negotiation timeout, since the transport may be lossy.
+func (e *liveEnv) Request(_ sim.Time, tr place.Try) {
+	h := e.host
+	h.admSeq++
+	seq := h.admSeq
+	pm := &pendingMigration{tr: tr}
+	h.pending[seq] = pm
+	pm.timer = time.AfterFunc(h.cluster.cfg.NegotiationTimeout, func() {
+		h.post(func() {
+			if _, live := h.pending[seq]; live {
+				delete(h.pending, seq)
+				h.resolve(tr, false, place.Timeout)
+			}
+		})
+	})
+	t := tr.Task
+	entry, _ := h.cluster.naming.Get(t.ID)
+	h.ep.Send(int(tr.To), transport.Packet{Adm: &transport.Admission{Request: true, Seq: seq,
+		Component: t.ID, Cost: t.Size, Deadline: t.Deadline, Arrive: float64(t.Arrive), Version: entry.Version}})
+}
+
+// ArmCrossing (re)arms the falling crossing on a wall timer. The
+// generation guards the one case a stopped timer does not cover: a
+// timer that already fired and queued its step before being replaced.
+func (e *liveEnv) ArmCrossing(_ sim.Time, over float64) {
+	h := e.host
+	e.CancelCrossing()
+	gen := h.crossSeq
+	h.crossing = time.AfterFunc(h.cluster.toWall(over), func() {
+		h.post(func() {
+			if gen == h.crossSeq {
+				h.drain()
+				h.m.Cross(sim.Time(h.now()))
+			}
+		})
+	})
+}
+
+func (e *liveEnv) CancelCrossing() {
+	h := e.host
+	h.crossSeq++
+	if h.crossing != nil {
+		h.crossing.Stop()
+	}
+}
+
+// Eligible accepts every candidate: the live fabric is fully connected
+// and carries no placement attributes, and a dead host answers no
+// negotiation, which times out.
+func (e *liveEnv) Eligible(topology.NodeID, resource.Attrs) bool { return true }
 
 // String renders a short host status line.
 func (h *Host) String() string {

@@ -40,7 +40,7 @@ func TestClusterStopLeaksNoGoroutines(t *testing.T) {
 		// Saturate host 0 so follow-up submissions migrate, leaving
 		// admission requests in flight across the transport.
 		for i := 0; i < 40; i++ {
-			c.Host(0).Submit(Component{ID: uint64(round*100 + i + 1), Cost: 2})
+			c.Host(0).Submit(comp(uint64(round*100+i+1), 2, 0))
 		}
 		time.Sleep(20 * time.Millisecond) // let actors pick the work up mid-negotiation
 		c.Stop()

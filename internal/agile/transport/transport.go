@@ -42,8 +42,9 @@ type Admission struct {
 	Component uint64
 	Cost      float64 // remaining execution time, seconds
 	Deadline  float64
-	Version   uint64 // naming version observed by the requester
-	Granted   bool   // response only
+	Arrive    float64 // the component's arrival instant, for the outcome the target reports
+	Version   uint64  // naming version observed by the requester
+	Granted   bool    // response only
 }
 
 // Packet is the wire unit: exactly one payload field is non-nil.

@@ -1,9 +1,10 @@
 // Package engine wires the simulation together: it owns the event
-// scheduler, the nodes, one Discovery instance per node, message delivery
-// with per-hop latency, threshold-crossing detection, and the
-// arrival → local-admission → one-try-migration pipeline of the paper's
-// Section 5 experiments. It also exposes Kill/Revive so the attack
-// injectors can exercise the survivability path.
+// scheduler, the nodes, message delivery with per-hop latency, and one
+// placement machine (internal/place) per node, which holds the node's
+// Discovery instance and runs the arrival → local-admission →
+// one-try-migration pipeline of the paper's Section 5 experiments; the
+// engine times its requests and crossings. It also exposes Kill/Revive
+// so the attack injectors can exercise the survivability path.
 //
 // The engine runs either single-threaded (the classic kernel) or
 // sharded across worker goroutines under a conservative-lookahead
@@ -21,6 +22,7 @@ import (
 
 	"realtor/internal/metrics"
 	"realtor/internal/node"
+	"realtor/internal/place"
 	"realtor/internal/protocol"
 	"realtor/internal/resource"
 	"realtor/internal/rng"
@@ -213,22 +215,17 @@ const diamExactLimit = 4096
 // sit outside its range).
 const distUnknown = -2
 
-// Arrival resolution modes: where a task actually lands.
-const (
-	arrNormal        uint8 = iota // execute on the resolved node
-	arrRejectDead                 // target dead, rerouting off
-	arrRejectNoAlive              // rerouting on, but no node is alive
-)
-
 // Engine is one configured simulation.
 type Engine struct {
 	cfg   Config
 	sched *sim.Scheduler // external/global events; the only queue when shards == 1
 	cost  protocol.CostModel
 	nodes []node.Node // value slice: node state is contiguous in memory
-	disco []protocol.Discovery
-	envs  []*nodeEnv
-	build Builder
+	// machines[i] is node i's placement machine; it holds the node's
+	// Discovery instance.
+	machines []place.Machine
+	envs     []*nodeEnv
+	build    Builder
 
 	// rerouteRnd drives dead-arrival rerouting — a dedicated stream
 	// drawn in arrival order, so draws are identical at any shard count.
@@ -271,10 +268,8 @@ type Engine struct {
 	// sums are bit-identical at every shard count.
 	statsPer []metrics.RunStats
 
-	// crossing detection state per node
-	above     []bool
-	crossEvs  []sim.Event
-	crossings []crossing // one persistent downward-crossing runner per node
+	// crossings[i] is node i's persistent falling-crossing runner
+	crossings []crossing
 
 	// single-shard runs keep the one reusable pull-as-you-go arrival
 	// runner (at most one arrival is pending at a time).
@@ -314,14 +309,12 @@ func New(cfg Config, build Builder) *Engine {
 		graph:      cfg.Graph,
 		cost:       protocol.NewCostModel(cfg.Graph),
 		nodes:      make([]node.Node, n),
-		disco:      make([]protocol.Discovery, n),
+		machines:   make([]place.Machine, n),
 		envs:       make([]*nodeEnv, n),
 		build:      build,
 		rerouteRnd: rng.New(cfg.Seed).Derive("engine"),
 		nodeSeq:    make([]uint64, n),
 		statsPer:   make([]metrics.RunStats, n),
-		above:      make([]bool, n),
-		crossEvs:   make([]sim.Event, n),
 		crossings:  make([]crossing, n),
 		gen:        make([]int, n),
 	}
@@ -383,8 +376,9 @@ func New(cfg Config, build Builder) *Engine {
 	// even send) from Attach, and those events need their canonical keys
 	// and home queues.
 	for i := 0; i < n; i++ {
-		e.disco[i] = build()
-		e.disco[i].Attach(e.envs[i])
+		d := build()
+		e.machines[i] = place.New(topology.NodeID(i), e.envs[i], d, cfg.Threshold, cfg.MaxTries)
+		d.Attach(e.envs[i])
 	}
 	// Any cross-shard sends a protocol issued from Attach go onto their
 	// home queues now, before the first phase can advance a clock past
@@ -392,7 +386,7 @@ func New(cfg Config, build Builder) *Engine {
 	// by observers bound after New — the oracle idiom — should defer
 	// them to an After(0) timer instead, as protocol/dht does.)
 	e.flushMail()
-	e.protoName = e.disco[0].Name()
+	e.protoName = e.machines[0].Disco.Name()
 	return e
 }
 
@@ -520,7 +514,7 @@ func (e *Engine) Shards() int { return e.shards }
 func (e *Engine) Node(id topology.NodeID) *node.Node { return &e.nodes[id] }
 
 // Discovery returns the protocol instance on a node, for inspection.
-func (e *Engine) Discovery(id topology.NodeID) protocol.Discovery { return e.disco[id] }
+func (e *Engine) Discovery(id topology.NodeID) protocol.Discovery { return e.machines[id].Disco }
 
 // Cost returns the message cost model in force.
 func (e *Engine) Cost() protocol.CostModel { return e.cost }
@@ -546,11 +540,7 @@ func (e *Engine) settleEnd() sim.Time {
 	if diam < 0 {
 		diam = e.graph.N()
 	}
-	tries := e.cfg.MaxTries
-	if tries < 1 {
-		tries = 1
-	}
-	return e.cfg.Duration + 2*e.cfg.HopDelay*sim.Time(diam)*sim.Time(tries) + 1
+	return e.cfg.Duration + 2*e.cfg.HopDelay*sim.Time(diam)*sim.Time(place.Tries(e.cfg.MaxTries)) + 1
 }
 
 // Progress is one run-progress snapshot handed to Config.OnProgress.
@@ -730,8 +720,8 @@ type arrival struct {
 // Fire implements sim.Runner.
 func (a *arrival) Fire(now sim.Time) {
 	e, t := a.e, a.task
-	exec, mode := e.resolveArrival(t)
-	e.handleArrival(e.ctxs[0], now, t, exec, mode)
+	exec, refuse := e.resolveArrival(t)
+	e.machines[exec].Arrive(now, place.Task{Task: t}, refuse)
 	e.scheduleNext(a.src)
 }
 
@@ -765,261 +755,72 @@ func (e *Engine) satisfies(id topology.NodeID, req resource.Attrs) bool {
 }
 
 // resolveArrival decides where a task actually lands: its target, a
-// rerouted alive node, or nowhere (with the reject mode saying why).
+// rerouted alive node, or nowhere (its target, with the reason it is
+// refused).
 // The reroute draw comes from a dedicated stream in arrival order; the
 // single-shard kernel resolves at fire time, the coordinator at pull
 // time — between phases — and both see the same alive set because
 // kills/revives are global events that bound every phase.
-func (e *Engine) resolveArrival(t workload.Task) (topology.NodeID, uint8) {
+func (e *Engine) resolveArrival(t workload.Task) (topology.NodeID, string) {
 	id := t.Node
 	if e.nodes[id].Alive() {
-		return id, arrNormal
+		return id, ""
 	}
 	if !e.cfg.RerouteDeadArrivals {
-		return id, arrRejectDead
+		return id, place.DeadNode
 	}
 	alt, ok := e.randomAlive()
 	if !ok {
-		return id, arrRejectNoAlive
+		return id, "no-alive-node"
 	}
-	return alt, arrNormal
+	return alt, ""
 }
 
-// handleArrival runs a resolved arrival on its execution node's shard.
-func (e *Engine) handleArrival(c *shardCtx, now sim.Time, t workload.Task,
-	id topology.NodeID, mode uint8) {
-	measured := e.measuring(now)
-	st := &e.statsPer[id]
-	if measured {
-		st.Offered++
-	}
-	e.traceCtx(c, trace.Event{At: now, Kind: trace.Arrival, Node: t.Node, Peer: -1, Size: t.Size})
-	switch mode {
-	case arrRejectDead:
-		if measured {
-			st.Rejected++
-		}
-		e.traceCtx(c, trace.Event{At: now, Kind: trace.Reject, Node: id, Peer: -1, Size: t.Size, Info: "dead-node"})
-		e.outcomeCtx(c, t, now, false)
-		return
-	case arrRejectNoAlive:
-		if measured {
-			st.Rejected++
-		}
-		e.traceCtx(c, trace.Event{At: now, Kind: trace.Reject, Node: id, Peer: -1, Size: t.Size, Info: "no-alive-node"})
-		e.outcomeCtx(c, t, now, false)
-		return
-	}
-
-	// Let the discovery protocol see the arrival first (Algorithm H's
-	// trigger is "whenever a task arrives"). A node that cannot satisfy
-	// the task's attribute requirements (e.g. insufficient security
-	// level) has trivially exceeded that resource's threshold, so the
-	// arrival is presented as maximal demand — this is what makes
-	// resource-triggered migration work even when CPU queues are idle.
-	compatible := e.satisfies(id, t.Require)
-	if compatible {
-		e.disco[id].OnArrival(t.Size)
-	} else {
-		e.disco[id].OnArrival(e.cfg.QueueCapacity)
-	}
-
-	if compatible && e.nodes[id].Accept(now, t.Size) {
-		if measured {
-			st.Admitted++
-		}
-		e.traceCtx(c, trace.Event{At: now, Kind: trace.AdmitLocal, Node: id, Peer: -1, Size: t.Size})
-		e.outcomeCtx(c, t, now, true)
-		e.afterAccept(c, now, id)
-		return
-	}
-	e.tryMigrationN(c, now, id, t, measured, 1)
-}
-
-// tryMigrationN implements one migration try: ask the local protocol for
-// candidates, ship the task to the best one, and — within cfg.MaxTries —
-// walk to the next candidate when a destination turns out to be full
-// (Section 3's behaviour; the Section 5 simulation uses the default of a
-// single try). The try is two timed legs: the transfer to the candidate
-// (migration, executing on the target's shard) and the outcome report
-// back (migResult, executing on the origin's shard) — matching the
-// paper's architecture, where the origin learns the verdict a network
-// round-trip later, and giving the conservative coordinator real
-// latency to parallelize under.
-func (e *Engine) tryMigrationN(c *shardCtx, now sim.Time, from topology.NodeID,
-	t workload.Task, measured bool, attempt int) {
-	cands := e.disco[from].Candidates(t.Size)
-	var target topology.NodeID = -1
-	for _, cand := range cands {
-		// A candidate must be alive, attribute-compatible, and reachable
-		// in the live overlay: a partition leaves stale availability-list
-		// entries pointing at the far side, and negotiating with a node
-		// no path reaches is impossible.
-		if cand.ID != from && e.nodes[cand.ID].Alive() && e.satisfies(cand.ID, t.Require) &&
-			e.dist(from, cand.ID) >= 0 {
-			target = cand.ID
-			break
-		}
-	}
-	if target < 0 {
-		if measured {
-			e.statsPer[from].Rejected++
-		}
-		e.traceCtx(c, trace.Event{At: now, Kind: trace.Reject, Node: from, Peer: -1, Size: t.Size, Info: "no-candidate"})
-		e.outcomeCtx(c, t, now, false)
-		return
-	}
-	e.traceCtx(c, trace.Event{At: now, Kind: trace.MigrateTry, Node: from, Peer: target, Size: t.Size})
-
-	// Admission negotiation between the two admission controls.
-	if measured {
-		e.statsPer[from].ControlMsgs++
-		e.statsPer[from].MessageUnits += e.cost.ControlUnits
-	}
-
-	dist := e.dist(from, target)
-	if dist < 0 {
-		dist = e.graph.N() // can't happen (filter above); worst-case latency
-	}
-	delay := e.cfg.HopDelay * sim.Time(dist)
-
-	// Schedule the transfer completion on a pooled runner: migrations are
-	// the second-hottest event class after deliveries, and the closure
-	// this used to allocate per try dominated the sweep's per-cell
-	// allocation count.
-	mg := c.freeMigrations
-	if mg == nil {
-		mg = &migration{e: e}
-	} else {
-		c.freeMigrations = mg.next
-	}
-	mg.from, mg.target, mg.task = from, target, t
-	mg.measured, mg.attempt = measured, attempt
-	mg.fromGen = e.gen[from]
-	e.schedule(c, target, now+delay, int32(from), e.nodeSeq[from], mg)
-	e.nodeSeq[from]++
-}
-
-// migration is a pooled sim.Runner carrying one in-flight migration
-// transfer, executing on the target's shard; recycled through the
-// executing shard's free list like wave.
+// migration is a pooled sim.Runner carrying one in-flight try through
+// both legs of the paper's admission negotiation: the transfer to the
+// target, executing on the target's shard, then the verdict back to the
+// origin a network round trip after the try began, executing on the
+// origin's shard — real latency for the conservative coordinator to
+// parallelize under.
 type migration struct {
-	e        *Engine
-	from     topology.NodeID
-	target   topology.NodeID
-	task     workload.Task
-	measured bool
-	attempt  int
-	fromGen  int
-	next     *migration // free-list link
+	e       *Engine
+	tr      place.Try
+	fromGen int
+	ok      bool       // the target admitted the task
+	back    bool       // the verdict leg
+	next    *migration // free-list link
 }
 
-// Fire implements sim.Runner: complete the transfer at the destination
-// and send the verdict back to the origin. The runner returns itself to
-// the executing shard's pool first.
-func (mg *migration) Fire(arr sim.Time) {
-	e, from, target, t := mg.e, mg.from, mg.target, mg.task
-	measured, attempt, fromGen := mg.measured, mg.attempt, mg.fromGen
-	c := e.ctxOf(target)
-	mg.task = workload.Task{}
-	mg.next = c.freeMigrations
-	c.freeMigrations = mg
-
-	// Re-check attributes at acceptance time: a security downgrade
-	// during the transfer voids the placement.
-	ok := e.nodes[target].Alive() && e.satisfies(target, t.Require) &&
-		e.nodes[target].Accept(arr, t.Size)
-	if ok {
-		if measured {
-			e.statsPer[target].Admitted++
-			e.statsPer[target].Migrated++
-		}
-		e.traceCtx(c, trace.Event{At: arr, Kind: trace.MigrateOK, Node: from, Peer: target, Size: t.Size})
-		e.outcomeCtx(c, t, arr, true)
-		e.afterAccept(c, arr, target)
-	} else {
-		if measured {
-			e.statsPer[target].MigrateFail++
-		}
-		e.traceCtx(c, trace.Event{At: arr, Kind: trace.MigrateFail, Node: from, Peer: target, Size: t.Size})
+// Fire implements sim.Runner. On the transfer leg the target's machine
+// decides and the runner heads home with the verdict — unless no path
+// leads there, in which case the target's machine resolves it. On the
+// verdict leg the origin's machine learns it, if the origin is still
+// the incarnation that tried, and the runner returns to the executing
+// shard's pool.
+func (mg *migration) Fire(at sim.Time) {
+	e, tr := mg.e, mg.tr
+	if mg.back {
+		c := e.ctxOf(tr.From)
+		up := e.gen[tr.From] == mg.fromGen && e.nodes[tr.From].Alive()
+		ok := mg.ok
+		mg.tr, mg.next = place.Try{}, c.freeMigrations
+		c.freeMigrations = mg
+		e.machines[tr.From].Verdict(at, tr, ok, up, "")
+		return
 	}
-
-	back := e.dist(target, from)
+	c := e.ctxOf(tr.To)
+	ok := e.machines[tr.To].Admit(at, tr)
+	back := e.dist(tr.To, tr.From)
 	if back < 0 {
-		// The return path was severed while the task was in flight: the
-		// origin can never learn the verdict. An accepted task simply
-		// stays (its outcome is already reported); a failed one is
-		// finally rejected here — there is no one left to retry it.
-		if !ok {
-			if measured {
-				e.statsPer[target].Rejected++
-			}
-			e.traceCtx(c, trace.Event{At: arr, Kind: trace.Reject, Node: from, Peer: target,
-				Size: t.Size, Info: "origin-unreachable"})
-			e.outcomeCtx(c, t, arr, false)
-		}
+		mg.tr, mg.next = place.Try{}, c.freeMigrations
+		c.freeMigrations = mg
+		e.machines[tr.To].Verdict(at, tr, ok, false, place.OriginUnreachable)
 		return
 	}
-	mr := c.freeResults
-	if mr == nil {
-		mr = &migResult{e: e}
-	} else {
-		c.freeResults = mr.next
-	}
-	mr.from, mr.target, mr.task = from, target, t
-	mr.measured, mr.attempt, mr.fromGen = measured, attempt, fromGen
-	mr.ok = ok
-	e.schedule(c, from, arr+e.cfg.HopDelay*sim.Time(back), int32(target), e.nodeSeq[target], mr)
-	e.nodeSeq[target]++
-}
-
-// migResult is the second migration leg: the verdict arriving back at
-// the origin, executing on the origin's shard.
-type migResult struct {
-	e        *Engine
-	from     topology.NodeID
-	target   topology.NodeID
-	task     workload.Task
-	measured bool
-	attempt  int
-	fromGen  int
-	ok       bool
-	next     *migResult // free-list link
-}
-
-// Fire implements sim.Runner: tell the origin's protocol the verdict —
-// unless the origin died meanwhile — and on failure walk to the next
-// candidate or finally reject. A failed try evicts the stale candidate,
-// so the retry naturally walks down the list.
-func (mr *migResult) Fire(at sim.Time) {
-	e, from, target, t := mr.e, mr.from, mr.target, mr.task
-	measured, attempt, fromGen, ok := mr.measured, mr.attempt, mr.fromGen, mr.ok
-	c := e.ctxOf(from)
-	mr.task = workload.Task{}
-	mr.next = c.freeResults
-	c.freeResults = mr
-
-	originUp := e.gen[from] == fromGen && e.nodes[from].Alive()
-	if originUp {
-		e.disco[from].OnMigrationOutcome(target, t.Size, ok)
-	}
-	if ok {
-		return // outcome reported when the target accepted
-	}
-	maxTries := e.cfg.MaxTries
-	if maxTries <= 0 {
-		maxTries = 1
-	}
-	if originUp && attempt < maxTries {
-		e.tryMigrationN(c, at, from, t, measured, attempt+1)
-		return
-	}
-	if measured {
-		e.statsPer[from].Rejected++
-	}
-	e.traceCtx(c, trace.Event{At: at, Kind: trace.Reject, Node: from, Peer: -1,
-		Size: t.Size, Info: "tries-exhausted"})
-	e.outcomeCtx(c, t, at, false)
+	mg.ok = ok
+	mg.back = true
+	e.schedule(c, tr.From, at+e.cfg.HopDelay*sim.Time(back), int32(tr.To), e.nodeSeq[tr.To], mg)
+	e.nodeSeq[tr.To]++
 }
 
 // randomAlive draws a uniformly random alive node: the k-th alive one in
@@ -1041,62 +842,23 @@ func (e *Engine) randomAlive() (topology.NodeID, bool) {
 	panic("engine: alive count changed under randomAlive")
 }
 
-// afterAccept re-evaluates the node's threshold state after new work was
-// queued. c is the emission context — nil when called from a global
-// event (Inject at a barrier).
-func (e *Engine) afterAccept(c *shardCtx, now sim.Time, id topology.NodeID) {
-	thr := e.cfg.Threshold * e.nodes[id].Capacity()
-	backlog := e.nodes[id].Backlog(now)
-	if backlog <= thr {
-		return
-	}
-	e.holdAbove(c, now, id, backlog-thr)
-}
-
-// holdAbove records that node id's backlog sits `over` seconds above its
-// threshold: an upward crossing fires OnUsageCrossing(true) immediately,
-// and the matching downward crossing is (re)scheduled for the
-// (deterministic) time the queue drains back to the threshold.
-func (e *Engine) holdAbove(c *shardCtx, now sim.Time, id topology.NodeID, over float64) {
-	if !e.above[id] {
-		e.above[id] = true
-		e.traceCtx(c, trace.Event{At: now, Kind: trace.CrossUp, Node: id, Peer: -1})
-		e.disco[id].OnUsageCrossing(true)
-	}
-	// Any previously scheduled downward crossing is stale because the
-	// backlog grew or the threshold moved. Cancel is a generation-checked
-	// no-op on fired or zero handles, so no liveness check is needed.
-	// Each node has exactly one pending downward crossing at a time, so a
-	// single persistent runner per node replaces the per-accept closure.
-	// The crossing always lives on id's own shard — the one executing
-	// this call — so the handle stays locally cancellable.
-	dc := e.ctxOf(id)
-	dc.sched.Cancel(e.crossEvs[id])
-	cr := &e.crossings[id]
-	cr.gen = e.gen[id]
-	e.crossEvs[id] = dc.sched.AtKeyed(now+sim.Time(over), int32(id), e.nodeSeq[id], cr)
-	e.nodeSeq[id]++
-}
-
-// crossing is the per-node downward-crossing runner: it fires when the
-// queue drains back to the threshold level.
+// crossing is the per-node falling-crossing runner: it fires when the
+// queue drains back to the threshold level. Each node has at most one
+// armed at a time, so one persistent runner per node serves every arm.
 type crossing struct {
 	e   *Engine
 	id  topology.NodeID
-	gen int // node generation at scheduling time; stale after Kill
+	gen int       // node generation at arming time; stale after Kill
+	ev  sim.Event // the armed event
 }
 
 // Fire implements sim.Runner.
 func (c *crossing) Fire(at sim.Time) {
 	e, id := c.e, c.id
-	ctx := e.ctxOf(id)
-	e.crossEvs[id] = sim.Event{}
-	if e.gen[id] != c.gen || !e.nodes[id].Alive() || !e.above[id] {
-		return
+	c.ev = sim.Event{}
+	if e.gen[id] == c.gen && e.nodes[id].Alive() {
+		e.machines[id].Cross(at)
 	}
-	e.above[id] = false
-	e.traceCtx(ctx, trace.Event{At: at, Kind: trace.CrossDown, Node: id, Peer: -1})
-	e.disco[id].OnUsageCrossing(false)
 }
 
 // Inject adds up to size seconds of bogus work to node id's queue
@@ -1122,7 +884,7 @@ func (e *Engine) Inject(now sim.Time, id topology.NodeID, size float64) float64 
 	if e.cfg.Observer != nil {
 		e.cfg.Observer.OnInject(now, id, size)
 	}
-	e.afterAccept(nil, now, id)
+	e.machines[id].Inject(now)
 	return size
 }
 
@@ -1137,11 +899,8 @@ func (e *Engine) Kill(id topology.NodeID) {
 	}
 	e.nodes[id].Kill(e.sched.Now())
 	e.traceCtx(nil, trace.Event{At: e.sched.Now(), Kind: trace.NodeKill, Node: id, Peer: -1})
-	e.disco[id].OnNodeDeath()
+	e.machines[id].Kill()
 	e.gen[id]++
-	e.above[id] = false
-	e.ctxOf(id).sched.Cancel(e.crossEvs[id])
-	e.crossEvs[id] = sim.Event{}
 }
 
 // Revive brings a node back with an empty queue and a brand-new protocol
@@ -1154,8 +913,9 @@ func (e *Engine) Revive(id topology.NodeID) {
 	e.nodes[id].Revive(e.sched.Now())
 	e.traceCtx(nil, trace.Event{At: e.sched.Now(), Kind: trace.NodeRevive, Node: id, Peer: -1})
 	e.gen[id]++
-	e.disco[id] = e.build()
-	e.disco[id].Attach(e.envs[id])
+	d := e.build()
+	e.machines[id].Revive(d)
+	d.Attach(e.envs[id])
 }
 
 // Graph returns the live topology view: cfg.Graph until the first link
@@ -1244,6 +1004,100 @@ func (v *nodeEnv) Headroom() float64 {
 
 func (v *nodeEnv) Capacity() float64 {
 	return v.engine.nodes[v.id].Capacity()
+}
+
+// nodeEnv is also the node's place.Port: the placement machine's queue
+// is the fluid node, its requests are migration runners, its crossing
+// the node's persistent crossing runner.
+var _ place.Port = (*nodeEnv)(nil)
+
+func (v *nodeEnv) Backlog(now sim.Time) float64 { return v.engine.nodes[v.id].Backlog(now) }
+
+func (v *nodeEnv) Accept(now sim.Time, t place.Task) bool {
+	return v.engine.nodes[v.id].Accept(now, t.Size)
+}
+
+// Emit counts a placement step into the node's statistics — a task's
+// steps count when it arrived inside the measurement window — and
+// traces it.
+func (v *nodeEnv) Emit(ev trace.Event, arrive sim.Time) {
+	e := v.engine
+	if arrive >= e.cfg.Warmup {
+		st := &e.statsPer[v.id]
+		switch ev.Kind {
+		case trace.Arrival:
+			st.Offered++
+		case trace.AdmitLocal:
+			st.Admitted++
+		case trace.MigrateTry:
+			// Admission negotiation between the two admission controls.
+			st.ControlMsgs++
+			st.MessageUnits += e.cost.ControlUnits
+		case trace.MigrateOK:
+			st.Admitted++
+			st.Migrated++
+		case trace.MigrateFail:
+			st.MigrateFail++
+		case trace.Reject:
+			st.Rejected++
+		}
+	}
+	if e.cfg.Trace != nil {
+		e.traceCtx(v.ctx, ev)
+	}
+}
+
+func (v *nodeEnv) Outcome(t place.Task, at sim.Time, admitted bool) {
+	if v.engine.cfg.OnOutcome != nil {
+		v.engine.outcomeCtx(v.ctx, t.Task, at, admitted)
+	}
+}
+
+// Eligible: alive, attribute-compatible, and — for another node —
+// reachable in the live overlay: a partition leaves stale
+// availability-list entries pointing at the far side, and negotiating
+// with a node no path reaches is impossible.
+func (v *nodeEnv) Eligible(id topology.NodeID, req resource.Attrs) bool {
+	e := v.engine
+	return e.nodes[id].Alive() && e.satisfies(id, req) && (id == v.id || e.dist(v.id, id) >= 0)
+}
+
+// Request ships the try to its target on a pooled migration runner,
+// HopDelay × distance away: migrations are the second-hottest event
+// class after deliveries.
+func (v *nodeEnv) Request(now sim.Time, tr place.Try) {
+	e, c := v.engine, v.ctx
+	dist := e.dist(tr.From, tr.To)
+	if dist < 0 {
+		dist = e.graph.N() // can't happen (Eligible); worst-case latency
+	}
+	mg := c.freeMigrations
+	if mg == nil {
+		mg = &migration{e: e}
+	} else {
+		c.freeMigrations = mg.next
+	}
+	mg.tr, mg.fromGen, mg.back = tr, e.gen[tr.From], false
+	e.schedule(c, tr.To, now+e.cfg.HopDelay*sim.Time(dist), int32(tr.From), e.nodeSeq[tr.From], mg)
+	e.nodeSeq[tr.From]++
+}
+
+// ArmCrossing re-keys the node's one crossing runner. The crossing
+// always lives on the node's own shard, so the handle stays locally
+// cancellable; Cancel is a generation-checked no-op on fired or zero
+// handles.
+func (v *nodeEnv) ArmCrossing(now sim.Time, over float64) {
+	e, id, cr := v.engine, v.id, &v.engine.crossings[v.id]
+	v.CancelCrossing()
+	cr.gen = e.gen[id]
+	cr.ev = v.ctx.sched.AtKeyed(now+sim.Time(over), int32(id), e.nodeSeq[id], cr)
+	e.nodeSeq[id]++
+}
+
+func (v *nodeEnv) CancelCrossing() {
+	cr := &v.engine.crossings[v.id]
+	v.ctx.sched.Cancel(cr.ev)
+	cr.ev = sim.Event{}
 }
 
 // Flood sends m to every member of the sender's scope — the whole mesh,
@@ -1477,7 +1331,7 @@ func (w *wave) Fire(at sim.Time) {
 		if e.gen[mem.to] == mem.gen && e.nodes[mem.to].Alive() {
 			c.delivered++
 			e.observe(c, emitDeliverObs, at, w.from, mem.to, &w.m, "")
-			e.disco[mem.to].Deliver(w.m)
+			e.machines[mem.to].Disco.Deliver(w.m)
 		} else {
 			// Destination died or restarted in flight: the send the observer
 			// saw resolves as a drop, never silently vanishes.

@@ -5,6 +5,7 @@ import (
 
 	"realtor/internal/core"
 	"realtor/internal/metrics"
+	"realtor/internal/place"
 	"realtor/internal/protocol"
 	"realtor/internal/protocol/protocoltest"
 	"realtor/internal/resource"
@@ -602,5 +603,59 @@ func TestUntracedFloodAllocatesNothing(t *testing.T) {
 	send()
 	if allocs := testing.AllocsPerRun(50, send); allocs != 0 {
 		t.Fatalf("an untraced round of two floods and two unicasts allocates %.1f times, want 0", allocs)
+	}
+}
+
+// fixedCandidates is an otherwise inert protocol whose every node lists
+// the same candidates, best first, and drops the head of the list for
+// the try after a denial, as a pledge list evicts a failed candidate.
+type fixedCandidates struct {
+	protocoltest.Inert
+	cands  []protocol.Candidate
+	denied bool
+}
+
+func (f *fixedCandidates) Candidates(float64) []protocol.Candidate {
+	if f.denied {
+		f.denied = false
+		return f.cands[1:]
+	}
+	return f.cands
+}
+
+func (f *fixedCandidates) OnMigrationOutcome(_ topology.NodeID, _ float64, ok bool) { f.denied = !ok }
+
+// The placement path is as free of allocation as the delivery path: an
+// untraced arrival admitted locally, and an arrival that migrates, is
+// denied, learns the verdict and retries onto a second candidate, reuse
+// the pooled migration and verdict runners and the per-node crossing
+// runner.
+func TestUntracedPlacementAllocatesNothing(t *testing.T) {
+	cfg := testEngineConfig()
+	cfg.MaxTries = 2
+	cands := []protocol.Candidate{{ID: 6}, {ID: 18}} // 6 is kept full; 18 has room
+	e := New(cfg, func() protocol.Discovery { return &fixedCandidates{cands: cands} })
+	now := sim.Time(0)
+	task := func(node topology.NodeID, size float64) place.Task {
+		return place.Task{Task: workload.Task{Node: node, Size: size, Arrive: now}}
+	}
+	cycle := func() {
+		now += 200 // every queue has drained since the last cycle
+		e.Scheduler().RunUntil(now)
+		e.Inject(now, 12, 100)
+		e.Inject(now, 6, 100)
+		e.machines[0].Arrive(now, task(0, 1), "")
+		e.machines[12].Arrive(now, task(12, 10), "")
+		e.Scheduler().RunUntil(now + 1) // both tries and both verdicts land
+	}
+	cycle()
+	before := e.Stats()
+	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+		t.Fatalf("an untraced admit-and-migrate cycle allocates %.1f times, want 0", allocs)
+	}
+	st := e.Stats()
+	if runs := st.Offered - before.Offered; runs != 2*51 || st.Admitted-before.Admitted != runs ||
+		st.Migrated-before.Migrated != 51 || st.MigrateFail-before.MigrateFail != 51 {
+		t.Fatalf("cycles did not take the retry path: %+v", st)
 	}
 }

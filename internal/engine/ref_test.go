@@ -121,7 +121,7 @@ func (d *refDelivery) Fire(at sim.Time) {
 	e, c := d.e, d.e.ctxOf(d.to)
 	if e.gen[d.to] == d.gen && e.nodes[d.to].Alive() {
 		e.observe(c, emitDeliverObs, at, d.from, d.to, &d.m, "")
-		e.disco[d.to].Deliver(d.m)
+		e.machines[d.to].Disco.Deliver(d.m)
 	} else {
 		e.observe(c, emitDropObs, at, d.from, d.to, &d.m, trace.DropDead)
 	}

@@ -21,6 +21,7 @@ import (
 	"runtime/debug"
 	"sort"
 
+	"realtor/internal/place"
 	"realtor/internal/protocol"
 	"realtor/internal/sim"
 	"realtor/internal/topology"
@@ -53,7 +54,6 @@ type shardCtx struct {
 	// released into the pool of whichever shard the runner fires in.
 	freeWaves      *wave
 	freeMigrations *migration
-	freeResults    *migResult
 	freeArrivals   *arrivalEv
 
 	// send-side scratch (nodeEnv.admit/launch, byRing): one send is
@@ -360,7 +360,7 @@ func (e *Engine) pullArrivals(bound sim.EventKey) {
 		}
 		t := e.pull
 		e.pull, e.pullOK = e.pullSrc.Next()
-		exec, mode := e.resolveArrival(t)
+		exec, refuse := e.resolveArrival(t)
 		c := e.ctxOf(exec)
 		a := c.freeArrivals
 		if a == nil {
@@ -368,7 +368,7 @@ func (e *Engine) pullArrivals(bound sim.EventKey) {
 		} else {
 			c.freeArrivals = a.next
 		}
-		a.task, a.exec, a.mode = t, exec, mode
+		a.task, a.exec, a.refuse = t, exec, refuse
 		c.sched.AtKeyed(t.Arrive, srcArrival, e.arrSeq, a)
 		e.arrSeq++
 	}
@@ -482,19 +482,19 @@ func (e *Engine) flushBuffers() {
 // workload arrival (sharded runs only; the single-shard kernel keeps the
 // one reusable pull-as-you-go arrival runner).
 type arrivalEv struct {
-	e    *Engine
-	task workload.Task
-	exec topology.NodeID // node the event executes on (t.Node for rejects)
-	mode uint8
-	next *arrivalEv
+	e      *Engine
+	task   workload.Task
+	exec   topology.NodeID // node the event executes on (t.Node for rejects)
+	refuse string          // why the task cannot run at all, or ""
+	next   *arrivalEv
 }
 
 // Fire implements sim.Runner.
 func (a *arrivalEv) Fire(now sim.Time) {
-	e, t, exec, mode := a.e, a.task, a.exec, a.mode
+	e, t, exec, refuse := a.e, a.task, a.exec, a.refuse
 	c := e.ctxOf(exec)
 	a.task = workload.Task{}
 	a.next = c.freeArrivals
 	c.freeArrivals = a
-	e.handleArrival(c, now, t, exec, mode)
+	e.machines[exec].Arrive(now, place.Task{Task: t}, refuse)
 }

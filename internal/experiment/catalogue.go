@@ -22,9 +22,11 @@ import (
 type Study struct {
 	Fig  string // realtor-sim -fig name
 	File string // file under results/; "" = a view of another entry, not written
-	// Live marks a study run on the live Agile cluster: its output
-	// depends on the wall clock, so no test pins its bytes (ROADMAP
-	// item 7).
+	// Live marks a study run on the live Agile cluster. Its committed
+	// file is the virtual-time table TestLiveTablesMatchCommittedResults
+	// pins inside a testing/synctest bubble (`make live-pin`); on the
+	// wall clock its numbers move run to run, so tier-1 skips it until
+	// the cluster has a clock seam of its own (ROADMAP item 7).
 	Live bool
 	// Sweep marks a λ-sweep: the study honours Options.Lambdas, and on
 	// the simulator Options.Reps.

@@ -52,9 +52,10 @@ var leadingRungs = map[string]func() string{
 // invariants — I5 task and message conservation, I6 partition safety,
 // I8 crossing alternation. statelessCells names the entries that have
 // such cells and why; the test fails if that list stops matching the
-// studies. Live entries are wall-clock runs that build no engine cell:
-// they skip until the live cluster runs on a virtual clock (ROADMAP
-// item 7); pinning one is dropping its skip.
+// studies. Live entries build no engine cell and read the wall clock:
+// TestLiveTablesMatchCommittedResults pins them on virtual time under
+// GOEXPERIMENT=synctest (`make live-pin`), and they skip here until the
+// live cluster has a clock seam of its own (ROADMAP item 7).
 func TestCheapTablesMatchCommittedResults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates every simulator result table")
@@ -71,7 +72,7 @@ func TestCheapTablesMatchCommittedResults(t *testing.T) {
 		}
 		t.Run(st.Fig, func(t *testing.T) {
 			if st.Live {
-				t.Skip("wall-clock run (ROADMAP item 7)")
+				t.Skip("live table: pinned on virtual time by `make live-pin` (ROADMAP item 7)")
 			}
 			raw, err := os.ReadFile(filepath.Join(resultsDir, st.File))
 			if err != nil {

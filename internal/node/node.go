@@ -104,14 +104,6 @@ func (n *Node) Fits(now sim.Time, size float64) bool {
 	return n.alive && n.Backlog(now)+size <= n.capacity
 }
 
-// WouldExceed reports whether admitting a task of the given size would
-// push occupancy strictly above the threshold fraction. This is the
-// predicate of Algorithm H ("the queue including the new task exceeds a
-// certain level").
-func (n *Node) WouldExceed(now sim.Time, size, threshold float64) bool {
-	return n.Backlog(now)+size > threshold*n.capacity
-}
-
 // Accept enqueues a task of the given size. It returns false (and changes
 // nothing) if the task does not fit or the node is dead.
 func (n *Node) Accept(now sim.Time, size float64) bool {

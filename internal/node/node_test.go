@@ -76,12 +76,6 @@ func TestUsageAndThreshold(t *testing.T) {
 	if u := n.Usage(0); u != 0.85 {
 		t.Fatalf("usage %v", u)
 	}
-	if n.WouldExceed(0, 4, 0.9) {
-		t.Fatal("85+4 should not exceed 90")
-	}
-	if !n.WouldExceed(0, 6, 0.9) {
-		t.Fatal("85+6 should exceed 90")
-	}
 }
 
 func TestTimeMovesBackwardPanics(t *testing.T) {
