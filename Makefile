@@ -1,7 +1,7 @@
 GO ?= go
 PROFILE_FIG ?= 5
 
-.PHONY: all build vet fmt-check verify test race bench profile fuzz fuzz-smoke parity-smoke live-pin shard-smoke scen-smoke daemon-smoke bench-smoke cover-check results results-check clean
+.PHONY: all build vet fmt-check verify test race bench profile fuzz fuzz-smoke parity-smoke shard-smoke scen-smoke daemon-smoke bench-smoke cover-check results results-check clean
 
 all: build vet test
 
@@ -75,14 +75,6 @@ fuzz-smoke:
 	$(GO) run ./cmd/realtor-scen fuzz -seed 1 -n 150 -meta
 	$(GO) run ./cmd/realtor-scen fuzz -seed 1 -n 100 -mutant expiry
 
-# Live-table pin (CI gate, about a second): the three live-cluster
-# tables (figure_9.txt, deadlines.txt, live_attack.txt) regenerated
-# inside a testing/synctest bubble, on virtual time, and byte-compared
-# with results/. Needs Go 1.24 or later: synctest is behind
-# GOEXPERIMENT=synctest there (the CI job pins that toolchain).
-live-pin:
-	GOEXPERIMENT=synctest $(GO) test -count=1 -run TestLiveTablesMatchCommittedResults ./internal/experiment
-
 # Sharded-kernel smoke (CI gate, ~1 minute): the fuzz sweep — invariant
 # oracle plus fast-vs-reference differential — replayed on the
 # conservative-parallel kernel at 4 shards, and the seeded
@@ -93,14 +85,14 @@ shard-smoke:
 	$(GO) run ./cmd/realtor-scen fuzz -backend sim -shards 4 -n 50
 	$(GO) run ./cmd/realtor-scen fuzz -backend sim -shards 4 -n 50 -mutant expiry
 
-# Sim/live parity smoke (CI gate, well under 2 minutes): the invariant
-# oracle must stay silent on live-cluster replays of generated
-# scenarios, the seeded mutant must be caught on the live backend too,
-# and one fault-free scenario must agree across sim and live within the
-# documented tolerance bands (EXPERIMENTS.md V2) at the 200x clock scale
-# -parity runs its live leg at. The last two lines run one live catalogue
-# entry (about a second of wall clock each), once over the channel pipe
-# and once over loopback UDP sockets, and check each exits 0, prints the
+# Sim/live parity smoke (CI gate, a few seconds): the invariant oracle
+# must stay silent on live-cluster replays of generated scenarios, the
+# seeded mutant must be caught on the live backend too, and one
+# fault-free scenario must agree across sim and live within the
+# documented tolerance bands (EXPERIMENTS.md V2). The last two lines run
+# one live catalogue entry, once on virtual time over the in-process
+# fabric and once on the wall clock over loopback UDP sockets (about a
+# second), and check each exits 0, prints the
 # header of the committed table, and that its interval rows' offered
 # column (one count per component, from the cluster's outcome hook)
 # sums to the offered count on its overall line.
@@ -174,8 +166,8 @@ results:
 
 # The committed simulator tables are what the code produces, top rungs
 # included: a full regeneration into a scratch directory compared file
-# by file, INDEX.md included (skipped: the three live-cluster tables,
-# which are wall-clock runs), then the two ladders again on the 4-shard kernel — `make results` writes with
+# by file, INDEX.md and the three live-cluster tables included, then
+# the two ladders again on the 4-shard kernel — `make results` writes with
 # the classic one, so equality is the cross-shard proof at full scale.
 # `go test ./internal/experiment` (TestCheapTablesMatchCommittedResults)
 # pins every table but the ladders' top rungs on every test run, under
@@ -186,7 +178,7 @@ results:
 results-check:
 	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 		$(GO) run ./cmd/realtor-sim -out "$$tmp" && \
-		diff -r -x figure_9.txt -x deadlines.txt -x live_attack.txt results "$$tmp"
+		diff -r results "$$tmp"
 	$(GO) run ./cmd/realtor-sim -fig scale-large -shards 4 | cmp - results/scale_large.txt
 	$(GO) run ./cmd/realtor-sim -fig discovery -shards 4 | cmp - results/discovery.txt
 

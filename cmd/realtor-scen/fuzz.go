@@ -24,25 +24,17 @@ import (
 // counterexample is a reviewable regression file from the moment it is
 // found, replayed by `run` and kept by `bless` like any other package.
 //
-// The sim sweep is deterministic: seed k always yields scenario k, and
-// the workers change only wall-clock time, never which seeds fail or
-// which counterexample is reported. The live backend runs real
-// goroutines on a scaled wall clock, so its runs are reproducible only
-// statistically: the differential, the relations and shrinking, which
-// need the deterministic engine, are off there.
+// The sweep is deterministic: seed k always yields scenario k, and the
+// workers change only wall-clock time, never which seeds fail or which
+// counterexample is reported. The live backend runs on virtual time
+// too, but the differential, the relations and shrinking are built on
+// the engine, so they are off there.
 
 // mutants are the seeded bugs -mutant selects. A mutant sweep passes
 // only if the oracle catches the bug on at least one scenario.
 var mutants = map[string]func(fuzzscen.Scenario) engine.Builder{
 	"expiry": fuzzscen.MutantBuilder, // pledges served past their refresh window (I3)
 }
-
-// parityTimeScale is the clock of -parity's live leg, in scaled seconds
-// per wall second. Four times the live backend's default keeps one
-// parity scenario well under a second of wall time, which is what lets
-// parity-smoke run in CI; at this scale the sim and live aggregates
-// still agree within harness.DefaultTolerance (EXPERIMENTS.md V2).
-const parityTimeScale = 200
 
 // fuzzOptions is one parsed fuzz command line.
 type fuzzOptions struct {
@@ -91,9 +83,6 @@ func (o fuzzOptions) sweep(cases []fuzzCase, out, errw io.Writer) int {
 	// same whatever the worker interleaving: always the lowest failure.
 	verdicts := make([]*failure, len(cases))
 	workers := runtime.GOMAXPROCS(0)
-	if !o.deterministic() {
-		workers = min(workers, 2) // concurrent clusters distort each other's wall clock
-	}
 	var wg sync.WaitGroup
 	next := make(chan int)
 	for range workers {
@@ -161,7 +150,7 @@ func parseFuzz(args []string, errw io.Writer) (fuzzOptions, []fuzzCase, int) {
 		}
 	}
 	if *parity {
-		o.live = harness.Live(harness.LiveConfig{TimeScale: parityTimeScale})
+		o.live = harness.Live()
 	}
 
 	var cases []fuzzCase

@@ -2,10 +2,11 @@
 // file there is one entry of the study catalogue
 // (internal/experiment.Catalogue); -fig names an entry by its -fig name
 // or its file's stem, and with no other flag `realtor-sim -fig X` runs
-// the recipe that wrote results/X.txt: byte for byte for the simulator
-// studies (Figures 5–8 and the extensions), a fresh wall-clock run for
-// the three live-cluster studies (Figure 9, deadlines, live-attack),
-// whose committed files are virtual-time runs (`make live-pin`).
+// the recipe that wrote results/X.txt, byte for byte: the simulator
+// studies (Figures 5–8 and the extensions), and the three live-cluster
+// studies (Figure 9, deadlines, live-attack), which run on virtual time
+// over the default in-process transport (-transport udp runs them on
+// the wall clock instead).
 // -out DIR writes every entry's file and INDEX.md, the way results/ was
 // written.
 //

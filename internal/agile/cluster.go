@@ -25,16 +25,15 @@ type Config struct {
 	QueueCapacity float64
 	Protocol      protocol.Config
 
-	// TimeScale is scaled-seconds per wall-second. At 200, the paper's
-	// 300-second measurement takes 1.5 wall seconds. Message latency is
-	// whatever the transport actually exhibits, so unlike the simulator
-	// the live runtime has real (if small) nondeterminism — exactly what
-	// Section 6 measures.
+	// TimeScale is scaled seconds per second of the cluster clock, a
+	// time.Duration. Over UDP the clock is the wall clock: at 200 the
+	// paper's 300-second measurement takes 1.5 s. Over the in-process
+	// fabric it is virtual, and the scale sets only its grain.
 	TimeScale float64
 
 	// NegotiationTimeout bounds how long a host waits for an admission
-	// response before counting the task rejected (wall time).
-	NegotiationTimeout time.Duration
+	// response before the try times out, in scaled seconds.
+	NegotiationTimeout float64
 
 	// Discovery optionally overrides the discovery protocol (default:
 	// REALTOR). Any Discovery implementation runs unmodified on the live
@@ -61,24 +60,24 @@ type Config struct {
 
 	// Trace optionally receives the same event vocabulary the simulator
 	// emits (arrivals, admissions, migrations, crossings, node churn).
-	// Events fire concurrently from every host's actor goroutine, so the
-	// recorder must serialize internally (trace.JSONL does).
+	// On the wall-clock driver events fire concurrently from every
+	// host's goroutine, so the recorder must serialize internally
+	// (trace.JSONL does).
 	Trace trace.Recorder
 
 	// OnOutcome, when set, is called once per submitted component with
 	// its final fate and its Arrive — for a driven task, the
 	// task's Arrive on the drive's clock, which starts when Drive is
 	// called — the live counterpart of engine.Config.OnOutcome. Like
-	// Trace it fires concurrently from the hosts' actor goroutines, so
-	// the callback must serialize internally.
+	// Trace it may fire concurrently on the wall-clock driver.
 	OnOutcome func(arrive float64, admitted bool)
 
 	// Observer optionally receives every protocol message at its
 	// send/deliver/drop points plus queue injections — the same
-	// full-payload surface as engine.Config.Observer. Callbacks fire on
-	// the emitting host's actor goroutine; implementations must
-	// serialize internally, and may read that host's (and only that
-	// host's) actor-confined state.
+	// full-payload surface as engine.Config.Observer. Callbacks fire in
+	// the emitting host's step, and may read that host's (and only that
+	// host's) step-confined state; on the wall-clock driver they must
+	// serialize internally.
 	Observer trace.MessageObserver
 }
 
@@ -89,7 +88,7 @@ func DefaultConfig() Config {
 		QueueCapacity:      50,
 		Protocol:           protocol.DefaultConfig(),
 		TimeScale:          200,
-		NegotiationTimeout: 250 * time.Millisecond,
+		NegotiationTimeout: 50, // a quarter second of the clock at 200×
 	}
 }
 
@@ -114,7 +113,7 @@ type Cluster struct {
 	net    transport.Network
 	naming *naming.Service
 	hosts  []*Host
-	epoch  time.Time
+	drv    driver
 
 	// Protocol-message counters, mirroring the simulator's accounting:
 	// floods count once per flood, unicasts once per message.
@@ -125,7 +124,10 @@ type Cluster struct {
 }
 
 // NewCluster builds and starts a cluster on the given network. The
-// network must have exactly cfg.Hosts endpoints.
+// network must have exactly cfg.Hosts endpoints. On a network that
+// delivers inline (transport.Local) the cluster runs only inside Drive,
+// Advance and the calls that wait on a host, on the one goroutine that
+// uses it; on UDP it runs a goroutine per host on the wall clock.
 func NewCluster(cfg Config, net transport.Network) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -133,12 +135,13 @@ func NewCluster(cfg Config, net transport.Network) (*Cluster, error) {
 	if net.N() != cfg.Hosts {
 		return nil, fmt.Errorf("agile: network has %d endpoints, config wants %d", net.N(), cfg.Hosts)
 	}
-	c := &Cluster{cfg: cfg, net: net, naming: naming.New(), epoch: time.Now()}
+	c := &Cluster{cfg: cfg, net: net, naming: naming.New()}
+	c.drv = newDriver(c)
 	for i := 0; i < cfg.Hosts; i++ {
 		c.hosts = append(c.hosts, newHost(i, c))
 	}
-	for _, h := range c.hosts {
-		h.start()
+	if w, ok := c.drv.(*wallDriver); ok {
+		w.start()
 	}
 	return c, nil
 }
@@ -152,24 +155,26 @@ func (c *Cluster) newDiscovery() protocol.Discovery {
 	return core.New(c.cfg.Protocol)
 }
 
-// now returns the scaled cluster time in seconds.
-func (c *Cluster) now() float64 {
-	return time.Since(c.epoch).Seconds() * c.cfg.TimeScale
-}
+// scaled converts a reading of the cluster clock to scaled seconds.
+func (c *Cluster) scaled(d time.Duration) float64 { return d.Seconds() * c.cfg.TimeScale }
 
-// toWall converts a scaled duration (seconds) to wall time.
-func (c *Cluster) toWall(scaled float64) time.Duration {
+// toClock converts scaled seconds to a span of the cluster clock,
+// truncated to the nanosecond.
+func (c *Cluster) toClock(scaled float64) time.Duration {
 	return time.Duration(scaled / c.cfg.TimeScale * float64(time.Second))
 }
 
 // Now returns the scaled cluster clock in seconds — the live
 // counterpart of the simulator's sim.Time axis.
-func (c *Cluster) Now() float64 { return c.now() }
+func (c *Cluster) Now() float64 { return c.scaled(c.drv.clock()) }
 
-// ToWall converts a scaled duration (seconds) to wall-clock time, for
-// callers scheduling external events (fault schedules) against the
-// cluster clock.
-func (c *Cluster) ToWall(scaled float64) time.Duration { return c.toWall(scaled) }
+// At runs fn at scaled instant t (at once if t is past), off any host:
+// a timed command such as a fault schedule's kill or cut. On UDP it
+// runs on a timer goroutine, and Stop cancels what has not fired.
+func (c *Cluster) At(t float64, fn func()) { c.drv.at(c.toClock(t-c.Now()), fn) }
+
+// Advance lets d scaled seconds of cluster time pass.
+func (c *Cluster) Advance(d float64) { c.drv.sleep(context.Background(), c.toClock(d)) }
 
 // emit records one trace event if a recorder is configured.
 func (c *Cluster) emit(ev trace.Event) {
@@ -186,9 +191,7 @@ func (c *Cluster) Host(id int) *Host { return c.hosts[id] }
 
 // Stop shuts down all hosts and the transport. A second Stop is a no-op.
 func (c *Cluster) Stop() {
-	for _, h := range c.hosts {
-		h.stop()
-	}
+	c.drv.stop()
 	c.net.Close()
 }
 
@@ -274,10 +277,12 @@ func (c *Cluster) countUnicast(k protocol.Kind) {
 	}
 }
 
-// settle sleeps long enough for queued commands, in-flight negotiations
-// (including MaxTries retry chains) and their timeouts to resolve.
+// settle lets the cluster run long enough for queued commands,
+// in-flight negotiations (including MaxTries retry chains) and their
+// timeouts to resolve, plus 50 ms of the clock.
 func (c *Cluster) settle() {
-	time.Sleep(time.Duration(place.Tries(c.cfg.MaxTries)+1)*c.cfg.NegotiationTimeout + 50*time.Millisecond)
+	c.drv.sleep(context.Background(),
+		time.Duration(place.Tries(c.cfg.MaxTries)+1)*c.toClock(c.cfg.NegotiationTimeout)+50*time.Millisecond)
 }
 
 // Drive replays a workload source on the live cluster: each task
@@ -294,8 +299,8 @@ func (c *Cluster) settle() {
 // running.
 //
 // Cancellation is cooperative: the context is polled before each
-// submission and interrupts the wall-clock wait for the next arrival
-// instant. On cancellation the drive stops submitting immediately,
+// submission and interrupts the wall-clock driver's wait for the next
+// arrival instant. On cancellation the drive stops submitting immediately,
 // skips the settle wait (in-flight negotiations are abandoned, not
 // resolved), and reports canceled=true with whatever stats had
 // accumulated — partial numbers that must not be compared against a
@@ -304,7 +309,7 @@ func (c *Cluster) Drive(ctx context.Context, src workload.Source, duration float
 	if duration <= 0 {
 		panic("agile: drive duration must be positive")
 	}
-	start := c.now()
+	start := c.Now()
 	for {
 		if ctx.Err() != nil {
 			return c.RunStats(), true
@@ -313,14 +318,8 @@ func (c *Cluster) Drive(ctx context.Context, src workload.Source, duration float
 		if !ok || float64(t.Arrive) >= duration {
 			break
 		}
-		if delta := start + float64(t.Arrive) - c.now(); delta > 0 {
-			timer := time.NewTimer(c.toWall(delta))
-			select {
-			case <-timer.C:
-			case <-ctx.Done():
-				timer.Stop()
-				return c.RunStats(), true
-			}
+		if delta := start + float64(t.Arrive) - c.Now(); delta > 0 && !c.drv.sleep(ctx, c.toClock(delta)) {
+			return c.RunStats(), true
 		}
 		// Task IDs are shifted by one so a source emitting ID 0 cannot
 		// collide with "unregistered" sentinels anywhere downstream.

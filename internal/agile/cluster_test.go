@@ -29,13 +29,16 @@ func fastConfig(hosts int) Config {
 	cfg := DefaultConfig()
 	cfg.Hosts = hosts
 	cfg.TimeScale = 500
-	cfg.NegotiationTimeout = 100 * time.Millisecond
+	cfg.NegotiationTimeout = 50
 	return cfg
 }
 
+// newTestCluster builds a cluster on the in-process fabric, so the
+// deterministic driver runs it: nothing happens between calls, and
+// Advance moves virtual time.
 func newTestCluster(t *testing.T, cfg Config) *Cluster {
 	t.Helper()
-	c, err := NewCluster(cfg, transport.NewChan(cfg.Hosts))
+	c, err := NewCluster(cfg, transport.NewLocal(cfg.Hosts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +73,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestClusterEndpointMismatch(t *testing.T) {
 	cfg := fastConfig(4)
-	nw := transport.NewChan(3)
+	nw := transport.NewLocal(3)
 	defer nw.Close()
 	if _, err := NewCluster(cfg, nw); err == nil {
 		t.Fatal("endpoint mismatch accepted")
@@ -80,17 +83,17 @@ func TestClusterEndpointMismatch(t *testing.T) {
 func TestSingleTaskRunsToCompletion(t *testing.T) {
 	c := newTestCluster(t, fastConfig(3))
 	c.Host(0).Submit(comp(1, 5, 100))
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if c.Host(0).Stats.Completed.Load() == 1 {
-			if c.naming.Len() != 0 {
-				t.Fatal("completed component still registered")
-			}
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
+	c.Advance(4.9)
+	if got := c.Host(0).Stats.Completed.Load(); got != 0 {
+		t.Fatalf("a 5-second task completed within 4.9 s (%d)", got)
 	}
-	t.Fatal("task did not complete")
+	c.Advance(1) // the idle host's drain timer fires just after 5 s
+	if c.Host(0).Stats.Completed.Load() != 1 {
+		t.Fatal("task did not complete")
+	}
+	if c.naming.Len() != 0 {
+		t.Fatal("completed component still registered")
+	}
 }
 
 func TestLowLoadAllAdmitted(t *testing.T) {
@@ -131,10 +134,10 @@ func TestMigrationMovesComponentExactlyOnce(t *testing.T) {
 	h0, h1 := c.Host(0), c.Host(1)
 	// Make host 1 pledge to host 0's community: fill host 0 past the
 	// threshold so it HELPs, then overflow it so it must migrate.
-	h0.Submit(comp(1, 49, 1e6))       // nearly full (cap 50)
-	time.Sleep(50 * time.Millisecond) // HELP + PLEDGE round trip
-	h0.Submit(comp(2, 30, 1e6))       // overflow -> migrate
-	time.Sleep(200 * time.Millisecond)
+	h0.Submit(comp(1, 49, 1e6)) // nearly full (cap 50)
+	c.Advance(1)                // HELP + PLEDGE round trip
+	h0.Submit(comp(2, 30, 1e6)) // overflow -> migrate
+	c.Advance(4)
 
 	// The migration is counted once, where the component was admitted.
 	if got := h1.Stats.Migrated.Load(); got != 1 {
@@ -161,13 +164,13 @@ func TestOneTryMigrationRejectsWhenTargetFull(t *testing.T) {
 	c := newTestCluster(t, cfg)
 	h0, h1 := c.Host(0), c.Host(1)
 	h0.Submit(comp(1, 49, 1e6))
-	time.Sleep(50 * time.Millisecond) // let host 1 pledge
+	c.Advance(1) // let host 1 pledge
 	// Now fill host 1 too, faster than its retraction can propagate any
 	// usable alternative (there is none anyway).
 	h1.Submit(comp(2, 49, 1e6))
-	time.Sleep(20 * time.Millisecond)
+	c.Advance(0.4)
 	h0.Submit(comp(3, 30, 1e6))
-	time.Sleep(300 * time.Millisecond)
+	c.Advance(6)
 	st := c.RunStats()
 	if st.Admitted != 2 {
 		t.Fatalf("admitted %d, want 2", st.Admitted)
@@ -183,7 +186,7 @@ func TestOneTryMigrationRejectsWhenTargetFull(t *testing.T) {
 func TestLossyTransportTimesOutNotHangs(t *testing.T) {
 	cfg := fastConfig(2)
 	cfg.TimeScale = 20
-	nw := transport.NewFault(transport.NewChan(2), 3)
+	nw := transport.NewFault(transport.NewLocal(2), 3)
 	nw.SetDefaultDrop(1) // black hole
 	c, err := NewCluster(cfg, nw)
 	if err != nil {
@@ -193,13 +196,14 @@ func TestLossyTransportTimesOutNotHangs(t *testing.T) {
 	h0 := c.Host(0)
 	h0.Submit(comp(1, 49, 1e6))
 	h0.Submit(comp(2, 30, 1e6)) // overflow, no candidates ever
-	time.Sleep(300 * time.Millisecond)
+	c.Advance(6)
 	st := c.RunStats()
 	if st.Offered != 2 || st.Admitted != 1 || st.Rejected != 1 {
 		t.Fatalf("stats %+v", st)
 	}
 }
 
+// The wall-clock driver: real sockets, a goroutine per host.
 func TestLiveClusterOverUDP(t *testing.T) {
 	cfg := fastConfig(4)
 	nw, err := transport.NewUDP(cfg.Hosts)
@@ -246,7 +250,7 @@ func TestRealtorPledgesFlowLive(t *testing.T) {
 	c := newTestCluster(t, cfg)
 	h0 := c.Host(0)
 	h0.Submit(comp(1, 48, 1e6))
-	time.Sleep(100 * time.Millisecond)
+	c.Advance(2)
 	// Hosts 1 and 2 should have pledged to host 0 after its HELP.
 	h0.Inspect(func(h *Host) {
 		if got := len(h.Discovery().Candidates(1)); got != 2 {
@@ -281,16 +285,25 @@ func (o *slowObserver) OnInject(sim.Time, topology.NodeID, float64) {}
 
 // The instant an observer is told a pledge was delivered is the
 // instant the organizer stamps on its entry, however long the observer
-// held the actor: the invariant oracle compares the two.
+// held the actor: the invariant oracle compares the two. Only the
+// wall-clock driver can stall between the two, so it runs over UDP.
 func TestDeliveryStampsTheObservedInstant(t *testing.T) {
 	cfg := fastConfig(3)
 	cfg.TimeScale = 20 // a 20 ms stall is 0.4 scaled seconds
 	obs := &slowObserver{at: make(map[topology.NodeID]sim.Time)}
 	cfg.Observer = obs
-	c := newTestCluster(t, cfg)
+	nw, err := transport.NewUDP(cfg.Hosts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCluster(cfg, nw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Stop)
 	h0 := c.Host(0)
 	h0.Submit(comp(1, 48, 1e6))
-	time.Sleep(150 * time.Millisecond)
+	c.Advance(3)
 	h0.Inspect(func(h *Host) {
 		cands := h.Discovery().Candidates(1)
 		if len(cands) != 2 {
@@ -309,7 +322,7 @@ func TestDeliveryStampsTheObservedInstant(t *testing.T) {
 
 func TestStopIsIdempotentAndQuick(t *testing.T) {
 	cfg := fastConfig(3)
-	c, err := NewCluster(cfg, transport.NewChan(cfg.Hosts))
+	c, err := NewCluster(cfg, transport.NewLocal(cfg.Hosts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +333,7 @@ func TestStopIsIdempotentAndQuick(t *testing.T) {
 		// deferred one; a post to a stopped host is a silent no-op.
 		c.Stop()
 		c.Stop()
-		c.Host(1).post(func() {})
+		c.drv.post(c.Host(1), func() {})
 		close(done)
 	}()
 	select {
@@ -336,10 +349,10 @@ func TestLiveKillAndRevive(t *testing.T) {
 	c := newTestCluster(t, cfg)
 	h0 := c.Host(0)
 	h0.Submit(comp(1, 40, 1e6))
-	time.Sleep(30 * time.Millisecond)
+	c.Advance(1.5)
 	h0.Kill()
 	h0.Kill() // idempotent
-	time.Sleep(30 * time.Millisecond)
+	c.Advance(1.5)
 	h0.Inspect(func(h *Host) {
 		if h.Alive() {
 			t.Error("killed host alive")
@@ -353,16 +366,16 @@ func TestLiveKillAndRevive(t *testing.T) {
 	}
 	// Arrivals at the dead host are lost.
 	h0.Submit(comp(2, 5, 1e6))
-	time.Sleep(30 * time.Millisecond)
+	c.Advance(1.5)
 	if got := h0.Stats.Rejected.Load(); got != 1 {
 		t.Fatalf("dead-host rejections %d, want 1", got)
 	}
 	// Revive restores service with fresh protocol state.
 	h0.Revive()
 	h0.Revive() // idempotent
-	time.Sleep(10 * time.Millisecond)
+	c.Advance(0.5)
 	h0.Submit(comp(3, 5, 1e6))
-	time.Sleep(50 * time.Millisecond)
+	c.Advance(2.5)
 	h0.Inspect(func(h *Host) {
 		if !h.Alive() {
 			t.Error("revived host not alive")
@@ -376,13 +389,9 @@ func TestLiveKillAndRevive(t *testing.T) {
 func TestLiveClusterSurvivesHostLoss(t *testing.T) {
 	cfg := fastConfig(5)
 	c := newTestCluster(t, cfg)
-	// Take one host down mid-drive in the background.
-	go func() {
-		time.Sleep(150 * time.Millisecond)
-		c.Host(2).Kill()
-		time.Sleep(150 * time.Millisecond)
-		c.Host(2).Revive()
-	}()
+	// Take one host down mid-drive.
+	c.At(75, c.Host(2).Kill)
+	c.At(150, c.Host(2).Revive)
 	st := drivePoisson(c, 2, 2, 250, 9)
 	if err := st.Validate(); err != nil {
 		t.Fatal(err)
@@ -402,16 +411,16 @@ func TestLiveRetryWalksList(t *testing.T) {
 	h0, h1, h2 := c.Host(0), c.Host(1), c.Host(2)
 	// Fill host 0 so it HELPs; hosts 1 and 2 pledge.
 	h0.Submit(comp(1, 49, 1e6))
-	time.Sleep(50 * time.Millisecond)
+	c.Advance(1)
 	// Fill host 1 quietly (below its crossing retraction? 49 > 45 so it
 	// retracts — fill host 1 to 40 instead so it stays pledged but can't
 	// take a 30s task).
 	h1.Submit(comp(2, 40, 1e6))
-	time.Sleep(20 * time.Millisecond)
+	c.Advance(0.4)
 	// Overflow host 0 with a 30s task: best candidate is host 1 (pledged
 	// 50 before filling), which denies; retry lands it on host 2.
 	h0.Submit(comp(3, 30, 1e6))
-	time.Sleep(300 * time.Millisecond)
+	c.Advance(6)
 	st := c.RunStats()
 	if st.Admitted != 3 {
 		t.Fatalf("admitted %d, want 3 (retry should rescue the task): %+v", st.Admitted, st)
@@ -437,7 +446,7 @@ func TestStaleVersionAdmissionDenied(t *testing.T) {
 			Request: true, Seq: 1, Component: 7, Cost: 5, Version: 99,
 		}})
 	})
-	time.Sleep(20 * time.Millisecond)
+	c.Advance(0.4)
 	if got := h1.Stats.Migrated.Load(); got != 0 {
 		t.Fatalf("stale-version request accepted: migrated-in %d", got)
 	}
@@ -452,7 +461,7 @@ func TestStaleVersionAdmissionDenied(t *testing.T) {
 			Request: true, Seq: 2, Component: 7, Cost: 5, Version: 1,
 		}})
 	})
-	time.Sleep(20 * time.Millisecond)
+	c.Advance(0.4)
 	if host, ok := c.naming.Lookup(7); !ok || host != 1 {
 		t.Fatalf("component 7 at %v ok=%v, want host 1", host, ok)
 	}
@@ -469,9 +478,8 @@ func TestLostGrantCountsAsPlacedNotDuplicated(t *testing.T) {
 	cfg := fastConfig(3)
 	cfg.TimeScale = 20
 	cfg.MaxTries = 3
-	var mu sync.Mutex
 	var outcomes int
-	cfg.OnOutcome = func(float64, bool) { mu.Lock(); outcomes++; mu.Unlock() }
+	cfg.OnOutcome = func(float64, bool) { outcomes++ }
 	c := newTestCluster(t, cfg)
 	h0 := c.Host(0)
 	c.naming.Register(9, 0)
@@ -481,15 +489,13 @@ func TestLostGrantCountsAsPlacedNotDuplicated(t *testing.T) {
 		h.resolve(place.Try{Task: place.Task{Task: workload.Task{ID: 9, Node: 0, Size: 5}},
 			From: 0, To: 1, Attempt: 2}, false, place.Timeout)
 	})
-	time.Sleep(30 * time.Millisecond)
+	c.Advance(0.6)
 	if got := h0.Stats.Rejected.Load(); got != 0 {
 		t.Fatalf("lost-grant timeout rejected: %d", got)
 	}
 	if got := h0.Stats.MigrateFail.Load(); got != 0 {
 		t.Fatalf("lost-grant timeout counted as a failed try: %d", got)
 	}
-	mu.Lock()
-	defer mu.Unlock()
 	if outcomes != 0 {
 		t.Fatalf("origin reported %d outcomes for a task placed elsewhere", outcomes)
 	}
@@ -504,14 +510,13 @@ func TestLostGrantCountsAsPlacedNotDuplicated(t *testing.T) {
 
 // driveDeadlines drives a fixed 24-task trace over three hosts whose
 // queues hold it all and drain none of it within the test, and returns
-// every queued component's deadline by ID together with the cluster
-// clock read just before the drive began.
-func driveDeadlines(t *testing.T, slack float64) (map[uint64]float64, float64) {
+// every queued component's deadline by ID.
+func driveDeadlines(t *testing.T, slack float64) map[uint64]float64 {
 	t.Helper()
 	cfg := fastConfig(3)
 	cfg.QueueCapacity = 1e6
 	cfg.TimeScale = 100
-	cfg.NegotiationTimeout = 10 * time.Millisecond
+	cfg.NegotiationTimeout = 1
 	cfg.DeadlineSlack = slack
 	c := newTestCluster(t, cfg)
 	tasks := make([]workload.Task, 24)
@@ -519,6 +524,7 @@ func driveDeadlines(t *testing.T, slack float64) (map[uint64]float64, float64) {
 		tasks[i] = workload.Task{ID: uint64(i), Node: topology.NodeID(i % 3),
 			Size: 1e4, Arrive: sim.Time(i) * 0.25}
 	}
+	c.Advance(7) // the drive's clock starts where the cluster's stands
 	before := c.Now()
 	if _, canceled := c.Drive(context.Background(), workload.NewTrace(tasks), 100); canceled {
 		t.Fatal("drive canceled")
@@ -534,7 +540,12 @@ func driveDeadlines(t *testing.T, slack float64) (map[uint64]float64, float64) {
 	if len(deadlines) != len(tasks) {
 		t.Fatalf("%d of %d components queued", len(deadlines), len(tasks))
 	}
-	return deadlines, before
+	for id := range deadlines {
+		if d := deadlines[id]; d != 0 {
+			deadlines[id] = d - before
+		}
+	}
+	return deadlines
 }
 
 // The drive loop's deadline rule: arrival + U·DeadlineSlack with U in
@@ -543,29 +554,24 @@ func driveDeadlines(t *testing.T, slack float64) (map[uint64]float64, float64) {
 // no deadlines at all.
 func TestDriveDeadlineRule(t *testing.T) {
 	const slack = 15
-	first, before := driveDeadlines(t, slack)
-	second, _ := driveDeadlines(t, slack)
-	// The drive starts a few wall-milliseconds after `before`; at 100x
-	// that is well under one scaled second.
-	const startSkew = 1.0
+	first := driveDeadlines(t, slack)
+	second := driveDeadlines(t, slack)
 	spread := map[float64]bool{}
 	for id, d := range first {
-		rel := d - before - float64(id-1)*0.25 // component IDs are task IDs + 1
-		if rel < 0.25*slack || rel > 1.75*slack+startSkew {
+		rel := d - float64(id-1)*0.25 // component IDs are task IDs + 1
+		if rel < 0.25*slack || rel > 1.75*slack {
 			t.Fatalf("component %d: deadline %.3f s after arrival, want within [%g, %g]",
 				id, rel, 0.25*slack, 1.75*slack)
 		}
 		spread[math.Round(rel)] = true
-		// Both runs start their drives at different cluster instants, so
-		// compare deadlines relative to component 1's.
-		if got, want := second[id]-second[1], d-first[1]; math.Abs(got-want) > 1e-9 {
-			t.Fatalf("component %d: relative deadline %v on the second run, %v on the first", id, got, want)
+		if second[id] != d {
+			t.Fatalf("component %d: deadline %v on the second run, %v on the first", id, second[id], d)
 		}
 	}
 	if len(spread) < 4 {
 		t.Fatalf("deadline slack takes only %d distinct values; want mixed urgency", len(spread))
 	}
-	none, _ := driveDeadlines(t, 0)
+	none := driveDeadlines(t, 0)
 	for id, d := range none {
 		if d != 0 {
 			t.Fatalf("component %d carries deadline %v with DeadlineSlack 0", id, d)
@@ -593,24 +599,13 @@ func (r *recordingSource) Next() (workload.Task, bool) {
 // carries, and none lies past the drive's duration.
 func TestOnOutcomeReportsTheTasksArrive(t *testing.T) {
 	const duration = 40.0
-	var mu sync.Mutex
 	var got []float64
 	cfg := fastConfig(4)
-	cfg.OnOutcome = func(arrive float64, _ bool) {
-		mu.Lock()
-		got = append(got, arrive)
-		mu.Unlock()
-	}
-	c, err := NewCluster(cfg, transport.NewChan(cfg.Hosts))
-	if err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(20 * time.Millisecond) // the cluster clock runs ahead of the drive's
+	cfg.OnOutcome = func(arrive float64, _ bool) { got = append(got, arrive) }
+	c := newTestCluster(t, cfg)
+	c.Advance(10) // the cluster clock runs ahead of the drive's
 	src := &recordingSource{src: workload.NewPoisson(3, 2, c.N(), rng.New(5)), arrives: map[float64]int{}}
 	st, _ := c.Drive(context.Background(), src, duration)
-	c.Stop() // no outcome fires after the actors exit
-	mu.Lock()
-	defer mu.Unlock()
 	if uint64(len(got)) != st.Offered || len(got) == 0 {
 		t.Fatalf("%d outcomes for %d offered tasks", len(got), st.Offered)
 	}
@@ -650,25 +645,17 @@ func TestVerdictClaimsTheComponentBack(t *testing.T) {
 	cfg := fastConfig(3)
 	cfg.TimeScale = 20
 	cfg.MaxTries = 2
-	cfg.NegotiationTimeout = time.Minute // the retry waits on host 2, however slow the run
 	cfg.Discovery = func() protocol.Discovery {
 		return &listed{cands: []protocol.Candidate{{ID: 1}, {ID: 2}}}
 	}
-	var mu sync.Mutex
 	var outcomes int
-	cfg.OnOutcome = func(float64, bool) { mu.Lock(); outcomes++; mu.Unlock() }
+	cfg.OnOutcome = func(float64, bool) { outcomes++ }
 	c := newTestCluster(t, cfg)
 	h0, h1, h2 := c.Host(0), c.Host(1), c.Host(2)
 	c.naming.Register(9, 0)
 	stale, _ := c.naming.Get(9)
-	// Hold host 2 so the retry cannot land before the stale request.
-	release := make(chan struct{})
-	var once sync.Once
-	free := func() { once.Do(func() { close(release) }) }
-	t.Cleanup(free) // before the cluster's Stop, which waits for host 2
-	held := make(chan struct{})
-	go h2.Inspect(func(*Host) { close(held); <-release })
-	<-held
+	// The retry's request to host 2 stays queued until the cluster
+	// advances, so the stale request lands first.
 	h0.Inspect(func(h *Host) {
 		h.resolve(place.Try{Task: comp(9, 5, 0), From: 0, To: 1, Attempt: 1}, false, place.Timeout)
 	})
@@ -679,15 +666,10 @@ func TestVerdictClaimsTheComponentBack(t *testing.T) {
 	if got := h1.Stats.Migrated.Load(); got != 0 {
 		t.Fatalf("stale request admitted after the origin's verdict: %d", got)
 	}
-	free()
-	for deadline := time.Now().Add(5 * time.Second); h2.Stats.Migrated.Load() == 0 && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
-	}
+	c.Advance(1)
 	if host, ok := c.naming.Lookup(9); !ok || host != 2 {
 		t.Fatalf("component 9 at %v ok=%v, want host 2 (the retry)", host, ok)
 	}
-	mu.Lock()
-	defer mu.Unlock()
 	if outcomes != 1 || h2.Stats.Migrated.Load() != 1 {
 		t.Fatalf("%d outcomes, %d migrations at host 2; want 1 and 1", outcomes, h2.Stats.Migrated.Load())
 	}

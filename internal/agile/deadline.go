@@ -1,14 +1,12 @@
 package agile
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"realtor/internal/agile/sched"
 	"realtor/internal/agile/transport"
-	"realtor/internal/rng"
-	"realtor/internal/workload"
+	"realtor/internal/metrics"
 )
 
 // DeadlineResult compares dispatch policies on the live runtime at one
@@ -32,25 +30,13 @@ func RunDeadlineStudy(base Config, lambdas []float64, meanSize, slack, duration 
 			cfg := base
 			cfg.SchedPolicy = policy
 			cfg.DeadlineSlack = slack
-			nw, err := mkNet(cfg.Hosts)
-			if err != nil {
-				return nil, err
-			}
-			c, err := NewCluster(cfg, nw)
-			if err != nil {
-				nw.Close()
-				return nil, err
-			}
-			st, _ := c.Drive(context.Background(),
-				workload.NewPoisson(lambda, meanSize, cfg.Hosts, rng.New(seed+int64(i))), duration)
-			dl := c.Deadlines()
-			c.Stop()
-			out = append(out, DeadlineResult{
-				Lambda:    lambda,
-				Policy:    policy,
-				Admission: st.AdmissionProbability(),
-				Miss:      dl,
+			err := runFresh(cfg, mkNet, lambda, meanSize, duration, seed+int64(i), func(c *Cluster, st metrics.RunStats) {
+				out = append(out, DeadlineResult{Lambda: lambda, Policy: policy,
+					Admission: st.AdmissionProbability(), Miss: c.Deadlines()})
 			})
+			if err != nil {
+				return nil, err
+			}
 		}
 	}
 	return out, nil

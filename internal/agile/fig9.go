@@ -27,25 +27,39 @@ func RunFigure9(cfg Config, lambdas []float64, meanSize, duration float64,
 	seed int64, mkNet transport.Factory) ([]F9Point, error) {
 	out := make([]F9Point, 0, len(lambdas))
 	for i, lambda := range lambdas {
-		nw, err := mkNet(cfg.Hosts)
+		p := F9Point{Lambda: lambda}
+		err := runFresh(cfg, mkNet, lambda, meanSize, duration, seed+int64(i), func(c *Cluster, st metrics.RunStats) {
+			p.Stats, p.Packets = st, c.net.Sent()
+		})
+		if err == nil {
+			err = p.Stats.Validate()
+		}
 		if err != nil {
 			return nil, fmt.Errorf("agile: λ=%g: %w", lambda, err)
 		}
-		c, err := NewCluster(cfg, nw)
-		if err != nil {
-			nw.Close()
-			return nil, err
-		}
-		st, _ := c.Drive(context.Background(),
-			workload.NewPoisson(lambda, meanSize, cfg.Hosts, rng.New(seed+int64(i))), duration)
-		pkts := nw.Sent()
-		c.Stop()
-		if err := st.Validate(); err != nil {
-			return nil, fmt.Errorf("agile: λ=%g: %w", lambda, err)
-		}
-		out = append(out, F9Point{Lambda: lambda, Stats: st, Packets: pkts})
+		out = append(out, p)
 	}
 	return out, nil
+}
+
+// runFresh drives a Poisson load on a fresh cluster over a fresh
+// network, hands read the cluster and its stats, and stops it, so runs
+// are independent.
+func runFresh(cfg Config, mkNet transport.Factory, lambda, meanSize, duration float64, seed int64,
+	read func(*Cluster, metrics.RunStats)) error {
+	nw, err := mkNet(cfg.Hosts)
+	if err != nil {
+		return err
+	}
+	c, err := NewCluster(cfg, nw)
+	if err != nil {
+		nw.Close()
+		return err
+	}
+	defer c.Stop()
+	st, _ := c.Drive(context.Background(), workload.NewPoisson(lambda, meanSize, cfg.Hosts, rng.New(seed)), duration)
+	read(c, st)
+	return nil
 }
 
 // F9Table renders the measurement like the paper's Figure 9 (plus the

@@ -3,7 +3,6 @@ package agile
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"realtor/internal/agile/transport"
 )
@@ -16,7 +15,7 @@ func TestRunFigure9ShapeQuick(t *testing.T) {
 	cfg.Hosts = 8
 	cfg.QueueCapacity = 50
 	cfg.TimeScale = 400
-	cfg.NegotiationTimeout = 100 * time.Millisecond
+	cfg.NegotiationTimeout = 40
 	mk, err := transport.ByName("chan")
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +53,7 @@ func TestDeadlineStudyConsistency(t *testing.T) {
 	cfg.Hosts = 6
 	cfg.QueueCapacity = 50
 	cfg.TimeScale = 400
-	cfg.NegotiationTimeout = 100 * time.Millisecond
+	cfg.NegotiationTimeout = 40
 	mk, err := transport.ByName("chan")
 	if err != nil {
 		t.Fatal(err)

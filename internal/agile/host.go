@@ -1,19 +1,18 @@
 // Package agile is the live Agile Objects runtime of Sections 3 and 6:
-// goroutine-per-host servers that schedule timer-style components with an
-// EDF run queue, discover spare capacity with the very same REALTOR
+// host servers that schedule timer-style components with an EDF run
+// queue, discover spare capacity with the very same REALTOR
 // implementation the simulator uses (internal/core), and place
 // components with the simulator's placement machine (internal/place),
 // migrating them through speculative admission negotiation and a
 // versioned naming service. It reproduces the paper's Figure 9
-// measurement without the 20-machine cluster: hosts are actors exchanging
-// real messages over an in-process or UDP transport, and the clock is
-// wall time scaled by a configurable factor.
+// measurement without the 20-machine cluster: hosts are actors
+// exchanging real messages over a transport. Each host is one sans-IO
+// Step; a driver feeds it, on virtual time over the in-process fabric
+// or on the scaled wall clock over UDP (driver.go).
 package agile
 
 import (
-	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -45,8 +44,9 @@ type HostStats struct {
 	LatenessMax atomicFloat
 }
 
-// atomicFloat is a float64 updated with CAS; the actor loop is the only
-// writer but readers (stats aggregation) run concurrently.
+// atomicFloat is a float64 updated with CAS; the host's steps are the
+// only writer, but on the wall-clock driver readers (stats aggregation)
+// run concurrently.
 type atomicFloat struct {
 	bits atomic.Uint64
 }
@@ -84,16 +84,10 @@ type Host struct {
 	env     *liveEnv
 	m       place.Machine // holds the host's Discovery instance
 
-	cmds     chan func()
-	done     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
-
-	at         float64 // scaled instant of the actor step in progress
+	at         float64 // scaled instant of the step in progress
 	lastDrain  float64 // scaled time of the last queue drain
-	crossing   *time.Timer
-	crossSeq   uint64      // generation of the armed crossing
-	drainTimer *time.Timer // fires when the queue is expected to empty
+	crossing   protocol.Timer
+	drainTimer protocol.Timer // fires when the queue is expected to empty
 
 	admSeq    uint64
 	pending   map[uint64]*pendingMigration
@@ -108,7 +102,7 @@ type Host struct {
 // pendingMigration is a try this host originated, awaiting its verdict.
 type pendingMigration struct {
 	tr    place.Try
-	timer *time.Timer
+	timer protocol.Timer
 }
 
 func newHost(id int, c *Cluster) *Host {
@@ -117,8 +111,6 @@ func newHost(id int, c *Cluster) *Host {
 		cluster: c,
 		ep:      c.net.Endpoint(id),
 		queue:   sched.NewRunQueue(c.cfg.QueueCapacity, c.cfg.SchedPolicy),
-		cmds:    make(chan func(), 1024),
-		done:    make(chan struct{}),
 		pending: make(map[uint64]*pendingMigration),
 	}
 	h.env = &liveEnv{host: h}
@@ -128,59 +120,38 @@ func newHost(id int, c *Cluster) *Host {
 	return h
 }
 
-// ID returns the host's cluster ID.
-func (h *Host) ID() int { return h.id }
-
-// start launches the actor loop.
-func (h *Host) start() {
-	h.wg.Add(1)
-	go h.loop()
+// Input is what one step consumes: a delivered packet, or a posted
+// command or fired timer (Run). Exactly one field is set.
+type Input struct {
+	Packet *transport.Packet
+	Run    func()
 }
 
-// stop terminates the actor loop and waits for it. It is idempotent, so
-// Cluster.Stop may run on both an error path and a deferred one.
-func (h *Host) stop() {
-	h.stopOnce.Do(func() { close(h.done) })
-	h.wg.Wait()
-}
-
-// post schedules fn on the actor loop; it is safe from any goroutine and
-// a silent no-op after stop (matching the engine's dead-node timers).
-func (h *Host) post(fn func()) {
-	select {
-	case h.cmds <- fn:
-	case <-h.done:
+// Step runs one host step at scaled instant at. It reads no clock and
+// starts no goroutine: its sends go to the fabric and its timer arms to
+// the cluster's driver, which feeds every later input back through
+// Step. One step reads one instant, as one simulator event does: the
+// instant a delivery's observer reports is the instant the protocol
+// stamps on what it delivered.
+func (h *Host) Step(at float64, in Input) {
+	h.at = at
+	if in.Run != nil {
+		in.Run()
+		return
 	}
-}
-
-func (h *Host) loop() {
-	defer h.wg.Done()
-	for {
-		select {
-		case <-h.done:
-			return
-		case fn := <-h.cmds:
-			h.at = h.cluster.now()
-			fn()
-		case pkt, ok := <-h.ep.Inbox():
-			if !ok {
-				return
+	pkt := in.Packet
+	if h.killed {
+		// A downed host drops traffic on the floor; account for
+		// protocol messages so the conservation ledger balances.
+		if pkt.Disc != nil {
+			if o := h.cluster.cfg.Observer; o != nil {
+				o.OnDrop(sim.Time(h.now()), topology.NodeID(pkt.From),
+					topology.NodeID(h.id), *pkt.Disc, trace.DropDead)
 			}
-			h.at = h.cluster.now()
-			if h.killed {
-				// A downed host drops traffic on the floor; account for
-				// protocol messages so the conservation ledger balances.
-				if pkt.Disc != nil {
-					if o := h.cluster.cfg.Observer; o != nil {
-						o.OnDrop(sim.Time(h.now()), topology.NodeID(pkt.From),
-							topology.NodeID(h.id), *pkt.Disc, trace.DropDead)
-					}
-				}
-				continue
-			}
-			h.handlePacket(pkt)
 		}
+		return
 	}
+	h.handlePacket(*pkt)
 }
 
 // Kill takes the host down without stopping its actor: the queue is
@@ -191,7 +162,7 @@ func (h *Host) loop() {
 // unresolved would both leak a timeline outcome and break task
 // conservation (I5).
 func (h *Host) Kill() {
-	h.post(func() {
+	h.cluster.drv.post(h, func() {
 		if h.killed {
 			return
 		}
@@ -206,9 +177,7 @@ func (h *Host) Kill() {
 			}
 			h.cluster.naming.Deregister(j.ID)
 		}
-		if h.drainTimer != nil {
-			h.drainTimer.Stop()
-		}
+		stopTimer(h.drainTimer)
 		h.m.Kill()
 		for seq, pm := range h.pending {
 			pm.timer.Stop()
@@ -221,7 +190,7 @@ func (h *Host) Kill() {
 // Revive brings a killed host back with an empty queue and a fresh
 // protocol instance — the same stateless restart the simulator models.
 func (h *Host) Revive() {
-	h.post(func() {
+	h.cluster.drv.post(h, func() {
 		if !h.killed {
 			return
 		}
@@ -235,15 +204,19 @@ func (h *Host) Revive() {
 	})
 }
 
-// Alive reports whether the host is serving (actor-loop confined; use
-// via Inspect or accept momentary staleness).
+// Alive reports whether the host is serving (step confined; use via
+// Inspect or accept momentary staleness on the wall-clock driver).
 func (h *Host) Alive() bool { return !h.killed }
 
-// now returns the scaled instant at which the actor step in progress
-// began. One step reads one clock, as one simulator event does: the
-// instant a delivery's observer reports is the instant the protocol
-// stamps on what it delivered, however long the observer waited.
+// now returns the scaled instant of the step in progress.
 func (h *Host) now() float64 { return h.at }
+
+// stopTimer stops t if one is armed.
+func stopTimer(t protocol.Timer) {
+	if t != nil {
+		t.Stop()
+	}
+}
 
 // drain advances the run queue to the current time, completing jobs and
 // checking their deadlines. Completion instants are exact: jobs complete
@@ -278,7 +251,7 @@ func (h *Host) drain() {
 // absolute deadline (0 for none). It is born here: registered before
 // admission, so that a later migration is a naming *move* (Figure 1).
 func (h *Host) Submit(t place.Task) {
-	h.post(func() {
+	h.cluster.drv.post(h, func() {
 		t.Node = topology.NodeID(h.id)
 		if h.killed {
 			h.m.Arrive(sim.Time(h.now()), t, place.DeadNode) // arrivals at a downed host are lost
@@ -290,22 +263,18 @@ func (h *Host) Submit(t place.Task) {
 	})
 }
 
-// armDrainTimer schedules a drain at the moment the queue is expected to
-// empty, so completions (and their naming cleanup) happen on time
-// even on an otherwise idle host. Queues drain lazily on every event;
-// this timer is only the idle-host backstop.
+// armDrainTimer schedules a drain a millisecond of the clock after the
+// queue is expected to empty, so completions (and their naming cleanup)
+// happen on time even on an otherwise idle host. Queues drain lazily on
+// every step; this timer is only the idle-host backstop, and its lag
+// lets the drain find the queue empty however the drained costs round.
 func (h *Host) armDrainTimer() {
-	if h.drainTimer != nil {
-		h.drainTimer.Stop()
-	}
-	wall := h.cluster.toWall(h.queue.Backlog()) + time.Millisecond
-	h.drainTimer = time.AfterFunc(wall, func() {
-		h.post(func() {
-			h.drain()
-			if h.queue.Len() > 0 {
-				h.armDrainTimer()
-			}
-		})
+	stopTimer(h.drainTimer)
+	h.drainTimer = h.cluster.drv.after(h, h.cluster.toClock(h.queue.Backlog())+time.Millisecond, func() {
+		h.drain()
+		if h.queue.Len() > 0 {
+			h.armDrainTimer()
+		}
 	})
 }
 
@@ -361,24 +330,24 @@ func (h *Host) handlePacket(p transport.Packet) {
 			return // late answer after a timeout: already resolved
 		}
 		delete(h.pending, p.Adm.Seq)
-		pm.timer.Stop()
+		stopTimer(pm.timer)
 		h.resolve(pm.tr, p.Adm.Granted, "")
 	}
 }
 
-// Usage returns Backlog/Capacity. Actor-loop confined: read it only
-// from this host's actor context (an observer callback this host
-// emitted, or Inspect).
+// Usage returns Backlog/Capacity. Step confined: read it only from
+// this host's step (an observer callback this host emitted, or
+// Inspect).
 func (h *Host) Usage() float64 { return h.queue.Backlog() / h.queue.Capacity() }
 
-// Headroom returns Capacity − Backlog (actor-loop confined, see Usage).
+// Headroom returns Capacity − Backlog (step confined, see Usage).
 func (h *Host) Headroom() float64 { return h.queue.Capacity() - h.queue.Backlog() }
 
 // Capacity returns the host's queue capacity (immutable after start).
 func (h *Host) Capacity() float64 { return h.queue.Capacity() }
 
 // Discovery returns the host's protocol instance, which is replaced on
-// Revive. Actor-loop confined, see Usage.
+// Revive. Step confined, see Usage.
 func (h *Host) Discovery() protocol.Discovery { return h.m.Disco }
 
 // Inject forces up to size seconds of bogus work into the host's queue
@@ -394,9 +363,7 @@ func (h *Host) Inject(size float64) float64 {
 		return 0
 	}
 	var accepted float64
-	done := make(chan struct{})
-	h.post(func() {
-		defer close(done)
+	h.cluster.drv.call(h, func() {
 		if h.killed {
 			return
 		}
@@ -422,26 +389,16 @@ func (h *Host) Inject(size float64) float64 {
 		h.armDrainTimer()
 		h.m.Inject(sim.Time(h.now()))
 	})
-	select {
-	case <-done:
-	case <-h.done:
-	}
 	return accepted
 }
 
-// Inspect runs fn on the host's actor loop and waits for it — the safe
-// way for tests and examples to observe actor-confined state.
+// Inspect runs fn as a step of the host and waits for it: the safe way
+// for tests and examples to observe step-confined state.
 func (h *Host) Inspect(fn func(h *Host)) {
-	done := make(chan struct{})
-	h.post(func() {
+	h.cluster.drv.call(h, func() {
 		h.drain()
 		fn(h)
-		close(done)
 	})
-	select {
-	case <-done:
-	case <-h.done:
-	}
 }
 
 // liveEnv adapts the actor host to protocol.Env, letting the simulator's
@@ -500,25 +457,7 @@ func (e *liveEnv) Unicast(to topology.NodeID, m protocol.Message) {
 }
 
 func (e *liveEnv) After(d sim.Time, fn func()) protocol.Timer {
-	t := &liveTimer{}
-	t.timer = time.AfterFunc(e.host.cluster.toWall(float64(d)), func() {
-		e.host.post(func() {
-			if !t.stopped.Load() {
-				fn()
-			}
-		})
-	})
-	return t
-}
-
-type liveTimer struct {
-	timer   *time.Timer
-	stopped atomic.Bool
-}
-
-func (t *liveTimer) Stop() {
-	t.stopped.Store(true)
-	t.timer.Stop()
+	return e.host.cluster.drv.after(e.host, e.host.cluster.toClock(float64(d)), fn)
 }
 
 // Backlog is the run queue's, drained at the start of the actor step.
@@ -586,13 +525,9 @@ func (e *liveEnv) Request(_ sim.Time, tr place.Try) {
 	seq := h.admSeq
 	pm := &pendingMigration{tr: tr}
 	h.pending[seq] = pm
-	pm.timer = time.AfterFunc(h.cluster.cfg.NegotiationTimeout, func() {
-		h.post(func() {
-			if _, live := h.pending[seq]; live {
-				delete(h.pending, seq)
-				h.resolve(tr, false, place.Timeout)
-			}
-		})
+	pm.timer = h.cluster.drv.after(h, h.cluster.toClock(h.cluster.cfg.NegotiationTimeout), func() {
+		delete(h.pending, seq)
+		h.resolve(tr, false, place.Timeout)
 	})
 	t := tr.Task
 	entry, _ := h.cluster.naming.Get(t.ID)
@@ -600,37 +535,21 @@ func (e *liveEnv) Request(_ sim.Time, tr place.Try) {
 		Component: t.ID, Cost: t.Size, Deadline: t.Deadline, Arrive: float64(t.Arrive), Version: entry.Version}})
 }
 
-// ArmCrossing (re)arms the falling crossing on a wall timer. The
-// generation guards the one case a stopped timer does not cover: a
-// timer that already fired and queued its step before being replaced.
+// ArmCrossing (re)arms the falling crossing on a host timer. toClock
+// rounds down, so the timer waits one more nanosecond: fired a tick
+// early, the pledge it releases would report a queue above threshold.
 func (e *liveEnv) ArmCrossing(_ sim.Time, over float64) {
 	h := e.host
 	e.CancelCrossing()
-	gen := h.crossSeq
-	h.crossing = time.AfterFunc(h.cluster.toWall(over), func() {
-		h.post(func() {
-			if gen == h.crossSeq {
-				h.drain()
-				h.m.Cross(sim.Time(h.now()))
-			}
-		})
+	h.crossing = h.cluster.drv.after(h, h.cluster.toClock(over)+time.Nanosecond, func() {
+		h.drain()
+		h.m.Cross(sim.Time(h.now()))
 	})
 }
 
-func (e *liveEnv) CancelCrossing() {
-	h := e.host
-	h.crossSeq++
-	if h.crossing != nil {
-		h.crossing.Stop()
-	}
-}
+func (e *liveEnv) CancelCrossing() { stopTimer(e.host.crossing) }
 
 // Eligible accepts every candidate: the live fabric is fully connected
 // and carries no placement attributes, and a dead host answers no
 // negotiation, which times out.
 func (e *liveEnv) Eligible(topology.NodeID, resource.Attrs) bool { return true }
-
-// String renders a short host status line.
-func (h *Host) String() string {
-	return fmt.Sprintf("host %d: backlog=%.1f jobs=%d", h.id, h.queue.Backlog(), h.queue.Len())
-}

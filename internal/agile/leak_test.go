@@ -9,19 +9,16 @@ import (
 )
 
 // TestClusterStopLeaksNoGoroutines is the shutdown regression test: a
-// cluster stopped while admission negotiations are still in flight —
-// timers armed, packets queued, fault-schedule timers pending — must
-// release every goroutine it started. It runs under `make race` too,
-// where the detector would also flag any unsynchronised teardown.
+// wall-clock cluster (UDP, the driver that starts goroutines) stopped
+// while admission negotiations are still in flight — timers armed,
+// packets queued, fault-schedule timers pending — must release every
+// goroutine it started. It runs under `make race` too, where the
+// detector would also flag any unsynchronised teardown.
 func TestClusterStopLeaksNoGoroutines(t *testing.T) {
 	before := stableGoroutines(t)
 
 	for round := 0; round < 3; round++ {
-		mk, err := transport.ByName("chan")
-		if err != nil {
-			t.Fatal(err)
-		}
-		nw, err := mk(8)
+		nw, err := transport.NewUDP(8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -31,18 +28,19 @@ func TestClusterStopLeaksNoGoroutines(t *testing.T) {
 		cfg.TimeScale = 400
 		// Long timeout: the negotiations started below are guaranteed to
 		// still be pending when Stop runs.
-		cfg.NegotiationTimeout = 10 * time.Second
+		cfg.NegotiationTimeout = 4000
 		c, err := NewCluster(cfg, nw)
 		if err != nil {
 			t.Fatal(err)
 		}
+		c.At(1e4, func() { t.Error("fault-schedule timer fired after Stop") })
 
 		// Saturate host 0 so follow-up submissions migrate, leaving
 		// admission requests in flight across the transport.
 		for i := 0; i < 40; i++ {
 			c.Host(0).Submit(comp(uint64(round*100+i+1), 2, 0))
 		}
-		time.Sleep(20 * time.Millisecond) // let actors pick the work up mid-negotiation
+		c.Advance(8) // let actors pick the work up mid-negotiation
 		c.Stop()
 	}
 
@@ -78,4 +76,27 @@ func stableGoroutines(t *testing.T) int {
 		prev = cur
 	}
 	return prev
+}
+
+// The deterministic driver runs every step on the caller's goroutine:
+// a whole drive, kills and revives included, starts none.
+func TestDeterministicDriverStartsNoGoroutine(t *testing.T) {
+	before := stableGoroutines(t)
+	cfg := fastConfig(6)
+	c, err := NewCluster(cfg, transport.NewLocal(cfg.Hosts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.At(20, c.Host(1).Kill)
+	c.At(40, c.Host(1).Revive)
+	peak := 0
+	c.At(30, func() { peak = runtime.NumGoroutine() })
+	st := drivePoisson(c, 4, 2, 60, 3)
+	c.Stop()
+	if st.Offered == 0 {
+		t.Fatal("the drive offered no tasks")
+	}
+	if peak > before || runtime.NumGoroutine() > before {
+		t.Fatalf("goroutines: %d before, %d mid-drive, %d after", before, peak, runtime.NumGoroutine())
+	}
 }

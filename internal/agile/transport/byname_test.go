@@ -9,7 +9,7 @@ import (
 // TestEveryKnownTransport exercises each switch arm of ByName: the factory
 // must build a fabric with the requested endpoint count and the fabric
 // must actually carry a packet end to end (loopback sockets for udp,
-// channels for chan).
+// an inline hand-over for chan).
 func TestEveryKnownTransport(t *testing.T) {
 	for _, name := range []string{"chan", "udp"} {
 		name := name
@@ -23,6 +23,7 @@ func TestEveryKnownTransport(t *testing.T) {
 				t.Fatalf("%s: building 3 endpoints: %v", name, err)
 			}
 			defer nw.Close()
+			in := inboxes(nw)
 			if nw.N() != 3 {
 				t.Fatalf("%s: endpoints %d, want 3", name, nw.N())
 			}
@@ -33,10 +34,7 @@ func TestEveryKnownTransport(t *testing.T) {
 				t.Fatalf("%s: send: %v", name, err)
 			}
 			select {
-			case got, ok := <-nw.Endpoint(2).Inbox():
-				if !ok {
-					t.Fatalf("%s: inbox closed before delivery", name)
-				}
+			case got := <-in[2]:
 				if got.From != 0 || got.Adm == nil || got.Adm.Seq != 7 {
 					t.Fatalf("%s: delivered %+v, want From=0 Seq=7", name, got)
 				}

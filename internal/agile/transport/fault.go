@@ -94,6 +94,12 @@ func (f *FaultNetwork) Dropped() uint64 { return f.inner.Dropped() + f.faultDrop
 // Close implements Network.
 func (f *FaultNetwork) Close() error { return f.inner.Close() }
 
+// Attach implements Network: receiving is untouched by the loss layer.
+func (f *FaultNetwork) Attach(deliver func(int, Packet)) { f.inner.Attach(deliver) }
+
+// Inline implements Network.
+func (f *FaultNetwork) Inline() bool { return f.inner.Inline() }
+
 // dropFor returns the effective drop probability for from→to.
 func (f *FaultNetwork) dropFor(from, to int) float64 {
 	f.mu.RLock()
@@ -124,12 +130,6 @@ type faultEndpoint struct {
 	net *FaultNetwork
 	id  int
 }
-
-// ID implements Endpoint.
-func (e *faultEndpoint) ID() int { return e.id }
-
-// Inbox implements Endpoint: receiving is untouched by the loss layer.
-func (e *faultEndpoint) Inbox() <-chan Packet { return e.net.inner.Endpoint(e.id).Inbox() }
 
 // Send implements Endpoint.
 func (e *faultEndpoint) Send(to int, p Packet) error {

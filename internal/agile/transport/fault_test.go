@@ -9,30 +9,14 @@ import (
 	"realtor/internal/protocol"
 )
 
-// drain consumes packets from e until the deadline, returning the count.
-func drainFor(e Endpoint, d time.Duration) int {
-	n := 0
-	deadline := time.After(d)
-	for {
-		select {
-		case _, ok := <-e.Inbox():
-			if !ok {
-				return n
-			}
-			n++
-		case <-deadline:
-			return n
-		}
-	}
-}
-
 func TestFaultPassThroughByDefault(t *testing.T) {
-	f := NewFault(NewChan(3), 1)
+	f := NewFault(NewLocal(3), 1)
 	defer f.Close()
+	in := inboxes(f)
 	if err := f.Endpoint(0).Send(2, Packet{Disc: &protocol.Message{Kind: protocol.Pledge}}); err != nil {
 		t.Fatal(err)
 	}
-	p := recvOne(t, f.Endpoint(2))
+	p := recvOne(t, in[2])
 	if p.From != 0 || p.To != 2 || p.Disc == nil {
 		t.Fatalf("pass-through packet %+v", p)
 	}
@@ -40,7 +24,7 @@ func TestFaultPassThroughByDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range []int{0, 2} {
-		if p := recvOne(t, f.Endpoint(id)); p.From != 1 {
+		if p := recvOne(t, in[id]); p.From != 1 {
 			t.Fatalf("endpoint %d got broadcast %+v", id, p)
 		}
 	}
@@ -53,13 +37,14 @@ func TestFaultPassThroughByDefault(t *testing.T) {
 // delivered count, and a different seed (almost surely) a different one.
 func TestFaultDropDeterministicPerSeed(t *testing.T) {
 	run := func(seed int64) int {
-		f := NewFault(NewChan(2), seed)
+		f := NewFault(NewLocal(2), seed)
 		defer f.Close()
+		in := inboxes(f)
 		f.SetDefaultDrop(0.5)
 		for i := 0; i < 200; i++ {
 			f.Endpoint(0).Send(1, Packet{})
 		}
-		return drainFor(f.Endpoint(1), 50*time.Millisecond)
+		return len(in[1])
 	}
 	a, b := run(7), run(7)
 	if a != b {
@@ -71,7 +56,7 @@ func TestFaultDropDeterministicPerSeed(t *testing.T) {
 }
 
 func TestFaultRuleValidation(t *testing.T) {
-	f := NewFault(NewChan(2), 1)
+	f := NewFault(NewLocal(2), 1)
 	defer f.Close()
 	for _, bad := range []float64{-0.1, 1.1} {
 		for _, set := range []func(float64){f.SetDefaultDrop, func(p float64) { f.SetDrop(0, 1, p) }} {
@@ -103,11 +88,16 @@ func TestFaultUDPCutHealNoGoroutineLeaks(t *testing.T) {
 	const probeSeq = 1 << 40
 	probed := make(chan struct{})
 	var probeOnce sync.Once
+	f.Attach(func(_ int, p Packet) {
+		if p.Adm != nil && p.Adm.Seq == probeSeq {
+			probeOnce.Do(func() { close(probed) })
+		}
+	})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for id := 0; id < 4; id++ {
-		wg.Add(2)
-		go func(e Endpoint) { // sender
+		wg.Add(1)
+		go func(id int) { // sender
 			defer wg.Done()
 			for i := 0; ; i++ {
 				select {
@@ -115,18 +105,10 @@ func TestFaultUDPCutHealNoGoroutineLeaks(t *testing.T) {
 					return
 				default:
 				}
-				e.Send((e.ID()+1+i%3)%4, Packet{Adm: &Admission{Seq: uint64(i)}})
+				f.Endpoint(id).Send((id+1+i%3)%4, Packet{Adm: &Admission{Seq: uint64(i)}})
 				time.Sleep(200 * time.Microsecond)
 			}
-		}(f.Endpoint(id))
-		go func(e Endpoint) { // receiver
-			defer wg.Done()
-			for p := range e.Inbox() {
-				if p.Adm != nil && p.Adm.Seq == probeSeq {
-					probeOnce.Do(func() { close(probed) })
-				}
-			}
-		}(f.Endpoint(id))
+		}(id)
 	}
 
 	cut := func(p float64) {
@@ -164,10 +146,10 @@ func TestFaultUDPCutHealNoGoroutineLeaks(t *testing.T) {
 	tick.Stop()
 
 	close(stop)
+	wg.Wait()
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	wg.Wait() // receivers exit when inboxes close
 
 	// All read loops must be gone.
 	deadline2 := time.Now().Add(2 * time.Second)
@@ -177,32 +159,5 @@ func TestFaultUDPCutHealNoGoroutineLeaks(t *testing.T) {
 	if g := runtime.NumGoroutine(); g > baseline {
 		buf := make([]byte, 1<<16)
 		t.Fatalf("goroutine leak: %d > baseline %d\n%s", g, baseline, buf[:runtime.Stack(buf, true)])
-	}
-}
-
-// Regression for the ChanNetwork shutdown race: a Send concurrent with
-// Close must never push into a closed inbox. Run with -race.
-func TestChanCloseDeliverRace(t *testing.T) {
-	for i := 0; i < 100; i++ {
-		n := NewChan(2)
-		var wg sync.WaitGroup
-		stop := make(chan struct{})
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			e := n.Endpoint(0)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					e.Send(1, Packet{})
-				}
-			}
-		}()
-		time.Sleep(100 * time.Microsecond)
-		n.Close()
-		close(stop)
-		wg.Wait()
 	}
 }

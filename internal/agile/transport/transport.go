@@ -4,18 +4,17 @@
 // here a Network abstracts that as per-host endpoints with unicast and
 // broadcast, with two fabrics:
 //
-//   - ChanNetwork: a plain in-process channel pipe (the default for
-//     experiments and tests — fast, and lossless unless an inbox fills).
+//   - Local: the in-process fabric (transport "chan", the default for
+//     experiments and tests). A send hands the packet to the attached
+//     delivery function at once, on the sender's goroutine, so the
+//     cluster's deterministic driver can order it on its scheduler.
 //   - UDPNetwork: real UDP sockets over the loopback interface, with
 //     broadcast emulated by iterated unicast (the multicast substitution
-//     documented in DESIGN.md).
+//     documented in DESIGN.md). Packets are delivered from the fabric's
+//     own reader goroutines.
 //
 // Loss and link cuts live in one place, FaultNetwork, which wraps either
 // fabric with seeded per-directed-pair drop probabilities.
-//
-// Both fabrics drop packets rather than block when a receiver's inbox is
-// full — the same best-effort semantics as the UDP substrate they stand
-// in for.
 package transport
 
 import (
@@ -57,14 +56,10 @@ type Packet struct {
 
 // Endpoint is one host's attachment to the network.
 type Endpoint interface {
-	// ID returns the endpoint's host ID.
-	ID() int
 	// Send unicasts p to one endpoint (From is stamped automatically).
 	Send(to int, p Packet) error
 	// Broadcast sends p to every other endpoint.
 	Broadcast(p Packet) error
-	// Inbox delivers incoming packets. It is closed by Network.Close.
-	Inbox() <-chan Packet
 }
 
 // Network is a cluster's message fabric.
@@ -73,12 +68,23 @@ type Network interface {
 	N() int
 	// Endpoint returns endpoint id (panics if out of range).
 	Endpoint(id int) Endpoint
+	// Attach installs the function every delivered packet is handed to,
+	// with the endpoint it reached (a broadcast copy is addressed to
+	// Broadcast). Call it once, before the first send; the fabric drops
+	// what it carries until then, and after Close.
+	Attach(deliver func(to int, p Packet))
+	// Inline reports whether delivery runs inside Send, on the sender's
+	// goroutine (the in-process fabric), rather than on goroutines of
+	// the fabric's own (UDP).
+	Inline() bool
 	// Sent returns the total packets sent (unicast counts 1; a broadcast
 	// counts one per recipient, matching the paper's link-based costing).
 	Sent() uint64
-	// Dropped returns packets lost to full inboxes or simulated loss.
+	// Dropped returns packets lost to simulated loss, undecodable
+	// datagrams, or sends with no delivery function.
 	Dropped() uint64
-	// Close tears the fabric down and closes all inboxes.
+	// Close tears the fabric down; nothing is delivered after it. A
+	// second Close is a no-op.
 	Close() error
 }
 
@@ -91,7 +97,7 @@ type Factory func(n int) (Network, error)
 func ByName(name string) (Factory, error) {
 	switch name {
 	case "chan":
-		return func(n int) (Network, error) { return NewChan(n), nil }, nil
+		return func(n int) (Network, error) { return NewLocal(n), nil }, nil
 	case "udp":
 		return func(n int) (Network, error) { return NewUDP(n) }, nil
 	default:
@@ -99,106 +105,89 @@ func ByName(name string) (Factory, error) {
 	}
 }
 
-const inboxDepth = 4096
-
-// ChanNetwork is the in-process implementation: a send lands in the
-// receiver's buffered inbox at once, or is dropped if the inbox is full.
-type ChanNetwork struct {
-	endpoints []*chanEndpoint
-
+// Local is the in-process fabric: a send hands the packet to the
+// delivery function on the sender's goroutine, before Send returns.
+// Nothing is buffered, so nothing is dropped but what Close and a
+// missing delivery function drop.
+type Local struct {
+	n       int
+	deliver func(int, Packet)
+	closed  atomic.Bool
 	sent    atomic.Uint64
 	dropped atomic.Uint64
-
-	// closeMu fences the inboxes: deliver holds it for reading across
-	// its closed check and push, and Close takes it for writing before
-	// closing them, so a send can never hit a closed inbox.
-	closeMu sync.RWMutex
-	closed  bool
 }
 
-// NewChan returns an in-process network with n endpoints.
-func NewChan(n int) *ChanNetwork {
+// NewLocal returns an in-process network with n endpoints.
+func NewLocal(n int) *Local {
 	if n <= 0 {
 		panic("transport: need at least one endpoint")
 	}
-	net := &ChanNetwork{}
-	for i := 0; i < n; i++ {
-		net.endpoints = append(net.endpoints, &chanEndpoint{
-			net: net, id: i, inbox: make(chan Packet, inboxDepth),
-		})
-	}
-	return net
+	return &Local{n: n}
 }
 
 // N implements Network.
-func (n *ChanNetwork) N() int { return len(n.endpoints) }
+func (l *Local) N() int { return l.n }
 
 // Endpoint implements Network.
-func (n *ChanNetwork) Endpoint(id int) Endpoint { return n.endpoints[id] }
+func (l *Local) Endpoint(id int) Endpoint {
+	if id < 0 || id >= l.n {
+		panic(fmt.Sprintf("transport: no endpoint %d", id))
+	}
+	return localEndpoint{l, id}
+}
+
+// Attach implements Network.
+func (l *Local) Attach(deliver func(int, Packet)) { l.deliver = deliver }
+
+// Inline implements Network: delivery runs inside Send.
+func (l *Local) Inline() bool { return true }
 
 // Sent implements Network.
-func (n *ChanNetwork) Sent() uint64 { return n.sent.Load() }
+func (l *Local) Sent() uint64 { return l.sent.Load() }
 
 // Dropped implements Network.
-func (n *ChanNetwork) Dropped() uint64 { return n.dropped.Load() }
+func (l *Local) Dropped() uint64 { return l.dropped.Load() }
 
 // Close implements Network.
-func (n *ChanNetwork) Close() error {
-	n.closeMu.Lock()
-	defer n.closeMu.Unlock()
-	if n.closed {
-		return nil
-	}
-	n.closed = true
-	for _, e := range n.endpoints {
-		close(e.inbox)
-	}
+func (l *Local) Close() error {
+	l.closed.Store(true)
 	return nil
 }
 
-func (n *ChanNetwork) deliver(to int, p Packet) {
-	n.closeMu.RLock()
-	defer n.closeMu.RUnlock()
-	if n.closed {
-		n.dropped.Add(1)
+func (l *Local) carry(to int, p Packet) {
+	if l.closed.Load() || l.deliver == nil {
+		l.dropped.Add(1)
 		return
 	}
-	n.sent.Add(1)
-	select {
-	case n.endpoints[to].inbox <- p:
-	default:
-		n.dropped.Add(1)
-	}
+	l.sent.Add(1)
+	l.deliver(to, p)
 }
 
-type chanEndpoint struct {
-	net   *ChanNetwork
-	id    int
-	inbox chan Packet
+type localEndpoint struct {
+	net *Local
+	id  int
 }
 
-func (e *chanEndpoint) ID() int { return e.id }
-
-func (e *chanEndpoint) Send(to int, p Packet) error {
-	if to < 0 || to >= e.net.N() {
+func (e localEndpoint) Send(to int, p Packet) error {
+	if to < 0 || to >= e.net.n {
 		return fmt.Errorf("transport: no endpoint %d", to)
 	}
 	p.From, p.To = e.id, to
-	e.net.deliver(to, p)
+	e.net.carry(to, p)
 	return nil
 }
 
-func (e *chanEndpoint) Broadcast(p Packet) error {
+// Broadcast addresses the copies to Broadcast, as the sockets do, and
+// hands them over in endpoint order.
+func (e localEndpoint) Broadcast(p Packet) error {
 	p.From, p.To = e.id, Broadcast
-	for i := range e.net.endpoints {
+	for i := 0; i < e.net.n; i++ {
 		if i != e.id {
-			e.net.deliver(i, p)
+			e.net.carry(i, p)
 		}
 	}
 	return nil
 }
-
-func (e *chanEndpoint) Inbox() <-chan Packet { return e.inbox }
 
 // UDPNetwork runs each endpoint on its own loopback UDP socket with
 // gob-encoded packets. Broadcast iterates unicast to every peer — the
@@ -206,13 +195,15 @@ func (e *chanEndpoint) Inbox() <-chan Packet { return e.inbox }
 type UDPNetwork struct {
 	endpoints []*udpEndpoint
 	addrs     []*net.UDPAddr
+	deliver   atomic.Pointer[func(int, Packet)]
 	sent      atomic.Uint64
 	dropped   atomic.Uint64
 	closed    atomic.Bool
 	wg        sync.WaitGroup
 }
 
-// NewUDP binds n ephemeral loopback sockets and starts their readers.
+// NewUDP binds n ephemeral loopback sockets and starts their readers,
+// which hand each decoded packet to the attached delivery function.
 func NewUDP(n int) (*UDPNetwork, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("transport: need at least one endpoint")
@@ -229,7 +220,7 @@ func NewUDP(n int) (*UDPNetwork, error) {
 		conn.SetReadBuffer(1 << 20)
 		conn.SetWriteBuffer(1 << 20)
 		nw.endpoints = append(nw.endpoints, &udpEndpoint{
-			net: nw, id: i, conn: conn, inbox: make(chan Packet, inboxDepth),
+			net: nw, id: i, conn: conn,
 		})
 		nw.addrs = append(nw.addrs, conn.LocalAddr().(*net.UDPAddr))
 	}
@@ -252,6 +243,12 @@ func (n *UDPNetwork) Sent() uint64 { return n.sent.Load() }
 // Dropped implements Network.
 func (n *UDPNetwork) Dropped() uint64 { return n.dropped.Load() }
 
+// Attach implements Network.
+func (n *UDPNetwork) Attach(deliver func(int, Packet)) { n.deliver.Store(&deliver) }
+
+// Inline implements Network: the reader goroutines deliver.
+func (n *UDPNetwork) Inline() bool { return false }
+
 // Close implements Network.
 func (n *UDPNetwork) Close() error {
 	if n.closed.Swap(true) {
@@ -263,20 +260,14 @@ func (n *UDPNetwork) Close() error {
 		}
 	}
 	n.wg.Wait()
-	for _, e := range n.endpoints {
-		close(e.inbox)
-	}
 	return nil
 }
 
 type udpEndpoint struct {
-	net   *UDPNetwork
-	id    int
-	conn  *net.UDPConn
-	inbox chan Packet
+	net  *UDPNetwork
+	id   int
+	conn *net.UDPConn
 }
-
-func (e *udpEndpoint) ID() int { return e.id }
 
 func (e *udpEndpoint) Send(to int, p Packet) error {
 	if to < 0 || to >= e.net.N() {
@@ -326,12 +317,10 @@ func (e *udpEndpoint) readLoop(wg *sync.WaitGroup) {
 			e.net.dropped.Add(1)
 			continue
 		}
-		select {
-		case e.inbox <- p:
-		default:
+		if d := e.net.deliver.Load(); d != nil {
+			(*d)(e.id, p)
+		} else {
 			e.net.dropped.Add(1)
 		}
 	}
 }
-
-func (e *udpEndpoint) Inbox() <-chan Packet { return e.inbox }

@@ -7,10 +7,21 @@ import (
 	"realtor/internal/protocol"
 )
 
-func recvOne(t *testing.T, e Endpoint) Packet {
+// inboxes attaches a delivery function that queues each endpoint's
+// packets on a channel of its own, and returns the channels.
+func inboxes(nw Network) []chan Packet {
+	in := make([]chan Packet, nw.N())
+	for i := range in {
+		in[i] = make(chan Packet, 1024)
+	}
+	nw.Attach(func(to int, p Packet) { in[to] <- p })
+	return in
+}
+
+func recvOne(t *testing.T, in chan Packet) Packet {
 	t.Helper()
 	select {
-	case p := <-e.Inbox():
+	case p := <-in:
 		return p
 	case <-time.After(2 * time.Second):
 		t.Fatal("timeout waiting for packet")
@@ -25,9 +36,9 @@ func networks(t *testing.T, n int) map[string]Network {
 		t.Fatal(err)
 	}
 	return map[string]Network{
-		"chan":  NewChan(n),
+		"chan":  NewLocal(n),
 		"udp":   udp,
-		"fault": NewFault(NewChan(n), 1), // loss layer, no drops set: pass-through
+		"fault": NewFault(NewLocal(n), 1), // loss layer, no drops set: pass-through
 	}
 }
 
@@ -35,11 +46,12 @@ func TestUnicastBothImplementations(t *testing.T) {
 	for name, nw := range networks(t, 3) {
 		t.Run(name, func(t *testing.T) {
 			defer nw.Close()
+			in := inboxes(nw)
 			msg := &protocol.Message{Kind: protocol.Pledge, From: 0, Headroom: 42}
 			if err := nw.Endpoint(0).Send(2, Packet{Disc: msg}); err != nil {
 				t.Fatal(err)
 			}
-			p := recvOne(t, nw.Endpoint(2))
+			p := recvOne(t, in[2])
 			if p.From != 0 || p.To != 2 {
 				t.Fatalf("addressing %+v", p)
 			}
@@ -54,19 +66,20 @@ func TestBroadcastBothImplementations(t *testing.T) {
 	for name, nw := range networks(t, 4) {
 		t.Run(name, func(t *testing.T) {
 			defer nw.Close()
+			in := inboxes(nw)
 			msg := &protocol.Message{Kind: protocol.Help, From: 1}
 			if err := nw.Endpoint(1).Broadcast(Packet{Disc: msg}); err != nil {
 				t.Fatal(err)
 			}
 			for _, id := range []int{0, 2, 3} {
-				p := recvOne(t, nw.Endpoint(id))
+				p := recvOne(t, in[id])
 				if p.From != 1 || p.Disc.Kind != protocol.Help {
 					t.Fatalf("endpoint %d got %+v", id, p)
 				}
 			}
 			// Sender must not hear its own broadcast.
 			select {
-			case p := <-nw.Endpoint(1).Inbox():
+			case p := <-in[1]:
 				t.Fatalf("sender received own broadcast: %+v", p)
 			case <-time.After(50 * time.Millisecond):
 			}
@@ -78,12 +91,13 @@ func TestAdmissionPayloadRoundTrip(t *testing.T) {
 	for name, nw := range networks(t, 2) {
 		t.Run(name, func(t *testing.T) {
 			defer nw.Close()
+			in := inboxes(nw)
 			adm := &Admission{Request: true, Seq: 7, Component: 99, Cost: 3.5,
 				Deadline: 12, Version: 4}
 			if err := nw.Endpoint(0).Send(1, Packet{Adm: adm}); err != nil {
 				t.Fatal(err)
 			}
-			p := recvOne(t, nw.Endpoint(1))
+			p := recvOne(t, in[1])
 			if p.Adm == nil || *p.Adm != *adm {
 				t.Fatalf("admission round trip: %+v", p.Adm)
 			}
@@ -106,8 +120,9 @@ func TestInvalidDestination(t *testing.T) {
 }
 
 func TestSentCounters(t *testing.T) {
-	nw := NewChan(5)
+	nw := NewLocal(5)
 	defer nw.Close()
+	inboxes(nw)
 	nw.Endpoint(0).Send(1, Packet{})
 	nw.Endpoint(0).Broadcast(Packet{})
 	if nw.Sent() != 1+4 {
@@ -115,17 +130,22 @@ func TestSentCounters(t *testing.T) {
 	}
 }
 
+// Closing a fabric stops delivery into the inboxes the caller attached.
 func TestCloseIdempotentAndClosesInboxes(t *testing.T) {
 	for name, nw := range networks(t, 2) {
 		t.Run(name, func(t *testing.T) {
+			in := inboxes(nw)
 			if err := nw.Close(); err != nil {
 				t.Fatal(err)
 			}
 			if err := nw.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if _, open := <-nw.Endpoint(0).Inbox(); open {
-				t.Fatal("inbox still open after close")
+			nw.Endpoint(0).Send(1, Packet{})
+			select {
+			case p := <-in[1]:
+				t.Fatalf("delivered after close: %+v", p)
+			case <-time.After(20 * time.Millisecond):
 			}
 		})
 	}
@@ -137,6 +157,7 @@ func TestUDPManyPacketsNoCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nw.Close()
+	in := inboxes(nw)
 	const count = 500
 	go func() {
 		for i := 0; i < count; i++ {
@@ -150,7 +171,7 @@ func TestUDPManyPacketsNoCorruption(t *testing.T) {
 	deadline := time.After(5 * time.Second)
 	for seen < count {
 		select {
-		case p := <-nw.Endpoint(1).Inbox():
+		case p := <-in[1]:
 			if p.Adm == nil {
 				t.Fatal("corrupted packet")
 			}

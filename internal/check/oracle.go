@@ -40,11 +40,9 @@
 // The oracle is backend-agnostic: it inspects the run exclusively
 // through the World interface (node liveness and resource state plus
 // per-node Discovery instances), so the same invariants assert against
-// the discrete-event engine and the live Agile cluster. Timing-sensitive
-// checks (I1, I3, and the timestamp comparisons inside I2/I4) take a
-// clock-slack parameter: the simulator runs with slack 0 (exact), the
-// live backend with a tolerance covering the drift between a protocol
-// decision's clock read and the observer's.
+// the discrete-event engine and the live Agile cluster. Both run on
+// virtual time, where a protocol decision and the observation of it
+// read the same instant, so every check is exact on both.
 //
 // The oracle is read-only: it inspects protocol state exclusively
 // through the non-perturbing accessors of ProtocolState — Config,
@@ -77,8 +75,7 @@ import (
 )
 
 // eps absorbs float64 rounding in resource comparisons. Times and
-// counters are compared exactly on the simulator (slack 0) — it is
-// deterministic; live backends widen time comparisons by their slack.
+// counters are compared exactly.
 const eps = 1e-9
 
 // World is the read-only window a backend exposes for the oracle to
@@ -221,10 +218,9 @@ var exhaustiveI4 bool
 // both the backend's trace recorder and observer (see Hooks), run the
 // backend, then call Finish and inspect Violations / Err.
 type Oracle struct {
-	w     World
-	slack sim.Time // clock tolerance for timing-sensitive checks
-	n     int
-	max   int
+	w   World
+	n   int
+	max int
 
 	violations []Violation
 	dropped    int // violations beyond max
@@ -277,25 +273,19 @@ type Oracle struct {
 // the harness.
 const MaxViolations = 100
 
-// NewOracle returns an exact (slack 0) oracle bound to a simulation
+// NewOracle returns an oracle bound to a simulation
 // engine. The engine must not have run yet: the oracle snapshots the
 // pristine topology as its shadow graph.
 func NewOracle(e *engine.Engine) *Oracle {
-	return NewWorldOracle(EngineWorld{E: e}, 0)
+	return NewWorldOracle(EngineWorld{E: e})
 }
 
 // NewWorldOracle returns an oracle auditing any backend through its
-// World surface. slack widens the timing-sensitive checks (I1, I3, and
-// timestamp comparisons in I2/I4) by the given scaled-seconds tolerance;
-// pass 0 for deterministic backends.
-func NewWorldOracle(w World, slack sim.Time) *Oracle {
-	if slack < 0 {
-		panic("check: negative clock slack")
-	}
+// World surface.
+func NewWorldOracle(w World) *Oracle {
 	n := w.N()
 	o := &Oracle{
 		w:        w,
-		slack:    slack,
 		n:        n,
 		max:      MaxViolations,
 		helpSeen: make([]bool, n),
@@ -350,10 +340,8 @@ var _ trace.MessageObserver = (*Hooks)(nil)
 
 // Bind points the forwarder at a constructed oracle and replays to it,
 // in order, every callback that arrived before. A replayed audit reads
-// node state on the binding goroutine as it stands at Bind, not at the
-// callback's instant, so a backend whose runtime runs before Bind (the
-// live cluster's host actors) must hold its callbacks until the oracle
-// is bound rather than rely on the replay.
+// node state as it stands at Bind, not at the callback's instant; no
+// backend emits before Bind (the live cluster runs nothing before Run).
 func (h *Hooks) Bind(o *Oracle) {
 	h.mu.Lock()
 	h.o = o
@@ -586,9 +574,7 @@ func (o *Oracle) Record(ev trace.Event) {
 // instant a HELP flood is emitted. Backends trace the flood from inside
 // the protocol's Env.Flood call, before lastSent/interval mutate, so the
 // live interval read here is exactly the value the rate-limit decision
-// used. The gap, however, is measured on the observer's clock, which on
-// a live backend lags the protocol's own reads — the slack absorbs that
-// drift.
+// used, and the gap is measured on the instant the protocol read.
 func (o *Oracle) checkHelpFlood(now sim.Time, node topology.NodeID) {
 	s, c := o.state(node)
 	if s == nil {
@@ -596,7 +582,7 @@ func (o *Oracle) checkHelpFlood(now sim.Time, node topology.NodeID) {
 	}
 	iv, pen, rew := s.HelpIntervalState()
 	if o.helpSeen[node] && s.HelpGoverned() {
-		if gap := now - o.lastHelp[node]; gap <= iv-o.slack {
+		if gap := now - o.lastHelp[node]; gap <= iv {
 			o.fail(now, "I1-help-rate", node,
 				"HELP flood %.6g s after the previous one, within HELP_interval %.6g",
 				float64(gap), float64(iv))
@@ -610,7 +596,7 @@ func (o *Oracle) checkHelpFlood(now sim.Time, node topology.NodeID) {
 // checkInterval asserts I7 against the last observation of this node's
 // governor state. Counter comparisons are exact on every backend — the
 // penalty/reward counters are integers read atomically with the
-// interval, so no clock slack applies.
+// interval.
 func (o *Oracle) checkInterval(now sim.Time, node topology.NodeID, lim limits,
 	iv sim.Time, pen, rew uint64) {
 	if iv < lim.helpMin-eps || iv > lim.helpUpper+eps {
@@ -647,9 +633,7 @@ func (o *Oracle) checkInterval(now sim.Time, node topology.NodeID, lim limits,
 }
 
 // checkFreshTarget asserts I3: the migration target chosen by `from`
-// must be backed by a live, unexpired pledge-list entry. The age is
-// measured on the observer's clock, so the expiry comparison widens by
-// the slack on live backends.
+// must be backed by a live, unexpired pledge-list entry.
 func (o *Oracle) checkFreshTarget(now sim.Time, from, target topology.NodeID) {
 	s, c := o.state(from)
 	if s == nil {
@@ -662,7 +646,7 @@ func (o *Oracle) checkFreshTarget(now sim.Time, from, target topology.NodeID) {
 		o.fail(now, "I3-soft-state-expiry", from,
 			"migration try to node %d without a pledge-list entry (stale or fabricated candidate)",
 			target)
-	case now-entry.At >= ttl+o.slack:
+	case now-entry.At >= ttl:
 		o.fail(now, "I3-soft-state-expiry", from,
 			"migration try to node %d using a pledge aged %.6g ≥ EntryTTL %.6g",
 			target, float64(now-entry.At), float64(ttl))
@@ -689,29 +673,20 @@ func (o *Oracle) OnSend(now sim.Time, from, to topology.NodeID, m protocol.Messa
 	if s == nil {
 		return
 	}
-	// Resource comparisons drift by at most the clock slack (queues
-	// drain one second per scaled second, so slack seconds of clock
-	// drift move headroom by at most slack).
 	thr := c.lim.threshold
 	usage := o.w.Usage(from, now)
-	uSlack := 0.0
-	if o.slack > 0 {
-		if cap := o.w.Capacity(from); cap > 0 {
-			uSlack = float64(o.slack) / cap
-		}
-	}
 	if m.Headroom > 0 {
-		if usage > thr+eps+uSlack {
+		if usage > thr+eps {
 			o.fail(now, "I2-pledge-propriety", from,
 				"positive pledge (headroom %.6g) while usage %.6g above threshold %.6g",
 				m.Headroom, usage, thr)
 		}
 		actual := o.w.Headroom(from, now)
-		if m.Headroom > actual+eps+float64(o.slack) || m.Headroom < actual-eps-float64(o.slack) {
+		if m.Headroom > actual+eps || m.Headroom < actual-eps {
 			o.fail(now, "I2-pledge-propriety", from,
 				"pledged headroom %.6g but actual headroom is %.6g", m.Headroom, actual)
 		}
-	} else if usage < thr-eps-uSlack {
+	} else if usage < thr-eps {
 		o.fail(now, "I2-pledge-propriety", from,
 			"retraction pledge while usage %.6g below threshold %.6g", usage, thr)
 	}
@@ -782,7 +757,7 @@ func (o *Oracle) pledgeFault(org topology.NodeID, c protocol.Candidate) (sendRec
 	switch {
 	case !ok || !(rec.headroom > 0):
 		return rec, unbacked
-	case c.At > rec.at+o.slack || c.At < rec.at-o.slack:
+	case c.At != rec.at:
 		return rec, mistimed
 	case c.Headroom > rec.headroom+eps:
 		return rec, excessive
@@ -797,9 +772,9 @@ func (o *Oracle) membershipFault(now sim.Time, member, org topology.NodeID, join
 	switch {
 	case !ok:
 		return sp, unbacked
-	case join < sp.first-eps-o.slack || join > sp.last+eps+o.slack:
+	case join < sp.first-eps || join > sp.last+eps:
 		return sp, mistimed
-	case join > now+eps+o.slack:
+	case join > now+eps:
 		return sp, excessive
 	}
 	return sp, justified
@@ -807,7 +782,7 @@ func (o *Oracle) membershipFault(now sim.Time, member, org topology.NodeID, join
 
 // auditPledgeList asserts I4's organizer side for node org: every
 // stored entry must match the last delivered positive pledge from that
-// member — timestamps within the clock slack, headroom never above what
+// member — the same timestamp, headroom never above what
 // was advertised (Debit only lowers it).
 func (o *Oracle) auditPledgeList(now sim.Time, org topology.NodeID) {
 	s, c := o.state(org)
@@ -878,8 +853,7 @@ func (o *Oracle) walkPledgeList(now sim.Time, org topology.NodeID, s ProtocolSta
 
 // auditMemberships asserts I4's member side for node member: every
 // membership's join instant (expiry − MembershipTTL) must fall within
-// the span of HELP deliveries received from that organizer, widened by
-// the clock slack. Only a membership write can break this — spans only
+// the span of HELP deliveries received from that organizer. Only a membership write can break this — spans only
 // widen and the audit instant only grows — so after a clean audit the
 // next one checks just the memberships the log names.
 func (o *Oracle) auditMemberships(now sim.Time, member topology.NodeID) {

@@ -269,7 +269,7 @@ func (c *eventCount) Record(trace.Event) { *c++ }
 // lock between them. Run under -race (`make race`).
 func TestHooksSerializeConcurrentEmitters(t *testing.T) {
 	const emitters, tasks = 2, 500
-	o := NewWorldOracle(&scriptWorld{n: 4}, 0)
+	o := NewWorldOracle(&scriptWorld{n: 4})
 	var teed eventCount
 	h := &Hooks{}
 	h.Tee(&teed, nil)
@@ -310,7 +310,7 @@ func TestHooksReplayCallbacksBeforeBind(t *testing.T) {
 	m := protocol.Message{Kind: protocol.Advert, From: 1, Headroom: 5}
 	h.Record(trace.Event{At: 0, Kind: trace.Arrival, Node: 0, Size: 2})
 	h.OnSend(0, 1, 0, m)
-	o := NewWorldOracle(&scriptWorld{n: 2}, 0)
+	o := NewWorldOracle(&scriptWorld{n: 2})
 	h.Bind(o)
 	h.OnDeliver(0.1, 0, m)
 	h.Record(trace.Event{At: 0.2, Kind: trace.AdmitLocal, Node: 0, Size: 2})

@@ -105,7 +105,7 @@ func TestI4ProvenanceViolationsArePinned(t *testing.T) {
 	cfg.EntryTTL, cfg.MembershipTTL, cfg.MaxMemberships = 50, 20, 4
 	w := &scriptWorld{n: 100001, nodes: map[topology.NodeID]protocol.Discovery{}}
 	na, nb := w.realtor(a, cfg), w.realtor(b, cfg)
-	o := NewWorldOracle(w, 0)
+	o := NewWorldOracle(w)
 
 	// Honest history in both directions between a and b, and c→a.
 	na.deliver(o, 1, pledge(b, 4), true)
@@ -177,7 +177,7 @@ func TestI4OverlayViolationsArePinned(t *testing.T) {
 	)
 	sa, sb := &scriptOverlay{}, &scriptOverlay{}
 	w := &scriptWorld{n: 100001, nodes: map[topology.NodeID]protocol.Discovery{a: sa, b: sb}}
-	o := NewWorldOracle(w, 0)
+	o := NewWorldOracle(w)
 	put := func(origin topology.NodeID, h float64) protocol.Message {
 		return protocol.Message{Kind: protocol.DHTPut, From: origin, Origin: origin, Headroom: h}
 	}
@@ -288,7 +288,7 @@ func TestI4ForgetsDeadIncarnation(t *testing.T) {
 	cfg := protocol.DefaultConfig()
 	w := &scriptWorld{n: 4, nodes: map[topology.NodeID]protocol.Discovery{}}
 	dead := w.realtor(a, cfg)
-	o := NewWorldOracle(w, 0)
+	o := NewWorldOracle(w)
 	dead.deliver(o, 1, pledge(b, 4), true)
 	dead.deliver(o, 1, help(c), true)
 	o.Record(trace.Event{At: 2, Kind: trace.NodeKill, Node: a, Peer: -1})
@@ -318,7 +318,7 @@ func deliverSetup(tb testing.TB, size int) (o *Oracle, self topology.NodeID, ple
 	cfg.MaxMemberships = size
 	w := &scriptWorld{n: 2500, nodes: map[topology.NodeID]protocol.Discovery{}}
 	n := w.realtor(self, cfg)
-	o = NewWorldOracle(w, 0)
+	o = NewWorldOracle(w)
 	for i := 1; i <= size; i++ {
 		pledges = append(pledges, pledge(topology.NodeID(2*i), float64(i)))
 		helps = append(helps, help(topology.NodeID(2*i+1)))

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
 	"realtor/internal/agile"
 	"realtor/internal/agile/transport"
@@ -22,11 +21,11 @@ import (
 type Study struct {
 	Fig  string // realtor-sim -fig name
 	File string // file under results/; "" = a view of another entry, not written
-	// Live marks a study run on the live Agile cluster. Its committed
-	// file is the virtual-time table TestLiveTablesMatchCommittedResults
-	// pins inside a testing/synctest bubble (`make live-pin`); on the
-	// wall clock its numbers move run to run, so tier-1 skips it until
-	// the cluster has a clock seam of its own (ROADMAP item 7).
+	// Live marks a study run on the live Agile cluster. Over the
+	// default in-process transport the cluster runs on virtual time, so
+	// its file repeats byte for byte like a simulator table; over
+	// -transport udp it runs on the wall clock and its numbers move run
+	// to run.
 	Live bool
 	// Sweep marks a λ-sweep: the study honours Options.Lambdas, and on
 	// the simulator Options.Reps.
@@ -230,9 +229,10 @@ func discoveryReport(o Options) (string, error) {
 }
 
 // liveCluster is the live studies' shared recipe: 300 scaled seconds of
-// arrivals per run at 100× (150 s at 400× under Quick), a 250 ms
-// negotiation timeout, over the transport the options name. It returns
-// the cluster config, the arrival window and the transport.
+// arrivals per run at 100× (150 s at 400× under Quick), a negotiation
+// timeout of a quarter wall-second at that scale, over the transport the
+// options name. It returns the cluster config, the arrival window and
+// the transport.
 func (o Options) liveCluster() (agile.Config, float64, transport.Factory, error) {
 	duration, scale := 300.0, 100.0
 	if o.Quick {
@@ -247,7 +247,7 @@ func (o Options) liveCluster() (agile.Config, float64, transport.Factory, error)
 	}
 	cfg := agile.DefaultConfig()
 	cfg.TimeScale = scale
-	cfg.NegotiationTimeout = 250 * time.Millisecond
+	cfg.NegotiationTimeout = scale / 4
 	return cfg, duration, mk, nil
 }
 

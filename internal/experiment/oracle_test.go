@@ -41,7 +41,7 @@ func bindOracle(t *testing.T) *cellAudit {
 		cfg.Trace, cfg.Observer = h, h
 		cfg.InlineHooks = true
 		return cfg, func(e *engine.Engine) {
-			o := check.NewWorldOracle(check.EngineWorld{E: e}, 0)
+			o := check.NewWorldOracle(check.EngineWorld{E: e})
 			h.Bind(o)
 			a.mu.Lock()
 			a.cells = append(a.cells, auditedCell{e, o})

@@ -52,10 +52,9 @@ var leadingRungs = map[string]func() string{
 // invariants — I5 task and message conservation, I6 partition safety,
 // I8 crossing alternation. statelessCells names the entries that have
 // such cells and why; the test fails if that list stops matching the
-// studies. Live entries build no engine cell and read the wall clock:
-// TestLiveTablesMatchCommittedResults pins them on virtual time under
-// GOEXPERIMENT=synctest (`make live-pin`), and they skip here until the
-// live cluster has a clock seam of its own (ROADMAP item 7).
+// studies. Live entries build no engine cell: they run the Agile
+// cluster on its deterministic driver, on virtual time, so their bytes
+// are pinned here like every other table's, without the cell checks.
 func TestCheapTablesMatchCommittedResults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates every simulator result table")
@@ -71,9 +70,6 @@ func TestCheapTablesMatchCommittedResults(t *testing.T) {
 			continue
 		}
 		t.Run(st.Fig, func(t *testing.T) {
-			if st.Live {
-				t.Skip("live table: pinned on virtual time by `make live-pin` (ROADMAP item 7)")
-			}
 			raw, err := os.ReadFile(filepath.Join(resultsDir, st.File))
 			if err != nil {
 				t.Fatal(err)
@@ -98,6 +94,9 @@ func TestCheapTablesMatchCommittedResults(t *testing.T) {
 			if !fresh {
 				t.Errorf("results/%s is stale: regenerate with `go run ./cmd/realtor-sim -fig %s > results/%s`\ngot:\n%s\nwant:\n%s",
 					st.File, st.Fig, st.File, got, want)
+			}
+			if st.Live {
+				return
 			}
 			stateless := 0
 			for _, c := range cells {

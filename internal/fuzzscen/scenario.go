@@ -119,6 +119,10 @@ type Scenario struct {
 	Events []Event `json:"events,omitempty"`
 }
 
+// minDHTEntryTTL bounds the work a DHT spec can ask for: the DHT
+// republishes every entry_ttl/2. It sits below the generator's minTTL.
+const minDHTEntryTTL = 1
+
 // Validate reports the first structurally invalid field, or nil. Engine
 // and protocol parameters that engine.New or the protocol constructors
 // would panic on, and self-link cuts, fail here, at decode time, instead
@@ -156,7 +160,11 @@ func (s Scenario) Validate() error {
 		return fmt.Errorf("fuzzscen: protocol parameters: %w", err)
 	}
 	switch s.Discovery {
-	case "", "dht", "hier", "fed":
+	case "", "hier", "fed":
+	case "dht":
+		if s.EntryTTL < minDHTEntryTTL {
+			return fmt.Errorf("fuzzscen: entry_ttl %v below %v s: the DHT republishes every entry_ttl/2", s.EntryTTL, minDHTEntryTTL)
+		}
 	default:
 		return fmt.Errorf("fuzzscen: unknown discovery protocol %q", s.Discovery)
 	}

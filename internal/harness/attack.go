@@ -44,7 +44,7 @@ type AttackResult struct {
 }
 
 // RunLiveAttack drives a Poisson load while the study's kill/revive
-// schedule executes on wall-clock timers, and returns the overall stats
+// schedule executes as timed commands on the cluster, and returns the overall stats
 // plus the admission timeline: every component's fate, from the
 // cluster's OnOutcome hook, in binWidth-wide bins of its submission
 // instant. cfg.OnOutcome is replaced.
@@ -60,7 +60,7 @@ func RunLiveAttack(cfg agile.Config, study AttackStudy, lambda, meanSize, durati
 		return AttackResult{}, err
 	}
 	fn := transport.NewFault(inner, seed)
-	var mu sync.Mutex // host actors report outcomes concurrently
+	var mu sync.Mutex // hosts report outcomes concurrently on the wall-clock driver
 	tl := metrics.Timeline{Width: binWidth}
 	cfg.OnOutcome = func(arrive float64, admitted bool) {
 		mu.Lock()
@@ -73,11 +73,9 @@ func RunLiveAttack(cfg agile.Config, study AttackStudy, lambda, meanSize, durati
 		return AttackResult{}, err
 	}
 
-	faults := newLiveFaults(c, fn, 0, &Hooks{}, study.Events())
-	faults.start()
+	liveFaults{c: c, fn: fn, hooks: &Hooks{}}.schedule(study.Events())
 	st, _ := c.Drive(context.Background(), workload.NewPoisson(lambda, meanSize, cfg.Hosts, rng.New(seed)), duration)
-	faults.stop()
-	c.Stop() // no outcome fires after the actors exit
+	c.Stop() // no outcome fires after the hosts stop
 	return AttackResult{Stats: st, Timeline: tl, Study: study}, nil
 }
 

@@ -3,7 +3,6 @@ package harness
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"realtor/internal/agile"
 	"realtor/internal/agile/transport"
@@ -11,13 +10,10 @@ import (
 )
 
 func TestRunLiveAttackTimeline(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live study")
-	}
 	cfg := agile.DefaultConfig()
 	cfg.Hosts = 6
 	cfg.TimeScale = 400
-	cfg.NegotiationTimeout = 100 * time.Millisecond
+	cfg.NegotiationTimeout = 40
 	mk, _ := transport.ByName("chan")
 	study := AttackStudy{Victims: []int{0, 1}, KillAt: 100, ReviveAt: 200}
 	// λ·mean = 10 s/s on 6 (then 4) hosts: healthy ≈ fine, attacked ≈ overloaded.

@@ -79,7 +79,7 @@ func TestLiveCancelReturnsErrCanceled(t *testing.T) {
 	s := fuzzscen.Generate(3)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
-	out, err := RunCheckedOpts(Live(LiveConfig{}), s, fuzzscen.Builder(s), RunOptions{
+	out, err := RunCheckedOpts(Live(), s, fuzzscen.Builder(s), RunOptions{
 		Ctx: ctx,
 		OnProgress: func(Progress) {
 			select {

@@ -26,16 +26,12 @@ import (
 )
 
 // Backend is a runtime able to execute a fuzz scenario. Implementations:
-// Sim() (the deterministic discrete-event engine) and Live() (the
-// goroutine-per-host Agile cluster on a real transport).
+// Sim() (the discrete-event engine) and Live() (the Agile cluster on
+// its deterministic driver). Both run on virtual time, so the oracle
+// audits both exactly.
 type Backend interface {
 	// Name identifies the backend ("sim", "live") in reports and CLIs.
 	Name() string
-
-	// Slack returns the clock tolerance (scaled seconds) the invariant
-	// oracle must allow on this backend's timing-sensitive checks: 0 for
-	// the deterministic simulator, positive for wall-clock runtimes.
-	Slack() sim.Time
 
 	// Start builds a ready-to-run Instance for the scenario, wiring
 	// hooks as the runtime's trace recorder and message observer. The
@@ -43,9 +39,9 @@ type Backend interface {
 	// honest path, fuzzscen.MutantBuilder for mutation testing). A
 	// non-nil onProgress receives a snapshot every Duration/64 of
 	// scaled time during Run, only from quiescent points of the run loop
-	// (the simulator's checkpoint barriers; the live cluster's ticker
-	// goroutine), so an observed run stays byte-identical to an
-	// unobserved one on the deterministic backend.
+	// (the simulator's checkpoint barriers; timed commands on the live
+	// cluster), so an observed run stays byte-identical to an
+	// unobserved one on the simulator.
 	Start(s fuzzscen.Scenario, build engine.Builder, hooks *Hooks, onProgress func(Progress)) (Instance, error)
 }
 
@@ -87,11 +83,11 @@ type Instance interface {
 	Now() sim.Time
 
 	// EachNodeSafe invokes fn once per node from a context where that
-	// node's protocol state may be read — inline on the simulator, on
-	// each host's actor loop on the live cluster.
+	// node's protocol state may be read — inline on the simulator, as a
+	// step of each host on the live cluster.
 	EachNodeSafe(fn func(id topology.NodeID))
 
-	// Close releases the instance's resources (transports, host actors).
+	// Close releases the instance's resources (transports, hosts).
 	// It is idempotent.
 	Close()
 }
@@ -99,7 +95,7 @@ type Instance interface {
 // Hooks is the unified observation funnel handed to a Backend at Start:
 // the backend wires it in as both its trace.Recorder and its
 // trace.MessageObserver. It is check.Hooks, whose mutex serializes
-// shard workers and live host actors in front of the oracle.
+// shard workers in front of the oracle.
 type Hooks = check.Hooks
 
 // Outcome is what one oracle-checked run yields on any backend.
@@ -164,7 +160,7 @@ func RunCheckedOpts(b Backend, s fuzzscen.Scenario, build engine.Builder, opt Ru
 		return Outcome{}, err
 	}
 	defer inst.Close()
-	o = check.NewWorldOracle(inst.World(), b.Slack())
+	o = check.NewWorldOracle(inst.World())
 	hooks.Bind(o)
 	stats := inst.Run(ctx)
 	if inst.Canceled() {
@@ -174,9 +170,7 @@ func RunCheckedOpts(b Backend, s fuzzscen.Scenario, build engine.Builder, opt Ru
 	}
 	now := inst.Now()
 	// Per-node audits run in each node's safe context, taking the event
-	// mutex INSIDE that context (taking it outside would deadlock: the
-	// node's actor might be blocked on the mutex emitting an event while
-	// we wait for the actor).
+	// mutex inside that context.
 	inst.EachNodeSafe(func(id topology.NodeID) {
 		hooks.Locked(func() { o.FinishNode(now, id) })
 	})

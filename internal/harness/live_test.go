@@ -1,31 +1,20 @@
 package harness
 
 import (
+	"context"
 	"testing"
-	"time"
 
 	"realtor/internal/agile/transport"
 	"realtor/internal/fuzzscen"
 	"realtor/internal/trace"
 )
 
-// testLiveCfg runs live scenarios fast (400× wall clock), so the
-// backend's oracle slack is 8 scaled seconds: the same 20
-// wall-milliseconds of tolerated drift per clock read as every other
-// live run.
-func testLiveCfg() LiveConfig {
-	return LiveConfig{TimeScale: 400}
-}
-
 // TestLiveHonestRunsAreOracleClean is the live-backend mirror of the
 // sim sweep: the same generated scenarios — kills, cuts, flaps, loss,
-// exhaustion, churn included — replayed on the goroutine-per-host
-// cluster must leave the invariant oracle silent.
+// exhaustion, churn included — replayed on the live cluster must leave
+// the exact invariant oracle silent.
 func TestLiveHonestRunsAreOracleClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live sweep")
-	}
-	be := Live(testLiveCfg())
+	be := Live()
 	offered := uint64(0)
 	for seed := int64(1); seed <= smokeSeeds; seed++ {
 		s := fuzzscen.Generate(seed)
@@ -44,10 +33,10 @@ func TestLiveHonestRunsAreOracleClean(t *testing.T) {
 	}
 }
 
-// TestLiveHoldsCallbacksUntilRun: the hosts run from Start on, and a
-// DHT node publishes at once, but nothing may reach the hooks before
-// Run. The caller binds the oracle in between, and an audit replayed at
-// Bind would read node state off the hosts' goroutines.
+// TestLiveHoldsCallbacksUntilRun: a DHT node arms its first publish
+// when it attaches, inside Start, but nothing may reach the hooks before
+// Run: the caller binds the oracle in between. The deterministic driver
+// fires timers only inside the drive.
 func TestLiveHoldsCallbacksUntilRun(t *testing.T) {
 	s := fuzzscen.Generate(8)
 	if s.Discovery != "dht" {
@@ -56,17 +45,16 @@ func TestLiveHoldsCallbacksUntilRun(t *testing.T) {
 	hooks := &Hooks{}
 	var seen trace.Buffer
 	hooks.Tee(&seen, nil)
-	inst, err := Live(testLiveCfg()).Start(s, fuzzscen.Builder(s), hooks, nil)
+	inst, err := Live().Start(s, fuzzscen.Builder(s), hooks, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(50 * time.Millisecond) // 20 scaled seconds: every first publish is due
-	n := len(seen.Events())
-	inst.Close()
-	if n != 0 {
+	defer inst.Close()
+	if n := len(seen.Events()); n != 0 {
 		t.Fatalf("%d trace events reached the hooks before Run", n)
 	}
-	if len(seen.Events()) == 0 {
+	inst.Run(context.Background())
+	if len(seen.OfKind(trace.MsgSend)) == 0 {
 		t.Fatal("no host published at all; the held callbacks prove nothing")
 	}
 }
@@ -75,10 +63,7 @@ func TestLiveHoldsCallbacksUntilRun(t *testing.T) {
 // backend: the seeded soft-state-expiry bug must trip it on at least
 // one of the sweep's scenarios, exactly as it must on the simulator.
 func TestLiveMutantIsCaught(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live sweep")
-	}
-	be := Live(testLiveCfg())
+	be := Live()
 	for seed := int64(1); seed <= 60; seed++ {
 		s := fuzzscen.Generate(seed)
 		out, err := RunChecked(be, s, fuzzscen.MutantBuilder(s))
@@ -96,16 +81,13 @@ func TestLiveMutantIsCaught(t *testing.T) {
 // the aggregate metrics agree within the documented bands — the repo's
 // smallest version of the paper's sim-vs-testbed validation. The
 // scenario is picked to be fault- and loss-free: parity bands describe
-// clock and transport skew, not divergent fault timing.
+// latency and transport differences, not divergent fault timing.
 func TestParitySimVsLive(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live run")
-	}
 	s, ok := quietScenario(200)
 	if !ok {
 		t.Fatal("no generated seed ≤ 200 is event- and loss-free")
 	}
-	rep, err := Parity(s, Live(testLiveCfg()), fuzzscen.Builder(s), DefaultTolerance())
+	rep, err := Parity(s, Live(), fuzzscen.Builder(s), DefaultTolerance())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +109,7 @@ func TestLiveCutHealRestoresScenarioLoss(t *testing.T) {
 		t.Fatal("no generated seed ≤ 200 is event- and loss-free")
 	}
 	s.LossProb = 0.5
-	inst, err := Live(testLiveCfg()).Start(s, fuzzscen.Builder(s), &Hooks{}, nil)
+	inst, err := Live().Start(s, fuzzscen.Builder(s), &Hooks{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,8 +138,8 @@ func TestLiveCutHealRestoresScenarioLoss(t *testing.T) {
 
 // quietScenario returns the first generated flood-REALTOR scenario
 // with no fault events and no message loss. Overlays are excluded: the
-// parity bands describe clock and transport skew on the base protocol,
-// while overlay message counts (gateway escalation, ring maintenance)
+// parity bands describe latency and transport differences on the base
+// protocol, while overlay message counts (gateway escalation, ring maintenance)
 // are legitimately timing-driven and diverge across backends.
 func quietScenario(maxSeed int64) (fuzzscen.Scenario, bool) {
 	for seed := int64(1); seed <= maxSeed; seed++ {

@@ -12,9 +12,10 @@ import (
 // Tolerance bounds how far the live cluster may drift from the
 // simulator on one scenario before parity fails. The two runtimes share
 // the protocol implementation and the exact arrival sequence but differ
-// in clocks (event time vs scaled wall time), message latency (zero-ish
-// transport vs HopDelay) and loss semantics, so aggregate metrics agree
-// only within bands.
+// in message latency (the live fabric delivers at the instant of sending,
+// the simulator after HopDelay per hop), topology (the live fabric is
+// fully connected) and loss semantics, so aggregate metrics agree only
+// within bands.
 type Tolerance struct {
 	// Admission is the maximum absolute difference in admission
 	// probability (Admitted/Offered).

@@ -12,9 +12,7 @@ import (
 )
 
 // simBackend adapts the discrete-event engine: Start is pure wiring —
-// scenario→engine.Config, fault schedule via attack.Scenario.Apply —
-// and the oracle runs with zero clock slack because the simulator is
-// deterministic.
+// scenario→engine.Config, fault schedule via attack.Scenario.Apply.
 type simBackend struct {
 	shards int
 }
@@ -32,9 +30,6 @@ func SimSharded(n int) Backend { return simBackend{shards: n} }
 
 // Name implements Backend.
 func (simBackend) Name() string { return "sim" }
-
-// Slack implements Backend: the simulator's clock is exact.
-func (simBackend) Slack() sim.Time { return 0 }
 
 // Start implements Backend.
 func (b simBackend) Start(s fuzzscen.Scenario, build engine.Builder, hooks *Hooks, onProgress func(Progress)) (Instance, error) {

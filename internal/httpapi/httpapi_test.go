@@ -39,6 +39,16 @@ func newTestDaemon(t *testing.T, cfg runsvc.Config) (string, string, func()) {
 	}
 }
 
+// longRun is a submission body for a live run that outlasts any test:
+// a generated scenario stretched to a million scaled seconds. On the
+// deterministic driver the live backend runs as fast as the CPU allows,
+// so only the workload's length holds a worker.
+func longRun() string {
+	s := fuzzscen.Generate(31)
+	s.Duration = 1e6
+	return `{"backend":"live","spec":` + string(scenario.Export("long-run", s).Canonical()) + `}`
+}
+
 func postJSON(t *testing.T, url, body string) *http.Response {
 	t.Helper()
 	resp, err := http.Post(url, "application/json", strings.NewReader(body))
@@ -54,9 +64,9 @@ func TestHTTPErrorPaths(t *testing.T) {
 	base, name, shutdown := newTestDaemon(t, runsvc.Config{Workers: 1, QueueDepth: 1})
 	defer shutdown()
 
-	// Hold the single worker with a live run so queue-full is reachable
-	// deterministically (the live backend runs in scaled wall time).
-	resp := postJSON(t, base+"/runs", fmt.Sprintf(`{"package":%q,"backend":"live"}`, name))
+	// Hold the single worker with a long run so queue-full is reachable
+	// deterministically.
+	resp := postJSON(t, base+"/runs", longRun())
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("live submit: status %d", resp.StatusCode)
 	}
@@ -94,6 +104,11 @@ func TestHTTPErrorPaths(t *testing.T) {
 	legacy := strings.Replace(string(scenario.Export("legacy", fuzzscen.Generate(31)).Canonical()),
 		`"scenario": {`, `"scenario": {"policies": {"bucket": {"rate": 1.5, "burst": 3}},`, 1)
 
+	// An inline DHT spec whose entry_ttl would republish without end.
+	tiny := fuzzscen.Generate(8)
+	tiny.EntryTTL = 1e-6
+	tinyTTL := string(scenario.Export("tiny-ttl", tiny).Canonical())
+
 	cases := []struct {
 		label  string
 		method string
@@ -102,6 +117,7 @@ func TestHTTPErrorPaths(t *testing.T) {
 		want   int
 	}{
 		{"bad JSON", "POST", "/runs", `{"package":`, http.StatusBadRequest},
+		{"inline DHT spec with a tiny entry_ttl", "POST", "/runs", `{"spec":` + tinyTTL + `}`, http.StatusBadRequest},
 		{"inline spec with policies", "POST", "/runs", `{"spec":` + legacy + `}`, http.StatusBadRequest},
 		{"unknown field", "POST", "/runs", `{"pakage":"x"}`, http.StatusBadRequest},
 		{"no selector", "POST", "/runs", `{}`, http.StatusBadRequest},
@@ -136,7 +152,7 @@ func TestHTTPErrorPaths(t *testing.T) {
 		resp.Body.Close()
 	}
 
-	// Cancel the held run so shutdown doesn't wait out the live clock.
+	// Cancel the held run so shutdown doesn't wait out its workload.
 	req, _ := http.NewRequest("DELETE", base+"/runs/"+live.ID, nil)
 	if resp, err := http.DefaultClient.Do(req); err == nil {
 		resp.Body.Close()
@@ -241,8 +257,8 @@ func TestDaemonRunSummaryAndEvents(t *testing.T) {
 func TestDaemonShutdownLeaksNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 
-	base, name, shutdown := newTestDaemon(t, runsvc.Config{Workers: 2})
-	resp := postJSON(t, base+"/runs", fmt.Sprintf(`{"package":%q,"backend":"live"}`, name))
+	base, _, shutdown := newTestDaemon(t, runsvc.Config{Workers: 2})
+	resp := postJSON(t, base+"/runs", longRun())
 	var v runsvc.JobView
 	json.NewDecoder(resp.Body).Decode(&v)
 	resp.Body.Close()

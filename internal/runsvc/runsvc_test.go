@@ -11,8 +11,10 @@ import (
 	"testing"
 	"time"
 
+	"realtor/internal/engine"
 	"realtor/internal/fuzzscen"
 	"realtor/internal/harness"
+	"realtor/internal/protocol"
 	"realtor/internal/scenario"
 )
 
@@ -343,39 +345,90 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// panickyBackend is a backend whose protocol instances panic on their
+// first local arrival, inside the run.
+type panickyBackend struct{ harness.Backend }
+
+type panickyDiscovery struct{ protocol.Discovery }
+
+func (panickyDiscovery) OnArrival(float64) { panic("seeded discovery bug") }
+
+func (b panickyBackend) Start(s fuzzscen.Scenario, build engine.Builder, hooks *harness.Hooks,
+	onProgress func(harness.Progress)) (harness.Instance, error) {
+	return b.Backend.Start(s, func() protocol.Discovery { return panickyDiscovery{build()} }, hooks, onProgress)
+}
+
+// A live run steps its hosts on the job's own goroutine (the
+// deterministic driver), so a panic inside a protocol handler fails
+// only that job, as a panic on the simulator does, and the service
+// keeps serving.
+func TestPanickingLiveDiscoveryFailsOnlyItsJob(t *testing.T) {
+	root := t.TempDir()
+	bad, good := writePkg(t, root, 3), writePkg(t, root, 5)
+	orig := runWith
+	t.Cleanup(func() { runWith = orig })
+	runWith = func(p *scenario.Package, be harness.Backend, shards int, rc scenario.RunConfig) (scenario.Result, error) {
+		if p.Spec.Name == bad {
+			be = panickyBackend{be}
+		}
+		return orig(p, be, shards, rc)
+	}
+	s, err := New(Config{ScenarioRoot: root, Workers: 1})
+	if err != nil {
+		t.Fatalf("new service: %v", err)
+	}
+	defer s.Close()
+	vb, err := s.Submit(Request{Package: bad, Backend: "live"})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	if fin := waitTerminal(t, s, vb.ID); fin.State != StateFailed || fin.Error != "panic: seeded discovery bug" {
+		t.Fatalf("panicking live run: state %s, error %q; want failed, %q", fin.State, fin.Error, "panic: seeded discovery bug")
+	}
+	vg, err := s.Submit(Request{Package: good, Backend: "live"})
+	if err != nil {
+		t.Fatalf("submit after the panic: %v", err)
+	}
+	if fin := waitTerminal(t, s, vg.ID); fin.State != StateDone {
+		t.Fatalf("live run after the panic: state %s (error %q), want done", fin.State, fin.Error)
+	}
+}
+
 // TestQueueBackpressureAndClose fills a one-deep queue behind a busy
 // worker, checks ErrQueueFull, then checks Close cancels everything
 // still in flight and refuses new submissions.
 func TestQueueBackpressureAndClose(t *testing.T) {
 	root := t.TempDir()
-	// The live backend runs in scaled wall-clock time, so it holds the
-	// single worker long enough to make the backpressure deterministic.
-	liveName := writePkg(t, root, 13)
+	// The held run keeps the single worker busy until its context ends,
+	// which makes the backpressure deterministic.
+	heldName := writePkg(t, root, 13)
 	simName := writePkg(t, root, 17)
+	orig := runWith
+	t.Cleanup(func() { runWith = orig })
+	started := make(chan struct{})
+	runWith = func(p *scenario.Package, be harness.Backend, shards int, rc scenario.RunConfig) (scenario.Result, error) {
+		if p.Spec.Name == heldName {
+			close(started)
+			<-rc.Ctx.Done()
+			return scenario.Result{}, harness.ErrCanceled
+		}
+		return orig(p, be, shards, rc)
+	}
 
 	s, err := New(Config{ScenarioRoot: root, Workers: 1, QueueDepth: 1})
 	if err != nil {
 		t.Fatalf("new service: %v", err)
 	}
 
-	live, err := s.Submit(Request{Package: liveName, Backend: "live"})
+	live, err := s.Submit(Request{Package: heldName, Backend: "live"})
 	if err != nil {
-		t.Fatalf("submit live: %v", err)
+		t.Fatalf("submit held: %v", err)
 	}
 	// Wait for the worker to claim it so the queue slot is free.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		v, err := s.Get(live.ID)
-		if err != nil {
-			t.Fatalf("get: %v", err)
-		}
-		if v.State == StateRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("live run never started")
-		}
-		time.Sleep(2 * time.Millisecond)
+	select {
+	case <-started:
+	case <-time.After(30 * time.Second):
+		t.Fatal("held run never started")
 	}
 
 	queued, err := s.Submit(Request{Package: simName})

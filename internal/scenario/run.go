@@ -118,10 +118,9 @@ type RunConfig struct {
 
 // Run executes the package on the backend with the invariant oracle
 // attached, summarizes the run, and applies the gate: expect bands on
-// every backend, the golden comparison only on the deterministic
-// simulator (sharded or not) and only when a golden exists. A live run
-// is reproducible only statistically, so pinning its digest would make
-// the gate flaky rather than strict.
+// every backend, the golden comparison only on the simulator (sharded
+// or not) and only when a golden exists: a package's golden is a
+// simulator run, which a live run does not reproduce.
 func Run(p *Package, be harness.Backend, shards int) (Result, error) {
 	return RunWith(p, be, shards, RunConfig{})
 }
@@ -155,9 +154,9 @@ func RunWith(p *Package, be harness.Backend, shards int, rc RunConfig) (Result, 
 }
 
 // Backend builds the harness backend a name selects: "sim" (the
-// deterministic engine, sharded when shards > 1) or "live" (the
-// goroutine-per-host cluster, where shards has no meaning and any
-// value other than 1 is rejected rather than silently ignored).
+// deterministic engine, sharded when shards > 1) or "live" (the Agile
+// cluster on its deterministic driver, where shards has no meaning and
+// any value other than 1 is rejected rather than silently ignored).
 func Backend(name string, shards int) (harness.Backend, error) {
 	switch name {
 	case "sim":
@@ -169,7 +168,7 @@ func Backend(name string, shards int) (harness.Backend, error) {
 		if shards != 1 {
 			return nil, fmt.Errorf("scenario: the live backend has no shards (got %d)", shards)
 		}
-		return harness.Live(harness.LiveConfig{}), nil
+		return harness.Live(), nil
 	}
 	return nil, fmt.Errorf("scenario: unknown backend %q (want sim|live)", name)
 }

@@ -121,6 +121,7 @@ func TestDecodeSpecFieldErrors(t *testing.T) {
 		{"help_init below HelpMin", func(sp *Spec) { sp.Scenario.HelpInit = 0.001 }, "HELP interval bounds (init=0.001"},
 		{"negative beta", func(sp *Spec) { sp.Scenario.Beta = -0.1 }, "beta=-0.1"},
 		{"negative capacity", func(sp *Spec) { sp.Scenario.Capacities = []float64{5, -1} }, "capacity"},
+		{"dht entry_ttl below floor", func(sp *Spec) { sp.Protocol = "dht"; sp.Scenario.EntryTTL = 1e-6 }, "entry_ttl 1e-06"},
 		{"admission band inverted", func(sp *Spec) { sp.Expect.AdmissionMinPct = 80; sp.Expect.AdmissionMaxPct = 20 }, "admission_max_pct"},
 		{"reject band overflow", func(sp *Spec) { sp.Expect.MaxRejectPct = 130 }, "max_reject_pct"},
 	}

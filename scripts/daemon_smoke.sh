@@ -9,9 +9,9 @@
 #      thin client produce summaries byte-identical (cmp, not jq) to
 #      local `realtor-scen run -json` runs — at 1 shard, and one of
 #      them again at 4 shards.
-#   3. A live-backend run (scaled wall-clock, so genuinely long) is
-#      cancelled mid-flight and ends in state "canceled" with no
-#      summary field in its record.
+#   3. A long live-backend run (an inline spec: one package stretched
+#      to a million scaled seconds) is cancelled mid-flight and ends in
+#      state "canceled" with no summary field in its record.
 #   4. SIGTERM drains the daemon: it exits 0 on its own.
 #
 # Needs only POSIX sh, curl, and cmp. Run from the repo root.
@@ -63,9 +63,10 @@ echo "== shard-4 run, byte-compared to local"
 cmp "$TMP/a4.remote" "$TMP/a4.local"
 cmp "$TMP/a.local" "$TMP/a4.local"   # shard-count invariance, while we're here
 
-echo "== cancel a long (live, wall-clock) run"
+echo "== cancel a long live run"
+SPEC=$(sed 's/"duration": [0-9.]*/"duration": 1000000/' "scenarios/$PKG_A/scenario.json")
 ID=$(curl -fsS -X POST "$BASE/runs" \
-    -d "{\"package\":\"$PKG_A\",\"backend\":\"live\"}" |
+    -d "{\"backend\":\"live\",\"spec\":$SPEC}" |
     sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
 [ -n "$ID" ] || { echo "submit returned no id"; exit 1; }
 curl -fsS -X DELETE "$BASE/runs/$ID" >/dev/null
