@@ -27,8 +27,9 @@ import (
 // The sweep is deterministic: seed k always yields scenario k, and the
 // workers change only wall-clock time, never which seeds fail or which
 // counterexample is reported. The live backend runs on virtual time
-// too, but the differential, the relations and shrinking are built on
-// the engine, so they are off there.
+// too, so a live run repeats exactly and its counterexamples shrink
+// like the simulator's; the differential and the relations compare
+// engine runs, so they are off there.
 
 // mutants are the seeded bugs -mutant selects. A mutant sweep passes
 // only if the oracle catches the bug on at least one scenario.
@@ -176,9 +177,10 @@ func parseFuzz(args []string, errw io.Writer) (fuzzOptions, []fuzzCase, int) {
 	return o, cases, 0
 }
 
-// deterministic reports whether the sweep runs only on the simulator,
-// so that the differential, the relations and shrinking apply.
-func (o fuzzOptions) deterministic() bool {
+// simulated reports whether the sweep runs only on the simulator, so
+// that the differential and the relations apply. Shrinking needs only
+// that a run repeats, which holds on every backend the sweep drives.
+func (o fuzzOptions) simulated() bool {
 	return o.live == nil && o.backend.Name() == "sim"
 }
 
@@ -209,7 +211,7 @@ func (o fuzzOptions) check(s fuzzscen.Scenario) *failure {
 	if res.Failed() {
 		return &failure{kind: "invariant", desc: violationText(res)}
 	}
-	if !o.deterministic() {
+	if !o.simulated() {
 		return nil
 	}
 	if why, ok := fuzzscen.DifferentialShards(s, o.shards); !ok {
@@ -238,11 +240,8 @@ func (o fuzzOptions) reportFailure(c fuzzCase, f *failure, out, errw io.Writer) 
 	if !c.generated {
 		return 1
 	}
-	s := c.s
-	if o.deterministic() {
-		s = fuzzscen.Shrink(s, func(c fuzzscen.Scenario) bool { return o.check(c) != nil })
-		fmt.Fprintf(out, "shrunk to %d events, %.0fs\n", len(s.Events), s.Duration)
-	}
+	s := fuzzscen.Shrink(c.s, func(c fuzzscen.Scenario) bool { return o.check(c) != nil })
+	fmt.Fprintf(out, "shrunk to %d events, %.0fs\n", len(s.Events), s.Duration)
 	sp := scenario.Export(c.name, s)
 	sp.Description = fmt.Sprintf("fuzz counterexample: seed %d fails the %s layer", c.s.Seed, f.kind)
 	dir, err := scenario.WritePackage(o.dir, sp)
@@ -259,9 +258,9 @@ func (o fuzzOptions) reportFailure(c fuzzCase, f *failure, out, errw io.Writer) 
 }
 
 // reportMutant prints a mutant sweep's verdict and its first catch,
-// shrunk on the simulator, as violations plus the canonical bytes of a
-// scenario.json that replays it. A catch is the sweep succeeding, so
-// nothing is written.
+// shrunk when it is a generated seed, as violations plus the canonical
+// bytes of a scenario.json that replays it. A catch is the sweep
+// succeeding, so nothing is written.
 func (o fuzzOptions) reportMutant(cases []fuzzCase, verdicts []*failure, out io.Writer) int {
 	caught := countNil(verdicts)
 	fmt.Fprintf(out, "mutant sweep (%s, %s): %s, oracle caught the seeded bug in %d\n",
@@ -272,7 +271,7 @@ func (o fuzzOptions) reportMutant(cases []fuzzCase, verdicts []*failure, out io.
 	}
 	c := cases[slices.Index(verdicts, nil)]
 	s, schedule := c.s, "caught"
-	if o.deterministic() && c.generated {
+	if c.generated {
 		s = fuzzscen.Shrink(s, func(c fuzzscen.Scenario) bool { return o.check(c) == nil })
 		schedule = "shrunk"
 	}

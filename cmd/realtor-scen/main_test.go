@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"realtor/internal/fuzzscen"
+	"realtor/internal/harness"
 	"realtor/internal/scenario"
 )
 
@@ -143,6 +144,31 @@ func TestFuzzMutantCaughtSharded(t *testing.T) {
 	}
 	if _, err := scenario.DecodeSpec([]byte(out[strings.Index(out, "{"):])); err != nil {
 		t.Fatalf("printed catch is not a scenario.json: %v\n%s", err, out)
+	}
+}
+
+// A live run repeats exactly, so a live mutant sweep shrinks its first
+// catch like a simulator sweep does, and the printed shrunk spec still
+// exposes the seeded bug when re-run on the live backend.
+func TestFuzzLiveMutantCatchIsShrunk(t *testing.T) {
+	code, out, errs := runCLI(t, "fuzz", "-n", "30", "-seed", "1", "-backend", "live", "-mutant", "expiry")
+	if code != 0 {
+		t.Fatalf("exit %d, want 0\nstdout:\n%s\nstderr:\n%s", code, out, errs)
+	}
+	if !strings.Contains(out, "violations on the shrunk schedule") {
+		t.Fatalf("live catch not shrunk:\n%s", out)
+	}
+	sp, err := scenario.DecodeSpec([]byte(out[strings.Index(out, "{"):]))
+	if err != nil {
+		t.Fatalf("printed catch is not a scenario.json: %v\n%s", err, out)
+	}
+	s := sp.Effective()
+	res, err := harness.RunChecked(harness.Live(), s, fuzzscen.MutantBuilder(s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Failed() {
+		t.Fatalf("re-running the shrunk spec on live no longer catches the mutant:\n%s", sp.Canonical())
 	}
 }
 

@@ -314,7 +314,8 @@ func NewWorldOracle(w World) *Oracle {
 // between a backend and the oracle: the backend wants its trace
 // recorder and observer at construction time, while the oracle needs
 // the built backend's World to inspect node and protocol state. Point
-// the config at a Hooks value, build the backend, then Bind the oracle:
+// the config at a Hooks value, build the backend, then Bind the oracle
+// before the run starts:
 //
 //	h := &check.Hooks{}
 //	cfg.Trace, cfg.Observer = h, h
@@ -322,47 +323,45 @@ func NewWorldOracle(w World) *Oracle {
 //	o := check.NewOracle(e)
 //	h.Bind(o)
 //
+// No backend emits before its run starts, so a callback before Bind is
+// a wiring bug and panics.
+//
 // Every callback serializes behind one mutex, so the single-threaded
 // oracle (and any consumer attached with Tee) can sit behind shard
 // workers or the live cluster's concurrently emitting host actors; on
 // the sequential simulator the mutex is uncontended and free of side
 // effects, keeping runs bit-identical to an unhooked engine.
 type Hooks struct {
-	mu    sync.Mutex
-	o     *Oracle
-	early []func(*Oracle) // oracle callbacks that arrived before Bind
-	rec   trace.Recorder
-	obs   trace.MessageObserver
+	mu  sync.Mutex
+	o   *Oracle
+	rec trace.Recorder
+	obs trace.MessageObserver
 }
 
 var _ trace.Recorder = (*Hooks)(nil)
 var _ trace.MessageObserver = (*Hooks)(nil)
 
-// Bind points the forwarder at a constructed oracle and replays to it,
-// in order, every callback that arrived before. A replayed audit reads
-// node state as it stands at Bind, not at the callback's instant; no
-// backend emits before Bind (the live cluster runs nothing before Run).
+// Bind points the forwarder at a constructed oracle.
 func (h *Hooks) Bind(o *Oracle) {
 	h.mu.Lock()
 	h.o = o
-	for _, fn := range h.early {
-		fn(o)
-	}
-	h.early = nil
 	h.mu.Unlock()
 }
 
-// kept detaches m from the sender's View buffer, which it may reuse
-// before a queued callback replays.
-func kept(m protocol.Message) protocol.Message {
-	m.View = append([]protocol.Candidate(nil), m.View...)
-	return m
+// bound returns the oracle; the caller holds the mutex.
+func (h *Hooks) bound(callback string) *Oracle {
+	if h.o == nil {
+		panic("check: Hooks." + callback + " before Bind")
+	}
+	return h.o
 }
 
 // Tee attaches an extra trace recorder and/or observer (e.g. a
 // DecisionLog) that receives every event alongside the oracle. Call
 // before the run starts. The consumers are invoked under the mutex and
-// therefore need no locking of their own.
+// therefore need no locking of their own. (harness.RunCheckedOpts tees
+// a batcher here, whose own recorder runs on a drain goroutine, outside
+// the mutex.)
 func (h *Hooks) Tee(rec trace.Recorder, obs trace.MessageObserver) {
 	h.mu.Lock()
 	h.rec, h.obs = rec, obs
@@ -381,11 +380,7 @@ func (h *Hooks) Locked(fn func()) {
 // Record implements trace.Recorder.
 func (h *Hooks) Record(ev trace.Event) {
 	h.mu.Lock()
-	if h.o != nil {
-		h.o.Record(ev)
-	} else {
-		h.early = append(h.early, func(o *Oracle) { o.Record(ev) })
-	}
+	h.bound("Record").Record(ev)
 	if h.rec != nil {
 		h.rec.Record(ev)
 	}
@@ -395,12 +390,7 @@ func (h *Hooks) Record(ev trace.Event) {
 // OnSend implements trace.MessageObserver.
 func (h *Hooks) OnSend(now sim.Time, from, to topology.NodeID, m protocol.Message) {
 	h.mu.Lock()
-	if h.o != nil {
-		h.o.OnSend(now, from, to, m)
-	} else {
-		m := kept(m)
-		h.early = append(h.early, func(o *Oracle) { o.OnSend(now, from, to, m) })
-	}
+	h.bound("OnSend").OnSend(now, from, to, m)
 	if h.obs != nil {
 		h.obs.OnSend(now, from, to, m)
 	}
@@ -410,12 +400,7 @@ func (h *Hooks) OnSend(now sim.Time, from, to topology.NodeID, m protocol.Messag
 // OnDeliver implements trace.MessageObserver.
 func (h *Hooks) OnDeliver(now sim.Time, to topology.NodeID, m protocol.Message) {
 	h.mu.Lock()
-	if h.o != nil {
-		h.o.OnDeliver(now, to, m)
-	} else {
-		m := kept(m)
-		h.early = append(h.early, func(o *Oracle) { o.OnDeliver(now, to, m) })
-	}
+	h.bound("OnDeliver").OnDeliver(now, to, m)
 	if h.obs != nil {
 		h.obs.OnDeliver(now, to, m)
 	}
@@ -425,12 +410,7 @@ func (h *Hooks) OnDeliver(now sim.Time, to topology.NodeID, m protocol.Message) 
 // OnDrop implements trace.MessageObserver.
 func (h *Hooks) OnDrop(now sim.Time, from, to topology.NodeID, m protocol.Message, reason string) {
 	h.mu.Lock()
-	if h.o != nil {
-		h.o.OnDrop(now, from, to, m, reason)
-	} else {
-		m := kept(m)
-		h.early = append(h.early, func(o *Oracle) { o.OnDrop(now, from, to, m, reason) })
-	}
+	h.bound("OnDrop").OnDrop(now, from, to, m, reason)
 	if h.obs != nil {
 		h.obs.OnDrop(now, from, to, m, reason)
 	}
@@ -440,11 +420,7 @@ func (h *Hooks) OnDrop(now sim.Time, from, to topology.NodeID, m protocol.Messag
 // OnInject implements trace.MessageObserver.
 func (h *Hooks) OnInject(now sim.Time, node topology.NodeID, size float64) {
 	h.mu.Lock()
-	if h.o != nil {
-		h.o.OnInject(now, node, size)
-	} else {
-		h.early = append(h.early, func(o *Oracle) { o.OnInject(now, node, size) })
-	}
+	h.bound("OnInject").OnInject(now, node, size)
 	if h.obs != nil {
 		h.obs.OnInject(now, node, size)
 	}

@@ -302,23 +302,26 @@ func TestHooksSerializeConcurrentEmitters(t *testing.T) {
 	}
 }
 
-// TestHooksReplayCallbacksBeforeBind: a live cluster's hosts run before
-// the oracle exists, so a message can be sent before Bind and delivered
-// after it. The oracle must see both halves, in order.
-func TestHooksReplayCallbacksBeforeBind(t *testing.T) {
-	h := &Hooks{}
+// TestHooksPanicBeforeBind: no backend emits before its run starts, so
+// a callback reaching Hooks before the oracle is bound is a wiring bug,
+// reported by name rather than queued.
+func TestHooksPanicBeforeBind(t *testing.T) {
 	m := protocol.Message{Kind: protocol.Advert, From: 1, Headroom: 5}
-	h.Record(trace.Event{At: 0, Kind: trace.Arrival, Node: 0, Size: 2})
-	h.OnSend(0, 1, 0, m)
-	o := NewWorldOracle(&scriptWorld{n: 2})
-	h.Bind(o)
-	h.OnDeliver(0.1, 0, m)
-	h.Record(trace.Event{At: 0.2, Kind: trace.AdmitLocal, Node: 0, Size: 2})
-	o.FinishTotals(0.2)
-	if err := o.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if o.msgSent != 1 || o.arrivals != 1 {
-		t.Fatalf("oracle saw %d sends and %d arrivals, want 1 and 1", o.msgSent, o.arrivals)
+	for name, call := range map[string]func(*Hooks){
+		"Record":    func(h *Hooks) { h.Record(trace.Event{Kind: trace.Arrival, Size: 2}) },
+		"OnSend":    func(h *Hooks) { h.OnSend(0, 1, 0, m) },
+		"OnDeliver": func(h *Hooks) { h.OnDeliver(0, 0, m) },
+		"OnDrop":    func(h *Hooks) { h.OnDrop(0, 1, 0, m, "loss") },
+		"OnInject":  func(h *Hooks) { h.OnInject(0, 0, 2) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			want := "check: Hooks." + name + " before Bind"
+			defer func() {
+				if got := recover(); got != want {
+					t.Fatalf("panic %v, want %q", got, want)
+				}
+			}()
+			call(&Hooks{})
+		})
 	}
 }

@@ -73,7 +73,7 @@ func RunLiveAttack(cfg agile.Config, study AttackStudy, lambda, meanSize, durati
 		return AttackResult{}, err
 	}
 
-	liveFaults{c: c, fn: fn, hooks: &Hooks{}}.schedule(study.Events())
+	liveFaults{c: c, fn: fn}.schedule(study.Events())
 	st, _ := c.Drive(context.Background(), workload.NewPoisson(lambda, meanSize, cfg.Hosts, rng.New(seed)), duration)
 	c.Stop() // no outcome fires after the hosts stop
 	return AttackResult{Stats: st, Timeline: tl, Study: study}, nil

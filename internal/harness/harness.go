@@ -112,7 +112,13 @@ func (o Outcome) Failed() bool { return len(o.Violations) > 0 }
 // RunOptions tunes RunChecked.
 type RunOptions struct {
 	// Trace optionally tees the unified event stream to an extra
-	// consumer (a trace digest, a JSONL file, …).
+	// consumer (a trace digest, a JSONL file, …). It is fed in emission
+	// order, one call at a time, but not on the emitting goroutine and
+	// not under the Hooks mutex: RunCheckedOpts hands the events over in
+	// batches to a goroutine of its own, which it stops before
+	// returning. A run shorter than one batch feeds it on the caller's
+	// goroutine as RunCheckedOpts returns. A panic in it is re-raised on
+	// the caller's goroutine.
 	Trace trace.Recorder
 
 	// Ctx, when non-nil, cancels the run cooperatively: RunCheckedOpts
@@ -138,7 +144,13 @@ func RunChecked(b Backend, s fuzzscen.Scenario, build engine.Builder) (Outcome, 
 // cooperative cancellation, and progress snapshots.
 func RunCheckedOpts(b Backend, s fuzzscen.Scenario, build engine.Builder, opt RunOptions) (Outcome, error) {
 	hooks := &Hooks{}
-	hooks.Tee(opt.Trace, nil)
+	if opt.Trace != nil {
+		// Deferred before inst.Close, so it runs after it: nothing emits
+		// once the instance is closed.
+		tee := &teeRecorder{rec: opt.Trace}
+		defer tee.flush()
+		hooks.Tee(tee, nil)
+	}
 	ctx := opt.Ctx
 	if ctx == nil {
 		ctx = context.Background()

@@ -186,7 +186,7 @@ type liveFaults struct {
 	c     *agile.Cluster
 	fn    *transport.FaultNetwork
 	loss  float64 // drop probability restored when a cut heals
-	hooks *Hooks
+	hooks *Hooks  // traces cuts; nil when no oracle watches the run
 }
 
 // schedule puts every event's actions on the cluster. Within one event
@@ -258,6 +258,9 @@ func (f liveFaults) setCut(a, b int, cut bool) {
 	}
 	f.fn.SetDrop(a, b, drop)
 	f.fn.SetDrop(b, a, drop)
+	if f.hooks == nil {
+		return
+	}
 	f.hooks.Record(trace.Event{At: sim.Time(f.c.Now()), Kind: kind,
 		Node: topology.NodeID(a), Peer: topology.NodeID(b)})
 }

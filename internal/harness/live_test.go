@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"realtor/internal/agile/transport"
+	"realtor/internal/check"
 	"realtor/internal/fuzzscen"
 	"realtor/internal/trace"
 )
@@ -35,8 +36,9 @@ func TestLiveHonestRunsAreOracleClean(t *testing.T) {
 
 // TestLiveHoldsCallbacksUntilRun: a DHT node arms its first publish
 // when it attaches, inside Start, but nothing may reach the hooks before
-// Run: the caller binds the oracle in between. The deterministic driver
-// fires timers only inside the drive.
+// Run: the caller binds the oracle in between, and a callback before
+// Bind panics. The deterministic driver fires timers only inside the
+// drive.
 func TestLiveHoldsCallbacksUntilRun(t *testing.T) {
 	s := fuzzscen.Generate(8)
 	if s.Discovery != "dht" {
@@ -53,6 +55,7 @@ func TestLiveHoldsCallbacksUntilRun(t *testing.T) {
 	if n := len(seen.Events()); n != 0 {
 		t.Fatalf("%d trace events reached the hooks before Run", n)
 	}
+	hooks.Bind(check.NewWorldOracle(inst.World()))
 	inst.Run(context.Background())
 	if len(seen.OfKind(trace.MsgSend)) == 0 {
 		t.Fatal("no host published at all; the held callbacks prove nothing")
@@ -109,11 +112,13 @@ func TestLiveCutHealRestoresScenarioLoss(t *testing.T) {
 		t.Fatal("no generated seed ≤ 200 is event- and loss-free")
 	}
 	s.LossProb = 0.5
-	inst, err := Live().Start(s, fuzzscen.Builder(s), &Hooks{}, nil)
+	hooks := &Hooks{}
+	inst, err := Live().Start(s, fuzzscen.Builder(s), hooks, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer inst.Close()
+	hooks.Bind(check.NewWorldOracle(inst.World())) // setCut traces the cut
 	f := inst.(*liveInstance).faults
 	lost := func() uint64 {
 		before := f.fn.Dropped()

@@ -16,6 +16,7 @@ import (
 	"realtor/internal/harness"
 	"realtor/internal/protocol"
 	"realtor/internal/scenario"
+	"realtor/internal/trace"
 )
 
 // writePkg materializes the fuzz scenario for seed as a package under
@@ -391,6 +392,58 @@ func TestPanickingLiveDiscoveryFailsOnlyItsJob(t *testing.T) {
 	}
 	if fin := waitTerminal(t, s, vg.ID); fin.State != StateDone {
 		t.Fatalf("live run after the panic: state %s (error %q), want done", fin.State, fin.Error)
+	}
+}
+
+// panicAt is a trace recorder that panics on its n-th event.
+type panicAt struct{ n int }
+
+func (r *panicAt) Record(trace.Event) {
+	if r.n--; r.n == 0 {
+		panic("seeded recorder bug")
+	}
+}
+
+// A trace recorder that panics mid-run, on the harness's drain
+// goroutine, fails only its job: the panic reaches the job's own
+// goroutine and its recover, and the next job runs to done.
+func TestPipelineRecorderPanicFailsOnlyItsJob(t *testing.T) {
+	root := t.TempDir()
+	sc := fuzzscen.Generate(3)
+	sc.Duration *= 10
+	if _, err := scenario.WritePackage(root, scenario.Export("svc-recorder-panic", sc)); err != nil {
+		t.Fatal(err)
+	}
+	good := writePkg(t, root, 5)
+	orig := runWith
+	t.Cleanup(func() { runWith = orig })
+	runWith = func(p *scenario.Package, be harness.Backend, shards int, rc scenario.RunConfig) (scenario.Result, error) {
+		if p.Spec.Name != "svc-recorder-panic" {
+			return orig(p, be, shards, rc)
+		}
+		s := p.Spec.Effective()
+		_, err := harness.RunCheckedOpts(be, s, fuzzscen.Builder(s), harness.RunOptions{Trace: &panicAt{n: 2000}, Ctx: rc.Ctx})
+		return scenario.Result{}, fmt.Errorf("the recorder's panic did not reach the job (err %v)", err)
+	}
+	s, err := New(Config{ScenarioRoot: root, Workers: 1})
+	if err != nil {
+		t.Fatalf("new service: %v", err)
+	}
+	defer s.Close()
+	vb, err := s.Submit(Request{Package: "svc-recorder-panic"})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	if fin := waitTerminal(t, s, vb.ID); fin.State != StateFailed ||
+		!strings.HasPrefix(fin.Error, "panic: seeded recorder bug") || !strings.Contains(fin.Error, "trace drain stack") {
+		t.Fatalf("run with a panicking recorder: state %s, error %q; want failed, %q", fin.State, fin.Error, "panic: seeded recorder bug")
+	}
+	vg, err := s.Submit(Request{Package: good})
+	if err != nil {
+		t.Fatalf("submit after the panic: %v", err)
+	}
+	if fin := waitTerminal(t, s, vg.ID); fin.State != StateDone {
+		t.Fatalf("run after the panic: state %s (error %q), want done", fin.State, fin.Error)
 	}
 }
 
