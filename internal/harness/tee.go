@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"runtime/debug"
-	"sync"
 
 	"realtor/internal/trace"
 )
@@ -19,9 +18,28 @@ const teeDepth = 4
 
 type batch = [teeBatch]trace.Event
 
-// batches recycles batches across runs; a run allocates only those the
-// collector dropped from the pool since the last run.
-var batches = sync.Pool{New: func() any { return new(batch) }}
+// free recycles batches across runs. Unlike a sync.Pool it keeps them
+// through collections, so a run allocates a batch only when more runs
+// are in flight than the list holds: it holds as many as one run can
+// have out at once (the channel's, the one draining, the open one), and
+// a batch returned to a full list is left to the collector.
+var free = make(chan *batch, teeDepth+2)
+
+func getBatch() *batch {
+	select {
+	case b := <-free:
+		return b
+	default:
+		return new(batch)
+	}
+}
+
+func putBatch(b *batch) {
+	select {
+	case free <- b:
+	default:
+	}
+}
 
 // teeRecorder moves RunOptions.Trace off the emitting goroutine. Record
 // only copies the event into the open batch; each full batch goes to one
@@ -44,7 +62,7 @@ type teeRecorder struct {
 // lock and receives until flush closes the channel.
 func (t *teeRecorder) Record(ev trace.Event) {
 	if t.open == nil {
-		t.open = batches.Get().(*batch)
+		t.open = getBatch()
 	}
 	t.open[t.n] = ev
 	t.n++
@@ -76,7 +94,7 @@ func (t *teeRecorder) drain() {
 		for i := range b {
 			t.rec.Record(b[i])
 		}
-		batches.Put(b)
+		putBatch(b)
 	}
 }
 
@@ -98,7 +116,7 @@ func (t *teeRecorder) flush() {
 	for _, ev := range t.open[:t.n] {
 		t.rec.Record(ev)
 	}
-	batches.Put(t.open)
+	putBatch(t.open)
 	t.open, t.n = nil, 0
 }
 

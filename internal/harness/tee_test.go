@@ -224,3 +224,18 @@ func TestPipelineRecorderPanicReachesCaller(t *testing.T) {
 		waitGoroutines(t, before)
 	}
 }
+
+// A batch handed back survives collections: the next run takes it
+// from the free list instead of allocating a new one.
+func TestFreeBatchesOutliveCollections(t *testing.T) {
+	for len(free) > 0 {
+		<-free
+	}
+	b := getBatch()
+	putBatch(b)
+	runtime.GC()
+	runtime.GC()
+	if got := getBatch(); got != b {
+		t.Fatal("the free list lost its batch to the collector")
+	}
+}
