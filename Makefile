@@ -86,8 +86,10 @@ shard-smoke:
 	$(GO) run ./cmd/realtor-scen fuzz -backend sim -shards 4 -n 50 -mutant expiry
 
 # Sim/live parity smoke (CI gate, a few seconds): the invariant oracle
-# must stay silent on live-cluster replays of generated scenarios, the
-# seeded mutant must be caught on the live backend too, and one
+# must stay silent on live-cluster replays of 100 generated scenarios
+# (their kills, cuts, flaps, exhaustion and churn applied by the same
+# attack schedule as on the simulator), the seeded mutant must be
+# caught on the live backend too over the same 100 seeds, and one
 # fault-free scenario must agree across sim and live within the
 # documented tolerance bands (EXPERIMENTS.md V2). The last two lines run
 # one live catalogue entry, once on virtual time over the in-process
@@ -101,8 +103,8 @@ LIVE_ATTACK_SUMS = awk '/^overall/ { match($$0, /offered [0-9]+/); want = substr
 	END { if (want == "" || sum != want) { print "live-attack: interval rows offer " sum ", overall line says " want; exit 1 } }'
 
 parity-smoke:
-	$(GO) run ./cmd/realtor-scen fuzz -backend live -n 5
-	$(GO) run ./cmd/realtor-scen fuzz -backend live -n 10 -mutant expiry
+	$(GO) run ./cmd/realtor-scen fuzz -backend live -n 100
+	$(GO) run ./cmd/realtor-scen fuzz -backend live -n 100 -mutant expiry
 	$(GO) run ./cmd/realtor-scen fuzz -parity -n 1 -seed 13
 	out=$$($(GO) run ./cmd/realtor-sim -fig live-attack -quick) && \
 		test "$$(printf '%s\n' "$$out" | head -1)" = "$$(head -1 results/live_attack.txt)" && \
@@ -116,8 +118,9 @@ parity-smoke:
 # oracle clean, inside its expect bands, and byte-identical to its
 # blessed golden.json (including the order-insensitive trace digest) at
 # both shard counts — plus one package replayed on the live cluster,
-# where only the expect bands apply (wall-clock runs are not
-# digest-stable). Bless intentional behaviour changes with
+# where only the expect bands apply: a package's golden is a simulator
+# run (see the scenario.Run doc), which a live run matches in bands,
+# not bytes. Bless intentional behaviour changes with
 # `realtor-scen bless -all` and review the golden diff in the PR.
 scen-smoke:
 	$(GO) run ./cmd/realtor-scen run -all

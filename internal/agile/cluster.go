@@ -169,8 +169,9 @@ func (c *Cluster) toClock(scaled float64) time.Duration {
 func (c *Cluster) Now() float64 { return c.scaled(c.drv.clock()) }
 
 // At runs fn at scaled instant t (at once if t is past), off any host:
-// a timed command such as a fault schedule's kill or cut. On UDP it
-// runs on a timer goroutine, and Stop cancels what has not fired.
+// a timed command such as a fault schedule's kill or cut. Timed
+// commands never run concurrently with each other. On UDP each runs on
+// a timer goroutine, and Stop cancels what has not fired.
 func (c *Cluster) At(t float64, fn func()) { c.drv.at(c.toClock(t-c.Now()), fn) }
 
 // Advance lets d scaled seconds of cluster time pass.

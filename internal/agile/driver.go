@@ -29,7 +29,8 @@ type driver interface {
 	// after arms a host timer: fn runs as a step of h d after the step
 	// in progress, unless the timer is stopped first.
 	after(h *Host, d time.Duration, fn func()) protocol.Timer
-	// at runs fn d from now, off any host.
+	// at runs fn d from now, off any host, never while another fn
+	// given to at runs.
 	at(d time.Duration, fn func())
 	// sleep lets the cluster run for d; false if ctx ended first.
 	sleep(ctx context.Context, d time.Duration) bool
@@ -151,6 +152,8 @@ type wallDriver struct {
 	mu      sync.Mutex // guards timers, stopped
 	timers  []*time.Timer
 	stopped bool
+
+	cmd sync.Mutex // held by a timed command while it runs
 }
 
 // wallHost is one actor loop's mailboxes.
@@ -234,12 +237,18 @@ func (t *wallTimer) Stop() {
 	t.timer.Stop()
 }
 
-// at runs fn on a timer goroutine; stop cancels what has not fired.
+// at runs fn on a timer goroutine, never while another timed command
+// runs, so a fault schedule's state needs no lock of its own, as on the
+// deterministic driver; stop cancels what has not fired.
 func (d *wallDriver) at(dt time.Duration, fn func()) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if !d.stopped {
-		d.timers = append(d.timers, time.AfterFunc(dt, fn))
+		d.timers = append(d.timers, time.AfterFunc(dt, func() {
+			d.cmd.Lock()
+			defer d.cmd.Unlock()
+			fn()
+		}))
 	}
 }
 

@@ -1,10 +1,15 @@
 // Package attack injects the adverse conditions the paper motivates
 // REALTOR with: external attacks that take nodes down, regional attacks
 // that wipe out a contiguous part of the mesh, flapping nodes that leave
-// and rejoin repeatedly, and resource-exhaustion attacks that saturate a
-// victim's queue without killing it. All injectors schedule their actions
-// on an engine's clock before the run starts, so a scenario is a plain
-// value that can be replayed deterministically.
+// and rejoin repeatedly, resource-exhaustion attacks that saturate a
+// victim's queue without killing it, and (links.go) cuts, partitions and
+// churn of the network itself.
+//
+// It is the one fault schedule of both kernels. A Scenario schedules its
+// actions on a Target before the run starts: *engine.Engine is the
+// simulator's Target, and the harness's live backend implements one over
+// the Agile cluster, whose links are every pair of hosts. A scenario is
+// a plain value, so it replays deterministically on either.
 package attack
 
 import (
@@ -17,13 +22,29 @@ import (
 	"realtor/internal/topology"
 )
 
-// Scenario schedules attack events onto an engine. Implementations must
-// only use the engine's scheduler; they are applied before Run.
+// Target is what a fault schedule acts on. Each method must be one both
+// kernels can honour (Downgrade, which needs node attributes, is
+// engine-only). At runs fn at instant t with the instant it ran at, and
+// calls never overlap; Kill and Revive are idempotent; Inject caps the
+// bogus work at the node's headroom and returns what it accepted;
+// CutLink and RestoreLink report whether they changed anything; and
+// LinkList lists the links up, each once as (a, b) with a < b, ascending.
+type Target interface {
+	At(t sim.Time, fn func(now sim.Time))
+	Kill(id topology.NodeID)
+	Revive(id topology.NodeID)
+	Inject(now sim.Time, id topology.NodeID, size float64) float64
+	CutLink(a, b topology.NodeID) bool
+	RestoreLink(a, b topology.NodeID) bool
+	LinkList() [][2]topology.NodeID
+}
+
+// Scenario schedules attack events onto a Target before the run.
 type Scenario interface {
 	// Name identifies the scenario in reports.
 	Name() string
-	// Apply schedules the scenario's events on e.
-	Apply(e *engine.Engine)
+	// Apply schedules the scenario's events on t.
+	Apply(t Target)
 }
 
 // Kill takes a fixed set of nodes down at At and, if Revive > At, brings
@@ -40,15 +61,15 @@ func (k Kill) Name() string {
 }
 
 // Apply implements Scenario.
-func (k Kill) Apply(e *engine.Engine) {
+func (k Kill) Apply(e Target) {
 	targets := append([]topology.NodeID(nil), k.Targets...)
-	e.Scheduler().At(k.At, func(sim.Time) {
+	e.At(k.At, func(sim.Time) {
 		for _, id := range targets {
 			e.Kill(id)
 		}
 	})
 	if k.Revive > k.At {
-		e.Scheduler().At(k.Revive, func(sim.Time) {
+		e.At(k.Revive, func(sim.Time) {
 			for _, id := range targets {
 				e.Revive(id)
 			}
@@ -72,7 +93,7 @@ func (r RandomKill) Name() string {
 }
 
 // Apply implements Scenario.
-func (r RandomKill) Apply(e *engine.Engine) {
+func (r RandomKill) Apply(e Target) {
 	if r.Count > r.N {
 		panic("attack: more kills than nodes")
 	}
@@ -113,7 +134,7 @@ func (r Region) Targets() []topology.NodeID {
 }
 
 // Apply implements Scenario.
-func (r Region) Apply(e *engine.Engine) {
+func (r Region) Apply(e Target) {
 	Kill{Targets: r.Targets(), At: r.At, Revive: r.Revive}.Apply(e)
 }
 
@@ -142,16 +163,14 @@ func (f Flap) Name() string {
 }
 
 // Apply implements Scenario.
-func (f Flap) Apply(e *engine.Engine) {
+func (f Flap) Apply(e Target) {
 	if f.DownFor <= 0 || f.UpFor <= 0 {
 		panic("attack: flap durations must be positive")
 	}
 	for t := f.Start; t < f.Until; t += f.DownFor + f.UpFor {
-		down := t
-		up := t + f.DownFor
-		e.Scheduler().At(down, func(sim.Time) { e.Kill(f.Target) })
-		if up < f.Until {
-			e.Scheduler().At(up, func(sim.Time) { e.Revive(f.Target) })
+		e.At(t, func(sim.Time) { e.Kill(f.Target) })
+		if up := t + f.DownFor; up < f.Until {
+			e.At(up, func(sim.Time) { e.Revive(f.Target) })
 		}
 	}
 }
@@ -179,7 +198,7 @@ func (c NodeChurn) Name() string {
 }
 
 // Apply implements Scenario.
-func (c NodeChurn) Apply(e *engine.Engine) {
+func (c NodeChurn) Apply(e Target) {
 	if c.Interval <= 0 || c.Down <= 0 {
 		panic("attack: node churn interval and down-time must be positive")
 	}
@@ -192,9 +211,9 @@ func (c NodeChurn) Apply(e *engine.Engine) {
 	rnd := rng.New(c.Seed).Derive("node-churn")
 	for t := c.Start; t < c.Until; t += c.Interval {
 		id := topology.NodeID(rnd.Intn(c.N))
-		e.Scheduler().At(t, func(now sim.Time) {
+		e.At(t, func(now sim.Time) {
 			e.Kill(id)
-			e.Scheduler().At(now+c.Down, func(sim.Time) {
+			e.At(now+c.Down, func(sim.Time) {
 				e.Revive(id)
 			})
 		})
@@ -218,14 +237,13 @@ func (x Exhaust) Name() string {
 }
 
 // Apply implements Scenario.
-func (x Exhaust) Apply(e *engine.Engine) {
+func (x Exhaust) Apply(e Target) {
 	if x.Interval <= 0 || x.Chunk <= 0 {
 		panic("attack: exhaust interval and chunk must be positive")
 	}
 	for t := x.At; t < x.Until; t += x.Interval {
-		at := t
-		e.Scheduler().At(at, func(now sim.Time) {
-			// Inject goes through the engine's admission bookkeeping so
+		e.At(t, func(now sim.Time) {
+			// Inject goes through the kernel's admission bookkeeping so
 			// threshold-crossing detection (and hence the victim's own
 			// pledge retraction) sees the bogus load; it caps the chunk
 			// at the available headroom and no-ops on dead/full nodes.
@@ -244,7 +262,7 @@ type Composite struct {
 func (c Composite) Name() string { return c.Label }
 
 // Apply implements Scenario.
-func (c Composite) Apply(e *engine.Engine) {
+func (c Composite) Apply(e Target) {
 	for _, p := range c.Parts {
 		p.Apply(e)
 	}
@@ -254,7 +272,9 @@ func (c Composite) Apply(e *engine.Engine) {
 // modelling a partial compromise that leaves hosts running but no longer
 // trusted — and restores their original attributes at Restore (if set).
 // Components that require a higher level must migrate away; this is the
-// information-assurance scenario of the paper's introduction.
+// information-assurance scenario of the paper's introduction. It needs
+// node attributes, which only the simulator has, so it is not a
+// Scenario and applies to an engine only.
 type Downgrade struct {
 	Targets  []topology.NodeID
 	At       sim.Time
@@ -262,16 +282,16 @@ type Downgrade struct {
 	Security int      // new (lower) security level
 }
 
-// Name implements Scenario.
+// Name identifies the downgrade in reports.
 func (d Downgrade) Name() string {
 	return fmt.Sprintf("downgrade-%d@%g", len(d.Targets), float64(d.At))
 }
 
-// Apply implements Scenario.
+// Apply schedules the downgrade on e.
 func (d Downgrade) Apply(e *engine.Engine) {
 	targets := append([]topology.NodeID(nil), d.Targets...)
 	before := make([]resource.Attrs, len(targets))
-	e.Scheduler().At(d.At, func(sim.Time) {
+	e.At(d.At, func(sim.Time) {
 		for i, id := range targets {
 			before[i] = e.Attrs(id)
 			a := before[i]
@@ -280,7 +300,7 @@ func (d Downgrade) Apply(e *engine.Engine) {
 		}
 	})
 	if d.Restore > d.At {
-		e.Scheduler().At(d.Restore, func(sim.Time) {
+		e.At(d.Restore, func(sim.Time) {
 			for i, id := range targets {
 				e.SetAttrs(id, before[i])
 			}

@@ -3,7 +3,6 @@ package attack
 import (
 	"fmt"
 
-	"realtor/internal/engine"
 	"realtor/internal/rng"
 	"realtor/internal/sim"
 	"realtor/internal/topology"
@@ -31,16 +30,16 @@ func (l LinkCut) Name() string {
 }
 
 // Apply implements Scenario.
-func (l LinkCut) Apply(e *engine.Engine) {
+func (l LinkCut) Apply(e Target) {
 	links := append([][2]topology.NodeID(nil), l.Links...)
 	cut := make([]bool, len(links))
-	e.Scheduler().At(l.At, func(sim.Time) {
+	e.At(l.At, func(sim.Time) {
 		for i, lk := range links {
 			cut[i] = e.CutLink(lk[0], lk[1])
 		}
 	})
 	if l.Restore > l.At {
-		e.Scheduler().At(l.Restore, func(sim.Time) {
+		e.At(l.Restore, func(sim.Time) {
 			for i, lk := range links {
 				if cut[i] {
 					e.RestoreLink(lk[0], lk[1])
@@ -89,7 +88,7 @@ func (p Partition) Links() [][2]topology.NodeID {
 func (p Partition) Left(id topology.NodeID) bool { return int(id)%p.Cols < p.Col }
 
 // Apply implements Scenario.
-func (p Partition) Apply(e *engine.Engine) {
+func (p Partition) Apply(e Target) {
 	LinkCut{Links: p.Links(), At: p.At, Restore: p.Heal}.Apply(e)
 }
 
@@ -113,14 +112,14 @@ func (c LinkChurn) Name() string {
 }
 
 // Apply implements Scenario.
-func (c LinkChurn) Apply(e *engine.Engine) {
+func (c LinkChurn) Apply(e Target) {
 	if c.Interval <= 0 || c.Down <= 0 {
 		panic("attack: link churn interval and down-time must be positive")
 	}
 	rnd := rng.New(c.Seed).Derive("link-churn")
 	for t := c.Start; t < c.Until; t += c.Interval {
-		e.Scheduler().At(t, func(now sim.Time) {
-			links := e.Graph().LinkList()
+		e.At(t, func(now sim.Time) {
+			links := e.LinkList()
 			if len(links) == 0 {
 				return
 			}
@@ -128,7 +127,7 @@ func (c LinkChurn) Apply(e *engine.Engine) {
 			if !e.CutLink(l[0], l[1]) {
 				return
 			}
-			e.Scheduler().At(now+c.Down, func(sim.Time) {
+			e.At(now+c.Down, func(sim.Time) {
 				e.RestoreLink(l[0], l[1])
 			})
 		})

@@ -501,11 +501,14 @@ func (e *Engine) dist(from, to topology.NodeID) int {
 // ProtocolName returns the Name() of the protocol under test.
 func (e *Engine) ProtocolName() string { return e.protoName }
 
-// Scheduler exposes the clock for attack injectors and tests. In a
+// Scheduler exposes the clock to tests and experiment drivers. In a
 // sharded engine this is the global queue: events scheduled here run
 // alone at phase barriers, with every shard clock synced to their
 // instant — manual RunUntil driving is a single-shard facility.
 func (e *Engine) Scheduler() *sim.Scheduler { return e.sched }
+
+// At schedules fn at instant t on the global queue (attack.Target).
+func (e *Engine) At(t sim.Time, fn func(now sim.Time)) { e.sched.At(t, fn) }
 
 // Shards returns the effective shard count (1 for the classic kernel).
 func (e *Engine) Shards() int { return e.shards }
@@ -923,6 +926,9 @@ func (e *Engine) Revive(id topology.NodeID) {
 // read-only — mutate only through CutLink/RestoreLink so copy-on-write
 // and trace events stay intact.
 func (e *Engine) Graph() *topology.Graph { return e.graph }
+
+// LinkList lists the links of the current topology (attack.Target).
+func (e *Engine) LinkList() [][2]topology.NodeID { return e.graph.LinkList() }
 
 // mutableGraph returns a graph the engine may mutate, cloning the
 // (possibly shared) configured graph on first use. Callers check on the

@@ -9,9 +9,11 @@ import (
 
 	"realtor/internal/agile"
 	"realtor/internal/agile/transport"
+	"realtor/internal/attack"
 	"realtor/internal/harness"
 	"realtor/internal/protocol"
 	"realtor/internal/sim"
+	"realtor/internal/topology"
 )
 
 // Study is one entry of the study catalogue, the one table of every
@@ -290,7 +292,7 @@ func liveAttackReport(o Options) (string, error) {
 	}
 	cfg.Hosts = 12
 	res, err := harness.RunLiveAttack(cfg,
-		harness.AttackStudy{Victims: []int{0, 1, 2, 3}, KillAt: duration / 3, ReviveAt: 2 * duration / 3},
+		attack.Kill{Targets: []topology.NodeID{0, 1, 2, 3}, At: sim.Time(duration / 3), Revive: sim.Time(2 * duration / 3)},
 		4, 5, duration, duration/10, o.Seed, mk)
 	if err != nil {
 		return "", err

@@ -297,8 +297,8 @@ func (s Scenario) Workload(g *topology.Graph) workload.Source {
 	return workload.NewPoisson(s.Lambda, s.MeanSize, g.N(), seed)
 }
 
-// Attacks compiles the fault schedule into attack scenarios ready to
-// Apply to an engine.
+// Attacks compiles the fault schedule into attack scenarios, ready to
+// Apply to either kernel's attack.Target.
 func (s Scenario) Attacks() []attack.Scenario {
 	out := make([]attack.Scenario, 0, len(s.Events))
 	for _, ev := range s.Events {

@@ -6,7 +6,8 @@ import (
 
 	"realtor/internal/agile"
 	"realtor/internal/agile/transport"
-	"realtor/internal/fuzzscen"
+	"realtor/internal/attack"
+	"realtor/internal/topology"
 )
 
 func TestRunLiveAttackTimeline(t *testing.T) {
@@ -15,9 +16,9 @@ func TestRunLiveAttackTimeline(t *testing.T) {
 	cfg.TimeScale = 400
 	cfg.NegotiationTimeout = 40
 	mk, _ := transport.ByName("chan")
-	study := AttackStudy{Victims: []int{0, 1}, KillAt: 100, ReviveAt: 200}
+	kill := attack.Kill{Targets: []topology.NodeID{0, 1}, At: 100, Revive: 200}
 	// λ·mean = 10 s/s on 6 (then 4) hosts: healthy ≈ fine, attacked ≈ overloaded.
-	res, err := RunLiveAttack(cfg, study, 2, 5, 300, 50, 3, mk)
+	res, err := RunLiveAttack(cfg, kill, 2, 5, 300, 50, 3, mk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,24 +61,7 @@ func TestRunLiveAttackBadVictim(t *testing.T) {
 	cfg := agile.DefaultConfig()
 	cfg.Hosts = 3
 	mk, _ := transport.ByName("chan")
-	if _, err := RunLiveAttack(cfg, AttackStudy{Victims: []int{9}}, 1, 5, 10, 5, 1, mk); err == nil {
+	if _, err := RunLiveAttack(cfg, attack.Kill{Targets: []topology.NodeID{9}}, 1, 5, 10, 5, 1, mk); err == nil {
 		t.Fatal("out-of-range victim accepted")
-	}
-}
-
-// TestAttackStudyCompilesToSharedVocabulary pins the bridge between the
-// live attack experiment and the fuzzer's fault schedule: one kill event
-// per victim, revive window preserved.
-func TestAttackStudyCompilesToSharedVocabulary(t *testing.T) {
-	st := AttackStudy{Victims: []int{2, 5}, KillAt: 10, ReviveAt: 20}
-	evs := st.Events()
-	if len(evs) != 2 {
-		t.Fatalf("events %d, want 2", len(evs))
-	}
-	for i, want := range []int{2, 5} {
-		ev := evs[i]
-		if ev != (fuzzscen.Event{Op: "kill", At: 10, Until: 20, Node: want}) {
-			t.Fatalf("event %d = %+v", i, ev)
-		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"realtor/internal/fuzzscen"
 	"realtor/internal/metrics"
 	"realtor/internal/protocol"
-	"realtor/internal/rng"
 	"realtor/internal/sim"
 	"realtor/internal/topology"
 	"realtor/internal/trace"
@@ -24,8 +23,8 @@ const liveNegotiationTimeout = 2.5
 
 // liveBackend runs scenarios on the Agile cluster on the deterministic
 // driver: real protocol messages on the in-process fabric, virtual time
-// on the sim.Time axis, and the scenario's kill/cut/flap/exhaust/churn
-// schedule executed as timed commands on the cluster.
+// on the sim.Time axis, and the scenario's attacks applied to a
+// liveTarget, as timed commands on the cluster.
 type liveBackend struct{}
 
 // Live returns the live-cluster backend.
@@ -70,13 +69,11 @@ func (liveBackend) Start(s fuzzscen.Scenario, build engine.Builder, hooks *Hooks
 		fn.Close()
 		return nil, err
 	}
-	return &liveInstance{
-		c:          c,
-		s:          s,
-		g:          s.Graph(),
-		onProgress: onProgress,
-		faults:     liveFaults{c: c, fn: fn, loss: s.LossProb, hooks: hooks},
-	}, nil
+	tg := newLiveTarget(c, fn, s.LossProb, hooks)
+	for _, a := range s.Attacks() {
+		a.Apply(tg)
+	}
+	return &liveInstance{c: c, s: s, g: s.Graph(), onProgress: onProgress, target: tg}, nil
 }
 
 type liveInstance struct {
@@ -84,20 +81,19 @@ type liveInstance struct {
 	s          fuzzscen.Scenario
 	g          *topology.Graph
 	onProgress func(Progress)
-	faults     liveFaults
+	target     *liveTarget
 	canceled   bool
 }
 
 // World implements Instance.
 func (i *liveInstance) World() check.World { return liveWorld{c: i.c} }
 
-// Run implements Instance: the fault schedule and the progress probe
-// are timed commands on the cluster, so they interleave with the
-// workload drive exactly as the simulator's attack events interleave
-// with its arrivals. Events is 0: the live runtime has no event
-// counter.
+// Run implements Instance: the fault schedule (applied at Start) and
+// the progress probe are timed commands on the cluster, so they
+// interleave with the workload drive exactly as the simulator's attack
+// events interleave with its arrivals. Events is 0: the live runtime
+// has no event counter.
 func (i *liveInstance) Run(ctx context.Context) metrics.RunStats {
-	i.faults.schedule(i.s.Events)
 	if i.onProgress != nil {
 		i.probe(i.s.Duration / 64)
 	}
@@ -174,93 +170,76 @@ func (w liveWorld) Discovery(id topology.NodeID) protocol.Discovery {
 // Graph implements check.World.
 func (w liveWorld) Graph() *topology.Graph { return nil }
 
-// liveFaults executes a fuzzscen fault schedule against a live cluster:
-// the same kill/cut/flap/exhaust/churn vocabulary the simulator's
-// attack package compiles, each action a timed command on the cluster
-// (Cluster.At), so it runs on either driver. Kills and revives go
-// through Host.Kill/Revive (which emit the NodeKill / NodeRevive trace
-// events themselves); cuts become bidirectional drop-1 pair
-// probabilities on the transport's loss layer, traced as
-// LinkCut/LinkRestore; exhaustion goes through Host.Inject.
-type liveFaults struct {
-	c     *agile.Cluster
-	fn    *transport.FaultNetwork
-	loss  float64 // drop probability restored when a cut heals
-	hooks *Hooks  // traces cuts; nil when no oracle watches the run
+// liveTarget is the attack package's Target over a live cluster on
+// either driver: actions are timed commands (Cluster.At), which never
+// overlap; kills, revives and injections go to the host, which traces
+// them; and the links are every host pair, the fabric being fully
+// connected. A cut is a bidirectional drop-1 rule on the pair in the
+// transport's loss layer, traced as LinkCut / LinkRestore, and a
+// restore returns the pair to the scenario's loss.
+type liveTarget struct {
+	c    *agile.Cluster
+	fn   *transport.FaultNetwork
+	loss float64        // drop probability a restored link returns to
+	rec  trace.Recorder // traces cuts; nil when nothing watches the run
+	cut  map[[2]topology.NodeID]bool
 }
 
-// schedule puts every event's actions on the cluster. Within one event
-// an action never precedes the one before it: an action due before its
-// predecessor (a churn heal longer than the churn interval) waits for
-// it, as a sequential runner would.
-func (f liveFaults) schedule(evs []fuzzscen.Event) {
-	for _, ev := range evs {
-		prev := 0.0
-		at := func(t float64, fn func()) {
-			prev = max(prev, t)
-			f.c.At(prev, fn)
-		}
-		switch ev.Op {
-		case "kill":
-			h := f.c.Host(ev.Node)
-			at(ev.At, h.Kill)
-			if ev.Until > ev.At {
-				at(ev.Until, h.Revive)
-			}
+func newLiveTarget(c *agile.Cluster, fn *transport.FaultNetwork, loss float64, rec trace.Recorder) *liveTarget {
+	return &liveTarget{c: c, fn: fn, loss: loss, rec: rec, cut: map[[2]topology.NodeID]bool{}}
+}
 
-		case "flap":
-			h := f.c.Host(ev.Node)
-			for t := ev.At; t < ev.Until; t += ev.Down + ev.Up {
-				at(t, h.Kill)
-				at(t+ev.Down, h.Revive)
-			}
+// At implements attack.Target.
+func (t *liveTarget) At(at sim.Time, fn func(now sim.Time)) {
+	t.c.At(float64(at), func() { fn(sim.Time(t.c.Now())) })
+}
 
-		case "cut":
-			a, b := ev.A, ev.B
-			at(ev.At, func() { f.setCut(a, b, true) })
-			if ev.Until > ev.At {
-				at(ev.Until, func() { f.setCut(a, b, false) })
-			}
+// Kill implements attack.Target.
+func (t *liveTarget) Kill(id topology.NodeID) { t.c.Host(int(id)).Kill() }
 
-		case "exhaust":
-			h, chunk := f.c.Host(ev.Node), ev.Chunk
-			for t := ev.At; t < ev.Until; t += ev.Interval {
-				at(t, func() { h.Inject(chunk) })
-			}
+// Revive implements attack.Target.
+func (t *liveTarget) Revive(id topology.NodeID) { t.c.Host(int(id)).Revive() }
 
-		case "churn":
-			// The simulator's churn cuts a random live link; the live fabric
-			// has no links, so the analog is a random host pair.
-			r := rng.New(ev.Seed).Derive("live-churn")
-			n := f.c.N()
-			for t := ev.At; t < ev.Until; t += ev.Interval {
-				a := r.Intn(n)
-				b := r.Intn(n - 1)
-				if b >= a {
-					b++
-				}
-				at(t, func() { f.setCut(a, b, true) })
-				at(t+ev.Down, func() { f.setCut(a, b, false) })
+// Inject implements attack.Target.
+func (t *liveTarget) Inject(_ sim.Time, id topology.NodeID, size float64) float64 {
+	return t.c.Host(int(id)).Inject(size)
+}
+
+// CutLink implements attack.Target.
+func (t *liveTarget) CutLink(a, b topology.NodeID) bool { return t.setCut(a, b, true) }
+
+// RestoreLink implements attack.Target.
+func (t *liveTarget) RestoreLink(a, b topology.NodeID) bool { return t.setCut(a, b, false) }
+
+// LinkList implements attack.Target: every host pair not cut.
+func (t *liveTarget) LinkList() [][2]topology.NodeID {
+	var out [][2]topology.NodeID
+	for a, n := topology.NodeID(0), topology.NodeID(t.c.N()); a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			if !t.cut[[2]topology.NodeID{a, b}] {
+				out = append(out, [2]topology.NodeID{a, b})
 			}
 		}
 	}
+	return out
 }
 
-// setCut installs (or heals, back to the scenario's loss) a
-// bidirectional full drop for a pair and traces the topology change
-// with the simulator's vocabulary.
-func (f liveFaults) setCut(a, b int, cut bool) {
-	drop := f.loss
-	kind := trace.LinkRestore
+// setCut cuts (or restores) the pair a–b unless it already is, and
+// reports whether it changed anything.
+func (t *liveTarget) setCut(a, b topology.NodeID, cut bool) bool {
+	key := [2]topology.NodeID{min(a, b), max(a, b)}
+	if t.cut[key] == cut {
+		return false
+	}
+	t.cut[key] = cut
+	drop, kind := t.loss, trace.LinkRestore
 	if cut {
-		drop = 1
-		kind = trace.LinkCut
+		drop, kind = 1, trace.LinkCut
 	}
-	f.fn.SetDrop(a, b, drop)
-	f.fn.SetDrop(b, a, drop)
-	if f.hooks == nil {
-		return
+	t.fn.SetDrop(int(a), int(b), drop)
+	t.fn.SetDrop(int(b), int(a), drop)
+	if t.rec != nil {
+		t.rec.Record(trace.Event{At: sim.Time(t.c.Now()), Kind: kind, Node: a, Peer: b})
 	}
-	f.hooks.Record(trace.Event{At: sim.Time(f.c.Now()), Kind: kind,
-		Node: topology.NodeID(a), Peer: topology.NodeID(b)})
+	return true
 }

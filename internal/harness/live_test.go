@@ -104,40 +104,55 @@ func TestParitySimVsLive(t *testing.T) {
 
 // TestLiveCutHealRestoresScenarioLoss pins what a healed live cut
 // leaves behind: the scenario's LossProb on that pair again, not a
-// clean link. Each leg counts the packets lost out of 400 sent 0→1 on
-// the fabric Start built (idle hosts ignore empty packets).
+// clean link, and only when the cut that took the pair down lets go: a
+// second cut nested inside it finds the pair down and heals nothing,
+// as on the simulator's graph. Each leg
+// counts the packets lost out of 400 sent 0→1 on the fabric Start built
+// (idle hosts ignore empty packets).
 func TestLiveCutHealRestoresScenarioLoss(t *testing.T) {
 	s, ok := quietScenario(200)
 	if !ok {
 		t.Fatal("no generated seed ≤ 200 is event- and loss-free")
 	}
 	s.LossProb = 0.5
+	s.Events = []fuzzscen.Event{
+		{Op: "cut", At: 10, Until: 40, A: 0, B: 1},
+		{Op: "cut", At: 20, Until: 30, A: 1, B: 0},
+	}
 	hooks := &Hooks{}
+	var seen trace.Buffer
+	hooks.Tee(&seen, nil)
 	inst, err := Live().Start(s, fuzzscen.Builder(s), hooks, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer inst.Close()
-	hooks.Bind(check.NewWorldOracle(inst.World())) // setCut traces the cut
-	f := inst.(*liveInstance).faults
+	hooks.Bind(check.NewWorldOracle(inst.World())) // cuts are traced
+	li := inst.(*liveInstance)
+	fn := li.target.fn
 	lost := func() uint64 {
-		before := f.fn.Dropped()
+		before := fn.Dropped()
 		for i := 0; i < 400; i++ {
-			f.fn.Endpoint(0).Send(1, transport.Packet{})
+			fn.Endpoint(0).Send(1, transport.Packet{})
 		}
-		return f.fn.Dropped() - before
+		return fn.Dropped() - before
 	}
 	inBand := func(n uint64) bool { return n >= 140 && n <= 260 } // 400·0.5 ± 6σ
-	if n := lost(); !inBand(n) {
-		t.Fatalf("before the cut: lost %d of 400 at LossProb 0.5", n)
+	for _, leg := range []struct {
+		at  float64
+		cut bool
+	}{{5, false}, {15, true}, {25, true}, {35, true}, {45, false}} {
+		li.c.Advance(leg.at - li.c.Now())
+		n := lost()
+		if leg.cut && n != 400 {
+			t.Fatalf("t=%g: cut pair lost %d of 400, want all", leg.at, n)
+		}
+		if !leg.cut && !inBand(n) {
+			t.Fatalf("t=%g: lost %d of 400, want LossProb 0.5", leg.at, n)
+		}
 	}
-	f.setCut(0, 1, true)
-	if n := lost(); n != 400 {
-		t.Fatalf("cut pair lost %d of 400, want all", n)
-	}
-	f.setCut(0, 1, false)
-	if n := lost(); !inBand(n) {
-		t.Fatalf("healed pair lost %d of 400, want LossProb 0.5 again", n)
+	if c, r := len(seen.OfKind(trace.LinkCut)), len(seen.OfKind(trace.LinkRestore)); c != 1 || r != 1 {
+		t.Fatalf("traced %d cuts and %d restores, want one of each", c, r)
 	}
 }
 
