@@ -155,9 +155,9 @@ func TestAuditOnWriteMatchesWalk(t *testing.T) {
 
 // TestAuditOnWriteShardedMatchesWalk is the differential's sharded
 // case: the 2-shard kernel with inline hooks writes the audit cursors
-// from shard workers, under the Hooks mutex. Workers interleave their
-// callbacks, so the lists are compared per node, where the order is
-// fixed.
+// from shard workers in parallel, each worker the cursors of the nodes
+// it owns. Workers interleave their callbacks, so the lists are
+// compared per node, where the order is fixed.
 func TestAuditOnWriteShardedMatchesWalk(t *testing.T) {
 	byNode := func(vs []check.Violation) []check.Violation {
 		out := append([]check.Violation(nil), vs...)

@@ -66,6 +66,7 @@ package check
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"realtor/internal/engine"
 	"realtor/internal/protocol"
@@ -88,9 +89,13 @@ const eps = 1e-9
 // phantom-partition-drop check are then disabled.
 //
 // Concurrency contract: every method is invoked synchronously from
-// within an oracle callback, i.e. on whichever goroutine emitted the
-// event. Live backends must therefore only emit events for a node from
-// a context where that node's state may be read (its actor loop).
+// within an oracle callback, on whichever goroutine emitted the event,
+// and only for the node that callback names (OnSend's from, OnDeliver's
+// to, a trace event's Node) — the ownership rule the Oracle documents.
+// A backend that emits from several goroutines at once (shard workers)
+// must therefore emit a node's events only from the context that owns
+// the node, and live backends only from a context where the node's
+// state may be read (its actor loop).
 type World interface {
 	N() int
 	Alive(id topology.NodeID) bool
@@ -194,9 +199,12 @@ type limits struct {
 }
 
 // cursor is what the oracle remembers of one node's protocol instance
-// between I4 audits.
+// between callbacks: the instance itself, read from the World once and
+// forgotten when the node dies or revives (a revived node runs a fresh
+// instance; nothing else replaces one), and its I4 audit progress.
 type cursor struct {
-	inst ProtocolState // the instance the rest describes; nil: none yet
+	inst ProtocolState // nil: the instance exposes no ProtocolState
+	ov   OverlayState  // nil: the instance exposes no OverlayState
 	lim  limits
 
 	// Per table: the write-log count at the last audit, and whether that
@@ -204,6 +212,8 @@ type cursor struct {
 	// after one that found a violation.
 	pledgeSeen, membSeen   uint64
 	pledgeClean, membClean bool
+
+	keyed bool // inst, ov and lim describe the node's instance
 
 	// sender is the member whose PLEDGE/ADVERT record changed since the
 	// last pledge-list audit, or -1.
@@ -217,11 +227,29 @@ var exhaustiveI4 bool
 // Oracle asserts the protocol invariants against one run. Wire it in as
 // both the backend's trace recorder and observer (see Hooks), run the
 // backend, then call Finish and inspect Violations / Err.
+//
+// Callbacks may arrive from several goroutines at once (the sharded
+// kernel's workers), and most of the oracle takes no lock, by one
+// ownership rule: every per-node slice entry, audit cursor and pairTable
+// row a callback touches belongs to the node the callback names —
+// OnSend's from, OnDeliver's to, the Node of MigrateTry, flood-HELP,
+// cross-up and cross-down — and that node is owned by the goroutine
+// emitting the callback. NodeKill, NodeRevive, LinkCut and LinkRestore
+// arrive with no other callback in flight (the sharded kernel fires them
+// at a barrier, workers idle). What the rule does not cover is shared,
+// and is either guarded by mu or atomic: the violation list, the I5 task
+// multiset (an outcome is emitted where the task settles but names its
+// origin), the message ledger, and the maxPut rows an overlay answer is
+// checked against (overlay.go). The shadow graph is only read
+// concurrently (Reachable is safe for that).
 type Oracle struct {
 	w   World
 	n   int
 	max int
 
+	// mu guards the violation list and the I5 task multiset, and
+	// serializes writes to ov.maxPut with its one cross-node read.
+	mu         sync.Mutex
 	violations []Violation
 	dropped    int // violations beyond max
 
@@ -244,14 +272,14 @@ type Oracle struct {
 	// I5 message conservation: every OnDeliver/OnDrop(loss|dead) must be
 	// preceded by an OnSend. Partition drops never had an OnSend and are
 	// not in the ledger.
-	msgSent      uint64
-	msgDelivered uint64
-	msgDropped   uint64 // loss + in-flight-death drops
+	msgSent      atomic.Uint64
+	msgDelivered atomic.Uint64
+	msgDropped   atomic.Uint64 // loss + in-flight-death drops
 
 	// I4 provenance. pledges[org][member] is the last delivered
 	// PLEDGE/ADVERT member→org; helps[member][org] spans the HELP
 	// deliveries org→member. Both rows of a node are forgotten when it
-	// dies. cur[node] keys the audit on write to the node's instance.
+	// dies. cur[node] caches the node's instance and its audit progress.
 	pledges    pairTable[sendRec]
 	helps      pairTable[span]
 	cur        []cursor
@@ -326,14 +354,15 @@ func NewWorldOracle(w World) *Oracle {
 // No backend emits before its run starts, so a callback before Bind is
 // a wiring bug and panics.
 //
-// Every callback serializes behind one mutex, so the single-threaded
-// oracle (and any consumer attached with Tee) can sit behind shard
-// workers or the live cluster's concurrently emitting host actors; on
-// the sequential simulator the mutex is uncontended and free of side
-// effects, keeping runs bit-identical to an unhooked engine.
+// Hooks forwards each callback to the oracle on the emitting goroutine
+// without a lock: the oracle guards what concurrent emitters share
+// itself (see Oracle). Only the consumers attached with Tee are
+// serialized, behind one mutex, so they may be single-threaded. On the
+// sequential simulator nothing here has side effects, keeping runs
+// bit-identical to an unhooked engine.
 type Hooks struct {
-	mu  sync.Mutex
-	o   *Oracle
+	o   atomic.Pointer[Oracle]
+	mu  sync.Mutex // serializes rec and obs
 	rec trace.Recorder
 	obs trace.MessageObserver
 }
@@ -342,93 +371,87 @@ var _ trace.Recorder = (*Hooks)(nil)
 var _ trace.MessageObserver = (*Hooks)(nil)
 
 // Bind points the forwarder at a constructed oracle.
-func (h *Hooks) Bind(o *Oracle) {
-	h.mu.Lock()
-	h.o = o
-	h.mu.Unlock()
-}
+func (h *Hooks) Bind(o *Oracle) { h.o.Store(o) }
 
-// bound returns the oracle; the caller holds the mutex.
+// bound returns the oracle.
 func (h *Hooks) bound(callback string) *Oracle {
-	if h.o == nil {
+	o := h.o.Load()
+	if o == nil {
 		panic("check: Hooks." + callback + " before Bind")
 	}
-	return h.o
+	return o
 }
 
 // Tee attaches an extra trace recorder and/or observer (e.g. a
 // DecisionLog) that receives every event alongside the oracle. Call
-// before the run starts. The consumers are invoked under the mutex and
-// therefore need no locking of their own. (harness.RunCheckedOpts tees
-// a batcher here, whose own recorder runs on a drain goroutine, outside
-// the mutex.)
+// before the run starts. The consumers are invoked under the Hooks
+// mutex, one call at a time, and therefore need no locking of their
+// own. (harness.RunCheckedOpts tees a batcher here, whose Record only
+// copies the event into a batch; its own recorder runs on a drain
+// goroutine, outside the mutex.)
 func (h *Hooks) Tee(rec trace.Recorder, obs trace.MessageObserver) {
-	h.mu.Lock()
 	h.rec, h.obs = rec, obs
-	h.mu.Unlock()
-}
-
-// Locked runs fn under the mutex — the way end-of-run audits and
-// mid-run violation reads exclude in-flight emissions on a concurrent
-// backend.
-func (h *Hooks) Locked(fn func()) {
-	h.mu.Lock()
-	fn()
-	h.mu.Unlock()
 }
 
 // Record implements trace.Recorder.
 func (h *Hooks) Record(ev trace.Event) {
-	h.mu.Lock()
 	h.bound("Record").Record(ev)
 	if h.rec != nil {
+		h.mu.Lock()
 		h.rec.Record(ev)
+		h.mu.Unlock()
 	}
-	h.mu.Unlock()
 }
 
 // OnSend implements trace.MessageObserver.
 func (h *Hooks) OnSend(now sim.Time, from, to topology.NodeID, m protocol.Message) {
-	h.mu.Lock()
 	h.bound("OnSend").OnSend(now, from, to, m)
 	if h.obs != nil {
+		h.mu.Lock()
 		h.obs.OnSend(now, from, to, m)
+		h.mu.Unlock()
 	}
-	h.mu.Unlock()
 }
 
 // OnDeliver implements trace.MessageObserver.
 func (h *Hooks) OnDeliver(now sim.Time, to topology.NodeID, m protocol.Message) {
-	h.mu.Lock()
 	h.bound("OnDeliver").OnDeliver(now, to, m)
 	if h.obs != nil {
+		h.mu.Lock()
 		h.obs.OnDeliver(now, to, m)
+		h.mu.Unlock()
 	}
-	h.mu.Unlock()
 }
 
 // OnDrop implements trace.MessageObserver.
 func (h *Hooks) OnDrop(now sim.Time, from, to topology.NodeID, m protocol.Message, reason string) {
-	h.mu.Lock()
 	h.bound("OnDrop").OnDrop(now, from, to, m, reason)
 	if h.obs != nil {
+		h.mu.Lock()
 		h.obs.OnDrop(now, from, to, m, reason)
+		h.mu.Unlock()
 	}
-	h.mu.Unlock()
 }
 
 // OnInject implements trace.MessageObserver.
 func (h *Hooks) OnInject(now sim.Time, node topology.NodeID, size float64) {
-	h.mu.Lock()
 	h.bound("OnInject").OnInject(now, node, size)
 	if h.obs != nil {
+		h.mu.Lock()
 		h.obs.OnInject(now, node, size)
+		h.mu.Unlock()
 	}
-	h.mu.Unlock()
 }
 
 // fail records a violation.
 func (o *Oracle) fail(at sim.Time, inv string, node topology.NodeID, format string, args ...any) {
+	o.mu.Lock()
+	o.failLocked(at, inv, node, format, args...)
+	o.mu.Unlock()
+}
+
+// failLocked is fail for a caller holding mu.
+func (o *Oracle) failLocked(at sim.Time, inv string, node topology.NodeID, format string, args ...any) {
 	if len(o.violations) >= o.max {
 		o.dropped++
 		return
@@ -438,15 +461,27 @@ func (o *Oracle) fail(at sim.Time, inv string, node topology.NodeID, format stri
 	})
 }
 
-// Violations returns the recorded breaches (empty on a clean run).
-func (o *Oracle) Violations() []Violation { return o.violations }
+// Violations returns the recorded breaches (empty on a clean run). Like
+// Dropped, it may be called while callbacks are still arriving (a
+// progress probe).
+func (o *Oracle) Violations() []Violation {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.violations
+}
 
 // Dropped returns how many violations exceeded the retention cap.
-func (o *Oracle) Dropped() int { return o.dropped }
+func (o *Oracle) Dropped() int {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.dropped
+}
 
 // Err returns nil on a clean run, or an error describing the first
 // violation (and the total count).
 func (o *Oracle) Err() error {
+	o.mu.Lock()
+	defer o.mu.Unlock()
 	if len(o.violations) == 0 {
 		return nil
 	}
@@ -454,25 +489,32 @@ func (o *Oracle) Err() error {
 		len(o.violations)+o.dropped, o.violations[0])
 }
 
-// state returns the auditable protocol state on a node, or nil, with
-// the node's cursor — re-keyed, with a fresh read of the instance's
-// limits, whenever the node runs an instance the cursor does not
-// describe.
-func (o *Oracle) state(id topology.NodeID) (ProtocolState, *cursor) {
-	s, _ := o.w.Discovery(id).(ProtocolState)
-	if s == nil {
-		return nil, nil
-	}
+// cursor returns node id's cursor, reading the node's instance — and,
+// when it exposes ProtocolState, its limits — on the first callback
+// since the oracle was built or the node last died or revived.
+func (o *Oracle) cursor(id topology.NodeID) *cursor {
 	c := &o.cur[id]
-	if c.inst != s {
-		cfg := s.Config()
-		*c = cursor{inst: s, sender: -1, lim: limits{
-			threshold: cfg.Threshold,
-			entryTTL:  cfg.EntryTTL, membTTL: cfg.MembershipTTL,
-			helpMin: cfg.HelpMin, helpUpper: cfg.HelpUpper,
-		}}
+	if !c.keyed {
+		d := o.w.Discovery(id)
+		*c = cursor{keyed: true, sender: -1}
+		c.ov, _ = d.(OverlayState)
+		if s, ok := d.(ProtocolState); ok {
+			cfg := s.Config()
+			c.inst, c.lim = s, limits{
+				threshold: cfg.Threshold,
+				entryTTL:  cfg.EntryTTL, membTTL: cfg.MembershipTTL,
+				helpMin: cfg.HelpMin, helpUpper: cfg.HelpUpper,
+			}
+		}
 	}
-	return s, c
+	return c
+}
+
+// state returns the auditable protocol state on a node, or nil, with
+// the node's cursor.
+func (o *Oracle) state(id topology.NodeID) (ProtocolState, *cursor) {
+	c := o.cursor(id)
+	return c.inst, c
 }
 
 // Record implements trace.Recorder: the oracle's view of backend-level
@@ -480,15 +522,19 @@ func (o *Oracle) state(id topology.NodeID) (ProtocolState, *cursor) {
 func (o *Oracle) Record(ev trace.Event) {
 	switch ev.Kind {
 	case trace.Arrival:
+		o.mu.Lock()
 		o.arrivals++
 		o.pending[ev.Size]++
+		o.mu.Unlock()
 
 	case trace.AdmitLocal, trace.MigrateOK, trace.Reject:
 		// I5: exactly-once resolution, keyed by task size (sizes are
 		// continuous draws; multiset semantics keep duplicates sound).
+		o.mu.Lock()
+		defer o.mu.Unlock()
 		o.resolved++
 		if o.pending[ev.Size] <= 0 {
-			o.fail(ev.At, "I5-conservation", ev.Node,
+			o.failLocked(ev.At, "I5-conservation", ev.Node,
 				"%s for size %.9g without a matching unresolved arrival (duplicate outcome?)",
 				ev.Kind, ev.Size)
 			return
@@ -531,6 +577,10 @@ func (o *Oracle) Record(ev trace.Event) {
 		o.ivSeen[ev.Node] = false
 
 	case trace.NodeRevive:
+		// Both kernels trace the revive before installing the fresh
+		// instance: forgetting the cursor again here means nothing read
+		// while the node was dead outlives it.
+		o.cur[ev.Node] = cursor{}
 		o.helpSeen[ev.Node] = false
 		o.ivSeen[ev.Node] = false
 
@@ -633,7 +683,7 @@ func (o *Oracle) checkFreshTarget(now sim.Time, from, target topology.NodeID) {
 // propriety) and I6 (partition safety) on every message actually
 // scheduled.
 func (o *Oracle) OnSend(now sim.Time, from, to topology.NodeID, m protocol.Message) {
-	o.msgSent++
+	o.msgSent.Add(1)
 	// I6: the backend claims from→to is reachable; verify on the shadow
 	// graph maintained independently from link-cut/restore trace events.
 	// Skipped when the world has no link overlay (live fabrics).
@@ -674,7 +724,7 @@ func (o *Oracle) OnSend(now sim.Time, from, to topology.NodeID, m protocol.Messa
 // observer fires before Discovery.Deliver mutates the state: the
 // pre-delivery state must be justified by the pre-delivery history.
 func (o *Oracle) OnDeliver(now sim.Time, to topology.NodeID, m protocol.Message) {
-	o.msgDelivered++
+	o.msgDelivered.Add(1)
 	switch m.Kind {
 	case protocol.Pledge, protocol.Advert:
 		o.auditPledgeList(now, to)
@@ -704,7 +754,7 @@ func (o *Oracle) OnDrop(now sim.Time, from, to topology.NodeID, m protocol.Messa
 		}
 		return
 	}
-	o.msgDropped++
+	o.msgDropped.Add(1)
 }
 
 // OnInject implements trace.MessageObserver: injected bogus work is NOT
@@ -895,9 +945,10 @@ func (o *Oracle) walkMemberships(now sim.Time, member topology.NodeID, s Protoco
 
 // FinishNode runs the end-of-run audits for one node: its final soft
 // state must still be justified and its governor consistent. It is a
-// no-op for dead nodes. Live backends must invoke it from a context
-// where the node's protocol state may be read (its actor loop); the
-// simulator calls it for every node via Finish.
+// no-op for dead nodes. Like a callback it touches only the node's own
+// records, so it needs a context where the node's protocol state may be
+// read (a live host's actor loop) and no more; the simulator calls it
+// for every node via Finish.
 func (o *Oracle) FinishNode(now sim.Time, id topology.NodeID) {
 	if !o.w.Alive(id) {
 		return
@@ -915,27 +966,30 @@ func (o *Oracle) FinishNode(now sim.Time, id topology.NodeID) {
 // must balance, and message conservation must not have resolved more
 // deliveries and drops than sends. Call it after every FinishNode.
 func (o *Oracle) FinishTotals(now sim.Time) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
 	if len(o.pending) != 0 {
 		unresolved := 0
 		for _, n := range o.pending {
 			unresolved += n
 		}
-		o.fail(now, "I5-conservation", -1,
+		o.failLocked(now, "I5-conservation", -1,
 			"%d task(s) arrived but never resolved (admit/reject missing)", unresolved)
 	}
 	if o.resolved != o.arrivals && len(o.pending) == 0 {
 		// Balanced multiset but unequal totals means duplicates matched
 		// losses; the per-event checks above will have flagged them.
-		o.fail(now, "I5-conservation", -1,
+		o.failLocked(now, "I5-conservation", -1,
 			"resolved %d outcomes for %d arrivals", o.resolved, o.arrivals)
 	}
 	// Message conservation: a backend may lose messages it cannot
 	// account for (real sockets), so delivered+dropped < sent is legal;
 	// resolving MORE than was sent means duplication.
-	if o.msgDelivered+o.msgDropped > o.msgSent {
-		o.fail(now, "I5-conservation", -1,
+	sent, delivered, dropped := o.msgSent.Load(), o.msgDelivered.Load(), o.msgDropped.Load()
+	if delivered+dropped > sent {
+		o.failLocked(now, "I5-conservation", -1,
 			"message ledger overdrawn: %d delivered + %d dropped > %d sent",
-			o.msgDelivered, o.msgDropped, o.msgSent)
+			delivered, dropped, sent)
 	}
 }
 

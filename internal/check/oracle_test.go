@@ -263,10 +263,12 @@ type eventCount int
 
 func (c *eventCount) Record(trace.Event) { *c++ }
 
-// TestHooksSerializeConcurrentEmitters: shard workers (InlineHooks) and
-// live host actors emit from several goroutines at once, while the
-// oracle and any Tee'd consumer are single-threaded — Hooks is the one
-// lock between them. Run under -race (`make race`).
+// TestHooksSerializeConcurrentEmitters: shard workers (InlineHooks)
+// emit from several goroutines at once. The oracle audits on the
+// emitting goroutine and locks only what the emitters share (here the
+// I5 task multiset, fed arrivals and outcomes of every node), while a
+// Tee'd consumer is single-threaded — the Hooks mutex serializes it.
+// Run under -race (`make race`).
 func TestHooksSerializeConcurrentEmitters(t *testing.T) {
 	const emitters, tasks = 2, 500
 	o := NewWorldOracle(&scriptWorld{n: 4})
@@ -288,17 +290,48 @@ func TestHooksSerializeConcurrentEmitters(t *testing.T) {
 		}(topology.NodeID(g))
 	}
 	wg.Wait()
-	h.Locked(func() {
-		if o.arrivals != emitters*tasks || o.resolved != emitters*tasks || len(o.pending) != 0 {
-			t.Errorf("oracle saw %d arrivals, %d resolutions, %d unresolved; want %d, %d, 0",
-				o.arrivals, o.resolved, len(o.pending), emitters*tasks, emitters*tasks)
-		}
-		if len(o.Violations()) != 0 {
-			t.Errorf("honest concurrent stream flagged: %v", o.Violations()[0])
-		}
-	})
+	if o.arrivals != emitters*tasks || o.resolved != emitters*tasks || len(o.pending) != 0 {
+		t.Errorf("oracle saw %d arrivals, %d resolutions, %d unresolved; want %d, %d, 0",
+			o.arrivals, o.resolved, len(o.pending), emitters*tasks, emitters*tasks)
+	}
+	if len(o.Violations()) != 0 {
+		t.Errorf("honest concurrent stream flagged: %v", o.Violations()[0])
+	}
 	if teed != 2*emitters*tasks {
 		t.Errorf("teed recorder saw %d events, want %d", teed, 2*emitters*tasks)
+	}
+}
+
+// The one row the oracle reads across nodes: a FOUND answer delivered
+// to one node is checked against the answering home's maxPut row, while
+// the home's own emitter keeps writing — and growing — that row as PUTs
+// arrive. Two goroutines play the two shards; under -race an unguarded
+// row is reported.
+func TestOverlayAnswerCheckUnderConcurrentPuts(t *testing.T) {
+	const home, asker, puts = 1, 2, 2000
+	o := NewWorldOracle(&scriptWorld{n: puts + 3})
+	put := func(provider topology.NodeID) {
+		o.OnDeliver(1, home, protocol.Message{Kind: protocol.DHTPut, From: 0, Origin: provider, Headroom: 1})
+	}
+	put(3) // the one provider every answer carries
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for p := topology.NodeID(4); p < puts+3; p++ {
+			put(p)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		answer := protocol.Message{Kind: protocol.DHTFound, From: home, View: []protocol.Candidate{{ID: 3, Headroom: 1}}}
+		for i := 0; i < puts; i++ {
+			o.OnDeliver(2, asker, answer)
+		}
+	}()
+	wg.Wait()
+	if len(o.Violations()) != 0 {
+		t.Errorf("honest answers flagged: %v", o.Violations()[0])
 	}
 }
 

@@ -21,6 +21,12 @@
 // subject) pair: an upper bound that survives entry overwrites and
 // answers that were in flight across a newer PUT, so the check is sound
 // without remembering every historical message.
+//
+// Every record is a row of the node a callback names (the Oracle's
+// ownership rule) except one read: a FOUND answer is checked, at its
+// delivery, against the answering home's maxPut row — a row another
+// goroutine may be writing. So maxPut is written, and read across
+// nodes, only under Oracle.mu; the owner's own reads take no lock.
 package check
 
 import (
@@ -45,7 +51,7 @@ type OverlayState interface {
 type overlayAudit struct {
 	// maxFound[node][cand] is the highest headroom any delivered FOUND
 	// view entry advertised for cand at node; maxPut[home][provider]
-	// likewise for delivered PUTs.
+	// likewise for delivered PUTs (written under Oracle.mu).
 	maxFound pairTable[float64]
 	maxPut   pairTable[float64]
 
@@ -62,14 +68,6 @@ func newOverlayAudit(n int) overlayAudit {
 		delivered: make([]uint64, n),
 		forwarded: make([]uint64, n),
 	}
-}
-
-// overlayState returns node id's OverlayState, or nil.
-func (o *Oracle) overlayState(id topology.NodeID) OverlayState {
-	if s, ok := o.w.Discovery(id).(OverlayState); ok {
-		return s
-	}
-	return nil
 }
 
 // overlaySend observes one overlay send (called from OnSend): I5-overlay
@@ -102,31 +100,43 @@ func (o *Oracle) overlayDeliver(now sim.Time, to topology.NodeID, m protocol.Mes
 		o.auditOverlay(now, to)
 		o.ov.delivered[to]++
 		if rec, _ := o.ov.maxPut.get(to, m.Origin); m.Headroom > rec {
+			o.mu.Lock()
 			o.ov.maxPut.put(to, m.Origin, m.Headroom)
+			o.mu.Unlock()
 		}
 	case protocol.DHTGet:
 		o.ov.delivered[to]++
 	case protocol.DHTFound:
 		o.auditOverlay(now, to)
+		o.checkAnswer(now, m)
 		for _, c := range m.View {
-			// Answer-side provenance: the home may only serve entries
-			// that were PUT to it. Its own availability is locally
-			// justified (a self-home publishes without a message).
-			if c.ID != m.From {
-				rec, ok := o.ov.maxPut.get(m.From, c.ID)
-				switch {
-				case !ok:
-					o.fail(now, "I4-overlay", m.From,
-						"FOUND answer carries candidate %d with no delivered PUT at the answering home", c.ID)
-				case c.Headroom > rec+eps:
-					o.fail(now, "I4-overlay", m.From,
-						"FOUND answer advertises node %d headroom %.6g > delivered %.6g",
-						c.ID, c.Headroom, rec)
-				}
-			}
 			if rec, _ := o.ov.maxFound.get(to, c.ID); c.Headroom > rec {
 				o.ov.maxFound.put(to, c.ID, c.Headroom)
 			}
+		}
+	}
+}
+
+// checkAnswer asserts a FOUND answer's own provenance: the home may
+// only serve entries that were PUT to it. Its own availability is
+// locally justified (a self-home publishes without a message). It reads
+// the home's maxPut row, so it holds mu.
+func (o *Oracle) checkAnswer(now sim.Time, m protocol.Message) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for _, c := range m.View {
+		if c.ID == m.From {
+			continue
+		}
+		rec, ok := o.ov.maxPut.get(m.From, c.ID)
+		switch {
+		case !ok:
+			o.failLocked(now, "I4-overlay", m.From,
+				"FOUND answer carries candidate %d with no delivered PUT at the answering home", c.ID)
+		case c.Headroom > rec+eps:
+			o.failLocked(now, "I4-overlay", m.From,
+				"FOUND answer advertises node %d headroom %.6g > delivered %.6g",
+				c.ID, c.Headroom, rec)
 		}
 	}
 }
@@ -138,7 +148,7 @@ func (o *Oracle) overlayDeliver(now sim.Time, to topology.NodeID, m protocol.Mes
 // justified by a delivered PUT, except the home's own self-published
 // availability.
 func (o *Oracle) auditOverlay(now sim.Time, id topology.NodeID) {
-	s := o.overlayState(id)
+	s := o.cursor(id).ov
 	if s == nil {
 		return
 	}

@@ -308,6 +308,37 @@ func TestI4ForgetsDeadIncarnation(t *testing.T) {
 	})
 }
 
+// The oracle reads a node's instance, and the limits it audits by, once
+// and keeps them in the node's cursor until the node dies or revives.
+// A revived node runs a fresh instance with its own configuration, so
+// its audits must read that instance — here an EntryTTL of 5 against
+// the dead one's 50 — even when something read the node while it was
+// dead (the HELP flood at t=35). Kept on the dead instance, the cursor
+// would pass the stale migration try below or fault it for an entry
+// only the fresh list holds.
+func TestCursorFollowsRevivedInstance(t *testing.T) {
+	const a, b topology.NodeID = 1, 2
+	long, short := protocol.DefaultConfig(), protocol.DefaultConfig()
+	long.EntryTTL, short.EntryTTL = 50, 5
+	w := &scriptWorld{n: 3, nodes: map[topology.NodeID]protocol.Discovery{}}
+	dead := w.realtor(a, long)
+	o := NewWorldOracle(w)
+	dead.deliver(o, 1, pledge(b, 4), true)
+	o.Record(trace.Event{At: 30, Kind: trace.MigrateTry, Node: a, Peer: b}) // aged 29 < 50
+	o.Record(trace.Event{At: 34, Kind: trace.NodeKill, Node: a, Peer: -1})
+	dead.r.OnNodeDeath()
+	o.Record(trace.Event{At: 35, Kind: trace.MsgSend, Node: a, Peer: -1, Info: "flood-HELP"})
+	o.Record(trace.Event{At: 36, Kind: trace.NodeRevive, Node: a, Peer: -1})
+
+	fresh := w.realtor(a, short)
+	fresh.deliver(o, 40, pledge(b, 4), true)
+	o.Record(trace.Event{At: 46, Kind: trace.MigrateTry, Node: a, Peer: b}) // aged 6 ≥ 5
+
+	wantViolations(t, o, []Violation{
+		{At: 46, Invariant: "I3-soft-state-expiry", Node: a, Detail: "migration try to node 2 using a pledge aged 6 ≥ EntryTTL 5"},
+	})
+}
+
 // deliverSetup builds the state BenchmarkOracleDeliver and
 // TestOracleDeliverAllocatesNothing replay deliveries against: one
 // organizer whose pledge list holds size entries and which is a member

@@ -1096,6 +1096,7 @@ func (v *nodeEnv) ArmCrossing(now sim.Time, over float64) {
 	e, id, cr := v.engine, v.id, &v.engine.crossings[v.id]
 	v.CancelCrossing()
 	cr.gen = e.gen[id]
+	e.checkKey(v.ctx, now+sim.Time(over), int32(id), e.nodeSeq[id])
 	cr.ev = v.ctx.sched.AtKeyed(now+sim.Time(over), int32(id), e.nodeSeq[id], cr)
 	e.nodeSeq[id]++
 }
@@ -1366,6 +1367,7 @@ func (w *wave) Fire(at sim.Time) {
 func (v *nodeEnv) After(d sim.Time, fn func()) protocol.Timer {
 	e, c := v.engine, v.ctx
 	t := &simTimer{e: e, c: c, id: v.id, gen: e.gen[v.id], fn: fn}
+	e.checkKey(c, c.sched.Now()+d, int32(v.id), e.nodeSeq[v.id])
 	t.ev = c.sched.AtKeyed(c.sched.Now()+d, int32(v.id), e.nodeSeq[v.id], t)
 	e.nodeSeq[v.id]++
 	return t
@@ -1408,6 +1410,7 @@ func (t *simTimer) Reset(d sim.Time) bool {
 		return false
 	}
 	t.c.sched.Cancel(t.ev)
+	e.checkKey(t.c, t.c.sched.Now()+d, int32(t.id), e.nodeSeq[t.id])
 	t.ev = t.c.sched.AtKeyed(t.c.sched.Now()+d, int32(t.id), e.nodeSeq[t.id], t)
 	e.nodeSeq[t.id]++
 	return true

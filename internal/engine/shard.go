@@ -148,12 +148,33 @@ func (e *Engine) ctxOf(id topology.NodeID) *shardCtx { return e.ctxs[e.shardOf[i
 // migrations are fire-and-forget; timers and crossings never cross).
 func (e *Engine) schedule(c *shardCtx, dest topology.NodeID, when sim.Time,
 	src int32, seq uint64, r sim.Runner) sim.Event {
+	e.checkKey(c, when, src, seq)
 	dc := e.ctxs[e.shardOf[dest]]
 	if dc == c {
 		return c.sched.AtKeyed(when, src, seq, r)
 	}
 	c.mail = append(c.mail, mailEntry{dest: dc.idx, when: when, src: src, seq: seq, r: r})
 	return sim.Event{}
+}
+
+// checkKey guards the one order the barrier replay cannot reproduce. A
+// handler running on c that schedules an event at its own instant under
+// a lower src creates an event that ranks before its cause: the
+// one-shard kernel fires it after the cause (a wave yields to it), but
+// the barrier sorts the emissions of both by key and would replay the
+// effect's before the cause's. No protocol does this after t=0, so on a
+// sharded engine it panics, naming both keys. Events a global handler
+// schedules are exempt — its key, in the external namespace, ranks
+// below every keyed one.
+func (e *Engine) checkKey(c *shardCtx, when sim.Time, src int32, seq uint64) {
+	if e.shards == 1 || e.inGlobal || when <= 0 {
+		return
+	}
+	if k := c.emitKey(); when == k.When && src < k.Src {
+		panic(fmt.Sprintf("engine: event %+v scheduled at the instant of the executing event %+v "+
+			"under a lower src: barrier replay would order it before its cause",
+			sim.EventKey{When: when, Src: src, Seq: seq}, k))
+	}
 }
 
 // direct is the one gate every hook passes. An emission from context c

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
 	"realtor/internal/core"
 	"realtor/internal/metrics"
 	"realtor/internal/protocol"
+	"realtor/internal/protocol/protocoltest"
 	"realtor/internal/rng"
 	"realtor/internal/sim"
 	"realtor/internal/topology"
@@ -323,4 +326,60 @@ func TestShardWorkerPanicReachesCaller(t *testing.T) {
 	}()
 	e.Run(workload.NewPoisson(20, 5, cfg.Graph.N(), rng.New(3)))
 	t.Fatal("the run returned although a handler panicked")
+}
+
+// zeroTimer arms a zero-delay timer on every delivery: an event at the
+// delivery's own instant, keyed in the recipient's namespace.
+type zeroTimer struct {
+	protocoltest.Inert
+	env protocol.Env
+}
+
+func (z *zeroTimer) Attach(env protocol.Env)  { z.env = env }
+func (z *zeroTimer) Deliver(protocol.Message) { z.env.After(0, func() {}) }
+
+// A handler that schedules an event at its own instant under a lower
+// src is the one order the barrier replay would get backwards, so the
+// sharded kernel refuses it, naming both keys: node 50 (shard 1) floods
+// at t=1, and its neighbour 40 (shard 0) answers the delivery at 1.01
+// with a zero-delay timer in namespace 40 < 50. The one-shard kernel
+// fires such an event after its cause and runs the same schedule to the
+// end.
+func TestSameInstantLowerSrcPanicsOnShards(t *testing.T) {
+	run := func(shards int) {
+		cfg := Config{
+			Graph:         topology.Mesh(10, 10),
+			QueueCapacity: 20,
+			HopDelay:      0.01,
+			Threshold:     0.9,
+			Duration:      5,
+			Shards:        shards,
+			Seed:          7,
+		}
+		e := New(cfg, func() protocol.Discovery { return &zeroTimer{} })
+		if shards > 1 && (e.shardOf[40] != 0 || e.shardOf[50] != 1) {
+			t.Fatalf("nodes 40 and 50 sit on shards %d and %d, want 0 and 1", e.shardOf[40], e.shardOf[50])
+		}
+		e.At(1, func(sim.Time) { e.envs[50].Flood(protocol.Message{Kind: protocol.Help, From: 50}) })
+		e.Run(workload.NewPoisson(1, 1, cfg.Graph.N(), rng.New(3)))
+	}
+	run(1)
+
+	defer func() {
+		v := recover()
+		if p, ok := v.(*workerPanic); ok {
+			v = p.value
+		}
+		msg, _ := v.(string)
+		want := regexp.MustCompile(`^engine: event \{When:1\.01 Src:(\d+) Seq:\d+\} scheduled at the instant of the executing event \{When:1\.01 Src:50 Seq:\d+\} under a lower src`)
+		m := want.FindStringSubmatch(msg)
+		if m == nil {
+			t.Fatalf("recovered %v, want the ordering panic naming both keys", v)
+		}
+		if src, _ := strconv.Atoi(m[1]); src >= 50 {
+			t.Fatalf("the panic names src %d, not one below the sender's 50: %s", src, msg)
+		}
+	}()
+	run(2)
+	t.Fatal("a 2-shard run scheduled a same-instant event under a lower src without panicking")
 }

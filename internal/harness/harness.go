@@ -94,8 +94,9 @@ type Instance interface {
 
 // Hooks is the unified observation funnel handed to a Backend at Start:
 // the backend wires it in as both its trace.Recorder and its
-// trace.MessageObserver. It is check.Hooks, whose mutex serializes
-// shard workers in front of the oracle.
+// trace.MessageObserver. It is check.Hooks, which forwards each
+// callback to the oracle on the emitting goroutine; the oracle locks
+// only what shard workers share.
 type Hooks = check.Hooks
 
 // Outcome is what one oracle-checked run yields on any backend.
@@ -157,13 +158,13 @@ func RunCheckedOpts(b Backend, s fuzzscen.Scenario, build engine.Builder, opt Ru
 	}
 	// The probe closure reads the oracle assigned below — safe because
 	// backends fire progress only from (or after) Run, which starts
-	// strictly after the assignment, and the violation read serializes
-	// behind the hooks mutex the emitting callbacks hold.
+	// strictly after the assignment, and the violation reads take the
+	// oracle's lock.
 	var o *check.Oracle
 	var onProgress func(Progress)
 	if opt.OnProgress != nil {
 		onProgress = func(p Progress) {
-			hooks.Locked(func() { p.Violations = len(o.Violations()) + o.Dropped() })
+			p.Violations = len(o.Violations()) + o.Dropped()
 			opt.OnProgress(p)
 		}
 	}
@@ -181,12 +182,10 @@ func RunCheckedOpts(b Backend, s fuzzscen.Scenario, build engine.Builder, opt Ru
 		return Outcome{}, ErrCanceled
 	}
 	now := inst.Now()
-	// Per-node audits run in each node's safe context, taking the event
-	// mutex inside that context.
-	inst.EachNodeSafe(func(id topology.NodeID) {
-		hooks.Locked(func() { o.FinishNode(now, id) })
-	})
-	hooks.Locked(func() { o.FinishTotals(now) })
+	// Per-node audits run in each node's safe context; the oracle locks
+	// what they share.
+	inst.EachNodeSafe(func(id topology.NodeID) { o.FinishNode(now, id) })
+	o.FinishTotals(now)
 	return Outcome{
 		Backend:    b.Name(),
 		Stats:      stats,

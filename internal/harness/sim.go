@@ -23,9 +23,11 @@ func Sim() Backend { return simBackend{shards: 1} }
 // SimSharded returns the simulator backend running the conservative-
 // parallel kernel with n shards. Hooks fire inline from shard workers
 // (the oracle audits node state at callback time, so it needs the live
-// engine, not a post-phase replay); the Hooks mutex serializes the
-// oracle itself, and each callback only inspects the node owned by the
-// worker that fired it, so the inline path is race-free.
+// engine, not a post-phase replay), and the workers audit in parallel:
+// each callback only touches the records of the node it names, which
+// the firing worker owns, and the oracle locks the little that shards
+// share (check.Oracle states the rule), so the inline path is
+// race-free.
 func SimSharded(n int) Backend { return simBackend{shards: n} }
 
 // Name implements Backend.

@@ -56,10 +56,11 @@ type teeRecorder struct {
 	panicked *drainPanic // set by the drain goroutine before done closes
 }
 
-// Record implements trace.Recorder. It runs under the Hooks mutex, so
-// concurrent emitters need no locking of their own. Its send may block
-// under that mutex, which cannot deadlock: the drain goroutine takes no
-// lock and receives until flush closes the channel.
+// Record implements trace.Recorder. It runs under the Hooks mutex, which
+// serializes concurrent emitters' calls to it, so it needs no lock of
+// its own.
+// Its send may block under that mutex, which cannot deadlock: the drain
+// goroutine takes no lock and receives until flush closes the channel.
 func (t *teeRecorder) Record(ev trace.Event) {
 	if t.open == nil {
 		t.open = getBatch()

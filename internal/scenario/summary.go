@@ -21,8 +21,9 @@ import (
 //
 // It implements trace.Recorder. Record renders numbers into buffers the
 // Digest owns and reuses, so a Digest MUST be driven by one goroutine at
-// a time — the check.Hooks mutex on sharded and live backends; it has
-// no locking of its own. The zero Digest is ready to use.
+// a time — on the gated path the harness's drain goroutine, or the
+// check.Hooks mutex that serializes a recorder tee'd in directly; it
+// has no locking of its own. The zero Digest is ready to use.
 type Digest struct {
 	sum uint64
 	n   uint64
