@@ -64,6 +64,7 @@ fuzz:
 	$(GO) test -fuzz FuzzCutMeshEqualsBFS -fuzztime 15s ./internal/topology
 	$(GO) test -fuzz FuzzVariateBounds -fuzztime 15s ./internal/rng
 	$(GO) test -fuzz FuzzDigestMatchesReference -fuzztime 15s ./internal/scenario
+	$(GO) test -fuzz FuzzDecodeSpec -fuzztime 15s ./internal/scenario
 
 # Scenario-fuzzer smoke pass (CI gate, ~1 minute): a wide sweep of
 # generated scenarios through the invariant oracle + fast-vs-reference

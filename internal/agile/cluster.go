@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"realtor/internal/agile/naming"
 	"realtor/internal/agile/sched"
@@ -25,10 +24,10 @@ type Config struct {
 	QueueCapacity float64
 	Protocol      protocol.Config
 
-	// TimeScale is scaled seconds per second of the cluster clock, a
-	// time.Duration. Over UDP the clock is the wall clock: at 200 the
-	// paper's 300-second measurement takes 1.5 s. Over the in-process
-	// fabric it is virtual, and the scale sets only its grain.
+	// TimeScale is scaled seconds per second of the wall clock, read
+	// only by the UDP driver: at 200 the paper's 300-second measurement
+	// takes 1.5 s. Over the in-process fabric the clock is virtual, on
+	// scaled seconds, and the scale plays no part.
 	TimeScale float64
 
 	// NegotiationTimeout bounds how long a host waits for an admission
@@ -155,27 +154,18 @@ func (c *Cluster) newDiscovery() protocol.Discovery {
 	return core.New(c.cfg.Protocol)
 }
 
-// scaled converts a reading of the cluster clock to scaled seconds.
-func (c *Cluster) scaled(d time.Duration) float64 { return d.Seconds() * c.cfg.TimeScale }
-
-// toClock converts scaled seconds to a span of the cluster clock,
-// truncated to the nanosecond.
-func (c *Cluster) toClock(scaled float64) time.Duration {
-	return time.Duration(scaled / c.cfg.TimeScale * float64(time.Second))
-}
-
-// Now returns the scaled cluster clock in seconds — the live
+// Now returns the cluster clock in scaled seconds — the live
 // counterpart of the simulator's sim.Time axis.
-func (c *Cluster) Now() float64 { return c.scaled(c.drv.clock()) }
+func (c *Cluster) Now() float64 { return c.drv.clock() }
 
 // At runs fn at scaled instant t (at once if t is past), off any host:
 // a timed command such as a fault schedule's kill or cut. Timed
 // commands never run concurrently with each other. On UDP each runs on
 // a timer goroutine, and Stop cancels what has not fired.
-func (c *Cluster) At(t float64, fn func()) { c.drv.at(c.toClock(t-c.Now()), fn) }
+func (c *Cluster) At(t float64, fn func()) { c.drv.at(t, fn) }
 
 // Advance lets d scaled seconds of cluster time pass.
-func (c *Cluster) Advance(d float64) { c.drv.sleep(context.Background(), c.toClock(d)) }
+func (c *Cluster) Advance(d float64) { c.drv.sleep(context.Background(), c.Now()+d) }
 
 // emit records one trace event if a recorder is configured.
 func (c *Cluster) emit(ev trace.Event) {
@@ -278,12 +268,16 @@ func (c *Cluster) countUnicast(k protocol.Kind) {
 	}
 }
 
+// Lags in scaled seconds: a host's backstop drain runs drainLag after
+// its queue is expected to empty, and settle waits settleLag past the
+// last negotiation timeout.
+const drainLag, settleLag = 0.1, 5
+
 // settle lets the cluster run long enough for queued commands,
 // in-flight negotiations (including MaxTries retry chains) and their
-// timeouts to resolve, plus 50 ms of the clock.
+// timeouts to resolve, plus settleLag.
 func (c *Cluster) settle() {
-	c.drv.sleep(context.Background(),
-		time.Duration(place.Tries(c.cfg.MaxTries)+1)*c.toClock(c.cfg.NegotiationTimeout)+50*time.Millisecond)
+	c.Advance(float64(place.Tries(c.cfg.MaxTries)+1)*c.cfg.NegotiationTimeout + settleLag)
 }
 
 // Drive replays a workload source on the live cluster: each task
@@ -319,7 +313,7 @@ func (c *Cluster) Drive(ctx context.Context, src workload.Source, duration float
 		if !ok || float64(t.Arrive) >= duration {
 			break
 		}
-		if delta := start + float64(t.Arrive) - c.Now(); delta > 0 && !c.drv.sleep(ctx, c.toClock(delta)) {
+		if !c.drv.sleep(ctx, start+float64(t.Arrive)) {
 			return c.RunStats(), true
 		}
 		// Task IDs are shifted by one so a source emitting ID 0 cannot

@@ -13,27 +13,27 @@ import (
 )
 
 // driver feeds a cluster's hosts their inputs, each as one Host.Step,
-// and keeps the cluster clock: a time.Duration since the cluster
-// started, which the cluster scales by Config.TimeScale. The two
-// drivers differ only in where that clock comes from (DESIGN.md §9.1):
-// simDriver keeps it virtual and serves fabrics that deliver inline
-// (the in-process "chan"); wallDriver reads the wall clock and serves
-// UDP, whose packets arrive on the sockets' reader goroutines.
+// and keeps the cluster clock in scaled seconds since the cluster
+// started, the simulator's sim.Time axis. The two drivers differ only in
+// where that clock comes from (DESIGN.md §9.1): simDriver keeps it
+// virtual and serves fabrics that deliver inline (the in-process
+// "chan"); wallDriver reads the wall clock and serves UDP, whose packets
+// arrive on the sockets' reader goroutines.
 type driver interface {
-	clock() time.Duration
+	clock() float64
 	// post makes fn a step of h at the current instant, after the
 	// caller returns; a no-op once the cluster is stopped.
 	post(h *Host, fn func())
 	// call makes fn a step of h and waits for it (or for Stop).
 	call(h *Host, fn func())
-	// after arms a host timer: fn runs as a step of h d after the step
-	// in progress, unless the timer is stopped first.
-	after(h *Host, d time.Duration, fn func()) protocol.Timer
-	// at runs fn d from now, off any host, never while another fn
-	// given to at runs.
-	at(d time.Duration, fn func())
-	// sleep lets the cluster run for d; false if ctx ended first.
-	sleep(ctx context.Context, d time.Duration) bool
+	// after arms a host timer: fn runs as a step of h d scaled seconds
+	// after the step in progress, unless the timer is stopped first.
+	after(h *Host, d float64, fn func()) protocol.Timer
+	// at runs fn at instant t (at once if t is past), off any host,
+	// never while another fn given to at runs.
+	at(t float64, fn func())
+	// sleep runs the cluster until instant t; false if ctx ended first.
+	sleep(ctx context.Context, t float64) bool
 	stop() // idempotent
 }
 
@@ -57,8 +57,8 @@ func newDriver(c *Cluster) driver {
 }
 
 // simDriver is the deterministic driver: every step runs on the
-// caller's goroutine, on a sim.Scheduler whose axis is the clock's
-// nanoseconds, in the engine's (time, src, seq) order. A packet lands at
+// caller's goroutine, on a sim.Scheduler whose axis is the cluster
+// clock itself, in the engine's (time, src, seq) order. A packet lands at
 // the instant it was sent; a step's sends and timer arms are keyed by
 // the sending host and its own count, and commands from outside the
 // hosts (arrivals, fault schedules, probes) take the scheduler's
@@ -78,12 +78,12 @@ type step struct {
 	in Input
 }
 
-func (s *step) Fire(now sim.Time) { s.h.Step(s.h.cluster.scaled(time.Duration(now)), s.in) }
+func (s *step) Fire(now sim.Time) { s.h.Step(float64(now), s.in) }
 
-func (d *simDriver) clock() time.Duration { return time.Duration(d.sched.Now()) }
+func (d *simDriver) clock() float64 { return float64(d.sched.Now()) }
 
 // keyed schedules a host-originated input dt from now.
-func (d *simDriver) keyed(dt time.Duration, src int, s *step) sim.Event {
+func (d *simDriver) keyed(dt float64, src int, s *step) sim.Event {
 	seq := d.seqs[src]
 	d.seqs[src]++
 	return d.sched.AtKeyed(d.sched.Now()+sim.Time(dt), int32(src), seq, s)
@@ -105,11 +105,11 @@ func (d *simDriver) post(h *Host, fn func()) {
 
 func (d *simDriver) call(h *Host, fn func()) {
 	if !d.stopped {
-		h.Step(d.c.Now(), Input{Run: fn})
+		h.Step(d.clock(), Input{Run: fn})
 	}
 }
 
-func (d *simDriver) after(h *Host, dt time.Duration, fn func()) protocol.Timer {
+func (d *simDriver) after(h *Host, dt float64, fn func()) protocol.Timer {
 	return simTimer{d.sched, d.keyed(dt, h.id, &step{h: h, in: Input{Run: fn}})}
 }
 
@@ -120,21 +120,21 @@ type simTimer struct {
 
 func (t simTimer) Stop() { t.sched.Cancel(t.ev) }
 
-func (d *simDriver) at(dt time.Duration, fn func()) {
-	d.sched.At(d.sched.Now()+sim.Time(max(dt, 0)), func(sim.Time) { fn() })
+func (d *simDriver) at(t float64, fn func()) {
+	d.sched.At(max(sim.Time(t), d.sched.Now()), func(sim.Time) { fn() })
 }
 
-// sleep fires every event before the instant dt from now, then sets the
-// clock to it, so that a command posted next runs before any host's
-// step at that instant.
-func (d *simDriver) sleep(ctx context.Context, dt time.Duration) bool {
+// sleep fires every event before instant t, then sets the clock to it,
+// so that a command posted next runs before any host's step at that
+// instant.
+func (d *simDriver) sleep(ctx context.Context, t float64) bool {
 	if ctx.Err() != nil {
 		return false
 	}
-	if d.stopped || dt <= 0 {
+	end := sim.Time(t)
+	if d.stopped || end <= d.sched.Now() {
 		return true
 	}
-	end := d.sched.Now() + sim.Time(dt)
 	d.sched.RunBelow(sim.EventKey{When: end, Src: math.MinInt32})
 	d.sched.AdvanceTo(end)
 	return true
@@ -142,7 +142,8 @@ func (d *simDriver) sleep(ctx context.Context, dt time.Duration) bool {
 
 func (d *simDriver) stop() { d.stopped = true }
 
-// wallDriver is the goroutine driver: one actor loop per host.
+// wallDriver is the goroutine driver: one actor loop per host. It alone
+// converts scaled seconds to and from wall time, at Config.TimeScale.
 type wallDriver struct {
 	c     *Cluster
 	epoch time.Time
@@ -175,16 +176,21 @@ func (d *wallDriver) start() {
 				case <-w.done:
 					return
 				case fn := <-w.cmds:
-					h.Step(d.c.Now(), Input{Run: fn})
+					h.Step(d.clock(), Input{Run: fn})
 				case p := <-w.inbox:
-					h.Step(d.c.Now(), Input{Packet: &p})
+					h.Step(d.clock(), Input{Packet: &p})
 				}
 			}
 		}(&d.hosts[h.id])
 	}
 }
 
-func (d *wallDriver) clock() time.Duration { return time.Since(d.epoch) }
+func (d *wallDriver) clock() float64 { return time.Since(d.epoch).Seconds() * d.c.cfg.TimeScale }
+
+// wall converts a span of scaled seconds to wall time.
+func (d *wallDriver) wall(scaled float64) time.Duration {
+	return time.Duration(scaled / d.c.cfg.TimeScale * float64(time.Second))
+}
 
 func (d *wallDriver) deliver(to int, p transport.Packet) {
 	select {
@@ -213,9 +219,9 @@ func (d *wallDriver) call(h *Host, fn func()) {
 	}
 }
 
-func (d *wallDriver) after(h *Host, dt time.Duration, fn func()) protocol.Timer {
+func (d *wallDriver) after(h *Host, dt float64, fn func()) protocol.Timer {
 	t := &wallTimer{}
-	t.timer = time.AfterFunc(dt, func() {
+	t.timer = time.AfterFunc(d.wall(dt), func() {
 		d.post(h, func() {
 			if !t.stopped.Load() {
 				fn()
@@ -240,11 +246,11 @@ func (t *wallTimer) Stop() {
 // at runs fn on a timer goroutine, never while another timed command
 // runs, so a fault schedule's state needs no lock of its own, as on the
 // deterministic driver; stop cancels what has not fired.
-func (d *wallDriver) at(dt time.Duration, fn func()) {
+func (d *wallDriver) at(t float64, fn func()) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if !d.stopped {
-		d.timers = append(d.timers, time.AfterFunc(dt, func() {
+		d.timers = append(d.timers, time.AfterFunc(d.wall(t-d.clock()), func() {
 			d.cmd.Lock()
 			defer d.cmd.Unlock()
 			fn()
@@ -252,7 +258,8 @@ func (d *wallDriver) at(dt time.Duration, fn func()) {
 	}
 }
 
-func (d *wallDriver) sleep(ctx context.Context, dt time.Duration) bool {
+func (d *wallDriver) sleep(ctx context.Context, t float64) bool {
+	dt := d.wall(t - d.clock())
 	if dt <= 0 {
 		return ctx.Err() == nil
 	}

@@ -14,7 +14,6 @@ package agile
 import (
 	"math"
 	"sync/atomic"
-	"time"
 
 	"realtor/internal/agile/naming"
 	"realtor/internal/agile/sched"
@@ -263,14 +262,14 @@ func (h *Host) Submit(t place.Task) {
 	})
 }
 
-// armDrainTimer schedules a drain a millisecond of the clock after the
-// queue is expected to empty, so completions (and their naming cleanup)
-// happen on time even on an otherwise idle host. Queues drain lazily on
-// every step; this timer is only the idle-host backstop, and its lag
-// lets the drain find the queue empty however the drained costs round.
+// armDrainTimer schedules a drain drainLag after the queue is expected
+// to empty, so completions (and their naming cleanup) happen on time
+// even on an otherwise idle host. Queues drain lazily on every step;
+// this timer is only the idle-host backstop, and its lag lets the drain
+// find the queue empty however the drained costs round.
 func (h *Host) armDrainTimer() {
 	stopTimer(h.drainTimer)
-	h.drainTimer = h.cluster.drv.after(h, h.cluster.toClock(h.queue.Backlog())+time.Millisecond, func() {
+	h.drainTimer = h.cluster.drv.after(h, h.queue.Backlog()+drainLag, func() {
 		h.drain()
 		if h.queue.Len() > 0 {
 			h.armDrainTimer()
@@ -457,7 +456,7 @@ func (e *liveEnv) Unicast(to topology.NodeID, m protocol.Message) {
 }
 
 func (e *liveEnv) After(d sim.Time, fn func()) protocol.Timer {
-	return e.host.cluster.drv.after(e.host, e.host.cluster.toClock(float64(d)), fn)
+	return e.host.cluster.drv.after(e.host, float64(d), fn)
 }
 
 // Backlog is the run queue's, drained at the start of the actor step.
@@ -525,7 +524,7 @@ func (e *liveEnv) Request(_ sim.Time, tr place.Try) {
 	seq := h.admSeq
 	pm := &pendingMigration{tr: tr}
 	h.pending[seq] = pm
-	pm.timer = h.cluster.drv.after(h, h.cluster.toClock(h.cluster.cfg.NegotiationTimeout), func() {
+	pm.timer = h.cluster.drv.after(h, h.cluster.cfg.NegotiationTimeout, func() {
 		delete(h.pending, seq)
 		h.resolve(tr, false, place.Timeout)
 	})
@@ -535,13 +534,13 @@ func (e *liveEnv) Request(_ sim.Time, tr place.Try) {
 		Component: t.ID, Cost: t.Size, Deadline: t.Deadline, Arrive: float64(t.Arrive), Version: entry.Version}})
 }
 
-// ArmCrossing (re)arms the falling crossing on a host timer. toClock
-// rounds down, so the timer waits one more nanosecond: fired a tick
-// early, the pledge it releases would report a queue above threshold.
+// ArmCrossing (re)arms the falling crossing on a host timer, over
+// scaled seconds from now: the instant the queue drains to the
+// threshold.
 func (e *liveEnv) ArmCrossing(_ sim.Time, over float64) {
 	h := e.host
 	e.CancelCrossing()
-	h.crossing = h.cluster.drv.after(h, h.cluster.toClock(over)+time.Nanosecond, func() {
+	h.crossing = h.cluster.drv.after(h, over, func() {
 		h.drain()
 		h.m.Cross(sim.Time(h.now()))
 	})

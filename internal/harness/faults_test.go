@@ -3,7 +3,7 @@ package harness
 import (
 	"context"
 	"fmt"
-	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -56,15 +56,15 @@ type faultSplit struct {
 
 // splitFaults classifies recs against s's events: a link event belongs
 // to a cut event when it is on that event's pair at its At (a cut) or
-// Until (a restore), within tol; every other link event is churn's.
-func splitFaults(s fuzzscen.Scenario, recs []faultRec, tol float64) faultSplit {
+// Until (a restore); every other link event is churn's.
+func splitFaults(s fuzzscen.Scenario, recs []faultRec) faultSplit {
 	ownedBy := func(r faultRec) bool {
 		for _, ev := range s.Events {
 			if ev.Op != "cut" || topology.NodeID(min(ev.A, ev.B)) != r.a || topology.NodeID(max(ev.A, ev.B)) != r.b {
 				continue
 			}
-			if r.kind == trace.LinkCut && math.Abs(r.at-ev.At) <= tol ||
-				r.kind == trace.LinkRestore && ev.Until > ev.At && math.Abs(r.at-ev.Until) <= tol {
+			if r.kind == trace.LinkCut && r.at == ev.At ||
+				r.kind == trace.LinkRestore && ev.Until > ev.At && r.at == ev.Until {
 				return true
 			}
 		}
@@ -89,9 +89,8 @@ func splitFaults(s fuzzscen.Scenario, recs []faultRec, tol float64) faultSplit {
 	return sp
 }
 
-// sameFaults compares two lists of fault events as multisets: kind and
-// node(s) exactly, instants within tol.
-func sameFaults(x, y []faultRec, tol float64) bool {
+// sameFaults compares two lists of fault events as multisets.
+func sameFaults(x, y []faultRec) bool {
 	order := func(rs []faultRec) {
 		sort.Slice(rs, func(i, j int) bool {
 			p, q := rs[i], rs[j]
@@ -104,38 +103,17 @@ func sameFaults(x, y []faultRec, tol float64) bool {
 			return p.at < q.at
 		})
 	}
-	if len(x) != len(y) {
-		return false
-	}
 	order(x)
 	order(y)
-	for i := range x {
-		if x[i].kind != y[i].kind || x[i].a != y[i].a || x[i].b != y[i].b || math.Abs(x[i].at-y[i].at) > tol {
-			return false
-		}
-	}
-	return true
-}
-
-// sameInstants compares two sorted lists of instants within tol.
-func sameInstants(x, y []float64, tol float64) bool {
-	if len(x) != len(y) {
-		return false
-	}
-	for i := range x {
-		if math.Abs(x[i]-y[i]) > tol {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(x, y)
 }
 
 // TestFaultScheduleAgreesAcrossKernels runs generated scenarios that
 // carry kills, cuts or flaps on the simulator and on the live cluster,
 // and demands the same fault events from both: every NodeKill,
 // NodeRevive, and every LinkCut / LinkRestore a cut event causes, in
-// kind, node(s) and instant. Instants may differ by the live clock's
-// grain, one nanosecond of the clock at the backend's TimeScale. Churn
+// kind, node(s) and instant, bit for bit: both kernels keep time on
+// sim.Time seconds. Churn
 // draws its links from different sets on the two kernels (mesh links,
 // host pairs), so only its instants are compared: a cut at every
 // At + k·Interval on both, each healed Down later. A cut event whose
@@ -143,7 +121,6 @@ func sameInstants(x, y []float64, tol float64) bool {
 // Events from the live cluster's settling past Duration, which the
 // simulator does not run, are ignored.
 func TestFaultScheduleAgreesAcrossKernels(t *testing.T) {
-	grain := agile.DefaultConfig().TimeScale * 1e-9
 	seen := map[string]int{}
 	compared, seeds := 0, 0
 	for seed := int64(1); seed <= 200; seed++ {
@@ -165,14 +142,14 @@ func TestFaultScheduleAgreesAcrossKernels(t *testing.T) {
 			if _, err := RunCheckedOpts(be, s, fuzzscen.Builder(s), RunOptions{Trace: rec}); err != nil {
 				t.Fatalf("seed %d on %s: %v", seed, be.Name(), err)
 			}
-			split[k] = splitFaults(s, rec.recs, grain)
+			split[k] = splitFaults(s, rec.recs)
 		}
 		simS, liveS := split[0], split[1]
 
 		for _, ev := range s.Events {
 			seen[ev.Op]++
 		}
-		if !sameFaults(simS.nodes, liveS.nodes, grain) {
+		if !sameFaults(simS.nodes, liveS.nodes) {
 			t.Errorf("seed %d: kill/revive drift:\n sim  %v\n live %v", seed, simS.nodes, liveS.nodes)
 		}
 		uncontested := func(rs []faultRec) (out []faultRec) {
@@ -185,7 +162,7 @@ func TestFaultScheduleAgreesAcrossKernels(t *testing.T) {
 		}
 		simCuts, liveCuts := uncontested(simS.cuts), uncontested(liveS.cuts)
 		compared += len(simCuts)
-		if !sameFaults(simCuts, liveCuts, grain) {
+		if !sameFaults(simCuts, liveCuts) {
 			t.Errorf("seed %d: cut drift:\n sim  %v\n live %v", seed, simCuts, liveCuts)
 		}
 
@@ -206,7 +183,7 @@ func TestFaultScheduleAgreesAcrossKernels(t *testing.T) {
 		}
 		for k, sp := range split {
 			name := []string{"sim", "live"}[k]
-			if !sameInstants(sp.churnCuts, want, grain) {
+			if !slices.Equal(sp.churnCuts, want) {
 				t.Errorf("seed %d: churn spacing drift on %s: cuts at %v, want At + k·Interval %v",
 					seed, name, sp.churnCuts, want)
 				continue
@@ -218,7 +195,7 @@ func TestFaultScheduleAgreesAcrossKernels(t *testing.T) {
 				}
 			}
 			sort.Float64s(heals)
-			if !sameInstants(sp.churnRestores, heals, grain) {
+			if !slices.Equal(sp.churnRestores, heals) {
 				t.Errorf("seed %d: churn heal drift on %s: restores at %v, want %v", seed, name, sp.churnRestores, heals)
 			}
 		}

@@ -207,9 +207,9 @@ func (m *Machine) afterAccept(now sim.Time) {
 
 // Cross is the armed falling crossing coming due. It fires at the
 // instant it was armed for, without re-reading the queue: the drain to
-// the threshold is deterministic, and a re-check at a clock that rounds
-// the instant down would find the backlog a hair above the threshold
-// and lose the crossing.
+// the threshold is deterministic, and the instant is the float sum
+// now + over, so a re-check could find the backlog a rounding error
+// above the threshold and lose the crossing.
 func (m *Machine) Cross(now sim.Time) {
 	if !m.above {
 		return

@@ -1,12 +1,15 @@
 package scenario
 
 import (
+	"fmt"
+	"math"
 	"os"
 	"strings"
 	"testing"
 
 	"realtor/internal/fuzzscen"
 	"realtor/internal/harness"
+	"realtor/internal/trace"
 	"realtor/internal/workload"
 )
 
@@ -222,3 +225,49 @@ func TestLoadPackageNameMismatchAndLiveGatePolicy(t *testing.T) {
 type fakeLive struct{ harness.Backend }
 
 func (fakeLive) Name() string { return "live" }
+
+// arrivalClock keeps the instant of every arrival event, in emission
+// order.
+type arrivalClock struct{ at []float64 }
+
+func (r *arrivalClock) Record(ev trace.Event) {
+	if ev.Kind == trace.Arrival {
+		r.at = append(r.at, float64(ev.At))
+	}
+}
+
+// The two kernels keep one clock: every arrival the live cluster traces
+// lands at the simulator's instant bit for bit, in the same order, for
+// baseline-poisson and a spread of generated scenarios.
+func TestLiveArrivalsMatchSimulatorBitForBit(t *testing.T) {
+	p, err := LoadPackage(scenRoot + "/baseline-poisson")
+	if err != nil {
+		t.Fatal(err)
+	}
+	names, runs := []string{p.Spec.Name}, []fuzzscen.Scenario{p.Spec.Effective()}
+	for _, seed := range []int64{1, 2, 3, 5, 8, 13, 21, 34} {
+		names = append(names, fmt.Sprintf("seed %d", seed))
+		runs = append(runs, fuzzscen.Generate(seed))
+	}
+	for i, s := range runs {
+		name := names[i]
+		var got [2]arrivalClock
+		for k, be := range []harness.Backend{harness.Sim(), harness.Live()} {
+			if _, err := harness.RunCheckedOpts(be, s, fuzzscen.Builder(s), harness.RunOptions{Trace: &got[k]}); err != nil {
+				t.Fatalf("%s on %s: %v", name, be.Name(), err)
+			}
+		}
+		sim, live := got[0].at, got[1].at
+		if len(sim) == 0 {
+			t.Fatalf("%s: no arrivals traced", name)
+		}
+		for i := range min(len(sim), len(live)) {
+			if math.Float64bits(sim[i]) != math.Float64bits(live[i]) {
+				t.Fatalf("%s: arrival %d at %v on sim, %v on live", name, i, sim[i], live[i])
+			}
+		}
+		if len(sim) != len(live) {
+			t.Fatalf("%s: %d arrivals on sim, %d on live", name, len(sim), len(live))
+		}
+	}
+}

@@ -99,33 +99,36 @@ func TestCommittedSpecsAreCanonical(t *testing.T) {
 
 // Malformed specs are rejected with errors naming the offending field —
 // including unknown protocol, workload, and fault-op names.
+// specFieldErrors are malformed specs, each a mutation of testSpec,
+// with the text the error must carry.
+var specFieldErrors = []struct {
+	name    string
+	mutate  func(*Spec)
+	wantErr string
+}{
+	{"bad name", func(sp *Spec) { sp.Name = "Bad Name!" }, "name"},
+	{"unknown protocol", func(sp *Spec) { sp.Protocol = "gossip" }, `protocol "gossip" unknown`},
+	{"discovery set inside", func(sp *Spec) { sp.Scenario.Discovery = "dht" }, "scenario.discovery"},
+	{"unknown topology", func(sp *Spec) { sp.Scenario.Topology = "blob" }, `unknown topology "blob"`},
+	{"unknown workload kind", func(sp *Spec) { sp.Scenario.Load = &workload.Spec{Kind: "zipf"} }, "workload.kind"},
+	{"misplaced workload field", func(sp *Spec) { sp.Scenario.Load.Shape = 2 }, "workload.shape"},
+	{"unknown fault op", func(sp *Spec) { sp.Scenario.Events[0].Op = "meteor" }, `unknown op "meteor"`},
+	{"fault out of range", func(sp *Spec) { sp.Scenario.Events[0].Node = 99 }, "targets node 99"},
+	{"self-link cut", func(sp *Spec) { sp.Scenario.Events[0] = fuzzscen.Event{Op: "cut", At: 3, A: 4, B: 4} }, "self-link 4-4"},
+	{"negative hop delay", func(sp *Spec) { sp.Scenario.HopDelay = -0.01 }, "hop_delay"},
+	{"loss above one", func(sp *Spec) { sp.Scenario.LossProb = 1.5 }, "loss_prob 1.5"},
+	{"negative loss", func(sp *Spec) { sp.Scenario.LossProb = -0.1 }, "loss_prob -0.1"},
+	{"negative max tries", func(sp *Spec) { sp.Scenario.MaxTries = -1 }, "max_tries"},
+	{"help_init below HelpMin", func(sp *Spec) { sp.Scenario.HelpInit = 0.001 }, "HELP interval bounds (init=0.001"},
+	{"negative beta", func(sp *Spec) { sp.Scenario.Beta = -0.1 }, "beta=-0.1"},
+	{"negative capacity", func(sp *Spec) { sp.Scenario.Capacities = []float64{5, -1} }, "capacity"},
+	{"dht entry_ttl below floor", func(sp *Spec) { sp.Protocol = "dht"; sp.Scenario.EntryTTL = 1e-6 }, "entry_ttl 1e-06"},
+	{"admission band inverted", func(sp *Spec) { sp.Expect.AdmissionMinPct = 80; sp.Expect.AdmissionMaxPct = 20 }, "admission_max_pct"},
+	{"reject band overflow", func(sp *Spec) { sp.Expect.MaxRejectPct = 130 }, "max_reject_pct"},
+}
+
 func TestDecodeSpecFieldErrors(t *testing.T) {
-	cases := []struct {
-		name    string
-		mutate  func(*Spec)
-		wantErr string
-	}{
-		{"bad name", func(sp *Spec) { sp.Name = "Bad Name!" }, "name"},
-		{"unknown protocol", func(sp *Spec) { sp.Protocol = "gossip" }, `protocol "gossip" unknown`},
-		{"discovery set inside", func(sp *Spec) { sp.Scenario.Discovery = "dht" }, "scenario.discovery"},
-		{"unknown topology", func(sp *Spec) { sp.Scenario.Topology = "blob" }, `unknown topology "blob"`},
-		{"unknown workload kind", func(sp *Spec) { sp.Scenario.Load = &workload.Spec{Kind: "zipf"} }, "workload.kind"},
-		{"misplaced workload field", func(sp *Spec) { sp.Scenario.Load.Shape = 2 }, "workload.shape"},
-		{"unknown fault op", func(sp *Spec) { sp.Scenario.Events[0].Op = "meteor" }, `unknown op "meteor"`},
-		{"fault out of range", func(sp *Spec) { sp.Scenario.Events[0].Node = 99 }, "targets node 99"},
-		{"self-link cut", func(sp *Spec) { sp.Scenario.Events[0] = fuzzscen.Event{Op: "cut", At: 3, A: 4, B: 4} }, "self-link 4-4"},
-		{"negative hop delay", func(sp *Spec) { sp.Scenario.HopDelay = -0.01 }, "hop_delay"},
-		{"loss above one", func(sp *Spec) { sp.Scenario.LossProb = 1.5 }, "loss_prob 1.5"},
-		{"negative loss", func(sp *Spec) { sp.Scenario.LossProb = -0.1 }, "loss_prob -0.1"},
-		{"negative max tries", func(sp *Spec) { sp.Scenario.MaxTries = -1 }, "max_tries"},
-		{"help_init below HelpMin", func(sp *Spec) { sp.Scenario.HelpInit = 0.001 }, "HELP interval bounds (init=0.001"},
-		{"negative beta", func(sp *Spec) { sp.Scenario.Beta = -0.1 }, "beta=-0.1"},
-		{"negative capacity", func(sp *Spec) { sp.Scenario.Capacities = []float64{5, -1} }, "capacity"},
-		{"dht entry_ttl below floor", func(sp *Spec) { sp.Protocol = "dht"; sp.Scenario.EntryTTL = 1e-6 }, "entry_ttl 1e-06"},
-		{"admission band inverted", func(sp *Spec) { sp.Expect.AdmissionMinPct = 80; sp.Expect.AdmissionMaxPct = 20 }, "admission_max_pct"},
-		{"reject band overflow", func(sp *Spec) { sp.Expect.MaxRejectPct = 130 }, "max_reject_pct"},
-	}
-	for _, tc := range cases {
+	for _, tc := range specFieldErrors {
 		t.Run(tc.name, func(t *testing.T) {
 			sp := testSpec()
 			tc.mutate(&sp)
@@ -157,6 +160,45 @@ func TestDecodeSpecRejectsUnknownFields(t *testing.T) {
 	if _, err := DecodeSpec(raw); err == nil || !strings.Contains(err.Error(), `unknown field "policies"`) {
 		t.Fatalf("err = %v, want the retired policies field rejected as unknown", err)
 	}
+}
+
+// FuzzDecodeSpec holds the strict decoder to three properties on any
+// input: it never panics; a spec it accepts, marshalled again, is
+// accepted; and that second decode marshals to the same bytes. The
+// corpus is the malformed specs above and every committed
+// scenario.json.
+func FuzzDecodeSpec(f *testing.F) {
+	f.Add(testSpec().Canonical())
+	for _, tc := range specFieldErrors {
+		sp := testSpec()
+		tc.mutate(&sp)
+		f.Add(sp.Canonical())
+	}
+	dirs, err := List(scenRoot)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, d := range dirs {
+		raw, err := os.ReadFile(filepath.Join(d, SpecFile))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sp, err := DecodeSpec(data)
+		if err != nil {
+			return
+		}
+		once := sp.Canonical()
+		again, err := DecodeSpec(once)
+		if err != nil {
+			t.Fatalf("accepted spec rejected after a marshal: %v\n%s", err, once)
+		}
+		if twice := again.Canonical(); !bytes.Equal(once, twice) {
+			t.Fatalf("second marshal differs:\n%s\nvs\n%s", once, twice)
+		}
+	})
 }
 
 func TestExportMovesDiscoveryToProtocol(t *testing.T) {
